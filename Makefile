@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race lint lint-fixtures bench-smoke bench-search bench-parallel resume-smoke serve-smoke obs-smoke cluster-smoke chaos shard-smoke
+.PHONY: check fmt vet build test race lint lint-fixtures bench bench-smoke resume-smoke serve-smoke obs-smoke cluster-smoke chaos shard-smoke
 
 check: fmt vet build test race lint lint-fixtures
 
@@ -19,8 +19,11 @@ vet:
 build:
 	$(GO) build ./...
 
+# bench/ is a module of its own, so ./... does not descend into it; its
+# test runs every workload of the harness at a tiny size (~3s).
 test:
 	$(GO) test ./...
+	$(GO) test -C bench ./...
 
 # The enumerator and the compilers are the concurrent subsystems; run
 # their suites under the race detector. faultinject rides along: its
@@ -72,28 +75,23 @@ bench-smoke:
 	$(GO) run ./cmd/phasestats -from-metrics "$$tmp/smoke.metrics.json" \
 		-require search.nodes,search.attempts,check.verify.calls
 
-# Enumeration-throughput smoke: one iteration of the end-to-end search
-# benchmark plus the dedup-index microbenchmark. Catches perf-path
-# compile breakage and gross regressions cheaply; the real before/after
-# numbers live in BENCH_search.json (EXPERIMENTS.md has the table).
-bench-search:
-	$(GO) test -run '^$$' -bench 'BenchmarkSearchRun/(bmh_search|get_code)' -benchmem -benchtime 1x .
-	$(GO) test -run '^$$' -bench BenchmarkDedupIndex -benchmem -benchtime 100x ./internal/search/
-
-# Parallel-engine scaling sweep: BenchmarkSearchRun/bmh_search medians
-# at GOMAXPROCS 1/2/4/8/16, striped-index contention counters, and the
-# byte-identical-across-widths gate (spacedot -hash parity at
-# -search-workers 1/4/16). Writes BENCH_parallel.json; COUNT=1 makes it
-# a quick smoke. Needs jq. scripts/bench_parallel.sh has the details.
-bench-parallel:
-	sh scripts/bench_parallel.sh
+# The repository's benchmark: four workloads (in-process engine,
+# spaced cold and warm, the sharded fleet), every end-to-end and
+# per-layer metric BENCHMARK.json names, every answer gated on
+# bench/expected_hashes.json. Arguments pass through, e.g.
+# make bench ARGS='--workload serve_cold --seconds 30 --trace 1'.
+# bench/README.md has the details, bench/baseline.json the numbers.
+bench:
+	bash bench/run.sh $(ARGS)
 
 # Crash/resume smoke test: SIGKILL an enumeration mid-run, resume it
 # from its checkpoint file, and require the resumed space to hash
 # identical (spacedot -hash, canonical serialization) to an
 # uninterrupted run of the same function. If the machine is fast enough
 # that the run finishes before the kill lands, the checkpoint file
-# already holds the complete space and the comparison still applies.
+# already holds the complete space; if the kill lands before the first
+# cost-paced checkpoint, -resume starts over. The comparison applies
+# either way.
 resume-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/explore" ./cmd/explore && \

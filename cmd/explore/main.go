@@ -33,14 +33,12 @@
 //
 //	-checkpoint dir   write a crash-safe checkpoint of each search to
 //	                  <dir>/<bench>.<func>.ckpt.space.gz at level
-//	                  boundaries and on every abort (including Ctrl-C);
-//	                  when the search completes, the file holds the
-//	                  finished space
+//	                  boundaries, paced so that writing takes about a
+//	                  tenth of the run at most, and on every abort
+//	                  (including Ctrl-C); when the search completes,
+//	                  the file holds the finished space
 //	-resume           continue each function from its checkpoint file in
 //	                  the -checkpoint dir instead of starting over
-//	-ckpt-levels n    checkpoint every n completed levels (default 1)
-//	-ckpt-interval d  also checkpoint when d has passed since the last
-//	                  write (0 = level cadence only)
 //	-watchdog d       quarantine any single phase application running
 //	                  longer than d (0 = no watchdog)
 //	-faults spec      inject faults (internal/faultinject syntax); the
@@ -116,8 +114,6 @@ func run() int {
 		searchW   = flag.Int("search-workers", 0, "worker parallelism inside each enumeration (0 = NumCPU; the space is byte-identical at any width)")
 		ckptDir   = flag.String("checkpoint", "", "write crash-safe checkpoints to <dir>/<bench>.<func>.ckpt.space.gz")
 		resume    = flag.Bool("resume", false, "continue each function from its -checkpoint file")
-		ckptEvery = flag.Int("ckpt-levels", 1, "checkpoint every n completed levels")
-		ckptIval  = flag.Duration("ckpt-interval", 0, "also checkpoint after this much time since the last write (0 = level cadence only)")
 		watchdog  = flag.Duration("watchdog", 0, "quarantine a phase application running longer than this (0 = off)")
 		faultSpec = flag.String("faults", "", "fault injection spec (falls back to $"+faultinject.EnvVar+")")
 		tflags    telemetry.Flags
@@ -222,19 +218,17 @@ func run() int {
 	processFunc := func(tf mibench.TaggedFunc) *funcResult {
 		fr := &funcResult{}
 		opts := search.Options{
-			MaxSeqPerLevel:        *levelCap,
-			MaxNodes:              *maxNodes,
-			Timeout:               *timeout,
-			Check:                 *checkAll,
-			Workers:               *searchW,
-			Ctx:                   ctx,
-			Metrics:               session.Registry,
-			Tracer:                session.Tracer,
-			CheckpointEveryLevels: *ckptEvery,
-			CheckpointInterval:    *ckptIval,
-			AttemptWatchdog:       *watchdog,
-			Faults:                faults,
-			Equiv:                 *equiv,
+			MaxSeqPerLevel:  *levelCap,
+			MaxNodes:        *maxNodes,
+			Timeout:         *timeout,
+			Check:           *checkAll,
+			Workers:         *searchW,
+			Ctx:             ctx,
+			Metrics:         session.Registry,
+			Tracer:          session.Tracer,
+			AttemptWatchdog: *watchdog,
+			Faults:          faults,
+			Equiv:           *equiv,
 		}
 		if *ckptDir != "" {
 			opts.CheckpointPath = filepath.Join(*ckptDir,

@@ -425,8 +425,18 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) {
 	if res.Aborted {
 		req.Aborted, req.AbortReason = true, res.AbortReason
 	} else {
-		var buf bytes.Buffer
-		if err := res.Save(&buf); err != nil {
+		// A checkpointing search's final write left the finished space in
+		// the scratch file: upload those bytes rather than encode it again.
+		var b []byte
+		var err error
+		if opts.CheckpointPath != "" && res.CheckpointErr == "" {
+			b, err = os.ReadFile(opts.CheckpointPath)
+		} else {
+			var buf bytes.Buffer
+			err = res.Save(&buf)
+			b = buf.Bytes()
+		}
+		if err != nil {
 			logger.Error("serializing finished space", "err", err.Error())
 			return
 		}
@@ -435,7 +445,7 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) {
 			logger.Error("hashing finished space", "err", err.Error())
 			return
 		}
-		req.SpaceB64 = base64.StdEncoding.EncodeToString(buf.Bytes())
+		req.SpaceB64 = base64.StdEncoding.EncodeToString(b)
 		req.SpaceHash = hash
 	}
 	// Completion must outlive a drain signal that lands after the

@@ -10,11 +10,14 @@ import (
 	"repro/internal/mibench"
 )
 
-// TestMeasureEquivOverhead is the harness behind BENCH_equiv.json: for
-// a representative set of functions it enumerates with and without the
-// equivalence tier and reports nodes, collapse and median wall time.
-// Skipped unless REPRO_MEASURE_EQUIV is set — it is a measurement, not
-// a regression test.
+// TestMeasureEquivOverhead produced EXPERIMENTS.md's per-function
+// equivalence table: for a representative set of functions it
+// enumerates with and without the equivalence tier and writes nodes,
+// collapse and median wall time to the file REPRO_MEASURE_EQUIV names.
+// Skipped unless that is set — it is a measurement, not a regression
+// test. The tier's tracked numbers are equiv_attempts_per_s,
+// search.live_equiv_ms and search.equiv_fold_ratio in
+// bench/baseline.json.
 func TestMeasureEquivOverhead(t *testing.T) {
 	out := os.Getenv("REPRO_MEASURE_EQUIV")
 	if out == "" {

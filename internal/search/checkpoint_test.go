@@ -3,11 +3,14 @@ package search_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/rtl"
@@ -124,6 +127,70 @@ func mustLoadCanonical(t *testing.T, path string) []byte {
 		t.Fatalf("%s: still carries a frontier of %d nodes", path, len(r.Checkpoint.Frontier))
 	}
 	return canonical(t, r)
+}
+
+// TestResumeFromHardKillSnapshots resumes from what a SIGKILL would
+// have left on disk. Abort paths never run under a hard kill, so the
+// only recovery points are the cost-paced periodic checkpoints: a
+// Verifier hook copies the checkpoint file out each time it changes
+// during one uninterrupted multi-level run, and every copy must resume
+// to the clean run's bytes. The hook stalls once, past the cadence
+// floor, so that the level boundary after it is due whatever the
+// machine's speed: at least one periodic checkpoint always exists.
+func TestResumeFromHardKillSnapshots(t *testing.T) {
+	_, f := compileFunc(t, sumSrc, "sum")
+	want := canonical(t, search.Run(f, search.Options{}))
+
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "sum.ckpt.space.gz")
+	var (
+		mu        sync.Mutex
+		attempts  int
+		snapshots [][]byte
+	)
+	r := search.Run(f, search.Options{
+		CheckpointPath: ckpt,
+		Verifier: func(*rtl.Func) error {
+			mu.Lock()
+			defer mu.Unlock()
+			attempts++
+			if attempts == 10 {
+				time.Sleep(150 * time.Millisecond)
+			}
+			b, err := os.ReadFile(ckpt)
+			if err == nil && (len(snapshots) == 0 || !bytes.Equal(b, snapshots[len(snapshots)-1])) {
+				snapshots = append(snapshots, b)
+			}
+			return nil
+		},
+	})
+	if r.Aborted || r.CheckpointErr != "" {
+		t.Fatalf("run: aborted=%v (%s), checkpoint error %q", r.Aborted, r.AbortReason, r.CheckpointErr)
+	}
+	if len(snapshots) == 0 {
+		t.Fatal("no periodic checkpoint was on disk at any attempt after the stall")
+	}
+	t.Logf("%d periodic checkpoints seen over %d active attempts", len(snapshots), attempts)
+	for i, b := range snapshots {
+		path := filepath.Join(dir, fmt.Sprintf("killed%d.ckpt.space.gz", i))
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := search.LoadFile(path)
+		if err != nil {
+			t.Fatalf("snapshot %d: %v", i, err)
+		}
+		if loaded.Checkpoint == nil {
+			t.Fatalf("snapshot %d: a mid-run checkpoint carries no frontier", i)
+		}
+		resumed, err := search.Resume(loaded, search.Options{CheckpointPath: path})
+		if err != nil {
+			t.Fatalf("snapshot %d (%d nodes): resume: %v", i, len(loaded.Nodes), err)
+		}
+		if got := canonical(t, resumed); !bytes.Equal(got, want) {
+			t.Fatalf("snapshot %d: resumed space differs from the clean run", i)
+		}
+	}
 }
 
 // TestCheckpointRoundTripPartial: an interrupted checkpoint must

@@ -74,6 +74,7 @@ type instruments struct {
 	mQuarantined               *telemetry.Counter
 	mCkptWrites, mCkptFailures *telemetry.Counter
 	mStateKey, mExpand         *telemetry.Histogram
+	mCkptDur                   *telemetry.Histogram
 	gFrontier, gLevel          *telemetry.Gauge
 	tracer                     *telemetry.Tracer
 
@@ -104,6 +105,7 @@ func newInstruments(opts *Options, fnName string, start time.Time) *instruments 
 		ins.mQuarantined = reg.Counter("search.quarantined")
 		ins.mCkptWrites = reg.Counter("search.checkpoint.writes")
 		ins.mCkptFailures = reg.Counter("search.checkpoint.failures")
+		ins.mCkptDur = reg.Histogram("search.checkpoint.duration_ns")
 		ins.mStateKey = reg.Histogram("search.statekey.duration_ns")
 		ins.mExpand = reg.Histogram("search.expand.duration_ns")
 		ins.gFrontier = reg.Gauge("search.frontier")

@@ -15,10 +15,11 @@
 // level aborts oversized functions, mirroring the paper's one-million
 // cutoff that marked two of 111 functions "too big".
 //
-// The engine is durable: with Options.CheckpointPath set, every level
-// boundary and every abort path (caps, timeout, cancellation) persists
-// a resumable snapshot atomically, and Resume continues an interrupted
-// enumeration to the byte-identical space an uninterrupted run yields.
+// The engine is durable: with Options.CheckpointPath set, level
+// boundaries (paced by what a write costs, see checkpointDue) and every
+// abort path (caps, timeout, cancellation) persist a resumable snapshot
+// atomically, and Resume continues an interrupted enumeration to the
+// byte-identical space an uninterrupted run yields.
 // A phase that panics or trips the attempt watchdog is quarantined —
 // recorded as a dead-end node with the failure message — instead of
 // crashing the whole enumeration.
@@ -197,20 +198,14 @@ type Options struct {
 
 	// CheckpointPath, when non-empty, persists a resumable snapshot of
 	// the enumeration to this file (space format v2), written
-	// atomically (temp file + rename): periodically at level
-	// boundaries, on every abort path (caps, timeout, cancellation),
-	// and — as the final complete space — on successful completion.
-	// Load + Resume continue from it. A failed write never clobbers
-	// the previous checkpoint; the error lands in Result.CheckpointErr
-	// and the search keeps running.
+	// atomically (temp file + rename): at level boundaries whenever
+	// the work at risk outweighs what a write costs (checkpointDue),
+	// on every abort path (caps, timeout, cancellation), and — as the
+	// final complete space — on successful completion. Load + Resume
+	// continue from it. A failed write never clobbers the previous
+	// checkpoint; the error lands in Result.CheckpointErr and the
+	// search keeps running.
 	CheckpointPath string
-	// CheckpointEveryLevels gates periodic checkpoints to one per N
-	// completed levels (0 or 1 = every level). Abort checkpoints
-	// ignore the gates.
-	CheckpointEveryLevels int
-	// CheckpointInterval additionally requires this much wall time
-	// since the last periodic checkpoint (0 = no time gate).
-	CheckpointInterval time.Duration
 	// AttemptWatchdog bounds the wall time of a single phase
 	// application; an attempt exceeding it is quarantined like a
 	// panicking phase (the stuck goroutine is abandoned). 0 disables
@@ -262,6 +257,9 @@ type Result struct {
 	// ("" = none). The previous checkpoint file survives a failed
 	// write, so an interrupted run resumes from the last good one.
 	CheckpointErr string
+	// CheckpointTime is the wall time this Run or Resume spent writing
+	// checkpoints (failed writes included). Not persisted.
+	CheckpointTime time.Duration
 
 	root *rtl.Func
 	opts Options
@@ -372,9 +370,13 @@ type engine struct {
 	// snap is the last consistent level boundary; abort checkpoints
 	// persist it.
 	snap snapshot
-	// levelsSinceCkpt / lastCkpt gate the periodic checkpoints.
-	levelsSinceCkpt int
-	lastCkpt        time.Time
+	// lastCkpt is when the last checkpoint write finished, lastCkptCost
+	// what it took and lastCkptNodes how many nodes it covered (before
+	// the first: the run's start and checkpointNodePrior for one node);
+	// together they pace the periodic checkpoints.
+	lastCkpt      time.Time
+	lastCkptCost  time.Duration
+	lastCkptNodes int
 }
 
 // Run exhaustively enumerates the phase order space of f. The function
@@ -605,13 +607,21 @@ func (e *engine) abort(reason string) {
 // writeCheckpoint persists snap atomically when checkpointing is
 // configured. Failures are recorded, counted and survived: the
 // previous checkpoint file is left intact and the search continues.
+// Either way the write is timed, and its cost paces the next periodic
+// checkpoint.
 func (e *engine) writeCheckpoint(snap *snapshot) {
 	if e.opts.CheckpointPath == "" {
 		return
 	}
+	began := time.Now()
 	span := e.ins.tracer.Begin("search.checkpoint", "search", 0)
 	err := writeCheckpointFile(e.opts.CheckpointPath, e.res, snap, e.opts.Faults)
 	span.End(map[string]any{"nodes": snap.numNodes, "frontier": len(snap.frontier), "ok": err == nil})
+	e.lastCkpt = time.Now()
+	e.lastCkptCost = e.lastCkpt.Sub(began)
+	e.lastCkptNodes = snap.numNodes
+	e.res.CheckpointTime += e.lastCkptCost
+	e.ins.mCkptDur.Observe(int64(e.lastCkptCost))
 	if err != nil {
 		e.res.CheckpointErr = err.Error()
 		e.ins.mCkptFailures.Inc()
@@ -627,28 +637,29 @@ func (e *engine) writeCheckpoint(snap *snapshot) {
 			"fn", e.ins.fnName, "path", e.opts.CheckpointPath,
 			"nodes", snap.numNodes, "frontier", len(snap.frontier))
 	}
-	e.levelsSinceCkpt = 0
-	e.lastCkpt = time.Now()
 }
 
-// maybeCheckpoint writes a periodic boundary checkpoint when the
-// level/time gates allow.
-func (e *engine) maybeCheckpoint() {
-	if e.opts.CheckpointPath == "" {
-		return
-	}
-	e.levelsSinceCkpt++
-	every := e.opts.CheckpointEveryLevels
-	if every <= 0 {
-		every = 1
-	}
-	due := e.levelsSinceCkpt >= every
-	if !due && e.opts.CheckpointInterval > 0 && time.Since(e.lastCkpt) >= e.opts.CheckpointInterval {
-		due = true
-	}
-	if due {
-		e.writeCheckpoint(&e.snap)
-	}
+const (
+	// checkpointCostRatio: work at risk per unit of write time before a
+	// periodic checkpoint pays; 9 keeps writing near a tenth of the run.
+	checkpointCostRatio = 9
+	// checkpointFloor is the least work worth a periodic checkpoint.
+	checkpointFloor = 100 * time.Millisecond
+	// checkpointNodePrior prices a write per node until one has been
+	// measured (mid-range for corpus functions). Without it the first
+	// periodic write counts as free, and on a space of a few hundred
+	// milliseconds it takes a third of the run.
+	checkpointNodePrior = 50 * time.Microsecond
+)
+
+// checkpointDue is the periodic cadence rule: write at a level boundary
+// only when the work at risk (time since the last write finished) is at
+// least checkpointCostRatio times what a write costs and at least
+// checkpointFloor. A hard kill so loses at most one level, or about ten
+// times a checkpoint's write time, or the floor, whichever is longest.
+// Abort, pause and final writes do not ask.
+func checkpointDue(atRisk, cost time.Duration) bool {
+	return atRisk >= checkpointFloor && atRisk >= checkpointCostRatio*cost
 }
 
 // run is the level loop shared by Run and Resume.
@@ -678,7 +689,7 @@ func (e *engine) run() *Result {
 		}
 	}
 
-	e.lastCkpt = e.start
+	e.lastCkpt, e.lastCkptCost, e.lastCkptNodes = e.start, checkpointNodePrior, 1
 	e.snap = e.boundary()
 	for len(e.frontier) > 0 {
 		frontier := e.frontier
@@ -777,7 +788,13 @@ func (e *engine) run() *Result {
 			res.Checkpoint = &Checkpoint{Frontier: e.frontier, SavedAt: time.Now()}
 			break
 		}
-		e.maybeCheckpoint()
+		// A write's cost is linear in the nodes it serializes, so the
+		// next one is priced at the last one's cost per node. An empty
+		// frontier ends the loop, and the final write covers it.
+		cost := time.Duration(float64(e.lastCkptCost) * float64(len(res.Nodes)) / float64(e.lastCkptNodes))
+		if len(e.frontier) > 0 && checkpointDue(time.Since(e.lastCkpt), cost) {
+			e.writeCheckpoint(&e.snap)
+		}
 	}
 	res.Elapsed = e.elapsed()
 	res.Stats = ins.runStats()

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/faultinject"
 	"repro/internal/fingerprint"
 	"repro/internal/rtl"
 	"repro/internal/search"
@@ -155,6 +156,8 @@ type diskStore struct {
 	dir      string
 	maxBytes int64
 	gauge    *telemetry.Gauge // cache_disk_bytes
+	// faults, when non-nil, can fail the directory fsync of a publish.
+	faults *faultinject.Plan
 
 	mu      sync.Mutex
 	entries map[cacheKey]*diskEntry
@@ -203,7 +206,7 @@ func newDiskStore(dir string, maxBytes int64, gauge *telemetry.Gauge) (*diskStor
 
 // scan seeds the accounting from entries a previous process left
 // behind, ordering the use clock by file mtime so eviction starts from
-// genuinely old entries.
+// genuinely old entries, and deletes the temp files it orphaned.
 func (st *diskStore) scan() error {
 	des, err := os.ReadDir(st.dir)
 	if err != nil {
@@ -222,6 +225,11 @@ func (st *diskStore) scan() error {
 		name := de.Name()
 		var entKey cacheKey
 		switch {
+		case hasSuffix(name, spaceSuffix+".tmp"):
+			// A put or a checkpoint write a previous process died in:
+			// never renamed, so never an entry, and nothing will reuse it.
+			os.Remove(filepath.Join(st.dir, name)) //nolint:errcheck // retried next boot
+			continue
 		case hasSuffix(name, ckptSuffix):
 			// A checkpoint mirror a previous process left behind — a
 			// crashed coordinator's shard slots, typically. Budgeted and
@@ -400,36 +408,53 @@ func (st *diskStore) remove(k cacheKey) {
 func (st *diskStore) put(k cacheKey, r *search.Result) error {
 	path := st.path(k)
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	err := saveSynced(tmp, r)
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
 	if err != nil {
-		return fmt.Errorf("server: cache write: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	if err = r.Save(f); err != nil {
-		return fmt.Errorf("server: cache write: %w", err)
-	}
-	if err = f.Sync(); err != nil {
-		return fmt.Errorf("server: cache write: %w", err)
-	}
-	if err = f.Close(); err != nil {
-		return fmt.Errorf("server: cache write: %w", err)
-	}
-	if err = os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("server: cache write: %w", err)
 	}
-	if err = syncDir(st.dir); err != nil {
-		return fmt.Errorf("server: cache write: %w", err)
-	}
-	os.Remove(st.ckptPath(k))
+	return st.published(k)
+}
 
+// saveSynced writes r to path and fsyncs it.
+func saveSynced(path string, r *search.Result) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := r.Save(f); err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	return f.Close()
+}
+
+// promote publishes k's checkpoint file as its cache entry. The caller
+// vouches that the file is the search engine's final write for k: the
+// complete space, the bytes put would have written, already fsynced.
+// One rename replaces put's encode, gzip and file fsync.
+func (st *diskStore) promote(k cacheKey) error {
+	if err := os.Rename(st.ckptPath(k), st.path(k)); err != nil {
+		return fmt.Errorf("server: cache promote: %w", err)
+	}
+	return st.published(k)
+}
+
+// published is the tail put and promote share, entered once the rename
+// has put k's file in place. The entry is accounted for whatever the
+// directory fsync says: a failed fsync loses the durability promise,
+// not the file, and the budget must see it.
+func (st *diskStore) published(k cacheKey) error {
+	serr := syncDir(st.dir, st.faults)
+	os.Remove(st.ckptPath(k)) // superseded after put; already renamed away after promote
 	var size int64
-	if fi, serr := os.Stat(path); serr == nil {
+	if fi, err := os.Stat(st.path(k)); err == nil {
 		size = fi.Size()
 	}
 	st.mu.Lock()
@@ -442,10 +467,13 @@ func (st *diskStore) put(k cacheKey, r *search.Result) error {
 	e.size = size
 	st.seq++
 	e.lastUse = st.seq
-	st.dropCkptLocked(k) // the removed checkpoint leaves the budget too
+	st.dropCkptLocked(k) // the consumed checkpoint leaves the budget too
 	st.sweepLocked(k)
 	st.setGauge()
 	st.mu.Unlock()
+	if serr != nil {
+		return fmt.Errorf("server: cache write: syncing directory: %w", serr)
+	}
 	return nil
 }
 
@@ -578,7 +606,12 @@ func cutSuffix(s, suffix string) (string, bool) {
 	return s[:len(s)-len(suffix)], true
 }
 
-func syncDir(dir string) error {
+// syncDir fsyncs the cache directory so a rename into it survives power
+// loss; the fault plan's dirsyncfail budget can fail it.
+func syncDir(dir string, faults *faultinject.Plan) error {
+	if faults.DirSyncFault() {
+		return faultinject.ErrDirSync
+	}
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

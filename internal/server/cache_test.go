@@ -1,11 +1,13 @@
 package server
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/faultinject"
 	"repro/internal/search"
 	"repro/internal/telemetry"
 )
@@ -295,5 +297,74 @@ func TestDiskStoreRemoveAccounting(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(st.dir, string(keys[0])+spaceSuffix)); !os.IsNotExist(err) {
 		t.Fatalf("file survived remove (err=%v)", err)
+	}
+}
+
+// TestDiskStoreRemovesOrphanedTempFiles plants what a process killed
+// mid-put and mid-checkpoint leaves behind: temp files that were never
+// renamed. Start-up must delete both kinds and count neither.
+func TestDiskStoreRemovesOrphanedTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	st, err := newDiskStore(dir, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := putSpaces(t, st, lruSrcs, []string{"clamp"})
+	total := st.diskBytes()
+	orphans := []string{st.path(keys[0]) + ".tmp", st.ckptPath(keys[0]) + ".tmp"}
+	for _, o := range orphans {
+		if err := os.WriteFile(o, []byte("torn write"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st2, err := newDiskStore(dir, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range orphans {
+		if _, err := os.Stat(o); !os.IsNotExist(err) {
+			t.Errorf("%s survived start-up (err=%v)", filepath.Base(o), err)
+		}
+	}
+	if got := st2.diskBytes(); got != total {
+		t.Fatalf("rescan tracked %d bytes, want the entry's %d", got, total)
+	}
+}
+
+// TestDiskStoreAccountsPublishedFileWhenDirSyncFails: once the rename
+// has happened the file is in the store, whatever the directory fsync
+// then reports. Both ways of publishing share that tail, so both must
+// return the error with the budget already counting the file.
+func TestDiskStoreAccountsPublishedFileWhenDirSyncFails(t *testing.T) {
+	fn := mustCompile(t, clampSrc, "clamp")
+	k := requestKey(fn, normOptions{})
+	for name, publish := range map[string]func(*diskStore) error{
+		"put": func(st *diskStore) error {
+			return st.put(k, search.Run(fn, search.Options{}))
+		},
+		"promote": func(st *diskStore) error {
+			search.Run(fn, search.Options{CheckpointPath: st.ckptPath(k)})
+			return st.promote(k)
+		},
+	} {
+		st, err := newDiskStore(t.TempDir(), 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.faults = faultinject.MustParse("dirsyncfail=1")
+		if err := publish(st); !errors.Is(err, faultinject.ErrDirSync) {
+			t.Fatalf("%s: err = %v, want the injected directory fsync failure", name, err)
+		}
+		fi, err := os.Stat(st.path(k))
+		if err != nil {
+			t.Fatalf("%s: published file missing: %v", name, err)
+		}
+		if got := st.diskBytes(); got != fi.Size() {
+			t.Fatalf("%s: budget tracks %d bytes, file on disk has %d", name, got, fi.Size())
+		}
+		if _, err := os.Stat(st.ckptPath(k)); !os.IsNotExist(err) {
+			t.Fatalf("%s: checkpoint slot not consumed (err=%v)", name, err)
+		}
 	}
 }

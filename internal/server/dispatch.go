@@ -273,11 +273,12 @@ func (d *dispatcher) enumerate(fl *flight) (*search.Result, bool) {
 	}
 
 	d.mu.Lock()
-	state, res, aborted, reason := a.state, a.res, a.aborted, a.abortReason
+	state, res, hash, aborted, reason := a.state, a.res, a.hash, a.aborted, a.abortReason
 	delete(d.assignments, a.id)
 	d.mu.Unlock()
 	switch {
 	case state == stateDone && !aborted:
+		fl.hash = hash // handleDistComplete verified it against these bytes
 		return res, true
 	case state == stateDone:
 		return &search.Result{FuncName: fl.fn.Name, Aborted: true, AbortReason: reason}, true

@@ -32,10 +32,15 @@ type flightRecord struct {
 	Status          int    `json:"status"`
 	Error           string `json:"error,omitempty"`
 
-	QueueWaitMS int64 `json:"queue_wait_ms"`
-	EnumerateMS int64 `json:"enumerate_ms"`
-	SerializeMS int64 `json:"serialize_ms"`
-	TotalMS     int64 `json:"total_ms"`
+	// EnumerateMS spans worker pickup to flight resolution, so on a miss
+	// it contains CheckpointMS (the engine's checkpoint writes) and
+	// PublishMS (canonical hash + rename or put into the disk store).
+	QueueWaitMS  int64 `json:"queue_wait_ms"`
+	EnumerateMS  int64 `json:"enumerate_ms"`
+	CheckpointMS int64 `json:"checkpoint_ms"`
+	PublishMS    int64 `json:"publish_ms"`
+	SerializeMS  int64 `json:"serialize_ms"`
+	TotalMS      int64 `json:"total_ms"`
 }
 
 // flightLog is the fixed-size ring the flight recorder replays from.
@@ -116,6 +121,8 @@ func (s *Server) recordFlight(r *http.Request, ri *reqInfo, fl *flight, status i
 		Error:           errMsg,
 		QueueWaitMS:     ri.queueWait.Milliseconds(),
 		EnumerateMS:     ri.enumerate.Milliseconds(),
+		CheckpointMS:    ri.checkpoint.Milliseconds(),
+		PublishMS:       ri.publish.Milliseconds(),
 		SerializeMS:     serialize.Milliseconds(),
 		TotalMS:         total.Milliseconds(),
 	}
@@ -132,6 +139,8 @@ func (s *Server) recordFlight(r *http.Request, ri *reqInfo, fl *flight, status i
 			"status", status,
 			"queue_wait_ms", rec.QueueWaitMS,
 			"enumerate_ms", rec.EnumerateMS,
+			"checkpoint_ms", rec.CheckpointMS,
+			"publish_ms", rec.PublishMS,
 			"serialize_ms", rec.SerializeMS,
 			"total_ms", rec.TotalMS,
 		}

@@ -30,7 +30,11 @@ type reqInfo struct {
 
 	queueWait time.Duration // flight creation → worker pickup
 	enumerate time.Duration // worker pickup → flight resolution
-	serialize time.Duration // response encoding
+	// checkpoint and publish are the parts of enumerate a miss spent
+	// writing checkpoints and hashing + storing the finished space.
+	checkpoint time.Duration
+	publish    time.Duration
+	serialize  time.Duration // response encoding
 }
 
 type reqInfoKey struct{}

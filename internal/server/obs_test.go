@@ -259,7 +259,8 @@ func TestFlightRecorderLinksFollowerToLeader(t *testing.T) {
 	if leader.Func != "clamp" || leader.Status != 200 {
 		t.Fatalf("leader func/status: %+v", leader)
 	}
-	if leader.EnumerateMS <= 0 || leader.TotalMS < leader.EnumerateMS {
+	if leader.EnumerateMS <= 0 || leader.TotalMS < leader.EnumerateMS ||
+		leader.CheckpointMS+leader.PublishMS > leader.EnumerateMS {
 		t.Fatalf("leader timing split implausible: %+v", leader)
 	}
 }
@@ -400,8 +401,8 @@ func TestSlowFlightLogBreakdown(t *testing.T) {
 	if slow["func"] != "clamp" || slow["cache"] != "miss" {
 		t.Fatalf("slow-flight identity fields: %v", slow)
 	}
-	for _, k := range []string{"flight_id", "queue_wait_ms", "enumerate_ms", "serialize_ms",
-		"total_ms", "attempts", "active", "dormant", "merged", "levels"} {
+	for _, k := range []string{"flight_id", "queue_wait_ms", "enumerate_ms", "checkpoint_ms",
+		"publish_ms", "serialize_ms", "total_ms", "attempts", "active", "dormant", "merged", "levels"} {
 		if _, ok := slow[k]; !ok {
 			t.Fatalf("slow-flight record missing %q: %v", k, slow)
 		}

@@ -62,6 +62,16 @@ type flight struct {
 	cacheHow string // "mem", "disk" or "miss" — how the worker resolved it
 	err      error
 	status   int // HTTP status for err
+	// publish is how long a miss took to hash and store its space.
+	publish time.Duration
+
+	// What the path that produced a miss's space already knows about
+	// it; the worker goroutine's own notes, not for waiters. hash is its
+	// canonical hash where a fleet completion verified one. ckptIsSpace
+	// says the key's checkpoint slot holds the engine's final write:
+	// the finished space, fsynced, ready to be renamed into the cache.
+	hash        string
+	ckptIsSpace bool
 
 	waiters int // guarded by pool.mu
 }

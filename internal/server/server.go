@@ -205,6 +205,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	store.faults = cfg.Faults
 	s := &Server{
 		cfg:     cfg,
 		reg:     reg,
@@ -528,6 +529,10 @@ func (s *Server) enumerate(r *http.Request) (*enumerateResponse, *flight, error)
 		ri.cache = how
 		ri.queueWait = fl.startedAt.Sub(fl.enqueuedAt)
 		ri.enumerate = fl.finishedAt.Sub(fl.startedAt)
+		ri.publish = fl.publish
+		if fl.ent.res != nil {
+			ri.checkpoint = fl.ent.res.CheckpointTime
+		}
 	}
 	if fl.err != nil {
 		status := fl.status
@@ -678,7 +683,7 @@ func (s *Server) runFlight(fl *flight) {
 	if res, err := s.store.load(fl.key); err == nil {
 		s.reg.Counter("server.cache.hit_disk").Inc()
 		s.cacheTier.With("disk").Inc()
-		if fl.err = s.admit(fl.key, res, &fl.ent); fl.err != nil {
+		if fl.err = s.admit(fl.key, res, "", &fl.ent); fl.err != nil {
 			return
 		}
 		fl.cacheHow = "disk"
@@ -703,10 +708,17 @@ func (s *Server) runFlight(fl *flight) {
 		fl.err = err
 		return
 	}
-	if fl.err = s.admit(fl.key, res, &fl.ent); fl.err != nil {
+	publishStart := time.Now()
+	defer func() { fl.publish = time.Since(publishStart) }()
+	if fl.err = s.admit(fl.key, res, fl.hash, &fl.ent); fl.err != nil {
 		return
 	}
-	if err := s.store.put(fl.key, res); err != nil {
+	if fl.ckptIsSpace {
+		err = s.store.promote(fl.key)
+	} else {
+		err = s.store.put(fl.key, res)
+	}
+	if err != nil {
 		// Served from memory anyway; the disk slot heals on a future
 		// enumeration.
 		s.reg.Counter("server.cache.write_errors").Inc()
@@ -784,6 +796,10 @@ func (s *Server) enumerateFlight(fl *flight) (*search.Result, error) {
 		s.reg.Counter("server.enumerations").Inc()
 		res = search.Run(fl.fn, opts)
 	}
+	// Whichever branch ran, the engine's last successful write left the
+	// finished space in the checkpoint slot; runFlight publishes that
+	// file instead of encoding the space a second time.
+	fl.ckptIsSpace = !res.Aborted && res.CheckpointErr == ""
 	return s.finishFlight(fl, res)
 }
 
@@ -805,11 +821,14 @@ func (s *Server) finishFlight(fl *flight, res *search.Result) (*search.Result, e
 }
 
 // admit caches a complete space in the LRU and folds it into the
-// interaction statistics.
-func (s *Server) admit(key cacheKey, res *search.Result, out *entry) error {
-	hash, err := res.CanonicalHash()
-	if err != nil {
-		return fmt.Errorf("hashing space: %w", err)
+// interaction statistics. hash is res's canonical hash when the caller
+// has already verified it (a fleet completion); "" computes it.
+func (s *Server) admit(key cacheKey, res *search.Result, hash string, out *entry) error {
+	if hash == "" {
+		var err error
+		if hash, err = res.CanonicalHash(); err != nil {
+			return fmt.Errorf("hashing space: %w", err)
+		}
 	}
 	*out = entry{res: res, hash: hash}
 	s.mem.add(key, *out)

@@ -521,10 +521,22 @@ func mustCompile(t *testing.T, src, name string) *rtl.Func {
 // /v1/space/{key} must load as a space whose canonical hash matches the
 // one the enumerate response reported — the spacedot -hash audit.
 func TestSpaceEndpointServesAuditableBytes(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	status, doc, _ := post(t, ts, srcBody(clampSrc))
 	if status != http.StatusOK {
 		t.Fatalf("enumerate: status %d: %v", status, doc)
+	}
+	// A small cold flight serializes its space once for durability: the
+	// engine's final checkpoint, renamed into the cache slot. Nothing
+	// else is written and nothing is left beside the entry.
+	if got := counter(s, "search.checkpoint.writes"); got != 1 {
+		t.Fatalf("search.checkpoint.writes = %d after one small cold flight, want 1", got)
+	}
+	if h := s.reg.Snapshot().Histograms["search.checkpoint.duration_ns"]; h.Count != 1 || h.Sum <= 0 {
+		t.Fatalf("search.checkpoint.duration_ns = %+v, want the one write timed", h)
+	}
+	if got := dirNames(t, s.cfg.Dir); len(got) != 1 || got[0] != doc["key"].(string)+spaceSuffix {
+		t.Fatalf("cache dir holds %v, want only the published entry", got)
 	}
 	resp, err := http.Get(ts.URL + "/v1/space/" + doc["key"].(string))
 	if err != nil {
@@ -565,6 +577,49 @@ func TestSpaceEndpointServesAuditableBytes(t *testing.T) {
 		if resp.StatusCode != want {
 			t.Errorf("GET %s: status %d, want %d", path, resp.StatusCode, want)
 		}
+	}
+}
+
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range des {
+		names = append(names, de.Name())
+	}
+	return names
+}
+
+// TestCompleteCheckpointIsPromoted is the crash window between the
+// engine's final checkpoint write and its promotion: a restart finds a
+// complete checkpoint and no entry. The request must be answered from
+// that file — renamed into the slot, not enumerated again.
+func TestCompleteCheckpointIsPromoted(t *testing.T) {
+	dir := t.TempDir()
+	fn := mustCompile(t, clampSrc, "clamp")
+	key := requestKey(fn, normOptions{})
+	ckpt := filepath.Join(dir, string(key)+ckptSuffix)
+	want, err := search.Run(fn, search.Options{CheckpointPath: ckpt}).CanonicalHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := newTestServer(t, Config{Dir: dir})
+	status, doc, _ := post(t, ts, srcBody(clampSrc))
+	if status != http.StatusOK || doc["cache"] != "miss" || doc["space_hash"] != want {
+		t.Fatalf("status %d cache %v hash %v, want 200 miss %s", status, doc["cache"], doc["space_hash"], want)
+	}
+	if got := counter(s, "server.enumerations"); got != 0 {
+		t.Fatalf("server.enumerations = %d, want 0: the checkpoint was the space", got)
+	}
+	if got := dirNames(t, dir); len(got) != 1 || got[0] != string(key)+spaceSuffix {
+		t.Fatalf("cache dir holds %v, want only the promoted entry", got)
+	}
+	if _, err := s.store.load(key); err != nil {
+		t.Fatalf("promoted entry does not load: %v", err)
 	}
 }
 
