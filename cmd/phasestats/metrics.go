@@ -310,10 +310,15 @@ func printSearchTotals(s telemetry.Snapshot) {
 			s.Counters["dist.stale_uploads"], s.Counters["dist.local_fallbacks"])
 	}
 	if splits := s.Counters["dist.shard.splits"]; splits > 0 || s.Counters["dist.shard.fallbacks"] > 0 {
-		fmt.Printf("dist:   shards: %d splits into %d shard assignments, %d merges, %d merge failures, %d fallbacks, %d warmup completions\n",
+		mean := func(name string) time.Duration {
+			return time.Duration(int64(s.Histograms[name].Mean())).Round(time.Microsecond)
+		}
+		fmt.Printf("dist:   shards: %d splits into %d shard assignments, %d merges (mean %s), %d merge failures, %d fallbacks, %d warmup completions, %d equiv derivations (mean %s)\n",
 			splits, s.Counters["dist.shard.assignments"], s.Counters["dist.shard.merges"],
+			mean("dist.shard.merge.duration_ns"),
 			s.Counters["dist.shard.merge_failures"], s.Counters["dist.shard.fallbacks"],
-			s.Counters["dist.shard.warmup_completions"])
+			s.Counters["dist.shard.warmup_completions"],
+			s.Histograms["dist.shard.derive.duration_ns"].Count, mean("dist.shard.derive.duration_ns"))
 	}
 	for _, compiler := range []string{"batch", "prob"} {
 		if n := s.Counters["driver."+compiler+".compiles"]; n > 0 {

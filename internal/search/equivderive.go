@@ -2,13 +2,11 @@ package search
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/dataflow"
-	"repro/internal/fingerprint"
 	"repro/internal/opt"
+	"repro/internal/rtl"
 )
 
 // DeriveEquiv computes the equivalence-collapsed space of a complete
@@ -20,16 +18,25 @@ import (
 // shards in the default tier and derives the equiv space afterwards.
 // That is sound because the complete default space is a total oracle
 // for the equiv BFS: every node the equiv run expands is the class
-// representative of some default-tier instance, every phase outcome at
-// that instance is recorded in the default space's edges (absence =
-// dormant, by the same Section 4.1 argument the merge replay uses),
-// and class keys come from re-materializing child instances by their
-// default-space sequences and encoding them with the same
-// flow-sensitive encoder the live run applies. opts supplies the caps
-// and phase list of the equiv request (the machine description always
-// comes from full); if a cap binds, the derived result aborts with the
-// serial run's reason.
-func DeriveEquiv(full *Result, opts Options) (res *Result, err error) {
+// representative of some default-tier instance, and every phase outcome
+// at that instance is recorded in the default space's edges (absence =
+// dormant, by the same Section 4.1 argument the merge replay uses).
+// Class keys come from the instances themselves: derived frontier nodes
+// retain theirs exactly as the live engine's frontier does (dropped
+// when the level retires), and a raw-distinct child is a clone of its
+// parent plus one application of the edge's phase — literally what the
+// live tier evaluates — encoded by the same flow-sensitive encoder.
+//
+// Cost model: one harvest pass over full's keys, one edge probe per
+// attempt, and at most one phase application per raw-distinct instance
+// (Equiv.Raw); dormant attempts and already-seen spellings cost an
+// integer compare. opts supplies the caps and phase list of the equiv
+// request (the machine description always comes from full); if a cap
+// binds, the derived result aborts with the serial run's reason. full
+// may come from the wire: a space whose edges do not hold up on the
+// materialized instances fails with an error naming the sequence and
+// phase.
+func DeriveEquiv(full *Result, opts Options) (*Result, error) {
 	if full.Checkpoint != nil {
 		return nil, fmt.Errorf("search: derive-equiv: source space is not complete (checkpoint frontier remains)")
 	}
@@ -39,169 +46,71 @@ func DeriveEquiv(full *Result, opts Options) (res *Result, err error) {
 	if full.Equiv != nil {
 		return nil, fmt.Errorf("search: derive-equiv: source space is already equivalence-collapsed")
 	}
-	if len(full.Nodes) == 0 || full.root == nil {
-		return nil, fmt.Errorf("search: derive-equiv: source space is empty")
+	if len(full.Nodes) == 0 || full.root == nil || full.Nodes[0].Quarantine != "" {
+		return nil, fmt.Errorf("search: derive-equiv: source space has no root instance")
 	}
-	// Sequence replay panics on malformed input (an unknown phase, a
-	// dormant step); a shard result arrives over the wire, so convert
-	// that into an error instead of unwinding the caller.
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("search: derive-equiv: %v", r)
-		}
-	}()
 	opts.fill()
 	opts.Machine = full.opts.Machine
 	opts.Equiv = true
 	opts.CheckpointPath = ""
 	opts.Logger, opts.Metrics, opts.Tracer = nil, nil, nil
 
-	oracle := attemptOracle{}
-	if err := harvestOracle(oracle, full, func(int) bool { return true }); err != nil {
-		return nil, err
+	oracle := &attemptOracle{}
+	ids, err := oracle.harvest(full, func(int) bool { return true })
+	if err != nil {
+		return nil, fmt.Errorf("search: derive-equiv: %w", err)
 	}
-	// Equivalence encodings, memoized by canonical key: the instance is
-	// re-materialized by replaying its default-space sequence from the
-	// root, then canonicalized exactly as the live equiv tier does.
-	encCache := make(map[string][]byte)
-	equivEnc := func(key, seq string) []byte {
-		if b, ok := encCache[key]; ok {
-			return b
-		}
-		st := opt.State{}
-		fn := replaySeq(full.root, seq, opts.Machine, &st)
-		b := dataflow.EquivEncode(nil, fn)
-		encCache[key] = b
-		return b
-	}
-
-	res = &Result{
+	res := &Result{
 		FuncName: full.FuncName,
 		Elapsed:  full.Elapsed,
 		root:     full.root,
 		opts:     opts,
 		keys:     newKeyStore(),
-		Equiv:    &EquivStats{RedundantByPhase: make(map[string]int)},
+		Equiv:    &EquivStats{Raw: 1, RedundantByPhase: make(map[string]int)},
 	}
 	ins := newInstruments(&res.opts, full.FuncName, time.Now())
 
 	// Seed the root as Run does: Raw counts it, its canonical key and
 	// equivalence class register, and the node counter ticks once.
 	src := full.Nodes[0]
-	rootKey := full.NodeKey(src)
-	rootNode := &Node{
-		FP:        src.FP,
-		State:     src.State,
-		NumInstrs: src.NumInstrs,
-		CFKey:     src.CFKey,
-		CheckErr:  src.CheckErr,
-		EquivRaw:  1,
-	}
-	res.keys.put(0, rootKey)
+	rootNode := &Node{FP: src.FP, State: src.State, NumInstrs: src.NumInstrs,
+		CFKey: src.CFKey, CheckErr: src.CheckErr, EquivRaw: 1, fn: full.root.Clone()}
+	res.keys.put(0, oracle.nodes[ids[0]].key)
 	res.Nodes = []*Node{rootNode}
-	// byKey is the identical tier plus its alias overlay: every raw
-	// spelling seen so far, mapped to the node it resolved to.
-	byKey := map[string]int{rootKey: 0}
-	classes := map[string]int{rootKey[:1] + string(equivEnc(rootKey, "")): 0}
-	res.Equiv.Raw = 1
+	oracle.nodes[ids[0]].node = 0
 	ins.nodes.Add(1)
-
-	frontier := []*Node{rootNode}
-	for len(frontier) > 0 {
-		var work []attempt
-		for _, n := range frontier {
-			for _, p := range opts.Phases {
-				if !opt.Enabled(p, n.State) {
-					continue
-				}
-				if len(n.Seq) > 0 && n.Seq[len(n.Seq)-1] == p.ID() {
-					continue
-				}
-				work = append(work, attempt{n, p})
-			}
-		}
-		if len(work) > opts.MaxSeqPerLevel {
-			res.abort(abortLevelCapReason(frontier[0].Level+1, len(work), opts.MaxSeqPerLevel))
-			break
-		}
-		res.AttemptedPhases += len(work)
-		level := frontier[0].Level
-		levelStart := len(res.Nodes)
-		ins.beginLevel(level, len(frontier), len(work))
-		var next []*Node
-		for _, a := range work {
-			// The node's stored key is its class representative's
-			// canonical key — the instance the live equiv run would
-			// retain and expand — so the oracle lookup asks about
-			// exactly the instance the live run evaluates.
-			pkey := res.keys.get(a.node.ID)
-			rec, ok := oracle[pkey][a.phase.ID()]
-			if !ok {
-				ins.observeOutcome(false, false)
-				continue
-			}
-			if rec.quarantine != "" {
-				qn := &Node{
-					ID:         len(res.Nodes),
-					Level:      a.node.Level + 1,
-					Seq:        a.node.Seq + string(a.phase.ID()),
-					Quarantine: strings.ReplaceAll(rec.quarantine, seqToken, strconv.Quote(a.node.Seq)),
-				}
-				res.keys.put(qn.ID, "Q"+qn.Seq)
-				res.Nodes = append(res.Nodes, qn)
-				a.node.Edges = append(a.node.Edges, Edge{Phase: a.phase.ID(), To: qn.ID})
-				ins.observeQuarantine()
-				continue
-			}
-			if id, dup := byKey[rec.key]; dup {
-				// Identical tier: the raw spelling (or an alias of it)
-				// is already known.
-				ins.observeOutcome(true, false)
-				a.node.Edges = append(a.node.Edges, Edge{Phase: a.phase.ID(), To: id})
-				continue
-			}
-			res.Equiv.Raw++
-			ck := rec.key[:1] + string(equivEnc(rec.key, rec.seq))
-			if cid, dup := classes[ck]; dup {
-				// Raw-distinct instance, known class: fold it in and
-				// alias its spelling, exactly as engine.add does.
-				byKey[rec.key] = cid
-				cn := res.Nodes[cid]
-				cn.EquivRaw++
-				res.Equiv.Merged++
-				res.Equiv.RedundantByPhase[string(a.phase.ID())]++
-				ins.observeOutcome(true, false)
-				ins.observeEquivMerge()
-				a.node.Edges = append(a.node.Edges, Edge{Phase: a.phase.ID(), To: cid})
-				continue
-			}
-			cn := &Node{
-				ID:        len(res.Nodes),
-				Level:     a.node.Level + 1,
-				Seq:       a.node.Seq + string(a.phase.ID()),
-				FP:        rec.fp,
-				State:     bitsState(rec.state),
-				NumInstrs: rec.numInstrs,
-				CFKey:     fingerprint.Key(rec.cfKey),
-				CheckErr:  rec.checkErr,
-				EquivRaw:  1,
-			}
-			res.keys.put(cn.ID, rec.key)
-			byKey[rec.key] = cn.ID
-			classes[ck] = cn.ID
-			res.Nodes = append(res.Nodes, cn)
-			ins.observeOutcome(true, true)
-			a.node.Edges = append(a.node.Edges, Edge{Phase: a.phase.ID(), To: cn.ID})
-			next = append(next, cn)
-		}
-		ins.nodesExpanded += len(frontier)
-		frontier = next
-		res.keys.noteLevel(levelStart)
-		if opts.MaxNodes > 0 && len(res.Nodes) > opts.MaxNodes {
-			res.abort(abortNodeCapReason(opts.MaxNodes))
-			break
-		}
+	classKey := func(id int32, fn *rtl.Func) string {
+		return oracle.nodes[id].key[:1] + string(dataflow.EquivEncode(nil, fn))
 	}
-	res.Stats = ins.runStats()
+	classes := map[string]int32{classKey(ids[0], rootNode.fn): 0}
+
+	// The replay's identical tier (oracleNode.node) doubles as the alias
+	// overlay: a spelling folded into a class resolves to the class node
+	// from then on. A node's instance is its class representative's — the
+	// one the live equiv run would retain and expand.
+	admit := func(a attempt, e *oracleEdge, cn *Node) (int32, error) {
+		res.Equiv.Raw++
+		child, st := getClone(a.node.fn), a.node.State
+		if !opt.Attempt(child, &st, a.phase, opts.Machine) {
+			return 0, fmt.Errorf("source space records phase %c active at sequence %q, but it is dormant on that instance", e.phase, a.node.Seq)
+		}
+		ck := classKey(e.to, child)
+		if cid, dup := classes[ck]; dup {
+			// Raw-distinct instance, known class: fold it in, exactly
+			// as engine.add does.
+			putClone(child)
+			res.Nodes[cid].EquivRaw++
+			res.Equiv.Merged++
+			res.Equiv.RedundantByPhase[string(e.phase)]++
+			ins.observeEquivMerge()
+			return cid, nil
+		}
+		cn.EquivRaw, cn.fn = 1, child
+		classes[ck] = int32(cn.ID)
+		return -1, nil
+	}
+	if err := oracle.replay(res, ins, []int32{ids[0]}, []*Node{rootNode}, admit); err != nil {
+		return nil, fmt.Errorf("search: derive-equiv: %w", err)
+	}
 	return res, nil
 }

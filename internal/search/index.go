@@ -322,6 +322,7 @@ type keyStore struct {
 
 	cachedBlob int // index into blobs, -1 when cold
 	cachedData []byte
+	inflations int // blobs decompressed so far; tests pin pass costs with it
 
 	// levelStarts queues the level boundaries noteLevel has seen but
 	// not yet retired; zw is the reused flate compressor, zr the
@@ -436,6 +437,7 @@ func (s *keyStore) blobData(i int) []byte {
 	if s.cachedBlob == i {
 		return s.cachedData
 	}
+	s.inflations++
 	b := &s.blobs[i]
 	if s.zr == nil {
 		s.zr = flate.NewReader(bytes.NewReader(b.data))
@@ -448,6 +450,41 @@ func (s *keyStore) blobData(i int) []byte {
 	}
 	s.cachedBlob, s.cachedData = i, raw
 	return raw
+}
+
+// all returns the key of every node, indexed by ID, in one ascending
+// sweep that inflates each retired blob at most once; the keys of one
+// blob alias its (never mutated) inflated buffer. This is how the
+// reassembly passes read a whole space; get is for isolated lookups.
+func (s *keyStore) all() [][]byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	keys := make([][]byte, 0, s.retiredThrough+len(s.live))
+	for i := range s.blobs {
+		offs, raw := s.blobs[i].offs, s.blobData(i)
+		for j := 1; j < len(offs); j++ {
+			keys = append(keys, raw[offs[j-1]:offs[j]:offs[j]])
+		}
+	}
+	for k, ok := s.live[len(keys)]; ok; k, ok = s.live[len(keys)] {
+		keys = append(keys, []byte(k))
+	}
+	return keys
+}
+
+// retireByLevel retires the keys of a whole node table, one blob per
+// level, mirroring the retirement a fresh run performs (node IDs grow
+// with level in spaces we write; any other grouping just yields
+// differently shaped blobs). The caller owns the store exclusively.
+func (s *keyStore) retireByLevel(nodes []*Node) {
+	for start := 0; start < len(nodes); {
+		end := start + 1
+		for end < len(nodes) && nodes[end].Level == nodes[start].Level {
+			end++
+		}
+		s.retire(start, end)
+		start = end
+	}
 }
 
 // get returns the full key of a node, live or retired.

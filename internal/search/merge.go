@@ -2,11 +2,12 @@ package search
 
 import (
 	"fmt"
+	"hash/crc32"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/fingerprint"
 	"repro/internal/opt"
 )
 
@@ -17,31 +18,38 @@ import (
 // shards both reach keeps the sequence the serial run would have found
 // first), and the stats counters are part of the canonical hash. So
 // the merge replays the enumeration from the base checkpoint — the
-// same level loop, the same dedup index probes, the same counter
-// updates — but answers every "what does phase p do at instance n?"
-// question from an oracle harvested out of the shard results instead
-// of evaluating the phase. Replay cost is pure index work: no cloning,
-// no phase application, no verification.
+// same level loop, the same counter updates — but answers every "what
+// does phase p do at instance n?" question from an oracle harvested out
+// of the shard results instead of evaluating the phase.
+//
+// Cost model: harvesting reads each input's keys in one ascending pass
+// (every retired key blob inflated once) and interns them into dense
+// ids; the replay then costs one edge probe and one integer compare per
+// attempt. No cloning, no phase application, no key bytes touched again.
 
-// oracleChild is one harvested attempt outcome: the child instance a
-// phase application produced at a parent (or the quarantine it died
-// with). Absence from the oracle means the phase was dormant.
-type oracleChild struct {
-	key       string // full canonical key (flags byte + encoding)
-	fp        fingerprint.FP
-	state     byte
-	numInstrs int
-	cfKey     string
-	checkErr  string
-	// seq is the harvesting space's own Seq for the child. It is
-	// shard-relative — the merge replay reconstructs sequences serially
-	// and never uses it — but equivalence derivation replays it to
-	// materialize the instance (see equivderive.go).
-	seq string
-	// quarantine, when non-empty, is the failure message with the
-	// parent's shard-relative quoted Seq replaced by seqToken, so
-	// records from different shards compare equal and the replay can
-	// re-embed the serial parent sequence.
+// oracleNode is what the inputs recorded about one distinct instance:
+// its canonical key, the first input node that carried it (the facts a
+// replay re-creates its node from) and, once some input expanded it,
+// the outcome of every phase that was active there.
+type oracleNode struct {
+	key      string // flags byte + canonical encoding
+	src      *Node
+	expanded bool
+	edges    []oracleEdge // a phase without one was dormant
+	// node is replay state: the ID of the result node this instance
+	// resolved to — as itself, or folded into an equivalence class —
+	// and -1 until the replay discovers it. An oracle serves one replay.
+	node int32
+}
+
+// oracleEdge is one harvested active attempt: the interned child it
+// produced, or (to < 0) the quarantine it died with.
+type oracleEdge struct {
+	phase byte
+	to    int32
+	// quarantine is the failure message with the parent's shard-relative
+	// quoted Seq replaced by seqToken, so records from different shards
+	// compare equal and the replay can re-embed the serial sequence.
 	quarantine string
 }
 
@@ -50,69 +58,109 @@ type oracleChild struct {
 // token never collides with message content.
 const seqToken = "\x00parent-seq\x00"
 
-// attemptOracle maps a parent's canonical key and a phase ID to the
-// harvested outcome. The outcome of a phase at an instance is a pure
-// function of the two, so records from different shards must agree;
-// record rejects any conflict (a corrupt or mismatched shard).
-type attemptOracle map[string]map[byte]oracleChild
-
-func (o attemptOracle) record(parentKey string, phase byte, c oracleChild) error {
-	if c.quarantine == "" && c.key == "" {
-		return fmt.Errorf("search: merge: child of phase %c has an empty canonical key", phase)
-	}
-	m := o[parentKey]
-	if m == nil {
-		m = make(map[byte]oracleChild)
-		o[parentKey] = m
-	}
-	prev, ok := m[phase]
-	if !ok {
-		m[phase] = c
-		return nil
-	}
-	// Same (instance, phase) seen again — by another shard, or via a
-	// second edge path. seq is shard-relative, so it is excluded from
-	// the consistency check.
-	a, b := prev, c
-	a.seq, b.seq = "", ""
-	if a != b {
-		return fmt.Errorf("search: merge: shards disagree on the outcome of phase %c", phase)
-	}
-	return nil
+// attemptOracle interns every instance its inputs mention by canonical
+// key, so an instance is one int32 whichever shard (and node ID) spoke
+// of it. The outcome of a phase at an instance is a pure function of
+// the two, so inputs must agree; harvest rejects any conflict (a
+// corrupt or mismatched shard).
+type attemptOracle struct {
+	ids   map[string]int32
+	nodes []oracleNode
 }
 
-// harvestOracle records every attempt outcome res evaluated: for each
-// node the expanded filter admits, its edges become oracle entries
-// (active children and quarantines); phases with no edge were dormant
-// there. Quarantined nodes are never parents — they have no instance.
-func harvestOracle(o attemptOracle, res *Result, expanded func(id int) bool) error {
-	for _, n := range res.Nodes {
-		if n.Quarantine != "" || !expanded(n.ID) {
-			continue
-		}
-		pkey := res.NodeKey(n)
-		for _, e := range n.Edges {
-			c := res.Nodes[e.To]
-			var oc oracleChild
-			if c.Quarantine != "" {
-				oc = oracleChild{quarantine: strings.ReplaceAll(c.Quarantine, strconv.Quote(n.Seq), seqToken)}
-			} else {
-				oc = oracleChild{
-					key:       res.NodeKey(c),
-					fp:        c.FP,
-					state:     stateBits(c.State),
-					numInstrs: c.NumInstrs,
-					cfKey:     string(c.CFKey),
-					checkErr:  c.CheckErr,
-					seq:       c.Seq,
-				}
-			}
-			if err := o.record(pkey, e.Phase, oc); err != nil {
-				return err
+// intern returns the dense id of n's instance, registering it on first
+// sight. key arrives from disk or the wire: it must carry n's gating
+// flags and checksum to n's fingerprint, and a re-sighting must repeat
+// the recorded facts.
+func (o *attemptOracle) intern(key []byte, n *Node) (int32, error) {
+	if len(key) == 0 || key[0] != stateBits(n.State) || crc32.ChecksumIEEE(key[1:]) != n.FP.CRC {
+		return 0, fmt.Errorf("search: node %d (seq %q): canonical key does not match its state and fingerprint", n.ID, n.Seq)
+	}
+	id, ok := o.ids[string(key)]
+	if !ok {
+		id = int32(len(o.nodes))
+		k := string(key)
+		o.ids[k] = id
+		o.nodes = append(o.nodes, oracleNode{key: k, src: n, node: -1})
+	} else if s := o.nodes[id].src; s.FP != n.FP || s.NumInstrs != n.NumInstrs || s.CFKey != n.CFKey || s.CheckErr != n.CheckErr {
+		return 0, fmt.Errorf("search: node %d (seq %q): inputs disagree about its instance", n.ID, n.Seq)
+	}
+	return id, nil
+}
+
+// harvest records every attempt outcome res evaluated and returns the
+// interned id of each of its nodes (-1 for quarantined ones, which have
+// no instance). For each node the expanded filter admits, its edges
+// become the instance's oracle edges; phases with no edge were dormant
+// there.
+func (o *attemptOracle) harvest(res *Result, expanded func(id int) bool) ([]int32, error) {
+	keys := res.keys.all()
+	if o.ids == nil {
+		o.ids = make(map[string]int32, len(keys))
+	}
+	ids := make([]int32, len(keys))
+	for i, n := range res.Nodes {
+		ids[i] = -1
+		if n.Quarantine == "" {
+			var err error
+			if ids[i], err = o.intern(keys[i], n); err != nil {
+				return nil, err
 			}
 		}
 	}
-	return nil
+	for i, n := range res.Nodes {
+		if ids[i] < 0 || !expanded(n.ID) {
+			continue
+		}
+		edges := make([]oracleEdge, len(n.Edges))
+		for j, e := range n.Edges {
+			if opt.ByID(e.Phase) == nil {
+				return nil, fmt.Errorf("search: node %d (seq %q) has an edge of unknown phase %q", n.ID, n.Seq, e.Phase)
+			}
+			edges[j] = oracleEdge{phase: e.Phase, to: ids[e.To]}
+			if c := res.Nodes[e.To]; c.Quarantine != "" {
+				edges[j].quarantine = strings.ReplaceAll(c.Quarantine, strconv.Quote(n.Seq), seqToken)
+			}
+		}
+		on := &o.nodes[ids[i]]
+		if on.expanded && !slices.Equal(on.edges, edges) {
+			return nil, fmt.Errorf("search: inputs disagree on the phase outcomes at node %d (seq %q)", n.ID, n.Seq)
+		}
+		on.edges, on.expanded = edges, true
+	}
+	return ids, nil
+}
+
+// attemptAt answers one replayed attempt: the recorded edge of phase at
+// instance id, or nil when the phase was dormant there. A shard whose
+// own Seq for the instance ended in the phase skipped the attempt
+// entirely, but that proves the same thing — an active phase is never
+// active twice in a row (Section 4.1). An instance no input expanded
+// is a broken input, not a leaf.
+func (o *attemptOracle) attemptAt(id int32, a attempt) (*oracleEdge, error) {
+	on := &o.nodes[id]
+	if !on.expanded {
+		return nil, fmt.Errorf("no input expanded the instance at sequence %q", a.node.Seq)
+	}
+	for i := range on.edges {
+		if on.edges[i].phase == a.phase.ID() {
+			return &on.edges[i], nil
+		}
+	}
+	return nil, nil
+}
+
+// childNode creates node id for the instance (or, to < 0, the
+// quarantine) edge e recorded, as discovered by attempt a.
+func (o *attemptOracle) childNode(id int, a attempt, e *oracleEdge) *Node {
+	n := &Node{ID: id, Level: a.node.Level + 1, Seq: a.node.Seq + string(a.phase.ID())}
+	if e.to < 0 {
+		n.Quarantine = strings.ReplaceAll(e.quarantine, seqToken, strconv.Quote(a.node.Seq))
+		return n
+	}
+	s := o.nodes[e.to].src
+	n.FP, n.State, n.NumInstrs, n.CFKey, n.CheckErr = s.FP, s.State, s.NumInstrs, s.CFKey, s.CheckErr
+	return n
 }
 
 // ShardSpace pairs one completed sub-space with the slice of the base
@@ -133,9 +181,9 @@ type ShardSpace struct {
 // serialization. base must be a paused (or loaded) result whose
 // checkpoint frontier the shards' FrontierIDs cover disjointly; every
 // shard must be complete (no checkpoint, not aborted). The merge
-// replays the level loop from the base frontier in serial order,
-// resolving every attempt through the striped dedup index with the
-// harvested oracle standing in for phase evaluation; if the base
+// replays the level loop from the base frontier in serial order, the
+// harvested oracle standing in for phase evaluation and its interned
+// instance ids for the dedup index; if the base
 // MaxSeqPerLevel/MaxNodes caps bind during replay the merged result
 // aborts with exactly the serial run's reason. Inconsistent shards
 // (disagreeing outcomes, uncovered frontier nodes) fail with an error
@@ -153,7 +201,11 @@ func MergeShards(base *Result, shards []ShardSpace) (*Result, error) {
 	}
 	baseN := len(base.Nodes)
 	covered := make(map[int]bool, len(cp.Frontier))
-	oracle := attemptOracle{}
+	oracle := &attemptOracle{}
+	baseIDs, err := oracle.harvest(base, func(int) bool { return false })
+	if err != nil {
+		return nil, fmt.Errorf("search: merge: base: %w", err)
+	}
 	for i, sh := range shards {
 		s := sh.Res
 		if s == nil {
@@ -185,7 +237,7 @@ func MergeShards(base *Result, shards []ShardSpace) (*Result, error) {
 		// A shard expanded its own frontier subset plus everything it
 		// discovered past the base table. Foreign frontier nodes were
 		// never expanded there and must not be harvested as leaves.
-		err := harvestOracle(oracle, s, func(id int) bool {
+		_, err := oracle.harvest(s, func(id int) bool {
 			return id >= baseN || own[id]
 		})
 		if err != nil {
@@ -197,17 +249,14 @@ func MergeShards(base *Result, shards []ShardSpace) (*Result, error) {
 			return nil, fmt.Errorf("search: merge: frontier node %d not covered by any shard", n.ID)
 		}
 	}
-	return replayMerge(base, oracle), nil
+	return replayMerge(base, oracle, baseIDs)
 }
 
-// replayMerge runs the serial level loop from the base checkpoint,
-// answering attempts from the oracle. The base node table is copied
-// (base stays reusable for a fallback), the instruments are seeded
-// from the base stats exactly as Resume seeds them, and every index
-// probe, counter update and abort check sits at the same point of the
-// loop as in engine.run — the invariant the byte-identity rests on.
-func replayMerge(base *Result, oracle attemptOracle) *Result {
-	baseN := len(base.Nodes)
+// replayMerge replays the enumeration from the base checkpoint. The
+// base node table is copied (base stays reusable for a fallback) and
+// the instruments are seeded from the base stats exactly as Resume
+// seeds them.
+func replayMerge(base *Result, oracle *attemptOracle, baseIDs []int32) (*Result, error) {
 	ropts := base.opts
 	// The replay is bookkeeping, not enumeration: telemetry and
 	// checkpointing of the original options must not fire again.
@@ -221,107 +270,102 @@ func replayMerge(base *Result, oracle attemptOracle) *Result {
 		opts:            ropts,
 		keys:            newKeyStore(),
 	}
-	res.Nodes = make([]*Node, 0, baseN)
-	for _, n := range base.Nodes {
+	res.Nodes = make([]*Node, 0, len(base.Nodes))
+	for i, n := range base.Nodes {
 		m := *n
 		m.fn = nil
 		res.Nodes = append(res.Nodes, &m)
-		res.keys.put(m.ID, base.keys.get(n.ID))
-	}
-	// Retire the copied keys level by level, mirroring Load; replay
-	// retirement then continues seamlessly past the base table.
-	for start := 0; start < len(res.Nodes); {
-		end := start + 1
-		for end < len(res.Nodes) && res.Nodes[end].Level == res.Nodes[start].Level {
-			end++
-		}
-		res.keys.retire(start, end)
-		start = end
-	}
-	idx := newDedupIndex(res.keys)
-	for _, n := range res.Nodes {
-		if n.Quarantine != "" {
+		if baseIDs[i] < 0 {
+			res.keys.put(i, "Q"+m.Seq)
 			continue
 		}
-		idx.insert(stateBits(n.State), n.FP, n.ID)
+		on := &oracle.nodes[baseIDs[i]]
+		res.keys.put(i, on.key)
+		on.node = int32(i)
 	}
+	// Retire the copied keys as Load does; replay retirement then
+	// continues seamlessly past the base table.
+	res.keys.retireByLevel(res.Nodes)
 	ins := newInstruments(&res.opts, res.FuncName, time.Now())
-	ins.seed(base.Stats, baseN)
-
+	ins.seed(base.Stats, len(base.Nodes))
 	frontier := make([]*Node, len(base.Checkpoint.Frontier))
 	for i, n := range base.Checkpoint.Frontier {
 		frontier[i] = res.Nodes[n.ID]
 	}
+	if err := oracle.replay(res, ins, slices.Clone(baseIDs), frontier, nil); err != nil {
+		return nil, fmt.Errorf("search: merge: %w", err)
+	}
+	return res, nil
+}
+
+// replay runs the serial level loop over res from frontier, answering
+// every attempt from the oracle: one edge probe, then integer compares
+// on interned ids where the engine probes its dedup index
+// (oracleNode.node maps an instance to its result node; iid, indexed by
+// node ID, maps a result node back to the instance it stands for).
+// Work lists, caps, counter updates and key retirement sit at the same
+// point of the loop as in engine.run — the invariant the byte-identity
+// of both reassembly passes rests on. admit, when non-nil, is the
+// equivalence tier: asked about each instance seen for the first time,
+// it returns the node to fold it into, or -1 to keep cn as a new node.
+func (o *attemptOracle) replay(res *Result, ins *instruments, iid []int32, frontier []*Node,
+	admit func(a attempt, e *oracleEdge, cn *Node) (int32, error)) error {
 	opts := &res.opts
 	for len(frontier) > 0 {
-		var work []attempt
-		for _, n := range frontier {
-			for _, p := range opts.Phases {
-				if !opt.Enabled(p, n.State) {
-					continue
-				}
-				if len(n.Seq) > 0 && n.Seq[len(n.Seq)-1] == p.ID() {
-					continue
-				}
-				work = append(work, attempt{n, p})
-			}
-		}
+		work := levelWork(frontier, opts.Phases)
 		if len(work) > opts.MaxSeqPerLevel {
 			res.abort(abortLevelCapReason(frontier[0].Level+1, len(work), opts.MaxSeqPerLevel))
 			break
 		}
 		res.AttemptedPhases += len(work)
-		level := frontier[0].Level
 		levelStart := len(res.Nodes)
-		ins.beginLevel(level, len(frontier), len(work))
+		ins.beginLevel(frontier[0].Level, len(frontier), len(work))
 		var next []*Node
 		for _, a := range work {
-			pkey := res.keys.get(a.node.ID)
-			rec, ok := oracle[pkey][a.phase.ID()]
-			if !ok {
-				// No shard recorded an outcome: the phase was dormant.
-				// A shard whose own Seq for the parent ended in this
-				// phase skipped the attempt entirely, but that proves
-				// the same thing — an active phase is never active twice
-				// in a row (Section 4.1).
+			e, err := o.attemptAt(iid[a.node.ID], a)
+			if err != nil {
+				return err
+			}
+			if e == nil {
 				ins.observeOutcome(false, false)
 				continue
 			}
-			if rec.quarantine != "" {
-				qn := &Node{
-					ID:         len(res.Nodes),
-					Level:      a.node.Level + 1,
-					Seq:        a.node.Seq + string(a.phase.ID()),
-					Quarantine: strings.ReplaceAll(rec.quarantine, seqToken, strconv.Quote(a.node.Seq)),
+			var cn *Node
+			to := int32(-1)
+			if e.to >= 0 {
+				to = o.nodes[e.to].node
+			}
+			if to < 0 {
+				cn = o.childNode(len(res.Nodes), a, e)
+				if e.to >= 0 && admit != nil {
+					if to, err = admit(a, e, cn); err != nil {
+						return err
+					}
 				}
-				res.keys.put(qn.ID, "Q"+qn.Seq)
-				res.Nodes = append(res.Nodes, qn)
-				a.node.Edges = append(a.node.Edges, Edge{Phase: a.phase.ID(), To: qn.ID})
+			}
+			if to >= 0 {
+				// A known spelling, or one just folded into a class.
+				o.nodes[e.to].node = to
+				ins.observeOutcome(true, false)
+				a.node.Edges = append(a.node.Edges, Edge{Phase: e.phase, To: int(to)})
+				continue
+			}
+			res.Nodes = append(res.Nodes, cn)
+			iid = append(iid, e.to)
+			a.node.Edges = append(a.node.Edges, Edge{Phase: e.phase, To: cn.ID})
+			if e.to < 0 {
+				res.keys.put(cn.ID, "Q"+cn.Seq)
 				ins.observeQuarantine()
 				continue
 			}
-			flags := rec.key[0]
-			if id, dup := idx.lookup(flags, rec.fp, []byte(rec.key[1:])); dup {
-				ins.observeOutcome(true, false)
-				a.node.Edges = append(a.node.Edges, Edge{Phase: a.phase.ID(), To: id})
-				continue
-			}
-			cn := &Node{
-				ID:        len(res.Nodes),
-				Level:     a.node.Level + 1,
-				Seq:       a.node.Seq + string(a.phase.ID()),
-				FP:        rec.fp,
-				State:     bitsState(rec.state),
-				NumInstrs: rec.numInstrs,
-				CFKey:     fingerprint.Key(rec.cfKey),
-				CheckErr:  rec.checkErr,
-			}
-			res.keys.put(cn.ID, rec.key)
-			idx.insert(flags, rec.fp, cn.ID)
-			res.Nodes = append(res.Nodes, cn)
+			res.keys.put(cn.ID, o.nodes[e.to].key)
+			o.nodes[e.to].node = int32(cn.ID)
 			ins.observeOutcome(true, true)
-			a.node.Edges = append(a.node.Edges, Edge{Phase: a.phase.ID(), To: cn.ID})
 			next = append(next, cn)
+		}
+		for _, n := range frontier {
+			putClone(n.fn) // admit's instances: not needed once explored
+			n.fn = nil
 		}
 		ins.nodesExpanded += len(frontier)
 		frontier = next
@@ -331,6 +375,9 @@ func replayMerge(base *Result, oracle attemptOracle) *Result {
 			break
 		}
 	}
+	for _, n := range frontier {
+		n.fn = nil // a cap bound; a replayed space is not resumable
+	}
 	res.Stats = ins.runStats()
-	return res
+	return nil
 }

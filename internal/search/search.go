@@ -706,21 +706,7 @@ func (e *engine) run() *Result {
 		// independent, so they run on a worker pool; results merge in
 		// deterministic (node, phase) order so the enumeration is
 		// reproducible regardless of scheduling.
-		var work []attempt
-		for _, n := range frontier {
-			for _, p := range opts.Phases {
-				if !opt.Enabled(p, n.State) {
-					continue
-				}
-				// An active phase is never active twice in a row
-				// (Section 4.1), so re-attempting the phase that
-				// produced this node is pointless.
-				if len(n.Seq) > 0 && n.Seq[len(n.Seq)-1] == p.ID() {
-					continue
-				}
-				work = append(work, attempt{n, p})
-			}
-		}
+		work := levelWork(frontier, opts.Phases)
 		// The number of sequences to evaluate at this level is exactly
 		// len(work): counting (node, enabled phase) pairs instead would
 		// include the immediate-repeat attempts skipped above and abort
@@ -810,6 +796,22 @@ func (e *engine) run() *Result {
 type attempt struct {
 	node  *Node
 	phase opt.Phase
+}
+
+// levelWork lists the attempts of one level in serial order: every
+// enabled phase at every frontier node, except the phase that produced
+// the node — an active phase is never active twice in a row (Section
+// 4.1), so re-attempting it is pointless.
+func levelWork(frontier []*Node, phases []opt.Phase) []attempt {
+	var work []attempt
+	for _, n := range frontier {
+		for _, p := range phases {
+			if opt.Enabled(p, n.State) && (len(n.Seq) == 0 || n.Seq[len(n.Seq)-1] != p.ID()) {
+				work = append(work, attempt{n, p})
+			}
+		}
+	}
+	return work
 }
 
 // checkAbort polls the two mid-level abort conditions (cancellation,

@@ -307,16 +307,17 @@ func writeCheckpointFile(path string, r *Result, snap *snapshot, faults *faultin
 	// The rename is only durable once the containing directory is
 	// synced; without it a power loss can lose the directory entry and
 	// with it the checkpoint, even though the data blocks were fsynced.
-	if err = syncDir(filepath.Dir(path), faults); err != nil {
+	if err = SyncDir(filepath.Dir(path), faults); err != nil {
 		return fmt.Errorf("search: checkpoint: syncing directory: %w", err)
 	}
 	return nil
 }
 
-// syncDir fsyncs a directory so a rename into it survives power loss.
-// The fault plan can inject a failure here (dirsyncfail=<n>), which the
-// caller records in Result.CheckpointErr like any other write failure.
-func syncDir(dir string, faults *faultinject.Plan) error {
+// SyncDir fsyncs a directory so a rename into it survives power loss.
+// The fault plan can inject a failure here (dirsyncfail=<n>); the
+// checkpoint writer records it in Result.CheckpointErr like any other
+// write failure, and the serving layer's disk store uses the same call.
+func SyncDir(dir string, faults *faultinject.Plan) error {
 	if faults.DirSyncFault() {
 		return faultinject.ErrDirSync
 	}
@@ -413,17 +414,7 @@ func Load(rd io.Reader) (*Result, error) {
 			Quarantine: fn.Quarantine,
 		})
 	}
-	// Compress the loaded keys level by level, mirroring the retirement
-	// a fresh run performs (node IDs grow with level in files we write;
-	// any other grouping just yields differently shaped blobs).
-	for start := 0; start < len(res.Nodes); {
-		end := start + 1
-		for end < len(res.Nodes) && res.Nodes[end].Level == res.Nodes[start].Level {
-			end++
-		}
-		res.keys.retire(start, end)
-		start = end
-	}
+	res.keys.retireByLevel(res.Nodes)
 	if fc := ff.Checkpoint; fc != nil {
 		if len(fc.Frontier) != len(fc.Bodies) {
 			return nil, fmt.Errorf("search: checkpoint lists %d frontier nodes but %d bodies",

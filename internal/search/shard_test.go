@@ -2,13 +2,20 @@ package search_test
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
+	"encoding/base64"
+	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/opt"
+	"repro/internal/rtl"
 	"repro/internal/search"
+	"repro/internal/telemetry"
 )
 
 // pauseAt runs a warmup enumeration that pauses once the frontier
@@ -17,6 +24,11 @@ import (
 func pauseAt(t *testing.T, src, fn string, k int) *search.Result {
 	t.Helper()
 	_, f := compileFunc(t, src, fn)
+	return pauseFunc(t, f, k)
+}
+
+func pauseFunc(t *testing.T, f *rtl.Func, k int) *search.Result {
+	t.Helper()
 	warmup := search.Run(f, search.Options{StopAtFrontier: k})
 	if warmup.Aborted {
 		t.Fatalf("warmup aborted: %s", warmup.AbortReason)
@@ -28,6 +40,22 @@ func pauseAt(t *testing.T, src, fn string, k int) *search.Result {
 		t.Fatalf("paused with %d frontier nodes, want >= %d", len(warmup.Checkpoint.Frontier), k)
 	}
 	return warmup
+}
+
+// wire round-trips a result through Save and Load, as every shard (and
+// the derivation's source) reaches the coordinator: an in-memory result
+// keeps its last levels' keys live, a loaded one has them all retired.
+func wire(t *testing.T, r *search.Result) *search.Result {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := search.Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loaded
 }
 
 // completeShard loads one partition document and enumerates it to
@@ -83,42 +111,65 @@ func completeShard(t *testing.T, doc []byte, kill bool, faults *faultinject.Plan
 // mid-level and re-dispatching it from its checkpoint), merge the
 // sub-spaces, and the merged space — and the equivalence space derived
 // from it — must serialize canonically to exactly the bytes the
-// single-node runs produce. Run under -race (the Makefile race target
-// covers this package).
+// single-node runs produce. The wire cells round-trip every shard and
+// the derivation's source through Save/Load first, which is the path
+// the coordinator runs; the corpus-sized cell makes those merges reach
+// deep into retired key blobs. Run under -race (the Makefile race
+// target covers this package).
 func TestShardMergeDeterminismTable(t *testing.T) {
-	_, f := compileFunc(t, sumSrc, "sum")
-	ref := search.Run(f, search.Options{})
-	if ref.Aborted {
-		t.Fatalf("reference run aborted: %s", ref.AbortReason)
+	type cell struct {
+		k          int
+		kill, wire bool
 	}
-	wantDefault := canonical(t, ref)
-	refEquiv := search.Run(f, search.Options{Equiv: true})
-	if refEquiv.Aborted {
-		t.Fatalf("equiv reference run aborted: %s", refEquiv.AbortReason)
-	}
-	wantEquiv := canonical(t, refEquiv)
-
+	var sumCells []cell
 	for _, k := range []int{1, 2, 4} {
-		warmup := pauseAt(t, sumSrc, "sum", k)
-		docs, ids, err := search.PartitionCheckpoint(warmup, k)
-		if err != nil {
-			t.Fatalf("k=%d: partition: %v", k, err)
-		}
-		if len(docs) != k {
-			t.Fatalf("k=%d: got %d shard documents", k, len(docs))
-		}
 		for _, kill := range []bool{false, true} {
-			t.Run(fmt.Sprintf("k=%d,kill=%v", k, kill), func(t *testing.T) {
+			sumCells = append(sumCells, cell{k, kill, false}, cell{k, kill, true})
+		}
+	}
+	type funcCells struct {
+		f     *rtl.Func
+		cells []cell
+	}
+	_, sum := compileFunc(t, sumSrc, "sum")
+	funcs := []funcCells{{sum, sumCells}}
+	if !testing.Short() {
+		funcs = append(funcs, funcCells{mibenchFunc(t, "jpeg", "get_code"), []cell{{2, false, true}}})
+	}
+	for _, fc := range funcs {
+		f := fc.f
+		ref := search.Run(f, search.Options{})
+		if ref.Aborted {
+			t.Fatalf("%s: reference run aborted: %s", f.Name, ref.AbortReason)
+		}
+		wantDefault := canonical(t, ref)
+		refEquiv := search.Run(f, search.Options{Equiv: true})
+		if refEquiv.Aborted {
+			t.Fatalf("%s: equiv reference run aborted: %s", f.Name, refEquiv.AbortReason)
+		}
+		wantEquiv := canonical(t, refEquiv)
+
+		for _, c := range fc.cells {
+			t.Run(fmt.Sprintf("%s,k=%d,kill=%v,wire=%v", f.Name, c.k, c.kill, c.wire), func(t *testing.T) {
+				warmup := pauseFunc(t, f, c.k)
+				docs, ids, err := search.PartitionCheckpoint(warmup, c.k)
+				if err != nil {
+					t.Fatalf("partition: %v", err)
+				}
+				if len(docs) != c.k {
+					t.Fatalf("got %d shard documents", len(docs))
+				}
 				shards := make([]search.ShardSpace, len(docs))
 				for i, doc := range docs {
 					// The kill cell SIGKILLs the last shard holder: with
 					// k=1 that is the whole enumeration, with k>1 the
 					// other shards complete cleanly alongside it.
-					victim := kill && i == len(docs)-1
-					shards[i] = search.ShardSpace{
-						Res:         completeShard(t, doc, victim, nil),
-						FrontierIDs: ids[i],
+					victim := c.kill && i == len(docs)-1
+					res := completeShard(t, doc, victim, nil)
+					if c.wire {
+						res = wire(t, res)
 					}
+					shards[i] = search.ShardSpace{Res: res, FrontierIDs: ids[i]}
 				}
 				merged, err := search.MergeShards(warmup, shards)
 				if err != nil {
@@ -129,6 +180,9 @@ func TestShardMergeDeterminismTable(t *testing.T) {
 				}
 				if !bytes.Equal(canonical(t, merged), wantDefault) {
 					t.Fatalf("merged space differs from the single-node run")
+				}
+				if c.wire {
+					merged = wire(t, merged)
 				}
 				derived, err := search.DeriveEquiv(merged, search.Options{})
 				if err != nil {
@@ -225,8 +279,9 @@ func TestStopAtFrontierResumeInMemory(t *testing.T) {
 // TestDeriveEquivMatchesDirectRun checks equivalence derivation on its
 // own, without sharding: for several functions (and with the semantic
 // checker on, so CheckErr records must survive the derivation), the
-// space derived from a complete default-tier run is byte-identical to
-// running the equivalence tier directly.
+// space derived from a complete default-tier run — in memory and off
+// the wire — is byte-identical to running the equivalence tier
+// directly.
 func TestDeriveEquivMatchesDirectRun(t *testing.T) {
 	cases := []struct {
 		src, fn string
@@ -238,26 +293,165 @@ func TestDeriveEquivMatchesDirectRun(t *testing.T) {
 		{sumSrc, "sum", true},
 	}
 	for _, tc := range cases {
-		t.Run(fmt.Sprintf("%s,check=%v", tc.fn, tc.check), func(t *testing.T) {
-			_, f := compileFunc(t, tc.src, tc.fn)
-			full := search.Run(f, search.Options{Check: tc.check})
-			if full.Aborted {
-				t.Fatalf("default run aborted: %s", full.AbortReason)
-			}
-			want := search.Run(f, search.Options{Equiv: true, Check: tc.check})
-			if want.Aborted {
-				t.Fatalf("equiv run aborted: %s", want.AbortReason)
-			}
-			got, err := search.DeriveEquiv(full, search.Options{Check: tc.check})
+		for _, overWire := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s,check=%v,wire=%v", tc.fn, tc.check, overWire), func(t *testing.T) {
+				_, f := compileFunc(t, tc.src, tc.fn)
+				full := search.Run(f, search.Options{Check: tc.check})
+				if full.Aborted {
+					t.Fatalf("default run aborted: %s", full.AbortReason)
+				}
+				if overWire {
+					full = wire(t, full)
+				}
+				want := search.Run(f, search.Options{Equiv: true, Check: tc.check})
+				if want.Aborted {
+					t.Fatalf("equiv run aborted: %s", want.AbortReason)
+				}
+				got, err := search.DeriveEquiv(full, search.Options{Check: tc.check})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(canonical(t, got), canonical(t, want)) {
+					t.Fatal("derived equiv space differs from the direct equiv run")
+				}
+				if got.Equiv.Raw != want.Equiv.Raw || got.Equiv.Merged != want.Equiv.Merged {
+					t.Fatalf("equiv stats differ: derived %d/%d raw/merged, direct %d/%d",
+						got.Equiv.Raw, got.Equiv.Merged, want.Equiv.Raw, want.Equiv.Merged)
+				}
+			})
+		}
+	}
+}
+
+// phaseApplications sums the opt.attempt.* counters of a registry: how
+// many times opt.Attempt ran since opt.Metrics was pointed at it.
+func phaseApplications(reg *telemetry.Registry) int64 {
+	var n int64
+	for name, v := range reg.Snapshot().Counters {
+		if strings.HasPrefix(name, "opt.attempt.") {
+			n += v
+		}
+	}
+	return n
+}
+
+// TestDeriveEquivPhaseApplications is the exact-count form of the
+// derivation's cost claim: a child instance is one phase application
+// away from its retained parent (Figure 6(b)), so deriving costs at
+// most Equiv.Raw applications — never a replay from the root, and
+// fewer than the live tier, which pays one per attempt.
+func TestDeriveEquivPhaseApplications(t *testing.T) {
+	_, sum := compileFunc(t, sumSrc, "sum")
+	_, gcd := compileFunc(t, gcdSrc, "gcd")
+	funcs := []*rtl.Func{sum, gcd}
+	if !testing.Short() {
+		funcs = append(funcs, mibenchFunc(t, "jpeg", "get_code"))
+	}
+	defer func(prev *opt.PhaseMetrics) { opt.Metrics = prev }(opt.Metrics)
+	for _, f := range funcs {
+		full := wire(t, search.Run(f, search.Options{}))
+		if f.Name == "get_code" && full.Stats.Levels < 10 {
+			t.Fatalf("get_code enumerated %d levels; the corpus cell needs a deep space", full.Stats.Levels)
+		}
+		reg := telemetry.NewRegistry()
+		opt.Metrics = opt.NewPhaseMetrics(reg)
+		derived, err := search.DeriveEquiv(full, search.Options{})
+		opt.Metrics = nil
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		got, raw := phaseApplications(reg), int64(derived.Equiv.Raw)
+		if got == 0 || got > raw {
+			t.Errorf("%s: derivation applied %d phases for %d raw-distinct instances (%d attempts in the live tier)",
+				f.Name, got, raw, derived.AttemptedPhases)
+		}
+	}
+}
+
+// corruptSpace rewrites a saved space's JSON document through mutate
+// and loads the result: a well-formed file whose content lies.
+func corruptSpace(t *testing.T, r *search.Result, mutate func(nodes []any)) *search.Result {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	gz, err := gzip.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	dec := json.NewDecoder(gz)
+	dec.UseNumber()
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	mutate(doc["nodes"].([]any))
+	var out bytes.Buffer
+	zw := gzip.NewWriter(&out)
+	if err := json.NewEncoder(zw).Encode(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := search.Load(&out)
+	if err != nil {
+		t.Fatalf("corrupted document no longer loads: %v", err)
+	}
+	return loaded
+}
+
+// TestDeriveEquivRejectsCorruptSource feeds DeriveEquiv spaces that
+// load cleanly but lie — an edge relabeled with an unknown phase, an
+// edge relabeled with a phase that is dormant on the parent, a child
+// whose canonical key was altered — and requires an error value naming
+// the defect. There is no recover() behind this: a panic fails the test.
+func TestDeriveEquivRejectsCorruptSource(t *testing.T) {
+	_, f := compileFunc(t, sumSrc, "sum")
+	full := search.Run(f, search.Options{})
+	root := full.Root()
+	var dormant byte
+	for _, p := range opt.All() {
+		active := false
+		for _, e := range root.Edges {
+			active = active || e.Phase == p.ID()
+		}
+		if !active && opt.Enabled(p, root.State) {
+			dormant = p.ID()
+			break
+		}
+	}
+	if dormant == 0 || len(root.Edges) == 0 {
+		t.Fatal("the root needs an active and an enabled-but-dormant phase")
+	}
+	firstEdge := func(nodes []any) map[string]any {
+		return nodes[0].(map[string]any)["edges"].([]any)[0].(map[string]any)
+	}
+	cases := []struct {
+		name, want string
+		mutate     func(nodes []any)
+	}{
+		{"unknown phase", "unknown phase", func(nodes []any) { firstEdge(nodes)["Phase"] = 1 }},
+		{"dormant phase", "dormant", func(nodes []any) { firstEdge(nodes)["Phase"] = int(dormant) }},
+		{"child key", "canonical key", func(nodes []any) {
+			child := nodes[root.Edges[0].To].(map[string]any)
+			key, err := base64.StdEncoding.DecodeString(child["key"].(string))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(canonical(t, got), canonical(t, want)) {
-				t.Fatal("derived equiv space differs from the direct equiv run")
+			key[len(key)-1] ^= 0x40
+			child["key"] = base64.StdEncoding.EncodeToString(key)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := search.DeriveEquiv(corruptSpace(t, full, tc.mutate), search.Options{})
+			if err == nil {
+				t.Fatalf("derived %d nodes from a corrupt source", len(got.Nodes))
 			}
-			if got.Equiv.Raw != want.Equiv.Raw || got.Equiv.Merged != want.Equiv.Merged {
-				t.Fatalf("equiv stats differ: derived %d/%d raw/merged, direct %d/%d",
-					got.Equiv.Raw, got.Equiv.Merged, want.Equiv.Raw, want.Equiv.Merged)
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not name the defect (%s)", err, tc.want)
 			}
 		})
 	}

@@ -451,7 +451,7 @@ func (st *diskStore) promote(k cacheKey) error {
 // directory fsync says: a failed fsync loses the durability promise,
 // not the file, and the budget must see it.
 func (st *diskStore) published(k cacheKey) error {
-	serr := syncDir(st.dir, st.faults)
+	serr := search.SyncDir(st.dir, st.faults)
 	os.Remove(st.ckptPath(k)) // superseded after put; already renamed away after promote
 	var size int64
 	if fi, err := os.Stat(st.path(k)); err == nil {
@@ -604,18 +604,4 @@ func cutSuffix(s, suffix string) (string, bool) {
 		return s, false
 	}
 	return s[:len(s)-len(suffix)], true
-}
-
-// syncDir fsyncs the cache directory so a rename into it survives power
-// loss; the fault plan's dirsyncfail budget can fail it.
-func syncDir(dir string, faults *faultinject.Plan) error {
-	if faults.DirSyncFault() {
-		return faultinject.ErrDirSync
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

@@ -152,6 +152,8 @@ type dispatcher struct {
 	shardMergeFails  *telemetry.Counter
 	shardFallbacks   *telemetry.Counter
 	shardWarmupDone  *telemetry.Counter
+	shardMergeDur    *telemetry.Histogram
+	shardDeriveDur   *telemetry.Histogram
 	shardAssignments *telemetry.Counter
 }
 
@@ -183,6 +185,8 @@ func newDispatcher(s *Server) *dispatcher {
 		shardMergeFails:  s.reg.Counter("dist.shard.merge_failures"),
 		shardFallbacks:   s.reg.Counter("dist.shard.fallbacks"),
 		shardWarmupDone:  s.reg.Counter("dist.shard.warmup_completions"),
+		shardMergeDur:    s.reg.Histogram("dist.shard.merge.duration_ns"),
+		shardDeriveDur:   s.reg.Histogram("dist.shard.derive.duration_ns"),
 		shardAssignments: s.reg.Counter("dist.shard.assignments"),
 	}
 	if d.leaseTTL <= 0 {

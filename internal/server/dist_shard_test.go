@@ -67,7 +67,10 @@ func TestShardedEnumerationMatchesLocal(t *testing.T) {
 		t.Fatalf("dist.shard.merges = %d after the equiv flight, want 2", got)
 	}
 
-	// The flight recorder saw the split and the merge.
+	// The flight recorder saw the split and the merge, and the
+	// coordinator's own share of both flights is on the record: each
+	// request's merge/derive time sits inside its enumerate time, and
+	// the histograms saw two merges and the one derivation.
 	var split, merge bool
 	for _, rec := range s.flights.snapshot() {
 		switch rec.Event {
@@ -75,10 +78,18 @@ func TestShardedEnumerationMatchesLocal(t *testing.T) {
 			split = true
 		case "shard-merge":
 			merge = true
+		case "":
+			if rec.MergeMS+rec.DeriveMS+rec.CheckpointMS+rec.PublishMS > rec.EnumerateMS {
+				t.Fatalf("flight record's parts exceed its enumerate_ms: %+v", rec)
+			}
 		}
 	}
 	if !split || !merge {
 		t.Fatalf("flight recorder missing shard events (split=%v merge=%v)", split, merge)
+	}
+	hists := s.reg.Snapshot().Histograms
+	if m, d := hists["dist.shard.merge.duration_ns"], hists["dist.shard.derive.duration_ns"]; m.Count != 2 || d.Count != 1 || m.Sum <= 0 || d.Sum <= 0 {
+		t.Fatalf("dist.shard.merge/derive.duration_ns saw %d/%d observations (sums %d/%d), want 2/1", m.Count, d.Count, m.Sum, d.Sum)
 	}
 
 	// No shard checkpoint slots were left behind (pinned or otherwise).

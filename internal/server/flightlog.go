@@ -33,12 +33,17 @@ type flightRecord struct {
 	Error           string `json:"error,omitempty"`
 
 	// EnumerateMS spans worker pickup to flight resolution, so on a miss
-	// it contains CheckpointMS (the engine's checkpoint writes) and
-	// PublishMS (canonical hash + rename or put into the disk store).
+	// it contains CheckpointMS (the engine's checkpoint writes),
+	// PublishMS (canonical hash + rename or put into the disk store)
+	// and, when the fleet ran the space as shards, MergeMS
+	// (search.MergeShards) and DeriveMS (search.DeriveEquiv). The
+	// "shard-merge" event carries the last two as well.
 	QueueWaitMS  int64 `json:"queue_wait_ms"`
 	EnumerateMS  int64 `json:"enumerate_ms"`
 	CheckpointMS int64 `json:"checkpoint_ms"`
 	PublishMS    int64 `json:"publish_ms"`
+	MergeMS      int64 `json:"merge_ms"`
+	DeriveMS     int64 `json:"derive_ms"`
 	SerializeMS  int64 `json:"serialize_ms"`
 	TotalMS      int64 `json:"total_ms"`
 }
@@ -123,6 +128,8 @@ func (s *Server) recordFlight(r *http.Request, ri *reqInfo, fl *flight, status i
 		EnumerateMS:     ri.enumerate.Milliseconds(),
 		CheckpointMS:    ri.checkpoint.Milliseconds(),
 		PublishMS:       ri.publish.Milliseconds(),
+		MergeMS:         ri.merge.Milliseconds(),
+		DeriveMS:        ri.derive.Milliseconds(),
 		SerializeMS:     serialize.Milliseconds(),
 		TotalMS:         total.Milliseconds(),
 	}
@@ -141,6 +148,8 @@ func (s *Server) recordFlight(r *http.Request, ri *reqInfo, fl *flight, status i
 			"enumerate_ms", rec.EnumerateMS,
 			"checkpoint_ms", rec.CheckpointMS,
 			"publish_ms", rec.PublishMS,
+			"merge_ms", rec.MergeMS,
+			"derive_ms", rec.DeriveMS,
 			"serialize_ms", rec.SerializeMS,
 			"total_ms", rec.TotalMS,
 		}

@@ -31,10 +31,11 @@ type reqInfo struct {
 	queueWait time.Duration // flight creation → worker pickup
 	enumerate time.Duration // worker pickup → flight resolution
 	// checkpoint and publish are the parts of enumerate a miss spent
-	// writing checkpoints and hashing + storing the finished space.
-	checkpoint time.Duration
-	publish    time.Duration
-	serialize  time.Duration // response encoding
+	// writing checkpoints and hashing + storing the finished space;
+	// merge and derive the parts a sharded miss spent on the coordinator
+	// reassembling the sub-spaces and deriving the equivalence tier.
+	checkpoint, publish, merge, derive time.Duration
+	serialize                          time.Duration // response encoding
 }
 
 type reqInfoKey struct{}

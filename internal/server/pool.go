@@ -62,8 +62,10 @@ type flight struct {
 	cacheHow string // "mem", "disk" or "miss" — how the worker resolved it
 	err      error
 	status   int // HTTP status for err
-	// publish is how long a miss took to hash and store its space.
-	publish time.Duration
+	// publish is how long a miss took to hash and store its space;
+	// merge and derive what a sharded one spent reassembling the shards'
+	// sub-spaces and deriving the equivalence tier from the result.
+	publish, merge, derive time.Duration
 
 	// What the path that produced a miss's space already knows about
 	// it; the worker goroutine's own notes, not for waiters. hash is its

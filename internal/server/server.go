@@ -529,7 +529,7 @@ func (s *Server) enumerate(r *http.Request) (*enumerateResponse, *flight, error)
 		ri.cache = how
 		ri.queueWait = fl.startedAt.Sub(fl.enqueuedAt)
 		ri.enumerate = fl.finishedAt.Sub(fl.startedAt)
-		ri.publish = fl.publish
+		ri.publish, ri.merge, ri.derive = fl.publish, fl.merge, fl.derive
 		if fl.ent.res != nil {
 			ri.checkpoint = fl.ent.res.CheckpointTime
 		}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/distcl"
 	"repro/internal/search"
@@ -15,8 +16,8 @@ import (
 // a worker resumes like any other — and dispatches them through the
 // ordinary lease protocol: per-shard watermarks, per-shard recovery
 // checkpoints, and re-dispatch of only the shard whose holder died.
-// When every shard completes, the sub-spaces are replayed through the
-// dedup index in canonical shard order, reproducing byte-for-byte the
+// When every shard completes, the serial level loop is replayed over
+// the sub-spaces in canonical order, reproducing byte-for-byte the
 // space a single node would have enumerated (search.MergeShards). Any
 // wobble — a thinned-out fleet, an aborted shard, a failed merge —
 // falls back to the whole-space dispatch path, which itself falls back
@@ -175,17 +176,22 @@ func (d *dispatcher) shardEnumerate(fl *flight) (*search.Result, bool) {
 		return nil, false
 	}
 
+	began := time.Now()
 	merged, err := search.MergeShards(warmup, shards)
+	fl.merge = time.Since(began)
+	d.shardMergeDur.Observe(int64(fl.merge))
 	if err != nil {
 		d.shardMergeFails.Inc()
 		d.s.logger.Warn("dist shard merge failed", "flight_id", fl.id, "err", err.Error())
 		return nil, false
 	}
 	d.shardMerges.Inc()
-	d.s.flights.add(flightRecord{Event: "shard-merge", FlightID: fl.id})
 	d.s.logger.InfoContext(fl.ctx, "dist shards merged", "flight_id", fl.id,
 		"func", fl.fn.Name, "shards", len(shards), "nodes", len(merged.Nodes))
-	return d.shardFinish(fl, merged)
+	res, handled := d.shardFinish(fl, merged)
+	d.s.flights.add(flightRecord{Event: "shard-merge", FlightID: fl.id,
+		MergeMS: fl.merge.Milliseconds(), DeriveMS: fl.derive.Milliseconds()})
+	return res, handled
 }
 
 // shardWarmup runs (or resumes) the flight's enumeration with the
@@ -254,6 +260,7 @@ func (d *dispatcher) shardFinish(fl *flight, full *search.Result) (*search.Resul
 		d.shardFallbacks.Inc()
 		return nil, false
 	}
+	began := time.Now()
 	derived, err := search.DeriveEquiv(full, search.Options{
 		MaxSeqPerLevel: fl.no.Cap,
 		MaxNodes:       fl.no.MaxNodes,
@@ -261,6 +268,8 @@ func (d *dispatcher) shardFinish(fl *flight, full *search.Result) (*search.Resul
 		Logger:         d.s.logger,
 		Metrics:        d.s.reg,
 	})
+	fl.derive = time.Since(began)
+	d.shardDeriveDur.Observe(int64(fl.derive))
 	if err != nil {
 		d.s.logger.Warn("dist shard equiv derivation failed", "flight_id", fl.id, "err", err.Error())
 		d.shardFallbacks.Inc()

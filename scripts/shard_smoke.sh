@@ -14,8 +14,10 @@
 #      a single-node cmd/explore run writes for the same function,
 #   3. a second, equivalence-tier request — derived from a fresh
 #      sharded merge — hashes identical to a single-node -equiv run,
-#   4. no merge ever failed verification, and the surviving worker and
-#      the coordinator drain cleanly on SIGTERM.
+#   4. no merge ever failed verification, both sharded flights' records
+#      in /v1/debug/flights carry merge_ms (and the equiv one derive_ms),
+#      and the surviving worker and the coordinator drain cleanly on
+#      SIGTERM.
 #
 # CLUSTER_FAULTS, when set, is passed to both workers as their fault
 # plan. Keep it to network directives (httpdrop/httpslow): phase-level
@@ -97,7 +99,7 @@ done
 [ "$(curl -fsS "http://$addr/v1/stats" | jq -r '.fleet.workers_live // 0')" = 2 ] \
 	|| fail "two workers never registered"
 
-curl -fsS -d '{"bench":"sha","func":"sha_transform"}' \
+curl -fsS -H 'X-Request-ID: shard-smoke-default' -d '{"bench":"sha","func":"sha_transform"}' \
 	"http://$addr/v1/enumerate" -o "$tmp/r1.json" &
 req=$!
 
@@ -142,7 +144,8 @@ served=$("$tmp/spacedot" -hash "$tmp/served.space.gz" | cut -d' ' -f1)
 
 # Equivalence tier: sharded default-tier enumeration + derivation must
 # match a direct single-node -equiv run bit for bit.
-curl -fsS -d '{"bench":"sha","func":"sha_transform","options":{"equiv":true}}' \
+curl -fsS -H 'X-Request-ID: shard-smoke-equiv' \
+	-d '{"bench":"sha","func":"sha_transform","options":{"equiv":true}}' \
 	"http://$addr/v1/enumerate" -o "$tmp/r2.json" || fail "equiv enumerate request failed"
 goteq=$(jq -r .space_hash "$tmp/r2.json")
 [ "$goteq" = "$wanteq" ] || fail "sharded equiv hash $goteq, single-node -equiv run wrote $wanteq"
@@ -150,6 +153,19 @@ merges=$(stat_counter "dist.shard.merges")
 [ "$merges" -ge 2 ] || fail "equiv flight was not answered by a sharded merge (merges=$merges)"
 mergefails=$(stat_counter "dist.shard.merge_failures")
 [ "$mergefails" = 0 ] || fail "$mergefails shard merges failed verification after the equiv flight"
+
+# Where the coordinator's own time went must be on the flights' records
+# (a presence gate, not a threshold).
+flight_ms() { # flight_ms <request-id> <field>
+	curl -fsS "http://$addr/v1/debug/flights" | jq -r --arg id "$1" --arg f "$2" \
+		'[.flights[] | select(.request_id == $id)][0][$f] // "missing"'
+}
+merge1=$(flight_ms shard-smoke-default merge_ms)
+merge2=$(flight_ms shard-smoke-equiv merge_ms)
+derive2=$(flight_ms shard-smoke-equiv derive_ms)
+for v in "$merge1" "$merge2" "$derive2"; do
+	[ "$v" != missing ] || fail "sharded flight records lack merge_ms/derive_ms ($merge1 / $merge2 / $derive2)"
+done
 
 # Clean drains: surviving workers first, then the coordinator.
 if [ "$survivor" = w1 ]; then spid=$w1; else spid=$w2; fi
@@ -169,4 +185,4 @@ coord=""
 	>"$tmp/phasestats.txt" || fail "phasestats -from-metrics rejected the coordinator snapshot"
 grep -q 'dist:   shards:' "$tmp/phasestats.txt" \
 	|| fail "phasestats -from-metrics printed no dist.shard series"
-echo "shard-smoke: $victim killed mid-shard, $survivor absorbed it, both tiers hash-identical ($want / $wanteq)"
+echo "shard-smoke: $victim killed mid-shard, $survivor absorbed it, both tiers hash-identical ($want / $wanteq); merge_ms $merge1 / $merge2, derive_ms $derive2"
