@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race lint lint-fixtures bench bench-smoke resume-smoke serve-smoke obs-smoke cluster-smoke chaos shard-smoke
+.PHONY: check fmt vet build test race lint lint-fixtures loc bench bench-smoke resume-smoke serve-smoke obs-smoke cluster-smoke chaos shard-smoke
 
-check: fmt vet build test race lint lint-fixtures
+check: fmt vet build test race lint lint-fixtures loc
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -64,6 +64,16 @@ lint-fixtures:
 		echo "use_before_def.rtl unexpectedly linted clean"; exit 1; fi
 	@if $(GO) run ./cmd/rtllint cmd/rtllint/testdata/clobbered_ic.rtl >/dev/null; then \
 		echo "clobbered_ic.rtl unexpectedly linted clean"; exit 1; fi
+
+# Code size of the packages ROADMAP's quality-of-design goal is judged
+# on: non-test, non-blank, non-comment Go lines, one line per package.
+# Informational (never fails), and part of check so that every CI log
+# carries the number.
+loc:
+	@for d in internal/search internal/server internal/distcl; do \
+		printf 'loc: %-16s %s\n' $$d \
+			$$(ls $$d/*.go | grep -v _test.go | xargs cat | grep -vcE '^\s*(//.*)?$$'); \
+	done
 
 # Telemetry smoke test: instrument a tiny enumeration, then make
 # phasestats re-read the snapshot and assert the core counters are

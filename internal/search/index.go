@@ -63,7 +63,7 @@ type pendingNode struct {
 //
 // Concurrency model (DESIGN.md §13): buckets and aliases hold only
 // committed, promoted entries and change exclusively at level
-// boundaries (promote, serial insert/insertAlias) — during a level
+// boundaries (promote, serial insert) — during a level
 // they are read-only. pending absorbs the level's discoveries under
 // the stripe lock, so workers resolve concurrently without touching
 // the serial commit path. The per-stripe counters are telemetry only:
@@ -209,43 +209,14 @@ func (d *dedupIndex) promote() {
 	}
 }
 
-// lookup returns the ID of the node whose stored key equals
-// flags+enc — directly, or through the equivalence tier's aliases.
-// Serial path (root seeding, Resume's rebuild probes, independence
-// pruning); pending entries are invisible to it.
-func (d *dedupIndex) lookup(flags byte, fp fingerprint.FP, enc []byte) (int, bool) {
-	s := &d.stripes[stripeFor(fp)]
-	s.lock()
-	defer s.mu.Unlock()
-	s.probes++
-	id, ok := s.scan(d.keys, indexKey{flags, fp}, flags, enc)
-	return int(id), ok
-}
-
 // insert records id under (flags, fp). The caller must have stored the
-// node's full key in the keyStore first. Serial path: the root node,
-// Resume's index rebuild and the independence-pruning enumerator.
+// node's full key in the keyStore first. Serial path: the root node
+// and Resume's index rebuild.
 func (d *dedupIndex) insert(flags byte, fp fingerprint.FP, id int) {
 	s := &d.stripes[stripeFor(fp)]
 	k := indexKey{flags, fp}
 	s.lock()
 	s.buckets[k] = append(s.buckets[k], int32(id))
-	s.mu.Unlock()
-}
-
-// insertAlias records key — the canonical key of a raw spelling the
-// equivalence tier folded away — as resolving to node id. Serial path
-// (the root's equivalence seeding); level-time folds travel through
-// pending entries and promote instead.
-func (d *dedupIndex) insertAlias(flags byte, fp fingerprint.FP, key string, id int) {
-	s := &d.stripes[stripeFor(fp)]
-	k := indexKey{flags, fp}
-	s.lock()
-	if s.aliases == nil {
-		s.aliases = make(map[indexKey][]aliasEntry)
-	}
-	s.aliases[k] = append(s.aliases[k], aliasEntry{key: key, to: int32(id)})
-	s.aliasBytes += len(key)
 	s.mu.Unlock()
 }
 

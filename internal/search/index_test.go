@@ -7,6 +7,18 @@ import (
 	"repro/internal/fingerprint"
 )
 
+// lookup probes the committed tiers of the index (ID buckets, then
+// equivalence aliases) the way a worker's resolve does before it turns
+// to the level's pending entries, without parking anything on a miss.
+func (d *dedupIndex) lookup(flags byte, fp fingerprint.FP, enc []byte) (int, bool) {
+	s := &d.stripes[stripeFor(fp)]
+	s.lock()
+	defer s.mu.Unlock()
+	s.probes++
+	id, ok := s.scan(d.keys, indexKey{flags, fp}, flags, enc)
+	return int(id), ok
+}
+
 // TestDedupIndexForcedFPCollision drives the two-tier index with
 // manufactured fingerprint collisions: distinct canonical keys filed
 // under one (flags, fingerprint) bucket. The enumerated spaces never

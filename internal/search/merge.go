@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/dataflow"
 	"repro/internal/opt"
 )
 
@@ -17,29 +18,33 @@ import (
 // lexicographically first shortest sequence *globally* (a node two
 // shards both reach keeps the sequence the serial run would have found
 // first), and the stats counters are part of the canonical hash. So
-// the merge replays the enumeration from the base checkpoint — the
-// same level loop, the same counter updates — but answers every "what
-// does phase p do at instance n?" question from an oracle harvested out
-// of the shard results instead of evaluating the phase.
+// the merge runs the engine from the base checkpoint — engine.run, the
+// one level loop and commit path — with an evaluator that answers every
+// "what does phase p do at instance n?" question from an oracle
+// harvested out of the shard results instead of evaluating the phase.
+// Byte identity with a serial run needs no argument beyond that: the
+// answers are the same and everything done with them is the same code.
 //
 // Cost model: harvesting reads each input's keys in one ascending pass
 // (every retired key blob inflated once) and interns them into dense
-// ids; the replay then costs one edge probe and one integer compare per
-// attempt. No cloning, no phase application, no key bytes touched again.
+// ids; answering then costs one edge probe per attempt, and its dedup
+// slot is the interned instance itself. No cloning, no phase
+// application, no key bytes touched again.
 
 // oracleNode is what the inputs recorded about one distinct instance:
-// its canonical key, the first input node that carried it (the facts a
-// replay re-creates its node from) and, once some input expanded it,
-// the outcome of every phase that was active there.
+// its canonical key, the first input node that carried it (the facts
+// the run answered from it creates its node with) and, once some input
+// expanded it, the outcome of every phase that was active there.
 type oracleNode struct {
-	key      string // flags byte + canonical encoding
+	// pendingNode is the instance's dedup slot, the same one the striped
+	// index parks for a live discovery: key is the flags byte + canonical
+	// encoding, id the result node this instance resolved to — as
+	// itself, or folded into an equivalence class — and -1 until the run
+	// discovers it. An oracle serves one run.
+	pendingNode
 	src      *Node
 	expanded bool
 	edges    []oracleEdge // a phase without one was dormant
-	// node is replay state: the ID of the result node this instance
-	// resolved to — as itself, or folded into an equivalence class —
-	// and -1 until the replay discovers it. An oracle serves one replay.
-	node int32
 }
 
 // oracleEdge is one harvested active attempt: the interned child it
@@ -66,6 +71,9 @@ const seqToken = "\x00parent-seq\x00"
 type attemptOracle struct {
 	ids   map[string]int32
 	nodes []oracleNode
+	// iid, indexed by result node ID, is the instance each node of the
+	// run being answered stands for (-1: quarantined).
+	iid []int32
 }
 
 // intern returns the dense id of n's instance, registering it on first
@@ -73,7 +81,7 @@ type attemptOracle struct {
 // flags and checksum to n's fingerprint, and a re-sighting must repeat
 // the recorded facts.
 func (o *attemptOracle) intern(key []byte, n *Node) (int32, error) {
-	if len(key) == 0 || key[0] != stateBits(n.State) || crc32.ChecksumIEEE(key[1:]) != n.FP.CRC {
+	if len(key) == 0 || key[0] != stateBits(n.State) || crc32.ChecksumIEEE(key[1:]) != n.FP.CRC || n.FP.Count != n.NumInstrs {
 		return 0, fmt.Errorf("search: node %d (seq %q): canonical key does not match its state and fingerprint", n.ID, n.Seq)
 	}
 	id, ok := o.ids[string(key)]
@@ -81,8 +89,8 @@ func (o *attemptOracle) intern(key []byte, n *Node) (int32, error) {
 		id = int32(len(o.nodes))
 		k := string(key)
 		o.ids[k] = id
-		o.nodes = append(o.nodes, oracleNode{key: k, src: n, node: -1})
-	} else if s := o.nodes[id].src; s.FP != n.FP || s.NumInstrs != n.NumInstrs || s.CFKey != n.CFKey || s.CheckErr != n.CheckErr {
+		o.nodes = append(o.nodes, oracleNode{pendingNode: pendingNode{key: k, id: -1}, src: n})
+	} else if s := o.nodes[id].src; s.FP != n.FP || s.CFKey != n.CFKey || s.CheckErr != n.CheckErr {
 		return 0, fmt.Errorf("search: node %d (seq %q): inputs disagree about its instance", n.ID, n.Seq)
 	}
 	return id, nil
@@ -150,17 +158,41 @@ func (o *attemptOracle) attemptAt(id int32, a attempt) (*oracleEdge, error) {
 	return nil, nil
 }
 
-// childNode creates node id for the instance (or, to < 0, the
-// quarantine) edge e recorded, as discovered by attempt a.
-func (o *attemptOracle) childNode(id int, a attempt, e *oracleEdge) *Node {
-	n := &Node{ID: id, Level: a.node.Level + 1, Seq: a.node.Seq + string(a.phase.ID())}
-	if e.to < 0 {
-		n.Quarantine = strings.ReplaceAll(e.quarantine, seqToken, strconv.Quote(a.node.Seq))
-		return n
+// level is the oracle evaluator: every attempt is answered from the
+// harvest and committed at once, so "first seen" is simply a slot no
+// commit has assigned yet.
+func (o *attemptOracle) level(e *engine, work []attempt) error {
+	for _, a := range work {
+		edge, err := o.attemptAt(o.iid[a.node.ID], a)
+		if err != nil {
+			return err
+		}
+		var out outcome
+		switch {
+		case edge == nil: // dormant
+		case edge.to < 0:
+			out.quarantine = strings.ReplaceAll(edge.quarantine, seqToken, strconv.Quote(a.node.Seq))
+		default:
+			on := &o.nodes[edge.to]
+			s := on.src
+			out = outcome{active: true, pend: &on.pendingNode, fp: s.FP, st: s.State, cf: s.CFKey, checkErr: s.CheckErr}
+			if e.res.Equiv != nil && on.id < 0 {
+				// A first-seen instance needs its equivalence class key,
+				// so make it real: clone the parent and apply the edge's
+				// phase — literally what the live tier evaluates here.
+				out.fn = getClone(a.node.fn)
+				if st := a.node.State; !opt.Attempt(out.fn, &st, a.phase, e.opts.Machine) {
+					return fmt.Errorf("source space records phase %c active at sequence %q, but it is dormant on that instance", edge.phase, a.node.Seq)
+				}
+				out.equiv = dataflow.EquivEncode(nil, out.fn)
+			}
+		}
+		e.commitOutcome(a, &out)
+		if len(e.res.Nodes) > len(o.iid) {
+			o.iid = append(o.iid, edge.to) // the commit created a's child
+		}
 	}
-	s := o.nodes[e.to].src
-	n.FP, n.State, n.NumInstrs, n.CFKey, n.CheckErr = s.FP, s.State, s.NumInstrs, s.CFKey, s.CheckErr
-	return n
+	return nil
 }
 
 // ShardSpace pairs one completed sub-space with the slice of the base
@@ -181,11 +213,10 @@ type ShardSpace struct {
 // serialization. base must be a paused (or loaded) result whose
 // checkpoint frontier the shards' FrontierIDs cover disjointly; every
 // shard must be complete (no checkpoint, not aborted). The merge
-// replays the level loop from the base frontier in serial order, the
-// harvested oracle standing in for phase evaluation and its interned
-// instance ids for the dedup index; if the base
-// MaxSeqPerLevel/MaxNodes caps bind during replay the merged result
-// aborts with exactly the serial run's reason. Inconsistent shards
+// runs the level loop from the base frontier, the harvested oracle
+// standing in for phase evaluation and its interned instances for the
+// dedup index; if the base MaxSeqPerLevel/MaxNodes caps bind the merged
+// result aborts with exactly the serial run's reason. Inconsistent shards
 // (disagreeing outcomes, uncovered frontier nodes) fail with an error
 // and leave base untouched.
 func MergeShards(base *Result, shards []ShardSpace) (*Result, error) {
@@ -252,22 +283,23 @@ func MergeShards(base *Result, shards []ShardSpace) (*Result, error) {
 	return replayMerge(base, oracle, baseIDs)
 }
 
-// replayMerge replays the enumeration from the base checkpoint. The
-// base node table is copied (base stays reusable for a fallback) and
-// the instruments are seeded from the base stats exactly as Resume
+// oracleOptions keeps of o what shapes a space; telemetry,
+// checkpointing, cancellation and pausing belonged to the runs that
+// produced the oracle's inputs and must not fire again.
+func oracleOptions(o Options) Options {
+	return Options{Phases: o.Phases, Machine: o.Machine, MaxSeqPerLevel: o.MaxSeqPerLevel, MaxNodes: o.MaxNodes, Equiv: o.Equiv}
+}
+
+// replayMerge runs the engine from the base checkpoint over the oracle.
+// The base node table is copied (base stays reusable for a fallback)
+// and the instruments are seeded from the base stats exactly as Resume
 // seeds them.
 func replayMerge(base *Result, oracle *attemptOracle, baseIDs []int32) (*Result, error) {
-	ropts := base.opts
-	// The replay is bookkeeping, not enumeration: telemetry and
-	// checkpointing of the original options must not fire again.
-	ropts.CheckpointPath = ""
-	ropts.Logger, ropts.Metrics, ropts.Tracer = nil, nil, nil
 	res := &Result{
 		FuncName:        base.FuncName,
 		AttemptedPhases: base.AttemptedPhases,
-		Elapsed:         base.Elapsed,
 		root:            base.root,
-		opts:            ropts,
+		opts:            oracleOptions(base.opts),
 		keys:            newKeyStore(),
 	}
 	res.Nodes = make([]*Node, 0, len(base.Nodes))
@@ -281,103 +313,20 @@ func replayMerge(base *Result, oracle *attemptOracle, baseIDs []int32) (*Result,
 		}
 		on := &oracle.nodes[baseIDs[i]]
 		res.keys.put(i, on.key)
-		on.node = int32(i)
+		on.id = int32(i)
 	}
-	// Retire the copied keys as Load does; replay retirement then
+	// Retire the copied keys as Load does; the run's retirement then
 	// continues seamlessly past the base table.
 	res.keys.retireByLevel(res.Nodes)
-	ins := newInstruments(&res.opts, res.FuncName, time.Now())
-	ins.seed(base.Stats, len(base.Nodes))
-	frontier := make([]*Node, len(base.Checkpoint.Frontier))
-	for i, n := range base.Checkpoint.Frontier {
-		frontier[i] = res.Nodes[n.ID]
+	oracle.iid = slices.Clone(baseIDs)
+	e := newEngine(res, oracle.level, time.Now())
+	e.prior = base.Elapsed
+	e.ins.seed(base.Stats, len(base.Nodes))
+	for _, n := range base.Checkpoint.Frontier {
+		e.frontier = append(e.frontier, res.Nodes[n.ID])
 	}
-	if err := oracle.replay(res, ins, slices.Clone(baseIDs), frontier, nil); err != nil {
+	if _, err := e.run(); err != nil {
 		return nil, fmt.Errorf("search: merge: %w", err)
 	}
 	return res, nil
-}
-
-// replay runs the serial level loop over res from frontier, answering
-// every attempt from the oracle: one edge probe, then integer compares
-// on interned ids where the engine probes its dedup index
-// (oracleNode.node maps an instance to its result node; iid, indexed by
-// node ID, maps a result node back to the instance it stands for).
-// Work lists, caps, counter updates and key retirement sit at the same
-// point of the loop as in engine.run — the invariant the byte-identity
-// of both reassembly passes rests on. admit, when non-nil, is the
-// equivalence tier: asked about each instance seen for the first time,
-// it returns the node to fold it into, or -1 to keep cn as a new node.
-func (o *attemptOracle) replay(res *Result, ins *instruments, iid []int32, frontier []*Node,
-	admit func(a attempt, e *oracleEdge, cn *Node) (int32, error)) error {
-	opts := &res.opts
-	for len(frontier) > 0 {
-		work := levelWork(frontier, opts.Phases)
-		if len(work) > opts.MaxSeqPerLevel {
-			res.abort(abortLevelCapReason(frontier[0].Level+1, len(work), opts.MaxSeqPerLevel))
-			break
-		}
-		res.AttemptedPhases += len(work)
-		levelStart := len(res.Nodes)
-		ins.beginLevel(frontier[0].Level, len(frontier), len(work))
-		var next []*Node
-		for _, a := range work {
-			e, err := o.attemptAt(iid[a.node.ID], a)
-			if err != nil {
-				return err
-			}
-			if e == nil {
-				ins.observeOutcome(false, false)
-				continue
-			}
-			var cn *Node
-			to := int32(-1)
-			if e.to >= 0 {
-				to = o.nodes[e.to].node
-			}
-			if to < 0 {
-				cn = o.childNode(len(res.Nodes), a, e)
-				if e.to >= 0 && admit != nil {
-					if to, err = admit(a, e, cn); err != nil {
-						return err
-					}
-				}
-			}
-			if to >= 0 {
-				// A known spelling, or one just folded into a class.
-				o.nodes[e.to].node = to
-				ins.observeOutcome(true, false)
-				a.node.Edges = append(a.node.Edges, Edge{Phase: e.phase, To: int(to)})
-				continue
-			}
-			res.Nodes = append(res.Nodes, cn)
-			iid = append(iid, e.to)
-			a.node.Edges = append(a.node.Edges, Edge{Phase: e.phase, To: cn.ID})
-			if e.to < 0 {
-				res.keys.put(cn.ID, "Q"+cn.Seq)
-				ins.observeQuarantine()
-				continue
-			}
-			res.keys.put(cn.ID, o.nodes[e.to].key)
-			o.nodes[e.to].node = int32(cn.ID)
-			ins.observeOutcome(true, true)
-			next = append(next, cn)
-		}
-		for _, n := range frontier {
-			putClone(n.fn) // admit's instances: not needed once explored
-			n.fn = nil
-		}
-		ins.nodesExpanded += len(frontier)
-		frontier = next
-		res.keys.noteLevel(levelStart)
-		if opts.MaxNodes > 0 && len(res.Nodes) > opts.MaxNodes {
-			res.abort(abortNodeCapReason(opts.MaxNodes))
-			break
-		}
-	}
-	for _, n := range frontier {
-		n.fn = nil // a cap bound; a replayed space is not resumable
-	}
-	res.Stats = ins.runStats()
-	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/fingerprint"
 	"repro/internal/mibench"
@@ -42,7 +43,7 @@ func TestHarvestQuarantineSeqTemplate(t *testing.T) {
 	if ids[1] != -1 {
 		t.Fatalf("quarantined node interned as instance %d", ids[1])
 	}
-	a := attempt{&Node{Seq: "xy"}, opt.ByID('s')}
+	a := attempt{&Node{Seq: "xy", Level: 2}, opt.ByID('s')}
 	e, err := o.attemptAt(ids[0], a)
 	if err != nil || e == nil {
 		t.Fatalf("no oracle edge harvested for the parent's phase s: %v", err)
@@ -50,11 +51,18 @@ func TestHarvestQuarantineSeqTemplate(t *testing.T) {
 	if !strings.Contains(e.quarantine, seqToken) || strings.Contains(e.quarantine, strconv.Quote("kc")) {
 		t.Fatalf("template %q does not replace the shard-relative sequence by the seq token", e.quarantine)
 	}
-	// The replay side: re-embedding a different (serial) parent sequence
-	// reconstructs the message the serial run would have recorded.
-	got := o.childNode(7, a, e)
+	// The answering side: re-embedding a different (serial) parent
+	// sequence reconstructs the message the serial run would have
+	// recorded, on the node the shared commit path creates.
+	run := &Result{FuncName: "f", keys: newKeyStore(), Nodes: []*Node{a.node}}
+	run.opts.fill()
+	o.iid = []int32{ids[0]}
+	if err := o.level(newEngine(run, o.level, time.Now()), []attempt{a}); err != nil {
+		t.Fatal(err)
+	}
+	got := run.Nodes[len(run.Nodes)-1]
 	want := "watchdog: phase s at " + strconv.Quote("xy") + " still running after 1s"
-	if got.Quarantine != want || got.Seq != "xys" || got.ID != 7 {
+	if got.Quarantine != want || got.Seq != "xys" || got.ID != 1 || run.NodeKey(got) != "Qxys" {
 		t.Fatalf("replayed quarantine node %+v, want message %q", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package search
 import (
 	"math/big"
 
+	"repro/internal/fingerprint"
 	"repro/internal/opt"
 	"repro/internal/rtl"
 )
@@ -42,7 +43,9 @@ func DormantPrunedCount(f *rtl.Func, depth int, opts Options) *big.Int {
 		if remaining == 0 {
 			return new(big.Int)
 		}
-		key := string(rune(remaining)) + string(lastActive) + stateKey(fn, st)
+		// Gating state is part of the key: instances that look identical
+		// but differ in phase legality have different subtrees.
+		key := string(rune(remaining)) + string(lastActive) + string(stateBits(st)) + string(fingerprint.Encode(fn))
 		if v, ok := memo[key]; ok {
 			return v
 		}

@@ -1,12 +1,6 @@
 package search
 
-import (
-	"time"
-
-	"repro/internal/fingerprint"
-	"repro/internal/opt"
-	"repro/internal/rtl"
-)
+import "repro/internal/rtl"
 
 // IndependencePrior supplies the probability that two phases are
 // independent (produce identical code in either order), as mined by
@@ -22,6 +16,9 @@ type IndependencePrior interface {
 // PruneStats reports what independence pruning did.
 type PruneStats struct {
 	// Skipped counts phase evaluations replaced by diamond completion.
+	// The Result's Stats tally each one as an attempt answered active
+	// and merged — it commits like any other answer — while
+	// Result.AttemptedPhases, which counts evaluations, leaves them out.
 	Skipped int
 	// Fallbacks counts prunable candidates that had to be evaluated
 	// anyway because the diamond's other path was missing.
@@ -40,155 +37,81 @@ type PruneStats struct {
 // with a prior mined from *other* functions it is an approximation, and
 // the returned space may (rarely) diverge from Run's. Tests quantify
 // the divergence; the threshold chooses how certain the prior must be
-// (1.0 = only pairs never once observed dependent).
+// (1.0 = only pairs never once observed dependent). Every option means
+// what it means to Run: the engine is the same, only its evaluator
+// differs.
 func RunWithIndependencePruning(f *rtl.Func, opts Options, prior IndependencePrior, threshold float64) (*Result, PruneStats) {
-	opts.fill()
-	var ps PruneStats
-	start := time.Now()
+	p := &priorEvaluator{prior: prior, threshold: threshold}
+	res, _ := newRun(f, opts, p.level).run() // the live path answers every attempt
+	return res, p.stats
+}
 
-	root := f.Clone()
-	rtl.Cleanup(root)
-	res := &Result{FuncName: f.Name, root: root.Clone(), opts: opts, keys: newKeyStore()}
-	index := newDedupIndex(res.keys)
+// priorEvaluator is the prior-filtered evaluator: the attempts the
+// prior calls prunable wait until the rest of the level is committed,
+// are then answered from committed edges where the diamond's other
+// path exists, and evaluated one by one where it does not.
+type priorEvaluator struct {
+	prior     IndependencePrior
+	threshold float64
+	stats     PruneStats
+	// expanded holds the previous level's frontier by Seq: a node's
+	// first-discovery parent is the one whose Seq is its own less the
+	// last phase.
+	expanded map[string]*Node
+}
 
-	// via[n] records the first-discovery parent and phase of node n.
-	type origin struct {
-		parent int
-		phase  byte
+func (p *priorEvaluator) level(e *engine, work []attempt) error {
+	var direct, deferred []attempt
+	for _, a := range work {
+		// Prunable? m reached via (parent, y); x independent of y.
+		if m := a.node; p.prior != nil && m.Seq != "" && p.prior.Independent(a.phase.ID(), m.Seq[len(m.Seq)-1]) >= p.threshold {
+			deferred = append(deferred, a)
+		} else {
+			direct = append(direct, a)
+		}
 	}
-	via := make([]origin, 0, 1024)
-
-	buf := fingerprint.GetBuffer()
-	defer fingerprint.PutBuffer(buf)
-	add := func(fn *rtl.Func, st opt.State, level int, seq string, parent int, phase byte) (*Node, bool) {
-		fp := fingerprint.SummarizeInto(buf, fn)
-		flags := stateBits(st)
-		if id, ok := index.lookup(flags, fp, buf.Enc); ok {
-			return res.Nodes[id], false
-		}
-		n := &Node{
-			ID:        len(res.Nodes),
-			Level:     level,
-			Seq:       seq,
-			FP:        fp,
-			State:     st,
-			NumInstrs: fn.NumInstrs(),
-			CFKey:     fingerprint.Key(buf.CF),
-			fn:        fn,
-		}
-		key := make([]byte, 0, 1+len(buf.Enc))
-		key = append(append(key, flags), buf.Enc...)
-		res.keys.put(n.ID, string(key))
-		index.insert(flags, fp, n.ID)
-		res.Nodes = append(res.Nodes, n)
-		via = append(via, origin{parent: parent, phase: phase})
-		return n, true
+	if err := e.runLevel(direct); err != nil || e.res.Aborted {
+		return err
 	}
-
-	rootNode, _ := add(root, opt.State{}, 0, "", -1, 0)
-	frontier := []*Node{rootNode}
-
-	edgeTarget := func(n *Node, phase byte) int {
-		for _, e := range n.Edges {
-			if e.Phase == phase {
-				return e.To
-			}
+	// Resolve the deferred diamonds, in order, now that this level's
+	// direct evaluations are in place. One that cannot complete is
+	// evaluated on the spot, so the edge it commits is there for the
+	// diamonds after it.
+	for _, a := range deferred {
+		if e.checkAbort() {
+			return nil
 		}
-		return -1
+		m, x := a.node, a.phase.ID()
+		y := m.Seq[len(m.Seq)-1]
+		to := -1
+		if m1 := edgeTarget(p.expanded[m.Seq[:len(m.Seq)-1]], x); m1 >= 0 {
+			to = edgeTarget(e.res.Nodes[m1], y)
+		}
+		if to >= 0 && e.res.Nodes[to].Quarantine == "" {
+			// Diamond complete: x after y equals y after x.
+			e.commitOutcome(a, &outcome{active: true, dup: int32(to)})
+			e.res.AttemptedPhases-- // answered, not evaluated
+			p.stats.Skipped++
+			continue
+		}
+		p.stats.Fallbacks++
+		o := e.evaluate(a, 0)
+		e.commitOutcome(a, &o)
 	}
-
-	evaluate := func(n *Node, p opt.Phase) (*rtl.Func, opt.State, bool) {
-		child := getClone(n.fn)
-		st := n.State
-		if !opt.Attempt(child, &st, p, opts.Machine) {
-			putClone(child)
-			return nil, st, false
-		}
-		return child, st, true
+	e.index.promote() // the fallbacks' discoveries
+	p.expanded = make(map[string]*Node)
+	for _, a := range work {
+		p.expanded[a.node.Seq] = a.node
 	}
+	return nil
+}
 
-	for len(frontier) > 0 {
-		if opts.Timeout > 0 && time.Since(start) > opts.Timeout {
-			res.abort(abortTimeout)
-			break
+// edgeTarget returns where n's edge of phase leads, -1 without one.
+func edgeTarget(n *Node, phase byte) int {
+	for _, e := range n.Edges {
+		if e.Phase == phase {
+			return e.To
 		}
-		var next []*Node
-		levelStart := len(res.Nodes)
-		type deferredAttempt struct {
-			node  *Node
-			phase opt.Phase
-		}
-		var deferred []deferredAttempt
-
-		process := func(n *Node, p opt.Phase) {
-			res.AttemptedPhases++
-			child, st, active := evaluate(n, p)
-			if !active {
-				return
-			}
-			cn, isNew := add(child, st, n.Level+1, n.Seq+string(p.ID()), n.ID, p.ID())
-			n.Edges = append(n.Edges, Edge{Phase: p.ID(), To: cn.ID})
-			if isNew {
-				next = append(next, cn)
-			} else {
-				putClone(child)
-			}
-		}
-
-		for _, n := range frontier {
-			for _, p := range opts.Phases {
-				if !opt.Enabled(p, n.State) {
-					continue
-				}
-				if len(n.Seq) > 0 && n.Seq[len(n.Seq)-1] == p.ID() {
-					continue
-				}
-				// Prunable? m reached via (parent, y); x=p independent
-				// of y.
-				o := via[n.ID]
-				if o.parent >= 0 && prior != nil {
-					if ind := prior.Independent(p.ID(), o.phase); ind >= threshold {
-						deferred = append(deferred, deferredAttempt{n, p})
-						continue
-					}
-				}
-				process(n, p)
-			}
-		}
-
-		// Resolve deferred diamonds now that this level's direct
-		// evaluations are in place.
-		for _, d := range deferred {
-			o := via[d.node.ID]
-			parent := res.Nodes[o.parent]
-			completed := false
-			if m1 := edgeTarget(parent, d.phase.ID()); m1 >= 0 {
-				if p2 := edgeTarget(res.Nodes[m1], o.phase); p2 >= 0 {
-					// Diamond complete: x after y equals y after x.
-					d.node.Edges = append(d.node.Edges, Edge{Phase: d.phase.ID(), To: p2})
-					ps.Skipped++
-					completed = true
-				}
-			}
-			if !completed {
-				ps.Fallbacks++
-				process(d.node, d.phase)
-			}
-		}
-
-		for _, n := range frontier {
-			if !opts.KeepFuncs {
-				putClone(n.fn)
-				n.fn = nil
-			}
-		}
-		res.keys.noteLevel(levelStart)
-		if opts.MaxNodes > 0 && len(res.Nodes) > opts.MaxNodes {
-			res.abort(abortNodeCapReason(opts.MaxNodes))
-			break
-		}
-		frontier = next
 	}
-	res.Elapsed = time.Since(start)
-	return res, ps
+	return -1
 }

@@ -1,9 +1,12 @@
 package search_test
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/faultinject"
 	"repro/internal/search"
 )
 
@@ -78,4 +81,74 @@ func TestIndependencePruningCrossFunction(t *testing.T) {
 	if coverage < 0.5 {
 		t.Errorf("cross-function pruning lost more than half the space (%.1f%%)", 100*coverage)
 	}
+}
+
+// TestIndependencePruningIsAFirstClassResult pins what running the
+// pruned enumeration through the engine bought: the Result carries a
+// real effort summary that accounts for every attempt and every edge
+// (completed diamonds included) and survives Save/Load, a panicking
+// phase is quarantined instead of taking the process down, and
+// Options.Ctx cancels the run like any other.
+func TestIndependencePruningIsAFirstClassResult(t *testing.T) {
+	// The prior is mined from sum's own exact space, so pruning at
+	// threshold 1.0 completes only exact diamonds.
+	_, f := compileFunc(t, sumSrc, "sum")
+	exact := search.Run(f, search.Options{})
+	if exact.Aborted {
+		t.Fatalf("exact run aborted: %s", exact.AbortReason)
+	}
+	x := analysis.NewInteractions()
+	x.Accumulate(exact)
+	accounted := func(t *testing.T, r *search.Result, ps search.PruneStats) {
+		t.Helper()
+		st := r.Stats
+		if st.Attempts == 0 || st.Attempts != st.Active+st.Dormant+st.Quarantined {
+			t.Errorf("attempt accounting broken: %d != %d active + %d dormant + %d quarantined",
+				st.Attempts, st.Active, st.Dormant, st.Quarantined)
+		}
+		edges := 0
+		for _, n := range r.Nodes {
+			edges += len(n.Edges)
+		}
+		if st.Edges != edges {
+			t.Errorf("Stats.Edges = %d, the node table holds %d", st.Edges, edges)
+		}
+		if st.Attempts-r.AttemptedPhases != ps.Skipped {
+			t.Errorf("%d attempts answered, %d evaluated, but %d diamonds completed",
+				st.Attempts, r.AttemptedPhases, ps.Skipped)
+		}
+	}
+
+	t.Run("stats", func(t *testing.T) {
+		r, ps := search.RunWithIndependencePruning(f, search.Options{Workers: 4}, x, 1.0)
+		if r.Aborted || ps.Skipped == 0 {
+			t.Fatalf("aborted=%v, %d diamonds completed", r.Aborted, ps.Skipped)
+		}
+		accounted(t, r, ps)
+		if got := saveLoad(t, r).Stats; got != r.Stats {
+			t.Errorf("saved effort summary %+v, want %+v", got, r.Stats)
+		}
+	})
+	t.Run("panic", func(t *testing.T) {
+		// Every application of the root's first active phase panics;
+		// root attempts have no diamond, so at least that one is evaluated.
+		first := string(exact.Root().Edges[0].Phase)
+		r, ps := search.RunWithIndependencePruning(f, search.Options{Faults: faultinject.MustParse("panic=" + first)}, x, 1.0)
+		q := r.QuarantinedNodes()
+		if r.Aborted || len(q) == 0 || r.Stats.Quarantined != len(q) {
+			t.Fatalf("aborted=%v, %d quarantined nodes, Stats.Quarantined=%d", r.Aborted, len(q), r.Stats.Quarantined)
+		}
+		if !strings.Contains(q[0].Quarantine, "faultinject") {
+			t.Errorf("Quarantine = %q, want the injected panic message", q[0].Quarantine)
+		}
+		accounted(t, r, ps)
+	})
+	t.Run("canceled", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		r, _ := search.RunWithIndependencePruning(f, search.Options{Ctx: ctx}, x, 1.0)
+		if !r.Aborted || !strings.HasPrefix(r.AbortReason, "canceled:") {
+			t.Fatalf("aborted=%v reason %q, want a canceled: abort", r.Aborted, r.AbortReason)
+		}
+	})
 }

@@ -348,15 +348,30 @@ type snapshot struct {
 	elapsed   time.Duration
 }
 
-// engine drives one enumeration: Run seeds it with a fresh root,
-// Resume with a loaded checkpoint, and both share the level loop.
+// evaluator answers one level's attempts: it hands e.commitOutcome one
+// outcome per attempt of work, in work order, and fails only when it
+// cannot answer (a broken oracle). It is the one point where the entry
+// points differ: Run and Resume evaluate phases on the pipelined ring
+// ((*engine).runLevel), MergeShards and DeriveEquiv look answers up in
+// a harvested oracle (attemptOracle.level), RunWithIndependencePruning
+// filters the live path through a prior (priorEvaluator.level). Everything else — work lists,
+// caps, node and edge commit, the equivalence fold, counters, key
+// retirement, checkpoints — is the engine's and exists once.
+type evaluator func(e *engine, work []attempt) error
+
+// engine drives one enumeration: its entry point seeds the node table,
+// the frontier and the evaluator, and all share the level loop.
 type engine struct {
 	res      *Result
 	opts     *Options
 	ins      *instruments
 	index    *dedupIndex
+	eval     evaluator
 	frontier []*Node
-	start    time.Time
+	// next collects the nodes the running level discovers: the next
+	// frontier.
+	next  []*Node
+	start time.Time
 	// equivClasses is the third index tier (Options.Equiv): the
 	// gating-flags byte + equivalence-canonical encoding of every
 	// class representative, mapping to its node ID. Nil when the
@@ -382,6 +397,13 @@ type engine struct {
 // Run exhaustively enumerates the phase order space of f. The function
 // is not modified.
 func Run(f *rtl.Func, opts Options) *Result {
+	e := newRun(f, opts, (*engine).runLevel)
+	res, _ := e.run() // the ring answers every attempt
+	return res
+}
+
+// newRun seeds an engine with the cleaned-up root of f as node 0.
+func newRun(f *rtl.Func, opts Options, eval evaluator) *engine {
 	opts.fill()
 	start := time.Now()
 
@@ -393,35 +415,53 @@ func Run(f *rtl.Func, opts Options) *Result {
 		// Equivalence-collapsed runs are not resumable (the class and
 		// alias tables are not persisted), so checkpointing is off.
 		res.opts.CheckpointPath = ""
-		res.Equiv = &EquivStats{RedundantByPhase: make(map[string]int)}
 	}
+	e := newEngine(res, eval, start)
+	buf := fingerprint.GetBuffer()
+	o := outcome{fn: root, fp: fingerprint.SummarizeInto(buf, root), buf: buf}
+	if opts.Equiv {
+		o.equiv = dataflow.EquivEncode(nil, root)
+	}
+	if opts.Check {
+		if err := check.Err(root, opts.Machine); err != nil {
+			o.checkErr = err.Error()
+		}
+	}
+	// Nothing has been applied yet: the root's gating flags byte is 0.
+	e.seedRoot(&o, "\x00"+string(buf.Enc))
+	e.index.insert(0, o.fp, 0)
+	fingerprint.PutBuffer(buf)
+	return e
+}
+
+// newEngine wires an engine over res, whose options are final. Under
+// Options.Equiv it opens the class table and the collapse summary.
+func newEngine(res *Result, eval evaluator, start time.Time) *engine {
 	e := &engine{
 		res:   res,
 		opts:  &res.opts,
-		ins:   newInstruments(&res.opts, f.Name, start),
+		ins:   newInstruments(&res.opts, res.FuncName, start),
 		index: newDedupIndex(res.keys),
+		eval:  eval,
 		start: start,
 	}
-	if opts.Equiv {
+	if res.opts.Equiv {
+		res.Equiv = &EquivStats{RedundantByPhase: make(map[string]int)}
 		e.equivClasses = make(map[string]int32)
 	}
-	rootBuf := fingerprint.GetBuffer()
-	rootFP := fingerprint.SummarizeInto(rootBuf, root)
-	var rootEquiv []byte
-	if opts.Equiv {
-		rootEquiv = dataflow.EquivEncode(nil, root)
+	return e
+}
+
+// seedRoot makes the instance o describes node 0 and the frontier. The
+// root is the first raw-distinct instance of an equivalence-collapsed
+// space.
+func (e *engine) seedRoot(o *outcome, key string) {
+	if e.res.Equiv != nil {
+		e.res.Equiv.Raw = 1
 	}
-	rootNode, _ := e.add(root, opt.State{}, rootFP, rootBuf, rootEquiv, 0, 0, "")
-	fingerprint.PutBuffer(rootBuf)
+	e.frontier = []*Node{e.newNode(0, "", key, o)}
 	e.ins.nodes.Add(1)
 	e.ins.mNodes.Inc()
-	if opts.Check {
-		if err := check.Err(root, opts.Machine); err != nil {
-			rootNode.CheckErr = err.Error()
-		}
-	}
-	e.frontier = []*Node{rootNode}
-	return e.run()
 }
 
 // Resume continues an interrupted enumeration from a checkpoint loaded
@@ -454,15 +494,8 @@ func Resume(res *Result, opts Options) (*Result, error) {
 	res.opts = opts
 	res.Checkpoint = nil
 	res.Aborted, res.AbortReason = false, ""
-	start := time.Now()
-	e := &engine{
-		res:   res,
-		opts:  &res.opts,
-		ins:   newInstruments(&res.opts, res.FuncName, start),
-		index: newDedupIndex(res.keys),
-		start: start,
-		prior: res.Elapsed,
-	}
+	e := newEngine(res, (*engine).runLevel, time.Now())
+	e.prior = res.Elapsed
 	// Rebuild the two-tier index from the loaded node table. The full
 	// keys already sit in the keyStore (Load retired them into blobs);
 	// quarantined nodes are skipped — their synthetic keys can never
@@ -475,75 +508,37 @@ func Resume(res *Result, opts Options) (*Result, error) {
 	}
 	e.ins.seed(res.Stats, len(res.Nodes))
 	e.frontier = cp.Frontier
-	return e.run(), nil
+	return e.run()
 }
 
-// mergeKind classifies how add disposed of an instance.
-type mergeKind int
-
-const (
-	// mergeDup: the canonical key matched an existing node (or an
-	// alias of one) — the classic identical-instance merge.
-	mergeDup mergeKind = iota
-	// mergeEquiv: the instance is raw-distinct but its equivalence key
-	// matched an existing class; it merged into the class node and its
-	// canonical key became an alias (Options.Equiv only).
-	mergeEquiv
-	// mergeNew: a new node was created.
-	mergeNew
-)
-
-// add interns one instance, returning its node and how it was merged.
-// The caller supplies the instance summary (fingerprint plus canonical
-// encoding and CF key in buf, and — under Options.Equiv — the
-// equivalence encoding) computed by the workers, so this — the serial
-// merge path — does only index probes and, for new nodes, the key
-// copy. phase is the producing phase's ID (0 for the root), used to
-// attribute equivalence-tier folds.
-func (e *engine) add(fn *rtl.Func, st opt.State, fp fingerprint.FP, buf *fingerprint.Buffer, equiv []byte, phase byte, level int, seq string) (*Node, mergeKind) {
-	flags := stateBits(st)
-	if id, ok := e.index.lookup(flags, fp, buf.Enc); ok {
-		return e.res.Nodes[id], mergeDup
-	}
-	if e.res.Equiv != nil {
-		e.res.Equiv.Raw++
-		ckey := string(flags) + string(equiv)
-		if id, ok := e.equivClasses[ckey]; ok {
-			// Raw-distinct instance, known class: record its canonical
-			// key as an alias so future identical duplicates of this
-			// spelling resolve to the class node too.
-			rawKey := make([]byte, 0, 1+len(buf.Enc))
-			rawKey = append(append(rawKey, flags), buf.Enc...)
-			e.index.insertAlias(flags, fp, string(rawKey), int(id))
-			n := e.res.Nodes[id]
-			n.EquivRaw++
-			e.res.Equiv.Merged++
-			if phase != 0 {
-				e.res.Equiv.RedundantByPhase[string(phase)]++
-			}
-			return n, mergeEquiv
-		}
-	}
+// newNode appends the node of a newly discovered instance — the root,
+// or the first committed reference to a key — under its canonical key.
+// o carries the instance's facts however they were come by: computed on
+// a worker (the control-flow key is then still bytes in the pooled
+// buffer, copied only now that a node keeps it) or recorded by an
+// oracle's input. Under Options.Equiv the instance founds its class.
+func (e *engine) newNode(level int, seq, key string, o *outcome) *Node {
 	n := &Node{
 		ID:        len(e.res.Nodes),
 		Level:     level,
 		Seq:       seq,
-		FP:        fp,
-		State:     st,
-		NumInstrs: fn.NumInstrs(),
-		CFKey:     fingerprint.Key(buf.CF),
-		fn:        fn,
+		FP:        o.fp,
+		State:     o.st,
+		NumInstrs: o.fp.Count, // the fingerprint counts instructions
+		CFKey:     o.cf,
+		CheckErr:  o.checkErr,
+		fn:        o.fn,
 	}
-	key := make([]byte, 0, 1+len(buf.Enc))
-	key = append(append(key, flags), buf.Enc...)
-	e.res.keys.put(n.ID, string(key))
-	e.index.insert(flags, fp, n.ID)
+	if o.buf != nil {
+		n.CFKey = fingerprint.Key(o.buf.CF)
+	}
+	e.res.keys.put(n.ID, key)
 	e.res.Nodes = append(e.res.Nodes, n)
 	if e.res.Equiv != nil {
 		n.EquivRaw = 1
-		e.equivClasses[string(flags)+string(equiv)] = int32(n.ID)
+		e.equivClasses[key[:1]+string(o.equiv)] = int32(n.ID)
 	}
-	return n, mergeNew
+	return n
 }
 
 // addQuarantined interns the dead-end node of a quarantined attempt.
@@ -662,8 +657,21 @@ func checkpointDue(atRisk, cost time.Duration) bool {
 	return atRisk >= checkpointFloor && atRisk >= checkpointCostRatio*cost
 }
 
-// run is the level loop shared by Run and Resume.
-func (e *engine) run() *Result {
+// canceled polls Options.Ctx without blocking (a nil done channel
+// never fires).
+func (e *engine) canceled() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// run is the level loop, the only one: every entry point of the package
+// that builds a space drives it, differing in how the engine was seeded
+// and in the evaluator. The error is the evaluator's.
+func (e *engine) run() (*Result, error) {
 	opts := e.opts
 	res := e.res
 	ins := e.ins
@@ -675,25 +683,17 @@ func (e *engine) run() *Result {
 		defer telemetry.NewProgress(w, opts.ProgressInterval, ins.progressLine).Start().Stop()
 	}
 
-	// canceled polls Options.Ctx without blocking; done hands workers
-	// the raw channel so each expansion can bail out early.
+	// done hands workers the raw channel so each expansion can bail
+	// out early.
 	if opts.Ctx != nil {
 		e.done = opts.Ctx.Done()
-	}
-	canceled := func() bool {
-		select {
-		case <-e.done:
-			return true
-		default:
-			return false
-		}
 	}
 
 	e.lastCkpt, e.lastCkptCost, e.lastCkptNodes = e.start, checkpointNodePrior, 1
 	e.snap = e.boundary()
 	for len(e.frontier) > 0 {
 		frontier := e.frontier
-		if canceled() {
+		if e.canceled() {
 			e.abort(abortCanceledReason(opts.Ctx))
 			break
 		}
@@ -702,9 +702,9 @@ func (e *engine) run() *Result {
 			break
 		}
 
-		// Evaluate every (node, phase) pair of the level. Attempts are
-		// independent, so they run on a worker pool; results merge in
-		// deterministic (node, phase) order so the enumeration is
+		// Answer every (node, phase) pair of the level. Attempts are
+		// independent, but whatever the evaluator does with that, the
+		// answers commit in (node, phase) order, so the enumeration is
 		// reproducible regardless of scheduling.
 		work := levelWork(frontier, opts.Phases)
 		// The number of sequences to evaluate at this level is exactly
@@ -721,18 +721,14 @@ func (e *engine) run() *Result {
 		ins.beginLevel(level, len(frontier), len(work))
 		levelSpan := ins.tracer.Begin("search.level", "search", 0)
 
-		workers := opts.Workers
-		if workers <= 0 {
-			workers = runtime.NumCPU()
-		}
-		if workers > len(work) {
-			workers = len(work)
-		}
-
-		next := e.runLevel(work, workers, canceled)
+		e.next = nil
+		err := e.eval(e, work)
 		levelSpan.End(map[string]any{
 			"level": level, "frontier": len(frontier), "attempts": len(work), "nodes": len(res.Nodes),
 		})
+		if err != nil {
+			return nil, err
+		}
 		if res.Aborted {
 			break
 		}
@@ -741,10 +737,10 @@ func (e *engine) run() *Result {
 			ins.log.InfoContext(e.logCtx(), "level complete",
 				"fn", ins.fnName, "level", level,
 				"frontier", len(frontier), "attempts", len(work),
-				"nodes", len(res.Nodes), "next_frontier", len(next),
+				"nodes", len(res.Nodes), "next_frontier", len(e.next),
 				"elapsed", e.elapsed().Round(time.Millisecond).String())
 		}
-		e.frontier = next
+		e.frontier = e.next
 		if !opts.KeepFuncs {
 			for _, n := range frontier {
 				putClone(n.fn) // instance no longer needed once explored
@@ -789,7 +785,7 @@ func (e *engine) run() *Result {
 		e.snap = e.boundary()
 		e.writeCheckpoint(&e.snap)
 	}
-	return res
+	return res, nil
 }
 
 // attempt is one (node, phase) pair scheduled for evaluation.
@@ -817,11 +813,11 @@ func levelWork(frontier []*Node, phases []opt.Phase) []attempt {
 // checkAbort polls the two mid-level abort conditions (cancellation,
 // wall-time budget) and marks the result aborted on the first hit.
 // Committer-side only.
-func (e *engine) checkAbort(canceled func() bool) bool {
+func (e *engine) checkAbort() bool {
 	if e.res.Aborted {
 		return true
 	}
-	if canceled() {
+	if e.canceled() {
 		e.abort(abortCanceledReason(e.opts.Ctx))
 		return true
 	}
@@ -832,9 +828,9 @@ func (e *engine) checkAbort(canceled func() bool) bool {
 	return false
 }
 
-// runLevel evaluates one level's attempts on a pipelined worker pool
-// and returns the next frontier (nil, with the result marked aborted,
-// on a mid-level abort). Workers claim attempts from a shared cursor,
+// runLevel is the live evaluator: it evaluates the attempts on a
+// pipelined worker pool (a mid-level abort marks the result aborted and
+// returns early). Workers claim attempts from a shared cursor,
 // evaluate them, probe (or park a pending entry in) the striped index,
 // and publish the outcome into a bounded ring; this goroutine is the
 // single committer, consuming outcomes strictly in attempt order. The
@@ -846,8 +842,15 @@ func (e *engine) checkAbort(canceled func() bool) bool {
 // clones exist — but with no barrier: workers keep evaluating while
 // the committer merges, and a slow attempt stalls only commits beyond
 // it, not the evaluation pipeline.
-func (e *engine) runLevel(work []attempt, workers int, canceled func() bool) []*Node {
-	opts, res, ins := e.opts, e.res, e.ins
+func (e *engine) runLevel(work []attempt) error {
+	opts, res := e.opts, e.res
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	if workers > len(work) {
+		workers = len(work)
+	}
 
 	ring := newOutcomeRing()
 	var claim, committed atomic.Int64
@@ -893,34 +896,7 @@ func (e *engine) runLevel(work []attempt, workers int, canceled func() bool) []*
 					return
 				default:
 				}
-				a := work[i]
-				var began time.Time
-				if ins.timed {
-					began = time.Now()
-				}
-				expandSpan := ins.tracer.Begin("search.expand", "search", lane)
-				o := evalAttempt(res.root, a, opts, ins, lane)
-				if o.active {
-					// Resolve against the striped index here, on the
-					// worker: a concurrent probe either finds the
-					// committed node, finds the pending entry an
-					// earlier probe parked, or parks a new one. The
-					// committer only turns the result into the merge
-					// decision.
-					o.dup, o.pend = e.index.resolve(stateBits(o.st), o.fp, o.buf.Enc)
-				}
-				if expandSpan.Active() {
-					expandSpan.End(map[string]any{
-						"seq":    a.node.Seq,
-						"phase":  string(a.phase.ID()),
-						"active": o.active,
-					})
-				}
-				if ins.timed {
-					ins.observeExpand(began)
-				} else {
-					ins.levelDone.Add(1)
-				}
+				o := e.evaluate(work[i], lane)
 				ring.put(i, o)
 				select {
 				case notify <- struct{}{}:
@@ -940,12 +916,11 @@ func (e *engine) runLevel(work []attempt, workers int, canceled func() bool) []*
 		tickC = t.C
 	}
 
-	var next []*Node
 	total := int64(len(work))
 commitLoop:
 	for i := int64(0); i < total; i++ {
 		for !ring.ready(i) {
-			if e.checkAbort(canceled) {
+			if e.checkAbort() {
 				break commitLoop
 			}
 			select {
@@ -960,10 +935,10 @@ commitLoop:
 		case space <- struct{}{}:
 		default:
 		}
-		next = e.commitOutcome(work[i], &o, next)
+		e.commitOutcome(work[i], &o)
 		// Bound how much commit work runs between abort polls when
 		// outcomes arrive faster than the committer drains them.
-		if (i+1)%4096 == 0 && e.checkAbort(canceled) {
+		if (i+1)%4096 == 0 && e.checkAbort() {
 			break commitLoop
 		}
 	}
@@ -993,18 +968,50 @@ commitLoop:
 		return nil
 	}
 	wg.Wait()
-	// The level is complete: promote the pending discoveries into the
-	// read-only bucket/alias tiers before the next level probes them.
+	// The attempts are committed: promote the pending discoveries into
+	// the read-only bucket/alias tiers before the next probes.
 	e.index.promote()
-	return next
+	return nil
 }
 
-// commitOutcome applies one evaluated outcome on the serial commit
-// path, in attempt order, appending any new node to next and
-// returning it. This is the old serial merge loop body verbatim in
-// its observable effects: quarantine nodes, edge append order, merge
-// classification and every counter match the chunked engine.
-func (e *engine) commitOutcome(a attempt, o *outcome, next []*Node) []*Node {
+// evaluate is one live answer, as a ring worker (or a serial caller on
+// lane 0) produces it: evaluate the attempt and resolve its instance
+// against the striped index here rather than at commit — a concurrent
+// probe either finds the committed node, finds the pending entry an
+// earlier probe parked, or parks a new one, and the committer only
+// turns the result into the merge decision.
+func (e *engine) evaluate(a attempt, lane int) outcome {
+	ins := e.ins
+	var began time.Time
+	if ins.timed {
+		began = time.Now()
+	}
+	expandSpan := ins.tracer.Begin("search.expand", "search", lane)
+	o := evalAttempt(e.res.root, a, e.opts, ins, lane)
+	if o.active {
+		o.dup, o.pend = e.index.resolve(stateBits(o.st), o.fp, o.buf.Enc)
+	}
+	if expandSpan.Active() {
+		expandSpan.End(map[string]any{
+			"seq":    a.node.Seq,
+			"phase":  string(a.phase.ID()),
+			"active": o.active,
+		})
+	}
+	if ins.timed {
+		ins.observeExpand(began)
+	} else {
+		ins.levelDone.Add(1)
+	}
+	return o
+}
+
+// commitOutcome applies one answered attempt on the serial commit path,
+// in attempt order; a newly discovered node joins the next frontier.
+// Every evaluator's answers pass through here, so quarantine nodes,
+// edge append order, merge classification and every counter are the
+// same however the answer was come by.
+func (e *engine) commitOutcome(a attempt, o *outcome) {
 	ins := e.ins
 	if o.quarantine != "" {
 		qn := e.addQuarantined(a.node, a.phase.ID(), o.quarantine)
@@ -1015,85 +1022,64 @@ func (e *engine) commitOutcome(a attempt, o *outcome, next []*Node) []*Node {
 				"fn", ins.fnName, "seq", a.node.Seq+string(a.phase.ID()),
 				"reason", o.quarantine)
 		}
-		return next
+		return
 	}
 	if !o.active {
 		ins.observeOutcome(false, false)
-		return next
+		return
 	}
-	cn, kind := e.commitInstance(a, o)
-	fingerprint.PutBuffer(o.buf)
-	ins.observeOutcome(true, kind == mergeNew)
-	if kind == mergeEquiv {
-		ins.observeEquivMerge()
+	cn, isNew := e.commitInstance(a, o)
+	if o.buf != nil {
+		fingerprint.PutBuffer(o.buf)
 	}
+	ins.observeOutcome(true, isNew)
 	a.node.Edges = append(a.node.Edges, Edge{Phase: a.phase.ID(), To: cn.ID})
-	if kind == mergeNew {
-		cn.CheckErr = o.checkErr
-		next = append(next, cn)
+	if isNew {
+		e.next = append(e.next, cn)
 	} else {
 		putClone(o.fn) // duplicate instance: merged into cn
 	}
-	return next
 }
 
-// commitInstance resolves an active outcome's probe result into the
-// serial merge decision. A dup (committed-tier hit on the worker) or
-// an already-committed pending entry is the classic identical-instance
-// merge. The first commit referencing an unassigned pending entry is
-// the instance's discovery — because commits happen in attempt order,
-// it is the same attempt the serial engine would have discovered it
-// on — and either folds it into an equivalence class (Options.Equiv)
-// or creates the node and assigns the next ID.
-func (e *engine) commitInstance(a attempt, o *outcome) (*Node, mergeKind) {
+// commitInstance resolves an active outcome's dedup result into the
+// serial merge decision, reporting whether it created the node. A dup
+// (an already committed node) or an already-committed slot is the
+// classic identical-instance merge. The first commit referencing an
+// unassigned slot is the instance's discovery — because commits happen
+// in attempt order, it is the same attempt the serial engine would have
+// discovered it on — and either folds it into an equivalence class
+// (Options.Equiv) or creates the node and assigns the next ID.
+func (e *engine) commitInstance(a attempt, o *outcome) (*Node, bool) {
 	if o.pend == nil {
-		return e.res.Nodes[o.dup], mergeDup
+		return e.res.Nodes[o.dup], false
 	}
 	p := o.pend
 	if p.id >= 0 {
-		// An earlier attempt of this level committed the same key
-		// (or, under Equiv, aliased it into a class): later identical
-		// spellings merge like any duplicate.
-		return e.res.Nodes[p.id], mergeDup
+		// An earlier attempt committed the same key (or, under Equiv,
+		// aliased it into a class): later identical spellings merge
+		// like any duplicate.
+		return e.res.Nodes[p.id], false
 	}
-	flags := p.key[0]
 	if e.res.Equiv != nil {
 		e.res.Equiv.Raw++
-		ckey := string(flags) + string(o.equiv)
-		if id, ok := e.equivClasses[ckey]; ok {
-			// Raw-distinct instance, known class: the pending entry
-			// becomes an alias at promote, so future identical
-			// duplicates of this spelling resolve to the class node.
+		if id, ok := e.equivClasses[p.key[:1]+string(o.equiv)]; ok {
+			// Raw-distinct instance, known class: the slot becomes an
+			// alias, so future identical duplicates of this spelling
+			// resolve to the class node.
 			p.id, p.alias = id, true
 			n := e.res.Nodes[id]
 			n.EquivRaw++
 			e.res.Equiv.Merged++
-			if a.phase.ID() != 0 {
-				e.res.Equiv.RedundantByPhase[string(a.phase.ID())]++
-			}
-			return n, mergeEquiv
+			e.res.Equiv.RedundantByPhase[string(a.phase.ID())]++
+			e.ins.observeEquivMerge()
+			return n, false
 		}
 	}
-	n := &Node{
-		ID:        len(e.res.Nodes),
-		Level:     a.node.Level + 1,
-		Seq:       a.node.Seq + string(a.phase.ID()),
-		FP:        o.fp,
-		State:     o.st,
-		NumInstrs: o.fn.NumInstrs(),
-		CFKey:     fingerprint.Key(o.buf.CF),
-		fn:        o.fn,
-	}
-	// The pending entry's key was copied on the worker; it becomes the
+	// The slot's key was copied where it was parked; it becomes the
 	// node key directly — no copy on the commit path.
-	e.res.keys.put(n.ID, p.key)
+	n := e.newNode(a.node.Level+1, a.node.Seq+string(a.phase.ID()), p.key, o)
 	p.id = int32(n.ID)
-	e.res.Nodes = append(e.res.Nodes, n)
-	if e.res.Equiv != nil {
-		n.EquivRaw = 1
-		e.equivClasses[string(flags)+string(o.equiv)] = int32(n.ID)
-	}
-	return n, mergeNew
+	return n, true
 }
 
 // clonePool recycles the storage of dead function clones. The
@@ -1116,29 +1102,31 @@ func putClone(fn *rtl.Func) {
 	}
 }
 
-// outcome is the result of evaluating one attempt on a worker. Active
-// outcomes carry the instance summary — fingerprint plus the pooled
-// buffer holding the canonical encoding and CF key — and the striped
-// index's probe result, both computed on the worker, so the serial
-// committer only turns them into the merge decision. The committer
-// returns buf to the fingerprint pool and clears the ring slot the
-// outcome traveled in.
+// outcome is an evaluator's answer to one attempt: quarantined, dormant
+// (the zero value) or active. An active outcome carries the instance's
+// facts and its dedup result. On the ring both are computed on the
+// worker — fingerprint, plus the pooled buffer holding the canonical
+// encoding and CF key, plus the striped index's probe — so the serial
+// committer only turns them into the merge decision; it returns buf to
+// the fingerprint pool and clears the ring slot the outcome traveled
+// in. An oracle copies the facts from its inputs (cf set, buf nil) and
+// hands out its own slot. The field order keeps a ring slot at 128
+// bytes.
 type outcome struct {
-	active     bool
-	fn         *rtl.Func
-	st         opt.State
+	active bool
+	st     opt.State
+	// Dedup result of an active outcome: either the committed node this
+	// instance duplicates (pend nil, dup ≥ 0) or the slot of its key,
+	// found or newly parked (pend non-nil, dup meaningless).
+	dup        int32
+	pend       *pendingNode
+	fn         *rtl.Func // the instance; nil when nobody will expand it
 	fp         fingerprint.FP
 	buf        *fingerprint.Buffer
+	cf         fingerprint.Key
 	equiv      []byte // equivalence encoding, Options.Equiv only
 	checkErr   string
 	quarantine string
-
-	// Probe result, set by the worker for active outcomes: either the
-	// committed node this instance duplicates (pend nil, dup ≥ 0) or
-	// the pending entry it resolved to or parked (pend non-nil, dup
-	// meaningless).
-	dup  int32
-	pend *pendingNode
 }
 
 // evalAttempt evaluates one (node, phase) pair: materialize the parent
@@ -1257,24 +1245,6 @@ func applyPhaseRecover(root *rtl.Func, a attempt, opts *Options, ins *instrument
 		faultinject.Corrupt(child)
 	}
 	return outcome{active: true, fn: child, st: st}
-}
-
-// stateKey combines the canonical instance encoding with the gating
-// state, so instances that look identical but have different phase
-// legality (e.g. one has had instruction selection applied) stay
-// distinct.
-func stateKey(fn *rtl.Func, st opt.State) string {
-	var flags byte
-	if st.RegAssigned {
-		flags |= 1
-	}
-	if st.KApplied {
-		flags |= 2
-	}
-	if st.SApplied {
-		flags |= 4
-	}
-	return string(flags) + string(fingerprint.Encode(fn))
 }
 
 // replaySeq reconstructs an instance by cloning the unoptimized

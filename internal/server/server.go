@@ -747,6 +747,24 @@ func (s *Server) resolveFlight(fl *flight) (*search.Result, error) {
 // persisted (search.Run refuses the combination) — so a drained equiv
 // flight simply starts over on the next request.
 func (s *Server) enumerateFlight(fl *flight) (*search.Result, error) {
+	res, err := s.runOrResume(fl, 0)
+	if err != nil {
+		return nil, fmt.Errorf("resuming checkpoint: %w", err)
+	}
+	// Whichever way a default-tier flight ran, the engine's last
+	// successful write left the finished space in the checkpoint slot;
+	// runFlight publishes that file instead of encoding the space a
+	// second time.
+	fl.ckptIsSpace = !fl.no.Equiv && !res.Aborted && res.CheckpointErr == ""
+	return s.finishFlight(fl, res)
+}
+
+// runOrResume enumerates fl's function under the flight's options, or
+// continues what the key's checkpoint slot holds. stopAtFrontier > 0 is
+// a shard warm-up: it pauses at a frontier that wide and always
+// enumerates the default tier (shards and merge need raw nodes). The
+// error is search.Resume's.
+func (s *Server) runOrResume(fl *flight, stopAtFrontier int) (*search.Result, error) {
 	// Draw this flight's search parallelism from the shared CPU-token
 	// budget instead of letting every flight default to NumCPU: the
 	// sum across concurrent flights never exceeds GOMAXPROCS. A grant
@@ -761,7 +779,7 @@ func (s *Server) enumerateFlight(fl *flight) (*search.Result, error) {
 		MaxSeqPerLevel: fl.no.Cap,
 		MaxNodes:       fl.no.MaxNodes,
 		Check:          fl.no.Check,
-		Equiv:          fl.no.Equiv,
+		Equiv:          fl.no.Equiv && stopAtFrontier == 0,
 		Timeout:        s.cfg.SearchTimeout,
 		Workers:        workers,
 		Ctx:            fl.ctx,
@@ -769,38 +787,29 @@ func (s *Server) enumerateFlight(fl *flight) (*search.Result, error) {
 		Metrics:        s.reg,
 		Tracer:         s.cfg.Tracer,
 		Faults:         s.cfg.Faults,
+		StopAtFrontier: stopAtFrontier,
 	}
-	if fl.no.Equiv {
-		s.reg.Counter("server.enumerations").Inc()
-		res := search.Run(fl.fn, opts)
-		return s.finishFlight(fl, res)
-	}
-	opts.CheckpointPath = s.store.ckptPath(fl.key)
-	var res *search.Result
-	prev, err := search.LoadFile(opts.CheckpointPath)
-	switch {
-	case err == nil && prev.Checkpoint != nil:
-		// An earlier drained or abandoned request left its partial
-		// enumeration behind; continue it instead of starting over.
-		s.reg.Counter("server.enumerations").Inc()
-		s.reg.Counter("server.enumerations.resumed").Inc()
-		res, err = search.Resume(prev, opts)
-		if err != nil {
-			return nil, fmt.Errorf("resuming checkpoint: %w", err)
+	// The slot's tier is part of the key, so only a default-tier flight
+	// may claim it: an equiv flight neither checkpoints its own run nor
+	// lets its (default-tier) warm-up write there.
+	if !fl.no.Equiv {
+		opts.CheckpointPath = s.store.ckptPath(fl.key)
+		prev, err := search.LoadFile(opts.CheckpointPath)
+		switch {
+		case err == nil && prev.Checkpoint != nil:
+			// An earlier drained or abandoned request left its partial
+			// enumeration behind; continue it instead of starting over.
+			s.reg.Counter("server.enumerations").Inc()
+			s.reg.Counter("server.enumerations.resumed").Inc()
+			return search.Resume(prev, opts)
+		case err == nil && !prev.Aborted:
+			// The checkpoint completed but was never promoted to the cache
+			// (crash between rename and promotion); it is the space.
+			return prev, nil
 		}
-	case err == nil && !prev.Aborted:
-		// The checkpoint completed but was never promoted to the cache
-		// (crash between rename and promotion); it is the space.
-		res = prev
-	default:
-		s.reg.Counter("server.enumerations").Inc()
-		res = search.Run(fl.fn, opts)
 	}
-	// Whichever branch ran, the engine's last successful write left the
-	// finished space in the checkpoint slot; runFlight publishes that
-	// file instead of encoding the space a second time.
-	fl.ckptIsSpace = !res.Aborted && res.CheckpointErr == ""
-	return s.finishFlight(fl, res)
+	s.reg.Counter("server.enumerations").Inc()
+	return search.Run(fl.fn, opts), nil
 }
 
 // finishFlight maps an aborted enumeration to its HTTP failure.

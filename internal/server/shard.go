@@ -16,9 +16,10 @@ import (
 // a worker resumes like any other — and dispatches them through the
 // ordinary lease protocol: per-shard watermarks, per-shard recovery
 // checkpoints, and re-dispatch of only the shard whose holder died.
-// When every shard completes, the serial level loop is replayed over
-// the sub-spaces in canonical order, reproducing byte-for-byte the
-// space a single node would have enumerated (search.MergeShards). Any
+// When every shard completes, the search engine runs its level loop
+// from the warmup frontier over the sub-spaces' recorded outcomes,
+// reproducing byte-for-byte the space a single node would have
+// enumerated (search.MergeShards). Any
 // wobble — a thinned-out fleet, an aborted shard, a failed merge —
 // falls back to the whole-space dispatch path, which itself falls back
 // to local enumeration, so sharding can only add capacity, never
@@ -199,50 +200,12 @@ func (d *dispatcher) shardEnumerate(fl *flight) (*search.Result, bool) {
 // checkpoint whose frontier is ready to partition, or is the complete
 // space. nil reports an unresumable checkpoint; the caller falls back.
 func (d *dispatcher) shardWarmup(fl *flight, k int) *search.Result {
-	s := d.s
-	workers, _ := s.cpu.acquire(fl.ctx, s.cfg.SearchWorkers)
-	defer s.cpu.release(workers)
-	if workers <= 0 {
-		workers = 1
+	res, err := d.s.runOrResume(fl, k)
+	if err != nil {
+		d.s.logger.Warn("dist shard warmup resume failed", "flight_id", fl.id, "err", err.Error())
+		return nil
 	}
-	opts := search.Options{
-		MaxSeqPerLevel: fl.no.Cap,
-		MaxNodes:       fl.no.MaxNodes,
-		Check:          fl.no.Check,
-		Timeout:        s.cfg.SearchTimeout,
-		Workers:        workers,
-		Ctx:            fl.ctx,
-		Logger:         s.logger,
-		Metrics:        s.reg,
-		Tracer:         s.cfg.Tracer,
-		Faults:         s.cfg.Faults,
-		StopAtFrontier: k,
-	}
-	// The warmup always enumerates the default tier (shards and merge
-	// need raw nodes), so an equiv flight's warmup must not claim the
-	// flight key's checkpoint slot — that slot's tier is part of the
-	// key. Default-tier flights keep their usual resume semantics.
-	if !fl.no.Equiv {
-		opts.CheckpointPath = s.store.ckptPath(fl.key)
-		prev, err := search.LoadFile(opts.CheckpointPath)
-		switch {
-		case err == nil && prev.Checkpoint != nil:
-			s.reg.Counter("server.enumerations").Inc()
-			s.reg.Counter("server.enumerations.resumed").Inc()
-			res, rerr := search.Resume(prev, opts)
-			if rerr != nil {
-				s.logger.Warn("dist shard warmup resume failed", "flight_id", fl.id, "err", rerr.Error())
-				return nil
-			}
-			return res
-		case err == nil && !prev.Aborted:
-			// Completed but never promoted (crash between rename and
-			// promotion); it is the space.
-			return prev
-		}
-	}
-	s.reg.Counter("server.enumerations").Inc()
-	return search.Run(fl.fn, opts)
+	return res
 }
 
 // shardFinish adapts a complete merged (or warmup-complete) default
