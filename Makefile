@@ -251,7 +251,9 @@ chaos:
 
 # Intra-space sharding crash test: coordinator with -shard-fanout 2 +
 # two workers, one enumeration split into frontier shards across the
-# fleet, the shard holder SIGKILLed mid-space, and the merged space —
+# fleet, first the coordinator (restarted on the same cache, it must
+# resume the warm-up) and then a shard holder SIGKILLed mid-space, and
+# the merged space —
 # plus the equivalence tier derived from a second sharded merge —
 # required to hash byte-identically (spacedot -hash) to single-node
 # cmd/explore runs. scripts/shard_smoke.sh has the details. Needs curl

@@ -64,10 +64,11 @@ type Assignment struct {
 	Key          string        `json:"key"`
 	Func         *rtl.Func     `json:"func"`
 	Options      SearchOptions `json:"options"`
-	// CheckpointB64 carries the last checkpoint uploaded for this work
-	// (space format v2, base64) when the assignment is a re-dispatch
-	// after a lease expiry: the new worker resumes where the dead one
-	// stopped instead of starting over.
+	// CheckpointB64 is the document to resume (space format v2,
+	// base64), absent to start from the function: the frontier part of
+	// a split space this assignment covers, or — on a re-dispatch after
+	// a lease expiry — the last checkpoint uploaded for this work, so
+	// the new worker resumes where the dead one stopped.
 	CheckpointB64 string `json:"checkpoint_b64,omitempty"`
 	// SearchTimeoutMillis bounds the worker-side search wall time
 	// (0 = unlimited), mirroring the coordinator's local limit.

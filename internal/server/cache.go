@@ -142,16 +142,14 @@ func (c *memCache) len() int {
 // decoding it) is never evicted — the sweep skips it and takes the
 // next oldest.
 //
-// Checkpoint slots come in two kinds. The ones the local search engine
-// writes directly (opts.CheckpointPath) are transient work state
-// outside the budget. The ones the coordinator mirrors through
-// writeCkpt — a worker's uploaded recovery point, or one shard of a
-// partitioned enumeration — are budgeted like entries: a fleet of K
-// shards holds K full node tables on disk, which is exactly the kind
-// of growth the budget exists to bound. A mirror slot pinned by the
-// coordinator (pinCkpt) belongs to an in-flight sharded assignment and
-// is never swept: evicting it would turn the next lease expiry's
-// re-dispatch into a from-scratch re-enumeration of the shard.
+// Checkpoint slots are written two ways. The local search engine
+// writes one directly (opts.CheckpointPath): transient work state
+// outside the budget. The coordinator mirrors a worker's uploaded
+// whole-space checkpoint into the same slot through writeCkpt, and that
+// copy is budgeted like an entry until the key publishes. Either way
+// the slot is what the key's next local run, whole-space dispatch or
+// coordinator life resumes from. The parts of a split enumeration have
+// no disk slots: their progress lives in coordinator memory.
 type diskStore struct {
 	dir      string
 	maxBytes int64
@@ -171,9 +169,6 @@ type diskEntry struct {
 	size    int64
 	lastUse int64
 	readers int
-	// pins counts explicit coordinator pins (pinCkpt): the slot backs
-	// an in-flight sharded assignment and must survive every sweep.
-	pins int
 }
 
 const (
@@ -188,9 +183,10 @@ const ckptEntrySuffix = "\x00ckpt"
 
 func ckptEntryKey(k cacheKey) cacheKey { return k + ckptEntrySuffix }
 
-// ckptKeyPattern admits the keys checkpoint mirror slots use: a plain
-// request key, or a shard slot of one (<key>.shard<i>).
-var ckptKeyPattern = regexp.MustCompile(`^[0-9a-f]{64}(\.shard[0-9]+)?$`)
+// oldShardCkpt matches the per-shard checkpoint slots
+// (<key>.shard<i>.ckpt.space.gz, suffix stripped) that coordinators
+// before the one-fleet-path change kept on disk.
+var oldShardCkpt = regexp.MustCompile(`^[0-9a-f]{64}\.shard[0-9]+$`)
 
 func newDiskStore(dir string, maxBytes int64, gauge *telemetry.Gauge) (*diskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -206,7 +202,7 @@ func newDiskStore(dir string, maxBytes int64, gauge *telemetry.Gauge) (*diskStor
 
 // scan seeds the accounting from entries a previous process left
 // behind, ordering the use clock by file mtime so eviction starts from
-// genuinely old entries, and deletes the temp files it orphaned.
+// genuinely old entries, and deletes the files it orphaned.
 func (st *diskStore) scan() error {
 	des, err := os.ReadDir(st.dir)
 	if err != nil {
@@ -231,14 +227,18 @@ func (st *diskStore) scan() error {
 			os.Remove(filepath.Join(st.dir, name)) //nolint:errcheck // retried next boot
 			continue
 		case hasSuffix(name, ckptSuffix):
-			// A checkpoint mirror a previous process left behind — a
-			// crashed coordinator's shard slots, typically. Budgeted and
-			// unpinned: nothing in this process is running the shard, so
-			// the sweep may reclaim it like any cold entry.
 			k := cacheKey(name[:len(name)-len(ckptSuffix)])
-			if !ckptKeyPattern.MatchString(string(k)) {
+			if oldShardCkpt.MatchString(string(k)) {
+				// A shard slot an older binary's coordinator died holding:
+				// like the temp files, never an entry, and nothing reads it.
+				os.Remove(filepath.Join(st.dir, name)) //nolint:errcheck // retried next boot
 				continue
 			}
+			if !keyPattern.MatchString(string(k)) {
+				continue
+			}
+			// A checkpoint a previous process left behind. Budgeted: the
+			// sweep may reclaim it like any cold entry.
 			entKey = ckptEntryKey(k)
 		case hasSuffix(name, spaceSuffix):
 			k := cacheKey(name[:len(name)-len(spaceSuffix)])
@@ -279,6 +279,12 @@ func (st *diskStore) setGauge() {
 func (st *diskStore) acquire(k cacheKey) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	st.useLocked(k).readers++
+}
+
+// useLocked returns k's entry, created when absent, stamped most
+// recently used. Callers hold st.mu.
+func (st *diskStore) useLocked(k cacheKey) *diskEntry {
 	e := st.entries[k]
 	if e == nil {
 		e = &diskEntry{}
@@ -286,7 +292,7 @@ func (st *diskStore) acquire(k cacheKey) {
 	}
 	st.seq++
 	e.lastUse = st.seq
-	e.readers++
+	return e
 }
 
 // release unpins k.
@@ -305,8 +311,8 @@ func (st *diskStore) release(k cacheKey) {
 
 // sweepLocked evicts least-recently-used budgeted entries (complete
 // spaces and checkpoint mirrors) until the budget fits, skipping
-// entries with in-flight readers, coordinator pins, and the key just
-// written. Callers hold st.mu.
+// entries with in-flight readers and the key just written. Callers
+// hold st.mu.
 func (st *diskStore) sweepLocked(justWrote cacheKey) (evicted int) {
 	if st.maxBytes <= 0 || st.total <= st.maxBytes {
 		return 0
@@ -317,7 +323,7 @@ func (st *diskStore) sweepLocked(justWrote cacheKey) (evicted int) {
 	}
 	var cands []cand
 	for k, e := range st.entries {
-		if e.size > 0 && e.readers == 0 && e.pins == 0 && k != justWrote {
+		if e.size > 0 && e.readers == 0 && k != justWrote {
 			cands = append(cands, cand{k, e})
 		}
 	}
@@ -458,15 +464,9 @@ func (st *diskStore) published(k cacheKey) error {
 		size = fi.Size()
 	}
 	st.mu.Lock()
-	e := st.entries[k]
-	if e == nil {
-		e = &diskEntry{}
-		st.entries[k] = e
-	}
+	e := st.useLocked(k)
 	st.total += size - e.size
 	e.size = size
-	st.seq++
-	e.lastUse = st.seq
 	st.dropCkptLocked(k) // the consumed checkpoint leaves the budget too
 	st.sweepLocked(k)
 	st.setGauge()
@@ -495,8 +495,7 @@ func (st *diskStore) readCkpt(k cacheKey) ([]byte, error) {
 // the local resume path and re-dispatch seeding both read. Plain
 // rename atomicity without the full durability discipline: a
 // checkpoint lost to power failure only costs re-enumeration. The slot
-// enters the eviction budget (pin it first when it must survive
-// sweeps).
+// enters the eviction budget.
 func (st *diskStore) writeCkpt(k cacheKey, b []byte) error {
 	path := st.ckptPath(k)
 	tmp := path + ".tmp"
@@ -509,57 +508,13 @@ func (st *diskStore) writeCkpt(k cacheKey, b []byte) error {
 	}
 	ek := ckptEntryKey(k)
 	st.mu.Lock()
-	e := st.entries[ek]
-	if e == nil {
-		e = &diskEntry{}
-		st.entries[ek] = e
-	}
+	e := st.useLocked(ek)
 	st.total += int64(len(b)) - e.size
 	e.size = int64(len(b))
-	st.seq++
-	e.lastUse = st.seq
 	st.sweepLocked(ek)
 	st.setGauge()
 	st.mu.Unlock()
 	return nil
-}
-
-// pinCkpt pins k's checkpoint mirror slot against eviction — the
-// coordinator holds a pin for every shard slot of an in-flight sharded
-// assignment. Balance with unpinCkpt.
-func (st *diskStore) pinCkpt(k cacheKey) {
-	ek := ckptEntryKey(k)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e := st.entries[ek]
-	if e == nil {
-		e = &diskEntry{}
-		st.entries[ek] = e
-	}
-	e.pins++
-}
-
-// unpinCkpt releases one pinCkpt pin.
-func (st *diskStore) unpinCkpt(k cacheKey) {
-	ek := ckptEntryKey(k)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if e := st.entries[ek]; e != nil {
-		e.pins--
-		if e.pins <= 0 && e.size == 0 && e.readers <= 0 {
-			delete(st.entries, ek)
-		}
-	}
-}
-
-// removeCkpt deletes k's checkpoint file and its budget accounting —
-// the shard slots of a merged (or abandoned) sharded enumeration.
-func (st *diskStore) removeCkpt(k cacheKey) {
-	st.mu.Lock()
-	st.dropCkptLocked(k)
-	st.setGauge()
-	st.mu.Unlock()
-	os.Remove(st.ckptPath(k))
 }
 
 // dropCkptLocked removes k's checkpoint mirror from the accounting
@@ -568,10 +523,7 @@ func (st *diskStore) dropCkptLocked(k cacheKey) {
 	ek := ckptEntryKey(k)
 	if e := st.entries[ek]; e != nil {
 		st.total -= e.size
-		e.size = 0
-		if e.pins <= 0 && e.readers <= 0 {
-			delete(st.entries, ek)
-		}
+		delete(st.entries, ek)
 	}
 }
 

@@ -135,7 +135,7 @@ func TestDiskStorePinnedEntriesSurviveSweep(t *testing.T) {
 // TestDiskStoreScanSeedsAccounting restarts the store over an existing
 // directory and checks the budget applies to inherited entries too —
 // including leftover checkpoint slots, which a coordinator killed
-// mid-shard can strand and which must stay evictable once unpinned.
+// mid-dispatch can strand and which must stay evictable.
 func TestDiskStoreScanSeedsAccounting(t *testing.T) {
 	dir := t.TempDir()
 	st, err := newDiskStore(dir, 0, nil)
@@ -145,8 +145,7 @@ func TestDiskStoreScanSeedsAccounting(t *testing.T) {
 	putSpaces(t, st, lruSrcs, []string{"clamp", "myabs", "neg"})
 
 	// Checkpoint slots written through the store (dist mirrors) are
-	// budgeted entries like any other; pins, not exemption, protect the
-	// ones in use.
+	// budgeted entries like any other.
 	ck := cacheKey(strings.Repeat("a", 64))
 	if err := st.writeCkpt(ck, []byte("checkpoint bytes")); err != nil {
 		t.Fatal(err)
@@ -178,53 +177,6 @@ func TestDiskStoreScanSeedsAccounting(t *testing.T) {
 		if name := de.Name(); hasSuffix(name, spaceSuffix) {
 			t.Fatalf("file %s survived a 1-byte budget", name)
 		}
-	}
-}
-
-// TestDiskStorePinnedCkptMirrorsSurviveSweep pins the shard slots of an
-// in-flight sharded assignment the way the coordinator does and forces
-// a sweep under budget pressure: the pinned mirror must keep its file
-// (the sweeper may re-dispatch from it within a lease TTL) while the
-// unpinned mirror is evicted; releasing the pin makes the survivor an
-// ordinary victim again.
-func TestDiskStorePinnedCkptMirrorsSurviveSweep(t *testing.T) {
-	dir := t.TempDir()
-	st, err := newDiskStore(dir, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := cacheKey(strings.Repeat("b", 64))
-	pinned, victim := shardSlot(base, 0), shardSlot(base, 1)
-	st.pinCkpt(pinned)
-	for _, k := range []cacheKey{pinned, victim} {
-		if err := st.writeCkpt(k, []byte("shard checkpoint")); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	st.mu.Lock()
-	st.maxBytes = 1
-	st.sweepLocked("")
-	st.mu.Unlock()
-	if _, err := os.Stat(st.ckptPath(pinned)); err != nil {
-		t.Fatalf("pinned shard mirror evicted: %v", err)
-	}
-	if _, err := os.Stat(st.ckptPath(victim)); !os.IsNotExist(err) {
-		t.Fatalf("unpinned shard mirror survived a 1-byte budget (err=%v)", err)
-	}
-	if b, err := st.readCkpt(pinned); err != nil || string(b) != "shard checkpoint" {
-		t.Fatalf("pinned mirror unreadable mid-pin: %q, %v", b, err)
-	}
-
-	st.unpinCkpt(pinned)
-	st.mu.Lock()
-	st.sweepLocked("")
-	st.mu.Unlock()
-	if _, err := os.Stat(st.ckptPath(pinned)); !os.IsNotExist(err) {
-		t.Fatalf("released mirror not evicted by the next sweep (err=%v)", err)
-	}
-	if got := st.diskBytes(); got != 0 {
-		t.Fatalf("tracked bytes %d after full eviction, want 0", got)
 	}
 }
 
@@ -302,7 +254,10 @@ func TestDiskStoreRemoveAccounting(t *testing.T) {
 
 // TestDiskStoreRemovesOrphanedTempFiles plants what a process killed
 // mid-put and mid-checkpoint leaves behind: temp files that were never
-// renamed. Start-up must delete both kinds and count neither.
+// renamed — and what a coordinator from before the one-fleet-path
+// change left when it died mid-split: a per-shard checkpoint slot no
+// binary reads any more. Start-up must delete every kind and count
+// none.
 func TestDiskStoreRemovesOrphanedTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	st, err := newDiskStore(dir, 0, nil)
@@ -311,7 +266,8 @@ func TestDiskStoreRemovesOrphanedTempFiles(t *testing.T) {
 	}
 	keys := putSpaces(t, st, lruSrcs, []string{"clamp"})
 	total := st.diskBytes()
-	orphans := []string{st.path(keys[0]) + ".tmp", st.ckptPath(keys[0]) + ".tmp"}
+	orphans := []string{st.path(keys[0]) + ".tmp", st.ckptPath(keys[0]) + ".tmp",
+		st.ckptPath(keys[0] + ".shard1")}
 	for _, o := range orphans {
 		if err := os.WriteFile(o, []byte("torn write"), 0o644); err != nil {
 			t.Fatal(err)

@@ -29,6 +29,21 @@ import (
 // a SIGKILL costs at most one heartbeat interval of enumeration. With
 // no workers registered the dispatcher declines every flight in one
 // mutex acquisition and the server behaves exactly as a single node.
+//
+// There is one path to the fleet (enumerate) with a fan-out. At fan-out
+// one the whole space is a single assignment. At ShardFanout the
+// coordinator runs the space locally only until the frontier holds that
+// many nodes (the warm-up), partitions that frontier into disjoint
+// parts — each a self-contained checkpoint document a worker resumes
+// like any other — and leases them through the same protocol: per-part
+// watermarks and recovery checkpoints, re-dispatch of only the part
+// whose holder died. When every part completes, the search engine runs
+// its level loop from the warm-up frontier over the sub-spaces'
+// recorded outcomes, reproducing byte-for-byte the space a single node
+// would have enumerated (search.MergeShards). A split that cannot be
+// served goes round as the whole space, and that falls back to local
+// enumeration, so the fleet can only add capacity, never subtract
+// correctness.
 
 // assignment lease/lifecycle states.
 const (
@@ -40,24 +55,22 @@ const (
 )
 
 // assignment is one leased unit of distributed work, owned by exactly
-// one flight.
+// one flight: the whole space, or one part of its partitioned warm-up
+// frontier. The two differ only in the document they start from.
 type assignment struct {
-	id  string
-	fl  *flight
-	key cacheKey
+	id string
+	fl *flight
 
-	// wopts is the wire options the assignment runs under. For a
-	// whole-space assignment it mirrors the flight's options; for a
-	// shard assignment Equiv is forced off (shards enumerate the
-	// default tier; the coordinator derives the equivalence space from
-	// the merged result).
+	// wopts is the wire options the assignment runs under: the flight's
+	// own, except that the parts of a split always run the default tier
+	// (the coordinator derives the equivalence space from their merge).
 	wopts distcl.SearchOptions
-	// shard is this assignment's partition index, or -1 for a
-	// whole-space assignment. seed is the initial checkpoint document a
-	// first dispatch is seeded with (a shard's frontier partition);
-	// whole-space assignments have none.
-	shard int
-	seed  []byte
+	// whole marks the whole-space assignment, the one whose checkpoints
+	// mean something outside this dispatch: they resume the flight key's
+	// disk slot, and accepted uploads are mirrored back into it. A
+	// frontier part's progress is only meaningful against the warm-up
+	// and partition it came from, and those live in coordinator memory.
+	whole bool
 
 	// All below guarded by dispatcher.mu.
 	state      string
@@ -71,11 +84,12 @@ type assignment struct {
 	// — even a re-dispatch to the same worker.
 	leaseGen int64
 
-	// ckpt is the latest validated checkpoint upload (serialized space
-	// v2) and ckptNodes its node count — the monotonicity watermark a
-	// later upload must not shrink below. The bytes seed re-dispatches
-	// and are mirrored to the disk store's checkpoint slot so a
-	// coordinator restart resumes too.
+	// ckpt is the document (serialized space v2) the next dispatch is
+	// seeded with: a frontier part's starting document, nil for the
+	// whole space, and from then on the latest validated checkpoint
+	// upload. ckptNodes is the node count of the latest upload (0 before
+	// the first) — the monotonicity watermark a later one must not
+	// shrink below.
 	ckpt      []byte
 	ckptNodes int
 
@@ -142,10 +156,10 @@ type dispatcher struct {
 	inflight     *telemetry.Gauge
 	fallbacks    *telemetry.Counter
 
-	// Intra-space sharding counters: spaces split across the fleet,
-	// merges that reproduced the serial bytes, merges that failed
-	// verification, shard flights that fell back to the whole-space
-	// path, and warmups that completed before the frontier grew wide
+	// Split counters: spaces split across the fleet, merges that
+	// reproduced the serial bytes, merges that failed verification,
+	// splits that went round again as the whole space for any other
+	// reason, and warm-ups that completed before the frontier grew wide
 	// enough to split.
 	shardSplits      *telemetry.Counter
 	shardMerges      *telemetry.Counter
@@ -198,6 +212,11 @@ func newDispatcher(s *Server) *dispatcher {
 	if d.maxAttempts <= 0 {
 		d.maxAttempts = 3
 	}
+	// Workers outlive a coordinator restart, and a straggler's heartbeat
+	// or completion for an assignment of the dead life must find no
+	// assignment of that name in this one: start the ID counter at the
+	// boot time rather than at zero.
+	d.nextAssign.Store(time.Now().UnixNano())
 	d.wg.Add(2)
 	go d.sweeper()
 	go d.accepter()
@@ -228,7 +247,7 @@ func (d *dispatcher) accepter() {
 		case <-d.stop:
 			return
 		case u := <-d.ckptq:
-			d.acceptCheckpoint(u.a, u.workerID, u.b64, u.gen)
+			d.acceptCheckpoint(u)
 		}
 	}
 }
@@ -237,102 +256,256 @@ func (d *dispatcher) accepter() {
 // of the lease, so two beats can be lost before the lease expires.
 func (d *dispatcher) hbEvery() time.Duration { return d.leaseTTL / 3 }
 
-// enumerate offers fl to the fleet. It reports handled=false when the
-// flight should run locally instead: no live workers, a saturated
-// dispatch queue, or attempts exhausted (in which case the latest
-// uploaded checkpoint is already in the disk store's checkpoint slot,
-// so the local path resumes rather than restarts).
+// enumerate is the one way a flight reaches the fleet. handled=false
+// means the flight should run locally: no live worker, a saturated
+// dispatch queue, or attempts exhausted. Whatever the fleet got done is
+// in the flight key's checkpoint slot by then — the warm-up of a split,
+// or the last upload of a whole-space assignment — so the local run
+// resumes rather than restarts.
+//
+// The fan-out is derived from what the coordinator can observe:
+// ShardFanout parts when it and the live-worker count are both at least
+// two (one worker gains nothing from a split and loses pipelining), the
+// whole space as a single part with any live worker, nothing otherwise.
+// A split that cannot be served — a part aborted or out of attempts, a
+// merge that failed verification — goes round once more as one part:
+// part-local caps do not land at the serial positions, so the only
+// byte-faithful answer left is the whole space from one enumerator.
 func (d *dispatcher) enumerate(fl *flight) (*search.Result, bool) {
 	d.mu.Lock()
-	if !d.anyLiveLocked() {
-		d.mu.Unlock()
+	live := d.liveLocked()
+	d.mu.Unlock()
+	if live == 0 {
 		return nil, false
 	}
-	a := d.newAssignment(fl, fl.key, distcl.SearchOptions{
+	if k := d.s.cfg.ShardFanout; k >= 2 && live >= 2 {
+		if res, handled := d.run(fl, k); handled {
+			return res, true
+		}
+	}
+	return d.run(fl, 1)
+}
+
+// run takes fl through the fleet as k parts: warm up and partition
+// (k > 1 only), lease, await, collect, assemble.
+func (d *dispatcher) run(fl *flight, k int) (*search.Result, bool) {
+	wopts := distcl.SearchOptions{
 		Cap: fl.no.Cap, MaxNodes: fl.no.MaxNodes,
 		Check: fl.no.Check, Equiv: fl.no.Equiv,
-	}, -1, nil)
-	d.assignments[a.id] = a
-	d.mu.Unlock()
+	}
+	// base is the paused warm-up the parts grow from and ids the
+	// frontier nodes each part owns; the whole space has neither and
+	// starts from no document.
+	var base *search.Result
+	var ids [][]int
+	docs := [][]byte{nil}
+	if k > 1 {
+		var err error
+		if base, err = d.s.runOrResume(fl, k); err != nil {
+			d.s.logger.Warn("dist shard warmup resume failed", "flight_id", fl.id, "err", err.Error())
+			return nil, false
+		}
+		if base.Aborted {
+			return nil, false
+		}
+		if base.Checkpoint == nil {
+			// The space completed before the frontier ever grew to k nodes
+			// (shallow spaces, tight caps): nothing to distribute.
+			d.shardWarmupDone.Inc()
+			return d.assemble(fl, base, nil, nil)
+		}
+		if docs, ids, err = search.PartitionCheckpoint(base, k); err != nil {
+			d.s.logger.Warn("dist shard partition failed", "flight_id", fl.id, "err", err.Error())
+			d.shardFallbacks.Inc()
+			return nil, false
+		}
+		// Merging needs raw nodes, so parts always enumerate the default
+		// tier; assemble derives the equivalence tier afterwards.
+		wopts.Equiv = false
+	}
 
-	select {
-	case d.pending <- a:
-	default:
-		d.mu.Lock()
-		delete(d.assignments, a.id)
-		d.mu.Unlock()
+	parts := d.lease(fl, wopts, docs)
+	if parts == nil {
+		if base != nil {
+			d.shardFallbacks.Inc()
+		}
 		return nil, false
 	}
-	d.inflight.Add(1)
-	defer d.inflight.Add(-1)
-	d.s.logger.InfoContext(fl.ctx, "dist assignment queued",
-		"assignment_id", a.id, "flight_id", fl.id, "func", fl.fn.Name)
-
-	select {
-	case <-a.done:
-	case <-fl.ctx.Done():
-		d.cancelAssignment(a)
-		return &search.Result{FuncName: fl.fn.Name, Aborted: true,
-			AbortReason: fmt.Sprintf("canceled: %v", context.Cause(fl.ctx))}, true
+	d.inflight.Add(int64(len(parts)))
+	defer d.inflight.Add(-int64(len(parts)))
+	if base != nil {
+		d.shardSplits.Inc()
+		d.shardAssignments.Add(int64(len(parts)))
+		d.s.flights.add(flightRecord{Event: "shard-split", FlightID: fl.id})
+		d.s.logger.InfoContext(fl.ctx, "dist space sharded", "flight_id", fl.id,
+			"func", fl.fn.Name, "shards", len(parts), "frontier", len(base.Checkpoint.Frontier))
+	} else {
+		d.s.logger.InfoContext(fl.ctx, "dist assignment queued",
+			"assignment_id", parts[0].id, "flight_id", fl.id, "func", fl.fn.Name)
 	}
 
+	for _, a := range parts {
+		select {
+		case <-a.done:
+		case <-fl.ctx.Done():
+			d.withdraw(parts)
+			return &search.Result{FuncName: fl.fn.Name, Aborted: true,
+				AbortReason: fmt.Sprintf("canceled: %v", context.Cause(fl.ctx))}, true
+		}
+	}
+	// Every part is settled (done or failed), its fields immutable.
 	d.mu.Lock()
-	state, res, hash, aborted, reason := a.state, a.res, a.hash, a.aborted, a.abortReason
-	delete(d.assignments, a.id)
+	for _, a := range parts {
+		delete(d.assignments, a.id)
+	}
 	d.mu.Unlock()
-	switch {
-	case state == stateDone && !aborted:
-		fl.hash = hash // handleDistComplete verified it against these bytes
-		return res, true
-	case state == stateDone:
-		return &search.Result{FuncName: fl.fn.Name, Aborted: true, AbortReason: reason}, true
-	default: // stateFailed
-		d.fallbacks.Inc()
-		d.s.logger.WarnContext(fl.ctx, "dist attempts exhausted, running locally",
-			"assignment_id", a.id, "flight_id", fl.id)
-		return nil, false
-	}
+	return d.assemble(fl, base, parts, ids)
 }
 
-// newAssignment builds one assignment. Callers hold d.mu (the ID
-// counter is atomic, but the table insert is theirs to do under the
-// same critical section that checked fleet liveness).
-func (d *dispatcher) newAssignment(fl *flight, key cacheKey, wopts distcl.SearchOptions, shard int, seed []byte) *assignment {
-	return &assignment{
-		id:    "a" + strconv.FormatInt(d.nextAssign.Add(1), 10),
-		fl:    fl,
-		key:   key,
-		wopts: wopts,
-		shard: shard,
-		seed:  seed,
-		state: statePending,
-		done:  make(chan struct{}),
+// lease puts one assignment per starting document on the dispatch
+// queue, all or none; nil reports that nothing was queued.
+func (d *dispatcher) lease(fl *flight, wopts distcl.SearchOptions, docs [][]byte) []*assignment {
+	parts := make([]*assignment, len(docs))
+	d.mu.Lock()
+	if d.liveLocked() == 0 {
+		d.mu.Unlock()
+		return nil
 	}
+	for i, doc := range docs {
+		a := &assignment{
+			id:    "a" + strconv.FormatInt(d.nextAssign.Add(1), 10),
+			fl:    fl,
+			wopts: wopts,
+			whole: doc == nil,
+			ckpt:  doc,
+			state: statePending,
+			done:  make(chan struct{}),
+		}
+		d.assignments[a.id] = a
+		parts[i] = a
+	}
+	d.mu.Unlock()
+	for _, a := range parts {
+		select {
+		case d.pending <- a:
+		default:
+			// Dispatch queue saturated: withdraw the lot (entries already
+			// queued turn stale and polls skip them).
+			d.withdraw(parts)
+			return nil
+		}
+	}
+	return parts
 }
 
-// cancelAssignment withdraws a from the fleet when its flight goes
-// away (server drain): the current lessee is told to abandon it at the
-// next heartbeat, and any uploaded checkpoint stays in the disk slot
-// for the next life of this key.
-func (d *dispatcher) cancelAssignment(a *assignment) {
+// withdraw takes parts back from the fleet when their flight goes away
+// (server drain) or could not be queued whole: each current lessee is
+// told to abandon at its next heartbeat, and late uploads and
+// completions find the assignment canceled.
+func (d *dispatcher) withdraw(parts []*assignment) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if a.state == statePending || a.state == stateAssigned {
-		if w := d.workers[a.worker]; w != nil {
-			w.abandon = append(w.abandon, a.id)
+	for _, a := range parts {
+		if a.state == statePending || a.state == stateAssigned {
+			if w := d.workers[a.worker]; w != nil {
+				w.abandon = append(w.abandon, a.id)
+			}
+			a.state = stateCanceled
 		}
-		a.state = stateCanceled
+		delete(d.assignments, a.id)
 	}
-	delete(d.assignments, a.id)
 }
 
-func (d *dispatcher) anyLiveLocked() bool {
-	for _, w := range d.workers {
-		if w.state == "live" {
-			return true
+// assemble turns settled parts into the flight's space. One part and no
+// warm-up: its result is the answer. Otherwise the warm-up (base) and
+// the parts' sub-spaces are merged into the bytes a single enumerator
+// would have produced — no parts at all when the warm-up finished the
+// space by itself — and an equiv flight gets the equivalence space
+// derived from that, byte-identical to a direct equiv enumeration.
+func (d *dispatcher) assemble(fl *flight, base *search.Result, parts []*assignment, ids [][]int) (*search.Result, bool) {
+	if base == nil {
+		switch a := parts[0]; {
+		case a.state == stateDone && !a.aborted:
+			fl.hash = a.hash // handleDistComplete verified it against these bytes
+			return a.res, true
+		case a.state == stateDone:
+			return &search.Result{FuncName: fl.fn.Name, Aborted: true, AbortReason: a.abortReason}, true
+		default: // stateFailed
+			d.fallbacks.Inc()
+			d.s.logger.WarnContext(fl.ctx, "dist attempts exhausted, running locally",
+				"assignment_id", a.id, "flight_id", fl.id)
+			return nil, false
 		}
 	}
-	return false
+
+	full := base
+	if len(parts) > 0 {
+		shards := make([]search.ShardSpace, len(parts))
+		for i, a := range parts {
+			if a.state != stateDone || a.aborted {
+				// Aborted on its worker (cap, max-nodes, timeout) or out
+				// of attempts.
+				d.s.logger.Warn("dist shard set incomplete, falling back", "flight_id", fl.id)
+				d.shardFallbacks.Inc()
+				return nil, false
+			}
+			shards[i] = search.ShardSpace{Res: a.res, FrontierIDs: ids[i]}
+		}
+		began := time.Now()
+		merged, err := search.MergeShards(base, shards)
+		fl.merge = time.Since(began)
+		d.shardMergeDur.Observe(int64(fl.merge))
+		if err != nil {
+			d.shardMergeFails.Inc()
+			d.s.logger.Warn("dist shard merge failed", "flight_id", fl.id, "err", err.Error())
+			return nil, false
+		}
+		d.shardMerges.Inc()
+		d.s.logger.InfoContext(fl.ctx, "dist shards merged", "flight_id", fl.id,
+			"func", fl.fn.Name, "shards", len(shards), "nodes", len(merged.Nodes))
+		full = merged
+		defer func() {
+			d.s.flights.add(flightRecord{Event: "shard-merge", FlightID: fl.id,
+				MergeMS: fl.merge.Milliseconds(), DeriveMS: fl.derive.Milliseconds()})
+		}()
+	}
+	if !fl.no.Equiv {
+		return full, true
+	}
+	if full.Aborted {
+		// A cap hit in the default tier says nothing about where the
+		// equivalence tier (fewer nodes per level) would have landed;
+		// only a real equiv enumeration answers that.
+		d.shardFallbacks.Inc()
+		return nil, false
+	}
+	began := time.Now()
+	derived, err := search.DeriveEquiv(full, search.Options{
+		MaxSeqPerLevel: fl.no.Cap,
+		MaxNodes:       fl.no.MaxNodes,
+		Check:          fl.no.Check,
+		Logger:         d.s.logger,
+		Metrics:        d.s.reg,
+	})
+	fl.derive = time.Since(began)
+	d.shardDeriveDur.Observe(int64(fl.derive))
+	if err != nil {
+		d.s.logger.Warn("dist shard equiv derivation failed", "flight_id", fl.id, "err", err.Error())
+		d.shardFallbacks.Inc()
+		return nil, false
+	}
+	return derived, true
+}
+
+// liveLocked counts the workers polls can be expected from.
+func (d *dispatcher) liveLocked() int {
+	live := 0
+	for _, w := range d.workers {
+		if w.state == "live" {
+			live++
+		}
+	}
+	return live
 }
 
 func (d *dispatcher) updateWorkerGaugesLocked() {
@@ -382,7 +555,7 @@ func (d *dispatcher) sweep(now time.Time) {
 			d.reassignLocked(a)
 		}
 	}
-	if !d.anyLiveLocked() {
+	if d.liveLocked() == 0 {
 		// Nobody will ever poll; push pending flights to the local
 		// fallback now instead of letting them wait out a request
 		// deadline.
@@ -586,8 +759,9 @@ func (s *Server) handleDistPoll(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// dispatch leases a to workerID and builds its wire message, seeding
-// it with the latest checkpoint when this is a recovery re-dispatch.
+// dispatch leases a to workerID and builds its wire message, seeded
+// with a's document: the starting frontier of a part, or the latest
+// checkpoint some worker uploaded before losing the lease.
 func (d *dispatcher) dispatch(a *assignment, workerID string) (*distcl.Assignment, bool) {
 	d.mu.Lock()
 	if a.state != statePending {
@@ -601,7 +775,9 @@ func (d *dispatcher) dispatch(a *assignment, workerID string) (*distcl.Assignmen
 	a.leaseUntil = time.Now().Add(d.leaseTTL)
 	attempt := a.attempts
 	gen := a.leaseGen
-	seed := a.ckpt
+	// Only bytes some worker actually uploaded count as a recovery; a
+	// part's starting document is its first dispatch.
+	seed, recovered := a.ckpt, a.ckptNodes > 0
 	if wk := d.workers[workerID]; wk != nil {
 		// If this worker just lost the lease on a, the expiry queued a
 		// stale abandon for it; a re-dispatch to the same worker must not
@@ -616,26 +792,18 @@ func (d *dispatcher) dispatch(a *assignment, workerID string) (*distcl.Assignmen
 	d.mu.Unlock()
 
 	if seed == nil {
-		// A previous life of this key (pre-restart, or a local request
-		// that drained) may have left a checkpoint on disk; recover
-		// from it rather than re-enumerating. For a shard assignment
-		// the key is the shard's mirror slot, so a coordinator restart
-		// resumes the shard from its own last upload.
-		if b, err := d.s.store.readCkpt(a.key); err == nil {
-			seed = b
+		// The whole space, nothing uploaded yet. An earlier life of the
+		// key (a coordinator since restarted, a local request that
+		// drained, the warm-up of a split that could not be served) may
+		// have left a checkpoint in its disk slot; recover from it
+		// rather than re-enumerating.
+		if b, err := d.s.store.readCkpt(a.fl.key); err == nil {
+			seed, recovered = b, true
 		}
-	}
-	// A disk seed that still equals the shard's primed starting document
-	// is a first dispatch, not a recovery; only bytes some worker
-	// actually uploaded count.
-	recovered := seed != nil && !bytes.Equal(seed, a.seed)
-	if seed == nil {
-		// First dispatch of a shard: seed with its frontier partition.
-		seed = a.seed
 	}
 	msg := &distcl.Assignment{
 		AssignmentID:        a.id,
-		Key:                 string(a.key),
+		Key:                 string(a.fl.key),
 		Func:                a.fl.fn,
 		Options:             a.wopts,
 		SearchTimeoutMillis: d.s.cfg.SearchTimeout.Milliseconds(),
@@ -680,12 +848,7 @@ func (s *Server) handleDistHeartbeat(w http.ResponseWriter, r *http.Request) {
 	wk.abandon = nil
 	d.updateWorkerGaugesLocked()
 
-	type upload struct {
-		a   *assignment
-		b64 string
-		gen int64
-	}
-	var uploads []upload
+	var uploads []ckptUpload
 	var stale int
 	for _, ha := range req.Assignments {
 		a := d.assignments[ha.AssignmentID]
@@ -710,7 +873,7 @@ func (s *Server) handleDistHeartbeat(w http.ResponseWriter, r *http.Request) {
 		}
 		a.leaseUntil = now.Add(d.leaseTTL)
 		if ha.CheckpointB64 != "" {
-			uploads = append(uploads, upload{a, ha.CheckpointB64, ha.LeaseGen})
+			uploads = append(uploads, ckptUpload{a, req.WorkerID, ha.CheckpointB64, ha.LeaseGen})
 		}
 	}
 	drainReassign := req.Draining
@@ -724,13 +887,13 @@ func (s *Server) handleDistHeartbeat(w http.ResponseWriter, r *http.Request) {
 		if drainReassign {
 			// Final checkpoints from a draining worker must land before
 			// the reassign below re-dispatches with a seed.
-			d.acceptCheckpoint(u.a, req.WorkerID, u.b64, u.gen)
+			d.acceptCheckpoint(u)
 			continue
 		}
 		select {
-		case d.ckptq <- ckptUpload{u.a, req.WorkerID, u.b64, u.gen}:
+		case d.ckptq <- u:
 		default:
-			d.acceptCheckpoint(u.a, req.WorkerID, u.b64, u.gen)
+			d.acceptCheckpoint(u)
 		}
 	}
 	if drainReassign {
@@ -750,17 +913,21 @@ func (s *Server) handleDistHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 // acceptCheckpoint validates one uploaded checkpoint — decodable, the
 // right function, never shrinking — and makes it the assignment's
-// recovery point, mirrored into the disk store's checkpoint slot for
-// the key so a coordinator restart (or local fallback) resumes from it
-// too. Invalid uploads are dropped: the previous good checkpoint
-// stands, and a torn httpdrop upload can never poison recovery. gen is
+// recovery point. A whole-space assignment's is also mirrored into the
+// flight key's disk checkpoint slot, so a local fallback or the next
+// coordinator life resumes from it too; a part's lives in memory only
+// (a restart re-warms and re-splits at a different frontier, against
+// which the old parts' progress means nothing). Invalid uploads are
+// dropped: the previous good checkpoint stands, and a torn httpdrop
+// upload can never poison recovery. gen is
 // the lease generation the upload was reported under; anything but the
 // assignment's current generation is a fenced-off straggler (0 is the
 // legacy wildcard) — the state/worker re-check alone cannot catch a
 // queued upload that outlived an expiry and a re-dispatch to the same
 // worker.
-func (d *dispatcher) acceptCheckpoint(a *assignment, workerID, b64 string, gen int64) {
-	b, err := base64.StdEncoding.DecodeString(b64)
+func (d *dispatcher) acceptCheckpoint(u ckptUpload) {
+	a, workerID, gen := u.a, u.workerID, u.gen
+	b, err := base64.StdEncoding.DecodeString(u.b64)
 	if err != nil {
 		d.s.logger.Warn("dist checkpoint undecodable", "assignment_id", a.id,
 			"worker_id", workerID, "err", err.Error())
@@ -791,9 +958,11 @@ func (d *dispatcher) acceptCheckpoint(a *assignment, workerID, b64 string, gen i
 	}
 	a.ckpt = b
 	a.ckptNodes = len(res.Nodes)
-	if err := d.s.store.writeCkpt(a.key, b); err != nil {
-		d.s.logger.Warn("dist checkpoint not mirrored to disk", "assignment_id", a.id,
-			"err", err.Error())
+	if a.whole {
+		if err := d.s.store.writeCkpt(a.fl.key, b); err != nil {
+			d.s.logger.Warn("dist checkpoint not mirrored to disk", "assignment_id", a.id,
+				"err", err.Error())
+		}
 	}
 	d.s.logger.Info("dist checkpoint accepted", "assignment_id", a.id,
 		"worker_id", workerID, "nodes", a.ckptNodes)
@@ -811,104 +980,93 @@ func (s *Server) handleDistComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	d.mu.Lock()
 	a := d.assignments[req.AssignmentID]
-	if a == nil {
-		d.mu.Unlock()
-		writeError(w, &httpError{status: http.StatusNotFound, msg: "unknown assignment"})
-		return
-	}
 	if wk := d.workers[req.WorkerID]; wk != nil {
 		wk.lastSeen = time.Now()
 	}
-	if a.state == stateDone {
-		dup := a.aborted == req.Aborted && a.hash == req.SpaceHash
-		d.mu.Unlock()
-		if dup {
-			writeJSON(w, http.StatusOK, distcl.CompleteResponse{Status: "duplicate"})
-		} else {
-			writeError(w, &httpError{status: http.StatusConflict,
-				msg: "assignment already completed with a different result"})
-		}
-		return
-	}
-	if a.state == stateFailed || a.state == stateCanceled {
-		d.mu.Unlock()
-		writeError(w, &httpError{status: http.StatusNotFound, msg: "assignment no longer wanted"})
-		return
-	}
 	d.mu.Unlock()
+	if a == nil {
+		writeError(w, &httpError{status: http.StatusNotFound, msg: "unknown assignment"})
+		return
+	}
 
-	if req.Aborted {
-		d.mu.Lock()
-		if a.state == stateDone || a.state == stateFailed {
-			d.mu.Unlock()
-			writeJSON(w, http.StatusOK, distcl.CompleteResponse{Status: "duplicate"})
+	var res *search.Result
+	if !req.Aborted {
+		// Decode and verify outside the lock — the space must be complete,
+		// the right function, and hash to exactly what the worker claims
+		// (the idempotency key and the byte-identity guarantee in one).
+		b, err := base64.StdEncoding.DecodeString(req.SpaceB64)
+		if err != nil {
+			writeError(w, &httpError{status: http.StatusBadRequest, msg: "undecodable space payload"})
 			return
 		}
-		a.aborted, a.abortReason = true, req.AbortReason
-		a.state = stateDone
-		close(a.done)
-		d.mu.Unlock()
-		d.completeVec.With(req.WorkerID).Inc()
-		s.logger.InfoContext(r.Context(), "dist assignment aborted by worker",
-			"assignment_id", a.id, "worker_id", req.WorkerID, "reason", req.AbortReason)
-		writeJSON(w, http.StatusOK, distcl.CompleteResponse{Status: "accepted"})
-		return
-	}
-
-	// Decode and verify outside the lock — the space must be complete,
-	// the right function, and hash to exactly what the worker claims
-	// (the idempotency key and the byte-identity guarantee in one).
-	b, err := base64.StdEncoding.DecodeString(req.SpaceB64)
-	if err != nil {
-		writeError(w, &httpError{status: http.StatusBadRequest, msg: "undecodable space payload"})
-		return
-	}
-	res, err := search.Load(bytes.NewReader(b))
-	if err != nil {
-		writeError(w, &httpError{status: http.StatusBadRequest, msg: "unloadable space: " + err.Error()})
-		return
-	}
-	if res.Checkpoint != nil || res.Aborted {
-		writeError(w, &httpError{status: http.StatusBadRequest, msg: "space is not complete"})
-		return
-	}
-	hash, err := res.CanonicalHash()
-	if err != nil {
-		writeError(w, &httpError{status: http.StatusBadRequest, msg: "unhashable space: " + err.Error()})
-		return
-	}
-	if hash != req.SpaceHash {
-		writeError(w, &httpError{status: http.StatusBadRequest,
-			msg: fmt.Sprintf("space hash mismatch: body %s, claimed %s", hash, req.SpaceHash)})
-		return
+		if res, err = search.Load(bytes.NewReader(b)); err != nil {
+			writeError(w, &httpError{status: http.StatusBadRequest, msg: "unloadable space: " + err.Error()})
+			return
+		}
+		if res.Checkpoint != nil || res.Aborted {
+			writeError(w, &httpError{status: http.StatusBadRequest, msg: "space is not complete"})
+			return
+		}
+		hash, err := res.CanonicalHash()
+		if err != nil {
+			writeError(w, &httpError{status: http.StatusBadRequest, msg: "unhashable space: " + err.Error()})
+			return
+		}
+		if hash != req.SpaceHash {
+			writeError(w, &httpError{status: http.StatusBadRequest,
+				msg: fmt.Sprintf("space hash mismatch: body %s, claimed %s", hash, req.SpaceHash)})
+			return
+		}
+		if res.FuncName != a.fl.fn.Name {
+			writeError(w, &httpError{status: http.StatusBadRequest,
+				msg: fmt.Sprintf("space is for %q, assignment is %q", res.FuncName, a.fl.fn.Name)})
+			return
+		}
 	}
 	d.mu.Lock()
-	if a.state == stateDone || a.state == stateFailed || a.state == stateCanceled {
-		state := a.state
-		d.mu.Unlock()
-		if state == stateDone {
-			writeJSON(w, http.StatusOK, distcl.CompleteResponse{Status: "duplicate"})
+	status, herr := d.settleLocked(a, res, req.SpaceHash, req.Aborted, req.AbortReason)
+	d.mu.Unlock()
+	if herr != nil {
+		writeError(w, herr)
+		return
+	}
+	if status == "accepted" {
+		d.completeVec.With(req.WorkerID).Inc()
+		if req.Aborted {
+			s.logger.InfoContext(r.Context(), "dist assignment aborted by worker",
+				"assignment_id", a.id, "worker_id", req.WorkerID, "reason", req.AbortReason)
 		} else {
-			writeError(w, &httpError{status: http.StatusNotFound, msg: "assignment no longer wanted"})
+			d.s.flights.add(flightRecord{Event: "complete", FlightID: a.fl.id,
+				AssignmentID: a.id, Worker: req.WorkerID})
+			s.logger.InfoContext(r.Context(), "dist assignment completed",
+				"assignment_id", a.id, "worker_id", req.WorkerID, "space_hash", req.SpaceHash,
+				"nodes", len(res.Nodes))
 		}
-		return
 	}
-	if res.FuncName != a.fl.fn.Name {
-		d.mu.Unlock()
-		writeError(w, &httpError{status: http.StatusBadRequest,
-			msg: fmt.Sprintf("space is for %q, assignment is %q", res.FuncName, a.fl.fn.Name)})
-		return
+	writeJSON(w, http.StatusOK, distcl.CompleteResponse{Status: status})
+}
+
+// settleLocked is the one completion transition: it decides, from a's
+// state alone, what a worker's verified result (a complete space with
+// its hash, or a worker-side abort with its reason) does to a. A live
+// assignment (pending or leased) takes it and closes done — "accepted";
+// a finished one acknowledges the same result again as "duplicate" and
+// refuses a different one; a failed or canceled one no longer wants
+// any. Callers hold d.mu.
+func (d *dispatcher) settleLocked(a *assignment, res *search.Result, hash string, aborted bool, reason string) (string, *httpError) {
+	switch a.state {
+	case stateDone:
+		if a.aborted != aborted || a.hash != hash {
+			return "", &httpError{status: http.StatusConflict,
+				msg: "assignment already completed with a different result"}
+		}
+		return "duplicate", nil
+	case stateFailed, stateCanceled:
+		return "", &httpError{status: http.StatusNotFound, msg: "assignment no longer wanted"}
 	}
-	a.res = res
-	a.hash = hash
+	a.res, a.hash = res, hash
+	a.aborted, a.abortReason = aborted, reason
 	a.state = stateDone
 	close(a.done)
-	d.mu.Unlock()
-	d.completeVec.With(req.WorkerID).Inc()
-	d.s.flights.add(flightRecord{Event: "complete", FlightID: a.fl.id,
-		AssignmentID: a.id, Worker: req.WorkerID})
-	s.logger.InfoContext(r.Context(), "dist assignment completed",
-		"assignment_id", a.id, "worker_id", req.WorkerID, "space_hash", hash,
-		"nodes", len(res.Nodes))
-	writeJSON(w, http.StatusOK, distcl.CompleteResponse{Status: "accepted"})
+	return "accepted", nil
 }

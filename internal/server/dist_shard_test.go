@@ -148,7 +148,7 @@ func runShardKillScenario(t *testing.T, equiv bool) {
 		s.dist.mu.Lock()
 		defer s.dist.mu.Unlock()
 		for _, a := range s.dist.assignments {
-			if a.shard >= 0 && a.worker == "w1" && a.ckptNodes > 0 {
+			if !a.whole && a.worker == "w1" && a.ckptNodes > 0 {
 				return true
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -30,8 +31,9 @@ func (g *gatedTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 }
 
 // startWorker runs an in-process fleet worker against ts and arranges
-// its clean shutdown at test end (before the coordinator's).
-func startWorker(t *testing.T, ts *httptest.Server, id string, transport http.RoundTripper, faults *faultinject.Plan) {
+// its clean shutdown at test end (before the coordinator's). The
+// returned stop drains it sooner; it is safe to call more than once.
+func startWorker(t *testing.T, ts *httptest.Server, id string, transport http.RoundTripper, faults *faultinject.Plan) (stop func()) {
 	t.Helper()
 	hc := &http.Client{}
 	if transport != nil {
@@ -58,14 +60,19 @@ func startWorker(t *testing.T, ts *httptest.Server, id string, transport http.Ro
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- wk.Run(ctx) }()
-	t.Cleanup(func() {
-		cancel()
-		select {
-		case <-done:
-		case <-time.After(15 * time.Second):
-			t.Errorf("worker %s did not drain", id)
-		}
-	})
+	var once sync.Once
+	stop = func() {
+		once.Do(func() {
+			cancel()
+			select {
+			case <-done:
+			case <-time.After(15 * time.Second):
+				t.Errorf("worker %s did not drain", id)
+			}
+		})
+	}
+	t.Cleanup(stop)
+	return stop
 }
 
 func mustB64(t *testing.T, s string) []byte {

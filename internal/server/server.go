@@ -89,10 +89,8 @@ type Config struct {
 	// DiskMaxBytes bounds the disk cache: when the complete space
 	// entries exceed it, a put sweeps the least-recently-used entries
 	// (never one with in-flight readers) until the total fits again
-	// (0 = unbounded). Checkpoint slots count against the budget too;
-	// the coordinator pins the slots of in-flight sharded assignments so
-	// a sweep can never evict a recovery point the sweeper may
-	// re-dispatch from.
+	// (0 = unbounded). A whole-space fleet checkpoint mirrored into its
+	// key's slot counts against the budget too, until the key publishes.
 	DiskMaxBytes int64
 
 	// DistLeaseTTL is the distributed-assignment lease duration: a
@@ -107,15 +105,17 @@ type Config struct {
 	// on before the flight falls back to local enumeration, resuming
 	// from the last uploaded checkpoint (default 3).
 	DistMaxAttempts int
-	// ShardFanout, when >= 2, splits a single enumeration across the
-	// fleet: the coordinator runs the space locally until the frontier
-	// holds at least ShardFanout nodes, partitions that frontier into
-	// ShardFanout disjoint shard assignments, dispatches them through
-	// the lease protocol, and merges the completed sub-spaces back into
-	// the byte-identical serial result. Flights fall back to the
-	// whole-space dispatch (and from there to local enumeration)
-	// whenever a shard aborts, the fleet thins out, or the merge fails
-	// verification. 0 or 1 disables intra-space sharding.
+	// ShardFanout is the fan-out of the one fleet path. With >= 2 and at
+	// least two live workers the coordinator runs the space locally
+	// until the frontier holds at least ShardFanout nodes, partitions
+	// that frontier into ShardFanout disjoint assignments, leases them,
+	// and merges the completed sub-spaces back into the byte-identical
+	// serial result. The progress of those parts lives in coordinator
+	// memory; only the warm-up, in the request key's checkpoint slot,
+	// survives a coordinator death. With 0 or 1, or a single live
+	// worker, the whole space is the one assignment — which is also
+	// where a split goes when a part aborts or its merge fails
+	// verification, before the flight falls back to local enumeration.
 	ShardFanout int
 
 	// noObs builds the server without the observability middleware —
@@ -725,46 +725,32 @@ func (s *Server) runFlight(fl *flight) {
 	}
 }
 
-// resolveFlight produces fl's space: sharded across the fleet when
-// intra-space sharding is on and viable, offered whole to the fleet
-// when one is registered, locally otherwise. Each fallback composes
-// with recovery — a sharded attempt leaves its warmup checkpoint in
-// the key's disk slot and a dispatch that exhausted its attempts has
-// already mirrored the fleet's last checkpoint there, so the local
-// path resumes rather than restarts either way.
+// resolveFlight produces fl's space: on the fleet when one is
+// registered, locally otherwise. The fallback composes with recovery —
+// a split leaves its warm-up checkpoint in the key's disk slot and a
+// whole-space dispatch that exhausted its attempts has mirrored the
+// fleet's last checkpoint there, so the local run resumes rather than
+// restarts either way. Equivalence-tier enumerations never checkpoint
+// or resume — the class tables are not persisted (search.Run refuses
+// the combination) — so a drained equiv flight simply starts over on
+// the next request.
 func (s *Server) resolveFlight(fl *flight) (*search.Result, error) {
-	if res, handled := s.dist.shardEnumerate(fl); handled {
-		return s.finishFlight(fl, res)
+	res, handled := s.dist.enumerate(fl)
+	if !handled {
+		var err error
+		if res, err = s.runOrResume(fl, 0); err != nil {
+			return nil, fmt.Errorf("resuming checkpoint: %w", err)
+		}
 	}
-	if res, handled := s.dist.enumerate(fl); handled {
-		return s.finishFlight(fl, res)
-	}
-	return s.enumerateFlight(fl)
-}
-
-// enumerateFlight runs (or resumes) the search for fl. Equivalence-tier
-// enumerations never checkpoint or resume — the class tables are not
-// persisted (search.Run refuses the combination) — so a drained equiv
-// flight simply starts over on the next request.
-func (s *Server) enumerateFlight(fl *flight) (*search.Result, error) {
-	res, err := s.runOrResume(fl, 0)
-	if err != nil {
-		return nil, fmt.Errorf("resuming checkpoint: %w", err)
-	}
-	// Whichever way a default-tier flight ran, the engine's last
-	// successful write left the finished space in the checkpoint slot;
-	// runFlight publishes that file instead of encoding the space a
-	// second time.
-	fl.ckptIsSpace = !fl.no.Equiv && !res.Aborted && res.CheckpointErr == ""
 	return s.finishFlight(fl, res)
 }
 
 // runOrResume enumerates fl's function under the flight's options, or
 // continues what the key's checkpoint slot holds. stopAtFrontier > 0 is
-// a shard warm-up: it pauses at a frontier that wide and always
-// enumerates the default tier (shards and merge need raw nodes). The
+// the warm-up of a split: it pauses at a frontier that wide and always
+// enumerates the default tier (parts and merge need raw nodes). The
 // error is search.Resume's.
-func (s *Server) runOrResume(fl *flight, stopAtFrontier int) (*search.Result, error) {
+func (s *Server) runOrResume(fl *flight, stopAtFrontier int) (res *search.Result, err error) {
 	// Draw this flight's search parallelism from the shared CPU-token
 	// budget instead of letting every flight default to NumCPU: the
 	// sum across concurrent flights never exceeds GOMAXPROCS. A grant
@@ -794,15 +780,23 @@ func (s *Server) runOrResume(fl *flight, stopAtFrontier int) (*search.Result, er
 	// lets its (default-tier) warm-up write there.
 	if !fl.no.Equiv {
 		opts.CheckpointPath = s.store.ckptPath(fl.key)
-		prev, err := search.LoadFile(opts.CheckpointPath)
+		// Whichever way a run on the slot came to a complete space — a
+		// warm-up that never met a wide enough frontier included — the
+		// engine's last successful write left that space in the slot;
+		// runFlight publishes the file instead of encoding it a second
+		// time.
+		defer func() {
+			fl.ckptIsSpace = err == nil && res.Checkpoint == nil && !res.Aborted && res.CheckpointErr == ""
+		}()
+		prev, lerr := search.LoadFile(opts.CheckpointPath)
 		switch {
-		case err == nil && prev.Checkpoint != nil:
+		case lerr == nil && prev.Checkpoint != nil:
 			// An earlier drained or abandoned request left its partial
 			// enumeration behind; continue it instead of starting over.
 			s.reg.Counter("server.enumerations").Inc()
 			s.reg.Counter("server.enumerations.resumed").Inc()
 			return search.Resume(prev, opts)
-		case err == nil && !prev.Aborted:
+		case lerr == nil && !prev.Aborted:
 			// The checkpoint completed but was never promoted to the cache
 			// (crash between rename and promotion); it is the space.
 			return prev, nil

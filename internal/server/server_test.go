@@ -621,6 +621,42 @@ func TestCompleteCheckpointIsPromoted(t *testing.T) {
 	if _, err := s.store.load(key); err != nil {
 		t.Fatalf("promoted entry does not load: %v", err)
 	}
+
+	// The warm-up of a split that finishes the space before the frontier
+	// is ever wide enough to partition is a local completion like any
+	// other: the engine's one write is published by rename. A directory
+	// squatting on put's temp name would make a second encode fail loudly;
+	// the rename never goes near it.
+	t.Run("warm-up completion", func(t *testing.T) {
+		const src = `int g; int readg() { return g; }`
+		dir := t.TempDir()
+		fn := mustCompile(t, src, "readg")
+		key := requestKey(fn, normOptions{})
+		want, err := search.Run(fn, search.Options{}).CanonicalHash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		squat := string(key) + spaceSuffix + ".tmp"
+		if err := os.MkdirAll(filepath.Join(dir, squat, "x"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		s, ts := newTestServer(t, Config{Dir: dir, ShardFanout: 2})
+		registerIdle(t, ts, "w1")
+		registerIdle(t, ts, "w2")
+		status, doc, _ := post(t, ts, srcBody(src))
+		if status != http.StatusOK || doc["space_hash"] != want {
+			t.Fatalf("status %d hash %v, want 200 %s", status, doc["space_hash"], want)
+		}
+		for name, want := range map[string]int64{"dist.shard.warmup_completions": 1,
+			"search.checkpoint.writes": 1, "server.cache.write_errors": 0} {
+			if got := counter(s, name); got != want {
+				t.Errorf("%s = %d, want %d", name, got, want)
+			}
+		}
+		if got := dirNames(t, dir); len(got) != 2 || got[0] != string(key)+spaceSuffix || got[1] != squat {
+			t.Fatalf("cache dir holds %v, want the promoted entry beside the squatter", got)
+		}
+	})
 }
 
 // TestStatsEndpoint: /v1/stats reports the instruments and the phase

@@ -4,9 +4,17 @@
 # Starts a spaced coordinator with -shard-fanout 2 plus two fleet
 # workers, fires one enumeration so the coordinator warms the space up
 # locally, splits its frontier into two shard assignments, and runs
-# them on the fleet. Mid-space, whichever worker holds a shard lease is
-# SIGKILLed, and the script requires:
+# them on the fleet. First the coordinator itself is SIGKILLed with
+# both shards leased and restarted on the same cache directory and
+# address; the workers re-register and the request is issued again.
+# Mid-space of that second attempt, whichever worker holds a shard
+# lease is SIGKILLed, and the script requires:
 #
+#   0. the restarted coordinator resumed the warm-up from the request
+#      key's checkpoint slot (server.enumerations.resumed) rather than
+#      redoing it — the only state of a split that outlives its
+#      coordinator; shard progress lived in the dead process's memory,
+#      and no *.shard* file exists to say otherwise,
 #   1. the space really was sharded (dist.shard.splits) and the dead
 #      holder's lease expired (dist.lease_expiries), re-dispatching
 #      only that shard,
@@ -71,14 +79,18 @@ wanteq=$("$tmp/spacedot" -hash "$tmp/refeq/sha.sha_transform.space.gz" | cut -d'
 # hiccup would expire a healthy survivor's lease. -deadline stretches
 # the request budget for the same reason — the recovery path replays
 # the dead holder's shard from its last uploaded checkpoint.
-REPRO_FAULTS= "$tmp/spaced" -addr 127.0.0.1:0 -cache "$tmp/cache" \
-	-ready-file "$tmp/addr" -shard-fanout 2 -lease-ttl 2s -poll-wait 250ms \
-	-dispatch-attempts 5 -deadline 240s -metrics "$tmp/coord.metrics.json" \
-	-log json 2>"$tmp/coord.log" &
-coord=$!
-for _ in $(seq 1 100); do [ -s "$tmp/addr" ] && break; sleep 0.1; done
-[ -s "$tmp/addr" ] || fail "coordinator never became ready"
-addr=$(head -n1 "$tmp/addr")
+start_coord() { # start_coord <listen-addr>  (sets coord and addr)
+	rm -f "$tmp/addr"
+	REPRO_FAULTS= "$tmp/spaced" -addr "$1" -cache "$tmp/cache" \
+		-ready-file "$tmp/addr" -shard-fanout 2 -lease-ttl 2s -poll-wait 250ms \
+		-dispatch-attempts 5 -deadline 240s -metrics "$tmp/coord.metrics.json" \
+		-log json 2>>"$tmp/coord.log" &
+	coord=$!
+	for _ in $(seq 1 100); do [ -s "$tmp/addr" ] && break; sleep 0.1; done
+	[ -s "$tmp/addr" ] || fail "coordinator never became ready"
+	addr=$(head -n1 "$tmp/addr")
+}
+start_coord 127.0.0.1:0
 
 start_worker() { # start_worker <id>  (sets wpid)
 	# -search-workers 2 keeps the two workers from oversubscribing the
@@ -90,14 +102,37 @@ start_worker() { # start_worker <id>  (sets wpid)
 		-log json >/dev/null 2>"$tmp/$1.log" &
 	wpid=$!
 }
+wait_fleet() { # wait_fleet <what-went-wrong>
+	for _ in $(seq 1 150); do
+		[ "$(curl -fsS "http://$addr/v1/stats" | jq -r '.fleet.workers_live // 0')" = 2 ] && return
+		sleep 0.1
+	done
+	fail "$1"
+}
 start_worker w1; w1=$wpid
 start_worker w2; w2=$wpid
-for _ in $(seq 1 100); do
-	[ "$(curl -fsS "http://$addr/v1/stats" | jq -r '.fleet.workers_live // 0')" = 2 ] && break
-	sleep 0.1
+wait_fleet "two workers never registered"
+
+# The coordinator dies with both shards leased. What it knew about them
+# dies with it; what must survive is the warm-up in the request key's
+# checkpoint slot.
+curl -sS -d '{"bench":"sha","func":"sha_transform"}' \
+	"http://$addr/v1/enumerate" -o /dev/null 2>/dev/null &
+req=$!
+leased=0
+for _ in $(seq 1 200); do
+	leased=$(curl -fsS "http://$addr/v1/stats" \
+		| jq -r '[.fleet.workers[]? | select(.assignments > 0)] | length')
+	[ "$leased" = 2 ] && break
+	sleep 0.05
 done
-[ "$(curl -fsS "http://$addr/v1/stats" | jq -r '.fleet.workers_live // 0')" = 2 ] \
-	|| fail "two workers never registered"
+[ "$leased" = 2 ] || fail "the two shards were never both leased"
+kill -9 "$coord"
+wait "$coord" 2>/dev/null || true
+wait "$req" 2>/dev/null || true
+echo "shard-smoke: SIGKILLed the coordinator with both shards leased"
+start_coord "$addr"
+wait_fleet "workers never re-registered with the restarted coordinator"
 
 curl -fsS -H 'X-Request-ID: shard-smoke-default' -d '{"bench":"sha","func":"sha_transform"}' \
 	"http://$addr/v1/enumerate" -o "$tmp/r1.json" &
@@ -127,6 +162,11 @@ wait "$req" || fail "enumerate request failed"
 got=$(jq -r .space_hash "$tmp/r1.json")
 [ "$got" = "$want" ] || fail "sharded hash $got, single-node run wrote $want"
 
+resumed=$(stat_counter "server.enumerations.resumed")
+[ "$resumed" -ge 1 ] || fail "the restarted coordinator redid the warm-up instead of resuming it"
+if ls "$tmp/cache" | grep -q '\.shard'; then
+	fail "shard files in the cache directory: $(ls "$tmp/cache")"
+fi
 splits=$(stat_counter "dist.shard.splits")
 [ "$splits" -ge 1 ] || fail "space was never sharded"
 merges=$(stat_counter "dist.shard.merges")
@@ -185,4 +225,4 @@ coord=""
 	>"$tmp/phasestats.txt" || fail "phasestats -from-metrics rejected the coordinator snapshot"
 grep -q 'dist:   shards:' "$tmp/phasestats.txt" \
 	|| fail "phasestats -from-metrics printed no dist.shard series"
-echo "shard-smoke: $victim killed mid-shard, $survivor absorbed it, both tiers hash-identical ($want / $wanteq); merge_ms $merge1 / $merge2, derive_ms $derive2"
+echo "shard-smoke: coordinator killed mid-split and resumed its warm-up, $victim killed mid-shard, $survivor absorbed it, both tiers hash-identical ($want / $wanteq); merge_ms $merge1 / $merge2, derive_ms $derive2"
