@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race lint lint-fixtures loc bench bench-smoke resume-smoke serve-smoke obs-smoke cluster-smoke chaos shard-smoke
+.PHONY: check fmt vet build test race lint lint-fixtures loc fuzz-smoke bench bench-smoke resume-smoke serve-smoke obs-smoke cluster-smoke chaos shard-smoke
 
 check: fmt vet build test race lint lint-fixtures loc
 
@@ -66,14 +66,24 @@ lint-fixtures:
 		echo "clobbered_ic.rtl unexpectedly linted clean"; exit 1; fi
 
 # Code size of the packages ROADMAP's quality-of-design goal is judged
-# on: non-test, non-blank, non-comment Go lines, one line per package.
-# Informational (never fails), and part of check so that every CI log
-# carries the number.
+# on: non-test, non-blank, non-comment Go lines, one line per package
+# and their total. Informational (never fails), and part of check so
+# that every CI log carries the number.
 loc:
-	@for d in internal/search internal/server internal/distcl; do \
-		printf 'loc: %-16s %s\n' $$d \
-			$$(ls $$d/*.go | grep -v _test.go | xargs cat | grep -vcE '^\s*(//.*)?$$'); \
-	done
+	@total=0; for d in internal/search internal/server internal/distcl cmd/explore; do \
+		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | grep -vcE '^\s*(//.*)?$$'); \
+		printf 'loc: %-16s %s\n' $$d $$n; total=$$((total + n)); \
+	done; printf 'loc: %-16s %s\n' total $$total
+
+# Every native fuzz target, 10 s each: long enough to replay the seed
+# corpus and mutate a little, short enough for CI. Minimizing an
+# interesting input is capped at 1 s, or the first one found eats the
+# whole budget (the default is a minute). A crasher lands in the
+# package's testdata/fuzz/ and fails the target; commit it with the fix
+# (go test then replays it forever).
+fuzz-smoke:
+	$(GO) test ./internal/dataflow/ -run '^$$' -fuzz '^FuzzEquivInvariance$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/search/ -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # Telemetry smoke test: instrument a tiny enumeration, then make
 # phasestats re-read the snapshot and assert the core counters are

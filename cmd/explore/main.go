@@ -38,7 +38,11 @@
 //	                  (including Ctrl-C); when the search completes,
 //	                  the file holds the finished space
 //	-resume           continue each function from its checkpoint file in
-//	                  the -checkpoint dir instead of starting over
+//	                  the -checkpoint dir instead of starting over; a
+//	                  damaged file is warned about and enumerated
+//	                  afresh, one holding another function's space
+//	                  (told by its root instance, not its name) is an
+//	                  error and is left alone
 //	-watchdog d       quarantine any single phase application running
 //	                  longer than d (0 = no watchdog)
 //	-faults spec      inject faults (internal/faultinject syntax); the
@@ -72,6 +76,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -240,12 +245,19 @@ func run() int {
 		if *verify {
 			opts.Verifier = makeVerifier(tf)
 		}
-		r, err := runOrResume(tf.Func, opts, *resume)
-		if err != nil {
-			fr.err = err
-			return fr
+		if *resume {
+			// Continue whatever the function's checkpoint file holds; a
+			// file search.Enumerate has to discard is warned about on
+			// stderr. A file holding the complete space is returned as
+			// is, so rerunning with -resume is idempotent.
+			opts.Logger = slog.New(slog.NewTextHandler(&fr.errOut, &slog.HandlerOptions{Level: slog.LevelWarn}))
+			if fr.r, fr.err = search.Enumerate(tf.Func, opts, nil); fr.err != nil {
+				return fr
+			}
+		} else {
+			fr.r = search.Run(tf.Func, opts)
 		}
-		fr.r = r
+		r := fr.r
 		if *checkAll {
 			for _, n := range r.CheckFailures() {
 				fmt.Fprintf(&fr.out, "    CHECK FAIL %s seq %q: %s\n", tf.Func.Name, n.Seq, n.CheckErr)
@@ -389,29 +401,6 @@ func run() int {
 		return 3
 	}
 	return 0
-}
-
-// runOrResume starts a fresh enumeration, or — under -resume — picks
-// the function up from its checkpoint file when one exists. A
-// checkpoint holding an already-complete space is returned as-is
-// (Resume is a no-op on it), so rerunning with -resume is idempotent.
-func runOrResume(f *rtl.Func, opts search.Options, resume bool) (*search.Result, error) {
-	if resume {
-		loaded, err := search.LoadFile(opts.CheckpointPath)
-		switch {
-		case err == nil:
-			if loaded.FuncName != f.Name {
-				return nil, fmt.Errorf("explore: checkpoint %s belongs to function %q, not %q",
-					opts.CheckpointPath, loaded.FuncName, f.Name)
-			}
-			return search.Resume(loaded, opts)
-		case os.IsNotExist(err):
-			// No checkpoint yet: fresh start.
-		default:
-			return nil, fmt.Errorf("explore: reading checkpoint: %w", err)
-		}
-	}
-	return search.Run(f, opts), nil
 }
 
 // makeVerifier returns a function that checks an instance behaves like

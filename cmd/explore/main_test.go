@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/mc"
+	"repro/internal/search"
 )
 
 // TestMain lets the test binary double as the explore binary: when
@@ -25,13 +29,19 @@ func TestMain(m *testing.M) {
 // returning stdout and the exit code.
 func runExplore(t *testing.T, args ...string) (string, int) {
 	t.Helper()
+	out, _, code := runExploreAll(t, args...)
+	return out, code
+}
+
+// runExploreAll is runExplore with stderr returned as well.
+func runExploreAll(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "EXPLORE_UNDER_TEST=1")
 	var out, errOut bytes.Buffer
 	cmd.Stdout = &out
 	cmd.Stderr = &errOut
 	err := cmd.Run()
-	code := 0
 	if err != nil {
 		ee, ok := err.(*exec.ExitError)
 		if !ok {
@@ -39,7 +49,53 @@ func runExplore(t *testing.T, args ...string) (string, int) {
 		}
 		code = ee.ExitCode()
 	}
-	return out.String(), code
+	return out.String(), errOut.String(), code
+}
+
+// TestResumeOwnsTheCheckpointSlot drives -resume over the two slot
+// states that are not a checkpoint of the function asked for. A damaged
+// file costs a warning and a fresh enumeration, and the slot ends up
+// holding the finished space; a healthy file for another function — here
+// one of the same name, which the function's name cannot tell apart —
+// is an error, exit 1, and is not overwritten.
+func TestResumeOwnsTheCheckpointSlot(t *testing.T) {
+	dir := t.TempDir()
+	slot := filepath.Join(dir, "stringsearch.tolower_c.ckpt.space.gz")
+	args := []string{"-bench", "stringsearch", "-func", "tolower_c", "-checkpoint", dir, "-resume"}
+
+	if err := os.WriteFile(slot, []byte("a torn checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, errOut, code := runExploreAll(t, args...)
+	if code != 0 || !strings.Contains(out, "tolower_c(s)") {
+		t.Fatalf("-resume on a damaged checkpoint exited %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
+	}
+	if !strings.Contains(errOut, "checkpoint slot unusable") || !strings.Contains(errOut, "not a gzip stream") {
+		t.Fatalf("no warning about the damaged checkpoint on stderr:\n%s", errOut)
+	}
+	if r, err := search.LoadFile(slot); err != nil || r.Checkpoint != nil || r.Aborted {
+		t.Fatalf("the slot does not hold the finished space after the fresh run (%v)", err)
+	}
+
+	prog, err := mc.Compile("int tolower_c(int c) { return c + 32; }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := search.Run(prog.Func("tolower_c"), search.Options{}).SaveFile(slot); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(slot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, errOut, code = runExploreAll(t, args...)
+	if code != 1 || !strings.Contains(errOut, "another function") {
+		t.Fatalf("-resume on another tolower_c's space exited %d, want 1 and a refusal\nstdout:\n%s\nstderr:\n%s",
+			code, out, errOut)
+	}
+	if after, _ := os.ReadFile(slot); !bytes.Equal(after, before) {
+		t.Fatal("the other function's space was overwritten")
+	}
 }
 
 // TestMixedBatchJobsDeterministic runs a batch where some functions

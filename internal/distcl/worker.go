@@ -5,9 +5,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/base64"
-	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -78,8 +78,10 @@ type run struct {
 	cancel   context.CancelCauseFunc
 	ckptPath string
 
-	mu         sync.Mutex
-	uploadedCk string // sha256 of the last checkpoint successfully uploaded
+	mu sync.Mutex
+	// uploadedCk is the SHA-256 of the last checkpoint the coordinator
+	// has: the last one successfully uploaded, or the seed it sent.
+	uploadedCk [sha256.Size]byte
 	abandoned  bool
 }
 
@@ -276,7 +278,7 @@ func (w *Worker) heartbeat(ctx context.Context, draining bool) {
 	req := HeartbeatRequest{WorkerID: w.id, Draining: draining}
 	type pendingUpload struct {
 		ru  *run
-		sum string
+		sum [sha256.Size]byte
 	}
 	var uploads []pendingUpload
 	w.mu.Lock()
@@ -326,22 +328,19 @@ func (w *Worker) heartbeat(ctx context.Context, draining bool) {
 }
 
 // changedCheckpoint reads the run's checkpoint file and returns its
-// bytes and content hash when it differs from the last uploaded one;
-// nil when unchanged, missing, or mid-write (the search writes
-// atomically, so a readable file is always a complete checkpoint).
-func (ru *run) changedCheckpoint() ([]byte, string) {
+// bytes and content hash when it differs from what the coordinator has
+// (uploadedCk); nil when unchanged or missing. The seed and the search
+// both rename the file into place, so a readable file is always a
+// complete document.
+func (ru *run) changedCheckpoint() ([]byte, [sha256.Size]byte) {
 	b, err := os.ReadFile(ru.ckptPath)
-	if err != nil || len(b) == 0 {
-		return nil, ""
-	}
 	sum := sha256.Sum256(b)
-	hexSum := hex.EncodeToString(sum[:])
 	ru.mu.Lock()
 	defer ru.mu.Unlock()
-	if hexSum == ru.uploadedCk {
-		return nil, ""
+	if err != nil || len(b) == 0 || sum == ru.uploadedCk {
+		return nil, sum
 	}
-	return b, hexSum
+	return b, sum
 }
 
 // execute runs one assignment to completion, cancellation, or abort.
@@ -355,6 +354,23 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) {
 	ru := &run{a: a, cancel: cancel,
 		ckptPath: filepath.Join(w.cfg.ScratchDir,
 			fmt.Sprintf("%s.g%d.ckpt.space.gz", a.AssignmentID, a.LeaseGen))}
+	opts := search.Options{
+		MaxSeqPerLevel: a.Options.Cap,
+		MaxNodes:       a.Options.MaxNodes,
+		Check:          a.Options.Check,
+		Equiv:          a.Options.Equiv,
+		Timeout:        time.Duration(a.SearchTimeoutMillis) * time.Millisecond,
+		Ctx:            rctx,
+		Workers:        w.cfg.SearchWorkers,
+		Logger:         logger,
+		Faults:         w.cfg.Faults,
+	}
+	if !a.Options.Equiv {
+		// Seeded before the heartbeat loop can see the run: a beat must
+		// never read the scratch file half-written.
+		opts.CheckpointPath = ru.ckptPath
+		ru.seed(logger)
+	}
 	w.mu.Lock()
 	old := w.active[a.AssignmentID]
 	w.active[a.AssignmentID] = ru
@@ -378,24 +394,13 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) {
 	}()
 	logger.Info("assignment started", "resume", a.CheckpointB64 != "")
 
-	opts := search.Options{
-		MaxSeqPerLevel: a.Options.Cap,
-		MaxNodes:       a.Options.MaxNodes,
-		Check:          a.Options.Check,
-		Equiv:          a.Options.Equiv,
-		Timeout:        time.Duration(a.SearchTimeoutMillis) * time.Millisecond,
-		Ctx:            rctx,
-		Workers:        w.cfg.SearchWorkers,
-		Logger:         logger,
-		Faults:         w.cfg.Faults,
-	}
-	var res *search.Result
-	if !a.Options.Equiv {
-		opts.CheckpointPath = ru.ckptPath
-		res = w.resumeFromSeed(ru, opts, logger)
-	}
-	if res == nil {
-		res = search.Run(a.Func, opts)
+	res, err := search.Enumerate(a.Func, opts, nil)
+	if err != nil {
+		// The seed is some other function's space: nothing this worker
+		// can do with it. The lease expires and the coordinator decides.
+		logger.Error("assignment not runnable", "err", err.Error())
+		os.Remove(ru.ckptPath) //nolint:errcheck // best-effort scratch cleanup
+		return
 	}
 
 	if res.Aborted && strings.HasPrefix(res.AbortReason, "canceled") {
@@ -428,9 +433,8 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) {
 		// A checkpointing search's final write left the finished space in
 		// the scratch file: upload those bytes rather than encode it again.
 		var b []byte
-		var err error
-		if opts.CheckpointPath != "" && res.CheckpointErr == "" {
-			b, err = os.ReadFile(opts.CheckpointPath)
+		if res.SpacePath != "" {
+			b, err = os.ReadFile(res.SpacePath)
 		} else {
 			var buf bytes.Buffer
 			err = res.Save(&buf)
@@ -465,34 +469,25 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) {
 		"aborted", req.Aborted, "space_hash", req.SpaceHash, "status", cresp.Status)
 }
 
-// resumeFromSeed materializes the assignment's re-dispatch checkpoint
-// (if any) into the scratch file and resumes from it. Any failure
-// falls back to a fresh run — a bad seed costs time, never
-// correctness.
-func (w *Worker) resumeFromSeed(ru *run, opts search.Options, logger *slog.Logger) *search.Result {
-	a := ru.a
-	if a.CheckpointB64 == "" {
-		return nil
+// seed puts the assignment's starting document (a frontier part, or the
+// last checkpoint uploaded for this work before a re-dispatch) in the
+// scratch slot, where search.Enumerate picks it up, and sets the upload
+// watermark to it: it is the coordinator's own document, and a
+// heartbeat echoing it back would pass for progress. A seed that cannot
+// be written leaves the slot empty — a bad seed costs time, never
+// correctness. Call before the run is published to the heartbeat loop.
+func (ru *run) seed(logger *slog.Logger) {
+	if ru.a.CheckpointB64 == "" {
+		return
 	}
-	b, err := base64.StdEncoding.DecodeString(a.CheckpointB64)
+	b, err := base64.StdEncoding.DecodeString(ru.a.CheckpointB64)
+	if err == nil {
+		write := func(w io.Writer) error { _, err := w.Write(b); return err }
+		err = search.WriteFile(ru.ckptPath, write, false)
+	}
 	if err != nil {
-		logger.Warn("undecodable seed checkpoint, starting fresh", "err", err.Error())
-		return nil
-	}
-	if err := os.WriteFile(ru.ckptPath, b, 0o644); err != nil {
 		logger.Warn("cannot seed scratch checkpoint, starting fresh", "err", err.Error())
-		return nil
+		return
 	}
-	prev, err := search.LoadFile(ru.ckptPath)
-	if err != nil || prev.Checkpoint == nil {
-		logger.Warn("unusable seed checkpoint, starting fresh")
-		return nil
-	}
-	res, err := search.Resume(prev, opts)
-	if err != nil {
-		logger.Warn("resume from seed failed, starting fresh", "err", err.Error())
-		return nil
-	}
-	logger.Info("resumed from uploaded checkpoint", "seed_nodes", len(prev.Nodes))
-	return res
+	ru.uploadedCk = sha256.Sum256(b)
 }

@@ -1,0 +1,165 @@
+package distcl
+
+import (
+	"bytes"
+	"context"
+	"encoding/base64"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/faultinject"
+	"repro/internal/mc"
+	"repro/internal/search"
+)
+
+const sumSrc = `
+int a[16] = {5, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3};
+int sum(int n) {
+    int i;
+    int s = 0;
+    for (i = 0; i < n; i++) s += a[i];
+    return s;
+}`
+
+// oneJobCoordinator is the coordinator's side of the protocol for one
+// seeded assignment: it hands the job to the first poll, records what
+// every heartbeat says about it, and takes the completion.
+type oneJobCoordinator struct {
+	job Assignment
+
+	mu        sync.Mutex
+	handedOut bool
+	beats     []HeartbeatAssignment // the job's entry in each heartbeat, in order
+	done      chan CompleteRequest
+}
+
+func (c *oneJobCoordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	reply := func(v any) { json.NewEncoder(w).Encode(v) } //nolint:errcheck // test server
+	switch r.URL.Path {
+	case PathRegister:
+		reply(RegisterResponse{WorkerID: "w1", LeaseTTLMillis: 60, HeartbeatMillis: 20, PollWaitMillis: 50})
+	case PathPoll:
+		c.mu.Lock()
+		first := !c.handedOut
+		c.handedOut = true
+		c.mu.Unlock()
+		if first {
+			reply(c.job)
+			return
+		}
+		select { // an empty long poll
+		case <-r.Context().Done():
+		case <-time.After(50 * time.Millisecond):
+		}
+		w.WriteHeader(http.StatusNoContent)
+	case PathHeartbeat:
+		var req HeartbeatRequest
+		json.NewDecoder(r.Body).Decode(&req) //nolint:errcheck // test server
+		c.mu.Lock()
+		for _, ha := range req.Assignments {
+			if ha.AssignmentID == c.job.AssignmentID {
+				c.beats = append(c.beats, ha)
+			}
+		}
+		c.mu.Unlock()
+		reply(HeartbeatResponse{})
+	case PathComplete:
+		var req CompleteRequest
+		json.NewDecoder(r.Body).Decode(&req) //nolint:errcheck // test server
+		c.done <- req
+		reply(CompleteResponse{Status: "accepted"})
+	default: // deregister
+		w.WriteHeader(http.StatusNoContent)
+	}
+}
+
+// TestSeededAssignmentUploadsOnlyItsOwnProgress: a seeded assignment —
+// every part of a split, every re-dispatch — starts with the
+// coordinator's own document in its scratch slot. Heartbeats must not
+// hand that document back (the coordinator would take the echo for
+// progress and count the next re-dispatch as a recovery), and must
+// never see it half-written: the entries stay empty until the engine
+// has written a checkpoint of its own, and every upload is a loadable
+// checkpoint further along than the seed.
+func TestSeededAssignmentUploadsOnlyItsOwnProgress(t *testing.T) {
+	prog, err := mc.Compile(sumSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn := prog.Func("sum")
+	want, err := search.Run(fn, search.Options{}).CanonicalHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := search.Run(fn, search.Options{StopAtFrontier: 2})
+	docs, _, err := search.PartitionCheckpoint(warm, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := docs[0]
+
+	coord := &oneJobCoordinator{done: make(chan CompleteRequest, 1), job: Assignment{
+		AssignmentID: "a1", Key: "k", Func: fn, LeaseGen: 1,
+		CheckpointB64: base64.StdEncoding.EncodeToString(seed),
+	}}
+	ts := httptest.NewServer(coord)
+	defer ts.Close()
+	// Every application of phase c stalls, so the search outlives many
+	// heartbeats and its level boundaries fall due for checkpoints.
+	wk, err := NewWorker(WorkerConfig{
+		Client:        fastClient(t, ts, Config{}),
+		ScratchDir:    t.TempDir(),
+		SearchWorkers: 2,
+		DrainTimeout:  5 * time.Second,
+		Faults:        faultinject.MustParse("hang=c:4ms"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan error, 1)
+	go func() { stopped <- wk.Run(ctx) }()
+	var completed CompleteRequest
+	select {
+	case completed = <-coord.done:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("the assignment never completed")
+	}
+	cancel()
+	if err := <-stopped; err != nil {
+		t.Fatal(err)
+	}
+	if completed.Aborted || completed.SpaceHash != want {
+		t.Fatalf("completed aborted=%v hash %s, a plain run hashes %s", completed.Aborted, completed.SpaceHash, want)
+	}
+
+	coord.mu.Lock()
+	defer coord.mu.Unlock()
+	if len(coord.beats) == 0 || coord.beats[0].CheckpointB64 != "" {
+		t.Fatalf("%d heartbeats named the assignment; the first must, and must carry no checkpoint", len(coord.beats))
+	}
+	uploads := 0
+	for i, ha := range coord.beats {
+		if ha.CheckpointB64 == "" {
+			continue
+		}
+		uploads++
+		b, err := base64.StdEncoding.DecodeString(ha.CheckpointB64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(b, seed) {
+			t.Fatalf("heartbeat %d echoed the seed back", i)
+		}
+		if up, err := search.Load(bytes.NewReader(b)); err != nil || len(up.Nodes) <= len(warm.Nodes) {
+			t.Fatalf("heartbeat %d uploaded something that is not progress past the seed (%v)", i, err)
+		}
+	}
+	if uploads == 0 {
+		t.Fatal("no heartbeat uploaded a checkpoint, though the search wrote its own")
+	}
+}

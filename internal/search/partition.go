@@ -42,47 +42,31 @@ func PartitionCheckpoint(r *Result, k int) ([][]byte, [][]int, error) {
 	if k > len(cp.Frontier) {
 		k = len(cp.Frontier)
 	}
-	// Encode the shared node table once; the documents differ only in
-	// their checkpoint sections. Frontier nodes are unexpanded, so they
-	// carry no edges — no stripping needed.
-	nodes := r.encodeNodes(len(r.Nodes), nil)
+	// Render the whole paused result once — the shared node table is
+	// encoded once — and cut its resume section k ways. The stamp stays
+	// zero: shard documents are content-addressed by the coordinator and
+	// must not vary run to run.
+	v := r.whole()
+	v.savedAtNS = 0
+	ff := r.document(v)
+	all := ff.Checkpoint
 	docs := make([][]byte, 0, k)
 	ids := make([][]int, 0, k)
 	quo, rem := len(cp.Frontier)/k, len(cp.Frontier)%k
 	start := 0
 	for i := 0; i < k; i++ {
-		size := quo
+		end := start + quo
 		if i < rem {
-			size++
+			end++
 		}
-		part := cp.Frontier[start : start+size]
-		start += size
-		fc := &fileCheckpoint{}
-		sub := make([]int, 0, size)
-		for _, n := range part {
-			fc.Frontier = append(fc.Frontier, n.ID)
-			fc.Bodies = append(fc.Bodies, n.fn)
-			sub = append(sub, n.ID)
-		}
-		// SavedAtUnixNS stays zero: shard documents are content-addressed
-		// by the coordinator and must not vary run to run.
-		ff := &fileFormat{
-			Version:         formatVersion,
-			FuncName:        r.FuncName,
-			AttemptedPhases: r.AttemptedPhases,
-			ElapsedNS:       int64(r.Elapsed),
-			Stats:           r.Stats,
-			Root:            r.root,
-			Machine:         r.opts.Machine,
-			Nodes:           nodes,
-			Checkpoint:      fc,
-		}
+		ff.Checkpoint = &fileCheckpoint{Frontier: all.Frontier[start:end:end], Bodies: all.Bodies[start:end:end]}
 		var buf bytes.Buffer
 		if err := writeFormat(&buf, ff); err != nil {
 			return nil, nil, fmt.Errorf("search: partition: shard %d: %w", i, err)
 		}
 		docs = append(docs, buf.Bytes())
-		ids = append(ids, sub)
+		ids = append(ids, ff.Checkpoint.Frontier)
+		start = end
 	}
 	return docs, ids, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -14,9 +15,10 @@ import (
 
 // TestGeneratedSpacesHashOneWay is the byte-identity invariant on
 // generated inputs: for random programs, every way this package has of
-// producing a space — any worker width, a mid-level kill plus Resume, a
-// frontier split into K shards resumed apart and merged, the live
-// equivalence tier or its derivation from the default space — yields
+// producing a space — any worker width, a mid-level kill plus Resume
+// (by hand, and through the slot's owner, Enumerate), a frontier split
+// into K shards resumed apart and merged, the live equivalence tier or
+// its derivation from the default space — yields
 // one CanonicalHash per tier. All of them run the one level loop; what
 // differs is the evaluator and the seeding, which is exactly what a
 // hand-picked corpus function exercises least. Seeds whose space
@@ -79,6 +81,27 @@ func TestGeneratedSpacesHashOneWay(t *testing.T) {
 			}
 			resumed, err := search.Resume(loaded, search.Options{Workers: 4})
 			same(want, "kill+resume", resumed, err)
+
+			// The same slot as a hard kill leaves it — the last write
+			// that was renamed into place, a torn temp file beside it —
+			// handed to its owner: resumed if the run was cut short,
+			// found if it had finished, and the slot ends up the space.
+			if err := os.WriteFile(ckpt+".tmp", []byte("torn"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			start := search.Found
+			if killed.Aborted {
+				start = search.Resumed
+			}
+			enumerated, err := search.Enumerate(f, search.Options{Workers: 4, CheckpointPath: ckpt},
+				func(got search.Start) {
+					if got != start {
+						t.Errorf("hard kill + Enumerate set out %s, want %s", got, start)
+					}
+				})
+			same(want, "hard kill + Enumerate", enumerated, err)
+			onDisk, err := search.LoadFile(enumerated.SpacePath)
+			same(want, "the slot after hard kill + Enumerate", onDisk, err)
 
 			// Split at a K-node frontier, resume each shard off the
 			// wire, merge. A space too narrow to split completes in the

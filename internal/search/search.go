@@ -19,7 +19,8 @@
 // boundaries (paced by what a write costs, see checkpointDue) and every
 // abort path (caps, timeout, cancellation) persist a resumable snapshot
 // atomically, and Resume continues an interrupted enumeration to the
-// byte-identical space an uninterrupted run yields.
+// byte-identical space an uninterrupted run yields; Enumerate is Run
+// that first looks at what the checkpoint file holds and continues it.
 // A phase that panics or trips the attempt watchdog is quarantined —
 // recorded as a dead-end node with the failure message — instead of
 // crashing the whole enumeration.
@@ -31,6 +32,7 @@ import (
 	"io"
 	"log/slog"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -201,10 +203,10 @@ type Options struct {
 	// atomically (temp file + rename): at level boundaries whenever
 	// the work at risk outweighs what a write costs (checkpointDue),
 	// on every abort path (caps, timeout, cancellation), and — as the
-	// final complete space — on successful completion. Load + Resume
-	// continue from it. A failed write never clobbers the previous
-	// checkpoint; the error lands in Result.CheckpointErr and the
-	// search keeps running.
+	// final complete space — on successful completion. Run overwrites
+	// what the file held; Enumerate continues it (Load + Resume by
+	// hand). A failed write never clobbers the previous checkpoint; the
+	// error lands in Result.CheckpointErr and the search keeps running.
 	CheckpointPath string
 	// AttemptWatchdog bounds the wall time of a single phase
 	// application; an attempt exceeding it is quarantined like a
@@ -260,6 +262,13 @@ type Result struct {
 	// CheckpointTime is the wall time this Run or Resume spent writing
 	// checkpoints (failed writes included). Not persisted.
 	CheckpointTime time.Duration
+	// SpacePath names the file that now holds this complete space,
+	// encoded and fsynced — Options.CheckpointPath once the engine's
+	// final write has succeeded, or the slot Enumerate found it in. ""
+	// otherwise: paused, aborted, a failed final write, no checkpoint
+	// path. Callers publish or upload that file instead of encoding the
+	// space a second time. Not persisted.
+	SpacePath string
 
 	root *rtl.Func
 	opts Options
@@ -336,16 +345,25 @@ func abortLevelCapReason(level, pending, cap int) string {
 	return fmt.Sprintf("level %d requires %d sequence evaluations (cap %d)", level, pending, cap)
 }
 
-// snapshot captures the engine state at a level boundary — the unit of
-// durability. A checkpoint written mid-level rolls back to the boundary
-// view: only the first numNodes nodes, frontier nodes with no outgoing
-// edges yet, and the boundary's counters.
+// snapshot is a result at a level boundary — the unit of durability and
+// the one thing a space document is rendered from (Result.document):
+// the first numNodes nodes, the frontier nodes with no outgoing edges
+// yet, and the boundary's counters. The engine records one per completed
+// level, so a checkpoint written mid-level rolls back to it; everything
+// else renders the latest boundary, the whole result (Result.whole).
 type snapshot struct {
 	numNodes  int
 	frontier  []*Node
 	attempted int
 	stats     RunStats
 	elapsed   time.Duration
+	// savedAtNS stamps the document's resume section (zero leaves the
+	// stamp out). The abort bits are a loaded or finished result's: a
+	// boundary the engine records is a healthy, resumable state
+	// whatever happened afterwards.
+	savedAtNS   int64
+	aborted     bool
+	abortReason string
 }
 
 // evaluator answers one level's attempts: it hands e.commitOutcome one
@@ -578,9 +596,9 @@ func (e *engine) elapsed() time.Duration {
 // logCtx is the context handed to structured log records so a
 // context-stamping handler can attach the request and flight IDs the
 // server planted on Options.Ctx.
-func (e *engine) logCtx() context.Context {
-	if e.opts.Ctx != nil {
-		return e.opts.Ctx
+func (o *Options) logCtx() context.Context {
+	if o.Ctx != nil {
+		return o.Ctx
 	}
 	return context.Background()
 }
@@ -591,26 +609,40 @@ func (e *engine) abort(reason string) {
 	e.res.abort(reason)
 	e.ins.tracer.Instant("search.abort", "search", 0, map[string]any{"reason": reason})
 	if e.ins.log != nil {
-		e.ins.log.WarnContext(e.logCtx(), "search aborted",
+		e.ins.log.WarnContext(e.opts.logCtx(), "search aborted",
 			"fn", e.ins.fnName, "reason", reason,
 			"level", e.ins.level.Load(), "nodes", len(e.res.Nodes),
 			"elapsed", e.elapsed().Round(time.Millisecond).String())
 	}
-	e.writeCheckpoint(&e.snap)
+	e.writeCheckpoint()
 }
 
-// writeCheckpoint persists snap atomically when checkpointing is
-// configured. Failures are recorded, counted and survived: the
-// previous checkpoint file is left intact and the search continues.
-// Either way the write is timed, and its cost paces the next periodic
-// checkpoint.
-func (e *engine) writeCheckpoint(snap *snapshot) {
-	if e.opts.CheckpointPath == "" {
+// writeCheckpoint persists the last level boundary (e.snap) when
+// checkpointing is configured: a healthy resumable document whatever
+// aborted the run since (the abort bits stay clear), written atomically
+// and fsynced, directory included (WriteFile, SyncDir). Failures — the
+// fault plan can simulate a full disk or a failing directory fsync —
+// are recorded, counted and survived: the previous checkpoint file is
+// left intact and the search continues. Either way the write is timed,
+// and its cost paces the next periodic checkpoint. A boundary with
+// nothing left to expand is the complete space, and the result says
+// which file now holds it.
+func (e *engine) writeCheckpoint() {
+	path, snap := e.opts.CheckpointPath, &e.snap
+	if path == "" {
 		return
 	}
 	began := time.Now()
 	span := e.ins.tracer.Begin("search.checkpoint", "search", 0)
-	err := writeCheckpointFile(e.opts.CheckpointPath, e.res, snap, e.opts.Faults)
+	err := WriteFile(path, func(w io.Writer) error {
+		snap.savedAtNS = time.Now().UnixNano()
+		return writeFormat(e.opts.Faults.WrapCheckpoint(w), e.res.document(*snap))
+	}, true)
+	if err == nil {
+		if err = SyncDir(filepath.Dir(path), e.opts.Faults); err != nil {
+			err = fmt.Errorf("syncing directory: %w", err)
+		}
+	}
 	span.End(map[string]any{"nodes": snap.numNodes, "frontier": len(snap.frontier), "ok": err == nil})
 	e.lastCkpt = time.Now()
 	e.lastCkptCost = e.lastCkpt.Sub(began)
@@ -618,18 +650,21 @@ func (e *engine) writeCheckpoint(snap *snapshot) {
 	e.res.CheckpointTime += e.lastCkptCost
 	e.ins.mCkptDur.Observe(int64(e.lastCkptCost))
 	if err != nil {
-		e.res.CheckpointErr = err.Error()
+		e.res.CheckpointErr = "search: checkpoint: " + err.Error()
 		e.ins.mCkptFailures.Inc()
 		if e.ins.log != nil {
-			e.ins.log.WarnContext(e.logCtx(), "checkpoint write failed",
-				"fn", e.ins.fnName, "path", e.opts.CheckpointPath, "err", err.Error())
+			e.ins.log.WarnContext(e.opts.logCtx(), "checkpoint write failed",
+				"fn", e.ins.fnName, "path", path, "err", e.res.CheckpointErr)
 		}
 		return
 	}
+	if len(snap.frontier) == 0 && !e.res.Aborted {
+		e.res.SpacePath = path
+	}
 	e.ins.mCkptWrites.Inc()
 	if e.ins.log != nil {
-		e.ins.log.DebugContext(e.logCtx(), "checkpoint written",
-			"fn", e.ins.fnName, "path", e.opts.CheckpointPath,
+		e.ins.log.DebugContext(e.opts.logCtx(), "checkpoint written",
+			"fn", e.ins.fnName, "path", path,
 			"nodes", snap.numNodes, "frontier", len(snap.frontier))
 	}
 }
@@ -734,7 +769,7 @@ func (e *engine) run() (*Result, error) {
 		}
 		ins.nodesExpanded += len(frontier)
 		if ins.log != nil {
-			ins.log.InfoContext(e.logCtx(), "level complete",
+			ins.log.InfoContext(e.opts.logCtx(), "level complete",
 				"fn", ins.fnName, "level", level,
 				"frontier", len(frontier), "attempts", len(work),
 				"nodes", len(res.Nodes), "next_frontier", len(e.next),
@@ -775,7 +810,7 @@ func (e *engine) run() (*Result, error) {
 		// frontier ends the loop, and the final write covers it.
 		cost := time.Duration(float64(e.lastCkptCost) * float64(len(res.Nodes)) / float64(e.lastCkptNodes))
 		if len(e.frontier) > 0 && checkpointDue(time.Since(e.lastCkpt), cost) {
-			e.writeCheckpoint(&e.snap)
+			e.writeCheckpoint()
 		}
 	}
 	res.Elapsed = e.elapsed()
@@ -783,7 +818,7 @@ func (e *engine) run() (*Result, error) {
 	if !res.Aborted && opts.CheckpointPath != "" {
 		// Final write: the checkpoint file becomes the complete space.
 		e.snap = e.boundary()
-		e.writeCheckpoint(&e.snap)
+		e.writeCheckpoint()
 	}
 	return res, nil
 }
@@ -1018,7 +1053,7 @@ func (e *engine) commitOutcome(a attempt, o *outcome) {
 		a.node.Edges = append(a.node.Edges, Edge{Phase: a.phase.ID(), To: qn.ID})
 		ins.observeQuarantine()
 		if ins.log != nil {
-			ins.log.WarnContext(e.logCtx(), "attempt quarantined",
+			ins.log.WarnContext(e.opts.logCtx(), "attempt quarantined",
 				"fn", ins.fnName, "seq", a.node.Seq+string(a.phase.ID()),
 				"reason", o.quarantine)
 		}

@@ -28,7 +28,7 @@ int clamp(int x, int lo, int hi) {
     return x;
 }`
 
-func compileFunc(t *testing.T, src, name string) (*rtl.Program, *rtl.Func) {
+func compileFunc(t testing.TB, src, name string) (*rtl.Program, *rtl.Func) {
 	t.Helper()
 	prog, err := mc.Compile(src)
 	if err != nil {

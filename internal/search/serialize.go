@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/faultinject"
@@ -21,7 +20,22 @@ import (
 	"repro/internal/rtl"
 )
 
-// The on-disk format: a gzip-compressed JSON document holding the
+// How a space reaches disk and comes back is decided in this package,
+// once each:
+//
+//   - one document builder: Result.document renders a fileFormat from a
+//     boundary of the result (a snapshot). Save, CanonicalBytes and
+//     CanonicalHash render the whole result, the engine's checkpoint
+//     writer the last level boundary, PartitionCheckpoint the whole
+//     paused result with its resume section cut k ways;
+//   - one file writer: WriteFile (temp file, optional fsync, rename)
+//     puts every space file in place — engine checkpoints, SaveFile,
+//     the server's cache entries and checkpoint mirrors, a worker's
+//     seed — and SyncDir makes the rename durable where that matters;
+//   - one owner of a checkpoint slot: Enumerate (enumerate.go) decides
+//     what a file found at Options.CheckpointPath means and what then.
+//
+// The on-disk format is a gzip-compressed JSON document holding the
 // unoptimized root function and the node table. Binary canonical keys
 // are base64-coded. Saved spaces let the analysis tools run without
 // re-enumerating (the paper's enumerations took hours for the largest
@@ -41,7 +55,9 @@ import (
 // Writers emit v3 only for equivalence-collapsed spaces, keeping every
 // other space byte-identical to the v2 writer's output; the loader
 // reads v1-v3. v1 files simply have no quarantined nodes and no
-// checkpoint section.
+// checkpoint section. Load is the trust boundary — it reads bytes this
+// process did not write — and FuzzLoad holds it to "an error, or a
+// space whose hash survives Save and Load; never a panic".
 
 type fileFormat struct {
 	Version         int             `json:"version"`
@@ -87,16 +103,6 @@ const (
 	minFormatVersion   = 1
 )
 
-// formatVersionOf returns the version this result serializes as:
-// equivalence-collapsed spaces need v3, everything else stays v2 (and
-// byte-identical to what the v2 writer produced).
-func (r *Result) formatVersionOf() int {
-	if r.Equiv != nil {
-		return formatVersionEquiv
-	}
-	return formatVersion
-}
-
 func stateBits(st opt.State) byte {
 	var b byte
 	if st.RegAssigned {
@@ -119,20 +125,56 @@ func bitsState(b byte) opt.State {
 	}
 }
 
-// encodeNodes renders the first numNodes nodes; nodes in stripEdges
-// (the live frontier of a checkpoint) serialize without outgoing
-// edges, the state they had at the level boundary being persisted.
-// Full canonical keys come from the result's keyStore (decompressed
-// blob by blob for retired levels).
-func (r *Result) encodeNodes(numNodes int, stripEdges map[int]bool) []fileNode {
+// whole is the result as it stands, as a boundary: every node, the
+// resume frontier when the result still carries one (a loaded,
+// unresumed checkpoint round-trips), and its abort bits.
+func (r *Result) whole() snapshot {
+	v := snapshot{numNodes: len(r.Nodes), attempted: r.AttemptedPhases, stats: r.Stats, elapsed: r.Elapsed,
+		aborted: r.Aborted, abortReason: r.AbortReason}
+	if cp := r.Checkpoint; cp != nil {
+		v.frontier, v.savedAtNS = cp.Frontier, cp.SavedAt.UnixNano()
+	}
+	return v
+}
+
+// document renders v, the one way a space becomes a fileFormat: the
+// first v.numNodes nodes, v's counters, and a resume section when v
+// has a frontier (none means it is a complete space). Frontier
+// nodes serialize without outgoing edges — the state they had at the
+// boundary, whatever a level killed since has appended. Full canonical
+// keys come from the result's keyStore (decompressed blob by blob for
+// retired levels).
+func (r *Result) document(v snapshot) *fileFormat {
+	ff := &fileFormat{
+		Version:         formatVersion,
+		FuncName:        r.FuncName,
+		AttemptedPhases: v.attempted,
+		Aborted:         v.aborted,
+		AbortReason:     v.abortReason,
+		ElapsedNS:       int64(v.elapsed),
+		Stats:           v.stats,
+		Equiv:           r.Equiv,
+		Root:            r.root,
+		Machine:         r.opts.Machine,
+		Nodes:           make([]fileNode, 0, v.numNodes),
+	}
+	if r.Equiv != nil {
+		// Equivalence-collapsed spaces need v3; everything else stays v2
+		// (and byte-identical to what the v2 writer produced).
+		ff.Version = formatVersionEquiv
+	}
+	unexpanded := make(map[int]bool, len(v.frontier))
+	if len(v.frontier) > 0 {
+		ff.Checkpoint = &fileCheckpoint{SavedAtUnixNS: v.savedAtNS}
+	}
+	for _, n := range v.frontier {
+		unexpanded[n.ID] = true
+		ff.Checkpoint.Frontier = append(ff.Checkpoint.Frontier, n.ID)
+		ff.Checkpoint.Bodies = append(ff.Checkpoint.Bodies, n.fn)
+	}
 	enc := base64.StdEncoding
-	out := make([]fileNode, 0, numNodes)
-	for _, n := range r.Nodes[:numNodes] {
-		edges := n.Edges
-		if stripEdges[n.ID] {
-			edges = nil
-		}
-		out = append(out, fileNode{
+	for _, n := range r.Nodes[:v.numNodes] {
+		fn := fileNode{
 			Level:      n.Level,
 			Seq:        n.Seq,
 			Key:        enc.EncodeToString([]byte(r.keys.get(n.ID))),
@@ -141,79 +183,15 @@ func (r *Result) encodeNodes(numNodes int, stripEdges map[int]bool) []fileNode {
 			NumInstrs:  n.NumInstrs,
 			EquivRaw:   n.EquivRaw,
 			CFKey:      enc.EncodeToString([]byte(n.CFKey)),
-			Edges:      edges,
 			CheckErr:   n.CheckErr,
 			Quarantine: n.Quarantine,
-		})
-	}
-	return out
-}
-
-// fileFormatFull renders the result as-is, including the resume
-// section when the result still carries a checkpoint (a loaded,
-// unresumed space round-trips).
-func (r *Result) fileFormatFull(canonical bool) *fileFormat {
-	ff := &fileFormat{
-		Version:         r.formatVersionOf(),
-		FuncName:        r.FuncName,
-		AttemptedPhases: r.AttemptedPhases,
-		Aborted:         r.Aborted,
-		AbortReason:     r.AbortReason,
-		ElapsedNS:       int64(r.Elapsed),
-		Stats:           r.Stats,
-		Equiv:           r.Equiv,
-		Root:            r.root,
-		Machine:         r.opts.Machine,
-		Nodes:           r.encodeNodes(len(r.Nodes), nil),
-	}
-	if cp := r.Checkpoint; cp != nil {
-		fc := &fileCheckpoint{SavedAtUnixNS: cp.SavedAt.UnixNano()}
-		for _, n := range cp.Frontier {
-			fc.Frontier = append(fc.Frontier, n.ID)
-			fc.Bodies = append(fc.Bodies, n.fn)
 		}
-		ff.Checkpoint = fc
-	}
-	if canonical {
-		ff.ElapsedNS = 0
-		ff.Stats.StateKeyNS = 0
-		ff.Stats.ExpandNS = 0
-		if ff.Checkpoint != nil {
-			ff.Checkpoint.SavedAtUnixNS = 0
+		if !unexpanded[n.ID] {
+			fn.Edges = n.Edges
 		}
+		ff.Nodes = append(ff.Nodes, fn)
 	}
 	return ff
-}
-
-// fileFormatAt renders the level-boundary snapshot the checkpoint
-// writer persists: only the nodes that existed at the boundary, the
-// frontier without the partial edges a killed level may have added,
-// and the boundary's counters. Aborted is left false — the snapshot is
-// a healthy, resumable state, whatever happened afterwards.
-func (r *Result) fileFormatAt(snap *snapshot, savedAt time.Time) *fileFormat {
-	strip := make(map[int]bool, len(snap.frontier))
-	fc := &fileCheckpoint{SavedAtUnixNS: savedAt.UnixNano()}
-	for _, n := range snap.frontier {
-		strip[n.ID] = true
-		fc.Frontier = append(fc.Frontier, n.ID)
-		fc.Bodies = append(fc.Bodies, n.fn)
-	}
-	if len(fc.Frontier) == 0 {
-		// Nothing left to expand: the snapshot is the complete space.
-		fc = nil
-	}
-	return &fileFormat{
-		Version:         r.formatVersionOf(),
-		FuncName:        r.FuncName,
-		AttemptedPhases: snap.attempted,
-		ElapsedNS:       int64(snap.elapsed),
-		Stats:           snap.stats,
-		Equiv:           r.Equiv,
-		Root:            r.root,
-		Machine:         r.opts.Machine,
-		Nodes:           r.encodeNodes(snap.numNodes, strip),
-		Checkpoint:      fc,
-	}
 }
 
 func writeFormat(w io.Writer, ff *fileFormat) error {
@@ -227,96 +205,85 @@ func writeFormat(w io.Writer, ff *fileFormat) error {
 
 // Save writes the enumerated space to w.
 func (r *Result) Save(w io.Writer) error {
-	return writeFormat(w, r.fileFormatFull(false))
+	return writeFormat(w, r.document(r.whole()))
 }
 
-// SaveFile writes the space to a file.
+// SaveFile writes the space to a file, fsynced and atomically: an
+// interrupted save leaves the previous file (or none), never a torn one.
 func (r *Result) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := r.Save(f); err != nil {
-		return err
-	}
-	return f.Close()
+	return WriteFile(path, r.Save, true)
 }
 
-// CanonicalBytes serializes the space with every wall-clock field
-// (Elapsed, the Stats timing totals, checkpoint timestamps) zeroed.
-// Two enumerations of the same function are byte-identical under this
-// encoding exactly when they discovered the same space — the equality
-// the kill/resume determinism guarantee is stated in. The gzip layer
-// is deterministic (no mod time).
+// saveCanonical serializes the space with every wall-clock field
+// zeroed. Two enumerations of the same function are byte-identical
+// under this encoding exactly when they discovered the same space — the
+// equality the kill/resume determinism guarantee is stated in. The gzip
+// layer is deterministic (no mod time).
+func (r *Result) saveCanonical(w io.Writer) error {
+	v := r.whole()
+	v.elapsed, v.stats.StateKeyNS, v.stats.ExpandNS, v.savedAtNS = 0, 0, 0, 0
+	return writeFormat(w, r.document(v))
+}
+
+// CanonicalBytes returns the canonical serialization (see
+// saveCanonical).
 func (r *Result) CanonicalBytes() ([]byte, error) {
 	var buf bytes.Buffer
-	if err := writeFormat(&buf, r.fileFormatFull(true)); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	err := r.saveCanonical(&buf)
+	return buf.Bytes(), err
 }
 
-// CanonicalHash returns the hex SHA-256 of CanonicalBytes — the space
-// identity spacedot -hash prints and the serving layer advertises. Two
-// spaces hash equal exactly when they enumerate the same DAG.
+// CanonicalHash returns the hex SHA-256 of CanonicalBytes, streamed
+// into the hasher — the space identity spacedot -hash prints and the
+// serving layer advertises. Two spaces hash equal exactly when they
+// enumerate the same DAG.
 func (r *Result) CanonicalHash() (string, error) {
-	b, err := r.CanonicalBytes()
-	if err != nil {
+	h := sha256.New()
+	if err := r.saveCanonical(h); err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// writeCheckpointFile atomically persists a level-boundary snapshot:
-// the document is written to path+".tmp" and renamed over path only
-// after a successful write and sync, so a crash or a full disk
-// (simulated by the fault plan) never clobbers the previous
-// checkpoint.
-func writeCheckpointFile(path string, r *Result, snap *snapshot, faults *faultinject.Plan) (err error) {
-	ff := r.fileFormatAt(snap, time.Now())
+// WriteFile replaces path with what write produces, by way of
+// path+".tmp" and a rename, so that readers and restarts see the
+// previous file or the new one, never a torn one: a crash, a failing
+// write or a full disk cannot clobber what was there. It is the one
+// place space files are put on disk — engine checkpoints, saved spaces,
+// cache entries, mirrored uploads, worker seeds. fsync also syncs the
+// data before the rename; copies that only save re-enumeration (a
+// coordinator's mirror of an upload, a worker's seed) go without. A
+// caller that needs the rename itself to survive power loss follows up
+// with SyncDir.
+func WriteFile(path string, write func(io.Writer) error, fsync bool) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return fmt.Errorf("search: checkpoint: %w", err)
+		return err
 	}
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	var w io.Writer = f
-	if faults != nil {
-		w = faults.WrapCheckpoint(w)
+	err = write(f)
+	if err == nil && fsync {
+		err = f.Sync()
 	}
-	if err = writeFormat(w, ff); err != nil {
-		return fmt.Errorf("search: checkpoint: %w", err)
+	if err == nil {
+		err = f.Close()
 	}
-	if err = f.Sync(); err != nil {
-		return fmt.Errorf("search: checkpoint: %w", err)
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err = f.Close(); err != nil {
-		return fmt.Errorf("search: checkpoint: %w", err)
-	}
-	if err = os.Rename(tmp, path); err != nil {
+	if err != nil {
+		f.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("search: checkpoint: %w", err)
 	}
-	// The rename is only durable once the containing directory is
-	// synced; without it a power loss can lose the directory entry and
-	// with it the checkpoint, even though the data blocks were fsynced.
-	if err = SyncDir(filepath.Dir(path), faults); err != nil {
-		return fmt.Errorf("search: checkpoint: syncing directory: %w", err)
-	}
-	return nil
+	return err
 }
 
-// SyncDir fsyncs a directory so a rename into it survives power loss.
-// The fault plan can inject a failure here (dirsyncfail=<n>); the
-// checkpoint writer records it in Result.CheckpointErr like any other
-// write failure, and the serving layer's disk store uses the same call.
+// SyncDir fsyncs a directory so a rename into it survives power loss;
+// without it the directory entry, and with it the file, can be lost
+// even though the data blocks were fsynced. The fault plan can inject a
+// failure here (dirsyncfail=<n>). The engine's checkpoint writer and the
+// serving layer's disk store (publishing a cache entry) call it after
+// their renames.
 func SyncDir(dir string, faults *faultinject.Plan) error {
 	if faults.DirSyncFault() {
 		return faultinject.ErrDirSync

@@ -95,9 +95,17 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 func newGzip(w *bytes.Buffer) *gzip.Writer { return gzip.NewWriter(w) }
 
-// TestLoadCorruptFiles drives Load through every rejection path with a
-// table of defective inputs and checks each failure names its defect.
-func TestLoadCorruptFiles(t *testing.T) {
+// defectiveSpace is one defective space file and the substring its Load
+// error must carry.
+type defectiveSpace struct {
+	name string
+	data []byte
+	want string
+}
+
+// corruptSpaces is the table of defective inputs, one per rejection
+// path of Load; FuzzLoad seeds from it too.
+func defectiveSpaces(t testing.TB) []defectiveSpace {
 	_, f := compileFunc(t, smallSrc, "clamp")
 	var valid bytes.Buffer
 	if err := search.Run(f, search.Options{}).Save(&valid); err != nil {
@@ -106,7 +114,7 @@ func TestLoadCorruptFiles(t *testing.T) {
 
 	// reencode gunzips the valid space, hands the JSON document to
 	// mutate as a generic map, and re-gzips the result.
-	reencode := func(t *testing.T, mutate func(doc map[string]any)) []byte {
+	reencode := func(t testing.TB, mutate func(doc map[string]any)) []byte {
 		t.Helper()
 		gz, err := gzip.NewReader(bytes.NewReader(valid.Bytes()))
 		if err != nil {
@@ -147,11 +155,7 @@ func TestLoadCorruptFiles(t *testing.T) {
 		return out
 	}
 
-	cases := []struct {
-		name string
-		data []byte
-		want string
-	}{
+	return []defectiveSpace{
 		{"garbage", []byte("definitely not gzip"), "not a gzip stream"},
 		{"broken JSON", gzipOf("{broken"), "decoding space"},
 		{"truncated", valid.Bytes()[:valid.Len()/2], "truncated"},
@@ -186,7 +190,12 @@ func TestLoadCorruptFiles(t *testing.T) {
 			doc["checkpoint"] = map[string]any{"frontier": []any{0}, "bodies": []any{nil}}
 		}), "has no body"},
 	}
-	for _, tc := range cases {
+}
+
+// TestLoadCorruptFiles drives Load through every rejection path and
+// checks each failure names its defect.
+func TestLoadCorruptFiles(t *testing.T) {
+	for _, tc := range defectiveSpaces(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := search.Load(bytes.NewReader(tc.data))
 			if err == nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -67,11 +68,13 @@ func requestKey(fn *rtl.Func, no normOptions) cacheKey {
 	return cacheKey(hex.EncodeToString(h.Sum(nil)))
 }
 
-// entry is one cached decoded space with its canonical hash, computed
-// once at insertion so hit paths never re-serialize the space.
+// entry is one cached decoded space with the answer every request for
+// it repeats — canonical hash and counts, computed once at insertion
+// (admit) so hit paths neither re-serialize nor re-walk the space.
+// Cache and ElapsedMS are the request's own.
 type entry struct {
-	res  *search.Result
-	hash string
+	res    *search.Result
+	answer enumerateResponse
 }
 
 // memCache is a small LRU of decoded search.Results keyed by request
@@ -406,47 +409,24 @@ func (st *diskStore) remove(k cacheKey) {
 	os.Remove(st.path(k))
 }
 
-// put persists a completed space atomically and durably: temp file +
-// fsync + rename + directory fsync, the same discipline the search
-// checkpoint writer uses, so a crash never leaves a torn entry and a
-// power loss never loses a published one. The checkpoint file the
-// enumeration wrote along the way is superseded and removed.
+// put persists a completed space atomically and durably: the one
+// space-file writer's temp file + fsync + rename, then published's
+// directory fsync, so a crash never leaves a torn entry and a power loss
+// never loses a published one. The checkpoint file the enumeration
+// wrote along the way is superseded and removed.
 func (st *diskStore) put(k cacheKey, r *search.Result) error {
-	path := st.path(k)
-	tmp := path + ".tmp"
-	err := saveSynced(tmp, r)
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
+	if err := r.SaveFile(st.path(k)); err != nil {
 		return fmt.Errorf("server: cache write: %w", err)
 	}
 	return st.published(k)
 }
 
-// saveSynced writes r to path and fsyncs it.
-func saveSynced(path string, r *search.Result) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := r.Save(f); err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// promote publishes k's checkpoint file as its cache entry. The caller
-// vouches that the file is the search engine's final write for k: the
-// complete space, the bytes put would have written, already fsynced.
-// One rename replaces put's encode, gzip and file fsync.
-func (st *diskStore) promote(k cacheKey) error {
-	if err := os.Rename(st.ckptPath(k), st.path(k)); err != nil {
+// promote publishes the file the search engine named as holding k's
+// complete space (Result.SpacePath: its final checkpoint write, the
+// bytes put would have written, already fsynced). One rename replaces
+// put's encode, gzip and file fsync.
+func (st *diskStore) promote(k cacheKey, spacePath string) error {
+	if err := os.Rename(spacePath, st.path(k)); err != nil {
 		return fmt.Errorf("server: cache promote: %w", err)
 	}
 	return st.published(k)
@@ -497,13 +477,8 @@ func (st *diskStore) readCkpt(k cacheKey) ([]byte, error) {
 // checkpoint lost to power failure only costs re-enumeration. The slot
 // enters the eviction budget.
 func (st *diskStore) writeCkpt(k cacheKey, b []byte) error {
-	path := st.ckptPath(k)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return fmt.Errorf("server: checkpoint write: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	write := func(w io.Writer) error { _, err := w.Write(b); return err }
+	if err := search.WriteFile(st.ckptPath(k), write, false); err != nil {
 		return fmt.Errorf("server: checkpoint write: %w", err)
 	}
 	ek := ckptEntryKey(k)

@@ -300,8 +300,7 @@ func TestDiskStoreAccountsPublishedFileWhenDirSyncFails(t *testing.T) {
 			return st.put(k, search.Run(fn, search.Options{}))
 		},
 		"promote": func(st *diskStore) error {
-			search.Run(fn, search.Options{CheckpointPath: st.ckptPath(k)})
-			return st.promote(k)
+			return st.promote(k, search.Run(fn, search.Options{CheckpointPath: st.ckptPath(k)}).SpacePath)
 		},
 	} {
 		st, err := newDiskStore(t.TempDir(), 0, nil)

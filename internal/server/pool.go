@@ -67,13 +67,10 @@ type flight struct {
 	// sub-spaces and deriving the equivalence tier from the result.
 	publish, merge, derive time.Duration
 
-	// What the path that produced a miss's space already knows about
-	// it; the worker goroutine's own notes, not for waiters. hash is its
-	// canonical hash where a fleet completion verified one. ckptIsSpace
-	// says the key's checkpoint slot holds the engine's final write:
-	// the finished space, fsynced, ready to be renamed into the cache.
-	hash        string
-	ckptIsSpace bool
+	// hash is the canonical hash of a miss's space where the path that
+	// produced it (a fleet completion) already verified one; the worker
+	// goroutine's own note, not for waiters.
+	hash string
 
 	waiters int // guarded by pool.mu
 }

@@ -482,7 +482,7 @@ func (s *Server) enumerate(r *http.Request) (*enumerateResponse, *flight, error)
 		if ri != nil {
 			ri.cache = "mem"
 		}
-		return response(key, ent, "mem"), nil, nil
+		return response(ent, "mem"), nil, nil
 	}
 
 	fl, coalesced, err := s.pool.join(key, fn, no, reqID)
@@ -545,7 +545,7 @@ func (s *Server) enumerate(r *http.Request) (*enumerateResponse, *flight, error)
 		}
 		return nil, fl, he
 	}
-	return response(key, fl.ent, how), fl, nil
+	return response(fl.ent, how), fl, nil
 }
 
 // retryAfterEstimate converts the current backlog into the Retry-After
@@ -575,28 +575,11 @@ func retryAfterSeconds(queued int, meanFlightNS float64, workers int) int {
 	return sec
 }
 
-func response(key cacheKey, ent entry, how string) *enumerateResponse {
-	leaves := 0
-	for _, n := range ent.res.Nodes {
-		if n.IsLeaf() {
-			leaves++
-		}
-	}
-	resp := &enumerateResponse{
-		Func:            ent.res.FuncName,
-		Key:             string(key),
-		SpaceHash:       ent.hash,
-		Nodes:           len(ent.res.Nodes),
-		Edges:           ent.res.Stats.Edges,
-		Leaves:          leaves,
-		AttemptedPhases: ent.res.AttemptedPhases,
-		Cache:           how,
-	}
-	if eq := ent.res.Equiv; eq != nil {
-		resp.EquivRaw = eq.Raw
-		resp.EquivMerged = eq.Merged
-	}
-	return resp
+// response is ent's answer as this request got it.
+func response(ent entry, how string) *enumerateResponse {
+	resp := ent.answer
+	resp.Cache = how
+	return &resp
 }
 
 // resolve turns the request into the function to enumerate.
@@ -713,8 +696,8 @@ func (s *Server) runFlight(fl *flight) {
 	if fl.err = s.admit(fl.key, res, fl.hash, &fl.ent); fl.err != nil {
 		return
 	}
-	if fl.ckptIsSpace {
-		err = s.store.promote(fl.key)
+	if res.SpacePath != "" {
+		err = s.store.promote(fl.key, res.SpacePath)
 	} else {
 		err = s.store.put(fl.key, res)
 	}
@@ -745,12 +728,16 @@ func (s *Server) resolveFlight(fl *flight) (*search.Result, error) {
 	return s.finishFlight(fl, res)
 }
 
-// runOrResume enumerates fl's function under the flight's options, or
-// continues what the key's checkpoint slot holds. stopAtFrontier > 0 is
-// the warm-up of a split: it pauses at a frontier that wide and always
-// enumerates the default tier (parts and merge need raw nodes). The
-// error is search.Resume's.
-func (s *Server) runOrResume(fl *flight, stopAtFrontier int) (res *search.Result, err error) {
+// runOrResume enumerates fl's function under the flight's options,
+// continuing what the key's checkpoint slot holds (search.Enumerate owns
+// what that may be). stopAtFrontier > 0 is the warm-up of a split: it
+// pauses at a frontier that wide and always enumerates the default tier
+// (parts and merge need raw nodes). Whichever way a run on the slot came
+// to a complete space — a warm-up that never met a wide enough frontier
+// included — the result names the file that holds it (SpacePath) and
+// runFlight publishes that file instead of encoding the space a second
+// time. The error is search.Enumerate's.
+func (s *Server) runOrResume(fl *flight, stopAtFrontier int) (*search.Result, error) {
 	// Draw this flight's search parallelism from the shared CPU-token
 	// budget instead of letting every flight default to NumCPU: the
 	// sum across concurrent flights never exceeds GOMAXPROCS. A grant
@@ -780,30 +767,18 @@ func (s *Server) runOrResume(fl *flight, stopAtFrontier int) (res *search.Result
 	// lets its (default-tier) warm-up write there.
 	if !fl.no.Equiv {
 		opts.CheckpointPath = s.store.ckptPath(fl.key)
-		// Whichever way a run on the slot came to a complete space — a
-		// warm-up that never met a wide enough frontier included — the
-		// engine's last successful write left that space in the slot;
-		// runFlight publishes the file instead of encoding it a second
-		// time.
-		defer func() {
-			fl.ckptIsSpace = err == nil && res.Checkpoint == nil && !res.Aborted && res.CheckpointErr == ""
-		}()
-		prev, lerr := search.LoadFile(opts.CheckpointPath)
-		switch {
-		case lerr == nil && prev.Checkpoint != nil:
-			// An earlier drained or abandoned request left its partial
-			// enumeration behind; continue it instead of starting over.
-			s.reg.Counter("server.enumerations").Inc()
-			s.reg.Counter("server.enumerations.resumed").Inc()
-			return search.Resume(prev, opts)
-		case lerr == nil && !prev.Aborted:
-			// The checkpoint completed but was never promoted to the cache
-			// (crash between rename and promotion); it is the space.
-			return prev, nil
-		}
 	}
-	s.reg.Counter("server.enumerations").Inc()
-	return search.Run(fl.fn, opts), nil
+	return search.Enumerate(fl.fn, opts, func(start search.Start) {
+		// A finished space found in the slot (a crash between the final
+		// write and its promotion) is no enumeration; a checkpoint an
+		// earlier drained or abandoned request left is a resumed one.
+		if start != search.Found {
+			s.reg.Counter("server.enumerations").Inc()
+		}
+		if start == search.Resumed {
+			s.reg.Counter("server.enumerations.resumed").Inc()
+		}
+	})
 }
 
 // finishFlight maps an aborted enumeration to its HTTP failure.
@@ -823,9 +798,10 @@ func (s *Server) finishFlight(fl *flight, res *search.Result) (*search.Result, e
 	return res, nil
 }
 
-// admit caches a complete space in the LRU and folds it into the
-// interaction statistics. hash is res's canonical hash when the caller
-// has already verified it (a fleet completion); "" computes it.
+// admit caches a complete space in the LRU, with the answer every
+// request for it gets, and folds it into the interaction statistics.
+// hash is res's canonical hash when the caller has already verified it
+// (a fleet completion); "" computes it.
 func (s *Server) admit(key cacheKey, res *search.Result, hash string, out *entry) error {
 	if hash == "" {
 		var err error
@@ -833,7 +809,18 @@ func (s *Server) admit(key cacheKey, res *search.Result, hash string, out *entry
 			return fmt.Errorf("hashing space: %w", err)
 		}
 	}
-	*out = entry{res: res, hash: hash}
+	*out = entry{res: res, answer: enumerateResponse{
+		Func:            res.FuncName,
+		Key:             string(key),
+		SpaceHash:       hash,
+		Nodes:           len(res.Nodes),
+		Edges:           res.Stats.Edges,
+		Leaves:          len(res.Leaves()),
+		AttemptedPhases: res.AttemptedPhases,
+	}}
+	if eq := res.Equiv; eq != nil {
+		out.answer.EquivRaw, out.answer.EquivMerged = eq.Raw, eq.Merged
+	}
 	s.mem.add(key, *out)
 	s.stats.accumulate(key, res)
 	return nil

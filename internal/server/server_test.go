@@ -811,17 +811,47 @@ func TestRequestKeyContentAddressing(t *testing.T) {
 	}
 }
 
+// TestMemHitAnswersWithoutTheSpace: a memory hit repeats the answer
+// admit computed; it does not walk the node table again to count
+// leaves. The cached entry's decoded space is taken away, so a hit
+// that reads it cannot answer.
+func TestMemHitAnswersWithoutTheSpace(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	status, cold, _ := post(t, ts, `{"source":`+jsonStr(sumSrc)+`,"options":{"equiv":true}}`)
+	if status != http.StatusOK || cold["cache"] != "miss" {
+		t.Fatalf("cold request: status %d: %v", status, cold)
+	}
+	key := cacheKey(cold["key"].(string))
+	ent, ok := s.mem.get(key)
+	if !ok {
+		t.Fatal("the cold answer is not in the memory cache")
+	}
+	ent.res = nil
+	s.mem.add(key, ent)
+
+	status, warm, _ := post(t, ts, `{"source":`+jsonStr(sumSrc)+`,"options":{"equiv":true}}`)
+	if status != http.StatusOK || warm["cache"] != "mem" {
+		t.Fatalf("warm request: status %d: %v", status, warm)
+	}
+	for _, field := range []string{"func", "key", "space_hash", "nodes", "edges", "leaves",
+		"attempted_phases", "equiv_raw"} {
+		if warm[field] == nil || warm[field] != cold[field] {
+			t.Errorf("%s: the memory hit answers %v, the enumeration answered %v", field, warm[field], cold[field])
+		}
+	}
+}
+
 // TestMemCacheLRU: the LRU holds at most max entries, evicting the
 // least recently used.
 func TestMemCacheLRU(t *testing.T) {
 	c := newMemCache(2)
 	k := func(i int) cacheKey { return cacheKey(fmt.Sprintf("%064d", i)) }
-	c.add(k(1), entry{hash: "1"})
-	c.add(k(2), entry{hash: "2"})
+	c.add(k(1), entry{})
+	c.add(k(2), entry{})
 	if _, ok := c.get(k(1)); !ok { // 1 is now most recently used
 		t.Fatal("entry 1 missing")
 	}
-	c.add(k(3), entry{hash: "3"}) // evicts 2
+	c.add(k(3), entry{}) // evicts 2
 	if _, ok := c.get(k(2)); ok {
 		t.Fatal("LRU kept the least recently used entry past its bound")
 	}
