@@ -32,12 +32,14 @@ test:
 # workers summarize instances concurrently through its pooled buffers,
 # dataflow because the equivalence tier canonicalizes instances on
 # those same workers (the -jobs + -equiv combination in the search
-# suite exercises it end to end), and distcl because the fleet worker
-# runs assignments, heartbeats and drains on separate goroutines.
+# suite exercises it end to end), distcl because the fleet worker
+# runs assignments, heartbeats and drains on separate goroutines, and
+# rtl and opt because a frontier instance's analysis snapshot is read
+# (and computed, once) by every worker attempting that node.
 # -timeout 30m: the search suite's determinism grids run ~10m under
 # -race on a 1-CPU box, brushing the 10m per-package default.
 race:
-	$(GO) test -race -timeout 30m ./internal/search/ ./internal/driver/ ./internal/telemetry/ ./internal/faultinject/ ./internal/fingerprint/ ./internal/server/ ./internal/dataflow/ ./internal/distcl/
+	$(GO) test -race -timeout 30m ./internal/search/ ./internal/driver/ ./internal/telemetry/ ./internal/faultinject/ ./internal/fingerprint/ ./internal/server/ ./internal/dataflow/ ./internal/distcl/ ./internal/rtl/ ./internal/opt/
 
 # Static analysis beyond go vet. staticcheck and govulncheck run when
 # installed and are skipped with a note otherwise, so the target stays

@@ -15,7 +15,7 @@ import (
 // runFromMetrics implements the -from-metrics mode: merge the named
 // snapshot files and render the per-phase cost table that the metric
 // names opt.attempt.<id>.{active,dormant} and
-// opt.phase.<id>.duration_ns encode, followed by the search and
+// opt.phase.<id>[.dormant].duration_ns encode, followed by the search and
 // verifier totals. Labeled series (family{k="v"} names, as spaced's
 // request metrics are recorded) are folded into their base family
 // first, so totals and -require see the aggregate across labels; by,
@@ -203,8 +203,8 @@ func printLabelBreakdown(s telemetry.Snapshot, key string) {
 // Phases" column and Table 7's cost comparison.
 func printPhaseCosts(s telemetry.Snapshot, files int) {
 	fmt.Printf("Per-phase cost, aggregated over %d metric snapshot(s):\n\n", files)
-	fmt.Printf("%-3s %-28s %10s %9s %9s %8s %10s %10s\n",
-		"ph", "name", "attempted", "active", "dormant", "act%", "total", "mean")
+	fmt.Printf("%-3s %-28s %10s %9s %9s %8s %10s %10s %10s %10s\n",
+		"ph", "name", "attempted", "active", "dormant", "act%", "total", "mean", "mean act", "mean dorm")
 	var totAtt, totAct int64
 	var totNS int64
 	for _, p := range opt.All() {
@@ -220,10 +220,18 @@ func printPhaseCosts(s telemetry.Snapshot, files int) {
 		if attempted > 0 {
 			actPct = 100 * float64(active) / float64(attempted)
 		}
-		fmt.Printf("%-3c %-28s %10d %9d %9d %7.1f%% %10s %10s\n",
+		// The dormant attempts have a histogram of their own; the active
+		// side is what is left of the phase's total. Snapshots written
+		// before the split existed show dashes.
+		meanAct, meanDorm := "-", "-"
+		if hd, ok := s.Histograms[fmt.Sprintf("opt.phase.%c.dormant.duration_ns", id)]; ok {
+			meanDorm = meanOrDash(hd)
+			meanAct = meanOrDash(telemetry.HistogramSnapshot{Count: h.Count - hd.Count, Sum: h.Sum - hd.Sum})
+		}
+		fmt.Printf("%-3c %-28s %10d %9d %9d %7.1f%% %10s %10s %10s %10s\n",
 			id, clipName(p.Name(), 28), attempted, active, dormant, actPct,
 			time.Duration(h.Sum).Round(time.Microsecond),
-			time.Duration(int64(h.Mean())).Round(time.Nanosecond))
+			time.Duration(int64(h.Mean())).Round(time.Nanosecond), meanAct, meanDorm)
 	}
 	actPct := 0.0
 	if totAtt > 0 {
@@ -232,6 +240,15 @@ func printPhaseCosts(s telemetry.Snapshot, files int) {
 	fmt.Printf("%-3s %-28s %10d %9d %9d %7.1f%% %10s\n\n",
 		"Σ", "all phases", totAtt, totAct, totAtt-totAct, actPct,
 		time.Duration(totNS).Round(time.Microsecond))
+}
+
+// meanOrDash renders a histogram's mean as a duration, "-" without
+// observations.
+func meanOrDash(h telemetry.HistogramSnapshot) string {
+	if h.Count == 0 {
+		return "-"
+	}
+	return time.Duration(int64(h.Mean())).Round(time.Nanosecond).String()
 }
 
 // fmtBytes renders a byte count with a binary unit suffix.

@@ -23,7 +23,7 @@ func (CodeAbstraction) RequiresRegAssign() bool { return true }
 // Apply runs the phase.
 func (CodeAbstraction) Apply(f *rtl.Func, _ *machine.Desc) bool {
 	changed := false
-	for crossJumpOnce(f) || hoistCommonOnce(f) {
+	for g := rtl.CFGOf(f); crossJumpOnce(f, g) || hoistCommonOnce(f, g); g = rtl.CFGOf(f) {
 		changed = true
 	}
 	return changed
@@ -34,8 +34,7 @@ func (CodeAbstraction) Apply(f *rtl.Func, _ *machine.Desc) bool {
 // the join block. Every predecessor must reach the join
 // unconditionally (a jump or fall-through), so the moved instruction
 // executes under exactly the same conditions as before.
-func crossJumpOnce(f *rtl.Func) bool {
-	g := rtl.ComputeCFG(f)
+func crossJumpOnce(f *rtl.Func, g *rtl.CFG) bool {
 	for spos := range f.Blocks {
 		preds := g.Preds[spos]
 		if len(preds) < 2 {
@@ -89,8 +88,7 @@ func crossJumpOnce(f *rtl.Func) bool {
 // a conditional branch into the predecessor, placing it before the
 // comparison so the condition codes are not disturbed. Both successors
 // must have the branch block as their only predecessor.
-func hoistCommonOnce(f *rtl.Func) bool {
-	g := rtl.ComputeCFG(f)
+func hoistCommonOnce(f *rtl.Func, g *rtl.CFG) bool {
 	for ppos, pb := range f.Blocks {
 		last := pb.Last()
 		if last == nil || last.Op != rtl.OpBranch {

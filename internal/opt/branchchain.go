@@ -58,6 +58,7 @@ func (BranchChaining) Apply(f *rtl.Func, _ *machine.Desc) bool {
 		}
 	}
 	if changed {
+		f.DropAnalyses() // retargeted before the first look
 		removeUnreachableBlocks(f)
 	}
 	return changed
@@ -83,7 +84,7 @@ func (RemoveUnreachable) Apply(f *rtl.Func, _ *machine.Desc) bool {
 }
 
 func removeUnreachableBlocks(f *rtl.Func) bool {
-	reach := rtl.ComputeCFG(f).Reachable()
+	reach := rtl.CFGOf(f).Reachable()
 	changed := false
 	for i := len(f.Blocks) - 1; i >= 0; i-- {
 		if !reach[i] {

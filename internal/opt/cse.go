@@ -23,36 +23,45 @@ func (CommonSubexprElim) Name() string { return "common subexpression eliminatio
 // compulsory register assignment.
 func (CommonSubexprElim) RequiresRegAssign() bool { return true }
 
-// Apply runs the phase. The three sub-passes iterate to a joint
-// fixpoint so that an immediately repeated application of the phase is
-// always dormant — the property ("no phase in our compiler can be
-// applied successfully more than once consecutively", Section 4.1)
-// that the exhaustive search's pruning relies on.
+// Apply runs the phase. The three sub-passes take turns until they
+// reach a joint fixpoint, so that an immediately repeated application
+// of the phase is always dormant — the property ("no phase in our
+// compiler can be applied successfully more than once consecutively",
+// Section 4.1) that the exhaustive search's pruning relies on.
+//
+// The fixpoint is reached when each sub-pass has run dormant on the
+// code as it now stands, that is, when the last three turns changed
+// nothing: a sub-pass is a deterministic function of the code, so one
+// that was dormant since the last change would be dormant again, and
+// running it to prove so (as whole rounds of three once did) cannot
+// alter the outcome. The repeated application starts where this one
+// stopped and finds three dormant turns.
 func (CommonSubexprElim) Apply(f *rtl.Func, d *machine.Desc) bool {
-	// One CFG serves every round: no sub-pass changes block structure
+	// One CFG serves every turn: no sub-pass changes block structure
 	// or terminators (operand substitution, use replacement and the
 	// removal of pure recomputations leave each block's control
 	// instruction — and hence the successor sets — untouched).
-	g := rtl.ComputeCFG(f)
+	g := rtl.CFGOf(f)
 	sv := newRegSolver(len(f.Blocks), usedRegWidth(f))
 	es := newExprSolver(len(f.Blocks))
 	changed := false
-	for {
-		round := false
-		if propagateConstants(f, g, sv, d) {
-			round = true
+	for turn, dormant := 0, 0; dormant < 3; turn++ {
+		var did bool
+		switch turn % 3 {
+		case 0:
+			did = propagateConstants(f, g, sv, d)
+		case 1:
+			did = propagateCopies(f, g, sv)
+		case 2:
+			did = eliminateCommonSubexprs(f, g, es)
 		}
-		if propagateCopies(f, g, sv) {
-			round = true
+		if did {
+			changed, dormant = true, 0
+		} else {
+			dormant++
 		}
-		if eliminateCommonSubexprs(f, g, es) {
-			round = true
-		}
-		if !round {
-			return changed
-		}
-		changed = true
 	}
+	return changed
 }
 
 // ---------------------------------------------------------------------------

@@ -28,8 +28,7 @@ func (DeadAssignElim) Apply(f *rtl.Func, _ *machine.Desc) bool {
 	// it, so iterate to a fixpoint.
 	for again := true; again; {
 		again = false
-		g := rtl.ComputeCFG(f)
-		lv := rtl.ComputeLiveness(g)
+		lv := rtl.CFGOf(f).Liveness()
 		var buf [8]rtl.Reg
 		for bpos, b := range f.Blocks {
 			live := lv.Out[bpos].Copy()

@@ -36,8 +36,7 @@ func (EvalOrderDetermination) Apply(f *rtl.Func, _ *machine.Desc) bool {
 		return false
 	}
 	changed := false
-	g := rtl.ComputeCFG(f)
-	lv := rtl.ComputeLiveness(g)
+	lv := rtl.CFGOf(f).Liveness()
 	for bpos, b := range f.Blocks {
 		if reorderBlock(b, lv.Out[bpos]) {
 			changed = true

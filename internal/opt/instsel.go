@@ -44,13 +44,13 @@ func combineOnce(f *rtl.Func, d *machine.Desc) bool {
 		for i := 0; i < len(b.Instrs); i++ {
 			in := &b.Instrs[i]
 			if in.Op == rtl.OpMov && in.A.IsReg(in.Dst) {
+				f.DropAnalyses() // modified before the first look
 				b.Remove(i)
 				return true
 			}
 		}
 	}
-	g := rtl.ComputeCFG(f)
-	lv := rtl.ComputeLiveness(g)
+	lv := rtl.CFGOf(f).Liveness()
 	var buf [8]rtl.Reg
 	for bpos, b := range f.Blocks {
 		for j := 1; j < len(b.Instrs); j++ {

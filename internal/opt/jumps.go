@@ -115,7 +115,7 @@ func (BlockReordering) Apply(f *rtl.Func, _ *machine.Desc) bool {
 	changed := false
 	for again := true; again; {
 		again = false
-		g := rtl.ComputeCFG(f)
+		g := rtl.CFGOf(f)
 		for i, a := range f.Blocks {
 			last := a.Last()
 			if last == nil || last.Op != rtl.OpJmp {
@@ -170,7 +170,7 @@ func (MinimizeLoopJumps) Apply(f *rtl.Func, _ *machine.Desc) bool {
 	changed := false
 	for again := true; again; {
 		again = false
-		g := rtl.ComputeCFG(f)
+		g := rtl.CFGOf(f)
 		for _, l := range g.FindLoops() {
 			if rotateLoop(f, g, l) {
 				changed, again = true, true

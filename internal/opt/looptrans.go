@@ -32,7 +32,7 @@ func (LoopTransformations) Apply(f *rtl.Func, d *machine.Desc) bool {
 	changed := false
 	for again := true; again; {
 		again = false
-		g := rtl.ComputeCFG(f)
+		g := rtl.CFGOf(f)
 		for _, l := range g.FindLoops() {
 			if hoistInvariants(f, g, l) || reduceInductionVariables(f, g, l, d) {
 				changed, again = true, true
@@ -134,8 +134,10 @@ func ensurePreheader(f *rtl.Func, g *rtl.CFG, l *rtl.Loop) (int, bool, bool) {
 // hoistInvariants performs loop-invariant code motion for one loop.
 func hoistInvariants(f *rtl.Func, g *rtl.CFG, l *rtl.Loop) bool {
 	info := analyzeLoop(f, l)
+	// Nothing has changed since g was built (a change ends the walk
+	// over its loops), so the graph's own analyses hold for every loop.
 	idom := g.Dominators()
-	lv := rtl.ComputeLiveness(g)
+	lv := g.Liveness()
 
 	exits := l.Exits(g)
 

@@ -44,7 +44,8 @@ var PostCheck func(f *rtl.Func, d *machine.Desc) error
 
 // Metrics, when non-nil, receives the outcome of every Attempt:
 // per-phase active/dormant counts and per-phase durations (covering
-// the implicit register assignment, the phase proper and the cleanup).
+// the implicit register assignment, the phase proper and the cleanup),
+// the dormant attempts' once more on their own.
 // Like PostCheck it is a package variable rather than a State field so
 // the search's per-node key and clone costs stay untouched; install it
 // before any concurrent use and leave it in place for the run.
@@ -56,11 +57,14 @@ type PhaseMetrics struct {
 	active  [256]*telemetry.Counter
 	dormant [256]*telemetry.Counter
 	dur     [256]*telemetry.Histogram
+	durIdle [256]*telemetry.Histogram
 }
 
 // NewPhaseMetrics registers the per-phase instruments of every Table 1
 // phase on reg: counters opt.attempt.<id>.active and
-// opt.attempt.<id>.dormant plus histogram opt.phase.<id>.duration_ns.
+// opt.attempt.<id>.dormant plus histograms opt.phase.<id>.duration_ns
+// (every attempt) and opt.phase.<id>.dormant.duration_ns (the dormant
+// ones; the active side is the difference of the two).
 func NewPhaseMetrics(reg *telemetry.Registry) *PhaseMetrics {
 	m := &PhaseMetrics{}
 	for _, p := range All() {
@@ -68,6 +72,7 @@ func NewPhaseMetrics(reg *telemetry.Registry) *PhaseMetrics {
 		m.active[id] = reg.Counter(fmt.Sprintf("opt.attempt.%c.active", id))
 		m.dormant[id] = reg.Counter(fmt.Sprintf("opt.attempt.%c.dormant", id))
 		m.dur[id] = reg.Histogram(fmt.Sprintf("opt.phase.%c.duration_ns", id))
+		m.durIdle[id] = reg.Histogram(fmt.Sprintf("opt.phase.%c.dormant.duration_ns", id))
 	}
 	return m
 }
@@ -79,6 +84,7 @@ func (m *PhaseMetrics) observe(id byte, active bool, d time.Duration) {
 		m.active[id].Inc()
 	} else {
 		m.dormant[id].Inc()
+		m.durIdle[id].Observe(int64(d))
 	}
 	m.dur[id].Observe(int64(d))
 }
@@ -154,9 +160,13 @@ func Attempt(f *rtl.Func, st *State, p Phase, d *machine.Desc) bool {
 		began = time.Now()
 	}
 	if p.RequiresRegAssign() && !f.RegAssigned {
+		// Every register is about to be rewritten: what a clone borrowed
+		// from its parent (rtl.CFGOf) would no longer describe it.
+		f.DropAnalyses()
 		RegAssign(f)
 	}
 	active := p.Apply(f, d)
+	f.DropAnalyses() // a borrow the phase never asked for dies with the attempt
 	if active {
 		rtl.Cleanup(f)
 		st.RegAssigned = f.RegAssigned

@@ -40,13 +40,16 @@ func (StrengthReduction) Apply(f *rtl.Func, d *machine.Desc) bool {
 // reduceOnce rewrites one multiply-by-constant, returning whether it
 // did.
 func reduceOnce(f *rtl.Func, d *machine.Desc) bool {
-	g := rtl.ComputeCFG(f)
-	lv := rtl.ComputeLiveness(g)
+	// Liveness waits for the first multiply: most functions have none.
+	var lv *rtl.Liveness
 	for bpos, b := range f.Blocks {
 		for j := 0; j < len(b.Instrs); j++ {
 			in := b.Instrs[j]
 			if in.Op != rtl.OpMul {
 				continue
+			}
+			if lv == nil {
+				lv = rtl.CFGOf(f).Liveness()
 			}
 			// Find a constant operand: a register defined by Mov #c
 			// with no intervening redefinition. Either side works

@@ -1,22 +1,113 @@
 package rtl
 
+import "sync"
+
 // CFG is a control-flow graph snapshot for a function. Nodes are
 // identified by layout position (index into Func.Blocks), which keeps
 // the successor computation trivially in sync with fall-through
 // semantics. A CFG is invalidated by any structural mutation; phases
 // recompute it after changing the block list.
 //
-// The edge lists share two backing arrays (successor counts are at
-// most two, predecessor lists are laid out CSR-style): the exhaustive
-// search recomputes CFGs millions of times, so the representation is
-// kept to a handful of allocations.
+// A CFG is a view: F is the function it is bound to, and everything
+// else — the edge lists and the analyses derived from them — sits in
+// a graph that every view of the same snapshot shares (CFGOf).
 type CFG struct {
-	F     *Func
+	F *Func
+	*graph
+}
+
+// graph is the shared, read-only part of a CFG. The edge lists share
+// two backing arrays (successor counts are at most two, predecessor
+// lists are laid out CSR-style): the exhaustive search builds graphs
+// millions of times, so the representation is kept to a handful of
+// allocations. Each analysis is computed at most once per graph, on
+// first request, and its result must not be written to: a frontier
+// instance's graph is consulted by every worker attempting that node.
+type graph struct {
+	f     *Func   // the function the graph was built from
 	Succs [][]int // layout position -> successor positions
 	Preds [][]int
-
 	index []int // block ID -> layout position, -1 when absent
-	rpo   []int // cached reverse post-order, nil until first RPO call
+
+	rpo   once[[]int]
+	reach once[[]bool]
+	idom  once[[]int]
+	loops once[[]*Loop]
+	live  once[*Liveness]
+}
+
+// once holds a value computed at most once, by whichever goroutine
+// asks first.
+type once[T any] struct {
+	sync.Once
+	v T
+}
+
+func (o *once[T]) get(compute func() T) T {
+	o.Do(func() { o.v = compute() })
+	return o.v
+}
+
+// Event names what Trace observes.
+type Event int
+
+const (
+	BuiltCFG      Event = iota // ComputeCFG built g from scratch
+	BuiltLiveness              // ComputeLiveness ran over g
+	Borrowed                   // CFGOf bound the parent's graph to the clone g.F
+)
+
+// Trace, when non-nil, observes the analyses as tests need to: they
+// count the from-scratch computations and re-derive every borrowed
+// graph on the clone it was handed to. Install it before any
+// concurrent use.
+var Trace func(ev Event, g *CFG)
+
+// snapshot is the graph a frontier instance shares with its clones,
+// built when the first of them asks.
+type snapshot struct {
+	f *Func // the owner, not written to while the snapshot lives
+	g once[*CFG]
+}
+
+// ShareAnalyses makes f the owner of an analysis snapshot: until
+// DropAnalyses, f must not be modified, and every clone CloneReusing
+// makes of it borrows the snapshot (CFGOf). The enumeration shares a
+// node's instance while the node's attempts run. A nil f is a no-op.
+func (f *Func) ShareAnalyses() {
+	if f != nil {
+		f.snap = &snapshot{f: f}
+	}
+}
+
+// DropAnalyses releases the snapshot f owns or, on a clone, the one it
+// borrowed and has not consumed: whoever is about to modify such a
+// clone before its first CFGOf calls it. A nil f is a no-op.
+func (f *Func) DropAnalyses() {
+	if f != nil {
+		f.snap = nil
+	}
+}
+
+// CFGOf returns the control-flow graph of f for a phase's first look
+// at it. A clone that still holds the snapshot borrowed from its
+// parent gets a view of the parent's graph bound to itself — one
+// allocation; edges, RPO, liveness, dominators, loops and reachability
+// are whatever an earlier attempt at the same node already derived.
+// The borrow is one-shot: the phase may modify f once it has looked,
+// so every later request computes from scratch, as does a function
+// with nothing to borrow.
+func CFGOf(f *Func) *CFG {
+	s := f.snap
+	if s == nil || s.f == f {
+		return ComputeCFG(f)
+	}
+	f.snap = nil
+	g := &CFG{F: f, graph: s.g.get(func() *CFG { return ComputeCFG(s.f) }).graph}
+	if Trace != nil {
+		Trace(Borrowed, g)
+	}
+	return g
 }
 
 // Pos returns the layout position of the block with the given ID and
@@ -40,19 +131,20 @@ func (g *CFG) MustPos(id int) int {
 // ComputeCFG builds the control-flow graph for f.
 func ComputeCFG(f *Func) *CFG {
 	n := len(f.Blocks)
-	// The search recomputes CFGs once per phase attempt (and more
-	// during cleanup), so storage is pooled into three allocations:
-	// the edge-list headers, one int array carrying the ID index and
-	// both CSR edge backings (a block has at most two successors), and
-	// the CFG itself.
+	// The search builds CFGs for most phase attempts (and more during
+	// cleanup), so storage is pooled into three allocations: the
+	// edge-list headers, one int array carrying the ID index and both
+	// CSR edge backings (a block has at most two successors), and the
+	// view together with its graph.
 	hdrs := make([][]int, 2*n)
 	buf := make([]int, f.NextBlockID+4*n)
-	g := &CFG{
-		F:     f,
-		Succs: hdrs[:n:n],
-		Preds: hdrs[n:],
-		index: buf[:f.NextBlockID:f.NextBlockID],
-	}
+	mem := new(struct {
+		view CFG
+		gr   graph
+	})
+	g := &mem.view
+	g.F, g.graph = f, &mem.gr
+	g.f, g.Succs, g.Preds, g.index = f, hdrs[:n:n], hdrs[n:], buf[:f.NextBlockID:f.NextBlockID]
 	for i := range g.index {
 		g.index[i] = -1
 	}
@@ -108,11 +200,18 @@ func ComputeCFG(f *Func) *CFG {
 			g.Preds[s] = append(g.Preds[s], i)
 		}
 	}
+	if Trace != nil {
+		Trace(BuiltCFG, g)
+	}
 	return g
 }
 
 // Reachable returns the set of layout positions reachable from entry.
-func (g *CFG) Reachable() []bool {
+// Like every analysis of the graph it is computed once and shared:
+// callers must not write to the result.
+func (g *CFG) Reachable() []bool { return g.reach.get(g.reachable) }
+
+func (g *CFG) reachable() []bool {
 	seen := make([]bool, len(g.Succs))
 	if len(seen) == 0 {
 		return seen
@@ -134,13 +233,10 @@ func (g *CFG) Reachable() []bool {
 
 // RPO returns the blocks' layout positions in reverse post-order from
 // the entry. Unreachable blocks are appended at the end in layout
-// order so analyses still cover them. The order is computed once per
-// CFG and cached — several analyses traverse the same snapshot, and
-// callers must not mutate the returned slice.
-func (g *CFG) RPO() []int {
-	if g.rpo != nil {
-		return g.rpo
-	}
+// order so analyses still cover them.
+func (g *CFG) RPO() []int { return g.rpo.get(g.rpoOrder) }
+
+func (g *CFG) rpoOrder() []int {
 	n := len(g.Succs)
 	seen := make([]bool, n)
 	arr := make([]int, 2*n)
@@ -167,7 +263,6 @@ func (g *CFG) RPO() []int {
 			order = append(order, b)
 		}
 	}
-	g.rpo = order
 	return order
 }
 

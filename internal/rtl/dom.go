@@ -4,7 +4,9 @@ package rtl
 // the iterative algorithm of Cooper, Harvey and Kennedy. idom[i] is the
 // layout position of the immediate dominator of block i; the entry
 // block is its own idom; unreachable blocks get idom -1.
-func (g *CFG) Dominators() []int {
+func (g *CFG) Dominators() []int { return g.idom.get(g.dominators) }
+
+func (g *CFG) dominators() []int {
 	n := len(g.Succs)
 	idom := make([]int, n)
 	for i := range idom {

@@ -105,6 +105,10 @@ type Func struct {
 	// matters.
 	blockStore []Block
 	instrStore []Instr
+
+	// snap is the analysis snapshot f owns (ShareAnalyses; snap.f == f)
+	// or, on a clone of an owner, has borrowed and not yet consumed.
+	snap *snapshot
 }
 
 // NewFunc returns an empty function with a single entry block.
@@ -235,7 +239,8 @@ func (f *Func) Clone() *Func { return f.CloneReusing(nil) }
 // frontier nodes) and pools them; reusing their arrays keeps the
 // per-attempt clone almost allocation-free. A nil scratch, or one
 // whose arrays are too small, falls back to fresh allocations.
-// scratch must not share storage with f.
+// scratch must not share storage with f. A clone of an instance that
+// is sharing its analyses (ShareAnalyses) borrows them (CFGOf).
 func (f *Func) CloneReusing(scratch *Func) *Func {
 	n := len(f.Blocks)
 	total := 0
@@ -273,6 +278,9 @@ func (f *Func) CloneReusing(scratch *Func) *Func {
 		EntryExitFixed: f.EntryExitFixed,
 		blockStore:     blocks,
 		instrStore:     instrs,
+	}
+	if f.snap != nil && f.snap.f == f {
+		nf.snap = f.snap
 	}
 	at := 0
 	for i, b := range f.Blocks {

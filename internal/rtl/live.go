@@ -139,6 +139,14 @@ type Liveness struct {
 	Out []RegSet
 }
 
+// Liveness returns the live-variable sets of the function the graph
+// was built from, as it stood at the first request — on a borrowed
+// view (CFGOf) that is the parent instance the clone still equals. A
+// caller that has rewritten instructions since uses ComputeLiveness.
+func (g *CFG) Liveness() *Liveness {
+	return g.live.get(func() *Liveness { return ComputeLiveness(&CFG{F: g.f, graph: g.graph}) })
+}
+
 // ComputeLiveness runs the standard backward iterative live-variable
 // analysis over the CFG. At a return, r0 is live when the function
 // yields a value (encoded by the Ret instruction's use of r0), and the
@@ -216,6 +224,9 @@ func ComputeLiveness(g *CFG) *Liveness {
 				changed = true
 			}
 		}
+	}
+	if Trace != nil {
+		Trace(BuiltLiveness, g)
 	}
 	return lv
 }

@@ -38,7 +38,9 @@ func (l *Loop) Exits(g *CFG) []int {
 // ordered by decreasing depth (innermost first), which is the order the
 // loop transformation phase processes them in ("ordered by loop nesting
 // level", Table 1).
-func (g *CFG) FindLoops() []*Loop {
+func (g *CFG) FindLoops() []*Loop { return g.loops.get(g.findLoops) }
+
+func (g *CFG) findLoops() []*Loop {
 	idom := g.Dominators()
 	reach := g.Reachable()
 	byHeader := make(map[int]*Loop)

@@ -2,6 +2,7 @@ package rtl_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -338,5 +339,110 @@ func TestRetargetBranches(t *testing.T) {
 	}
 	if f.Blocks[2].Last().Target != 3 {
 		t.Fatal("jump not retargeted")
+	}
+}
+
+// TestCFGOfBorrowsOnce pins the ownership rules of the analysis
+// snapshot: only a clone of a sharing instance borrows, the borrow is
+// a view bound to the clone over the owner's graph, it is consumed by
+// the first request, and neither a clone of a clone nor a clone made
+// after the owner dropped the snapshot has anything to borrow.
+func TestCFGOfBorrowsOnce(t *testing.T) {
+	var built, borrowed int
+	rtl.Trace = func(ev rtl.Event, _ *rtl.CFG) {
+		switch ev {
+		case rtl.BuiltCFG:
+			built++
+		case rtl.Borrowed:
+			borrowed++
+		}
+	}
+	defer func() { rtl.Trace = nil }()
+	events := func() (int, int) {
+		b, w := built, borrowed
+		built, borrowed = 0, 0
+		return b, w
+	}
+
+	f := diamond()
+	if g := rtl.CFGOf(f); g.F != f {
+		t.Fatal("a function with nothing to borrow got someone else's graph")
+	}
+	if b, w := events(); b != 1 || w != 0 {
+		t.Fatalf("unshared CFGOf: %d built, %d borrowed; want 1, 0", b, w)
+	}
+
+	f.ShareAnalyses()
+	c1, c2 := f.Clone(), f.Clone()
+	g1, g2 := rtl.CFGOf(c1), rtl.CFGOf(c2)
+	if b, w := events(); b != 1 || w != 2 {
+		t.Fatalf("two borrowers: %d built, %d borrowed; want the owner's graph built once, borrowed twice", b, w)
+	}
+	if g1.F != c1 || g2.F != c2 {
+		t.Fatal("a borrowed view is not bound to its clone")
+	}
+	if &g1.Succs[0] != &g2.Succs[0] || g1.Liveness() != g2.Liveness() || &g1.Dominators()[0] != &g2.Dominators()[0] {
+		t.Fatal("two views of one snapshot do not share edges and analyses")
+	}
+	// The view reads its own function: instruction rewrites made after
+	// the look are seen through g.F, never through the owner.
+	c1.Blocks[2].Instrs[0] = rtl.Instr{Op: rtl.OpRet, A: rtl.R(rtl.RegR0)}
+	if g1.FallsThrough(2) || !g2.FallsThrough(2) {
+		t.Fatal("FallsThrough did not read the clone the view is bound to")
+	}
+
+	rtl.CFGOf(c1)
+	if b, w := events(); b != 1 || w != 0 {
+		t.Fatalf("second request on a borrower: %d built, %d borrowed; want a fresh graph", b, w)
+	}
+	c3 := f.Clone()
+	c3.DropAnalyses()
+	rtl.CFGOf(c3)
+	rtl.CFGOf(c2.Clone())
+	if b, w := events(); b != 2 || w != 0 {
+		t.Fatalf("dropped borrow and clone of a clone: %d built, %d borrowed; want 2, 0", b, w)
+	}
+	f.DropAnalyses()
+	rtl.CFGOf(f.Clone())
+	if b, w := events(); b != 1 || w != 0 {
+		t.Fatalf("clone of a released owner: %d built, %d borrowed; want 1, 0", b, w)
+	}
+}
+
+// TestSnapshotSharedByConcurrentBorrowers has many goroutines clone one
+// sharing instance and ask for every analysis at once, the way a
+// level's workers attempt one frontier node. Each analysis must come
+// out the same object for all of them (computed once), and the race
+// detector must stay quiet.
+func TestSnapshotSharedByConcurrentBorrowers(t *testing.T) {
+	f := loopFunc()
+	f.ShareAnalyses()
+	const borrowers = 16
+	type seen struct {
+		lv    *rtl.Liveness
+		idom  *int
+		loops *rtl.Loop
+		reach *bool
+		rpo   *int
+	}
+	got := make([]seen, borrowers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c := f.Clone()
+			g := rtl.CFGOf(c)
+			got[i] = seen{g.Liveness(), &g.Dominators()[0], g.FindLoops()[0], &g.Reachable()[0], &g.RPO()[0]}
+			// A borrower owns its clone: writing to it is no one else's
+			// business.
+			c.Blocks[0].Instrs[0] = rtl.NewMov(rtl.RegR1, rtl.Imm(int32(i)))
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < borrowers; i++ {
+		if got[i] != got[0] {
+			t.Fatalf("borrower %d derived its own analyses: %+v vs %+v", i, got[i], got[0])
+		}
 	}
 }

@@ -1,11 +1,14 @@
 package search
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/fingerprint"
+	"repro/internal/machine"
 	"repro/internal/rtl"
 )
 
@@ -15,7 +18,9 @@ import (
 // could pin dead *rtl.Func clones (and their fingerprint buffers) for
 // the rest of the level. The ring's contract is that consuming a slot
 // clears it: after take, no pointer to the clone, buffer, equivalence
-// encoding or pending entry may remain reachable from the ring.
+// encoding or pending entry may remain reachable from the ring. The
+// attempt numbers are run-wide, as the engine's are: this one sits in
+// some later level, three laps and a bit into the run.
 func TestOutcomeRingClearsSlots(t *testing.T) {
 	r := newOutcomeRing()
 	fn := &rtl.Func{Name: "retained"}
@@ -23,7 +28,7 @@ func TestOutcomeRingClearsSlots(t *testing.T) {
 	defer fingerprint.PutBuffer(buf)
 	pend := &pendingNode{key: "k", id: -1}
 
-	const i = int64(5)
+	const i = int64(3*ringSize + 5)
 	r.put(i, outcome{active: true, fn: fn, buf: buf, equiv: []byte{1}, pend: pend})
 	if !r.ready(i) {
 		t.Fatal("published outcome not ready")
@@ -37,8 +42,8 @@ func TestOutcomeRingClearsSlots(t *testing.T) {
 		t.Fatal("ring slot retains outcome pointers after take")
 	}
 
-	// Slot reuse one lap later: the stale seq from lap 0 must not make
-	// the next occupant look published before its put.
+	// Slot reuse one lap later: the stale seq from the lap before must
+	// not make the next occupant look published before its put.
 	if r.ready(i + ringSize) {
 		t.Fatal("slot reads ready for the next lap before publication")
 	}
@@ -48,6 +53,169 @@ func TestOutcomeRingClearsSlots(t *testing.T) {
 	}
 	if got := r.take(i + ringSize); got.fn != fn {
 		t.Fatal("next-lap take returned the wrong outcome")
+	}
+}
+
+// levelSizes are the work sizes the ring's edges sit at: one attempt, a
+// wake-up batch give or take one, a full window give or take one, and
+// two laps and a bit.
+var levelSizes = []int{1, wakeBatch - 1, wakeBatch, wakeBatch + 1, ringSize - 1, ringSize + 1, 2*ringSize + 1}
+
+// TestOutcomeRingMarksNeverRepeatAcrossLevels is the reason slots are
+// addressed by run-wide attempt numbers now that one ring serves every
+// level: a level of n attempts leaves its publication marks behind, and
+// none of them may read as a publication of the level of m attempts
+// that follows. (Numbered per level, attempt 0 of the second level would
+// find attempt 0 of the first one's mark and commit a zeroed slot.)
+func TestOutcomeRingMarksNeverRepeatAcrossLevels(t *testing.T) {
+	for _, n := range levelSizes {
+		for _, m := range levelSizes {
+			r := newOutcomeRing()
+			base := int64(0)
+			for _, size := range []int{n, m} {
+				for i := int64(0); i < int64(size); i++ {
+					if r.ready(base + i) {
+						t.Fatalf("levels of %d then %d attempts: attempt %d of the level of %d reads published before its put", n, m, i, size)
+					}
+					r.put(base+i, outcome{active: true})
+					if !r.ready(base+i) || !r.take(base+i).active {
+						t.Fatalf("levels of %d then %d attempts: attempt %d of the level of %d lost", n, m, i, size)
+					}
+				}
+				base += int64(size)
+			}
+		}
+	}
+}
+
+// ringPhase is a synthetic phase for driving runLevel with work lists
+// of exact sizes: it sleeps, calls its hook, and is active (it prepends
+// a no-op, the same one every time, so all its children are one
+// instance) or dormant as told. Its ID gates nothing.
+type ringPhase struct {
+	sleep  time.Duration
+	hook   func()
+	active bool
+}
+
+func (ringPhase) ID() byte                { return 'z' }
+func (ringPhase) Name() string            { return "ring test phase" }
+func (ringPhase) RequiresRegAssign() bool { return false }
+func (p ringPhase) Apply(f *rtl.Func, _ *machine.Desc) bool {
+	time.Sleep(p.sleep)
+	if p.hook != nil {
+		p.hook()
+	}
+	if p.active {
+		f.Entry().Insert(0, rtl.Instr{Op: rtl.OpNop})
+	}
+	return p.active
+}
+
+// ringEngine seeds an engine on a one-instruction function and returns
+// it with its root, the node every synthetic attempt is made at.
+func ringEngine(workers int, ctx context.Context) (*engine, *Node) {
+	f := rtl.NewFunc("ring", 0, false)
+	f.Entry().Instrs = append(f.Entry().Instrs, rtl.Instr{Op: rtl.OpRet})
+	e := newRun(f, Options{Workers: workers, Ctx: ctx}, nil)
+	e.done = ctx.Done()
+	return e, e.frontier[0]
+}
+
+// runLevelOrStall runs one level of work through the live evaluator and
+// fails the test if the committer never finishes.
+func runLevelOrStall(t *testing.T, e *engine, work []attempt, what string) {
+	t.Helper()
+	finished := make(chan error, 1)
+	go func() { finished <- e.runLevel(work) }()
+	select {
+	case err := <-finished:
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	case <-time.After(2 * time.Minute):
+		t.Fatalf("%s: the level never finished — a published outcome the committer was not told of, or a worker stranded at the window", what)
+	}
+}
+
+// TestCommitterLivenessUnderBatching: workers tell the committer of
+// their outcomes once per wakeBatch, before they block on the window
+// and as they leave the level, and that has to be enough for every
+// outcome to be committed at every worker count and work size —
+// including when one attempt, the first or the last, is slow, so that
+// everyone else has published and left (or is parked at the window)
+// long before it. Each engine runs two such levels through its one
+// ring.
+func TestCommitterLivenessUnderBatching(t *testing.T) {
+	for _, workers := range []int{1, 2, 8, 64} {
+		for _, n := range levelSizes {
+			for _, slow := range []int{0, n - 1} {
+				what := fmt.Sprintf("workers=%d, %d attempts, attempt %d slow", workers, n, slow)
+				e, root := ringEngine(workers, context.Background())
+				wantEdges := 0
+				for level := 0; level < 2; level++ {
+					work := make([]attempt, n)
+					for i := range work {
+						p := ringPhase{active: i%3 == 0}
+						if i == slow {
+							p.sleep = 5 * time.Millisecond
+						}
+						if p.active {
+							wantEdges++
+						}
+						work[i] = attempt{root, p}
+					}
+					ring := e.ring
+					runLevelOrStall(t, e, work, what)
+					if e.res.Aborted {
+						t.Fatalf("%s: aborted: %s", what, e.res.AbortReason)
+					}
+					if len(root.Edges) != wantEdges {
+						t.Fatalf("%s: %d active outcomes committed after level %d, want %d", what, len(root.Edges), level, wantEdges)
+					}
+					if level == 1 && e.ring != ring {
+						t.Fatalf("%s: the second level got a ring of its own", what)
+					}
+				}
+				if e.ringBase != int64(2*n) {
+					t.Fatalf("%s: ringBase %d after two levels of %d", what, e.ringBase, n)
+				}
+			}
+		}
+	}
+}
+
+// TestCanceledLevelDrainsTheRing cancels a level half way through: the
+// level must still return (workers that leave early announce what they
+// had published), the result must be aborted, and every outcome that
+// was published but never committed must have been drained — its clone
+// and fingerprint buffer handed back to their pools — which shows as a
+// ring with no outcome left in any slot.
+func TestCanceledLevelDrainsTheRing(t *testing.T) {
+	for _, workers := range []int{1, 2, 8, 64} {
+		for _, n := range levelSizes[1:] {
+			what := fmt.Sprintf("workers=%d, %d attempts", workers, n)
+			ctx, cancel := context.WithCancel(context.Background())
+			e, root := ringEngine(workers, ctx)
+			work := make([]attempt, n)
+			for i := range work {
+				work[i] = attempt{root, ringPhase{active: true}}
+			}
+			// The first attempt holds the committer back while the
+			// others publish; the one in the middle pulls the plug.
+			work[0].phase = ringPhase{active: true, sleep: 5 * time.Millisecond}
+			work[n/2].phase = ringPhase{active: true, hook: cancel}
+			runLevelOrStall(t, e, work, what)
+			cancel()
+			if !e.res.Aborted {
+				t.Fatalf("%s: a level canceled half way was not aborted", what)
+			}
+			for i := range e.ring.slots {
+				if o := &e.ring.slots[i].o; o.fn != nil || o.buf != nil || o.pend != nil || o.active {
+					t.Fatalf("%s: slot %d still holds an outcome after the aborted level", what, i)
+				}
+			}
+		}
 	}
 }
 

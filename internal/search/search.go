@@ -390,6 +390,13 @@ type engine struct {
 	// frontier.
 	next  []*Node
 	start time.Time
+	// ring carries the live evaluator's outcomes from the workers to the
+	// committer, one ring for the whole run (allocated by the first live
+	// level; an oracle-only run never needs it). ringBase is how many
+	// attempts earlier levels put through it: a slot is addressed by the
+	// attempt's run-wide number, so no publication mark ever repeats.
+	ring     *outcomeRing
+	ringBase int64
 	// equivClasses is the third index tier (Options.Equiv): the
 	// gating-flags byte + equivalence-canonical encoding of every
 	// class representative, mapping to its node ID. Nil when the
@@ -757,7 +764,15 @@ func (e *engine) run() (*Result, error) {
 		levelSpan := ins.tracer.Begin("search.level", "search", 0)
 
 		e.next = nil
+		// While its attempts run, an instance is read-only and shares
+		// its analyses with the clones made of it (rtl.CFGOf).
+		for _, n := range frontier {
+			n.fn.ShareAnalyses()
+		}
 		err := e.eval(e, work)
+		for _, n := range frontier {
+			n.fn.DropAnalyses()
+		}
 		levelSpan.End(map[string]any{
 			"level": level, "frontier": len(frontier), "attempts": len(work), "nodes": len(res.Nodes),
 		})
@@ -834,7 +849,7 @@ type attempt struct {
 // the node — an active phase is never active twice in a row (Section
 // 4.1), so re-attempting it is pointless.
 func levelWork(frontier []*Node, phases []opt.Phase) []attempt {
-	var work []attempt
+	work := make([]attempt, 0, len(frontier)*len(phases))
 	for _, n := range frontier {
 		for _, p := range phases {
 			if opt.Enabled(p, n.State) && (len(n.Seq) == 0 || n.Seq[len(n.Seq)-1] != p.ID()) {
@@ -867,8 +882,8 @@ func (e *engine) checkAbort() bool {
 // pipelined worker pool (a mid-level abort marks the result aborted and
 // returns early). Workers claim attempts from a shared cursor,
 // evaluate them, probe (or park a pending entry in) the striped index,
-// and publish the outcome into a bounded ring; this goroutine is the
-// single committer, consuming outcomes strictly in attempt order. The
+// and publish the outcome into the run's bounded ring; this goroutine is
+// the single committer, consuming outcomes strictly in attempt order. The
 // in-order commit is what makes the space deterministic: node IDs are
 // assigned in first-committed-reference order, which is exactly the
 // serial engine's discovery order, independent of worker count and
@@ -887,14 +902,24 @@ func (e *engine) runLevel(work []attempt) error {
 		workers = len(work)
 	}
 
-	ring := newOutcomeRing()
+	if e.ring == nil {
+		e.ring = newOutcomeRing()
+	}
+	ring, base := e.ring, e.ringBase
+	e.ringBase += int64(len(work))
 	var claim, committed atomic.Int64
-	// notify wakes the committer after a publish; space wakes
-	// window-blocked workers after a commit. Both are best-effort
+	// notify wakes the committer to look for published outcomes; space
+	// wakes window-blocked workers after a commit. Both are best-effort
 	// (non-blocking sends into small buffers): a dropped notify means
 	// a wakeup is already pending, and a dropped space token means
 	// enough tokens for every blocked worker are already buffered.
 	notify := make(chan struct{}, 1)
+	wake := func() {
+		select {
+		case notify <- struct{}{}:
+		default:
+		}
+	}
 	space := make(chan struct{}, workers)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -905,7 +930,12 @@ func (e *engine) runLevel(work []attempt) error {
 		// lane 0 is the serial control lane.
 		go func(lane int) {
 			defer wg.Done()
-			for {
+			// A worker announces what it published once per wakeBatch
+			// outcomes, before it blocks on the window, and — whichever
+			// way it leaves the level — on its way out, so the committer
+			// never waits on an outcome nobody will tell it about.
+			defer wake()
+			for published := 0; ; {
 				i := claim.Add(1) - 1
 				if i >= int64(len(work)) {
 					return
@@ -914,6 +944,7 @@ func (e *engine) runLevel(work []attempt) error {
 				// a slot whose previous outcome is still uncommitted;
 				// wait for the window to advance.
 				for i-committed.Load() >= ringSize {
+					wake()
 					select {
 					case <-space:
 					case <-stop:
@@ -932,10 +963,9 @@ func (e *engine) runLevel(work []attempt) error {
 				default:
 				}
 				o := e.evaluate(work[i], lane)
-				ring.put(i, o)
-				select {
-				case notify <- struct{}{}:
-				default:
+				ring.put(base+i, o)
+				if published++; published%wakeBatch == 0 {
+					wake()
 				}
 			}
 		}(w + 1)
@@ -954,7 +984,7 @@ func (e *engine) runLevel(work []attempt) error {
 	total := int64(len(work))
 commitLoop:
 	for i := int64(0); i < total; i++ {
-		for !ring.ready(i) {
+		for !ring.ready(base + i) {
 			if e.checkAbort() {
 				break commitLoop
 			}
@@ -964,7 +994,7 @@ commitLoop:
 			case <-tickC:
 			}
 		}
-		o := ring.take(i)
+		o := ring.take(base + i)
 		committed.Store(i + 1)
 		select {
 		case space <- struct{}{}:
@@ -991,10 +1021,10 @@ commitLoop:
 			hi = total
 		}
 		for i := committed.Load(); i < hi; i++ {
-			if !ring.ready(i) {
+			if !ring.ready(base + i) {
 				continue // claimed but never published
 			}
-			o := ring.take(i)
+			o := ring.take(base + i)
 			putClone(o.fn)
 			if o.buf != nil {
 				fingerprint.PutBuffer(o.buf)
