@@ -88,7 +88,7 @@ func run() int {
 	workers := fs.Int("workers", runtime.NumCPU(), "enumeration pool size")
 	searchWorkers := fs.Int("search-workers", 0, "per-enumeration search parallelism cap; flights share a GOMAXPROCS CPU-token budget either way (0 = auto)")
 	queue := fs.Int("queue", 16, "pending-enumeration queue depth; overflow is shed with 429")
-	memEntries := fs.Int("mem", 64, "decoded spaces held in the in-memory LRU")
+	memEntries := fs.Int("mem", 64, "answers held in the in-memory LRU")
 	deadline := fs.Duration("deadline", 60*time.Second, "default per-request wait when the client sets no deadline_ms")
 	searchTimeout := fs.Duration("search-timeout", 0, "wall-time cap per enumeration (0 = unlimited)")
 	grace := fs.Duration("grace", 15*time.Second, "shutdown grace period for draining and checkpointing")

@@ -27,7 +27,7 @@ import (
 // parent plus one application of the edge's phase — literally what the
 // live tier evaluates — encoded by the same flow-sensitive encoder.
 //
-// Cost model: one harvest pass over full's keys, one edge probe per
+// Cost model: one harvest pass over full's nodes, one edge probe per
 // attempt, and at most one phase application per raw-distinct instance
 // (Equiv.Raw); dormant attempts and already-seen spellings cost a slot
 // read. opts supplies the caps and phase list of the equiv request (the
@@ -57,7 +57,7 @@ func DeriveEquiv(full *Result, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("search: derive-equiv: %w", err)
 	}
-	res := &Result{FuncName: full.FuncName, root: full.root, opts: oracleOptions(opts), keys: newKeyStore()}
+	res := &Result{FuncName: full.FuncName, root: full.root, opts: oracleOptions(opts)}
 	e := newEngine(res, oracle.level, time.Now())
 	e.prior = full.Elapsed
 
@@ -66,7 +66,7 @@ func DeriveEquiv(full *Result, opts Options) (*Result, error) {
 	// into a class resolves to the class node from then on. A node's
 	// instance is its class representative's — the one the live equiv
 	// run would retain and expand.
-	src, slot := full.Nodes[0], &oracle.nodes[ids[0]].pendingNode
+	src, slot := full.Nodes[0], &oracle.nodes[ids[0]].slot
 	fn := full.root.Clone()
 	e.seedRoot(&outcome{fn: fn, fp: src.FP, st: src.State, cf: src.CFKey, checkErr: src.CheckErr,
 		equiv: dataflow.EquivEncode(nil, fn)}, slot.key)

@@ -33,38 +33,23 @@ func synthKeys(n int) ([][]byte, []fingerprint.FP) {
 	return keys, fps
 }
 
-// BenchmarkDedupIndex measures the two-tier index in isolation, the
-// operation the merge loop performs once per active attempt. "miss"
-// probes a fresh key and inserts it (the new-node path); "hit" probes
-// keys already present (the duplicate-merge path); "hit-retired"
-// repeats the hits after the keys' levels were compressed, paying the
-// blob decompression on the first compare of each run.
+// BenchmarkDedupIndex measures the one-map index in isolation, the
+// operation a worker performs once per active attempt. "miss" resolves
+// fresh keys, each parking its slot (the new-node path); "hit" resolves
+// keys whose slots are already there (the duplicate-merge path),
+// however long ago they were parked.
 func BenchmarkDedupIndex(b *testing.B) {
 	const n = 4096
 	keys, fps := synthKeys(n)
 	const flags = byte(0x05)
 
-	build := func() (*dedupIndex, *keyStore) {
-		ks := newKeyStore()
-		d := newDedupIndex(ks)
-		for i, k := range keys {
-			ks.put(i, string(flags)+string(k))
-			d.insert(flags, fps[i], i)
-		}
-		return d, ks
-	}
-
 	b.Run("miss", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			ks := newKeyStore()
-			d := newDedupIndex(ks)
-			b.StartTimer()
+			d := newDedupIndex()
 			for j, k := range keys {
-				if _, ok := d.lookup(flags, fps[j], k); !ok {
-					ks.put(j, string(flags)+string(k))
-					d.insert(flags, fps[j], j)
+				if p := d.resolve(flags, fps[j], k); p.id >= 0 {
+					b.Fatalf("resolve(%d) found a committed slot in an empty index", j)
 				}
 			}
 		}
@@ -72,39 +57,16 @@ func BenchmarkDedupIndex(b *testing.B) {
 	})
 
 	b.Run("hit", func(b *testing.B) {
-		d, _ := build()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j, k := range keys {
-				if id, ok := d.lookup(flags, fps[j], k); !ok || id != j {
-					b.Fatalf("lookup(%d) = %d, %v", j, id, ok)
-				}
-			}
-		}
-		b.ReportMetric(float64(n), "probes/op")
-	})
-
-	b.Run("hit-retired", func(b *testing.B) {
-		d, ks := build()
-		// Retire the whole corpus in level-sized ranges so hits pay the
-		// second-tier compare against compressed storage.
-		ks.noteLevel(0)
-		for s := n / 4; s <= n; s += n / 4 {
-			ks.noteLevel(s)
-		}
-		for i := 0; i <= keyRetireWindow; i++ {
-			ks.noteLevel(n)
-		}
-		if len(ks.live) != 0 {
-			b.Fatalf("%d keys still live", len(ks.live))
+		d := newDedupIndex()
+		for i, k := range keys {
+			d.insert(string(flags)+string(k), fps[i], i)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for j, k := range keys {
-				if id, ok := d.lookup(flags, fps[j], k); !ok || id != j {
-					b.Fatalf("lookup(%d) = %d, %v", j, id, ok)
+				if p := d.resolve(flags, fps[j], k); p.id != int32(j) {
+					b.Fatalf("resolve(%d) = %+v", j, p)
 				}
 			}
 		}

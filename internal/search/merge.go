@@ -2,7 +2,6 @@ package search
 
 import (
 	"fmt"
-	"hash/crc32"
 	"slices"
 	"strconv"
 	"strings"
@@ -25,23 +24,23 @@ import (
 // Byte identity with a serial run needs no argument beyond that: the
 // answers are the same and everything done with them is the same code.
 //
-// Cost model: harvesting reads each input's keys in one ascending pass
-// (every retired key blob inflated once) and interns them into dense
-// ids; answering then costs one edge probe per attempt, and its dedup
-// slot is the interned instance itself. No cloning, no phase
-// application, no key bytes touched again.
+// Cost model: harvesting interns each input node's key (a map probe on
+// the node's own string, nothing copied) into dense ids; answering then
+// costs one edge probe per attempt, and its dedup slot is the interned
+// instance itself. No cloning, no phase application, no key bytes
+// touched again.
 
 // oracleNode is what the inputs recorded about one distinct instance:
 // its canonical key, the first input node that carried it (the facts
 // the run answered from it creates its node with) and, once some input
 // expanded it, the outcome of every phase that was active there.
 type oracleNode struct {
-	// pendingNode is the instance's dedup slot, the same one the striped
-	// index parks for a live discovery: key is the flags byte + canonical
+	// slot is the instance's dedup slot, the same type the striped index
+	// parks for a live discovery: key is the flags byte + canonical
 	// encoding, id the result node this instance resolved to — as
 	// itself, or folded into an equivalence class — and -1 until the run
 	// discovers it. An oracle serves one run.
-	pendingNode
+	slot
 	src      *Node
 	expanded bool
 	edges    []oracleEdge // a phase without one was dormant
@@ -77,19 +76,17 @@ type attemptOracle struct {
 }
 
 // intern returns the dense id of n's instance, registering it on first
-// sight. key arrives from disk or the wire: it must carry n's gating
-// flags and checksum to n's fingerprint, and a re-sighting must repeat
-// the recorded facts.
-func (o *attemptOracle) intern(key []byte, n *Node) (int32, error) {
-	if len(key) == 0 || key[0] != stateBits(n.State) || crc32.ChecksumIEEE(key[1:]) != n.FP.CRC || n.FP.Count != n.NumInstrs {
-		return 0, fmt.Errorf("search: node %d (seq %q): canonical key does not match its state and fingerprint", n.ID, n.Seq)
+// sight. n arrives from disk or the wire: its key must hold up
+// (checkKey), and a re-sighting must repeat the recorded facts.
+func (o *attemptOracle) intern(n *Node) (int32, error) {
+	if err := checkKey(n, []byte(n.key)); err != nil {
+		return 0, err
 	}
-	id, ok := o.ids[string(key)]
+	id, ok := o.ids[n.key]
 	if !ok {
 		id = int32(len(o.nodes))
-		k := string(key)
-		o.ids[k] = id
-		o.nodes = append(o.nodes, oracleNode{pendingNode: pendingNode{key: k, id: -1}, src: n})
+		o.ids[n.key] = id
+		o.nodes = append(o.nodes, oracleNode{slot: slot{key: n.key, id: -1}, src: n})
 	} else if s := o.nodes[id].src; s.FP != n.FP || s.CFKey != n.CFKey || s.CheckErr != n.CheckErr {
 		return 0, fmt.Errorf("search: node %d (seq %q): inputs disagree about its instance", n.ID, n.Seq)
 	}
@@ -102,16 +99,15 @@ func (o *attemptOracle) intern(key []byte, n *Node) (int32, error) {
 // become the instance's oracle edges; phases with no edge were dormant
 // there.
 func (o *attemptOracle) harvest(res *Result, expanded func(id int) bool) ([]int32, error) {
-	keys := res.keys.all()
 	if o.ids == nil {
-		o.ids = make(map[string]int32, len(keys))
+		o.ids = make(map[string]int32, len(res.Nodes))
 	}
-	ids := make([]int32, len(keys))
+	ids := make([]int32, len(res.Nodes))
 	for i, n := range res.Nodes {
 		ids[i] = -1
 		if n.Quarantine == "" {
 			var err error
-			if ids[i], err = o.intern(keys[i], n); err != nil {
+			if ids[i], err = o.intern(n); err != nil {
 				return nil, err
 			}
 		}
@@ -175,7 +171,7 @@ func (o *attemptOracle) level(e *engine, work []attempt) error {
 		default:
 			on := &o.nodes[edge.to]
 			s := on.src
-			out = outcome{active: true, pend: &on.pendingNode, fp: s.FP, st: s.State, cf: s.CFKey, checkErr: s.CheckErr}
+			out = outcome{active: true, slot: &on.slot, fp: s.FP, st: s.State, cf: s.CFKey, checkErr: s.CheckErr}
 			if e.res.Equiv != nil && on.id < 0 {
 				// A first-seen instance needs its equivalence class key,
 				// so make it real: clone the parent and apply the edge's
@@ -300,24 +296,16 @@ func replayMerge(base *Result, oracle *attemptOracle, baseIDs []int32) (*Result,
 		AttemptedPhases: base.AttemptedPhases,
 		root:            base.root,
 		opts:            oracleOptions(base.opts),
-		keys:            newKeyStore(),
 	}
 	res.Nodes = make([]*Node, 0, len(base.Nodes))
 	for i, n := range base.Nodes {
 		m := *n
 		m.fn = nil
 		res.Nodes = append(res.Nodes, &m)
-		if baseIDs[i] < 0 {
-			res.keys.put(i, "Q"+m.Seq)
-			continue
+		if baseIDs[i] >= 0 {
+			oracle.nodes[baseIDs[i]].id = int32(i)
 		}
-		on := &oracle.nodes[baseIDs[i]]
-		res.keys.put(i, on.key)
-		on.id = int32(i)
 	}
-	// Retire the copied keys as Load does; the run's retirement then
-	// continues seamlessly past the base table.
-	res.keys.retireByLevel(res.Nodes)
 	oracle.iid = slices.Clone(baseIDs)
 	e := newEngine(res, oracle.level, time.Now())
 	e.prior = base.Elapsed

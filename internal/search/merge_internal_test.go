@@ -1,7 +1,6 @@
 package search
 
 import (
-	"bytes"
 	"hash/crc32"
 	"strconv"
 	"strings"
@@ -9,15 +8,14 @@ import (
 	"time"
 
 	"repro/internal/fingerprint"
-	"repro/internal/mibench"
 	"repro/internal/opt"
 )
 
 // instanceNode fabricates a node whose key passes the oracle's intake
 // validation: flags byte matching State, CRC matching FP.
-func instanceNode(id int, seq, enc string) (*Node, string) {
-	return &Node{ID: id, Level: len(seq), Seq: seq, NumInstrs: 3,
-		FP: fingerprint.FP{Count: 3, CRC: crc32.ChecksumIEEE([]byte(enc))}}, "\x00" + enc
+func instanceNode(id int, seq, enc string) *Node {
+	return &Node{ID: id, Level: len(seq), Seq: seq, NumInstrs: 3, key: "\x00" + enc,
+		FP: fingerprint.FP{Count: 3, CRC: crc32.ChecksumIEEE([]byte(enc))}}
 }
 
 // TestHarvestQuarantineSeqTemplate checks the quarantine-message
@@ -27,13 +25,11 @@ func instanceNode(id int, seq, enc string) (*Node, string) {
 // (making the shards' records compare equal) and the replay
 // re-substitutes the serial sequence.
 func TestHarvestQuarantineSeqTemplate(t *testing.T) {
-	res := &Result{FuncName: "f", keys: newKeyStore()}
-	parent, pkey := instanceNode(0, "kc", "parent-encoding")
+	res := &Result{FuncName: "f"}
+	parent := instanceNode(0, "kc", "parent-encoding")
 	msg := "watchdog: phase s at " + strconv.Quote("kc") + " still running after 1s"
 	parent.Edges = []Edge{{Phase: 's', To: 1}}
-	res.Nodes = []*Node{parent, {ID: 1, Level: 3, Seq: "kcs", Quarantine: msg}}
-	res.keys.put(0, pkey)
-	res.keys.put(1, "Qkcs")
+	res.Nodes = []*Node{parent, {ID: 1, Level: 3, Seq: "kcs", Quarantine: msg, key: "Qkcs"}}
 
 	o := &attemptOracle{}
 	ids, err := o.harvest(res, func(int) bool { return true })
@@ -54,7 +50,7 @@ func TestHarvestQuarantineSeqTemplate(t *testing.T) {
 	// The answering side: re-embedding a different (serial) parent
 	// sequence reconstructs the message the serial run would have
 	// recorded, on the node the shared commit path creates.
-	run := &Result{FuncName: "f", keys: newKeyStore(), Nodes: []*Node{a.node}}
+	run := &Result{FuncName: "f", Nodes: []*Node{a.node}}
 	run.opts.fill()
 	o.iid = []int32{ids[0]}
 	if err := o.level(newEngine(run, o.level, time.Now()), []attempt{a}); err != nil {
@@ -74,20 +70,14 @@ func TestHarvestQuarantineSeqTemplate(t *testing.T) {
 // that disagree about an instance's facts or phase outcomes are each
 // rejected with an error.
 func TestOracleHarvestConsistency(t *testing.T) {
-	space := func(pseq, cseq string, mutate func(parent, child *Node, keys []string)) *Result {
-		res := &Result{keys: newKeyStore()}
-		parent, pkey := instanceNode(0, pseq, "parent")
-		child, ckey := instanceNode(1, cseq, "child")
+	space := func(pseq, cseq string, mutate func(parent, child *Node)) *Result {
+		parent := instanceNode(0, pseq, "parent")
+		child := instanceNode(1, cseq, "child")
 		parent.Edges = []Edge{{Phase: 's', To: 1}}
-		keys := []string{pkey, ckey}
 		if mutate != nil {
-			mutate(parent, child, keys)
+			mutate(parent, child)
 		}
-		res.Nodes = []*Node{parent, child}
-		for i, k := range keys {
-			res.keys.put(i, k)
-		}
-		return res
+		return &Result{Nodes: []*Node{parent, child}}
 	}
 	all := func(int) bool { return true }
 	o := &attemptOracle{}
@@ -105,13 +95,13 @@ func TestOracleHarvestConsistency(t *testing.T) {
 	if _, err := o.attemptAt(first[1], attempt{&Node{}, opt.ByID('k')}); err != nil {
 		t.Fatalf("an expanded leaf must answer dormant, got %v", err)
 	}
-	for name, mutate := range map[string]func(parent, child *Node, keys []string){
-		"conflicting facts":   func(_, child *Node, _ []string) { child.NumInstrs = 4 },
-		"conflicting outcome": func(parent, _ *Node, _ []string) { parent.Edges[0].Phase = 'k' },
-		"corrupt key":         func(_, _ *Node, keys []string) { keys[1] = "\x00chilD" },
-		"wrong state flags":   func(_, _ *Node, keys []string) { keys[1] = "\x01child" },
-		"empty key":           func(_, _ *Node, keys []string) { keys[1] = "" },
-		"unknown phase":       func(parent, _ *Node, _ []string) { parent.Edges[0].Phase = 1 },
+	for name, mutate := range map[string]func(parent, child *Node){
+		"conflicting facts":   func(_, child *Node) { child.NumInstrs = 4 },
+		"conflicting outcome": func(parent, _ *Node) { parent.Edges[0].Phase = 'k' },
+		"corrupt key":         func(_, child *Node) { child.key = "\x00chilD" },
+		"wrong state flags":   func(_, child *Node) { child.key = "\x01child" },
+		"empty key":           func(_, child *Node) { child.key = "" },
+		"unknown phase":       func(parent, _ *Node) { parent.Edges[0].Phase = 1 },
 	} {
 		if _, err := o.harvest(space("k", "ks", mutate), all); err == nil {
 			t.Errorf("%s accepted", name)
@@ -129,85 +119,4 @@ func TestOracleHarvestConsistency(t *testing.T) {
 	if _, err := lone.attemptAt(ids[1], attempt{&Node{Seq: "ks"}, opt.ByID('k')}); err == nil {
 		t.Fatal("an unexpanded instance answered as a leaf")
 	}
-}
-
-// wire round-trips a result through Save and Load, the way every shard
-// reaches the coordinator: all of its keys come back retired.
-func wire(t *testing.T, r *Result) *Result {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := r.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return loaded
-}
-
-// TestReassemblyInflatesEachBlobOnce is the exact-count form of the
-// linear-time claim: harvesting a fully retired multi-level space
-// inflates each of its key blobs once, a merge inflates each input
-// blob once and nothing in the space it builds, and a derivation reads
-// its source the same way.
-func TestReassemblyInflatesEachBlobOnce(t *testing.T) {
-	p, err := mibench.ByName("jpeg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := p.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := prog.Func("get_code")
-	const k = 2
-	base := Run(f, Options{StopAtFrontier: k})
-	if base.Aborted || base.Checkpoint == nil {
-		t.Fatalf("warmup did not pause (aborted=%v)", base.Aborted)
-	}
-	docs, ids, err := PartitionCheckpoint(base, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned := func(what string, r *Result, want int) {
-		t.Helper()
-		if r.keys.inflations > want {
-			t.Errorf("%s: %d blob inflations, want at most %d (one per blob)", what, r.keys.inflations, want)
-		}
-	}
-	shards := make([]ShardSpace, k)
-	for i, doc := range docs {
-		loaded, err := Load(bytes.NewReader(doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		done, err := Resume(loaded, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards[i] = ShardSpace{Res: wire(t, done), FrontierIDs: ids[i]}
-		if n := len(shards[i].Res.keys.blobs); n < 10 {
-			t.Fatalf("shard %d has %d key blobs; the test needs a deep space", i, n)
-		}
-		pinned("loaded shard", shards[i].Res, 0)
-	}
-	baseBefore := base.keys.inflations
-	merged, err := MergeShards(base, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sh := range shards {
-		pinned("merged shard", sh.Res, len(sh.Res.keys.blobs))
-	}
-	pinned("merge base", base, baseBefore+len(base.keys.blobs))
-	pinned("merged space", merged, 0)
-
-	full := wire(t, merged)
-	derived, err := DeriveEquiv(full, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned("derive source", full, len(full.keys.blobs))
-	pinned("derived space", derived, 0)
 }

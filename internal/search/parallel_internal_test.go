@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/fingerprint"
 	"repro/internal/machine"
@@ -18,27 +19,30 @@ import (
 // could pin dead *rtl.Func clones (and their fingerprint buffers) for
 // the rest of the level. The ring's contract is that consuming a slot
 // clears it: after take, no pointer to the clone, buffer, equivalence
-// encoding or pending entry may remain reachable from the ring. The
+// encoding or dedup slot may remain reachable from the ring. The
 // attempt numbers are run-wide, as the engine's are: this one sits in
 // some later level, three laps and a bit into the run.
 func TestOutcomeRingClearsSlots(t *testing.T) {
-	r := newOutcomeRing()
+	if sz := unsafe.Sizeof(outcomeSlot{}); sz > 128 {
+		t.Errorf("a ring slot is %d bytes; the ring's sizes (8 KiB at least, 512 KiB at most) are stated for 128", sz)
+	}
+	r := newOutcomeRing(ringSize)
 	fn := &rtl.Func{Name: "retained"}
 	buf := fingerprint.GetBuffer()
 	defer fingerprint.PutBuffer(buf)
-	pend := &pendingNode{key: "k", id: -1}
+	parked := &slot{key: "k", id: -1}
 
 	const i = int64(3*ringSize + 5)
-	r.put(i, outcome{active: true, fn: fn, buf: buf, equiv: []byte{1}, pend: pend})
+	r.put(i, outcome{active: true, fn: fn, buf: buf, equiv: []byte{1}, slot: parked})
 	if !r.ready(i) {
 		t.Fatal("published outcome not ready")
 	}
 	o := r.take(i)
-	if o.fn != fn || o.buf != buf || o.pend != pend {
+	if o.fn != fn || o.buf != buf || o.slot != parked {
 		t.Fatal("take returned a different outcome than was published")
 	}
-	s := &r.slots[i&(ringSize-1)]
-	if s.o.fn != nil || s.o.buf != nil || s.o.equiv != nil || s.o.pend != nil || s.o.active {
+	s := r.at(i)
+	if s.o.fn != nil || s.o.buf != nil || s.o.equiv != nil || s.o.slot != nil || s.o.active {
 		t.Fatal("ring slot retains outcome pointers after take")
 	}
 
@@ -57,33 +61,56 @@ func TestOutcomeRingClearsSlots(t *testing.T) {
 }
 
 // levelSizes are the work sizes the ring's edges sit at: one attempt, a
-// wake-up batch give or take one, a full window give or take one, and
-// two laps and a bit.
-var levelSizes = []int{1, wakeBatch - 1, wakeBatch, wakeBatch + 1, ringSize - 1, ringSize + 1, 2*ringSize + 1}
+// wake-up batch give or take one, the smallest ring give or take one, a
+// full window give or take one, and two laps and a bit.
+var levelSizes = []int{1, wakeBatch - 1, wakeBatch, wakeBatch + 1, minRingSize - 1, minRingSize + 1, ringSize - 1, ringSize + 1, 2*ringSize + 1}
 
-// TestOutcomeRingMarksNeverRepeatAcrossLevels is the reason slots are
-// addressed by run-wide attempt numbers now that one ring serves every
-// level: a level of n attempts leaves its publication marks behind, and
-// none of them may read as a publication of the level of m attempts
-// that follows. (Numbered per level, attempt 0 of the second level would
-// find attempt 0 of the first one's mark and commit a zeroed slot.)
-func TestOutcomeRingMarksNeverRepeatAcrossLevels(t *testing.T) {
+// levelSeqs are runs of levels through one ring: every size twice (the
+// second level finds the first one's marks), every size after every
+// other, and a space that keeps outgrowing its ring until the ring is
+// as large as it gets.
+func levelSeqs() [][]int {
+	seqs := [][]int{{minRingSize - 1, minRingSize + 1, ringSize + 1, 2*ringSize + 1, 1}}
 	for _, n := range levelSizes {
 		for _, m := range levelSizes {
-			r := newOutcomeRing()
-			base := int64(0)
-			for _, size := range []int{n, m} {
-				for i := int64(0); i < int64(size); i++ {
-					if r.ready(base + i) {
-						t.Fatalf("levels of %d then %d attempts: attempt %d of the level of %d reads published before its put", n, m, i, size)
-					}
-					r.put(base+i, outcome{active: true})
-					if !r.ready(base+i) || !r.take(base+i).active {
-						t.Fatalf("levels of %d then %d attempts: attempt %d of the level of %d lost", n, m, i, size)
-					}
+			seqs = append(seqs, []int{n, m})
+		}
+	}
+	return seqs
+}
+
+// TestOutcomeRingMarksNeverRepeatAcrossLevels is the reason slots are
+// addressed by run-wide attempt numbers now that one ring serves a run's
+// levels: a level of n attempts leaves its publication marks behind, and
+// none of them may read as a publication of the level of m attempts
+// that follows. (Numbered per level, attempt 0 of the second level would
+// find attempt 0 of the first one's mark and commit a zeroed slot.) A
+// level that outgrows the ring gets a larger, fresh one, whose zero
+// marks must not read as published either.
+func TestOutcomeRingMarksNeverRepeatAcrossLevels(t *testing.T) {
+	for _, seq := range levelSeqs() {
+		var r *outcomeRing
+		base := int64(0)
+		for _, size := range seq {
+			if !r.fits(size) {
+				if r != nil && len(r.slots) >= size {
+					t.Fatalf("levels of %v attempts: a ring of %d slots replaced for a level of %d", seq, len(r.slots), size)
 				}
-				base += int64(size)
+				r = newOutcomeRing(size)
 			}
+			if n := len(r.slots); n&(n-1) != 0 || n < minRingSize || n > ringSize || (n < size && n < ringSize) {
+				t.Fatalf("levels of %v attempts: a ring of %d slots carries the level of %d", seq, n, size)
+			}
+			for i := int64(0); i < int64(size); i++ {
+				if r.ready(base + i) {
+					t.Fatalf("levels of %v attempts: attempt %d of the level of %d reads published before its put", seq, i, size)
+				}
+				r.put(base+i, outcome{active: true})
+				if !r.ready(base+i) || !r.take(base+i).active {
+					t.Fatalf("levels of %v attempts: attempt %d of the level of %d lost", seq, i, size)
+				}
+			}
+			base += int64(size)
 		}
 	}
 }
@@ -144,20 +171,24 @@ func runLevelOrStall(t *testing.T, e *engine, work []attempt, what string) {
 // outcome to be committed at every worker count and work size —
 // including when one attempt, the first or the last, is slow, so that
 // everyone else has published and left (or is parked at the window)
-// long before it. Each engine runs two such levels through its one
-// ring.
+// long before it. Each engine runs several such levels through its
+// ring, which is replaced only for a level that outgrows it.
 func TestCommitterLivenessUnderBatching(t *testing.T) {
+	seqs := [][]int{{minRingSize - 1, minRingSize + 1, ringSize + 1}}
+	for _, n := range levelSizes {
+		seqs = append(seqs, []int{n, n})
+	}
 	for _, workers := range []int{1, 2, 8, 64} {
-		for _, n := range levelSizes {
-			for _, slow := range []int{0, n - 1} {
-				what := fmt.Sprintf("workers=%d, %d attempts, attempt %d slow", workers, n, slow)
+		for _, seq := range seqs {
+			for _, slowLast := range []bool{false, true} {
+				what := fmt.Sprintf("workers=%d, levels of %v attempts, last attempt slow: %v", workers, seq, slowLast)
 				e, root := ringEngine(workers, context.Background())
-				wantEdges := 0
-				for level := 0; level < 2; level++ {
+				wantEdges, wantBase := 0, 0
+				for level, n := range seq {
 					work := make([]attempt, n)
 					for i := range work {
 						p := ringPhase{active: i%3 == 0}
-						if i == slow {
+						if (i == 0 && !slowLast) || (i == n-1 && slowLast) {
 							p.sleep = 5 * time.Millisecond
 						}
 						if p.active {
@@ -173,12 +204,13 @@ func TestCommitterLivenessUnderBatching(t *testing.T) {
 					if len(root.Edges) != wantEdges {
 						t.Fatalf("%s: %d active outcomes committed after level %d, want %d", what, len(root.Edges), level, wantEdges)
 					}
-					if level == 1 && e.ring != ring {
-						t.Fatalf("%s: the second level got a ring of its own", what)
+					if ring.fits(n) != (e.ring == ring) {
+						t.Fatalf("%s: level %d: a ring of %d slots followed one of %d", what, level, len(e.ring.slots), len(ring.slots))
 					}
+					wantBase += n
 				}
-				if e.ringBase != int64(2*n) {
-					t.Fatalf("%s: ringBase %d after two levels of %d", what, e.ringBase, n)
+				if e.ringBase != int64(wantBase) {
+					t.Fatalf("%s: ringBase %d after levels of %v", what, e.ringBase, seq)
 				}
 			}
 		}
@@ -211,7 +243,7 @@ func TestCanceledLevelDrainsTheRing(t *testing.T) {
 				t.Fatalf("%s: a level canceled half way was not aborted", what)
 			}
 			for i := range e.ring.slots {
-				if o := &e.ring.slots[i].o; o.fn != nil || o.buf != nil || o.pend != nil || o.active {
+				if o := &e.ring.slots[i].o; o.fn != nil || o.buf != nil || o.slot != nil || o.active {
 					t.Fatalf("%s: slot %d still holds an outcome after the aborted level", what, i)
 				}
 			}
@@ -224,14 +256,14 @@ func TestCanceledLevelDrainsTheRing(t *testing.T) {
 // collisions so every key lands in one stripe's one bucket — the
 // worst case for both the second-tier byte compare and the stripe
 // lock. Several goroutines concurrently resolve a mix of committed
-// keys (must return the committed ID) and fresh keys (all resolvers
-// of one key must converge on a single pending entry); the serial
-// commit + promote then files the survivors, including one entry
-// committed as an equivalence alias, and the committed tiers must
-// resolve every spelling afterwards.
+// keys (must return the committed slot) and fresh keys (all resolvers
+// of one key must converge on a single slot); the serial commit then
+// gives the survivors their IDs, one of them its equivalence class's,
+// and with no further step every spelling resolves to its committed
+// slot, while a slot nobody committed — its level was canceled — still
+// resolves to itself and has no ID.
 func TestStripedIndexForcedCollisionConcurrent(t *testing.T) {
-	ks := newKeyStore()
-	d := newDedupIndex(ks)
+	d := newDedupIndex()
 	const flags = byte(0x05)
 	fp := fingerprint.FP{Count: 7, ByteSum: 4242, CRC: 0xFEEDBEEF}
 
@@ -240,8 +272,7 @@ func TestStripedIndexForcedCollisionConcurrent(t *testing.T) {
 		[]byte("committed-instance-1"),
 	}
 	for i, k := range committedKeys {
-		ks.put(i, string(flags)+string(k))
-		d.insert(flags, fp, i)
+		d.insert(string(flags)+string(k), fp, i)
 	}
 	freshKeys := make([][]byte, 8)
 	for j := range freshKeys {
@@ -249,92 +280,93 @@ func TestStripedIndexForcedCollisionConcurrent(t *testing.T) {
 	}
 
 	const workers = 8
-	pends := make([][]*pendingNode, len(freshKeys))
-	for j := range pends {
-		pends[j] = make([]*pendingNode, workers)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i, k := range committedKeys {
-				dup, pend := d.resolve(flags, fp, k)
-				if pend != nil || dup != int32(i) {
-					t.Errorf("worker %d: resolve(committed %d) = (%d, %v); want (%d, nil)", w, i, dup, pend, i)
+	// level has every worker probe every key, the way a level's attempts
+	// do, and hands back the slots each was answered with. Workers never
+	// read id: the answers are checked after the level, on the serial
+	// side.
+	level := func() (committed, fresh [][]*slot) {
+		committed, fresh = make([][]*slot, workers), make([][]*slot, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			committed[w], fresh[w] = make([]*slot, len(committedKeys)), make([]*slot, len(freshKeys))
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i, k := range committedKeys {
+					committed[w][i] = d.resolve(flags, fp, k)
 				}
-			}
-			// Walk the fresh keys in a per-worker order so entry
-			// creations and re-probes of the same key interleave.
-			for off := 0; off < len(freshKeys); off++ {
-				j := (off + w) % len(freshKeys)
-				dup, pend := d.resolve(flags, fp, freshKeys[j])
-				if pend == nil {
-					t.Errorf("worker %d: resolve(fresh %d) returned committed id %d", w, j, dup)
-					continue
+				// Walk the fresh keys in a per-worker order so slot
+				// creations and re-probes of the same key interleave.
+				for off := 0; off < len(freshKeys); off++ {
+					j := (off + w) % len(freshKeys)
+					fresh[w][j] = d.resolve(flags, fp, freshKeys[j])
 				}
-				pends[j][w] = pend
-			}
-		}(w)
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
+			}(w)
+		}
+		wg.Wait()
+		return committed, fresh
 	}
 
-	// Every resolver of one key must have been handed the same pending
-	// entry — two entries for one key would split a node in two.
-	for j := range pends {
-		for w := 1; w < workers; w++ {
-			if pends[j][w] != pends[j][0] {
-				t.Fatalf("fresh key %d: workers 0 and %d hold distinct pending entries", j, w)
+	committed, fresh := level()
+	for w := 0; w < workers; w++ {
+		for i, p := range committed[w] {
+			if p.id != int32(i) {
+				t.Fatalf("worker %d: resolve(committed %d) = %+v; want node %d's slot", w, i, p, i)
+			}
+		}
+		// Every resolver of one key must have been handed the same slot
+		// — two slots for one key would split a node in two.
+		for j, p := range fresh[w] {
+			if p != fresh[0][j] || p.id != -1 {
+				t.Fatalf("fresh key %d: worker %d holds slot %+v, worker 0 %+v", j, w, p, fresh[0][j])
 			}
 		}
 	}
 
 	// Serial commit in "attempt order": the first fresh key folds into
-	// committed node 0 as an equivalence alias, the rest become nodes.
+	// committed node 0's equivalence class, the last is never committed
+	// (the level was canceled before its turn), the rest become nodes.
 	nextID := int32(len(committedKeys))
-	aliased := pends[0][0]
-	aliased.id, aliased.alias = 0, true
-	for j := 1; j < len(freshKeys); j++ {
-		p := pends[j][0]
-		ks.put(int(nextID), p.key)
-		p.id = nextID
-		nextID++
-	}
-	d.promote()
-
-	if id, ok := d.lookup(flags, fp, freshKeys[0]); !ok || id != 0 {
-		t.Fatalf("aliased spelling resolves to (%d, %v); want the class node (0, true)", id, ok)
-	}
-	for j := 1; j < len(freshKeys); j++ {
-		want := len(committedKeys) + j - 1
-		if id, ok := d.lookup(flags, fp, freshKeys[j]); !ok || id != want {
-			t.Fatalf("promoted key %d resolves to (%d, %v); want (%d, true)", j, id, ok, want)
+	want := make([]int32, len(freshKeys))
+	for j, p := range fresh[0] {
+		switch j {
+		case 0:
+			want[j] = 0
+		case len(freshKeys) - 1:
+			want[j] = -1
+		default:
+			want[j] = nextID
+			nextID++
 		}
+		p.id = want[j]
 	}
-	for i, k := range committedKeys {
-		if id, ok := d.lookup(flags, fp, k); !ok || id != i {
-			t.Fatalf("committed key %d resolves to (%d, %v) after promote", i, id, ok)
+
+	// The next level's probes, concurrent again, with nothing done to
+	// the index in between.
+	committed, again := level()
+	for w := 0; w < workers; w++ {
+		for i, p := range committed[w] {
+			if p.id != int32(i) {
+				t.Fatalf("worker %d: committed key %d resolves to %+v after the commit", w, i, p)
+			}
+		}
+		for j, p := range again[w] {
+			if p != fresh[0][j] || p.id != want[j] {
+				t.Fatalf("worker %d: fresh key %d resolves to %+v after the commit; want the slot parked for it, with ID %d", w, j, p, want[j])
+			}
 		}
 	}
 
 	// Counter sanity: every probe hit the same stripe, the forced
-	// collisions showed up, and no second pending generation remains.
+	// collisions showed up, and each key has exactly one slot.
 	c := d.counters()
-	wantProbes := int64(workers*(len(committedKeys)+len(freshKeys)) + /* post-promote lookups */ len(freshKeys) + len(committedKeys))
-	if c.probes != wantProbes {
+	if wantProbes := int64(2 * workers * (len(committedKeys) + len(freshKeys))); c.probes != wantProbes {
 		t.Errorf("probes = %d; want %d", c.probes, wantProbes)
 	}
 	if c.fpCollisions == 0 {
 		t.Error("forced collisions produced no fpCollisions count")
 	}
-	s := &d.stripes[stripeFor(fp)]
-	s.mu.Lock()
-	pendingLeft := len(s.pending)
-	s.mu.Unlock()
-	if pendingLeft != 0 {
-		t.Errorf("%d pending map entries survive promote", pendingLeft)
+	if n := len(d.stripes[stripeFor(fp)].slots[indexKey{flags, fp}]); n != len(committedKeys)+len(freshKeys) {
+		t.Errorf("the bucket holds %d slots for %d keys", n, len(committedKeys)+len(freshKeys))
 	}
 }

@@ -89,7 +89,7 @@ func (p *priorEvaluator) level(e *engine, work []attempt) error {
 		}
 		if to >= 0 && e.res.Nodes[to].Quarantine == "" {
 			// Diamond complete: x after y equals y after x.
-			e.commitOutcome(a, &outcome{active: true, dup: int32(to)})
+			e.commitOutcome(a, &outcome{active: true, slot: &slot{id: int32(to)}})
 			e.res.AttemptedPhases-- // answered, not evaluated
 			p.stats.Skipped++
 			continue
@@ -98,7 +98,6 @@ func (p *priorEvaluator) level(e *engine, work []attempt) error {
 		o := e.evaluate(a, 0)
 		e.commitOutcome(a, &o)
 	}
-	e.index.promote() // the fallbacks' discoveries
 	p.expanded = make(map[string]*Node)
 	for _, a := range work {
 		p.expanded[a.node.Seq] = a.node

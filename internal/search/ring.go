@@ -10,12 +10,17 @@ import "sync/atomic"
 // the old chunking while workers never stall on a barrier.
 const ringSize = 4096
 
+// minRingSize is the smallest ring: below it (8 KiB of slots) zeroing
+// costs nothing worth saving.
+const minRingSize = 64
+
 // wakeBatch is how many outcomes a worker publishes between wake-ups
 // of the committer (runLevel has the rule and why nothing is stranded).
 // Waking a parked goroutine costs a futex call, an outcome a few
 // microseconds of evaluation: one wake-up per outcome was 6% of a
-// one-worker run. Power of two, and far below ringSize, so the
-// committer is told of a full window long before workers run out of it.
+// one-worker run. Power of two, and no larger than the smallest ring,
+// so the committer is told of a full window before workers run out of
+// it.
 const wakeBatch = 32
 
 // outcomeSlot is one ring cell. seq is the publication marker: a
@@ -23,47 +28,68 @@ const wakeBatch = 32
 // the committer observes that value (acquire) before reading o, which
 // makes the plain o fields safe to hand across goroutines. Attempts are
 // numbered across the whole run (engine.ringBase), so a mark left by an
-// earlier level can never read as a later level's publication. After
-// the committer consumes a slot it zeroes o — the ring must never
-// retain a dead *rtl.Func or fingerprint buffer past its commit (they
-// return to their pools instead).
+// earlier level can never read as a later level's publication, and a
+// fresh ring's zero marks never read as published at all. After the
+// committer consumes a slot it zeroes o — the ring must never retain a
+// dead *rtl.Func or fingerprint buffer past its commit (they return to
+// their pools instead).
 type outcomeSlot struct {
 	seq atomic.Int64
 	o   outcome
 }
 
 // outcomeRing is a single-consumer ring buffer carrying evaluation
-// outcomes from the workers to the in-order committer, for every level
-// of one run. Slot reuse is coordinated outside the ring: a worker
-// writes slot i&mask only after the committer's published commit count
-// shows i-ringSize was consumed (and a level starts only once the one
-// before is consumed or drained), so put never races with a take of the
-// previous occupant.
+// outcomes from the workers to the in-order committer. It is sized by
+// the work it carries: a run keeps one ring and replaces it only at a
+// level boundary, by a larger one, while levels still outgrow it —
+// allocating and zeroing ringSize slots (512 KiB) for a space of a
+// dozen nodes would cost more than enumerating it. Slot reuse is
+// coordinated outside the ring: a worker writes slot i&mask only after
+// the committer's published commit count shows i-window was consumed
+// (and a level starts only once the one before is consumed or drained),
+// so put never races with a take of the previous occupant.
 type outcomeRing struct {
 	slots []outcomeSlot
 }
 
-func newOutcomeRing() *outcomeRing {
-	return &outcomeRing{slots: make([]outcomeSlot, ringSize)}
+// newOutcomeRing sizes a ring for a level of attempts attempts: the
+// smallest power of two that holds them all, within
+// [minRingSize, ringSize].
+func newOutcomeRing(attempts int) *outcomeRing {
+	n := minRingSize
+	for n < attempts && n < ringSize {
+		n <<= 1
+	}
+	return &outcomeRing{slots: make([]outcomeSlot, n)}
 }
+
+// fits reports whether the ring (nil: none yet) can carry a level of
+// attempts attempts; one that cannot is replaced before the level
+// starts.
+func (r *outcomeRing) fits(attempts int) bool {
+	return r != nil && len(r.slots) >= min(attempts, ringSize)
+}
+
+// at is the cell attempt i travels in.
+func (r *outcomeRing) at(i int64) *outcomeSlot { return &r.slots[i&int64(len(r.slots)-1)] }
 
 // put publishes the outcome of attempt i.
 func (r *outcomeRing) put(i int64, o outcome) {
-	s := &r.slots[i&(ringSize-1)]
+	s := r.at(i)
 	s.o = o
 	s.seq.Store(i + 1)
 }
 
 // ready reports whether attempt i's outcome has been published.
 func (r *outcomeRing) ready(i int64) bool {
-	return r.slots[i&(ringSize-1)].seq.Load() == i+1
+	return r.at(i).seq.Load() == i+1
 }
 
 // take consumes attempt i's outcome, clearing the slot so the ring
 // holds no pointer to the clone or buffer past the commit. The caller
 // must have observed ready(i).
 func (r *outcomeRing) take(i int64) outcome {
-	s := &r.slots[i&(ringSize-1)]
+	s := r.at(i)
 	o := s.o
 	s.o = outcome{}
 	return o

@@ -61,12 +61,10 @@ type Node struct {
 	// Seq is the lexicographically first shortest active phase
 	// sequence producing this instance from the unoptimized function.
 	Seq string
-	// FP is the paper's three-value fingerprint (count/bytesum/CRC).
-	// It is all the per-node memory identical-instance detection
-	// retains; the exact canonical key (gating flags + encoding) lives
-	// in the Result's keyStore and is compared only on a fingerprint
-	// match (see Result.NodeKey). Quarantined nodes carry a synthetic
-	// "Q"+Seq key there (no instance exists to encode).
+	// FP is the paper's three-value fingerprint (count/bytesum/CRC),
+	// the first tier of identical-instance detection; the exact
+	// canonical key is compared only on a fingerprint match (see
+	// Result.NodeKey).
 	FP fingerprint.FP
 	// State holds the gating facts for phase legality at this node.
 	State opt.State
@@ -97,7 +95,12 @@ type Node struct {
 	// when the search ran without Equiv and on quarantined nodes.
 	EquivRaw int
 
-	fn *rtl.Func // retained only while unexplored
+	// key is the exact canonical key: the gating-state flags byte plus
+	// the canonical encoding, the very string the node's dedup slot
+	// holds (shared, not copied). Quarantined nodes carry a synthetic
+	// "Q"+Seq (no instance exists to encode) and stay out of the index.
+	key string
+	fn  *rtl.Func // retained only while unexplored
 }
 
 // IsLeaf reports whether no phase is active at this node. Quarantined
@@ -272,15 +275,12 @@ type Result struct {
 
 	root *rtl.Func
 	opts Options
-	// keys owns the exact canonical key of every node: live strings
-	// for un-retired levels, flate-compressed blobs afterwards.
-	keys *keyStore
 }
 
 // NodeKey returns the exact canonical key of n — the gating-state
 // flags byte followed by the canonical instance encoding ("Q"+Seq for
 // quarantined nodes). Nodes are merged exactly when these keys match.
-func (r *Result) NodeKey(n *Node) string { return r.keys.get(n.ID) }
+func (r *Result) NodeKey(n *Node) string { return n.key }
 
 // EquivStats summarizes the equivalence-class collapse of a space
 // enumerated with Options.Equiv.
@@ -373,8 +373,8 @@ type snapshot struct {
 // ((*engine).runLevel), MergeShards and DeriveEquiv look answers up in
 // a harvested oracle (attemptOracle.level), RunWithIndependencePruning
 // filters the live path through a prior (priorEvaluator.level). Everything else — work lists,
-// caps, node and edge commit, the equivalence fold, counters, key
-// retirement, checkpoints — is the engine's and exists once.
+// caps, node and edge commit, the equivalence fold, counters,
+// checkpoints — is the engine's and exists once.
 type evaluator func(e *engine, work []attempt) error
 
 // engine drives one enumeration: its entry point seeds the node table,
@@ -392,16 +392,16 @@ type engine struct {
 	start time.Time
 	// ring carries the live evaluator's outcomes from the workers to the
 	// committer, one ring for the whole run (allocated by the first live
-	// level; an oracle-only run never needs it). ringBase is how many
-	// attempts earlier levels put through it: a slot is addressed by the
-	// attempt's run-wide number, so no publication mark ever repeats.
+	// level, replaced while levels outgrow it; an oracle-only run never
+	// needs it). ringBase is how many attempts earlier levels put through
+	// it: a slot is addressed by the attempt's run-wide number, so no
+	// publication mark ever repeats.
 	ring     *outcomeRing
 	ringBase int64
 	// equivClasses is the third index tier (Options.Equiv): the
 	// gating-flags byte + equivalence-canonical encoding of every
 	// class representative, mapping to its node ID. Nil when the
-	// option is off. Unlike node keys, class keys are never retired:
-	// any future instance may land in any class.
+	// option is off.
 	equivClasses map[string]int32
 	// prior is the elapsed time accumulated before a resume.
 	prior time.Duration
@@ -435,7 +435,7 @@ func newRun(f *rtl.Func, opts Options, eval evaluator) *engine {
 	root := f.Clone()
 	rtl.Cleanup(root)
 
-	res := &Result{FuncName: f.Name, root: root.Clone(), opts: opts, keys: newKeyStore()}
+	res := &Result{FuncName: f.Name, root: root.Clone(), opts: opts}
 	if opts.Equiv {
 		// Equivalence-collapsed runs are not resumable (the class and
 		// alias tables are not persisted), so checkpointing is off.
@@ -454,7 +454,7 @@ func newRun(f *rtl.Func, opts Options, eval evaluator) *engine {
 	}
 	// Nothing has been applied yet: the root's gating flags byte is 0.
 	e.seedRoot(&o, "\x00"+string(buf.Enc))
-	e.index.insert(0, o.fp, 0)
+	e.index.insert(e.frontier[0].key, o.fp, 0)
 	fingerprint.PutBuffer(buf)
 	return e
 }
@@ -466,7 +466,7 @@ func newEngine(res *Result, eval evaluator, start time.Time) *engine {
 		res:   res,
 		opts:  &res.opts,
 		ins:   newInstruments(&res.opts, res.FuncName, start),
-		index: newDedupIndex(res.keys),
+		index: newDedupIndex(),
 		eval:  eval,
 		start: start,
 	}
@@ -521,15 +521,14 @@ func Resume(res *Result, opts Options) (*Result, error) {
 	res.Aborted, res.AbortReason = false, ""
 	e := newEngine(res, (*engine).runLevel, time.Now())
 	e.prior = res.Elapsed
-	// Rebuild the two-tier index from the loaded node table. The full
-	// keys already sit in the keyStore (Load retired them into blobs);
-	// quarantined nodes are skipped — their synthetic keys can never
-	// match a real instance, so they never belonged in the index.
+	// Rebuild the index from the loaded node table, each slot sharing
+	// its node's key (Load checked it against the node's state and
+	// fingerprint). Quarantined nodes are skipped — their synthetic keys
+	// can never match a real instance, so they never belonged in it.
 	for _, n := range res.Nodes {
-		if n.Quarantine != "" {
-			continue
+		if n.Quarantine == "" {
+			e.index.insert(n.key, n.FP, n.ID)
 		}
-		e.index.insert(stateBits(n.State), n.FP, n.ID)
 	}
 	e.ins.seed(res.Stats, len(res.Nodes))
 	e.frontier = cp.Frontier
@@ -552,12 +551,12 @@ func (e *engine) newNode(level int, seq, key string, o *outcome) *Node {
 		NumInstrs: o.fp.Count, // the fingerprint counts instructions
 		CFKey:     o.cf,
 		CheckErr:  o.checkErr,
+		key:       key,
 		fn:        o.fn,
 	}
 	if o.buf != nil {
 		n.CFKey = fingerprint.Key(o.buf.CF)
 	}
-	e.res.keys.put(n.ID, key)
 	e.res.Nodes = append(e.res.Nodes, n)
 	if e.res.Equiv != nil {
 		n.EquivRaw = 1
@@ -569,8 +568,8 @@ func (e *engine) newNode(level int, seq, key string, o *outcome) *Node {
 // addQuarantined interns the dead-end node of a quarantined attempt.
 // The synthetic key ("Q" + sequence) cannot collide with a real
 // canonical key, whose first byte is a gating-state bitmask < 8; the
-// node enters only the keyStore, never the dedup index — no instance
-// exists that could merge into it.
+// node never enters the dedup index — no instance exists that could
+// merge into it.
 func (e *engine) addQuarantined(parent *Node, phase byte, msg string) *Node {
 	seq := parent.Seq + string(phase)
 	n := &Node{
@@ -578,8 +577,8 @@ func (e *engine) addQuarantined(parent *Node, phase byte, msg string) *Node {
 		Level:      parent.Level + 1,
 		Seq:        seq,
 		Quarantine: msg,
+		key:        "Q" + seq,
 	}
-	e.res.keys.put(n.ID, "Q"+seq)
 	e.res.Nodes = append(e.res.Nodes, n)
 	return n
 }
@@ -759,7 +758,6 @@ func (e *engine) run() (*Result, error) {
 		}
 		res.AttemptedPhases += len(work)
 		level := frontier[0].Level
-		levelStart := len(res.Nodes)
 		ins.beginLevel(level, len(frontier), len(work))
 		levelSpan := ins.tracer.Begin("search.level", "search", 0)
 
@@ -797,13 +795,6 @@ func (e *engine) run() (*Result, error) {
 				n.fn = nil
 			}
 		}
-		// Slide the key retirement window: node IDs grow level by
-		// level, so once a level falls keyRetireWindow levels behind
-		// the frontier its full keys compress into a blob and only the
-		// 16-byte fingerprints remain per node. Deep cross-level merges
-		// (a phase reverting a much earlier change) still compare
-		// correctly via the compressed blobs.
-		e.res.keys.noteLevel(levelStart)
 		ins.observeIndex(e.index)
 		// The level is complete: advance the durable boundary before
 		// any abort below, so a cap-abort checkpoint resumes from here
@@ -891,7 +882,9 @@ func (e *engine) checkAbort() bool {
 // chunk barrier provided — at most ringSize evaluated-but-uncommitted
 // clones exist — but with no barrier: workers keep evaluating while
 // the committer merges, and a slow attempt stalls only commits beyond
-// it, not the evaluation pipeline.
+// it, not the evaluation pipeline. Once the level is committed its
+// discoveries need no further step: their slots sit in the index with
+// their IDs, where the next level's probes find them.
 func (e *engine) runLevel(work []attempt) error {
 	opts, res := e.opts, e.res
 	workers := opts.Workers
@@ -902,10 +895,13 @@ func (e *engine) runLevel(work []attempt) error {
 		workers = len(work)
 	}
 
-	if e.ring == nil {
-		e.ring = newOutcomeRing()
+	// A level boundary, nothing in flight: the ring may still grow to
+	// the work it is about to carry.
+	if !e.ring.fits(len(work)) {
+		e.ring = newOutcomeRing(len(work))
 	}
 	ring, base := e.ring, e.ringBase
+	window := int64(len(ring.slots)) // how far ahead of the committer workers may claim
 	e.ringBase += int64(len(work))
 	var claim, committed atomic.Int64
 	// notify wakes the committer to look for published outcomes; space
@@ -940,10 +936,10 @@ func (e *engine) runLevel(work []attempt) error {
 				if i >= int64(len(work)) {
 					return
 				}
-				// Claiming ringSize ahead of the committer would reuse
-				// a slot whose previous outcome is still uncommitted;
-				// wait for the window to advance.
-				for i-committed.Load() >= ringSize {
+				// Claiming a whole ring ahead of the committer would
+				// reuse a slot whose previous outcome is still
+				// uncommitted; wait for the window to advance.
+				for i-committed.Load() >= window {
 					wake()
 					select {
 					case <-space:
@@ -1033,18 +1029,14 @@ commitLoop:
 		return nil
 	}
 	wg.Wait()
-	// The attempts are committed: promote the pending discoveries into
-	// the read-only bucket/alias tiers before the next probes.
-	e.index.promote()
 	return nil
 }
 
 // evaluate is one live answer, as a ring worker (or a serial caller on
 // lane 0) produces it: evaluate the attempt and resolve its instance
 // against the striped index here rather than at commit — a concurrent
-// probe either finds the committed node, finds the pending entry an
-// earlier probe parked, or parks a new one, and the committer only
-// turns the result into the merge decision.
+// probe finds the key's slot or parks one, and the committer only turns
+// the slot into the merge decision.
 func (e *engine) evaluate(a attempt, lane int) outcome {
 	ins := e.ins
 	var began time.Time
@@ -1054,7 +1046,7 @@ func (e *engine) evaluate(a attempt, lane int) outcome {
 	expandSpan := ins.tracer.Begin("search.expand", "search", lane)
 	o := evalAttempt(e.res.root, a, e.opts, ins, lane)
 	if o.active {
-		o.dup, o.pend = e.index.resolve(stateBits(o.st), o.fp, o.buf.Enc)
+		o.slot = e.index.resolve(stateBits(o.st), o.fp, o.buf.Enc)
 	}
 	if expandSpan.Active() {
 		expandSpan.End(map[string]any{
@@ -1106,32 +1098,27 @@ func (e *engine) commitOutcome(a attempt, o *outcome) {
 	}
 }
 
-// commitInstance resolves an active outcome's dedup result into the
-// serial merge decision, reporting whether it created the node. A dup
-// (an already committed node) or an already-committed slot is the
-// classic identical-instance merge. The first commit referencing an
+// commitInstance resolves an active outcome's dedup slot into the
+// serial merge decision, reporting whether it created the node. A slot
+// with an ID is the classic identical-instance merge, whether an earlier
+// level committed the key or an earlier attempt of this one (or, under
+// Equiv, folded it into a class). The first commit referencing an
 // unassigned slot is the instance's discovery — because commits happen
 // in attempt order, it is the same attempt the serial engine would have
 // discovered it on — and either folds it into an equivalence class
 // (Options.Equiv) or creates the node and assigns the next ID.
 func (e *engine) commitInstance(a attempt, o *outcome) (*Node, bool) {
-	if o.pend == nil {
-		return e.res.Nodes[o.dup], false
-	}
-	p := o.pend
+	p := o.slot
 	if p.id >= 0 {
-		// An earlier attempt committed the same key (or, under Equiv,
-		// aliased it into a class): later identical spellings merge
-		// like any duplicate.
 		return e.res.Nodes[p.id], false
 	}
 	if e.res.Equiv != nil {
 		e.res.Equiv.Raw++
 		if id, ok := e.equivClasses[p.key[:1]+string(o.equiv)]; ok {
-			// Raw-distinct instance, known class: the slot becomes an
-			// alias, so future identical duplicates of this spelling
-			// resolve to the class node.
-			p.id, p.alias = id, true
+			// Raw-distinct instance, known class: the slot takes the
+			// class node's ID, so future identical duplicates of this
+			// spelling resolve to it.
+			p.id = id
 			n := e.res.Nodes[id]
 			n.EquivRaw++
 			e.res.Equiv.Merged++
@@ -1140,8 +1127,8 @@ func (e *engine) commitInstance(a attempt, o *outcome) (*Node, bool) {
 			return n, false
 		}
 	}
-	// The slot's key was copied where it was parked; it becomes the
-	// node key directly — no copy on the commit path.
+	// The slot's key was copied where it was parked; the node shares it
+	// — no copy on the commit path.
 	n := e.newNode(a.node.Level+1, a.node.Seq+string(a.phase.ID()), p.key, o)
 	p.id = int32(n.ID)
 	return n, true
@@ -1169,22 +1156,17 @@ func putClone(fn *rtl.Func) {
 
 // outcome is an evaluator's answer to one attempt: quarantined, dormant
 // (the zero value) or active. An active outcome carries the instance's
-// facts and its dedup result. On the ring both are computed on the
-// worker — fingerprint, plus the pooled buffer holding the canonical
+// facts and the dedup slot of its key. On the ring both are computed on
+// the worker — fingerprint, plus the pooled buffer holding the canonical
 // encoding and CF key, plus the striped index's probe — so the serial
 // committer only turns them into the merge decision; it returns buf to
 // the fingerprint pool and clears the ring slot the outcome traveled
 // in. An oracle copies the facts from its inputs (cf set, buf nil) and
-// hands out its own slot. The field order keeps a ring slot at 128
-// bytes.
+// hands out its own slot. A ring slot stays within 128 bytes.
 type outcome struct {
-	active bool
-	st     opt.State
-	// Dedup result of an active outcome: either the committed node this
-	// instance duplicates (pend nil, dup ≥ 0) or the slot of its key,
-	// found or newly parked (pend non-nil, dup meaningless).
-	dup        int32
-	pend       *pendingNode
+	active     bool
+	st         opt.State
+	slot       *slot     // the key's dedup slot, found or newly parked
 	fn         *rtl.Func // the instance; nil when nobody will expand it
 	fp         fingerprint.FP
 	buf        *fingerprint.Buffer

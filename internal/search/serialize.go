@@ -9,8 +9,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
+	"sync"
 	"time"
 
 	"repro/internal/faultinject"
@@ -56,8 +58,11 @@ import (
 // other space byte-identical to the v2 writer's output; the loader
 // reads v1-v3. v1 files simply have no quarantined nodes and no
 // checkpoint section. Load is the trust boundary — it reads bytes this
-// process did not write — and FuzzLoad holds it to "an error, or a
-// space whose hash survives Save and Load; never a panic".
+// process did not write: it holds every node's key against the node
+// that carries it (checkKey) before Resume or a merge files it anywhere,
+// and FuzzLoad holds Load to "an error, or a space whose hash survives
+// Save and Load; never a panic". A key is stored as it is written:
+// one raw string per node (Node.key), never compressed in memory.
 
 type fileFormat struct {
 	Version         int             `json:"version"`
@@ -125,6 +130,23 @@ func bitsState(b byte) opt.State {
 	}
 }
 
+// checkKey is the trust-boundary test of the key a node arrived with:
+// the key of an instance must carry the node's gating flags and checksum
+// to its fingerprint, whose count is the node's size; a quarantined
+// node's is "Q" + Seq. Load applies it to every node it decodes and the
+// oracle to every node it interns, so no index ever files a key under a
+// fingerprint it does not have.
+func checkKey(n *Node, key []byte) error {
+	if n.Quarantine != "" {
+		if string(key) != "Q"+n.Seq {
+			return fmt.Errorf("search: node %d (seq %q): a quarantined node's key must be \"Q\" + its sequence", n.ID, n.Seq)
+		}
+	} else if len(key) == 0 || key[0] != stateBits(n.State) || crc32.ChecksumIEEE(key[1:]) != n.FP.CRC || n.FP.Count != n.NumInstrs {
+		return fmt.Errorf("search: node %d (seq %q): canonical key does not match its state and fingerprint", n.ID, n.Seq)
+	}
+	return nil
+}
+
 // whole is the result as it stands, as a boundary: every node, the
 // resume frontier when the result still carries one (a loaded,
 // unresumed checkpoint round-trips), and its abort bits.
@@ -141,9 +163,7 @@ func (r *Result) whole() snapshot {
 // first v.numNodes nodes, v's counters, and a resume section when v
 // has a frontier (none means it is a complete space). Frontier
 // nodes serialize without outgoing edges — the state they had at the
-// boundary, whatever a level killed since has appended. Full canonical
-// keys come from the result's keyStore (decompressed blob by blob for
-// retired levels).
+// boundary, whatever a level killed since has appended.
 func (r *Result) document(v snapshot) *fileFormat {
 	ff := &fileFormat{
 		Version:         formatVersion,
@@ -177,7 +197,7 @@ func (r *Result) document(v snapshot) *fileFormat {
 		fn := fileNode{
 			Level:      n.Level,
 			Seq:        n.Seq,
-			Key:        enc.EncodeToString([]byte(r.keys.get(n.ID))),
+			Key:        enc.EncodeToString([]byte(n.key)),
 			FP:         n.FP,
 			State:      stateBits(n.State),
 			NumInstrs:  n.NumInstrs,
@@ -194,8 +214,22 @@ func (r *Result) document(v snapshot) *fileFormat {
 	return ff
 }
 
+// gzipWriters recycles compressors: one is ~800 KB of tables, and a
+// small space is written and hashed several times on its way through a
+// server — the checkpoint, the canonical hash, the cache entry, a
+// partition's parts — so allocating one per document was most of what
+// a small request allocated, and what paced its collections. Reset
+// leaves no state behind: the bytes are the same from a recycled
+// compressor as from a new one.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+
 func writeFormat(w io.Writer, ff *fileFormat) error {
-	gz := gzip.NewWriter(w)
+	gz := gzipWriters.Get().(*gzip.Writer)
+	gz.Reset(w)
+	defer func() {
+		gz.Reset(nil) // do not pin w in the pool
+		gzipWriters.Put(gz)
+	}()
 	if err := json.NewEncoder(gz).Encode(ff); err != nil {
 		gz.Close()
 		return fmt.Errorf("search: encoding space: %w", err)
@@ -341,7 +375,6 @@ func Load(rd io.Reader) (*Result, error) {
 		Stats:           ff.Stats,
 		Equiv:           ff.Equiv,
 		root:            ff.Root,
-		keys:            newKeyStore(),
 	}
 	res.opts.fill()
 	if ff.Equiv != nil {
@@ -366,8 +399,7 @@ func Load(rd io.Reader) (*Result, error) {
 					i, e.To, len(ff.Nodes))
 			}
 		}
-		res.keys.put(i, string(key))
-		res.Nodes = append(res.Nodes, &Node{
+		n := &Node{
 			ID:         i,
 			Level:      fn.Level,
 			Seq:        fn.Seq,
@@ -379,9 +411,13 @@ func Load(rd io.Reader) (*Result, error) {
 			Edges:      fn.Edges,
 			CheckErr:   fn.CheckErr,
 			Quarantine: fn.Quarantine,
-		})
+			key:        string(key),
+		}
+		if err := checkKey(n, key); err != nil {
+			return nil, err
+		}
+		res.Nodes = append(res.Nodes, n)
 	}
-	res.keys.retireByLevel(res.Nodes)
 	if fc := ff.Checkpoint; fc != nil {
 		if len(fc.Frontier) != len(fc.Bodies) {
 			return nil, fmt.Errorf("search: checkpoint lists %d frontier nodes but %d bodies",

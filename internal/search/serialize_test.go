@@ -3,6 +3,7 @@ package search_test
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/base64"
 	"encoding/json"
 	"path/filepath"
 	"reflect"
@@ -145,6 +146,15 @@ func defectiveSpaces(t testing.TB) []defectiveSpace {
 	node0 := func(doc map[string]any) map[string]any {
 		return doc["nodes"].([]any)[0].(map[string]any)
 	}
+	// rekey rewrites node 0's key in place.
+	rekey := func(doc map[string]any, mutate func(key []byte)) {
+		key, err := base64.StdEncoding.DecodeString(node0(doc)["key"].(string))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(key)
+		node0(doc)["key"] = base64.StdEncoding.EncodeToString(key)
+	}
 
 	// flipTrailerCRC clobbers one byte of the gzip trailer's CRC32
 	// while leaving the deflate stream (and so the JSON document)
@@ -174,6 +184,17 @@ func defectiveSpaces(t testing.TB) []defectiveSpace {
 		{"malformed cf key", reencode(t, func(doc map[string]any) {
 			node0(doc)["cf_key"] = "%%%"
 		}), "malformed base64 cf key"},
+		// A key is filed under its node's flags and fingerprint when the
+		// space is resumed or merged: it has to belong there.
+		{"key under the wrong state flags", reencode(t, func(doc map[string]any) {
+			rekey(doc, func(key []byte) { key[0] ^= 1 })
+		}), "does not match its state and fingerprint"},
+		{"key that does not checksum to its fingerprint", reencode(t, func(doc map[string]any) {
+			rekey(doc, func(key []byte) { key[len(key)-1] ^= 0xff })
+		}), "does not match its state and fingerprint"},
+		{"quarantined node under an instance's key", reencode(t, func(doc map[string]any) {
+			node0(doc)["quarantine"] = "panic: injected"
+		}), "a quarantined node's key"},
 		{"edge out of range", reencode(t, func(doc map[string]any) {
 			node0(doc)["edges"] = []any{map[string]any{"Phase": 99, "To": 1 << 20}}
 		}), "outside the"},

@@ -370,7 +370,7 @@ func TestDeriveEquivPhaseApplications(t *testing.T) {
 
 // corruptSpace rewrites a saved space's JSON document through mutate
 // and loads the result: a well-formed file whose content lies.
-func corruptSpace(t *testing.T, r *search.Result, mutate func(nodes []any)) *search.Result {
+func corruptSpace(t *testing.T, r *search.Result, mutate func(nodes []any)) (*search.Result, error) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := r.Save(&buf); err != nil {
@@ -395,18 +395,15 @@ func corruptSpace(t *testing.T, r *search.Result, mutate func(nodes []any)) *sea
 	if err := zw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := search.Load(&out)
-	if err != nil {
-		t.Fatalf("corrupted document no longer loads: %v", err)
-	}
-	return loaded
+	return search.Load(&out)
 }
 
-// TestDeriveEquivRejectsCorruptSource feeds DeriveEquiv spaces that
-// load cleanly but lie — an edge relabeled with an unknown phase, an
-// edge relabeled with a phase that is dormant on the parent, a child
-// whose canonical key was altered — and requires an error value naming
-// the defect. There is no recover() behind this: a panic fails the test.
+// TestDeriveEquivRejectsCorruptSource feeds DeriveEquiv well-formed
+// files that lie — an edge relabeled with an unknown phase, an edge
+// relabeled with a phase that is dormant on the parent, which load
+// cleanly, and a child whose canonical key was altered, which Load
+// already turns away — and requires an error value naming the defect.
+// There is no recover() behind this: a panic fails the test.
 func TestDeriveEquivRejectsCorruptSource(t *testing.T) {
 	_, f := compileFunc(t, sumSrc, "sum")
 	full := search.Run(f, search.Options{})
@@ -446,9 +443,15 @@ func TestDeriveEquivRejectsCorruptSource(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := search.DeriveEquiv(corruptSpace(t, full, tc.mutate), search.Options{})
+			src, err := corruptSpace(t, full, tc.mutate)
+			if (err == nil) != (tc.name != "child key") {
+				t.Fatalf("loading the corrupt source: %v", err)
+			}
 			if err == nil {
-				t.Fatalf("derived %d nodes from a corrupt source", len(got.Nodes))
+				var got *search.Result
+				if got, err = search.DeriveEquiv(src, search.Options{}); err == nil {
+					t.Fatalf("derived %d nodes from a corrupt source", len(got.Nodes))
+				}
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not name the defect (%s)", err, tc.want)

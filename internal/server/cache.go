@@ -12,6 +12,7 @@ import (
 	"regexp"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/fingerprint"
@@ -68,17 +69,20 @@ func requestKey(fn *rtl.Func, no normOptions) cacheKey {
 	return cacheKey(hex.EncodeToString(h.Sum(nil)))
 }
 
-// entry is one cached decoded space with the answer every request for
-// it repeats — canonical hash and counts, computed once at insertion
-// (admit) so hit paths neither re-serialize nor re-walk the space.
-// Cache and ElapsedMS are the request's own.
+// entry is what the memory cache keeps of a complete space: the answer
+// every request for it repeats — canonical hash and counts, computed
+// once at insertion (admit) so hit paths neither re-serialize nor
+// re-walk the space; Cache and ElapsedMS are the request's own — and
+// the two facts a flight record reads. The decoded space itself is not
+// kept: nothing reads it again, and a download streams the disk file.
 type entry struct {
-	res    *search.Result
-	answer enumerateResponse
+	answer     enumerateResponse
+	stats      search.RunStats
+	checkpoint time.Duration // search.Result.CheckpointTime
 }
 
-// memCache is a small LRU of decoded search.Results keyed by request
-// key — the first cache level, in front of the disk store.
+// memCache is a small LRU of answers keyed by request key — the first
+// cache level, in front of the disk store.
 type memCache struct {
 	mu    sync.Mutex
 	max   int

@@ -154,7 +154,7 @@ func (s *Server) recordFlight(r *http.Request, ri *reqInfo, fl *flight, status i
 			"total_ms", rec.TotalMS,
 		}
 		if fl != nil {
-			st := fl.stats()
+			st := fl.ent.stats // zeros when the flight produced no space
 			attrs = append(attrs,
 				"func", fl.fn.Name,
 				"attempts", st.Attempts,

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/rtl"
-	"repro/internal/search"
 	"repro/internal/telemetry"
 )
 
@@ -73,15 +72,6 @@ type flight struct {
 	hash string
 
 	waiters int // guarded by pool.mu
-}
-
-// stats returns the resolved enumeration's statistics, or zeros when
-// the flight produced no space. Call only after done has closed.
-func (fl *flight) stats() search.RunStats {
-	if fl.ent.res == nil {
-		return search.RunStats{}
-	}
-	return fl.ent.res.Stats
 }
 
 // pool runs flights through a fixed set of workers fed by a bounded

@@ -2,7 +2,7 @@
 // service: an HTTP daemon that accepts enumeration requests (a mini-C
 // source or a named MiBench corpus function plus search options), runs
 // them through a bounded worker pool, and answers from a two-level
-// content-addressed cache — an in-memory LRU of decoded spaces over a
+// content-addressed cache — an in-memory LRU of answers over a
 // disk store of v2 space files keyed by the SHA-256 of the canonical
 // function bytes and the normalized options.
 //
@@ -42,7 +42,7 @@ import (
 type Config struct {
 	// Dir is the disk cache directory (required).
 	Dir string
-	// MemEntries bounds the in-memory LRU (default 64 decoded spaces).
+	// MemEntries bounds the in-memory LRU (default 64 answers).
 	MemEntries int
 	// Workers is the enumeration pool size (default 2).
 	Workers int
@@ -474,8 +474,8 @@ func (s *Server) enumerate(r *http.Request) (*enumerateResponse, *flight, error)
 	no := normOptions{Cap: req.Options.Cap, MaxNodes: req.Options.MaxNodes, Check: req.Options.Check, Equiv: req.Options.Equiv}
 	key := requestKey(fn, no)
 
-	// First level: the LRU of decoded spaces answers without touching
-	// the pool at all.
+	// First level: the LRU of answers, without touching the pool at
+	// all.
 	if ent, ok := s.mem.get(key); ok {
 		s.reg.Counter("server.cache.hit_mem").Inc()
 		s.cacheTier.With("mem").Inc()
@@ -530,9 +530,7 @@ func (s *Server) enumerate(r *http.Request) (*enumerateResponse, *flight, error)
 		ri.queueWait = fl.startedAt.Sub(fl.enqueuedAt)
 		ri.enumerate = fl.finishedAt.Sub(fl.startedAt)
 		ri.publish, ri.merge, ri.derive = fl.publish, fl.merge, fl.derive
-		if fl.ent.res != nil {
-			ri.checkpoint = fl.ent.res.CheckpointTime
-		}
+		ri.checkpoint = fl.ent.checkpoint
 	}
 	if fl.err != nil {
 		status := fl.status
@@ -798,10 +796,11 @@ func (s *Server) finishFlight(fl *flight, res *search.Result) (*search.Result, e
 	return res, nil
 }
 
-// admit caches a complete space in the LRU, with the answer every
-// request for it gets, and folds it into the interaction statistics.
-// hash is res's canonical hash when the caller has already verified it
-// (a fleet completion); "" computes it.
+// admit caches the answer every request for a complete space gets in
+// the LRU and folds the space into the interaction statistics; the
+// space itself is the caller's to drop. hash is res's canonical hash
+// when the caller has already verified it (a fleet completion); ""
+// computes it.
 func (s *Server) admit(key cacheKey, res *search.Result, hash string, out *entry) error {
 	if hash == "" {
 		var err error
@@ -809,7 +808,7 @@ func (s *Server) admit(key cacheKey, res *search.Result, hash string, out *entry
 			return fmt.Errorf("hashing space: %w", err)
 		}
 	}
-	*out = entry{res: res, answer: enumerateResponse{
+	*out = entry{stats: res.Stats, checkpoint: res.CheckpointTime, answer: enumerateResponse{
 		Func:            res.FuncName,
 		Key:             string(key),
 		SpaceHash:       hash,

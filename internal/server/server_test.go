@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -813,21 +814,43 @@ func TestRequestKeyContentAddressing(t *testing.T) {
 
 // TestMemHitAnswersWithoutTheSpace: a memory hit repeats the answer
 // admit computed; it does not walk the node table again to count
-// leaves. The cached entry's decoded space is taken away, so a hit
-// that reads it cannot answer.
+// leaves. It cannot: the cached entry holds no decoded space, at any
+// depth, only the answer and the flight record's two facts.
 func TestMemHitAnswersWithoutTheSpace(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	status, cold, _ := post(t, ts, `{"source":`+jsonStr(sumSrc)+`,"options":{"equiv":true}}`)
 	if status != http.StatusOK || cold["cache"] != "miss" {
 		t.Fatalf("cold request: status %d: %v", status, cold)
 	}
-	key := cacheKey(cold["key"].(string))
-	ent, ok := s.mem.get(key)
+	ent, ok := s.mem.get(cacheKey(cold["key"].(string)))
 	if !ok {
 		t.Fatal("the cold answer is not in the memory cache")
 	}
-	ent.res = nil
-	s.mem.add(key, ent)
+	if ent.stats.Attempts == 0 || ent.answer.Nodes == 0 {
+		t.Fatalf("the cached entry lost its facts: %+v", ent)
+	}
+	var holdsSpace func(reflect.Type) bool
+	holdsSpace = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Struct:
+			if ty == reflect.TypeOf(search.Result{}) {
+				return true
+			}
+			for i := 0; i < ty.NumField(); i++ {
+				if holdsSpace(ty.Field(i).Type) {
+					return true
+				}
+			}
+		case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Map:
+			return holdsSpace(ty.Elem())
+		case reflect.Interface, reflect.Func, reflect.Chan, reflect.UnsafePointer:
+			return true // could hide one
+		}
+		return false
+	}
+	if holdsSpace(reflect.TypeOf(ent)) {
+		t.Fatalf("a memory-cache entry can reach a *search.Result: %T pins decoded spaces", ent)
+	}
 
 	status, warm, _ := post(t, ts, `{"source":`+jsonStr(sumSrc)+`,"options":{"equiv":true}}`)
 	if status != http.StatusOK || warm["cache"] != "mem" {
@@ -846,16 +869,17 @@ func TestMemHitAnswersWithoutTheSpace(t *testing.T) {
 func TestMemCacheLRU(t *testing.T) {
 	c := newMemCache(2)
 	k := func(i int) cacheKey { return cacheKey(fmt.Sprintf("%064d", i)) }
-	c.add(k(1), entry{})
-	c.add(k(2), entry{})
-	if _, ok := c.get(k(1)); !ok { // 1 is now most recently used
-		t.Fatal("entry 1 missing")
+	answer := func(i int) entry { return entry{answer: enumerateResponse{Nodes: i}} }
+	c.add(k(1), answer(1))
+	c.add(k(2), answer(2))
+	if ent, ok := c.get(k(1)); !ok || ent.answer.Nodes != 1 { // 1 is now most recently used
+		t.Fatalf("entry 1 missing or not its own: %+v", ent)
 	}
-	c.add(k(3), entry{}) // evicts 2
+	c.add(k(3), answer(3)) // evicts 2
 	if _, ok := c.get(k(2)); ok {
 		t.Fatal("LRU kept the least recently used entry past its bound")
 	}
-	if _, ok := c.get(k(1)); !ok {
+	if ent, ok := c.get(k(1)); !ok || ent.answer.Nodes != 1 {
 		t.Fatal("LRU evicted the recently used entry")
 	}
 	if c.len() != 2 {
