@@ -37,45 +37,73 @@ type FP struct {
 // and label renumbering.
 type Key string
 
+// numbering hands out consecutive numbers to small non-negative keys —
+// register numbers, block IDs — in first-encounter order. It is a table
+// indexed by the key, not a map: a summarization asks for a number per
+// operand, the keys are below a few dozen, and hashing them was a
+// twentieth of an enumeration.
+type numbering struct {
+	code []uint16 // by key: its number + 1, 0 while it has none
+	next uint16   // the next number to hand out
+}
+
+// reset forgets every key; numbers start again at first.
+func (t *numbering) reset(first uint16) {
+	clear(t.code)
+	t.next = first
+}
+
+// cell returns key's table entry, growing the table to hold it.
+func (t *numbering) cell(key int) *uint16 {
+	if key >= len(t.code) {
+		t.code = append(t.code, make([]uint16, key+1-len(t.code))...)
+	}
+	return &t.code[key]
+}
+
+// of returns key's number, the next unused one at first sight.
+func (t *numbering) of(key int) uint16 {
+	c := t.cell(key)
+	if *c == 0 {
+		t.next++
+		*c = t.next
+	}
+	return *c - 1
+}
+
 // remapper assigns canonical numbers to registers and labels in
 // first-encounter order, scanning the function from the top basic
 // block, as in Section 4.2.1.
 type remapper struct {
-	regs   map[rtl.Reg]uint16
-	labels map[int]uint16
+	regs   numbering
+	labels numbering
+}
+
+// reset readies r for a scan. Structural registers keep fixed codes:
+// the stack pointer and condition codes are not allocatable, so
+// renumbering them would only mask real differences. The other
+// registers' codes start after the three fixed ones.
+func (r *remapper) reset() {
+	r.regs.reset(3)
+	r.labels.reset(0)
+	*r.regs.cell(int(rtl.RegSP)) = 0xFFF0 + 1
+	*r.regs.cell(int(rtl.RegIC)) = 0xFFF1 + 1
 }
 
 func newRemapper() *remapper {
-	r := &remapper{
-		regs:   make(map[rtl.Reg]uint16),
-		labels: make(map[int]uint16),
-	}
-	// Structural registers keep fixed codes: the stack pointer and
-	// condition codes are not allocatable, so renumbering them would
-	// only mask real differences.
-	r.regs[rtl.RegSP] = 0xFFF0
-	r.regs[rtl.RegIC] = 0xFFF1
-	r.regs[rtl.RegNone] = 0xFFFF
+	r := new(remapper)
+	r.reset()
 	return r
 }
 
 func (r *remapper) reg(x rtl.Reg) uint16 {
-	if n, ok := r.regs[x]; ok {
-		return n
+	if x == rtl.RegNone {
+		return 0xFFFF // fixed, and far outside any table
 	}
-	n := uint16(len(r.regs))
-	r.regs[x] = n
-	return n
+	return r.regs.of(int(x))
 }
 
-func (r *remapper) label(id int) uint16 {
-	if n, ok := r.labels[id]; ok {
-		return n
-	}
-	n := uint16(len(r.labels))
-	r.labels[id] = n
-	return n
-}
+func (r *remapper) label(id int) uint16 { return r.labels.of(id) }
 
 // Encode produces the canonical byte encoding of the function.
 // Blocks are labeled in layout order as they are encountered from the
@@ -140,14 +168,14 @@ func Canonicalize(f *rtl.Func) *rtl.Func {
 		// Canonical registers start at 1 in the paper's presentation;
 		// the remapper's fixed codes occupy high values, and dynamic
 		// codes start after the three preassigned entries.
-		return rtl.Reg(rm.regs[x] - 2)
+		return rtl.Reg(rm.reg(x) - 2)
 	}
 	for _, b := range nf.Blocks {
-		b.ID = int(rm.labels[b.ID])
+		b.ID = int(rm.label(b.ID))
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if in.Op == rtl.OpBranch || in.Op == rtl.OpJmp {
-				in.Target = int(rm.labels[in.Target])
+				in.Target = int(rm.label(in.Target))
 				continue
 			}
 			if in.Op == rtl.OpCall {
@@ -172,11 +200,11 @@ func Canonicalize(f *rtl.Func) *rtl.Func {
 // block count plus the branch structure — used for the paper's count
 // of distinct control flows (Table 3, column CF).
 func ControlFlowKey(f *rtl.Func) Key {
-	rm := newRemapper()
+	var labels numbering
 	var buf []byte
 	u16 := func(v uint16) { buf = binary.LittleEndian.AppendUint16(buf, v) }
 	for _, b := range f.Blocks {
-		u16(rm.label(b.ID))
+		u16(labels.of(b.ID))
 		last := b.Last()
 		if last == nil {
 			buf = append(buf, 0)
@@ -185,10 +213,10 @@ func ControlFlowKey(f *rtl.Func) Key {
 		switch last.Op {
 		case rtl.OpBranch:
 			buf = append(buf, 1, byte(last.Rel))
-			u16(rm.label(last.Target))
+			u16(labels.of(last.Target))
 		case rtl.OpJmp:
 			buf = append(buf, 2)
-			u16(rm.label(last.Target))
+			u16(labels.of(last.Target))
 		case rtl.OpRet:
 			buf = append(buf, 3)
 		default:

@@ -38,32 +38,14 @@ func PutBuffer(b *Buffer) { bufferPool.Put(b) }
 // and terminator targets, in its own first-encounter order).
 type scan struct {
 	rm       remapper
-	cfLabels map[int]uint16
+	cfLabels numbering
 }
 
-var scanPool = sync.Pool{New: func() any {
-	return &scan{
-		rm:       remapper{regs: make(map[rtl.Reg]uint16), labels: make(map[int]uint16)},
-		cfLabels: make(map[int]uint16),
-	}
-}}
+var scanPool = sync.Pool{New: func() any { return new(scan) }}
 
 func (s *scan) reset() {
-	clear(s.rm.regs)
-	clear(s.rm.labels)
-	clear(s.cfLabels)
-	s.rm.regs[rtl.RegSP] = 0xFFF0
-	s.rm.regs[rtl.RegIC] = 0xFFF1
-	s.rm.regs[rtl.RegNone] = 0xFFFF
-}
-
-func (s *scan) cfLabel(id int) uint16 {
-	if n, ok := s.cfLabels[id]; ok {
-		return n
-	}
-	n := uint16(len(s.cfLabels))
-	s.cfLabels[id] = n
-	return n
+	s.rm.reset()
+	s.cfLabels.reset(0)
 }
 
 // appendOperand appends the canonical encoding of one operand.
@@ -140,7 +122,7 @@ func SummarizeInto(buf *Buffer, f *rtl.Func) FP {
 		// its own label numbering (it sees only block IDs and
 		// terminator targets, so first-encounter order differs from the
 		// full encoding's).
-		cf = binary.LittleEndian.AppendUint16(cf, s.cfLabel(b.ID))
+		cf = binary.LittleEndian.AppendUint16(cf, s.cfLabels.of(b.ID))
 		last := b.Last()
 		if last == nil {
 			cf = append(cf, 0)
@@ -149,10 +131,10 @@ func SummarizeInto(buf *Buffer, f *rtl.Func) FP {
 		switch last.Op {
 		case rtl.OpBranch:
 			cf = append(cf, 1, byte(last.Rel))
-			cf = binary.LittleEndian.AppendUint16(cf, s.cfLabel(last.Target))
+			cf = binary.LittleEndian.AppendUint16(cf, s.cfLabels.of(last.Target))
 		case rtl.OpJmp:
 			cf = append(cf, 2)
-			cf = binary.LittleEndian.AppendUint16(cf, s.cfLabel(last.Target))
+			cf = binary.LittleEndian.AppendUint16(cf, s.cfLabels.of(last.Target))
 		case rtl.OpRet:
 			cf = append(cf, 3)
 		default:

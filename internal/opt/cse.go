@@ -1,6 +1,10 @@
 package opt
 
 import (
+	"math/bits"
+	"slices"
+	"sync"
+
 	"repro/internal/machine"
 	"repro/internal/rtl"
 )
@@ -42,8 +46,9 @@ func (CommonSubexprElim) Apply(f *rtl.Func, d *machine.Desc) bool {
 	// removal of pure recomputations leave each block's control
 	// instruction — and hence the successor sets — untouched).
 	g := rtl.CFGOf(f)
-	sv := newRegSolver(len(f.Blocks), usedRegWidth(f))
-	es := newExprSolver(len(f.Blocks))
+	sc := cseScratchPool.Get().(*cseScratch)
+	sc.reset(f)
+	sv, es := &sc.regs, &sc.exprs
 	changed := false
 	for turn, dormant := 0, 0; dormant < 3; turn++ {
 		var did bool
@@ -61,68 +66,126 @@ func (CommonSubexprElim) Apply(f *rtl.Func, d *machine.Desc) bool {
 			dormant++
 		}
 	}
+	cseScratchPool.Put(sc)
 	return changed
 }
 
-// ---------------------------------------------------------------------------
-// Global constant and copy propagation.
-//
-// Both analyses use flat per-register arrays rather than maps: the
-// exhaustive search evaluates these transfer functions hundreds of
-// thousands of times, and after register assignment a function only
-// touches a handful of registers.
-
-// regCell is one register's lattice slot: for constant propagation
-// val holds the known constant, for copy propagation src holds the
-// copy source.
-type regCell struct {
-	known bool
-	src   rtl.Reg
-	val   int32
+// cseScratch is the storage the phase's three analyses work in. An
+// application takes one from the pool and grows its arrays to the
+// function at hand, so a warm pool makes the phase allocation-free —
+// the enumeration applies it thousands of times a second, and the
+// lattices were a fifth of everything it allocated. Nothing in a
+// scratch outlives the application that took it: every array is
+// (re)initialized by the pass that reads it, and one a panicking
+// application never returned is simply dropped.
+type cseScratch struct {
+	regs  regSolver
+	exprs exprSolver
 }
 
-// regLattice is a forward dataflow state with one slot per register,
-// kept in a single pointer-free allocation because the search
-// evaluates these transfer functions hundreds of thousands of times.
-// A nil *regLattice is TOP.
-type regLattice struct {
-	cells []regCell
+var cseScratchPool = sync.Pool{New: func() any { return new(cseScratch) }}
+
+// reset sizes the scratch for an application to f: the block count and
+// the registers f references hold for all of its turns.
+func (sc *cseScratch) reset(f *rtl.Func) {
+	width := usedRegWidth(f)
+	sc.regs.reset(len(f.Blocks), width)
+	sc.exprs.width = width
 }
 
-// meetInto intersects other into s, reporting whether s changed.
-func (s *regLattice) meetInto(other *regLattice) bool {
-	changed := false
-	for i := range s.cells {
-		c := &s.cells[i]
-		if !c.known {
-			continue
-		}
-		o := &other.cells[i]
-		if !o.known || c.val != o.val || c.src != o.src {
-			c.known = false
-			changed = true
-		}
+// resize returns s with length n, in its own backing array when that
+// is large enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return changed
+	return s[:n]
 }
 
-func (s *regLattice) equal(o *regLattice) bool {
-	for i := range s.cells {
-		a, b := &s.cells[i], &o.cells[i]
-		if a.known != b.known {
-			return false
-		}
-		if a.known && (a.val != b.val || a.src != b.src) {
+// Bit-set helpers over equally long word slices.
+
+func andNot(s, m []uint64) {
+	for i := range s {
+		s[i] &^= m[i]
+	}
+}
+
+func orInto(s, m []uint64) {
+	for i := range s {
+		s[i] |= m[i]
+	}
+}
+
+func disjoint(s, m []uint64) bool {
+	for i := range s {
+		if s[i]&m[i] != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-func (s *regLattice) kill(r rtl.Reg) {
-	if int(r) < len(s.cells) {
-		s.cells[r].known = false
+// ---------------------------------------------------------------------------
+// Global constant and copy propagation.
+
+// regLattice is a forward dataflow state with one slot per register:
+// the set of registers something is known of, as a bit mask, and what
+// is known of each — the constant it holds for constant propagation,
+// the register it is a copy of for copy propagation. val[r] means
+// nothing while r's bit is clear, so a kill is one bit operation and
+// meet and equality visit set bits only. A regLattice is a view of its
+// solver's two arrays.
+type regLattice struct {
+	known []uint64
+	val   []int32
+}
+
+func (s regLattice) has(r rtl.Reg) bool {
+	return int(r) < len(s.val) && s.known[r>>6]>>(r&63)&1 != 0
+}
+
+func (s regLattice) set(r rtl.Reg, v int32) {
+	s.known[r>>6] |= 1 << (r & 63)
+	s.val[r] = v
+}
+
+func (s regLattice) kill(r rtl.Reg) {
+	if int(r) < len(s.val) {
+		s.known[r>>6] &^= 1 << (r & 63)
 	}
+}
+
+func (s regLattice) copyFrom(o regLattice) {
+	copy(s.known, o.known)
+	copy(s.val, o.val)
+}
+
+// meet intersects o into s: a register stays known when both know the
+// same of it.
+func (s regLattice) meet(o regLattice) {
+	for w := range s.known {
+		both := s.known[w] & o.known[w]
+		for m := both; m != 0; m &= m - 1 {
+			if r := w<<6 | bits.TrailingZeros64(m); s.val[r] != o.val[r] {
+				both &^= m & -m
+			}
+		}
+		s.known[w] = both
+	}
+}
+
+func (s regLattice) equal(o regLattice) bool {
+	for w, m := range s.known {
+		if m != o.known[w] {
+			return false
+		}
+		for ; m != 0; m &= m - 1 {
+			if r := w<<6 | bits.TrailingZeros64(m); s.val[r] != o.val[r] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // usedRegWidth returns one past the highest register f actually
@@ -152,17 +215,52 @@ func usedRegWidth(f *rtl.Func) int {
 	return n
 }
 
+// regSolver owns the lattice storage of both register analyses: every
+// block's entry and exit state plus one scratch state, as views of one
+// mask array and one value array. The block count and the register
+// width are invariant while the phase runs, so one reset serves every
+// turn of an application.
+type regSolver struct {
+	n, width, words int      // blocks, registers, mask words per state
+	known           []uint64 // state i's mask is known[i*words:][:words]
+	val             []int32  // state i's values are val[i*width:][:width]
+	hasOut          []bool   // by block: exit state computed (otherwise TOP)
+	stale           []bool   // by block: a predecessor's exit state changed since the last visit
+	// copiedBy[r] are the registers some state of the running solve has
+	// recorded as copies of r — a superset of the copies of r any one
+	// state holds, so killing r's copies tests those cells, not all.
+	copiedBy []uint64
+}
+
+func (sv *regSolver) reset(n, width int) {
+	sv.n, sv.width, sv.words = n, width, (width+63)/64
+	sv.known = resize(sv.known, (2*n+1)*sv.words)
+	sv.val = resize(sv.val, (2*n+1)*width)
+	sv.hasOut = resize(sv.hasOut, n)
+	sv.stale = resize(sv.stale, n)
+	sv.copiedBy = resize(sv.copiedBy, width*sv.words)
+}
+
+// state is the i-th state: block i's entry for i < n, block i-n's exit
+// for i < 2n, the scratch state for i = 2n.
+func (sv *regSolver) state(i int) regLattice {
+	return regLattice{
+		known: sv.known[i*sv.words : (i+1)*sv.words],
+		val:   sv.val[i*sv.width : (i+1)*sv.width],
+	}
+}
+
 // constTransfer updates the constant state across one instruction.
-func constTransfer(s *regLattice, in *rtl.Instr) {
+func (sv *regSolver) constTransfer(s regLattice, in *rtl.Instr) {
 	var buf [8]rtl.Reg
-	if in.Op == rtl.OpMov && int(in.Dst) < len(s.cells) {
+	if in.Op == rtl.OpMov && int(in.Dst) < sv.width {
 		if in.A.Kind == rtl.OperImm {
-			s.cells[in.Dst] = regCell{known: true, val: in.A.Imm, src: rtl.RegNone}
+			s.set(in.Dst, in.A.Imm)
 			return
 		}
-		if in.A.Kind == rtl.OperReg && int(in.A.Reg) < len(s.cells) && s.cells[in.A.Reg].known {
+		if in.A.Kind == rtl.OperReg && s.has(in.A.Reg) {
 			// Propagate the constant through the copy.
-			s.cells[in.Dst] = regCell{known: true, val: s.cells[in.A.Reg].val, src: rtl.RegNone}
+			s.set(in.Dst, s.val[in.A.Reg])
 			return
 		}
 	}
@@ -173,13 +271,13 @@ func constTransfer(s *regLattice, in *rtl.Instr) {
 
 // substConstOperand replaces reads of registers with known constants
 // by immediate operands where the machine encoding allows it.
-func substConstOperand(in *rtl.Instr, s *regLattice, d *machine.Desc) bool {
+func substConstOperand(in *rtl.Instr, s regLattice, d *machine.Desc) bool {
 	changed := false
 	constOf := func(o rtl.Operand) (int32, bool) {
-		if o.Kind != rtl.OperReg || int(o.Reg) >= len(s.cells) || !s.cells[o.Reg].known {
+		if o.Kind != rtl.OperReg || !s.has(o.Reg) {
 			return 0, false
 		}
-		return s.cells[o.Reg].val, true
+		return s.val[o.Reg], true
 	}
 	switch {
 	case in.Op == rtl.OpMov:
@@ -216,165 +314,146 @@ func substConstOperand(in *rtl.Instr, s *regLattice, d *machine.Desc) bool {
 }
 
 // copyTransfer updates the copy state across one instruction. For a
-// copy state, known[d] means src[d] currently holds the same value as
-// d.
-func copyTransfer(s *regLattice, in *rtl.Instr) {
+// copy state, a known d means register val[d] currently holds the same
+// value as d.
+func (sv *regSolver) copyTransfer(s regLattice, in *rtl.Instr) {
 	var buf [8]rtl.Reg
-	if in.Op == rtl.OpMov && in.A.Kind == rtl.OperReg && int(in.Dst) < len(s.cells) {
+	if in.Op == rtl.OpMov && in.A.Kind == rtl.OperReg && int(in.Dst) < sv.width {
 		src := in.A.Reg
 		dst := in.Dst
 		// Kill copies reading the overwritten register.
-		for i := range s.cells {
-			if s.cells[i].known && s.cells[i].src == dst {
-				s.cells[i].known = false
-			}
-		}
-		s.cells[dst].known = false
-		if dst != src && src != rtl.RegSP && dst != rtl.RegSP && int(src) < len(s.cells) {
+		sv.killCopiesOf(s, dst)
+		s.kill(dst)
+		if dst != src && src != rtl.RegSP && dst != rtl.RegSP && int(src) < sv.width {
 			// Propagate through chains so the replacement survives
 			// longer.
 			final := src
-			if s.cells[src].known && s.cells[src].src != rtl.RegNone {
-				final = s.cells[src].src
+			if s.has(src) {
+				final = rtl.Reg(s.val[src])
 			}
 			if final != dst {
-				s.cells[dst] = regCell{known: true, src: final}
+				s.set(dst, int32(final))
+				sv.copiedBy[int(final)*sv.words+int(dst>>6)] |= 1 << (dst & 63)
 			}
 		}
 		return
 	}
 	for _, r := range in.Defs(buf[:0]) {
-		if int(r) >= len(s.cells) {
+		if int(r) >= sv.width {
 			continue
 		}
-		s.cells[r].known = false
-		for i := range s.cells {
-			if s.cells[i].known && s.cells[i].src == r {
-				s.cells[i].known = false
+		s.kill(r)
+		sv.killCopiesOf(s, r)
+	}
+}
+
+// killCopiesOf forgets every copy of r that s holds.
+func (sv *regSolver) killCopiesOf(s regLattice, r rtl.Reg) {
+	for w, m := range sv.copiedBy[int(r)*sv.words : (int(r)+1)*sv.words] {
+		for m &= s.known[w]; m != 0; m &= m - 1 {
+			if d := w<<6 | bits.TrailingZeros64(m); s.val[d] == int32(r) {
+				s.known[w] &^= m & -m
 			}
 		}
 	}
-}
-
-// regSolver owns the lattice storage for solve: one pointer-free cell
-// array holding every block's entry and exit state plus a scratch
-// state. It is allocated once per phase application and reused by
-// every sub-pass and fixpoint round — the block count and register
-// width are both invariant while the phase runs, and this solver runs
-// hundreds of thousands of times per enumeration.
-type regSolver struct {
-	width int
-	cells []regCell
-	lat   []regLattice
-	ins   []*regLattice
-	outs  []*regLattice
-}
-
-func newRegSolver(n, width int) *regSolver {
-	sv := &regSolver{
-		width: width,
-		cells: make([]regCell, (2*n+1)*width),
-		lat:   make([]regLattice, 2*n),
-		ins:   make([]*regLattice, n),
-		outs:  make([]*regLattice, n),
-	}
-	for i := range sv.lat {
-		sv.lat[i] = regLattice{cells: sv.cells[i*width : (i+1)*width]}
-	}
-	return sv
 }
 
 // solve runs a forward intersection dataflow with the given transfer
-// function and returns per-block entry states (valid until the next
-// solve call). The fixpoint iterates with the single scratch state
-// instead of cloning per block per pass.
-func (sv *regSolver) solve(f *rtl.Func, g *rtl.CFG, transfer func(*regLattice, *rtl.Instr)) []*regLattice {
-	n := len(sv.ins)
-	lat, ins, outs := sv.lat, sv.ins, sv.outs
-	for i := range ins {
-		ins[i], outs[i] = nil, nil
+// function, leaving every block's entry state in sv.state(block)
+// (valid until the next solve). The fixpoint iterates with the single
+// scratch state instead of cloning per block per pass. A sweep visits
+// only the blocks whose input moved since their last visit — an exit
+// state is a function of the entry state, and that of the predecessors'
+// exit states, so revisiting any other block would reproduce what is
+// there; the states pass through the same values as if every sweep
+// visited every block.
+func (sv *regSolver) solve(f *rtl.Func, g *rtl.CFG, transfer func(*regSolver, regLattice, *rtl.Instr)) {
+	n := sv.n
+	// A block the iteration never enters (it is unreachable) knows
+	// nothing on entry; every other entry state is overwritten.
+	clear(sv.known[:n*sv.words])
+	clear(sv.hasOut)
+	for i := range sv.stale {
+		sv.stale[i] = true
 	}
-	scratch := regLattice{cells: sv.cells[2*n*sv.width:]}
-	rpo := g.RPO()
+	in := sv.state(2 * n)
 	for changed := true; changed; {
 		changed = false
-		for _, bpos := range rpo {
-			in := &scratch
+		for _, bpos := range g.RPO() {
+			if !sv.stale[bpos] {
+				continue
+			}
 			if bpos == 0 {
-				clear(in.cells)
+				clear(in.known)
 			} else {
 				have := false
 				for _, p := range g.Preds[bpos] {
-					if outs[p] == nil {
+					if !sv.hasOut[p] {
 						continue // TOP
 					}
 					if !have {
-						copy(in.cells, outs[p].cells)
+						in.copyFrom(sv.state(n + p))
 						have = true
 					} else {
-						in.meetInto(outs[p])
+						in.meet(sv.state(n + p))
 					}
 				}
 				if !have {
-					if len(g.Preds[bpos]) == 0 {
-						clear(in.cells)
-					} else {
+					if len(g.Preds[bpos]) != 0 {
 						continue
 					}
+					clear(in.known)
 				}
 			}
-			ins[bpos] = &lat[bpos]
-			copy(lat[bpos].cells, in.cells)
+			sv.stale[bpos] = false
+			sv.state(bpos).copyFrom(in)
 			for i := range f.Blocks[bpos].Instrs {
-				transfer(in, &f.Blocks[bpos].Instrs[i])
+				transfer(sv, in, &f.Blocks[bpos].Instrs[i])
 			}
-			if outs[bpos] == nil || !in.equal(outs[bpos]) {
-				outs[bpos] = &lat[n+bpos]
-				copy(lat[n+bpos].cells, in.cells)
+			if out := sv.state(n + bpos); !sv.hasOut[bpos] || !in.equal(out) {
+				out.copyFrom(in)
+				sv.hasOut[bpos] = true
 				changed = true
+				for _, succ := range g.Succs[bpos] {
+					sv.stale[succ] = true
+				}
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		if ins[i] == nil {
-			ins[i] = &lat[i]
-			clear(lat[i].cells)
-		}
-	}
-	return ins
 }
 
 func propagateConstants(f *rtl.Func, g *rtl.CFG, sv *regSolver, d *machine.Desc) bool {
-	ins := sv.solve(f, g, constTransfer)
+	sv.solve(f, g, (*regSolver).constTransfer)
 	changed := false
 	for bpos, b := range f.Blocks {
-		s := ins[bpos]
+		s := sv.state(bpos)
 		for i := range b.Instrs {
 			if substConstOperand(&b.Instrs[i], s, d) {
 				changed = true
 			}
-			constTransfer(s, &b.Instrs[i])
+			sv.constTransfer(s, &b.Instrs[i])
 		}
 	}
 	return changed
 }
 
 func propagateCopies(f *rtl.Func, g *rtl.CFG, sv *regSolver) bool {
-	ins := sv.solve(f, g, copyTransfer)
+	clear(sv.copiedBy)
+	sv.solve(f, g, (*regSolver).copyTransfer)
 	changed := false
 	var buf [8]rtl.Reg
 	for bpos, b := range f.Blocks {
-		s := ins[bpos]
+		s := sv.state(bpos)
 		for i := range b.Instrs {
 			instr := &b.Instrs[i]
 			for _, u := range instr.Uses(buf[:0]) {
-				if int(u) < len(s.cells) && s.cells[u].known {
-					if instr.ReplaceUses(u, rtl.R(s.cells[u].src)) {
+				if s.has(u) {
+					if instr.ReplaceUses(u, rtl.R(rtl.Reg(s.val[u]))) {
 						changed = true
 					}
 				}
 			}
-			copyTransfer(s, instr)
+			sv.copyTransfer(s, instr)
 		}
 	}
 	return changed
@@ -394,48 +473,17 @@ type exprKey struct {
 	scalar bool
 }
 
-// exprState is the set of available expressions with the register
-// holding each value. It is a small slice rather than a map: the hot
-// path of the exhaustive search hashes these states millions of times,
-// and a block rarely has more than a dozen expressions available.
-type exprEntry struct {
-	key exprKey
-	reg rtl.Reg
-}
-
-type exprState []exprEntry
-
-func (s exprState) lookup(k exprKey) (rtl.Reg, bool) {
-	for i := range s {
-		if s[i].key == k {
-			return s[i].reg, true
-		}
+// hash mixes the key's fields for the numbering table. scalar is left
+// out: it is a function of the base register and the displacement.
+func (k *exprKey) hash() uint32 {
+	const mul = 0x9E3779B97F4A7C15
+	h := uint64(k.op) | uint64(k.a.Kind)<<8 | uint64(k.a.Reg)<<16 | uint64(uint32(k.a.Imm))<<32
+	h = h*mul ^ (uint64(k.b.Kind)<<8 | uint64(k.b.Reg)<<16 | uint64(uint32(k.b.Imm))<<32)
+	h = h*mul ^ uint64(uint32(k.disp))
+	for i := 0; i < len(k.sym); i++ {
+		h = h*mul ^ uint64(k.sym[i])
 	}
-	return rtl.RegNone, false
-}
-
-// meetInto intersects other into s (entries must agree on the holding
-// register), returning the reduced state.
-func meetExpr(s, other exprState) exprState {
-	out := s[:0]
-	for _, e := range s {
-		if r, ok := other.lookup(e.key); ok && r == e.reg {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-func exprEqual(a, b exprState) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for _, e := range a {
-		if r, ok := b.lookup(e.key); !ok || r != e.reg {
-			return false
-		}
-	}
-	return true
+	return uint32(h * mul >> 32)
 }
 
 // exprOf returns the expression computed by a pure register-defining
@@ -482,170 +530,326 @@ func exprUsesReg(k exprKey, r rtl.Reg) bool {
 	return k.a.IsReg(r) || k.b.IsReg(r)
 }
 
-// exprTransfer updates the state across one instruction, returning the
-// (possibly reduced) slice.
-func exprTransfer(f *rtl.Func, s exprState, in *rtl.Instr) exprState {
-	var buf [8]rtl.Reg
-	// Memory invalidation: loads killed by stores and calls, with
-	// scalar-slot precision (a slot whose address is never taken
-	// survives aliased stores and calls).
-	switch in.Op {
-	case rtl.OpStore:
-		scalarStore := false
-		if in.B.IsReg(rtl.RegSP) {
-			if sl := f.SlotAt(in.Disp); sl != nil && sl.Scalar {
-				scalarStore = true
+// valueSite is one place an expression's value can be found: the
+// expression and a register some instruction computes it into. The
+// available-expression states are sets of value sites, one bit each.
+type valueSite struct {
+	expr int32   // expression number
+	reg  rtl.Reg // the holding register
+	next int32   // the expression's next site, -1 after its last
+}
+
+// exprSolver is the available-expression analysis over bit sets. Every
+// turn numbers the code as it then stands: one pass hashes each
+// instruction's exprKey to an expression number and each (expression,
+// destination) pair that may enter a state to a value site, after which
+// a state is ⌈sites/64⌉ words, meet is AND, equality a word compare,
+// and an instruction's transfer is
+//
+//	s &^= kill[i]; if s&same[e] == 0 { s |= bit(gen[i]) }
+//
+// with every mask computed once per turn from the sites: same[e] are
+// expression e's sites; regKill[r] the sites r holds or feeds as an
+// operand; loads the sites of loads a pointer store or a call may
+// change; slotLoads the sites of loads from one scalar slot. kill[i]
+// is the union instruction i's definitions and memory effect select.
+//
+// The set is exact — nothing an ordered list of (expression, holder)
+// pairs would say is lost: a state never holds two sites of one
+// expression, because a site enters only when none of its expression
+// is present (the transfer above) and meet and kill only remove. So
+// "which register holds e" has at most one answer in any state — the
+// set of pairs is all there is to know, and no order of entries to
+// preserve.
+type exprSolver struct {
+	width int // registers the function references (usedRegWidth)
+	words int // words per state and per mask
+
+	table []int32     // open-addressed: expression number + 1 by exprKey hash, 0 free
+	exprs []exprKey   // by expression number
+	head  []int32     // by expression number: its first site, -1 none
+	sites []valueSite // by site number, the bit it takes in a state
+	slots []int32     // displacements of the scalar slots some expression loads
+
+	start []int32 // by block position: its first instruction's number; then the count
+	expr  []int32 // by instruction: the expression it computes, -1 none
+	gen   []int32 // by instruction: the site it makes available, -1 none
+
+	mem       []uint64 // backs everything below
+	same      []uint64 // by expression
+	regKill   []uint64 // by register
+	loads     []uint64
+	slotLoads []uint64 // by index into slots
+	kill      []uint64 // by instruction
+	state     []uint64 // block entry states, block exit states, one scratch
+	hasOut    []bool   // by block: exit state computed (otherwise TOP)
+	stale     []bool   // by block: a predecessor's exit state changed since the last visit
+}
+
+// mask is the i-th mask (or state) of an array of them.
+func (es *exprSolver) mask(of []uint64, i int) []uint64 {
+	return of[i*es.words : (i+1)*es.words]
+}
+
+// number assigns k its expression number.
+func (es *exprSolver) number(k *exprKey) int32 {
+	mask := uint32(len(es.table) - 1)
+	for h := k.hash() & mask; ; h = (h + 1) & mask {
+		e := es.table[h] - 1
+		if e < 0 {
+			e = int32(len(es.exprs))
+			es.table[h] = e + 1
+			es.exprs = append(es.exprs, *k)
+			es.head = append(es.head, -1)
+			if k.scalar && !slices.Contains(es.slots, k.disp) {
+				es.slots = append(es.slots, k.disp)
 			}
+			return e
 		}
-		out := s[:0]
-		for _, e := range s {
-			if e.key.op == rtl.OpLoad {
-				if scalarStore {
-					if e.key.scalar && e.key.disp == in.Disp {
-						continue
-					}
-				} else if !e.key.scalar {
-					continue
-				}
-			}
-			out = append(out, e)
+		if es.exprs[e] == *k {
+			return e
 		}
-		s = out
-	case rtl.OpCall:
-		out := s[:0]
-		for _, e := range s {
-			if e.key.op == rtl.OpLoad && !e.key.scalar {
-				continue
-			}
-			out = append(out, e)
-		}
-		s = out
 	}
-	k, isExpr := exprOf(f, in)
-	defs := in.Defs(buf[:0])
-	if len(defs) > 0 {
-		out := s[:0]
-		for _, e := range s {
-			killed := false
-			for _, d := range defs {
-				if e.reg == d || exprUsesReg(e.key, d) {
-					killed = true
-					break
-				}
-			}
-			if !killed {
-				out = append(out, e)
-			}
-		}
-		s = out
-	}
-	if isExpr && in.Dst != rtl.RegNone && !exprUsesReg(k, in.Dst) {
-		if _, exists := s.lookup(k); !exists {
-			s = append(s, exprEntry{key: k, reg: in.Dst})
+}
+
+// site assigns the pair (e, r) its site number.
+func (es *exprSolver) site(e int32, r rtl.Reg) int32 {
+	for s := es.head[e]; s >= 0; s = es.sites[s].next {
+		if es.sites[s].reg == r {
+			return s
 		}
 	}
+	s := int32(len(es.sites))
+	es.sites = append(es.sites, valueSite{expr: e, reg: r, next: es.head[e]})
+	es.head[e] = s
 	return s
 }
 
-// exprSolver owns the per-block available-expression states and the
-// scratch slices of eliminateCommonSubexprs, allocated once per phase
-// application; each round rebuilds the states by appending into the
-// retained backings.
-type exprSolver struct {
-	ins, outs []exprState
-	computed  []bool // an empty slice is a valid state; track TOP separately
-	tmp, sbuf exprState
+// prepare numbers f and builds the masks, reporting whether there is
+// any value site at all: without one nothing is ever available.
+func (es *exprSolver) prepare(f *rtl.Func) bool {
+	n := len(f.Blocks)
+	instrs := 0
+	for _, b := range f.Blocks {
+		instrs += len(b.Instrs)
+	}
+	size := 8
+	for size < 2*instrs {
+		size <<= 1
+	}
+	es.table = resize(es.table, size)
+	clear(es.table)
+	es.exprs, es.head, es.sites, es.slots = es.exprs[:0], es.head[:0], es.sites[:0], es.slots[:0]
+	es.start = resize(es.start, n+1)
+	es.expr = resize(es.expr, instrs)
+	es.gen = resize(es.gen, instrs)
+	i := 0
+	for bpos, b := range f.Blocks {
+		es.start[bpos] = int32(i)
+		for j := range b.Instrs {
+			in := &b.Instrs[j]
+			es.expr[i], es.gen[i] = -1, -1
+			if k, ok := exprOf(f, in); ok {
+				e := es.number(&k)
+				es.expr[i] = e
+				if in.Dst != rtl.RegNone && !exprUsesReg(k, in.Dst) {
+					es.gen[i] = es.site(e, in.Dst)
+				}
+			}
+			i++
+		}
+	}
+	es.start[n] = int32(i)
+	if len(es.sites) == 0 {
+		return false
+	}
+
+	w := (len(es.sites) + 63) / 64
+	es.words = w
+	masks := len(es.exprs) + es.width + 1 + len(es.slots) + instrs
+	mem := resize(es.mem, (masks+2*n+1)*w)
+	es.mem = mem
+	clear(mem[:masks*w]) // the states are written before they are read
+	take := func(count int) []uint64 {
+		s := mem[:count*w]
+		mem = mem[count*w:]
+		return s
+	}
+	es.same, es.regKill, es.loads = take(len(es.exprs)), take(es.width), take(1)
+	es.slotLoads, es.kill, es.state = take(len(es.slots)), take(instrs), take(2*n+1)
+	es.hasOut = resize(es.hasOut, n)
+	es.stale = resize(es.stale, n)
+
+	for s, site := range es.sites {
+		k := &es.exprs[site.expr]
+		word, bit := s>>6, uint64(1)<<(s&63)
+		es.mask(es.same, int(site.expr))[word] |= bit
+		es.mask(es.regKill, int(site.reg))[word] |= bit
+		if k.a.Kind == rtl.OperReg {
+			es.mask(es.regKill, int(k.a.Reg))[word] |= bit
+		}
+		if k.b.Kind == rtl.OperReg {
+			es.mask(es.regKill, int(k.b.Reg))[word] |= bit
+		}
+		if k.op == rtl.OpLoad {
+			if k.scalar {
+				es.mask(es.slotLoads, slices.Index(es.slots, k.disp))[word] |= bit
+			} else {
+				es.loads[word] |= bit
+			}
+		}
+	}
+
+	var buf [8]rtl.Reg
+	i = 0
+	for _, b := range f.Blocks {
+		for j := range b.Instrs {
+			in := &b.Instrs[j]
+			kill := es.mask(es.kill, i)
+			// Memory invalidation: loads killed by stores and calls, with
+			// scalar-slot precision (a slot whose address is never taken
+			// survives aliased stores and calls).
+			switch in.Op {
+			case rtl.OpStore:
+				scalarStore := false
+				if in.B.IsReg(rtl.RegSP) {
+					if sl := f.SlotAt(in.Disp); sl != nil && sl.Scalar {
+						scalarStore = true
+					}
+				}
+				if !scalarStore {
+					orInto(kill, es.loads)
+				} else if slot := slices.Index(es.slots, in.Disp); slot >= 0 {
+					orInto(kill, es.mask(es.slotLoads, slot))
+				}
+			case rtl.OpCall:
+				orInto(kill, es.loads)
+			}
+			for _, d := range in.Defs(buf[:0]) {
+				orInto(kill, es.mask(es.regKill, int(d)))
+			}
+			i++
+		}
+	}
+	return true
 }
 
-func newExprSolver(n int) *exprSolver {
-	return &exprSolver{
-		ins:      make([]exprState, n),
-		outs:     make([]exprState, n),
-		computed: make([]bool, n),
+// transfer updates state s across instruction i, as numbered.
+func (es *exprSolver) transfer(s []uint64, i int32) {
+	andNot(s, es.mask(es.kill, int(i)))
+	if site := es.gen[i]; site >= 0 && disjoint(s, es.mask(es.same, int(es.expr[i]))) {
+		s[site>>6] |= 1 << (site & 63)
+	}
+}
+
+// holder returns the register holding expression e in state s.
+func (es *exprSolver) holder(s []uint64, e int32) (rtl.Reg, bool) {
+	for w, m := range es.mask(es.same, int(e)) {
+		if m &= s[w]; m != 0 {
+			return es.sites[w<<6|bits.TrailingZeros64(m)].reg, true
+		}
+	}
+	return rtl.RegNone, false
+}
+
+// solve computes every block's entry state (state i for block i),
+// sweeping like regSolver.solve: only over blocks whose input moved.
+func (es *exprSolver) solve(g *rtl.CFG) {
+	n := len(es.hasOut)
+	// A block the iteration never enters (it is unreachable) has
+	// nothing available on entry; every other entry state is
+	// overwritten.
+	clear(es.state[:n*es.words])
+	clear(es.hasOut)
+	for i := range es.stale {
+		es.stale[i] = true
+	}
+	tmp := es.mask(es.state, 2*n)
+	for changed := true; changed; {
+		changed = false
+		for _, bpos := range g.RPO() {
+			if !es.stale[bpos] {
+				continue
+			}
+			in := es.mask(es.state, bpos)
+			if bpos == 0 {
+				clear(in)
+			} else {
+				have := false
+				for _, p := range g.Preds[bpos] {
+					if !es.hasOut[p] {
+						continue // TOP
+					}
+					if out := es.mask(es.state, n+p); !have {
+						copy(in, out)
+						have = true
+					} else {
+						for w := range in {
+							in[w] &= out[w]
+						}
+					}
+				}
+				if !have {
+					if len(g.Preds[bpos]) != 0 {
+						continue
+					}
+					clear(in)
+				}
+			}
+			es.stale[bpos] = false
+			copy(tmp, in)
+			for i := es.start[bpos]; i < es.start[bpos+1]; i++ {
+				es.transfer(tmp, i)
+			}
+			if out := es.mask(es.state, n+bpos); !es.hasOut[bpos] || !slices.Equal(tmp, out) {
+				copy(out, tmp)
+				es.hasOut[bpos] = true
+				changed = true
+				for _, succ := range g.Succs[bpos] {
+					es.stale[succ] = true
+				}
+			}
+		}
 	}
 }
 
 func eliminateCommonSubexprs(f *rtl.Func, g *rtl.CFG, es *exprSolver) bool {
-	ins, outs, computed := es.ins, es.outs, es.computed
-	for i := range ins {
-		ins[i] = ins[i][:0]
-		computed[i] = false // stale outs are dead: the first visit rewrites them
+	if !es.prepare(f) {
+		return false
 	}
-	rpo := g.RPO()
-	// Each slot in ins/outs keeps its backing array across fixpoint
-	// iterations (states are recomputed by appending into slot[:0]), and
-	// one scratch slice carries the transfer results; the previous
-	// clone-per-block-per-iteration scheme dominated the allocation
-	// profile of the whole enumeration.
-	tmp := es.tmp
-	for changed := true; changed; {
-		changed = false
-		for _, bpos := range rpo {
-			in := ins[bpos][:0]
-			haveIn := false
-			if bpos == 0 {
-				haveIn = true
-			} else {
-				for _, p := range g.Preds[bpos] {
-					if !computed[p] {
-						continue // TOP
-					}
-					if !haveIn {
-						in = append(in, outs[p]...)
-						haveIn = true
-					} else {
-						in = meetExpr(in, outs[p])
-					}
-				}
-				if !haveIn {
-					if len(g.Preds[bpos]) == 0 {
-						haveIn = true
-					} else {
-						continue
-					}
-				}
-			}
-			ins[bpos] = in
-			out := append(tmp[:0], in...)
-			for i := range f.Blocks[bpos].Instrs {
-				out = exprTransfer(f, out, &f.Blocks[bpos].Instrs[i])
-			}
-			tmp = out
-			if !computed[bpos] || !exprEqual(out, outs[bpos]) {
-				outs[bpos] = append(outs[bpos][:0], out...)
-				computed[bpos] = true
-				changed = true
-			}
-		}
-	}
-
-	es.tmp = tmp
+	es.solve(g)
 	changedCode := false
-	sbuf := es.sbuf
 	for bpos, b := range f.Blocks {
-		s := append(sbuf[:0], ins[bpos]...)
-		for i := 0; i < len(b.Instrs); i++ {
-			instr := &b.Instrs[i]
-			if k, ok := exprOf(f, instr); ok {
-				if holder, avail := s.lookup(k); avail {
+		s := es.mask(es.state, bpos)
+		// i numbers the instructions as prepare met them, pos follows
+		// them through the removals.
+		pos := 0
+		for i := es.start[bpos]; i < es.start[bpos+1]; i++ {
+			if e := es.expr[i]; e >= 0 {
+				if holder, avail := es.holder(s, e); avail {
+					instr := &b.Instrs[pos]
 					if holder == instr.Dst {
 						// The register already holds this value: the
 						// recomputation is a no-op and is removed.
-						b.Remove(i)
-						i--
+						b.Remove(pos)
 						changedCode = true
 						continue
 					}
 					// The value is already in holder: replace the
-					// recomputation with a move.
+					// recomputation with a move, whose transfer ends
+					// what its destination held or fed.
 					*instr = rtl.NewMov(instr.Dst, rtl.R(holder))
 					changedCode = true
+					if int(instr.Dst) < es.width {
+						andNot(s, es.mask(es.regKill, int(instr.Dst)))
+					}
+					pos++
+					continue
 				}
 			}
-			s = exprTransfer(f, s, instr)
+			es.transfer(s, i)
+			pos++
 		}
-		sbuf = s
 	}
-	es.sbuf = sbuf
 	return changedCode
 }

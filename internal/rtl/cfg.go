@@ -128,6 +128,33 @@ func (g *CFG) MustPos(id int) int {
 	return p
 }
 
+// successors returns the layout positions control reaches from the end
+// of the block at position i — at most two, the target of a jump or
+// taken branch first, then the fall-through — given index, every
+// block's position by ID. It is the one statement of the successor
+// rule: ComputeCFG lists its edges by it and Cleanup counts
+// predecessors by it.
+func successors(f *Func, i int, index []int) (succ [2]int, n int) {
+	falls := i+1 < len(f.Blocks)
+	switch last := f.Blocks[i].Last(); {
+	case last == nil:
+	case last.Op == OpJmp:
+		return [2]int{index[last.Target]}, 1
+	case last.Op == OpRet:
+		return succ, 0
+	case last.Op == OpBranch:
+		t := index[last.Target]
+		if falls && t != i+1 {
+			return [2]int{t, i + 1}, 2
+		}
+		return [2]int{t}, 1
+	}
+	if falls {
+		return [2]int{i + 1}, 1
+	}
+	return succ, 0
+}
+
 // ComputeCFG builds the control-flow graph for f.
 func ComputeCFG(f *Func) *CFG {
 	n := len(f.Blocks)
@@ -161,29 +188,10 @@ func ComputeCFG(f *Func) *CFG {
 	} else {
 		predCount = make([]int, n)
 	}
-	for i, b := range f.Blocks {
+	for i := range f.Blocks {
+		succ, k := successors(f, i, g.index)
 		start := len(succBack)
-		last := b.Last()
-		switch {
-		case last == nil:
-			if i+1 < n {
-				succBack = append(succBack, i+1)
-			}
-		case last.Op == OpJmp:
-			succBack = append(succBack, g.index[last.Target])
-		case last.Op == OpRet:
-			// no successors
-		case last.Op == OpBranch:
-			t := g.index[last.Target]
-			succBack = append(succBack, t)
-			if i+1 < n && t != i+1 {
-				succBack = append(succBack, i+1)
-			}
-		default:
-			if i+1 < n {
-				succBack = append(succBack, i+1)
-			}
-		}
+		succBack = append(succBack, succ[:k]...)
 		g.Succs[i] = succBack[start:len(succBack):len(succBack)]
 		for _, s := range g.Succs[i] {
 			predCount[s]++
@@ -298,6 +306,49 @@ func RetargetBranches(f *Func, oldID, newID int) int {
 	return n
 }
 
+// predTables is the storage countPreds works in, on its caller's
+// stack: enough for functions of up to 64 blocks with IDs below 256.
+type predTables struct {
+	count, sole [64]int
+	index       [256]int
+}
+
+// countPreds answers the two questions Cleanup has about a block's
+// predecessors — how many (count, by layout position) and which one
+// where there is just one (sole) — by counting f's successor edges as
+// they now stand, with no graph behind them: Cleanup asks again after
+// every block it removes, and the graphs it used to build for that were
+// a tenth of everything an enumeration allocated. The answers live in
+// tab unless f outgrows it.
+func countPreds(f *Func, tab *predTables) (count, sole []int) {
+	n := len(f.Blocks)
+	if n <= len(tab.count) {
+		count, sole = tab.count[:n], tab.sole[:n]
+		clear(count)
+	} else {
+		count, sole = make([]int, n), make([]int, n)
+	}
+	index := tab.index[:]
+	if f.NextBlockID > len(index) {
+		index = make([]int, f.NextBlockID)
+	}
+	index = index[:f.NextBlockID]
+	for i := range index {
+		index[i] = -1 // a reference to a block that is gone fails loudly, as in ComputeCFG
+	}
+	for i, b := range f.Blocks {
+		index[b.ID] = i
+	}
+	for i := range f.Blocks {
+		succ, k := successors(f, i, index)
+		for _, s := range succ[:k] {
+			count[s]++
+			sole[s] = i
+		}
+	}
+	return count, sole
+}
+
 // Cleanup performs the two compulsory control-flow normalizations that
 // VPO applies implicitly after every transformation: eliminating empty
 // basic blocks and merging a block into its fall-through predecessor
@@ -308,6 +359,7 @@ func RetargetBranches(f *Func, oldID, newID int) int {
 // Cleanup never deletes jumps or moves code; those effects belong to
 // the explicit phases (useless jump removal, block reordering, ...).
 func Cleanup(f *Func) {
+	var tab predTables
 	for {
 		changed := false
 		// Eliminate empty blocks: redirect references to the block's
@@ -328,21 +380,20 @@ func Cleanup(f *Func) {
 			}
 			// Trailing empty block: removable only when nothing
 			// references it and nothing falls into it.
-			g := ComputeCFG(f)
-			if len(g.Preds[i]) == 0 {
+			if count, _ := countPreds(f, &tab); count[i] == 0 {
 				f.RemoveBlockAt(i)
 				changed = true
 			}
 		}
 		// Merge fall-through pairs with a unique predecessor.
-		g := ComputeCFG(f)
+		count, sole := countPreds(f, &tab)
 		for i := 0; i+1 < len(f.Blocks); i++ {
 			b := f.Blocks[i]
 			if b.EndsInControl() {
 				continue
 			}
 			next := i + 1
-			if len(g.Preds[next]) != 1 || g.Preds[next][0] != i {
+			if count[next] != 1 || sole[next] != i {
 				continue
 			}
 			// Fold block next into b. Branches cannot target next
@@ -351,7 +402,7 @@ func Cleanup(f *Func) {
 			b.Instrs = append(b.Instrs, f.Blocks[next].Instrs...)
 			f.RemoveBlockAt(next)
 			changed = true
-			g = ComputeCFG(f)
+			count, sole = countPreds(f, &tab)
 			i--
 		}
 		if !changed {

@@ -1,7 +1,6 @@
 package search
 
 import (
-	"context"
 	"fmt"
 	"testing"
 	"unsafe"
@@ -104,7 +103,7 @@ func (p padPhase) Apply(f *rtl.Func, _ *machine.Desc) bool {
 // between that could lose it, while a key that only shares its
 // fingerprint gets a slot of its own.
 func TestDedupIndexCollisionAcrossLevels(t *testing.T) {
-	e, node := ringEngine(1, context.Background())
+	e, node := ringEngine(Options{Workers: 1})
 	const depth = 7
 	for level := 1; level <= depth; level++ {
 		e.next = nil

@@ -1,13 +1,18 @@
 package search
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"runtime"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
 
+	"repro/internal/faultinject"
 	"repro/internal/fingerprint"
 	"repro/internal/machine"
 	"repro/internal/rtl"
@@ -118,14 +123,20 @@ func TestOutcomeRingMarksNeverRepeatAcrossLevels(t *testing.T) {
 // ringPhase is a synthetic phase for driving runLevel with work lists
 // of exact sizes: it sleeps, calls its hook, and is active (it prepends
 // a no-op, the same one every time, so all its children are one
-// instance) or dormant as told. Its ID gates nothing.
+// instance) or dormant as told. Its ID ('z' unless set) gates nothing.
 type ringPhase struct {
+	id     byte
 	sleep  time.Duration
 	hook   func()
 	active bool
 }
 
-func (ringPhase) ID() byte                { return 'z' }
+func (p ringPhase) ID() byte {
+	if p.id != 0 {
+		return p.id
+	}
+	return 'z'
+}
 func (ringPhase) Name() string            { return "ring test phase" }
 func (ringPhase) RequiresRegAssign() bool { return false }
 func (p ringPhase) Apply(f *rtl.Func, _ *machine.Desc) bool {
@@ -141,38 +152,95 @@ func (p ringPhase) Apply(f *rtl.Func, _ *machine.Desc) bool {
 
 // ringEngine seeds an engine on a one-instruction function and returns
 // it with its root, the node every synthetic attempt is made at.
-func ringEngine(workers int, ctx context.Context) (*engine, *Node) {
+func ringEngine(opts Options) (*engine, *Node) {
 	f := rtl.NewFunc("ring", 0, false)
 	f.Entry().Instrs = append(f.Entry().Instrs, rtl.Instr{Op: rtl.OpRet})
-	e := newRun(f, Options{Workers: workers, Ctx: ctx}, nil)
-	e.done = ctx.Done()
+	e := newRun(f, opts, nil)
+	if opts.Ctx != nil {
+		e.done = opts.Ctx.Done()
+	}
 	return e, e.frontier[0]
 }
 
+// goid is the running goroutine's ID, read off its stack header
+// ("goroutine 17 [running]:").
+func goid() uint64 {
+	var buf [64]byte
+	s := buf[len("goroutine "):runtime.Stack(buf[:], false)]
+	id, _ := strconv.ParseUint(string(s[:bytes.IndexByte(s, ' ')]), 10, 64)
+	return id
+}
+
+// levelCaller is the goroutine runLevelOrStall last called runLevel on
+// — worker one and the committer of that level; a phase hook asks
+// onCaller whether it is the one evaluating.
+var levelCaller atomic.Uint64
+
+func onCaller() bool { return goid() == levelCaller.Load() }
+
 // runLevelOrStall runs one level of work through the live evaluator and
-// fails the test if the committer never finishes.
+// fails the test if it never finishes.
 func runLevelOrStall(t *testing.T, e *engine, work []attempt, what string) {
 	t.Helper()
 	finished := make(chan error, 1)
-	go func() { finished <- e.runLevel(work) }()
+	go func() {
+		levelCaller.Store(goid())
+		finished <- e.runLevel(work)
+	}()
 	select {
 	case err := <-finished:
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
 	case <-time.After(2 * time.Minute):
-		t.Fatalf("%s: the level never finished — a published outcome the committer was not told of, or a worker stranded at the window", what)
+		t.Fatalf("%s: the level never finished — a published outcome the caller was not told of, or a worker stranded at the window", what)
 	}
 }
 
-// TestCommitterLivenessUnderBatching: workers tell the committer of
-// their outcomes once per wakeBatch, before they block on the window
-// and as they leave the level, and that has to be enough for every
-// outcome to be committed at every worker count and work size —
-// including when one attempt, the first or the last, is slow, so that
-// everyone else has published and left (or is parked at the window)
-// long before it. Each engine runs several such levels through its
-// ring, which is replaced only for a level that outgrows it.
+// ringDrained fails the test if any slot of e's ring still holds an
+// outcome: what an aborted level leaves published must have been taken
+// and its clone and fingerprint buffer handed back to their pools.
+func ringDrained(t *testing.T, e *engine, what string) {
+	t.Helper()
+	for i := range e.ring.slots {
+		if o := &e.ring.slots[i].o; o.fn != nil || o.buf != nil || o.slot != nil || o.active {
+			t.Fatalf("%s: slot %d still holds an outcome after the aborted level", what, i)
+		}
+	}
+}
+
+// TestOneWorkerRunsOnTheCallingGoroutine: at Workers 1 the enumeration
+// is the calling goroutine's and nobody else's — every instance is
+// evaluated (the Verifier hook runs where the attempt does) on the
+// goroutine that called Run, and no goroutine is started for it.
+func TestOneWorkerRunsOnTheCallingGoroutine(t *testing.T) {
+	f := corpusFunc(t, "stringsearch", "tolower_c")
+	me, before := goid(), runtime.NumGoroutine()
+	instances := 0
+	res := Run(f, Options{Workers: 1, Verifier: func(*rtl.Func) error {
+		instances++ // unsynchronized on purpose: -race would report a second goroutine
+		if id := goid(); id != me {
+			t.Errorf("an instance was evaluated on goroutine %d, Run was called on %d", id, me)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("%d goroutines during Run, %d before it", n, before)
+		}
+		return nil
+	}})
+	if res.Aborted || len(res.Nodes) < 2 || instances < len(res.Nodes)-1 {
+		t.Fatalf("aborted=%v (%s), %d nodes, %d instances verified", res.Aborted, res.AbortReason, len(res.Nodes), instances)
+	}
+}
+
+// TestCommitterLivenessUnderBatching: workers tell the caller of their
+// outcomes once per wakeBatch, before they block on the window and as
+// they leave the level, and the caller commits between its own
+// evaluations; that has to be enough for every outcome to be committed
+// at every worker count and work size — including when one attempt, the
+// first or the last, is slow, so that everyone else has published and
+// left (or is parked at the window) long before it. Each engine runs
+// several such levels through its ring, which is replaced only for a
+// level that outgrows it.
 func TestCommitterLivenessUnderBatching(t *testing.T) {
 	seqs := [][]int{{minRingSize - 1, minRingSize + 1, ringSize + 1}}
 	for _, n := range levelSizes {
@@ -182,7 +250,7 @@ func TestCommitterLivenessUnderBatching(t *testing.T) {
 		for _, seq := range seqs {
 			for _, slowLast := range []bool{false, true} {
 				what := fmt.Sprintf("workers=%d, levels of %v attempts, last attempt slow: %v", workers, seq, slowLast)
-				e, root := ringEngine(workers, context.Background())
+				e, root := ringEngine(Options{Workers: workers})
 				wantEdges, wantBase := 0, 0
 				for level, n := range seq {
 					work := make([]attempt, n)
@@ -215,6 +283,102 @@ func TestCommitterLivenessUnderBatching(t *testing.T) {
 			}
 		}
 	}
+	// Who ends up with the slow attempt above is the scheduler's choice;
+	// these two cells make it the caller's, then a worker's.
+	t.Run("caller holds the slow attempt", callerStalledWhileWorkersRunAhead)
+	t.Run("caller out of claims", callerParkedOnTheLastAttempt)
+}
+
+// callerStalledWhileWorkersRunAhead puts the slow attempt in the
+// caller's hands — it is a worker like the others, and while it
+// evaluates nobody commits. On a level larger than the ring the other
+// workers then run a full window ahead and must park on space, to be
+// released when the caller returns and commits what they published: the
+// caller's first evaluation ends only once the others have evaluated
+// every attempt the window admits (all but the caller's own below
+// committed + window).
+func callerStalledWhileWorkersRunAhead(t *testing.T) {
+	for _, workers := range []int{2, 8, 64} {
+		for _, n := range []int{2*ringSize + 1, 3 * ringSize} {
+			what := fmt.Sprintf("workers=%d, %d attempts", workers, n)
+			e, root := ringEngine(Options{Workers: workers})
+			var byOthers atomic.Int64
+			var stalled atomic.Bool
+			hook := func() {
+				if !onCaller() {
+					byOthers.Add(1)
+					return
+				}
+				if stalled.Swap(true) {
+					return
+				}
+				// Only this goroutine commits, so the count stands still
+				// while it is in here.
+				committed := e.ins.active.Load() + e.ins.dormant.Load()
+				want := min(committed+int64(len(e.ring.slots)), int64(n)) - 1
+				for deadline := time.Now().Add(time.Minute); byOthers.Load() < want; time.Sleep(100 * time.Microsecond) {
+					if time.Now().After(deadline) {
+						t.Errorf("%s: the other workers evaluated %d attempts while the caller held one back, the window admits %d", what, byOthers.Load(), want)
+						return
+					}
+				}
+				if got := byOthers.Load(); got != want {
+					t.Errorf("%s: the other workers evaluated %d attempts, past the %d the window admits", what, got, want)
+				}
+			}
+			work := make([]attempt, n)
+			for i := range work {
+				work[i] = attempt{root, ringPhase{active: i%3 == 0, hook: hook}}
+			}
+			runLevelOrStall(t, e, work, what)
+			if !stalled.Load() {
+				t.Fatalf("%s: the caller evaluated nothing", what)
+			}
+			if e.res.Aborted || len(root.Edges) != (n+2)/3 {
+				t.Fatalf("%s: aborted=%v, %d active outcomes committed, want %d", what, e.res.Aborted, len(root.Edges), (n+2)/3)
+			}
+		}
+	}
+}
+
+// callerParkedOnTheLastAttempt is the other end: the caller is out
+// of claims while a worker still holds the level's last attempt, a slow
+// one. The caller's first evaluation (if it gets one) waits until a
+// worker has started on the last attempt, so by the time the caller
+// looks for work there is none: it commits what is published, parks,
+// and the worker's exit — rule (c), it has published fewer than a batch
+// — is the only wake-up it will get.
+func callerParkedOnTheLastAttempt(t *testing.T) {
+	for _, workers := range []int{2, 8, 64} {
+		for _, n := range levelSizes[1:7] { // 2 … ringSize-1 attempts: within one window
+			what := fmt.Sprintf("workers=%d, %d attempts", workers, n)
+			e, root := ringEngine(Options{Workers: workers})
+			lastStarted := make(chan struct{})
+			var held atomic.Bool
+			work := make([]attempt, n)
+			for i := range work {
+				work[i] = attempt{root, ringPhase{active: true, hook: func() {
+					if onCaller() && !held.Swap(true) {
+						select {
+						case <-lastStarted:
+						case <-time.After(time.Minute):
+							t.Errorf("%s: no worker reached the last attempt while the caller held one", what)
+						}
+					}
+				}}}
+			}
+			work[n-1].phase = ringPhase{active: true, hook: func() {
+				if !onCaller() {
+					close(lastStarted)
+					time.Sleep(5 * time.Millisecond)
+				}
+			}}
+			runLevelOrStall(t, e, work, what)
+			if e.res.Aborted || len(root.Edges) != n {
+				t.Fatalf("%s: aborted=%v, %d outcomes committed, want %d", what, e.res.Aborted, len(root.Edges), n)
+			}
+		}
+	}
 }
 
 // TestCanceledLevelDrainsTheRing cancels a level half way through: the
@@ -228,13 +392,13 @@ func TestCanceledLevelDrainsTheRing(t *testing.T) {
 		for _, n := range levelSizes[1:] {
 			what := fmt.Sprintf("workers=%d, %d attempts", workers, n)
 			ctx, cancel := context.WithCancel(context.Background())
-			e, root := ringEngine(workers, ctx)
+			e, root := ringEngine(Options{Workers: workers, Ctx: ctx})
 			work := make([]attempt, n)
 			for i := range work {
 				work[i] = attempt{root, ringPhase{active: true}}
 			}
-			// The first attempt holds the committer back while the
-			// others publish; the one in the middle pulls the plug.
+			// The first attempt holds the commits back while the others
+			// publish; the one in the middle pulls the plug.
 			work[0].phase = ringPhase{active: true, sleep: 5 * time.Millisecond}
 			work[n/2].phase = ringPhase{active: true, hook: cancel}
 			runLevelOrStall(t, e, work, what)
@@ -242,12 +406,55 @@ func TestCanceledLevelDrainsTheRing(t *testing.T) {
 			if !e.res.Aborted {
 				t.Fatalf("%s: a level canceled half way was not aborted", what)
 			}
-			for i := range e.ring.slots {
-				if o := &e.ring.slots[i].o; o.fn != nil || o.buf != nil || o.slot != nil || o.active {
-					t.Fatalf("%s: slot %d still holds an outcome after the aborted level", what, i)
-				}
-			}
+			ringDrained(t, e, what)
 		}
+	}
+}
+
+// TestTimeoutWhileCallerEvaluates: the wall-time budget runs out while
+// the caller, the only goroutine that can abort the level, is inside an
+// attempt. Every worker's first attempt hangs (an injected 300 ms hang
+// on the level's first Workers attempts: each worker claims one of them
+// before any finishes, the caller included), the budget is 50 ms, so the
+// caller finds it spent as soon as its attempt returns: the level ends
+// there, aborted with the timeout reason, with most of its attempts
+// never evaluated and the ring drained.
+func TestTimeoutWhileCallerEvaluates(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		what := fmt.Sprintf("workers=%d", workers)
+		e, root := ringEngine(Options{
+			Workers: workers,
+			Timeout: 50 * time.Millisecond,
+			Faults:  faultinject.MustParse("hang=y:300ms"),
+		})
+		var evaluated, hungOnCaller atomic.Int64
+		work := make([]attempt, 200)
+		for i := range work {
+			p := ringPhase{active: true, sleep: 10 * time.Millisecond, hook: func() { evaluated.Add(1) }}
+			if i < workers {
+				p = ringPhase{id: 'y', active: true, hook: func() {
+					evaluated.Add(1)
+					if onCaller() {
+						hungOnCaller.Add(1)
+					}
+				}}
+			}
+			work[i] = attempt{root, p}
+		}
+		runLevelOrStall(t, e, work, what)
+		if !e.res.Aborted || e.res.AbortReason != abortTimeout {
+			t.Fatalf("%s: aborted=%v, reason %q; want the timeout", what, e.res.Aborted, e.res.AbortReason)
+		}
+		if n := hungOnCaller.Load(); n != 1 {
+			t.Fatalf("%s: the caller evaluated %d of the hanging attempts, want 1", what, n)
+		}
+		// The caller looks at the clock when its hang ends, and stops the
+		// others: whoever came out of a hang before that fits in a few
+		// 10 ms attempts, not the 200 of the level.
+		if n := evaluated.Load(); n > int64(len(work)/2) {
+			t.Errorf("%s: %d of %d attempts evaluated; the level should have ended with the caller's first", what, n, len(work))
+		}
+		ringDrained(t, e, what)
 	}
 }
 

@@ -14,18 +14,19 @@ const ringSize = 4096
 // costs nothing worth saving.
 const minRingSize = 64
 
-// wakeBatch is how many outcomes a worker publishes between wake-ups
-// of the committer (runLevel has the rule and why nothing is stranded).
-// Waking a parked goroutine costs a futex call, an outcome a few
-// microseconds of evaluation: one wake-up per outcome was 6% of a
-// one-worker run. Power of two, and no larger than the smallest ring,
-// so the committer is told of a full window before workers run out of
-// it.
+// wakeBatch is how many outcomes a started worker publishes between
+// wake-ups of the caller, who commits (runLevel has the rule and why
+// nothing is stranded). The caller is parked only when it has nothing of
+// its own to evaluate; a wake-up then costs a futex call, an outcome a
+// few microseconds of evaluation. Power of two, and no larger than the
+// smallest ring, so the caller is told of a full window before workers
+// run out of it.
 const wakeBatch = 32
 
 // outcomeSlot is one ring cell. seq is the publication marker: a
 // worker fills o and then stores the attempt's number + 1 (release);
-// the committer observes that value (acquire) before reading o, which
+// the committer — the goroutine that called runLevel, itself one of the
+// workers — observes that value (acquire) before reading o, which
 // makes the plain o fields safe to hand across goroutines. Attempts are
 // numbered across the whole run (engine.ringBase), so a mark left by an
 // earlier level can never read as a later level's publication, and a
@@ -39,7 +40,7 @@ type outcomeSlot struct {
 }
 
 // outcomeRing is a single-consumer ring buffer carrying evaluation
-// outcomes from the workers to the in-order committer. It is sized by
+// outcomes from the workers to the in-order commit. It is sized by
 // the work it carries: a run keeps one ring and replaces it only at a
 // level boundary, by a larger one, while levels still outgrow it —
 // allocating and zeroing ringSize slots (512 KiB) for a space of a

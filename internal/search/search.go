@@ -163,7 +163,10 @@ type Options struct {
 	// (needed by callers that walk instances afterwards; the analysis
 	// and statistics do not need it).
 	KeepFuncs bool
-	// Workers sets the evaluation parallelism (default: NumCPU). The
+	// Workers sets the evaluation parallelism (default: NumCPU): how
+	// many goroutines evaluate attempts, the one that called Run (or
+	// Resume) among them — it also commits, so an enumeration occupies
+	// Workers threads, and at 1 it starts no goroutine at all. The
 	// enumeration result is deterministic regardless of the setting.
 	Workers int
 	// NaiveReplay disables the paper's Section 4.3 search
@@ -869,22 +872,26 @@ func (e *engine) checkAbort() bool {
 	return false
 }
 
-// runLevel is the live evaluator: it evaluates the attempts on a
-// pipelined worker pool (a mid-level abort marks the result aborted and
-// returns early). Workers claim attempts from a shared cursor,
-// evaluate them, probe (or park a pending entry in) the striped index,
-// and publish the outcome into the run's bounded ring; this goroutine is
-// the single committer, consuming outcomes strictly in attempt order. The
-// in-order commit is what makes the space deterministic: node IDs are
-// assigned in first-committed-reference order, which is exactly the
-// serial engine's discovery order, independent of worker count and
-// scheduling. The ring bound doubles as the memory bound the old
-// chunk barrier provided — at most ringSize evaluated-but-uncommitted
-// clones exist — but with no barrier: workers keep evaluating while
-// the committer merges, and a slow attempt stalls only commits beyond
-// it, not the evaluation pipeline. Once the level is committed its
-// discoveries need no further step: their slots sit in the index with
-// their IDs, where the next level's probes find them.
+// runLevel is the live evaluator: Workers goroutines — this one, the
+// caller, and Workers-1 it starts — run one claim → evaluate → publish
+// loop over the level (a mid-level abort marks the result aborted and
+// returns early). Each claims attempts from a shared cursor, evaluates
+// them, probes (or parks a slot in) the striped index, and publishes
+// the outcome into the run's bounded ring. The caller is also the
+// single committer: between its own evaluations it consumes the ring's
+// ready prefix strictly in attempt order, and once nothing is left to
+// claim it commits the rest, parking while the next outcome is still
+// being evaluated. The in-order commit is what makes the space
+// deterministic: node IDs are assigned in first-committed-reference
+// order, which is exactly the serial engine's discovery order,
+// independent of worker count and scheduling. The ring bounds memory —
+// at most len(ring.slots) evaluated-but-uncommitted clones exist — with
+// no barrier: a slow attempt stalls only commits beyond it, not the
+// evaluation pipeline. At Workers 1 no goroutine is started, nothing is
+// sent on a channel and nobody parks: evaluation and commit alternate on
+// the calling goroutine. Once the level is committed its discoveries
+// need no further step: their slots sit in the index with their IDs,
+// where the next level's probes find them.
 func (e *engine) runLevel(work []attempt) error {
 	opts, res := e.opts, e.res
 	workers := opts.Workers
@@ -901,14 +908,15 @@ func (e *engine) runLevel(work []attempt) error {
 		e.ring = newOutcomeRing(len(work))
 	}
 	ring, base := e.ring, e.ringBase
-	window := int64(len(ring.slots)) // how far ahead of the committer workers may claim
-	e.ringBase += int64(len(work))
+	window := int64(len(ring.slots)) // how far ahead of the commit count anyone may evaluate
+	total := int64(len(work))
+	e.ringBase += total
 	var claim, committed atomic.Int64
-	// notify wakes the committer to look for published outcomes; space
-	// wakes window-blocked workers after a commit. Both are best-effort
-	// (non-blocking sends into small buffers): a dropped notify means
-	// a wakeup is already pending, and a dropped space token means
-	// enough tokens for every blocked worker are already buffered.
+	// notify wakes the parked caller to look for published outcomes;
+	// space wakes window-blocked workers after a commit. Both are
+	// best-effort (non-blocking sends into small buffers): a dropped
+	// notify means a wakeup is already pending, and a dropped space token
+	// means enough tokens for every blocked worker are already buffered.
 	notify := make(chan struct{}, 1)
 	wake := func() {
 		select {
@@ -916,60 +924,72 @@ func (e *engine) runLevel(work []attempt) error {
 		default:
 		}
 	}
-	space := make(chan struct{}, workers)
+	space := make(chan struct{}, max(workers-1, 0))
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
 
-	for w := 0; w < workers; w++ {
+	// loop is the worker's step, the same for everyone: claim the next
+	// attempt, wait until admit lets it through (false: leave the
+	// level), evaluate, publish.
+	loop := func(lane int, admit func(i int64) bool, published func()) {
+		for {
+			i := claim.Add(1) - 1
+			if i >= total || !admit(i) {
+				return
+			}
+			ring.put(base+i, e.evaluate(work[i], lane))
+			published()
+		}
+	}
+
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		// Lane w+1 keeps each worker's spans in their own trace row;
-		// lane 0 is the serial control lane.
+		// lane 0 is the serial control lane (the commits), lane 1 the
+		// caller's evaluations.
 		go func(lane int) {
 			defer wg.Done()
 			// A worker announces what it published once per wakeBatch
 			// outcomes, before it blocks on the window, and — whichever
-			// way it leaves the level — on its way out, so the committer
-			// never waits on an outcome nobody will tell it about.
+			// way it leaves the level — on its way out, so the caller
+			// never parks on an outcome nobody will tell it about.
 			defer wake()
-			for published := 0; ; {
-				i := claim.Add(1) - 1
-				if i >= int64(len(work)) {
-					return
-				}
-				// Claiming a whole ring ahead of the committer would
-				// reuse a slot whose previous outcome is still
+			n := 0
+			loop(lane, func(i int64) bool {
+				// Evaluating a whole ring ahead of the commit count
+				// would reuse a slot whose previous outcome is still
 				// uncommitted; wait for the window to advance.
 				for i-committed.Load() >= window {
 					wake()
 					select {
 					case <-space:
 					case <-stop:
-						return
+						return false
 					case <-e.done:
-						return
+						return false
 					}
 				}
-				// Checked per expansion so cancellation stops the run
+				// Checked per attempt so cancellation stops the run
 				// within one attempt's latency.
 				select {
 				case <-stop:
-					return
+					return false
 				case <-e.done:
-					return
+					return false
 				default:
+					return true
 				}
-				o := e.evaluate(work[i], lane)
-				ring.put(base+i, o)
-				if published++; published%wakeBatch == 0 {
+			}, func() {
+				if n++; n%wakeBatch == 0 {
 					wake()
 				}
-			}
+			})
 		}(w + 1)
 	}
 
-	// tickC re-checks the wall-time budget while the committer is
-	// blocked waiting for a slow attempt; nil (never fires) without a
-	// timeout, where cancellation alone can interrupt the wait.
+	// tickC re-checks the wall-time budget while the caller is parked
+	// waiting for a slow attempt; nil (never fires) without a timeout,
+	// where cancellation alone can interrupt the wait.
 	var tickC <-chan time.Time
 	if opts.Timeout > 0 {
 		t := time.NewTicker(25 * time.Millisecond)
@@ -977,12 +997,33 @@ func (e *engine) runLevel(work []attempt) error {
 		tickC = t.C
 	}
 
-	total := int64(len(work))
-commitLoop:
-	for i := int64(0); i < total; i++ {
-		for !ring.ready(base + i) {
+	// commitUntil commits the ring's ready prefix, in attempt order, and
+	// parks for more until bound attempts are committed; false means the
+	// level was aborted first. Cancellation and the wall-time budget are
+	// polled before every park, so on every wake-up, and every 4096
+	// commits of a long prefix; a level whose last outcome is committed
+	// is never aborted.
+	next := int64(0) // the attempt to commit next; committed publishes it
+	commitUntil := func(bound int64) bool {
+		for !res.Aborted {
+			for next < total && ring.ready(base+next) {
+				o := ring.take(base + next)
+				next++
+				committed.Store(next)
+				select {
+				case space <- struct{}{}:
+				default:
+				}
+				e.commitOutcome(work[next-1], &o)
+				if next%4096 == 0 && e.checkAbort() {
+					return false
+				}
+			}
+			if next >= bound {
+				return true
+			}
 			if e.checkAbort() {
-				break commitLoop
+				return false
 			}
 			select {
 			case <-notify:
@@ -990,19 +1031,20 @@ commitLoop:
 			case <-tickC:
 			}
 		}
-		o := ring.take(base + i)
-		committed.Store(i + 1)
-		select {
-		case space <- struct{}{}:
-		default:
-		}
-		e.commitOutcome(work[i], &o)
-		// Bound how much commit work runs between abort polls when
-		// outcomes arrive faster than the committer drains them.
-		if (i+1)%4096 == 0 && e.checkAbort() {
-			break commitLoop
-		}
+		return false
 	}
+	// The caller's turn at the loop. Before each evaluation it commits
+	// what is ready and polls for an abort, as the workers do, so an
+	// interruption costs at most the attempt in hand; holding a claim a
+	// window ahead it commits and waits until the claim is inside the
+	// window — every earlier attempt is committed, published, or in
+	// another worker's hands, so the window opens without it. Out of
+	// claims, it commits the rest of the level.
+	loop(1, func(i int64) bool {
+		return commitUntil(i-window+1) && !e.checkAbort()
+	}, func() {})
+	commitUntil(total)
+
 	if res.Aborted {
 		// Stop the pipeline and drain every published-but-uncommitted
 		// outcome: their clones and fingerprint buffers go back to the
@@ -1012,11 +1054,7 @@ commitLoop:
 		// back to the last level boundary.
 		close(stop)
 		wg.Wait()
-		hi := claim.Load()
-		if hi > total {
-			hi = total
-		}
-		for i := committed.Load(); i < hi; i++ {
+		for i, claimed := next, min(claim.Load(), total); i < claimed; i++ {
 			if !ring.ready(base + i) {
 				continue // claimed but never published
 			}

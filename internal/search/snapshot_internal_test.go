@@ -212,8 +212,10 @@ func factsOf(t *testing.T, r *Result) spaceFacts {
 // every attempt's first look built both (1.08 graphs and 0.45 liveness
 // solutions per attempt, cleanup's and register assignment's included);
 // with the snapshot the up-to-fourteen attempts at a node build each
-// once between them, and what is left is what attempts derive after
-// they have changed the code.
+// once between them (0.47 and 0.25), and since Cleanup counts
+// predecessors instead of building graphs (0.27 graphs) what is left is
+// what phases derive after they have changed the code. The bars are the
+// measurements plus the margin they have had since the first of them.
 func TestAnalysesComputedOncePerNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("enumerates three mid-sized spaces")
@@ -244,8 +246,8 @@ func TestAnalysesComputedOncePerNode(t *testing.T) {
 	}
 	perAttempt := func(n *atomic.Int64) float64 { return float64(n.Load()) / float64(attempts) }
 	t.Logf("%d attempts: %.3f graphs, %.3f liveness solutions from scratch per attempt", attempts, perAttempt(&cfgs), perAttempt(&liveness))
-	if got := perAttempt(&cfgs); got > 0.65 {
-		t.Errorf("%.3f graphs built from scratch per attempt, want at most 0.65", got)
+	if got := perAttempt(&cfgs); got > 0.45 {
+		t.Errorf("%.3f graphs built from scratch per attempt, want at most 0.45", got)
 	}
 	if got := perAttempt(&liveness); got > 0.35 {
 		t.Errorf("%.3f liveness solutions computed per attempt, want at most 0.35", got)

@@ -14,7 +14,10 @@ import (
 // search with Workers = NumCPU while the pool ran several flights
 // concurrently, so N flights × M workers oversubscribed GOMAXPROCS by
 // N×; now a flight acquires tokens before enumerating and the total
-// in use never exceeds the budget.
+// in use never exceeds the budget. A token is a runnable goroutine: a
+// search at Workers = W keeps W of them busy, the flight's own
+// included, since the goroutine that calls the engine evaluates and
+// commits rather than waiting on a committer beside the workers.
 //
 // Acquisition is elastic rather than all-or-nothing: a flight asks for
 // its preferred width and is granted whatever share (≥ 1 token) is
