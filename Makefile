@@ -37,13 +37,15 @@ test:
 # dataflow because the equivalence tier canonicalizes instances on
 # those same workers (the -jobs + -equiv combination in the search
 # suite exercises it end to end), distcl because the fleet worker
-# runs assignments, heartbeats and drains on separate goroutines, and
-# rtl and opt because a frontier instance's analysis snapshot is read
-# (and computed, once) by every worker attempting that node.
+# runs assignments, heartbeats and drains on separate goroutines, rtl
+# and opt because a frontier instance's analysis snapshot is read (and
+# computed, once) by every worker attempting that node, and check
+# because its liveness draws on the same pool of solver scratch the
+# workers' phases do.
 # -timeout 30m: the search suite's determinism grids run ~10m under
 # -race on a 1-CPU box, brushing the 10m per-package default.
 race:
-	$(GO) test -race -timeout 30m ./internal/search/ ./internal/driver/ ./internal/telemetry/ ./internal/faultinject/ ./internal/fingerprint/ ./internal/server/ ./internal/dataflow/ ./internal/distcl/ ./internal/rtl/ ./internal/opt/
+	$(GO) test -race -timeout 30m ./internal/search/ ./internal/driver/ ./internal/telemetry/ ./internal/faultinject/ ./internal/fingerprint/ ./internal/server/ ./internal/dataflow/ ./internal/distcl/ ./internal/rtl/ ./internal/opt/ ./internal/check/
 
 # Static analysis beyond go vet. staticcheck and govulncheck run when
 # installed and are skipped with a note otherwise, so the target stays
@@ -75,14 +77,15 @@ lint-fixtures:
 # on: non-test, non-blank, non-comment Go lines, one line per package
 # and their total. Informational (never fails), and part of check so
 # that every CI log carries the number. The packages under the engine
-# (phases, RTL, fingerprint) follow the total and stay out of it, so
-# ROADMAP's series of totals remains comparable.
+# (phases, RTL, fingerprint, and dataflow and check — ROADMAP quotes
+# opt + rtl + dataflow for the analyses) follow the total and stay out
+# of it, so ROADMAP's series of totals remains comparable.
 loc:
 	@count() { ls $$1/*.go | grep -v _test.go | xargs cat | grep -vcE '^\s*(//.*)?$$'; }; \
 	total=0; for d in internal/search internal/server internal/distcl cmd/explore; do \
 		n=$$(count $$d); printf 'loc: %-20s %s\n' $$d $$n; total=$$((total + n)); \
 	done; printf 'loc: %-20s %s\n' total $$total; \
-	for d in internal/opt internal/rtl internal/fingerprint; do \
+	for d in internal/opt internal/rtl internal/fingerprint internal/dataflow internal/check; do \
 		printf 'loc: %-20s %s (not in total)\n' $$d $$(count $$d); \
 	done
 

@@ -24,13 +24,13 @@
 //     up — so they never fail the hooks, but cmd/rtllint surfaces them.
 //
 // The flow-sensitive rules (must-assigned registers, condition-code
-// validity, liveness, available copies) are instances of the
-// internal/dataflow solver rather than hand-rolled fixpoints, and every
-// diagnostic on a reachable block carries a path witness: a concrete
-// block trace through the CFG demonstrating the finding (the path along
-// which the register arrives unassigned, the condition codes arrive
-// invalid, or the stored value dies). cmd/rtllint renders witnesses in
-// both its human and -json output.
+// validity, liveness, available copies) are clients of the one dataflow
+// kernel in internal/rtl rather than hand-rolled fixpoints (flow.go),
+// and every diagnostic on a reachable block carries a path witness: a
+// concrete block trace through the CFG demonstrating the finding (the
+// path along which the register arrives unassigned, the condition codes
+// arrive invalid, or the stored value dies). cmd/rtllint renders
+// witnesses in both its human and -json output.
 package check
 
 import (
@@ -352,34 +352,28 @@ func (c *checker) sort() {
 	})
 }
 
-// entrySeed returns the registers holding defined values when the
-// function is entered: the stack pointer and the argument registers
-// r0..r3, as many as the function declares (the call convention caps
-// arguments at four). Once the entry/exit fixup has run, the
-// callee-save registers also count as live-in — the save code reads
-// the caller's values to preserve them. During optimization they are
-// ordinary storage whose incoming value is garbage, so reading one
-// before writing it is a miscompile.
-func (c *checker) entrySeed(maxReg int) rtl.RegSet {
-	seed := rtl.NewRegSet(maxReg)
-	seed.Add(rtl.RegSP)
-	n := c.f.NArgs
-	if n > 4 {
-		n = 4
-	}
-	for i := 0; i < n; i++ {
-		seed.Add(rtl.Reg(i))
+// entrySeed adds to s the registers holding defined values when the
+// function is entered (s is the entry block's boundary state): the
+// stack pointer and the argument registers r0..r3, as many as the
+// function declares (the call convention caps arguments at four). Once
+// the entry/exit fixup has run, the callee-save registers also count as
+// live-in — the save code reads the caller's values to preserve them.
+// During optimization they are ordinary storage whose incoming value is
+// garbage, so reading one before writing it is a miscompile.
+func (c *checker) entrySeed(_ int, s []uint64) {
+	setReg(s, rtl.RegSP)
+	for i := 0; i < min(c.f.NArgs, 4); i++ {
+		setReg(s, rtl.Reg(i))
 	}
 	if c.f.EntryExitFixed {
 		for r := rtl.RegR4; r <= rtl.RegR11; r++ {
-			seed.Add(r)
+			setReg(s, r)
 		}
 	}
-	return seed
 }
 
 // checkDefBeforeUse runs the forward must-be-assigned dataflow
-// (dataflow.MustAssigned): a block's in-set is the intersection of its
+// (mustAssigned): a block's in-set is the intersection of its
 // predecessors' out-sets, entry seeded by entrySeed, each
 // instruction's reads must be covered, and its writes extend the set.
 // Call instructions count as defining the caller-save registers,
@@ -390,14 +384,14 @@ func (c *checker) entrySeed(maxReg int) rtl.RegSet {
 // read without ever assigning the register.
 func (c *checker) checkDefBeforeUse() {
 	f := c.f
-	maxReg := int(f.NextPseudo)
-	facts := dataflow.MustAssigned(c.g, c.entrySeed(maxReg), maxReg)
+	facts := mustAssigned(c.g, c.entrySeed, int(f.NextPseudo))
 	var buf [8]rtl.Reg
+	var cur rtl.RegSet
 	for bpos, b := range f.Blocks {
 		if !c.reach[bpos] {
 			continue
 		}
-		cur := facts.In[bpos].Copy()
+		cur.CopyFrom(rtl.SetOver[rtl.Reg](facts.At(bpos)))
 		for j := range b.Instrs {
 			ins := &b.Instrs[j]
 			for _, r := range ins.Uses(buf[:0]) {
@@ -446,28 +440,16 @@ func (c *checker) unassignedWitness(bpos int, r rtl.Reg) []int {
 // clobber in between. A compare validates IC, a call clobbers it
 // (calls save no flags), and the meet over paths is conjunction — the
 // codes must be valid on every way to reach the branch. The problem is
-// a one-bit forward instance of the dataflow solver; each finding
+// a one-bit state of the dataflow kernel (condCodesValid); each finding
 // carries as witness a path along which the codes arrive invalid.
 func (c *checker) checkCondCodes() {
 	f := c.f
-	facts := dataflow.Solve(c.g, dataflow.Spec[bool]{
-		Dir:      dataflow.Forward,
-		Top:      func() bool { return true },
-		Boundary: func() bool { return false },
-		Meet:     func(acc, x bool) bool { return acc && x },
-		Transfer: func(bpos int, ic bool) bool {
-			for j := range f.Blocks[bpos].Instrs {
-				ic = transferOne(&f.Blocks[bpos].Instrs[j], ic)
-			}
-			return ic
-		},
-		Equal: func(a, b bool) bool { return a == b },
-	})
+	facts := condCodesValid(c.g)
 	for bpos, b := range f.Blocks {
 		if !c.reach[bpos] {
 			continue
 		}
-		ic := facts.In[bpos]
+		ic := facts.At(bpos)[0] != 0
 		for j := range b.Instrs {
 			ins := &b.Instrs[j]
 			if ins.Op == rtl.OpBranch && !ic {
@@ -726,15 +708,17 @@ func (c *checker) lintCFG() {
 
 // lintDataflow emits the warning-tier flow-sensitive findings: dead
 // stores (phase 'h' deletes them) and redundant moves (phase 'c'
-// does). Both use the internal/dataflow analyses — CFG-wide liveness
-// and available copies — so a store that dies across a block boundary
+// does). Both use CFG-wide analyses — the graph's liveness and
+// available copies — so a store that dies across a block boundary
 // or a copy made redundant by a different block is found, not just the
 // straight-line cases.
 func (c *checker) lintDataflow() {
 	f := c.f
-	lv := dataflow.Liveness(c.g)
-	copies := dataflow.AvailableCopies(c.g)
+	lv := c.g.Liveness()
+	copies := availableCopies(c.g)
+	avail := make([]uint64, copies.fl.Words)
 	var buf [8]rtl.Reg
+	var live rtl.RegSet
 	for bpos, b := range f.Blocks {
 		if !c.reach[bpos] {
 			continue
@@ -743,7 +727,7 @@ func (c *checker) lintDataflow() {
 		// exactly the traversal phase 'h' deletes with. Instructions
 		// with side effects (stores, calls, control transfers) are
 		// exempt; a compare whose condition codes are dead is not.
-		live := lv.Out[bpos].Copy()
+		live.CopyFrom(lv.Out[bpos])
 		for j := len(b.Instrs) - 1; j >= 0; j-- {
 			ins := &b.Instrs[j]
 			if !ins.HasSideEffects() && ins.Op != rtl.OpNop &&
@@ -761,19 +745,20 @@ func (c *checker) lintDataflow() {
 		// Redundant moves: a register-to-register mov whose pair is
 		// already available on every path, or a copy of a register to
 		// itself. Any entry path witnesses a must-availability fact.
+		copy(avail, copies.fl.At(bpos))
 		for j := range b.Instrs {
 			ins := &b.Instrs[j]
-			if ins.Op != rtl.OpMov || ins.A.Kind != rtl.OperReg || !hasDst(ins.Op) {
-				continue
+			if ins.Op == rtl.OpMov && ins.A.Kind == rtl.OperReg {
+				if ins.Dst == ins.A.Reg {
+					c.reportW(bpos, j, RuleRedundantMove, SevWarn, c.witnessTo(bpos),
+						"%q copies %s to itself", ins.String(), ins.Dst)
+				} else if copies.has(avail, ins.Dst, ins.A.Reg) {
+					c.reportW(bpos, j, RuleRedundantMove, SevWarn, c.witnessTo(bpos),
+						"%q re-establishes a copy of %s and %s already available on every path",
+						ins.String(), ins.Dst, ins.A.Reg)
+				}
 			}
-			if ins.Dst == ins.A.Reg {
-				c.reportW(bpos, j, RuleRedundantMove, SevWarn, c.witnessTo(bpos),
-					"%q copies %s to itself", ins.String(), ins.Dst)
-			} else if dataflow.CopiesAt(c.g, copies, bpos, j).Has(ins.Dst, ins.A.Reg) {
-				c.reportW(bpos, j, RuleRedundantMove, SevWarn, c.witnessTo(bpos),
-					"%q re-establishes a copy of %s and %s already available on every path",
-					ins.String(), ins.Dst, ins.A.Reg)
-			}
+			copies.step(avail, ins)
 		}
 	}
 }

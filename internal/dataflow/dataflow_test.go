@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dataflow"
-	"repro/internal/mibench"
 	"repro/internal/rtl"
 )
 
@@ -66,6 +65,9 @@ L2:
 	RET;
 `
 
+// TestDomTreeTables pins the dominance facts value numbering inherits
+// through — the graph's immediate dominators and its constant-time
+// Dominates — on the shapes the numbering's own tests use.
 func TestDomTreeTables(t *testing.T) {
 	cases := []struct {
 		name string
@@ -81,27 +83,36 @@ func TestDomTreeTables(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			f := parse(t, tc.src)
 			g := rtl.ComputeCFG(f)
-			dt := dataflow.NewDomTree(g)
+			idom := g.Dominators()
 			for b, want := range tc.idom {
-				if dt.IDom[b] != want {
-					t.Errorf("idom[%d] = %d, want %d", b, dt.IDom[b], want)
+				if idom[b] != want {
+					t.Errorf("idom[%d] = %d, want %d", b, idom[b], want)
 				}
+			}
+			// Dominates against a walk up the idom chain.
+			walk := func(a, b int) bool {
+				if a == b {
+					return true
+				}
+				if idom[a] == -1 || idom[b] == -1 {
+					return false
+				}
+				for b != 0 {
+					if b = idom[b]; b == a {
+						return true
+					}
+				}
+				return false
 			}
 			for a := range tc.idom {
 				for b := range tc.idom {
-					want := rtl.Dominates(dt.IDom, a, b)
-					if got := dt.Dominates(a, b); got != want {
+					if got, want := g.Dominates(a, b), walk(a, b); got != want {
 						t.Errorf("Dominates(%d,%d) = %v, want %v", a, b, got, want)
 					}
 				}
 			}
-			if !dt.Dominates(0, 0) {
+			if !g.Dominates(0, 0) {
 				t.Errorf("entry must dominate itself")
-			}
-			for i, b := range dt.Preorder {
-				if i > 0 && !dt.Dominates(dt.IDom[b], b) {
-					t.Errorf("preorder block %d not dominated by its idom", b)
-				}
 			}
 		})
 	}
@@ -109,130 +120,15 @@ func TestDomTreeTables(t *testing.T) {
 
 func TestDomTreeUnreachable(t *testing.T) {
 	f := parse(t, unreachableSrc)
-	dt := dataflow.NewDomTree(rtl.ComputeCFG(f))
-	if dt.Reachable(1) {
+	g := rtl.ComputeCFG(f)
+	if g.Reachable()[1] || g.Dominators()[1] != -1 {
 		t.Fatalf("block 1 should be unreachable")
 	}
-	if dt.Dominates(0, 1) || dt.Dominates(1, 2) {
+	if g.Dominates(0, 1) || g.Dominates(1, 2) {
 		t.Fatalf("unreachable blocks must not participate in dominance")
 	}
-	if !dt.Dominates(1, 1) {
+	if !g.Dominates(1, 1) {
 		t.Fatalf("a block dominates itself even when unreachable")
-	}
-}
-
-// TestLivenessMatchesRTL cross-validates the generic solver's
-// liveness against rtl.ComputeLiveness over the whole MiBench corpus.
-func TestLivenessMatchesRTL(t *testing.T) {
-	funcs, err := mibench.AllFunctions()
-	if err != nil {
-		t.Fatalf("corpus: %v", err)
-	}
-	for _, tf := range funcs {
-		g := rtl.ComputeCFG(tf.Func)
-		want := rtl.ComputeLiveness(g)
-		got := dataflow.Liveness(g)
-		reach := g.Reachable()
-		for b := range tf.Func.Blocks {
-			if !reach[b] {
-				continue
-			}
-			if !got.In[b].Equal(want.In[b]) || !got.Out[b].Equal(want.Out[b]) {
-				t.Fatalf("%s/%s block %d: liveness mismatch: in %v/%v out %v/%v",
-					tf.Bench, tf.Func.Name, b, got.In[b].Len(), want.In[b].Len(),
-					got.Out[b].Len(), want.Out[b].Len())
-			}
-		}
-	}
-}
-
-func TestMustAssigned(t *testing.T) {
-	f := parse(t, diamondSrc)
-	g := rtl.ComputeCFG(f)
-	maxReg := int(f.NextPseudo)
-	entry := rtl.NewRegSet(maxReg)
-	entry.Add(rtl.RegSP)
-	entry.Add(0) // r0 = the single argument
-	facts := dataflow.MustAssigned(g, entry, maxReg)
-	join := 3
-	if !facts.In[join].Has(0) || !facts.In[join].Has(rtl.RegSP) {
-		t.Fatalf("entry registers must reach the join")
-	}
-	// r32 is assigned only on the fall-through arm, r33 only on the
-	// taken arm: neither is must-assigned at the join.
-	if facts.In[join].Has(32) || facts.In[join].Has(33) {
-		t.Fatalf("one-armed definitions must not be must-assigned at the join")
-	}
-	if !facts.Out[1].Has(32) || !facts.Out[2].Has(33) {
-		t.Fatalf("arm-local definitions must be assigned at arm exits")
-	}
-}
-
-func TestReachingDefs(t *testing.T) {
-	f := parse(t, diamondSrc)
-	g := rtl.ComputeCFG(f)
-	rd := dataflow.ComputeReachingDefs(g, []rtl.Reg{rtl.RegSP, 0})
-	// Both the entry definition of r0 and nothing else reaches L3 for
-	// r0 (no block redefines it).
-	ids := rd.ReachingAt(3, 0, 0, nil)
-	if len(ids) != 1 || !rd.Defs[ids[0]].IsEntry() {
-		t.Fatalf("r0 at join: got defs %v, want the entry definition", ids)
-	}
-	// r32 is defined once, in block 1; that definition may reach the
-	// join (along the fall-through arm).
-	ids = rd.ReachingAt(3, 0, 32, nil)
-	if len(ids) != 1 || rd.Defs[ids[0]].Block != 1 {
-		t.Fatalf("r32 at join: got defs %v, want the block-1 definition", ids)
-	}
-	// Inside block 1, before the definition executes, no definition
-	// of r32 reaches.
-	if ids = rd.ReachingAt(1, 0, 32, nil); len(ids) != 0 {
-		t.Fatalf("r32 before its definition: got defs %v, want none", ids)
-	}
-	// Immediately after it (before the jump), it does.
-	if ids = rd.ReachingAt(1, 1, 32, nil); len(ids) != 1 {
-		t.Fatalf("r32 after its definition: got defs %v, want one", ids)
-	}
-}
-
-func TestReachingDefsLoop(t *testing.T) {
-	f := parse(t, loopSrc)
-	g := rtl.ComputeCFG(f)
-	rd := dataflow.ComputeReachingDefs(g, []rtl.Reg{rtl.RegSP, 0})
-	// At the head of the loop body both the initial definition and
-	// the loop-carried increment reach.
-	ids := rd.ReachingAt(1, 0, 32, nil)
-	if len(ids) != 2 {
-		t.Fatalf("r32 at loop head: got %d reaching defs, want 2 (init + increment)", len(ids))
-	}
-}
-
-func TestAvailableCopies(t *testing.T) {
-	f := parse(t, `
-copies(2):
-L0:
-	r[32]=r[0];
-	IC=r[1]?0;
-	PC=IC<0,L2;
-L1:
-	r[33]=r[32]+1;
-	PC=L3;
-L2:
-	r[32]=r[1];
-L3:
-	RET;
-`)
-	g := rtl.ComputeCFG(f)
-	facts := dataflow.AvailableCopies(g)
-	if !facts.In[1].Has(32, 0) {
-		t.Fatalf("copy (r32,r0) must be available in the fall-through arm")
-	}
-	if facts.In[3].Has(32, 0) {
-		t.Fatalf("copy (r32,r0) must be killed at the join (redefined on the taken arm)")
-	}
-	at := dataflow.CopiesAt(g, facts, 0, 1)
-	if !at.Has(32, 0) {
-		t.Fatalf("copy (r32,r0) must be available right after the move")
 	}
 }
 
@@ -254,25 +150,25 @@ L3:
 	RET;
 `)
 		g := rtl.ComputeCFG(f)
-		gvn := dataflow.ComputeGVN(g, dataflow.NewDomTree(g))
-		root := gvn.VN[0][0]
+		vn := dataflow.NumberValues(g)
+		root := vn[0][0]
 		if root < 0 {
 			t.Fatalf("r32 definition must be numbered")
 		}
 		// The same expression in both arms and at the join — including
 		// the commutatively swapped one — shares the dominator's number.
-		if gvn.VN[1][0] != root || gvn.VN[2][0] != root || gvn.VN[3][0] != root {
+		if vn[1][0] != root || vn[2][0] != root || vn[3][0] != root {
 			t.Fatalf("equal expressions must share a value number: got %d/%d/%d want %d",
-				gvn.VN[1][0], gvn.VN[2][0], gvn.VN[3][0], root)
+				vn[1][0], vn[2][0], vn[3][0], root)
 		}
 	})
 	t.Run("loop-carried", func(t *testing.T) {
 		f := parse(t, loopSrc)
 		g := rtl.ComputeCFG(f)
-		gvn := dataflow.ComputeGVN(g, dataflow.NewDomTree(g))
+		vn := dataflow.NumberValues(g)
 		// r32's loop increment must NOT alias the init: r32 has a
 		// definition inside the loop that does not dominate the body.
-		if gvn.VN[0][0] == gvn.VN[1][0] {
+		if vn[0][0] == vn[1][0] {
 			t.Fatalf("loop-carried redefinition must get a distinct value number")
 		}
 	})
@@ -287,19 +183,19 @@ L0:
 	RET;
 `)
 		g := rtl.ComputeCFG(f)
-		gvn := dataflow.ComputeGVN(g, dataflow.NewDomTree(g))
-		if gvn.VN[0][0] != gvn.VN[0][1] {
+		vn := dataflow.NumberValues(g)
+		if vn[0][0] != vn[0][1] {
 			t.Fatalf("equal constants must share a value number")
 		}
-		if gvn.VN[0][2] != gvn.VN[0][3] {
+		if vn[0][2] != vn[0][3] {
 			t.Fatalf("commutative operands must not split value numbers")
 		}
 	})
 	t.Run("unreachable", func(t *testing.T) {
 		f := parse(t, unreachableSrc)
 		g := rtl.ComputeCFG(f)
-		gvn := dataflow.ComputeGVN(g, dataflow.NewDomTree(g))
-		if gvn.VN[1] != nil {
+		vn := dataflow.NumberValues(g)
+		if vn[1] != nil {
 			t.Fatalf("unreachable blocks must not be numbered")
 		}
 	})
@@ -312,8 +208,8 @@ L0:
 	RET;
 `)
 		g := rtl.ComputeCFG(f)
-		gvn := dataflow.ComputeGVN(g, dataflow.NewDomTree(g))
-		if gvn.VN[0][0] == gvn.VN[0][1] {
+		vn := dataflow.NumberValues(g)
+		if vn[0][0] == vn[0][1] {
 			t.Fatalf("loads must be fresh: memory is not modeled")
 		}
 	})
@@ -345,19 +241,5 @@ func TestPathWitness(t *testing.T) {
 	exit := dataflow.PathToExit(g, 1, nil)
 	if len(exit) == 0 || exit[0] != 1 || exit[len(exit)-1] != 3 {
 		t.Fatalf("PathToExit: got %v", exit)
-	}
-}
-
-func TestSolverBackwardBoundary(t *testing.T) {
-	// Liveness on the diamond: r0 is live-in everywhere it is still
-	// needed, SP is live at exit.
-	f := parse(t, diamondSrc)
-	g := rtl.ComputeCFG(f)
-	lv := dataflow.Liveness(g)
-	if !lv.Out[3].Has(rtl.RegSP) {
-		t.Fatalf("SP must be live at exit")
-	}
-	if !lv.In[0].Has(0) {
-		t.Fatalf("the argument must be live at entry")
 	}
 }

@@ -1,3 +1,17 @@
+// Package dataflow holds the two flow-sensitive consumers internal/search
+// and internal/check import it for: the equivalence-class canonicalizer
+// that collapses phase-order spaces beyond register/label renumbering
+// (EquivEncode, equiv.go) with the dominator-scoped value numbering
+// under it (gvn.go), and the CFG path witnesses that make
+// internal/check's diagnostics actionable (PathTo, PathToExit,
+// FormatIDPath; witness.go).
+//
+// The analyses themselves are not here: dominators, liveness and the one
+// fixed-point solver are internal/rtl's, beside the graph they walk
+// (CFG.Dominators, CFG.Liveness, CFG.Solve), and the verifier's
+// must-problems are specs over that solver in internal/check. Blocks are
+// identified by layout position (index into Func.Blocks), the
+// convention rtl.CFG uses.
 package dataflow
 
 import (
@@ -22,7 +36,7 @@ import (
 //   - unreachable code: blocks no path reaches are dropped;
 //   - commutative operand order: the operands of commutative ALU
 //     instructions are ordered by dominator-scoped value number
-//     (package gvn), so "r3=r1+r2" and "r3=r2+r1" coincide;
+//     (gvn.go), so "r3=r1+r2" and "r3=r2+r1" coincide;
 //   - register names: registers are renumbered in first-encounter
 //     order of the canonical traversal, after the operand reordering
 //     above, mirroring fingerprint's fixed codes for SP/IC/none.
@@ -262,8 +276,7 @@ func EquivEncode(dst []byte, f *rtl.Func) []byte {
 	}
 	e.visit(start)
 
-	dt := NewDomTree(g)
-	e.v = newVNBuilder(g, dt)
+	e.v = newVNBuilder(g)
 	emitted := func(p int) bool { return e.v.states[p] != nil }
 	for _, bpos := range e.order {
 		parent := e.v.effectiveParent(bpos, emitted)

@@ -295,14 +295,14 @@ func shuffleBlocks(f *rtl.Func, rng *rand.Rand) {
 func permuteRegs(f *rtl.Func, rng *rand.Rand) {
 	used := f.UsedRegs()
 	var pseudos, saved []rtl.Reg
-	for r := range used {
+	used.ForEach(func(r rtl.Reg) {
 		switch {
 		case r.IsPseudo():
 			pseudos = append(pseudos, r)
 		case r.IsCalleeSave():
 			saved = append(saved, r)
 		}
-	}
+	})
 	perm := make(map[rtl.Reg]rtl.Reg)
 	mix := func(regs []rtl.Reg, span int, base rtl.Reg) {
 		sort.Slice(regs, func(i, j int) bool { return regs[i] < regs[j] })

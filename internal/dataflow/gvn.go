@@ -18,9 +18,8 @@ type vnState map[rtl.Reg]int
 // block that introduced it.
 type vnBuilder struct {
 	g         *rtl.CFG
-	dt        *DomTree
 	reach     []bool
-	reachTo   []Bits // transitive successor closure per block
+	reachTo   []rtl.BlockSet // transitive successor closure per block
 	defBlocks map[rtl.Reg][]int
 	exprs     map[string]int
 	next      int
@@ -28,37 +27,29 @@ type vnBuilder struct {
 	key       []byte
 }
 
-func newVNBuilder(g *rtl.CFG, dt *DomTree) *vnBuilder {
+func newVNBuilder(g *rtl.CFG) *vnBuilder {
 	v := &vnBuilder{
 		g:         g,
-		dt:        dt,
 		reach:     g.Reachable(),
 		defBlocks: make(map[rtl.Reg][]int),
 		exprs:     make(map[string]int),
 		states:    make([]vnState, len(g.Succs)),
 	}
-	// Transitive closure of the successor relation, by fixpoint over
-	// reverse postorder (converges in passes proportional to the loop
-	// nesting; functions here are small).
+	// Transitive closure of the successor relation, a backward union
+	// problem over sets of blocks: a block's top state is itself plus
+	// its bottom state, everything its successors' top states hold.
 	n := len(g.Succs)
-	v.reachTo = make([]Bits, n)
-	for b := 0; b < n; b++ {
-		v.reachTo[b] = newBits(n)
+	fl := rtl.Flow{
+		Backward: true,
+		Words:    (n + 63) / 64,
+		Marks:    make([]bool, 2*n),
+		Transfer: func(b int, s []uint64) { s[b>>6] |= 1 << (b & 63) },
 	}
-	rpo := g.RPO()
-	for changed := true; changed; {
-		changed = false
-		for i := len(rpo) - 1; i >= 0; i-- {
-			b := rpo[i]
-			before := v.reachTo[b].clone()
-			for _, s := range g.Succs[b] {
-				v.reachTo[b].Add(s)
-				v.reachTo[b].unionWith(v.reachTo[s])
-			}
-			if !v.reachTo[b].equal(before) {
-				changed = true
-			}
-		}
+	fl.State = make([]uint64, (2*n+1)*fl.Words)
+	g.Solve(&fl)
+	v.reachTo = make([]rtl.BlockSet, n)
+	for b := range v.reachTo {
+		v.reachTo[b] = rtl.SetOver[int](fl.At(n + b))
 	}
 	var buf [8]rtl.Reg
 	for bpos, b := range g.F.Blocks {
@@ -112,7 +103,7 @@ func (v *vnBuilder) keySym(s string) {
 // values before control returns.
 func (v *vnBuilder) inheritable(r rtl.Reg, bpos int) bool {
 	for _, d := range v.defBlocks[r] {
-		if !v.dt.Dominates(d, bpos) || v.reachTo[bpos].Has(d) {
+		if !v.g.Dominates(d, bpos) || v.reachTo[bpos].Has(d) {
 			return false
 		}
 	}
@@ -233,8 +224,9 @@ func (v *vnBuilder) instrVN(st vnState, in *rtl.Instr) (dst, aVN, bVN int) {
 // block accepted by ok (a processed, encodable block). It returns -1
 // when none exists (the entry, or a chain of skipped blocks).
 func (v *vnBuilder) effectiveParent(bpos int, ok func(int) bool) int {
+	idom := v.g.Dominators()
 	for b := bpos; b != 0; {
-		p := v.dt.IDom[b]
+		p := idom[b]
 		if p < 0 {
 			return -1
 		}
@@ -244,36 +236,4 @@ func (v *vnBuilder) effectiveParent(bpos int, ok func(int) bool) int {
 		b = p
 	}
 	return -1
-}
-
-// GVN is a dominator-scoped global value numbering: two instructions
-// whose destinations share a value number compute the same value on
-// every execution reaching them.
-type GVN struct {
-	// VN[b][i] is the value number of the destination of instruction
-	// i in the block at layout position b, or -1 when the instruction
-	// defines no single register. Unreachable blocks have nil rows.
-	VN [][]int
-	// NumValues is the count of distinct value numbers issued.
-	NumValues int
-}
-
-// ComputeGVN numbers every reachable instruction of g, visiting
-// blocks in dominator-tree preorder.
-func ComputeGVN(g *rtl.CFG, dt *DomTree) *GVN {
-	v := newVNBuilder(g, dt)
-	out := &GVN{VN: make([][]int, len(g.Succs))}
-	for _, bpos := range dt.Preorder {
-		parent := v.effectiveParent(bpos, func(p int) bool { return v.states[p] != nil })
-		st := v.entryState(bpos, parent)
-		b := g.F.Blocks[bpos]
-		row := make([]int, len(b.Instrs))
-		for i := range b.Instrs {
-			row[i], _, _ = v.instrVN(st, &b.Instrs[i])
-		}
-		out.VN[bpos] = row
-		v.states[bpos] = st
-	}
-	out.NumValues = v.next
-	return out
 }

@@ -124,11 +124,11 @@ int f(int n) {
 		g := base.Clone()
 		// Build a random bijection over the pseudo registers.
 		var pseudos []rtl.Reg
-		for r := range g.UsedRegs() {
+		g.UsedRegs().ForEach(func(r rtl.Reg) {
 			if r.IsPseudo() {
 				pseudos = append(pseudos, r)
 			}
-		}
+		})
 		// Deterministic order before shuffling.
 		for i := 0; i < len(pseudos); i++ {
 			for j := i + 1; j < len(pseudos); j++ {

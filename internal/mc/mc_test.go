@@ -121,11 +121,11 @@ int f(int x) {
 	}
 	// All computation flows through pseudo registers.
 	hasPseudo := false
-	for r := range f.UsedRegs() {
+	f.UsedRegs().ForEach(func(r rtl.Reg) {
 		if r.IsPseudo() {
 			hasPseudo = true
 		}
-	}
+	})
 	if !hasPseudo {
 		t.Fatal("no pseudo registers in unoptimized code")
 	}

@@ -86,20 +86,16 @@ type cseScratch struct {
 var cseScratchPool = sync.Pool{New: func() any { return new(cseScratch) }}
 
 // reset sizes the scratch for an application to f: the block count and
-// the registers f references hold for all of its turns.
+// the registers f references hold for all of its turns. A scratch's
+// first application binds its two problems' hooks, once for its life.
 func (sc *cseScratch) reset(f *rtl.Func) {
+	if sc.regs.flow.Transfer == nil {
+		sc.regs.flow = rtl.Flow{Meet: sc.regs.meet, Equal: sc.regs.equal, Transfer: sc.regs.transferBlock}
+		sc.exprs.flow = rtl.Flow{Meet: rtl.Intersect, Transfer: sc.exprs.transferBlock}
+	}
 	width := usedRegWidth(f)
 	sc.regs.reset(len(f.Blocks), width)
 	sc.exprs.width = width
-}
-
-// resize returns s with length n, in its own backing array when that
-// is large enough. The contents are unspecified.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // Bit-set helpers over equally long word slices.
@@ -133,31 +129,28 @@ func disjoint(s, m []uint64) bool {
 // is known of each — the constant it holds for constant propagation,
 // the register it is a copy of for copy propagation. val[r] means
 // nothing while r's bit is clear, so a kill is one bit operation and
-// meet and equality visit set bits only. A regLattice is a view of its
-// solver's two arrays.
+// meet and equality visit set bits only. A regLattice is a view of one
+// kernel state: the mask words, then a word per register.
 type regLattice struct {
 	known []uint64
-	val   []int32
+	val   []uint64
 }
 
 func (s regLattice) has(r rtl.Reg) bool {
 	return int(r) < len(s.val) && s.known[r>>6]>>(r&63)&1 != 0
 }
 
+func (s regLattice) get(r rtl.Reg) int32 { return int32(s.val[r]) }
+
 func (s regLattice) set(r rtl.Reg, v int32) {
 	s.known[r>>6] |= 1 << (r & 63)
-	s.val[r] = v
+	s.val[r] = uint64(uint32(v))
 }
 
 func (s regLattice) kill(r rtl.Reg) {
 	if int(r) < len(s.val) {
 		s.known[r>>6] &^= 1 << (r & 63)
 	}
-}
-
-func (s regLattice) copyFrom(o regLattice) {
-	copy(s.known, o.known)
-	copy(s.val, o.val)
 }
 
 // meet intersects o into s: a register stays known when both know the
@@ -215,17 +208,17 @@ func usedRegWidth(f *rtl.Func) int {
 	return n
 }
 
-// regSolver owns the lattice storage of both register analyses: every
-// block's entry and exit state plus one scratch state, as views of one
-// mask array and one value array. The block count and the register
+// regSolver is the kernel client of both register analyses: a forward
+// problem whose state is a regLattice — ⌈width/64⌉ mask words and width
+// value words — with the lattice's own meet and equality, the values of
+// unknown registers being don't-cares. The block count and the register
 // width are invariant while the phase runs, so one reset serves every
 // turn of an application.
 type regSolver struct {
-	n, width, words int      // blocks, registers, mask words per state
-	known           []uint64 // state i's mask is known[i*words:][:words]
-	val             []int32  // state i's values are val[i*width:][:width]
-	hasOut          []bool   // by block: exit state computed (otherwise TOP)
-	stale           []bool   // by block: a predecessor's exit state changed since the last visit
+	n, width, words int // blocks, registers, mask words per state
+	flow            rtl.Flow
+	f               *rtl.Func                                // the running solve's function
+	step            func(*regSolver, regLattice, *rtl.Instr) // and its per-instruction transfer
 	// copiedBy[r] are the registers some state of the running solve has
 	// recorded as copies of r — a superset of the copies of r any one
 	// state holds, so killing r's copies tests those cells, not all.
@@ -234,19 +227,26 @@ type regSolver struct {
 
 func (sv *regSolver) reset(n, width int) {
 	sv.n, sv.width, sv.words = n, width, (width+63)/64
-	sv.known = resize(sv.known, (2*n+1)*sv.words)
-	sv.val = resize(sv.val, (2*n+1)*width)
-	sv.hasOut = resize(sv.hasOut, n)
-	sv.stale = resize(sv.stale, n)
-	sv.copiedBy = resize(sv.copiedBy, width*sv.words)
+	sv.flow.Words = sv.words + width
+	sv.flow.State = rtl.Resize(sv.flow.State, (2*n+1)*sv.flow.Words)
+	sv.flow.Marks = rtl.Resize(sv.flow.Marks, 2*n)
+	sv.copiedBy = rtl.Resize(sv.copiedBy, width*sv.words)
+}
+
+func (sv *regSolver) lattice(s []uint64) regLattice {
+	return regLattice{known: s[:sv.words], val: s[sv.words:]}
 }
 
 // state is the i-th state: block i's entry for i < n, block i-n's exit
-// for i < 2n, the scratch state for i = 2n.
-func (sv *regSolver) state(i int) regLattice {
-	return regLattice{
-		known: sv.known[i*sv.words : (i+1)*sv.words],
-		val:   sv.val[i*sv.width : (i+1)*sv.width],
+// for i < 2n.
+func (sv *regSolver) state(i int) regLattice { return sv.lattice(sv.flow.At(i)) }
+
+func (sv *regSolver) meet(acc, x []uint64)     { sv.lattice(acc).meet(sv.lattice(x)) }
+func (sv *regSolver) equal(a, b []uint64) bool { return sv.lattice(a).equal(sv.lattice(b)) }
+func (sv *regSolver) transferBlock(b int, s []uint64) {
+	l := sv.lattice(s)
+	for i := range sv.f.Blocks[b].Instrs {
+		sv.step(sv, l, &sv.f.Blocks[b].Instrs[i])
 	}
 }
 
@@ -260,7 +260,7 @@ func (sv *regSolver) constTransfer(s regLattice, in *rtl.Instr) {
 		}
 		if in.A.Kind == rtl.OperReg && s.has(in.A.Reg) {
 			// Propagate the constant through the copy.
-			s.set(in.Dst, s.val[in.A.Reg])
+			s.set(in.Dst, s.get(in.A.Reg))
 			return
 		}
 	}
@@ -277,7 +277,7 @@ func substConstOperand(in *rtl.Instr, s regLattice, d *machine.Desc) bool {
 		if o.Kind != rtl.OperReg || !s.has(o.Reg) {
 			return 0, false
 		}
-		return s.val[o.Reg], true
+		return s.get(o.Reg), true
 	}
 	switch {
 	case in.Op == rtl.OpMov:
@@ -329,7 +329,7 @@ func (sv *regSolver) copyTransfer(s regLattice, in *rtl.Instr) {
 			// longer.
 			final := src
 			if s.has(src) {
-				final = rtl.Reg(s.val[src])
+				final = rtl.Reg(s.get(src))
 			}
 			if final != dst {
 				s.set(dst, int32(final))
@@ -351,75 +351,24 @@ func (sv *regSolver) copyTransfer(s regLattice, in *rtl.Instr) {
 func (sv *regSolver) killCopiesOf(s regLattice, r rtl.Reg) {
 	for w, m := range sv.copiedBy[int(r)*sv.words : (int(r)+1)*sv.words] {
 		for m &= s.known[w]; m != 0; m &= m - 1 {
-			if d := w<<6 | bits.TrailingZeros64(m); s.val[d] == int32(r) {
+			if d := w<<6 | bits.TrailingZeros64(m); s.get(rtl.Reg(d)) == int32(r) {
 				s.known[w] &^= m & -m
 			}
 		}
 	}
 }
 
-// solve runs a forward intersection dataflow with the given transfer
-// function, leaving every block's entry state in sv.state(block)
-// (valid until the next solve). The fixpoint iterates with the single
-// scratch state instead of cloning per block per pass. A sweep visits
-// only the blocks whose input moved since their last visit — an exit
-// state is a function of the entry state, and that of the predecessors'
-// exit states, so revisiting any other block would reproduce what is
-// there; the states pass through the same values as if every sweep
-// visited every block.
+// solve runs the forward problem with the given transfer through the
+// kernel, leaving every block's entry state in sv.state(block) (valid
+// until the next solve).
 func (sv *regSolver) solve(f *rtl.Func, g *rtl.CFG, transfer func(*regSolver, regLattice, *rtl.Instr)) {
-	n := sv.n
 	// A block the iteration never enters (it is unreachable) knows
 	// nothing on entry; every other entry state is overwritten.
-	clear(sv.known[:n*sv.words])
-	clear(sv.hasOut)
-	for i := range sv.stale {
-		sv.stale[i] = true
+	for b := 0; b < sv.n; b++ {
+		clear(sv.state(b).known)
 	}
-	in := sv.state(2 * n)
-	for changed := true; changed; {
-		changed = false
-		for _, bpos := range g.RPO() {
-			if !sv.stale[bpos] {
-				continue
-			}
-			if bpos == 0 {
-				clear(in.known)
-			} else {
-				have := false
-				for _, p := range g.Preds[bpos] {
-					if !sv.hasOut[p] {
-						continue // TOP
-					}
-					if !have {
-						in.copyFrom(sv.state(n + p))
-						have = true
-					} else {
-						in.meet(sv.state(n + p))
-					}
-				}
-				if !have {
-					if len(g.Preds[bpos]) != 0 {
-						continue
-					}
-					clear(in.known)
-				}
-			}
-			sv.stale[bpos] = false
-			sv.state(bpos).copyFrom(in)
-			for i := range f.Blocks[bpos].Instrs {
-				transfer(sv, in, &f.Blocks[bpos].Instrs[i])
-			}
-			if out := sv.state(n + bpos); !sv.hasOut[bpos] || !in.equal(out) {
-				out.copyFrom(in)
-				sv.hasOut[bpos] = true
-				changed = true
-				for _, succ := range g.Succs[bpos] {
-					sv.stale[succ] = true
-				}
-			}
-		}
-	}
+	sv.f, sv.step = f, transfer
+	g.Solve(&sv.flow)
 }
 
 func propagateConstants(f *rtl.Func, g *rtl.CFG, sv *regSolver, d *machine.Desc) bool {
@@ -448,7 +397,7 @@ func propagateCopies(f *rtl.Func, g *rtl.CFG, sv *regSolver) bool {
 			instr := &b.Instrs[i]
 			for _, u := range instr.Uses(buf[:0]) {
 				if s.has(u) {
-					if instr.ReplaceUses(u, rtl.R(rtl.Reg(s.val[u]))) {
+					if instr.ReplaceUses(u, rtl.R(rtl.Reg(s.get(u)))) {
 						changed = true
 					}
 				}
@@ -581,9 +530,7 @@ type exprSolver struct {
 	loads     []uint64
 	slotLoads []uint64 // by index into slots
 	kill      []uint64 // by instruction
-	state     []uint64 // block entry states, block exit states, one scratch
-	hasOut    []bool   // by block: exit state computed (otherwise TOP)
-	stale     []bool   // by block: a predecessor's exit state changed since the last visit
+	flow      rtl.Flow // the states: block entries, block exits, one scratch
 }
 
 // mask is the i-th mask (or state) of an array of them.
@@ -637,12 +584,12 @@ func (es *exprSolver) prepare(f *rtl.Func) bool {
 	for size < 2*instrs {
 		size <<= 1
 	}
-	es.table = resize(es.table, size)
+	es.table = rtl.Resize(es.table, size)
 	clear(es.table)
 	es.exprs, es.head, es.sites, es.slots = es.exprs[:0], es.head[:0], es.sites[:0], es.slots[:0]
-	es.start = resize(es.start, n+1)
-	es.expr = resize(es.expr, instrs)
-	es.gen = resize(es.gen, instrs)
+	es.start = rtl.Resize(es.start, n+1)
+	es.expr = rtl.Resize(es.expr, instrs)
+	es.gen = rtl.Resize(es.gen, instrs)
 	i := 0
 	for bpos, b := range f.Blocks {
 		es.start[bpos] = int32(i)
@@ -667,7 +614,7 @@ func (es *exprSolver) prepare(f *rtl.Func) bool {
 	w := (len(es.sites) + 63) / 64
 	es.words = w
 	masks := len(es.exprs) + es.width + 1 + len(es.slots) + instrs
-	mem := resize(es.mem, (masks+2*n+1)*w)
+	mem := rtl.Resize(es.mem, (masks+2*n+1)*w)
 	es.mem = mem
 	clear(mem[:masks*w]) // the states are written before they are read
 	take := func(count int) []uint64 {
@@ -676,9 +623,9 @@ func (es *exprSolver) prepare(f *rtl.Func) bool {
 		return s
 	}
 	es.same, es.regKill, es.loads = take(len(es.exprs)), take(es.width), take(1)
-	es.slotLoads, es.kill, es.state = take(len(es.slots)), take(instrs), take(2*n+1)
-	es.hasOut = resize(es.hasOut, n)
-	es.stale = resize(es.stale, n)
+	es.slotLoads, es.kill, es.flow.State = take(len(es.slots)), take(instrs), take(2*n+1)
+	es.flow.Words = w
+	es.flow.Marks = rtl.Resize(es.flow.Marks, 2*n)
 
 	for s, site := range es.sites {
 		k := &es.exprs[site.expr]
@@ -752,65 +699,22 @@ func (es *exprSolver) holder(s []uint64, e int32) (rtl.Reg, bool) {
 	return rtl.RegNone, false
 }
 
-// solve computes every block's entry state (state i for block i),
-// sweeping like regSolver.solve: only over blocks whose input moved.
+// transferBlock is the kernel's view of transfer: the state across the
+// whole of block b.
+func (es *exprSolver) transferBlock(b int, s []uint64) {
+	for i := es.start[b]; i < es.start[b+1]; i++ {
+		es.transfer(s, i)
+	}
+}
+
+// solve computes every block's entry state (state i for block i):
+// forward, intersection.
 func (es *exprSolver) solve(g *rtl.CFG) {
-	n := len(es.hasOut)
 	// A block the iteration never enters (it is unreachable) has
 	// nothing available on entry; every other entry state is
 	// overwritten.
-	clear(es.state[:n*es.words])
-	clear(es.hasOut)
-	for i := range es.stale {
-		es.stale[i] = true
-	}
-	tmp := es.mask(es.state, 2*n)
-	for changed := true; changed; {
-		changed = false
-		for _, bpos := range g.RPO() {
-			if !es.stale[bpos] {
-				continue
-			}
-			in := es.mask(es.state, bpos)
-			if bpos == 0 {
-				clear(in)
-			} else {
-				have := false
-				for _, p := range g.Preds[bpos] {
-					if !es.hasOut[p] {
-						continue // TOP
-					}
-					if out := es.mask(es.state, n+p); !have {
-						copy(in, out)
-						have = true
-					} else {
-						for w := range in {
-							in[w] &= out[w]
-						}
-					}
-				}
-				if !have {
-					if len(g.Preds[bpos]) != 0 {
-						continue
-					}
-					clear(in)
-				}
-			}
-			es.stale[bpos] = false
-			copy(tmp, in)
-			for i := es.start[bpos]; i < es.start[bpos+1]; i++ {
-				es.transfer(tmp, i)
-			}
-			if out := es.mask(es.state, n+bpos); !es.hasOut[bpos] || !slices.Equal(tmp, out) {
-				copy(out, tmp)
-				es.hasOut[bpos] = true
-				changed = true
-				for _, succ := range g.Succs[bpos] {
-					es.stale[succ] = true
-				}
-			}
-		}
-	}
+	clear(es.flow.State[:(len(es.start)-1)*es.words])
+	g.Solve(&es.flow)
 }
 
 func eliminateCommonSubexprs(f *rtl.Func, g *rtl.CFG, es *exprSolver) bool {
@@ -820,7 +724,7 @@ func eliminateCommonSubexprs(f *rtl.Func, g *rtl.CFG, es *exprSolver) bool {
 	es.solve(g)
 	changedCode := false
 	for bpos, b := range f.Blocks {
-		s := es.mask(es.state, bpos)
+		s := es.flow.At(bpos)
 		// i numbers the instructions as prepare met them, pos follows
 		// them through the removals.
 		pos := 0

@@ -21,17 +21,24 @@ func (DeadAssignElim) Name() string { return "dead assignment elimination" }
 // compulsory register assignment.
 func (DeadAssignElim) RequiresRegAssign() bool { return true }
 
-// Apply runs the phase.
+// Apply runs the phase. It removes no control instruction and so
+// changes no edge: one graph — normally the instance's, borrowed, with
+// its liveness — serves every round, and the rounds after the first
+// re-solve liveness over it in pooled storage.
 func (DeadAssignElim) Apply(f *rtl.Func, _ *machine.Desc) bool {
+	g := rtl.CFGOf(f)
+	lv := g.Liveness()
+	ls := rtl.NewLiveSolver()
+	defer ls.Release()
+	var live rtl.RegSet
+	var buf [8]rtl.Reg
 	changed := false
 	// Removing one dead assignment can kill the instructions feeding
 	// it, so iterate to a fixpoint.
-	for again := true; again; {
-		again = false
-		lv := rtl.CFGOf(f).Liveness()
-		var buf [8]rtl.Reg
+	for {
+		again := false
 		for bpos, b := range f.Blocks {
-			live := lv.Out[bpos].Copy()
+			live.CopyFrom(lv.Out[bpos])
 			for i := len(b.Instrs) - 1; i >= 0; i-- {
 				in := &b.Instrs[i]
 				dead := false
@@ -40,7 +47,7 @@ func (DeadAssignElim) Apply(f *rtl.Func, _ *machine.Desc) bool {
 				}
 				if dead {
 					b.Remove(i)
-					changed, again = true, true
+					again = true
 					continue
 				}
 				for _, d := range in.Defs(buf[:0]) {
@@ -51,6 +58,10 @@ func (DeadAssignElim) Apply(f *rtl.Func, _ *machine.Desc) bool {
 				}
 			}
 		}
+		if !again {
+			return changed
+		}
+		changed = true
+		lv = ls.Solve(g)
 	}
-	return changed
 }

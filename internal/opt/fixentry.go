@@ -21,7 +21,7 @@ func FixEntryExit(f *rtl.Func) {
 	var saved []rtl.Reg
 	used := f.UsedRegs()
 	for r := rtl.RegR4; r <= rtl.RegR11; r++ {
-		if used[r] {
+		if used.Has(r) {
 			saved = append(saved, r)
 		}
 	}

@@ -25,32 +25,69 @@ func (InstructionSelection) Name() string { return "instruction selection" }
 // compulsory register assignment.
 func (InstructionSelection) RequiresRegAssign() bool { return true }
 
-// Apply runs the phase.
+// Apply runs the phase: one combination at a time, each search starting
+// over from the top, until none is left.
+//
+// No combination changes an edge (a control instruction is never a
+// definition and is only ever rewritten in place, keeping its target),
+// so one graph — normally the instance's, borrowed — serves the whole
+// application. Liveness is asked for once and again only after an
+// identity move is removed: a committed combination leaves every
+// block's live-out set as it was (DESIGN.md §4 has the argument,
+// TestPhaseSLivenessIsFresh holds it), and the live-out sets are all
+// soleUseThenDead reads.
 func (InstructionSelection) Apply(f *rtl.Func, d *machine.Desc) bool {
+	g := rtl.CFGOf(f)
+	ls := rtl.NewLiveSolver()
+	defer ls.Release()
+	var lv *rtl.Liveness // nil: not solved since the last identity move went
 	changed := false
-	for combineOnce(f, d) {
+	for {
+		if removeIdentityMove(f) {
+			changed, lv = true, nil
+			continue
+		}
+		switch {
+		case lv != nil:
+		case changed:
+			lv = ls.Solve(g)
+		default:
+			lv = g.Liveness()
+		}
+		if selectionLiveness != nil {
+			selectionLiveness(f, lv)
+		}
+		if !combineOnce(f, d, lv) {
+			return changed
+		}
 		changed = true
 	}
-	return changed
 }
 
-// combineOnce finds and applies one combination anywhere in the
-// function, returning whether it did.
-func combineOnce(f *rtl.Func, d *machine.Desc) bool {
-	// Identity moves (r = r) are vacuous combinations: register
-	// assignment frequently maps a value and its final copy onto the
-	// same register, and no other phase may delete the leftover.
+// selectionLiveness, when non-nil, is shown the liveness s is about to
+// search for a combination with, and the function as it then stands.
+// A test hook, in the style of rtl.Trace.
+var selectionLiveness func(f *rtl.Func, lv *rtl.Liveness)
+
+// removeIdentityMove deletes the first identity move (r = r) of f and
+// reports whether there was one. They are vacuous combinations:
+// register assignment frequently maps a value and its final copy onto
+// the same register, and no other phase may delete the leftover.
+func removeIdentityMove(f *rtl.Func) bool {
 	for _, b := range f.Blocks {
-		for i := 0; i < len(b.Instrs); i++ {
-			in := &b.Instrs[i]
-			if in.Op == rtl.OpMov && in.A.IsReg(in.Dst) {
-				f.DropAnalyses() // modified before the first look
+		for i := range b.Instrs {
+			if in := &b.Instrs[i]; in.Op == rtl.OpMov && in.A.IsReg(in.Dst) {
 				b.Remove(i)
 				return true
 			}
 		}
 	}
-	lv := rtl.CFGOf(f).Liveness()
+	return false
+}
+
+// combineOnce finds and applies one combination anywhere in the
+// function, returning whether it did.
+func combineOnce(f *rtl.Func, d *machine.Desc, lv *rtl.Liveness) bool {
 	var buf [8]rtl.Reg
 	for bpos, b := range f.Blocks {
 		for j := 1; j < len(b.Instrs); j++ {

@@ -193,14 +193,14 @@ func rotateLoop(f *rtl.Func, g *rtl.CFG, l *rtl.Loop) bool {
 	}
 	exitID := hl.Target
 	exitPos, ok := g.Pos(exitID)
-	if !ok || l.Blocks[exitPos] {
+	if !ok || l.Contains(exitPos) {
 		return false
 	}
 	if l.Header+1 >= len(f.Blocks) {
 		return false
 	}
 	bodyPos := l.Header + 1
-	if !l.Blocks[bodyPos] {
+	if !l.Contains(bodyPos) {
 		return false
 	}
 	bodyID := f.Blocks[bodyPos].ID

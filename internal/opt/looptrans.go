@@ -1,7 +1,7 @@
 package opt
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/machine"
 	"repro/internal/rtl"
@@ -27,39 +27,65 @@ func (LoopTransformations) Name() string { return "loop transformations" }
 // compulsory register assignment.
 func (LoopTransformations) RequiresRegAssign() bool { return true }
 
-// Apply runs the phase.
+// Apply runs the phase. Each round looks at the function through one
+// graph: its loops, dominators and liveness hold for every loop of the
+// round, because the first change ends it. The graph — normally the one
+// borrowed from the instance's snapshot, liveness included — outlives
+// the round unless a preheader went in: moving an instruction changes
+// no edge, so the next round only solves liveness again, in pooled
+// storage.
 func (LoopTransformations) Apply(f *rtl.Func, d *machine.Desc) bool {
+	var info loopInfo
+	ls := rtl.NewLiveSolver()
+	defer ls.Release()
+	g := rtl.CFGOf(f)
 	changed := false
 	for again := true; again; {
 		again = false
-		g := rtl.CFGOf(f)
-		for _, l := range g.FindLoops() {
-			if hoistInvariants(f, g, l) || reduceInductionVariables(f, g, l, d) {
-				changed, again = true, true
-				break // structures changed; recompute
+		loops := g.FindLoops()
+		if len(loops) == 0 {
+			break
+		}
+		var lv *rtl.Liveness
+		if changed {
+			lv = ls.Solve(g)
+		} else {
+			lv = g.Liveness()
+		}
+		blocks := len(f.Blocks)
+		for _, l := range loops {
+			info.analyze(f, l)
+			if hoistInvariants(f, g, l, &info, lv) || reduceInductionVariables(f, g, l, &info, d) {
+				again = true
+				break
+			}
+		}
+		if again {
+			changed = true
+			if len(f.Blocks) != blocks {
+				g = rtl.ComputeCFG(f)
 			}
 		}
 	}
 	return changed
 }
 
-// loopInfo gathers per-loop facts used by both sub-transformations.
+// loopInfo gathers the per-loop facts both sub-transformations use,
+// once per loop per graph, with no map: l runs after register
+// assignment, so defs counts by hardware register number.
 type loopInfo struct {
-	blocks  []int // layout positions, ascending
-	defs    map[rtl.Reg]int
+	defs    [rtl.FirstPseudo]int32 // by register: its definitions inside the loop
 	hasCall bool
 	memPure bool // no stores or calls in the loop
 }
 
-func analyzeLoop(f *rtl.Func, l *rtl.Loop) loopInfo {
-	info := loopInfo{defs: make(map[rtl.Reg]int), memPure: true}
-	for bpos := range l.Blocks {
-		info.blocks = append(info.blocks, bpos)
-	}
-	sort.Ints(info.blocks) // deterministic processing order
+func (info *loopInfo) analyze(f *rtl.Func, l *rtl.Loop) {
+	*info = loopInfo{memPure: true}
 	var buf [8]rtl.Reg
-	for _, bpos := range info.blocks {
-		b := f.Blocks[bpos]
+	for bpos, b := range f.Blocks {
+		if !l.Contains(bpos) {
+			continue
+		}
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			for _, r := range in.Defs(buf[:0]) {
@@ -74,7 +100,6 @@ func analyzeLoop(f *rtl.Func, l *rtl.Loop) loopInfo {
 			}
 		}
 	}
-	return info
 }
 
 // ensurePreheader returns the layout position of a block that is the
@@ -86,7 +111,7 @@ func ensurePreheader(f *rtl.Func, g *rtl.CFG, l *rtl.Loop) (int, bool, bool) {
 	h := l.Header
 	var outside []int
 	for _, p := range g.Preds[h] {
-		if !l.Blocks[p] {
+		if !l.Contains(p) {
 			outside = append(outside, p)
 		}
 	}
@@ -100,7 +125,7 @@ func ensurePreheader(f *rtl.Func, g *rtl.CFG, l *rtl.Loop) (int, bool, bool) {
 	// An in-loop predecessor that falls through into the header would
 	// start flowing through the new preheader; creating one here would
 	// re-execute hoisted code every iteration, so bail out.
-	if h > 0 && l.Blocks[h-1] {
+	if h > 0 && l.Contains(h-1) {
 		for _, p := range g.Preds[h] {
 			if p == h-1 && g.FallsThrough(h-1) {
 				return 0, false, false
@@ -132,13 +157,7 @@ func ensurePreheader(f *rtl.Func, g *rtl.CFG, l *rtl.Loop) (int, bool, bool) {
 }
 
 // hoistInvariants performs loop-invariant code motion for one loop.
-func hoistInvariants(f *rtl.Func, g *rtl.CFG, l *rtl.Loop) bool {
-	info := analyzeLoop(f, l)
-	// Nothing has changed since g was built (a change ends the walk
-	// over its loops), so the graph's own analyses hold for every loop.
-	idom := g.Dominators()
-	lv := g.Liveness()
-
+func hoistInvariants(f *rtl.Func, g *rtl.CFG, l *rtl.Loop, info *loopInfo, lv *rtl.Liveness) bool {
 	exits := l.Exits(g)
 
 	// An instruction is loop-invariant when it is pure, its register
@@ -190,7 +209,7 @@ func hoistInvariants(f *rtl.Func, g *rtl.CFG, l *rtl.Loop) bool {
 		// Safety on early exits: either the definition dominates every
 		// exit, or the destination is dead at every exit.
 		for _, e := range exits {
-			if rtl.Dominates(idom, bpos, e) {
+			if g.Dominates(bpos, e) {
 				continue
 			}
 			if mustDominateExits {
@@ -200,7 +219,7 @@ func hoistInvariants(f *rtl.Func, g *rtl.CFG, l *rtl.Loop) bool {
 				// Check liveness on the exit edges leaving the loop.
 				liveOutside := false
 				for _, s := range g.Succs[e] {
-					if !l.Blocks[s] && lv.In[s].Has(in.Dst) {
+					if !l.Contains(s) && lv.In[s].Has(in.Dst) {
 						liveOutside = true
 					}
 				}
@@ -237,7 +256,7 @@ func hoistInvariants(f *rtl.Func, g *rtl.CFG, l *rtl.Loop) bool {
 			// Hoisting always executes the division; a conditionally
 			// executed one could fault where the original would not.
 			for _, e := range exits {
-				if !rtl.Dominates(idom, bpos, e) {
+				if !g.Dominates(bpos, e) {
 					return false
 				}
 			}
@@ -264,8 +283,10 @@ func hoistInvariants(f *rtl.Func, g *rtl.CFG, l *rtl.Loop) bool {
 	// Find the first hoistable instruction: prefer moving the whole
 	// instruction; fall back to rename-hoisting.
 	for pass := 0; pass < 2; pass++ {
-		for _, bpos := range info.blocks {
-			b := f.Blocks[bpos]
+		for bpos, b := range f.Blocks {
+			if !l.Contains(bpos) {
+				continue
+			}
 			for i := 0; i < len(b.Instrs); i++ {
 				if pass == 0 {
 					if !invariant(bpos, i) {
@@ -325,18 +346,19 @@ func hoistInvariants(f *rtl.Func, g *rtl.CFG, l *rtl.Loop) bool {
 // (single definition i = i + #c), a derived variable j = i << #k or
 // j = i * #k is replaced by j = t, where t is a new accumulator
 // initialized in the preheader and incremented alongside i.
-func reduceInductionVariables(f *rtl.Func, g *rtl.CFG, l *rtl.Loop, d *machine.Desc) bool {
-	info := analyzeLoop(f, l)
-
+func reduceInductionVariables(f *rtl.Func, g *rtl.CFG, l *rtl.Loop, info *loopInfo, d *machine.Desc) bool {
 	// Basic induction variables: regs with exactly one in-loop def of
 	// the form r = r + #c (or r - #c).
 	type basicIV struct {
+		reg       rtl.Reg
 		bpos, idx int
 		step      int32
 	}
-	ivs := make(map[rtl.Reg]basicIV)
-	for _, bpos := range info.blocks {
-		b := f.Blocks[bpos]
+	var ivs []basicIV
+	for bpos, b := range f.Blocks {
+		if !l.Contains(bpos) {
+			continue
+		}
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if in.Dst == rtl.RegNone || info.defs[in.Dst] != 1 {
@@ -348,7 +370,7 @@ func reduceInductionVariables(f *rtl.Func, g *rtl.CFG, l *rtl.Loop, d *machine.D
 				if in.Op == rtl.OpSub {
 					step = -step
 				}
-				ivs[in.Dst] = basicIV{bpos: bpos, idx: i, step: step}
+				ivs = append(ivs, basicIV{reg: in.Dst, bpos: bpos, idx: i, step: step})
 			}
 		}
 	}
@@ -358,8 +380,10 @@ func reduceInductionVariables(f *rtl.Func, g *rtl.CFG, l *rtl.Loop, d *machine.D
 
 	// Derived variable: single def j = i << #k or j = i * #k with
 	// i a basic IV and j != i.
-	for _, bpos := range info.blocks {
-		b := f.Blocks[bpos]
+	for bpos, b := range f.Blocks {
+		if !l.Contains(bpos) {
+			continue
+		}
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if in.Dst == rtl.RegNone || info.defs[in.Dst] != 1 {
@@ -368,10 +392,11 @@ func reduceInductionVariables(f *rtl.Func, g *rtl.CFG, l *rtl.Loop, d *machine.D
 			if in.A.Kind != rtl.OperReg || in.B.Kind != rtl.OperImm {
 				continue
 			}
-			iv, isIV := ivs[in.A.Reg]
-			if !isIV || in.Dst == in.A.Reg {
+			k := slices.IndexFunc(ivs, func(iv basicIV) bool { return iv.reg == in.A.Reg })
+			if k < 0 || in.Dst == in.A.Reg {
 				continue
 			}
+			iv := ivs[k]
 			var factor int32
 			switch in.Op {
 			case rtl.OpShl:
@@ -432,7 +457,7 @@ func reduceInductionVariables(f *rtl.Func, g *rtl.CFG, l *rtl.Loop, d *machine.D
 func freeRegister(f *rtl.Func) rtl.Reg {
 	used := f.UsedRegs()
 	for r := rtl.RegR11; r >= rtl.RegR4; r-- {
-		if !used[r] {
+		if !used.Has(r) {
 			return r
 		}
 	}

@@ -382,13 +382,13 @@ func TestLICMHoistsInvariantAddress(t *testing.T) {
 	if len(loops) != 1 {
 		t.Fatalf("loop structure destroyed:\n%s", f)
 	}
-	for bpos := range loops[0].Blocks {
+	loops[0].Blocks.ForEach(func(bpos int) {
 		for i := range f.Blocks[bpos].Instrs {
 			if f.Blocks[bpos].Instrs[i].Op == rtl.OpMovHi {
 				t.Fatalf("HI[g] still inside the loop:\n%s", f)
 			}
 		}
-	}
+	})
 }
 
 // --- g: loop unrolling ------------------------------------------------------------

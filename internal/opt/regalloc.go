@@ -62,8 +62,9 @@ func (RegisterAllocation) Apply(f *rtl.Func, _ *machine.Desc) bool {
 		}
 	}
 
-	g := rtl.ComputeCFG(shadow)
-	lv := rtl.ComputeLiveness(g)
+	ls := rtl.NewLiveSolver()
+	defer ls.Release()
+	lv := ls.Solve(rtl.ComputeCFG(shadow))
 
 	// Interference of each candidate slot with hardware registers and
 	// with other candidate slots: a definition interferes with
@@ -82,8 +83,9 @@ func (RegisterAllocation) Apply(f *rtl.Func, _ *machine.Desc) bool {
 		return -1, false
 	}
 	var buf [8]rtl.Reg
+	var live rtl.RegSet
 	for bpos, b := range shadow.Blocks {
-		live := lv.Out[bpos].Copy()
+		live.CopyFrom(lv.Out[bpos])
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := &b.Instrs[i]
 			if in.Op == rtl.OpCall {

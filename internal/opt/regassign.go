@@ -2,7 +2,6 @@ package opt
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/rtl"
 )
@@ -67,11 +66,13 @@ func colorOnce(f *rtl.Func) (spill rtl.Reg, ok bool) {
 		}
 	}
 
-	g := rtl.ComputeCFG(f)
-	lv := rtl.ComputeLiveness(g)
+	ls := rtl.NewLiveSolver()
+	defer ls.Release()
+	lv := ls.Solve(rtl.ComputeCFG(f))
 	var buf [8]rtl.Reg
+	var live rtl.RegSet
 	for bpos, b := range f.Blocks {
-		live := lv.Out[bpos].Copy()
+		live.CopyFrom(lv.Out[bpos])
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := &b.Instrs[i]
 			moveSrc := rtl.RegNone
@@ -208,17 +209,12 @@ func colorOnce(f *rtl.Func) (spill rtl.Reg, ok bool) {
 // collectPseudos returns every pseudo register referenced by f in
 // increasing numeric order, keeping the pass deterministic.
 func collectPseudos(f *rtl.Func) []rtl.Reg {
-	set := make(map[rtl.Reg]bool)
-	for r := range f.UsedRegs() {
+	var out []rtl.Reg
+	f.UsedRegs().ForEach(func(r rtl.Reg) {
 		if r.IsPseudo() {
-			set[r] = true
+			out = append(out, r)
 		}
-	}
-	out := make([]rtl.Reg, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	})
 	return out
 }
 

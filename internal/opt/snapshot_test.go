@@ -109,15 +109,18 @@ func TestBorrowingAttemptEqualsPlain(t *testing.T) {
 	}
 }
 
-// TestBorrowDroppedBeforeEarlyMutation covers the three places that
-// modify a clone before its first request for a graph: the implicit
-// register assignment, s deleting an identity move, and b retargeting
-// a jump chain ahead of its unreachable-code sweep. None may look at
-// the parent's analyses afterwards.
+// TestBorrowDroppedBeforeEarlyMutation covers the two places that
+// modify a clone before its first request for a graph — the implicit
+// register assignment, and b retargeting a jump chain ahead of its
+// unreachable-code sweep: neither may look at the parent's analyses
+// afterwards. s, which used to be the third, now looks first: it
+// borrows the graph for its edges (no combination changes one) and,
+// having deleted an identity move, solves liveness again rather than
+// read the parent's.
 func TestBorrowDroppedBeforeEarlyMutation(t *testing.T) {
 	d := machine.StrongARM()
 	ev := countAnalyses(t)
-	attempt := func(f *rtl.Func, id byte) (borrows int) {
+	attempt := func(f *rtl.Func, id byte) traceEvents {
 		f.ShareAnalyses()
 		defer f.DropAnalyses()
 		c := f.Clone()
@@ -126,7 +129,7 @@ func TestBorrowDroppedBeforeEarlyMutation(t *testing.T) {
 		if !opt.Attempt(c, &st, opt.ByID(id), d) {
 			t.Fatalf("%c dormant on\n%s", id, f)
 		}
-		return ev.take().borrows
+		return ev.take()
 	}
 
 	unassigned := rtl.NewFunc("pseudo", 1, true)
@@ -136,7 +139,7 @@ func TestBorrowDroppedBeforeEarlyMutation(t *testing.T) {
 		rtl.NewMov(q, rtl.Imm(7)), // dead
 		rtl.NewMov(rtl.RegR0, rtl.R(p)),
 		rtl.Instr{Op: rtl.OpRet, A: rtl.R(rtl.RegR0)})
-	if n := attempt(unassigned, 'h'); n != 0 {
+	if n := attempt(unassigned, 'h').borrows; n != 0 {
 		t.Errorf("h borrowed %d graphs of the code as it stood before register assignment", n)
 	}
 
@@ -146,8 +149,8 @@ func TestBorrowDroppedBeforeEarlyMutation(t *testing.T) {
 		rtl.NewMov(rtl.RegR1, rtl.R(rtl.RegR1)),
 		rtl.NewMov(rtl.RegR0, rtl.R(rtl.RegR1)),
 		ret())
-	if n := attempt(identity, 's'); n != 0 {
-		t.Errorf("s borrowed %d graphs after deleting an identity move", n)
+	if got := attempt(identity, 's'); got.borrows != 1 || got.liveness != 1 {
+		t.Errorf("s derived %+v around deleting an identity move, want one borrowed graph and one liveness solution of the clone", got)
 	}
 
 	chain := rtl.NewFunc("chain", 1, false)
@@ -159,7 +162,7 @@ func TestBorrowDroppedBeforeEarlyMutation(t *testing.T) {
 	j1.Instrs = append(j1.Instrs, rtl.NewJmp(j2.ID))
 	j2.Instrs = append(j2.Instrs, rtl.NewJmp(end.ID))
 	end.Instrs = append(end.Instrs, ret())
-	if n := attempt(chain, 'b'); n != 0 {
+	if n := attempt(chain, 'b').borrows; n != 0 {
 		t.Errorf("b borrowed %d graphs after retargeting", n)
 	}
 }

@@ -31,7 +31,7 @@ type graph struct {
 
 	rpo   once[[]int]
 	reach once[[]bool]
-	idom  once[[]int]
+	dom   once[*domTree]
 	loops once[[]*Loop]
 	live  once[*Liveness]
 }

@@ -1,86 +1,60 @@
 package rtl
 
-// Dominators computes the immediate-dominator array for the CFG using
-// the iterative algorithm of Cooper, Harvey and Kennedy. idom[i] is the
-// layout position of the immediate dominator of block i; the entry
-// block is its own idom; unreachable blocks get idom -1.
-func (g *CFG) Dominators() []int { return g.idom.get(g.dominators) }
-
-func (g *CFG) dominators() []int {
-	n := len(g.Succs)
-	idom := make([]int, n)
-	for i := range idom {
-		idom[i] = -1
-	}
-	if n == 0 {
-		return idom
-	}
-	rpo := g.RPO()
-	rpoNum := make([]int, n)
-	for i := range rpoNum {
-		rpoNum[i] = -1
-	}
-	reach := g.Reachable()
-	pos := 0
-	for _, b := range rpo {
-		if reach[b] {
-			rpoNum[b] = pos
-			pos++
-		}
-	}
-	idom[0] = 0
-	intersect := func(a, b int) int {
-		for a != b {
-			for rpoNum[a] > rpoNum[b] {
-				a = idom[a]
-			}
-			for rpoNum[b] > rpoNum[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range rpo {
-			if b == 0 || !reach[b] {
-				continue
-			}
-			newIdom := -1
-			for _, p := range g.Preds[b] {
-				if !reach[p] || idom[p] == -1 {
-					continue
-				}
-				if newIdom == -1 {
-					newIdom = p
-				} else {
-					newIdom = intersect(p, newIdom)
-				}
-			}
-			if newIdom != -1 && idom[b] != newIdom {
-				idom[b] = newIdom
-				changed = true
-			}
-		}
-	}
-	return idom
+// domTree is the graph's dominator analysis: every reachable block's
+// strict dominators as a set of layout positions (words words per block,
+// the top states of a kernel solution) and the immediate dominators read
+// off them.
+type domTree struct {
+	idom   []int
+	strict []uint64
+	words  int
 }
 
-// Dominates reports whether block a dominates block b given the idom
-// array (both layout positions; a block dominates itself). Unreachable
+// Dominators returns the immediate-dominator array of the CFG: idom[i]
+// is the layout position of the immediate dominator of block i; the
+// entry block is its own idom; unreachable blocks get idom -1.
+func (g *CFG) Dominators() []int { return g.dom.get(g.dominators).idom }
+
+// Dominates reports whether block a dominates block b (both layout
+// positions; a block dominates itself), in constant time. Unreachable
 // blocks are dominated by nothing and dominate nothing but themselves.
-func Dominates(idom []int, a, b int) bool {
-	if a == b {
-		return true
+func (g *CFG) Dominates(a, b int) bool {
+	t := g.dom.get(g.dominators)
+	return a == b || t.strict[b*t.words+a>>6]>>(a&63)&1 != 0
+}
+
+// dominators solves Dom(b) = {b} ∪ ⋂ Dom(p) over the reachable
+// predecessors p — forward, intersection, nothing dominating the entry
+// but itself — through the kernel. A block's top state is then its
+// strict dominators, which form a chain: the immediate one is the
+// member with every other member above it, one fewer than the block
+// has.
+func (g *CFG) dominators() *domTree {
+	n := len(g.Succs)
+	fl := Flow{
+		Words:    (n + 63) / 64,
+		Marks:    make([]bool, 2*n),
+		Only:     g.Reachable(),
+		Meet:     Intersect,
+		Transfer: func(b int, s []uint64) { s[b>>6] |= 1 << (b & 63) },
 	}
-	if idom[b] == -1 || idom[a] == -1 {
-		return false
+	fl.State = make([]uint64, (2*n+1)*fl.Words)
+	g.Solve(&fl)
+	t := &domTree{idom: make([]int, n), strict: fl.State, words: fl.Words}
+	above := make([]int, n) // by block: how many blocks strictly dominate it
+	for b := range above {
+		above[b] = SetOver[int](fl.At(b)).Len()
 	}
-	for b != 0 {
-		b = idom[b]
-		if b == a {
-			return true
+	for b := range t.idom {
+		t.idom[b] = -1
+		if b == 0 {
+			t.idom[b] = 0
 		}
+		SetOver[int](fl.At(b)).ForEach(func(d int) {
+			if above[d] == above[b]-1 {
+				t.idom[b] = d
+			}
+		})
 	}
-	return false
+	return t
 }

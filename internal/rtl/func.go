@@ -310,17 +310,17 @@ func (f *Func) String() string {
 
 // UsedRegs returns the set of registers referenced anywhere in the
 // function.
-func (f *Func) UsedRegs() map[Reg]bool {
-	used := make(map[Reg]bool)
+func (f *Func) UsedRegs() RegSet {
+	used := NewRegSet(int(f.NextPseudo))
 	var buf [8]Reg
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			for _, r := range in.Defs(buf[:0]) {
-				used[r] = true
+				used.Add(r)
 			}
 			for _, r := range in.Uses(buf[:0]) {
-				used[r] = true
+				used.Add(r)
 			}
 		}
 	}

@@ -117,11 +117,6 @@ func (in *Instr) Defs(buf []Reg) []Reg {
 // Uses appends the registers read by the instruction to buf and
 // returns the extended slice.
 func (in *Instr) Uses(buf []Reg) []Reg {
-	addOp := func(o Operand) {
-		if o.Kind == OperReg {
-			buf = append(buf, o.Reg)
-		}
-	}
 	switch in.Op {
 	case OpBranch:
 		buf = append(buf, RegIC)
@@ -130,8 +125,12 @@ func (in *Instr) Uses(buf []Reg) []Reg {
 			buf = append(buf, Reg(i))
 		}
 	default:
-		addOp(in.A)
-		addOp(in.B)
+		if in.A.Kind == OperReg {
+			buf = append(buf, in.A.Reg)
+		}
+		if in.B.Kind == OperReg {
+			buf = append(buf, in.B.Reg)
+		}
 	}
 	return buf
 }

@@ -1,139 +1,10 @@
 package rtl
 
-import "math/bits"
-
-// RegSet is a dense bitset over register numbers, used by the dataflow
-// analyses. The zero value is empty but has no capacity; create sets
-// with NewRegSet.
-type RegSet struct {
-	words []uint64
-}
-
-// NewRegSet returns an empty set able to hold registers [0, n).
-func NewRegSet(n int) RegSet {
-	return RegSet{words: make([]uint64, (n+63)/64)}
-}
-
-// Add inserts register r, growing the set if necessary.
-func (s *RegSet) Add(r Reg) {
-	w := int(r) / 64
-	for w >= len(s.words) {
-		s.words = append(s.words, 0)
-	}
-	s.words[w] |= 1 << (uint(r) % 64)
-}
-
-// Remove deletes register r.
-func (s *RegSet) Remove(r Reg) {
-	w := int(r) / 64
-	if w < len(s.words) {
-		s.words[w] &^= 1 << (uint(r) % 64)
-	}
-}
-
-// Has reports whether the set contains register r.
-func (s *RegSet) Has(r Reg) bool {
-	w := int(r) / 64
-	return w < len(s.words) && s.words[w]&(1<<(uint(r)%64)) != 0
-}
-
-// UnionWith adds every element of t to s and reports whether s changed.
-func (s *RegSet) UnionWith(t RegSet) bool {
-	for len(s.words) < len(t.words) {
-		s.words = append(s.words, 0)
-	}
-	changed := false
-	for i, w := range t.words {
-		if nw := s.words[i] | w; nw != s.words[i] {
-			s.words[i] = nw
-			changed = true
-		}
-	}
-	return changed
-}
-
-// IntersectWith removes from s every element absent from t and reports
-// whether s changed. It is the meet operator of the forward
-// must-be-assigned analysis in internal/check.
-func (s *RegSet) IntersectWith(t RegSet) bool {
-	changed := false
-	for i := range s.words {
-		var w uint64
-		if i < len(t.words) {
-			w = t.words[i]
-		}
-		if nw := s.words[i] & w; nw != s.words[i] {
-			s.words[i] = nw
-			changed = true
-		}
-	}
-	return changed
-}
-
-// Fill adds every register in [0, n) to the set.
-func (s *RegSet) Fill(n int) {
-	for r := 0; r < n; r++ {
-		s.Add(Reg(r))
-	}
-}
-
-// Copy returns an independent copy of the set.
-func (s RegSet) Copy() RegSet {
-	return RegSet{words: append([]uint64(nil), s.words...)}
-}
-
-// Clear empties the set in place.
-func (s *RegSet) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
-// Equal reports whether s and t contain the same registers,
-// regardless of capacity.
-func (s RegSet) Equal(t RegSet) bool {
-	a, b := s.words, t.words
-	if len(a) < len(b) {
-		a, b = b, a
-	}
-	for i, w := range b {
-		if a[i] != w {
-			return false
-		}
-	}
-	for _, w := range a[len(b):] {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Len returns the number of elements.
-func (s RegSet) Len() int {
-	n := 0
-	for _, w := range s.words {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}
-
-// ForEach invokes fn for every register in the set, in increasing
-// order.
-func (s RegSet) ForEach(fn func(Reg)) {
-	for i, w := range s.words {
-		for w != 0 {
-			r := Reg(i*64 + bits.TrailingZeros64(w))
-			fn(r)
-			w &= w - 1
-		}
-	}
-}
+import "sync"
 
 // Liveness holds per-block live-in/live-out register sets, indexed by
-// layout position.
+// layout position. The sets are views of one solution's states and must
+// not be written to.
 type Liveness struct {
 	In  []RegSet
 	Out []RegSet
@@ -142,135 +13,152 @@ type Liveness struct {
 // Liveness returns the live-variable sets of the function the graph
 // was built from, as it stood at the first request — on a borrowed
 // view (CFGOf) that is the parent instance the clone still equals. A
-// caller that has rewritten instructions since uses ComputeLiveness.
+// caller that has rewritten instructions since re-solves over the same
+// graph (LiveSolver), as long as it has changed no edge.
 func (g *CFG) Liveness() *Liveness {
 	return g.live.get(func() *Liveness { return ComputeLiveness(&CFG{F: g.f, graph: g.graph}) })
 }
 
-// ComputeLiveness runs the standard backward iterative live-variable
-// analysis over the CFG. At a return, r0 is live when the function
-// yields a value (encoded by the Ret instruction's use of r0), and the
-// callee-save registers plus SP are live so that no phase deletes the
-// code that preserves them once register assignment has run.
+// ComputeLiveness solves live variables for g.F over g's edges into
+// storage of the solution's own: what the graph memoizes for the life
+// of its node, and what a caller that keeps the answer asks for. A
+// phase that re-solves inside one application uses a LiveSolver.
 func ComputeLiveness(g *CFG) *Liveness {
-	f := g.F
-	n := len(f.Blocks)
-	maxReg := int(f.NextPseudo)
-	// All per-block sets share one backing array, and the four header
-	// slices share another: liveness runs inside nearly every phase
-	// attempt of the exhaustive search, so the allocation count
-	// matters.
-	sets := make([]RegSet, 4*n)
-	lv := &Liveness{In: sets[:n:n], Out: sets[n : 2*n : 2*n]}
-	use := sets[2*n : 3*n : 3*n]
-	def := sets[3*n:]
-	words := (maxReg + 63) / 64
-	if words == 0 {
-		words = 1
+	ls := NewLiveSolver()
+	defer ls.Release()
+	n, w := len(g.F.Blocks), ls.scan(g.F)
+	return ls.run(g, new(Liveness), make([]RegSet, 2*n), make([]uint64, (2*n+1)*w))
+}
+
+// LiveSolver is the liveness client of the dataflow kernel with its
+// storage: the per-block use and def masks, the kernel's marks and,
+// for Solve, the solution itself. Solvers are pooled; a phase takes one
+// for the length of an application and every re-solve in it is free of
+// allocation once the pool is warm.
+type LiveSolver struct {
+	flow  Flow
+	masks []uint64 // block b's use mask, then its def mask, Words each
+	rets  []bool   // by block: ends in a return
+	lv    Liveness
+	sets  []RegSet
+	state []uint64
+}
+
+var liveSolvers = sync.Pool{New: func() any {
+	ls := new(LiveSolver)
+	ls.flow = Flow{Backward: true, Boundary: ls.boundary, Transfer: ls.transfer}
+	return ls
+}}
+
+// NewLiveSolver takes a solver from the pool; Release returns it.
+func NewLiveSolver() *LiveSolver { return liveSolvers.Get().(*LiveSolver) }
+
+// Release returns the solver, and the solution Solve last returned, to
+// the pool.
+func (ls *LiveSolver) Release() { liveSolvers.Put(ls) }
+
+// Solve solves live variables for g.F as it now stands over g's edges,
+// which must still be the function's. The solution is the solver's:
+// valid until the next Solve or the Release.
+func (ls *LiveSolver) Solve(g *CFG) *Liveness {
+	n, w := len(g.F.Blocks), ls.scan(g.F)
+	ls.sets, ls.state = Resize(ls.sets, 2*n), Resize(ls.state, (2*n+1)*w)
+	return ls.run(g, &ls.lv, ls.sets, ls.state)
+}
+
+// Resize returns s with length n, in its own backing array when that
+// is large enough: how the kernel's clients grow the storage they pool.
+// The contents are unspecified.
+func Resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	backing := make([]uint64, (4*n+1)*words)
-	slot := func(k int) RegSet { return RegSet{words: backing[k*words : (k+1)*words : (k+1)*words]} }
+	return s[:n]
+}
+
+// boundary is the state at the bottom of a block nothing follows. At a
+// return only the stack pointer is live: the value returned is the Ret
+// instruction's own use of r0, and the callee-save registers are
+// ordinary storage while the phases run — the entry/exit fix-up that
+// saves and restores the ones the function uses runs after the last
+// phase (FixEntryExit), so a phase may well delete a write to one that
+// nothing reads. A final block that falls off the end has nothing live
+// below it.
+func (ls *LiveSolver) boundary(b int, s []uint64) {
+	if ls.rets[b] {
+		s[RegSP>>6] |= 1 << (RegSP & 63)
+	}
+}
+
+// transfer is in = use ∪ (out − def).
+func (ls *LiveSolver) transfer(b int, s []uint64) {
+	w := ls.flow.Words
+	GenKill(s, ls.masks[2*b*w:][:w], ls.masks[(2*b+1)*w:][:w])
+}
+
+// scan builds every block's use mask (registers read before the block
+// writes them) and def mask in one pass over f and returns their width
+// in words: that of NextPseudo, or — for a function that references a
+// register at or above it, which no well-formed one does — whatever a
+// second pass finds it needs.
+func (ls *LiveSolver) scan(f *Func) int {
+	w := max(1, (int(f.NextPseudo)+63)/64)
+	for {
+		need := ls.scanWidth(f, w)
+		if need == w {
+			return w
+		}
+		w = need
+	}
+}
+
+// scanWidth is scan at a given width; it stops at the first register
+// the masks cannot hold and returns the width that can.
+func (ls *LiveSolver) scanWidth(f *Func, w int) int {
+	ls.masks = Resize(ls.masks, 2*len(f.Blocks)*w)
+	clear(ls.masks)
+	ls.rets = Resize(ls.rets, len(f.Blocks))
 	var buf [8]Reg
 	for i, b := range f.Blocks {
-		use[i] = slot(4 * i)
-		def[i] = slot(4*i + 1)
-		lv.In[i] = slot(4*i + 2)
-		lv.Out[i] = slot(4*i + 3)
+		use, def := ls.masks[2*i*w:][:w], ls.masks[(2*i+1)*w:][:w]
 		for j := range b.Instrs {
 			in := &b.Instrs[j]
 			for _, r := range in.Uses(buf[:0]) {
-				if !def[i].Has(r) {
-					use[i].Add(r)
+				if int(r>>6) >= w {
+					return int(r>>6) + 1
+				}
+				if def[r>>6]>>(r&63)&1 == 0 {
+					use[r>>6] |= 1 << (r & 63)
 				}
 			}
 			for _, r := range in.Defs(buf[:0]) {
-				def[i].Add(r)
+				if int(r>>6) >= w {
+					return int(r>>6) + 1
+				}
+				def[r>>6] |= 1 << (r & 63)
 			}
 		}
+		last := b.Last()
+		ls.rets[i] = last != nil && last.Op == OpRet
 	}
-	// Registers live at function exit: only the stack pointer. The
-	// callee-save convention is not modeled as exit liveness — the
-	// compulsory entry/exit fixup that saves and restores used
-	// callee-save registers runs after the last code-improving phase,
-	// so during optimization those registers are ordinary storage.
-	exitLive := RegSet{words: backing[4*n*words:]}
-	exitLive.Add(RegSP)
-	order := g.RPO()
-	// One scratch set serves every in = use ∪ (out - def) evaluation;
-	// copying out per block per fixpoint iteration dominated the
-	// allocation profile of this analysis.
-	var scratch RegSet
-	for changed := true; changed; {
-		changed = false
-		for i := len(order) - 1; i >= 0; i-- {
-			b := order[i]
-			out := &lv.Out[b]
-			if blk := f.Blocks[b]; blk.EndsInControl() && blk.Last().Op == OpRet {
-				if out.UnionWith(exitLive) {
-					changed = true
-				}
-			}
-			for _, s := range g.Succs[b] {
-				if out.UnionWith(lv.In[s]) {
-					changed = true
-				}
-			}
-			// in = use ∪ (out - def)
-			newIn := &scratch
-			newIn.words = append(newIn.words[:0], out.words...)
-			def[b].ForEach(func(r Reg) { newIn.Remove(r) })
-			newIn.UnionWith(use[b])
-			if lv.In[b].UnionWith(*newIn) {
-				changed = true
-			}
-		}
+	return w
+}
+
+// run solves the scanned function's backward union problem through the
+// kernel in state and binds the solution to lv: In and Out are the two
+// halves of sets, views of the block-top and block-bottom states.
+func (ls *LiveSolver) run(g *CFG, lv *Liveness, sets []RegSet, state []uint64) *Liveness {
+	n := len(g.F.Blocks)
+	fl := &ls.flow
+	fl.Words, fl.State, fl.Marks = len(state)/(2*n+1), state, Resize(fl.Marks, 2*n)
+	g.Solve(fl)
+	lv.In, lv.Out = sets[:n:n], sets[n:]
+	for i := range sets {
+		sets[i] = SetOver[Reg](fl.At(i))
 	}
+	fl.State = nil // the solution's (ComputeLiveness) or ls.state
 	if Trace != nil {
 		Trace(BuiltLiveness, g)
 	}
 	return lv
-}
-
-// LiveAtInstr returns the registers live immediately after instruction
-// idx in the block at layout position bpos (i.e. between idx and
-// idx+1). Computing this per query is quadratic but the functions in
-// this study are small; phases that sweep a whole block use
-// BlockLiveness instead.
-func (lv *Liveness) LiveAtInstr(g *CFG, bpos, idx int) RegSet {
-	steps := BlockLiveness(g, lv, bpos)
-	return steps[idx+1]
-}
-
-// BlockLiveness returns, for the block at layout position bpos, the
-// live register set at every instruction boundary: element i is the set
-// live immediately before instruction i, and element len(Instrs) is the
-// block's live-out set.
-func BlockLiveness(g *CFG, lv *Liveness, bpos int) []RegSet {
-	b := g.F.Blocks[bpos]
-	n := len(b.Instrs)
-	steps := make([]RegSet, n+1)
-	cur := lv.Out[bpos].Copy()
-	// All step snapshots share one backing array; every register that
-	// can appear in an instruction is below the width of the liveness
-	// sets, so the cursor never grows.
-	words := len(cur.words)
-	backing := make([]uint64, (n+1)*words)
-	snap := func(i int) {
-		slot := backing[i*words : (i+1)*words : (i+1)*words]
-		copy(slot, cur.words)
-		steps[i] = RegSet{words: slot}
-	}
-	snap(n)
-	var buf [8]Reg
-	for i := n - 1; i >= 0; i-- {
-		in := &b.Instrs[i]
-		for _, r := range in.Defs(buf[:0]) {
-			cur.Remove(r)
-		}
-		for _, r := range in.Uses(buf[:0]) {
-			cur.Add(r)
-		}
-		snap(i)
-	}
-	return steps
 }

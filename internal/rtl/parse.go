@@ -80,11 +80,11 @@ func ParseFunc(text string) (*Func, error) {
 	// Mark the function register-assigned when no pseudo registers
 	// appear.
 	f.RegAssigned = true
-	for r := range f.UsedRegs() {
+	f.UsedRegs().ForEach(func(r Reg) {
 		if r.IsPseudo() {
 			f.RegAssigned = false
 		}
-	}
+	})
 	if f.Returns {
 		// set by RET r[0] forms during parsing via trackRegs
 	}

@@ -67,13 +67,13 @@ func TestDominatorsDiamond(t *testing.T) {
 	if idom[3] != 0 {
 		t.Fatalf("idom of join = %d, want 0", idom[3])
 	}
-	if !rtl.Dominates(idom, 0, 3) {
+	if !g.Dominates(0, 3) {
 		t.Fatal("entry must dominate the join")
 	}
-	if rtl.Dominates(idom, 1, 3) || rtl.Dominates(idom, 2, 3) {
+	if g.Dominates(1, 3) || g.Dominates(2, 3) {
 		t.Fatal("neither branch arm dominates the join")
 	}
-	if !rtl.Dominates(idom, 2, 2) {
+	if !g.Dominates(2, 2) {
 		t.Fatal("a block dominates itself")
 	}
 }

@@ -212,10 +212,14 @@ func factsOf(t *testing.T, r *Result) spaceFacts {
 // every attempt's first look built both (1.08 graphs and 0.45 liveness
 // solutions per attempt, cleanup's and register assignment's included);
 // with the snapshot the up-to-fourteen attempts at a node build each
-// once between them (0.47 and 0.25), and since Cleanup counts
-// predecessors instead of building graphs (0.27 graphs) what is left is
-// what phases derive after they have changed the code. The bars are the
-// measurements plus the margin they have had since the first of them.
+// once between them (0.47 and 0.25), Cleanup counts predecessors
+// instead of building graphs (0.27 graphs), and h, s and l keep the one
+// graph they looked at for as long as they change no edge, s solving
+// liveness again only after an identity move (0.105 graphs, 0.172
+// liveness solutions: the snapshot owners' own, and what b, d, i, j, l's
+// preheaders and register assignment derive after they have changed an
+// edge or a register). The counts repeat exactly; each bar is the
+// measurement plus 0.10.
 func TestAnalysesComputedOncePerNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("enumerates three mid-sized spaces")
@@ -246,10 +250,10 @@ func TestAnalysesComputedOncePerNode(t *testing.T) {
 	}
 	perAttempt := func(n *atomic.Int64) float64 { return float64(n.Load()) / float64(attempts) }
 	t.Logf("%d attempts: %.3f graphs, %.3f liveness solutions from scratch per attempt", attempts, perAttempt(&cfgs), perAttempt(&liveness))
-	if got := perAttempt(&cfgs); got > 0.45 {
-		t.Errorf("%.3f graphs built from scratch per attempt, want at most 0.45", got)
+	if got := perAttempt(&cfgs); got > 0.205 {
+		t.Errorf("%.3f graphs built from scratch per attempt, want at most 0.205", got)
 	}
-	if got := perAttempt(&liveness); got > 0.35 {
-		t.Errorf("%.3f liveness solutions computed per attempt, want at most 0.35", got)
+	if got := perAttempt(&liveness); got > 0.272 {
+		t.Errorf("%.3f liveness solutions computed per attempt, want at most 0.272", got)
 	}
 }
