@@ -78,14 +78,15 @@ lint-fixtures:
 # and their total. Informational (never fails), and part of check so
 # that every CI log carries the number. The packages under the engine
 # (phases, RTL, fingerprint, and dataflow and check — ROADMAP quotes
-# opt + rtl + dataflow for the analyses) follow the total and stay out
-# of it, so ROADMAP's series of totals remains comparable.
+# opt + rtl + dataflow for the analyses) and the instruments
+# (telemetry) follow the total and stay out of it, so ROADMAP's series
+# of totals remains comparable.
 loc:
 	@count() { ls $$1/*.go | grep -v _test.go | xargs cat | grep -vcE '^\s*(//.*)?$$'; }; \
 	total=0; for d in internal/search internal/server internal/distcl cmd/explore; do \
 		n=$$(count $$d); printf 'loc: %-20s %s\n' $$d $$n; total=$$((total + n)); \
 	done; printf 'loc: %-20s %s\n' total $$total; \
-	for d in internal/opt internal/rtl internal/fingerprint internal/dataflow internal/check; do \
+	for d in internal/opt internal/rtl internal/fingerprint internal/dataflow internal/check internal/telemetry; do \
 		printf 'loc: %-20s %s (not in total)\n' $$d $$(count $$d); \
 	done
 
@@ -105,7 +106,7 @@ fuzz-smoke:
 bench-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/explore -bench stringsearch -func tolower_c -check \
-		-metrics "$$tmp/smoke.metrics.json" -trace "$$tmp/smoke.trace.json" && \
+		-metrics "$$tmp/smoke.metrics.json" && \
 	$(GO) run ./cmd/phasestats -from-metrics "$$tmp/smoke.metrics.json" \
 		-require search.nodes,search.attempts,check.verify.calls
 

@@ -62,13 +62,16 @@
 //	-metrics file   write a metrics snapshot (per-phase attempt counts
 //	                and durations, prune counters) as JSON on exit;
 //	                aggregate with "phasestats -from-metrics"
-//	-trace file     write Chrome trace_event JSON; load in
-//	                chrome://tracing or https://ui.perfetto.dev
-//	-progress       tick one-line status updates to stderr
-//	-pprof addr     serve net/http/pprof and /debug/vars
+//	-progress       log one line per completed search level to stderr
+//	                (level, frontier, attempts, cumulative nodes,
+//	                dormant and merged counts, elapsed), live even under
+//	                -jobs; stdout and the space are unaffected
+//	-pprof addr     serve net/http/pprof (CPU/heap profiles and the
+//	                runtime execution trace at /debug/pprof/trace) and
+//	                /debug/vars
 //
 // An interrupt (Ctrl-C) cancels the running search cooperatively and
-// still flushes the -metrics and -trace files.
+// still flushes the -metrics file.
 package main
 
 import (
@@ -180,6 +183,12 @@ func run() int {
 		opt.Metrics = opt.NewPhaseMetrics(session.Registry)
 		check.Metrics = check.NewVerifyMetrics(session.Registry)
 	}
+	// -progress is the engine's own per-level log record, written to
+	// stderr as it happens rather than buffered with the function's output.
+	var progressLog *slog.Logger
+	if session.Progress {
+		progressLog = telemetry.NewLogger(os.Stderr, "text", slog.LevelInfo)
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -229,8 +238,8 @@ func run() int {
 			Check:           *checkAll,
 			Workers:         *searchW,
 			Ctx:             ctx,
+			Logger:          progressLog,
 			Metrics:         session.Registry,
-			Tracer:          session.Tracer,
 			AttemptWatchdog: *watchdog,
 			Faults:          faults,
 			Equiv:           *equiv,
@@ -239,18 +248,18 @@ func run() int {
 			opts.CheckpointPath = filepath.Join(*ckptDir,
 				fmt.Sprintf("%s.%s.ckpt.space.gz", tf.Bench, tf.Func.Name))
 		}
-		if session.Progress {
-			opts.ProgressInterval = 2 * time.Second
-		}
 		if *verify {
 			opts.Verifier = makeVerifier(tf)
 		}
 		if *resume {
 			// Continue whatever the function's checkpoint file holds; a
 			// file search.Enumerate has to discard is warned about on
-			// stderr. A file holding the complete space is returned as
-			// is, so rerunning with -resume is idempotent.
-			opts.Logger = slog.New(slog.NewTextHandler(&fr.errOut, &slog.HandlerOptions{Level: slog.LevelWarn}))
+			// stderr (with the function's output, unless -progress is
+			// already logging there). A file holding the complete space
+			// is returned as is, so rerunning with -resume is idempotent.
+			if opts.Logger == nil {
+				opts.Logger = slog.New(slog.NewTextHandler(&fr.errOut, &slog.HandlerOptions{Level: slog.LevelWarn}))
+			}
 			if fr.r, fr.err = search.Enumerate(tf.Func, opts, nil); fr.err != nil {
 				return fr
 			}

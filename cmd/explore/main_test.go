@@ -98,6 +98,51 @@ func TestResumeOwnsTheCheckpointSlot(t *testing.T) {
 	}
 }
 
+// TestProgressLogsLevels: -progress is the engine's per-level log record
+// on stderr — one line per completed level, cumulative counts included —
+// and nothing else: stdout and the saved space are what they are
+// without it.
+func TestProgressLogsLevels(t *testing.T) {
+	plain, logged := t.TempDir(), t.TempDir()
+	args := []string{"-bench", "stringsearch", "-func", "tolower_c", "-levels", "-save"}
+	wantOut, wantErr, code := runExploreAll(t, append(args, plain)...)
+	if code != 0 || strings.Contains(wantErr, "level complete") {
+		t.Fatalf("plain run exited %d\nstderr:\n%s", code, wantErr)
+	}
+	out, errOut, code := runExploreAll(t, append(args, logged, "-progress")...)
+	if code != 0 || !sameRows(out, wantOut) {
+		t.Fatalf("-progress exited %d or changed stdout:\n--- without\n%s\n--- with\n%s", code, wantOut, out)
+	}
+	r, err := search.LoadFile(filepath.Join(logged, "stringsearch.tolower_c.space.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := 0
+	for _, line := range strings.Split(errOut, "\n") {
+		if !strings.Contains(line, `msg="level complete"`) {
+			continue
+		}
+		lines++
+		for _, k := range []string{"fn=tolower_c", " level=", " nodes=", " dormant=", " merged=", " elapsed="} {
+			if !strings.Contains(line, k) {
+				t.Fatalf("level line lacks %q: %s", k, line)
+			}
+		}
+	}
+	if lines != r.Stats.Levels+1 {
+		t.Fatalf("%d level lines on stderr for a space %d levels deep:\n%s", lines, r.Stats.Levels+1, errOut)
+	}
+	ref, err := search.LoadFile(filepath.Join(plain, "stringsearch.tolower_c.space.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err1 := r.CanonicalHash()
+	want, err2 := ref.CanonicalHash()
+	if err1 != nil || err2 != nil || got != want {
+		t.Fatalf("-progress changed the space: %s (%v), without %s (%v)", got, err1, want, err2)
+	}
+}
+
 // TestMixedBatchJobsDeterministic runs a batch where some functions
 // complete and some abort (-maxnodes) at -jobs 4: every function must
 // still report its row, in input order and un-interleaved, and the

@@ -16,18 +16,19 @@
 // with the internal/check semantic verifier; a violation aborts with
 // the function, the active sequence and the offending phase.
 //
-// Observability: -metrics, -trace, -progress and -pprof behave as in
+// Observability: -metrics, -progress and -pprof behave as in
 // cmd/explore. The mining searches and both compilers record into the
 // same registry, so one -metrics file captures the full mine + compile
 // pipeline (driver.batch.* next to driver.prob.* gives the Table 7
 // cost comparison directly); an interrupt during mining still flushes
-// the files.
+// the file.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"time"
@@ -68,7 +69,6 @@ func run() int {
 		check.Metrics = check.NewVerifyMetrics(session.Registry)
 		driver.Metrics = session.Registry
 	}
-	driver.Trace = session.Tracer
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -88,19 +88,19 @@ func run() int {
 			return 1
 		}
 		x := analysis.NewInteractions()
+		var progressLog *slog.Logger // -progress: the engine's per-level record on stderr
+		if session.Progress {
+			progressLog = telemetry.NewLogger(os.Stderr, "text", slog.LevelInfo)
+		}
 		for _, tf := range funcs {
-			opts := search.Options{
+			r := search.Run(tf.Func, search.Options{
 				MaxNodes: *mineNodes,
 				Timeout:  *mineTimeout,
 				Check:    *checkOpt,
 				Ctx:      ctx,
+				Logger:   progressLog,
 				Metrics:  session.Registry,
-				Tracer:   session.Tracer,
-			}
-			if session.Progress {
-				opts.ProgressInterval = 2 * time.Second
-			}
-			r := search.Run(tf.Func, opts)
+			})
 			if fails := r.CheckFailures(); len(fails) > 0 {
 				for _, n := range fails {
 					fmt.Fprintf(os.Stderr, "%s: CHECK FAIL seq %q: %s\n", tf.Func.Name, n.Seq, n.CheckErr)

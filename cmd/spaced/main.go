@@ -185,7 +185,6 @@ func run() int {
 		SearchTimeout:   *searchTimeout,
 		SearchWorkers:   *searchWorkers,
 		Registry:        reg,
-		Tracer:          session.Tracer,
 		Faults:          plan,
 		Logger:          logger,
 		SlowFlight:      *slowFlight,

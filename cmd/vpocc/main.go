@@ -21,10 +21,9 @@
 //	               offending phase and the sequence leading to it are
 //	               reported and the exit status is nonzero
 //
-// Observability: -metrics, -trace, -progress and -pprof behave as in
-// cmd/explore; a compile's metrics include the per-phase attempt
-// counters and the driver.batch.* series, and the trace shows one
-// driver.batch span per function.
+// Observability: -metrics and -pprof behave as in cmd/explore; a
+// compile's metrics include the per-phase attempt counters and the
+// driver.batch.* series.
 package main
 
 import (
@@ -80,7 +79,6 @@ func run() int {
 		check.Metrics = check.NewVerifyMetrics(session.Registry)
 		driver.Metrics = session.Registry
 	}
-	driver.Trace = session.Tracer
 
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {

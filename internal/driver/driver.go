@@ -27,13 +27,8 @@ import (
 
 // Metrics, when non-nil, tags every compilation: per-compiler counters
 // (driver.batch.compiles, driver.prob.compiles, their attempted/active
-// phase totals) and duration histograms. Trace, when non-nil, records
-// one span per compiled function on lane 0, under which opt-layer
-// spans would nest if the search is also tracing.
-var (
-	Metrics *telemetry.Registry
-	Trace   *telemetry.Tracer
-)
+// phase totals) and duration histograms.
+var Metrics *telemetry.Registry
 
 // observe tags one finished compilation under the given compiler name
 // ("batch" or "prob").
@@ -81,13 +76,11 @@ var BatchOrder = []byte{'o', 'b', 's', 'c', 'k', 'h', 'l', 'q', 'g', 'n', 'i', '
 // produces no change, then the compulsory entry/exit code is inserted.
 func Batch(f *rtl.Func, d *machine.Desc) Result {
 	start := time.Now()
-	span := Trace.Begin("driver.batch", "driver", 0)
 	res := Optimize(f, d)
 	if res.CheckErr == nil {
 		res.CheckErr = fixEntryExitChecked(f, d)
 	}
 	res.Elapsed = time.Since(start)
-	span.End(map[string]any{"fn": f.Name, "seq": res.Seq})
 	observe("batch", &res)
 	return res
 }
@@ -201,7 +194,6 @@ const maxProbabilisticSteps = 512
 //	    p[j] = 0
 func Probabilistic(f *rtl.Func, d *machine.Desc, probs *Probabilities) Result {
 	start := time.Now()
-	span := Trace.Begin("driver.prob", "driver", 0)
 	var res Result
 	func() {
 		defer recoverCheck(&res)
@@ -249,7 +241,6 @@ func Probabilistic(f *rtl.Func, d *machine.Desc, probs *Probabilities) Result {
 		res.CheckErr = fixEntryExitChecked(f, d)
 	}
 	res.Elapsed = time.Since(start)
-	span.End(map[string]any{"fn": f.Name, "seq": res.Seq})
 	observe("prob", &res)
 	return res
 }

@@ -5,7 +5,6 @@ import (
 	"compress/gzip"
 	"context"
 	"io"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -33,29 +32,20 @@ func gunzip(b []byte) []byte {
 // — never a panic, never a space whose identity depends on how often
 // it was written.
 func FuzzLoad(f *testing.F) {
-	// Seeds: the shipped corpus (v1 documents), a finished v2 space, a
-	// mid-run checkpoint, a v3 equivalence-collapsed space, and every
-	// row of the corrupt-file table that is a document at all.
-	corpus, err := filepath.Glob("../../spaces/*.space.gz")
-	if err != nil || len(corpus) == 0 {
-		f.Fatalf("no corpus spaces to seed from (%v)", err)
-	}
-	for _, path := range corpus {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(gunzip(b))
-	}
+	// Seeds, all written here: a finished v2 space and the same space as
+	// a v1 document, a v3 equivalence-collapsed space, a mid-run
+	// checkpoint, and every row of the corrupt-file table that is a
+	// document at all.
 	_, fn := compileFunc(f, smallSrc, "clamp")
-	seed := func(r *search.Result) {
+	seed := func(r *search.Result) []byte {
 		var buf bytes.Buffer
 		if err := r.Save(&buf); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(gunzip(buf.Bytes()))
+		return buf.Bytes()
 	}
-	seed(search.Run(fn, search.Options{}))
+	f.Add(asV1(f, seed(search.Run(fn, search.Options{}))))
 	seed(search.Run(fn, search.Options{Equiv: true}))
 	ctx, cancel := context.WithCancel(context.Background())
 	ckpt := filepath.Join(f.TempDir(), "clamp.ckpt.space.gz")

@@ -1,7 +1,6 @@
 package search
 
 import (
-	"fmt"
 	"log/slog"
 	"sync/atomic"
 	"time"
@@ -45,54 +44,57 @@ type RunStats struct {
 	ExpandNS   int64 `json:"expand_ns,omitempty"`
 }
 
-// instruments carries Run's live counters. The fields written from
-// worker goroutines (expandNS, levelDone) and every field the progress
-// reporter goroutine reads are atomics; the rest are updated on the
-// serial merge path only.
+// instruments is the one set of books of an enumeration. stats holds
+// every count once, written only by the committing goroutine (the one
+// that called Run), so level boundaries, checkpoints and the Result read
+// it plainly. The registry (Options.Metrics) is a second reader, not a
+// second copy: flush feeds it the difference since the previous flush
+// at each level boundary and at the end of the run. Workers share
+// nothing per attempt except, under Options.Metrics, the two timing
+// sums and their histograms.
 type instruments struct {
 	fnName string
-	start  time.Time
 
 	// log receives the structured control-path events Options.Logger
 	// promises. Nil when no logger is attached; every call site guards,
 	// so the worker hot paths stay log-free either way.
 	log *slog.Logger
 
-	nodes, edges, attempts, active, dormant, merged atomic.Int64
-	quarantined                                     atomic.Int64
-	level, frontier, levelPending, levelDone        atomic.Int64
-	levelStartNS                                    atomic.Int64
-	stateKeyNS, expandNS                            atomic.Int64
-	nodesExpanded, maxFrontier                      int
+	stats RunStats
+	// stateKeyNS and expandNS are what the workers of this Run or Resume
+	// added to stats.StateKeyNS and stats.ExpandNS (runStats folds them).
+	stateKeyNS, expandNS atomic.Int64
 
 	// timed gates the time.Now() pairs on the hot paths; set only when
 	// a metrics registry is attached.
 	timed                      bool
-	mNodes, mEdges, mAttempts  *telemetry.Counter
-	mActive, mDormant, mMerged *telemetry.Counter
-	mEquivMerged               *telemetry.Counter
-	mQuarantined               *telemetry.Counter
-	mCkptWrites, mCkptFailures *telemetry.Counter
 	mStateKey, mExpand         *telemetry.Histogram
 	mCkptDur                   *telemetry.Histogram
-	gFrontier, gLevel          *telemetry.Gauge
-	tracer                     *telemetry.Tracer
+	mCkptWrites, mCkptFailures *telemetry.Counter
 
-	// Striped-index counters. Each stripe counts under its own lock;
-	// observeIndex aggregates across stripes and flushes the deltas
-	// into the registry at level boundaries. The values depend on
-	// probe interleaving (they are telemetry, never serialized into
-	// the space format); the stripe.* pair exposes lock contention:
-	// acquisitions counts stripe-lock takes, contended the takes that
-	// found the lock held.
+	// What flush feeds, and what it has fed so far. A seeded run
+	// (Resume) starts fed at the checkpoint's counts, so it adds only its
+	// own work. search.level is the last level begun, search.frontier the
+	// nodes awaiting expansion. The index counters are summed across
+	// stripes (each counts under its own lock) and depend on probe
+	// interleaving — telemetry, never serialized into the space format;
+	// the stripe.* pair exposes lock contention: acquisitions counts
+	// stripe-lock takes, contended the takes that found the lock held.
+	mNodes, mEdges, mAttempts             *telemetry.Counter
+	mActive, mDormant, mMerged            *telemetry.Counter
+	mQuarantined, mEquivMerged            *telemetry.Counter
 	mIdxProbes, mIdxByteCmps, mIdxFPColls *telemetry.Counter
 	mIdxStripeAcq, mIdxStripeCont         *telemetry.Counter
-	gIdxRetained                          *telemetry.Gauge
-	idxFlushed                            indexCounters
+	gFrontier, gLevel, gIdxRetained       *telemetry.Gauge
+	fed                                   struct {
+		stats              RunStats
+		nodes, equivMerged int
+		idx                indexCounters
+	}
 }
 
-func newInstruments(opts *Options, fnName string, start time.Time) *instruments {
-	ins := &instruments{fnName: fnName, start: start, tracer: opts.Tracer, log: opts.Logger}
+func newInstruments(opts *Options, fnName string) *instruments {
+	ins := &instruments{fnName: fnName, log: opts.Logger}
 	if reg := opts.Metrics; reg != nil {
 		ins.timed = true
 		ins.mNodes = reg.Counter("search.nodes")
@@ -120,158 +122,71 @@ func newInstruments(opts *Options, fnName string, start time.Time) *instruments 
 	return ins
 }
 
-// observeIndex flushes the striped index's aggregated probe and
-// contention counters into the metrics registry and refreshes the
-// retained-memory gauge. Called at level boundaries on the serial
-// path, with no workers running.
-func (ins *instruments) observeIndex(d *dedupIndex) {
-	c := d.counters()
-	ins.mIdxProbes.Add(c.probes - ins.idxFlushed.probes)
-	ins.mIdxByteCmps.Add(c.byteCompares - ins.idxFlushed.byteCompares)
-	ins.mIdxFPColls.Add(c.fpCollisions - ins.idxFlushed.fpCollisions)
-	ins.mIdxStripeAcq.Add(c.acquisitions - ins.idxFlushed.acquisitions)
-	ins.mIdxStripeCont.Add(c.contended - ins.idxFlushed.contended)
-	ins.idxFlushed = c
-	ins.gIdxRetained.Set(int64(d.retainedBytes()))
+// flush feeds the registry what the books gained since the last flush.
+// Called on the committing goroutine with no workers running: at each
+// level boundary and once when the run ends, however it ends.
+func (e *engine) flush() {
+	ins := e.ins
+	if !ins.timed {
+		return // no registry to feed
+	}
+	st, fed := &ins.stats, &ins.fed
+	ins.mNodes.Add(int64(len(e.res.Nodes) - fed.nodes))
+	ins.mEdges.Add(int64(st.Edges - fed.stats.Edges))
+	ins.mAttempts.Add(int64(st.Attempts - fed.stats.Attempts))
+	ins.mActive.Add(int64(st.Active - fed.stats.Active))
+	ins.mDormant.Add(int64(st.Dormant - fed.stats.Dormant))
+	ins.mMerged.Add(int64(st.Merged - fed.stats.Merged))
+	ins.mQuarantined.Add(int64(st.Quarantined - fed.stats.Quarantined))
+	fed.stats, fed.nodes = *st, len(e.res.Nodes)
+	if eq := e.res.Equiv; eq != nil {
+		ins.mEquivMerged.Add(int64(eq.Merged - fed.equivMerged))
+		fed.equivMerged = eq.Merged
+	}
+	c := e.index.counters()
+	ins.mIdxProbes.Add(c.probes - fed.idx.probes)
+	ins.mIdxByteCmps.Add(c.byteCompares - fed.idx.byteCompares)
+	ins.mIdxFPColls.Add(c.fpCollisions - fed.idx.fpCollisions)
+	ins.mIdxStripeAcq.Add(c.acquisitions - fed.idx.acquisitions)
+	ins.mIdxStripeCont.Add(c.contended - fed.idx.contended)
+	fed.idx = c
+	ins.gIdxRetained.Set(int64(e.index.retainedBytes()))
+	ins.gLevel.Set(int64(st.Levels))
+	ins.gFrontier.Set(int64(len(e.frontier)))
 }
 
-// beginLevel records the shape of the level about to be evaluated.
+// beginLevel books the level about to be evaluated: its attempts count
+// from here, evaluated or not when an abort cuts the level short.
 func (ins *instruments) beginLevel(level, frontier, pending int) {
-	ins.level.Store(int64(level))
-	ins.frontier.Store(int64(frontier))
-	ins.levelPending.Store(int64(pending))
-	ins.levelDone.Store(0)
-	ins.levelStartNS.Store(time.Now().UnixNano())
-	ins.attempts.Add(int64(pending))
-	ins.mAttempts.Add(int64(pending))
-	ins.gLevel.Set(int64(level))
-	ins.gFrontier.Set(int64(frontier))
-	if frontier > ins.maxFrontier {
-		ins.maxFrontier = frontier
-	}
+	ins.stats.Levels = level
+	ins.stats.Attempts += pending
+	ins.stats.MaxFrontier = max(ins.stats.MaxFrontier, frontier)
 }
 
-// observeExpand records one evaluated attempt from a worker.
-func (ins *instruments) observeExpand(began time.Time) {
-	if ins.timed {
-		d := int64(time.Since(began))
-		ins.expandNS.Add(d)
-		ins.mExpand.Observe(d)
-	}
-	ins.levelDone.Add(1)
-}
-
-// observeStateKey records one canonical key computation (serial path).
-func (ins *instruments) observeStateKey(began time.Time) {
+// observeSince adds what a worker timed (Options.Metrics only) — one
+// evaluated attempt, one canonical key computation — to its sum and its
+// histogram.
+func observeSince(sum *atomic.Int64, h *telemetry.Histogram, began time.Time) {
 	d := int64(time.Since(began))
-	ins.stateKeyNS.Add(d)
-	ins.mStateKey.Observe(d)
+	sum.Add(d)
+	h.Observe(d)
 }
 
-// observeOutcome tallies one merged attempt on the serial path.
-func (ins *instruments) observeOutcome(activeOut, isNew bool) {
-	if !activeOut {
-		ins.dormant.Add(1)
-		ins.mDormant.Inc()
-		return
-	}
-	ins.active.Add(1)
-	ins.mActive.Inc()
-	ins.edges.Add(1)
-	ins.mEdges.Inc()
-	if isNew {
-		ins.nodes.Add(1)
-		ins.mNodes.Inc()
-	} else {
-		ins.merged.Add(1)
-		ins.mMerged.Inc()
-	}
-}
-
-// observeEquivMerge tallies one equivalence-tier fold (a raw-distinct
-// instance merged into an existing class) on the serial path. The fold
-// already counted as a merge in observeOutcome; this counter isolates
-// the third tier's contribution.
-func (ins *instruments) observeEquivMerge() {
-	ins.mEquivMerged.Inc()
-}
-
-// observeQuarantine tallies one quarantined attempt on the serial
-// path: it contributes a node and an edge, but neither an active nor a
-// dormant outcome.
-func (ins *instruments) observeQuarantine() {
-	ins.quarantined.Add(1)
-	ins.mQuarantined.Inc()
-	ins.edges.Add(1)
-	ins.mEdges.Inc()
-	ins.nodes.Add(1)
-	ins.mNodes.Inc()
-}
-
-// seed preloads the counters from a checkpoint's persisted RunStats so
-// a resumed run continues the accounting exactly where the interrupted
+// seed opens the books at a checkpoint's persisted RunStats so a
+// resumed run continues the accounting exactly where the interrupted
 // one left off — the precondition for resumed spaces serializing
-// byte-identically to uninterrupted ones.
+// byte-identically to uninterrupted ones — and marks those counts fed:
+// the registry is owed only what this run adds.
 func (ins *instruments) seed(st RunStats, nodes int) {
-	ins.nodes.Store(int64(nodes))
-	ins.edges.Store(int64(st.Edges))
-	ins.attempts.Store(int64(st.Attempts))
-	ins.active.Store(int64(st.Active))
-	ins.dormant.Store(int64(st.Dormant))
-	ins.merged.Store(int64(st.Merged))
-	ins.quarantined.Store(int64(st.Quarantined))
-	ins.level.Store(int64(st.Levels))
-	ins.stateKeyNS.Store(st.StateKeyNS)
-	ins.expandNS.Store(st.ExpandNS)
-	ins.nodesExpanded = st.NodesExpanded
-	ins.maxFrontier = st.MaxFrontier
+	ins.stats = st
+	ins.fed.stats, ins.fed.nodes = st, nodes
 }
 
-// progressLine renders the one-line status tick: nodes, frontier,
-// prune rates and an ETA for the current level extrapolated from its
-// attempt throughput. It runs on the reporter goroutine and reads
-// atomics only.
-func (ins *instruments) progressLine() string {
-	dormant := ins.dormant.Load()
-	activeN := ins.active.Load()
-	merged := ins.merged.Load()
-	done := ins.levelDone.Load()
-	pending := ins.levelPending.Load()
-
-	pct := func(part, whole int64) float64 {
-		if whole == 0 {
-			return 0
-		}
-		return 100 * float64(part) / float64(whole)
-	}
-	eta := "?"
-	if elapsed := time.Since(time.Unix(0, ins.levelStartNS.Load())); done > 0 && elapsed > 0 {
-		rate := float64(done) / elapsed.Seconds()
-		if rate > 0 {
-			eta = (time.Duration(float64(pending-done) / rate * float64(time.Second))).Round(time.Second).String()
-		}
-	}
-	return fmt.Sprintf(
-		"search %s: level %d | %d nodes, frontier %d | level %d/%d attempts (eta %s) | dormant %.1f%%, merged %.1f%% | %s",
-		ins.fnName, ins.level.Load(), ins.nodes.Load(), ins.frontier.Load(),
-		done, pending, eta,
-		pct(dormant, dormant+activeN), pct(merged, activeN),
-		time.Since(ins.start).Round(time.Second))
-}
-
-// runStats folds the live counters into the persisted summary.
+// runStats is the books as the persisted summary: the counts plus what
+// the workers have timed so far.
 func (ins *instruments) runStats() RunStats {
-	return RunStats{
-		NodesExpanded: ins.nodesExpanded,
-		Attempts:      int(ins.attempts.Load()),
-		Active:        int(ins.active.Load()),
-		Dormant:       int(ins.dormant.Load()),
-		Merged:        int(ins.merged.Load()),
-		Quarantined:   int(ins.quarantined.Load()),
-		Edges:         int(ins.edges.Load()),
-		Levels:        int(ins.level.Load()),
-		MaxFrontier:   ins.maxFrontier,
-		StateKeyNS:    ins.stateKeyNS.Load(),
-		ExpandNS:      ins.expandNS.Load(),
-	}
+	st := ins.stats
+	st.StateKeyNS += ins.stateKeyNS.Load()
+	st.ExpandNS += ins.expandNS.Load()
+	return st
 }

@@ -42,7 +42,7 @@ func TestRunLogsLevelBoundaries(t *testing.T) {
 		if rec["fn"] != "clamp" {
 			t.Fatalf("level record missing fn: %v", rec)
 		}
-		for _, k := range []string{"level", "frontier", "attempts", "nodes", "elapsed"} {
+		for _, k := range []string{"level", "frontier", "attempts", "nodes", "dormant", "merged", "elapsed"} {
 			if _, ok := rec[k]; !ok {
 				t.Fatalf("level record missing %q: %v", k, rec)
 			}

@@ -314,7 +314,7 @@ func callerStalledWhileWorkersRunAhead(t *testing.T) {
 				}
 				// Only this goroutine commits, so the count stands still
 				// while it is in here.
-				committed := e.ins.active.Load() + e.ins.dormant.Load()
+				committed := int64(e.ins.stats.Active + e.ins.stats.Dormant)
 				want := min(committed+int64(len(e.ring.slots)), int64(n)) - 1
 				for deadline := time.Now().Add(time.Minute); byOthers.Load() < want; time.Sleep(100 * time.Microsecond) {
 					if time.Now().After(deadline) {

@@ -95,7 +95,7 @@ func (p *priorEvaluator) level(e *engine, work []attempt) error {
 			continue
 		}
 		p.stats.Fallbacks++
-		o := e.evaluate(a, 0)
+		o := e.evaluate(a)
 		e.commitOutcome(a, &o)
 	}
 	p.expanded = make(map[string]*Node)

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -178,31 +177,25 @@ type Options struct {
 	NaiveReplay bool
 	// Ctx, when non-nil, cancels the search cooperatively: workers
 	// stop picking up attempts and the level loop aborts the result
-	// with a "canceled" reason. Because Run returns normally, deferred
-	// metric/trace writers still flush on interruption.
+	// with a "canceled" reason. Because Run returns normally, a deferred
+	// metrics writer still flushes on interruption.
 	Ctx context.Context
 	// Logger, when non-nil, receives structured progress events on the
-	// serial control path: one record per completed level, checkpoint
-	// writes and failures, quarantined attempts and aborts. A server
-	// passes a logger pre-stamped with the flight ID, so a long
-	// enumeration's progress is attributable to the request that started
-	// it. Nil logs nothing; the worker hot paths never log.
+	// serial control path: one record per completed level (with the
+	// run's cumulative counts), checkpoint writes and failures,
+	// quarantined attempts and aborts. A server passes a logger
+	// pre-stamped with the flight ID, so a long enumeration's progress is
+	// attributable to the request that started it; a CLI's -progress is
+	// this logger on stderr. Nil logs nothing; the worker hot paths never
+	// log.
 	Logger *slog.Logger
-	// Metrics, when non-nil, receives the search counters, gauges and
-	// duration histograms (search.nodes, search.dormant,
-	// search.statekey.duration_ns, ...). Nil keeps the hot paths free
-	// of timing calls.
+	// Metrics, when non-nil, receives the search counters and gauges
+	// (search.nodes, search.dormant, ...), brought up to date at every
+	// level boundary and when the run ends, and the per-attempt duration
+	// histograms (search.expand.duration_ns,
+	// search.statekey.duration_ns). Nil keeps the hot paths free of
+	// timing calls.
 	Metrics *telemetry.Registry
-	// Tracer, when non-nil, records search.expand → opt.attempt:<p> →
-	// check.verify spans, one trace lane per worker, plus a
-	// search.level span per frontier level on lane 0.
-	Tracer *telemetry.Tracer
-	// ProgressInterval > 0 ticks one-line status updates (nodes,
-	// frontier, prune rates, level ETA) to ProgressWriter while the
-	// search runs.
-	ProgressInterval time.Duration
-	// ProgressWriter is the progress destination (default os.Stderr).
-	ProgressWriter io.Writer
 
 	// CheckpointPath, when non-empty, persists a resumable snapshot of
 	// the enumeration to this file (space format v2), written
@@ -468,7 +461,7 @@ func newEngine(res *Result, eval evaluator, start time.Time) *engine {
 	e := &engine{
 		res:   res,
 		opts:  &res.opts,
-		ins:   newInstruments(&res.opts, res.FuncName, start),
+		ins:   newInstruments(&res.opts, res.FuncName),
 		index: newDedupIndex(),
 		eval:  eval,
 		start: start,
@@ -488,8 +481,6 @@ func (e *engine) seedRoot(o *outcome, key string) {
 		e.res.Equiv.Raw = 1
 	}
 	e.frontier = []*Node{e.newNode(0, "", key, o)}
-	e.ins.nodes.Add(1)
-	e.ins.mNodes.Inc()
 }
 
 // Resume continues an interrupted enumeration from a checkpoint loaded
@@ -612,15 +603,14 @@ func (o *Options) logCtx() context.Context {
 	return context.Background()
 }
 
-// abort marks the result aborted, traces it, and persists the last
+// abort marks the result aborted, logs it, and persists the last
 // consistent boundary so the interrupted enumeration can resume.
 func (e *engine) abort(reason string) {
 	e.res.abort(reason)
-	e.ins.tracer.Instant("search.abort", "search", 0, map[string]any{"reason": reason})
 	if e.ins.log != nil {
 		e.ins.log.WarnContext(e.opts.logCtx(), "search aborted",
 			"fn", e.ins.fnName, "reason", reason,
-			"level", e.ins.level.Load(), "nodes", len(e.res.Nodes),
+			"level", e.ins.stats.Levels, "nodes", len(e.res.Nodes),
 			"elapsed", e.elapsed().Round(time.Millisecond).String())
 	}
 	e.writeCheckpoint()
@@ -642,7 +632,6 @@ func (e *engine) writeCheckpoint() {
 		return
 	}
 	began := time.Now()
-	span := e.ins.tracer.Begin("search.checkpoint", "search", 0)
 	err := WriteFile(path, func(w io.Writer) error {
 		snap.savedAtNS = time.Now().UnixNano()
 		return writeFormat(e.opts.Faults.WrapCheckpoint(w), e.res.document(*snap))
@@ -652,7 +641,6 @@ func (e *engine) writeCheckpoint() {
 			err = fmt.Errorf("syncing directory: %w", err)
 		}
 	}
-	span.End(map[string]any{"nodes": snap.numNodes, "frontier": len(snap.frontier), "ok": err == nil})
 	e.lastCkpt = time.Now()
 	e.lastCkptCost = e.lastCkpt.Sub(began)
 	e.lastCkptNodes = snap.numNodes
@@ -719,13 +707,6 @@ func (e *engine) run() (*Result, error) {
 	opts := e.opts
 	res := e.res
 	ins := e.ins
-	if opts.ProgressInterval > 0 {
-		w := opts.ProgressWriter
-		if w == nil {
-			w = os.Stderr
-		}
-		defer telemetry.NewProgress(w, opts.ProgressInterval, ins.progressLine).Start().Stop()
-	}
 
 	// done hands workers the raw channel so each expansion can bail
 	// out early.
@@ -762,7 +743,6 @@ func (e *engine) run() (*Result, error) {
 		res.AttemptedPhases += len(work)
 		level := frontier[0].Level
 		ins.beginLevel(level, len(frontier), len(work))
-		levelSpan := ins.tracer.Begin("search.level", "search", 0)
 
 		e.next = nil
 		// While its attempts run, an instance is read-only and shares
@@ -774,23 +754,13 @@ func (e *engine) run() (*Result, error) {
 		for _, n := range frontier {
 			n.fn.DropAnalyses()
 		}
-		levelSpan.End(map[string]any{
-			"level": level, "frontier": len(frontier), "attempts": len(work), "nodes": len(res.Nodes),
-		})
 		if err != nil {
 			return nil, err
 		}
 		if res.Aborted {
 			break
 		}
-		ins.nodesExpanded += len(frontier)
-		if ins.log != nil {
-			ins.log.InfoContext(e.opts.logCtx(), "level complete",
-				"fn", ins.fnName, "level", level,
-				"frontier", len(frontier), "attempts", len(work),
-				"nodes", len(res.Nodes), "next_frontier", len(e.next),
-				"elapsed", e.elapsed().Round(time.Millisecond).String())
-		}
+		ins.stats.NodesExpanded += len(frontier)
 		e.frontier = e.next
 		if !opts.KeepFuncs {
 			for _, n := range frontier {
@@ -798,7 +768,15 @@ func (e *engine) run() (*Result, error) {
 				n.fn = nil
 			}
 		}
-		ins.observeIndex(e.index)
+		e.flush()
+		if ins.log != nil {
+			ins.log.InfoContext(e.opts.logCtx(), "level complete",
+				"fn", ins.fnName, "level", level,
+				"frontier", len(frontier), "attempts", len(work),
+				"nodes", len(res.Nodes), "next_frontier", len(e.frontier),
+				"dormant", ins.stats.Dormant, "merged", ins.stats.Merged,
+				"elapsed", e.elapsed().Round(time.Millisecond).String())
+		}
 		// The level is complete: advance the durable boundary before
 		// any abort below, so a cap-abort checkpoint resumes from here
 		// (e.g. with a raised cap) rather than re-running the level.
@@ -822,6 +800,7 @@ func (e *engine) run() (*Result, error) {
 			e.writeCheckpoint()
 		}
 	}
+	e.flush()
 	res.Elapsed = e.elapsed()
 	res.Stats = ins.runStats()
 	if !res.Aborted && opts.CheckpointPath != "" {
@@ -930,13 +909,13 @@ func (e *engine) runLevel(work []attempt) error {
 	// loop is the worker's step, the same for everyone: claim the next
 	// attempt, wait until admit lets it through (false: leave the
 	// level), evaluate, publish.
-	loop := func(lane int, admit func(i int64) bool, published func()) {
+	loop := func(admit func(i int64) bool, published func()) {
 		for {
 			i := claim.Add(1) - 1
 			if i >= total || !admit(i) {
 				return
 			}
-			ring.put(base+i, e.evaluate(work[i], lane))
+			ring.put(base+i, e.evaluate(work[i]))
 			published()
 		}
 	}
@@ -944,10 +923,7 @@ func (e *engine) runLevel(work []attempt) error {
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
 		wg.Add(1)
-		// Lane w+1 keeps each worker's spans in their own trace row;
-		// lane 0 is the serial control lane (the commits), lane 1 the
-		// caller's evaluations.
-		go func(lane int) {
+		go func() {
 			defer wg.Done()
 			// A worker announces what it published once per wakeBatch
 			// outcomes, before it blocks on the window, and — whichever
@@ -955,7 +931,7 @@ func (e *engine) runLevel(work []attempt) error {
 			// never parks on an outcome nobody will tell it about.
 			defer wake()
 			n := 0
-			loop(lane, func(i int64) bool {
+			loop(func(i int64) bool {
 				// Evaluating a whole ring ahead of the commit count
 				// would reuse a slot whose previous outcome is still
 				// uncommitted; wait for the window to advance.
@@ -984,7 +960,7 @@ func (e *engine) runLevel(work []attempt) error {
 					wake()
 				}
 			})
-		}(w + 1)
+		}()
 	}
 
 	// tickC re-checks the wall-time budget while the caller is parked
@@ -1040,7 +1016,7 @@ func (e *engine) runLevel(work []attempt) error {
 	// window — every earlier attempt is committed, published, or in
 	// another worker's hands, so the window opens without it. Out of
 	// claims, it commits the rest of the level.
-	loop(1, func(i int64) bool {
+	loop(func(i int64) bool {
 		return commitUntil(i-window+1) && !e.checkAbort()
 	}, func() {})
 	commitUntil(total)
@@ -1070,33 +1046,23 @@ func (e *engine) runLevel(work []attempt) error {
 	return nil
 }
 
-// evaluate is one live answer, as a ring worker (or a serial caller on
-// lane 0) produces it: evaluate the attempt and resolve its instance
-// against the striped index here rather than at commit — a concurrent
-// probe finds the key's slot or parks one, and the committer only turns
-// the slot into the merge decision.
-func (e *engine) evaluate(a attempt, lane int) outcome {
+// evaluate is one live answer, as a ring worker (or a serial caller)
+// produces it: evaluate the attempt and resolve its instance against the
+// striped index here rather than at commit — a concurrent probe finds
+// the key's slot or parks one, and the committer only turns the slot
+// into the merge decision.
+func (e *engine) evaluate(a attempt) outcome {
 	ins := e.ins
 	var began time.Time
 	if ins.timed {
 		began = time.Now()
 	}
-	expandSpan := ins.tracer.Begin("search.expand", "search", lane)
-	o := evalAttempt(e.res.root, a, e.opts, ins, lane)
+	o := evalAttempt(e.res.root, a, e.opts, ins)
 	if o.active {
 		o.slot = e.index.resolve(stateBits(o.st), o.fp, o.buf.Enc)
 	}
-	if expandSpan.Active() {
-		expandSpan.End(map[string]any{
-			"seq":    a.node.Seq,
-			"phase":  string(a.phase.ID()),
-			"active": o.active,
-		})
-	}
 	if ins.timed {
-		ins.observeExpand(began)
-	} else {
-		ins.levelDone.Add(1)
+		observeSince(&ins.expandNS, ins.mExpand, began)
 	}
 	return o
 }
@@ -1104,14 +1070,16 @@ func (e *engine) evaluate(a attempt, lane int) outcome {
 // commitOutcome applies one answered attempt on the serial commit path,
 // in attempt order; a newly discovered node joins the next frontier.
 // Every evaluator's answers pass through here, so quarantine nodes,
-// edge append order, merge classification and every counter are the
-// same however the answer was come by.
+// edge append order, merge classification and every count are the same
+// however the answer was come by. A quarantined attempt contributes a
+// node and an edge but neither an active nor a dormant outcome.
 func (e *engine) commitOutcome(a attempt, o *outcome) {
-	ins := e.ins
+	ins, st := e.ins, &e.ins.stats
 	if o.quarantine != "" {
 		qn := e.addQuarantined(a.node, a.phase.ID(), o.quarantine)
 		a.node.Edges = append(a.node.Edges, Edge{Phase: a.phase.ID(), To: qn.ID})
-		ins.observeQuarantine()
+		st.Quarantined++
+		st.Edges++
 		if ins.log != nil {
 			ins.log.WarnContext(e.opts.logCtx(), "attempt quarantined",
 				"fn", ins.fnName, "seq", a.node.Seq+string(a.phase.ID()),
@@ -1120,18 +1088,20 @@ func (e *engine) commitOutcome(a attempt, o *outcome) {
 		return
 	}
 	if !o.active {
-		ins.observeOutcome(false, false)
+		st.Dormant++
 		return
 	}
 	cn, isNew := e.commitInstance(a, o)
 	if o.buf != nil {
 		fingerprint.PutBuffer(o.buf)
 	}
-	ins.observeOutcome(true, isNew)
+	st.Active++
+	st.Edges++
 	a.node.Edges = append(a.node.Edges, Edge{Phase: a.phase.ID(), To: cn.ID})
 	if isNew {
 		e.next = append(e.next, cn)
 	} else {
+		st.Merged++
 		putClone(o.fn) // duplicate instance: merged into cn
 	}
 }
@@ -1161,7 +1131,6 @@ func (e *engine) commitInstance(a attempt, o *outcome) (*Node, bool) {
 			n.EquivRaw++
 			e.res.Equiv.Merged++
 			e.res.Equiv.RedundantByPhase[string(a.phase.ID())]++
-			e.ins.observeEquivMerge()
 			return n, false
 		}
 	}
@@ -1216,10 +1185,9 @@ type outcome struct {
 
 // evalAttempt evaluates one (node, phase) pair: materialize the parent
 // instance (clone, or full replay under NaiveReplay), apply the phase,
-// and optionally verify the child. Trace spans mark the phase
-// application and the semantic verification on the worker's lane.
-func evalAttempt(root *rtl.Func, a attempt, opts *Options, ins *instruments, lane int) outcome {
-	o := applyPhase(root, a, opts, ins, lane)
+// and optionally verify the child.
+func evalAttempt(root *rtl.Func, a attempt, opts *Options, ins *instruments) outcome {
+	o := applyPhase(root, a, opts)
 	if o.quarantine != "" || !o.active {
 		return o
 	}
@@ -1230,12 +1198,7 @@ func evalAttempt(root *rtl.Func, a attempt, opts *Options, ins *instruments, lan
 		}
 	}
 	if opts.Check {
-		verifySpan := ins.tracer.Begin("check.verify", "check", lane)
-		err := check.Err(o.fn, opts.Machine)
-		if verifySpan.Active() {
-			verifySpan.End(map[string]any{"clean": err == nil})
-		}
-		if err != nil {
+		if err := check.Err(o.fn, opts.Machine); err != nil {
 			o.checkErr = err.Error()
 		}
 	}
@@ -1256,7 +1219,7 @@ func evalAttempt(root *rtl.Func, a attempt, opts *Options, ins *instruments, lan
 		o.equiv = dataflow.EquivEncode(nil, o.fn)
 	}
 	if ins.timed {
-		ins.observeStateKey(keyBegan)
+		observeSince(&ins.stateKeyNS, ins.mStateKey, keyBegan)
 	}
 	return o
 }
@@ -1265,10 +1228,10 @@ func evalAttempt(root *rtl.Func, a attempt, opts *Options, ins *instruments, lan
 // it runs on a sacrificial goroutine that is abandoned on timeout;
 // either way a panicking phase is converted into a quarantine outcome
 // instead of crashing the enumeration.
-func applyPhase(root *rtl.Func, a attempt, opts *Options, ins *instruments, lane int) outcome {
+func applyPhase(root *rtl.Func, a attempt, opts *Options) outcome {
 	if wd := opts.AttemptWatchdog; wd > 0 {
 		ch := make(chan outcome, 1)
-		go func() { ch <- applyPhaseRecover(root, a, opts, ins, lane) }()
+		go func() { ch <- applyPhaseRecover(root, a, opts) }()
 		timer := time.NewTimer(wd)
 		defer timer.Stop()
 		select {
@@ -1279,13 +1242,13 @@ func applyPhase(root *rtl.Func, a attempt, opts *Options, ins *instruments, lane
 				"watchdog: phase %c at %q still running after %v", a.phase.ID(), a.node.Seq, wd)}
 		}
 	}
-	return applyPhaseRecover(root, a, opts, ins, lane)
+	return applyPhaseRecover(root, a, opts)
 }
 
 // applyPhaseRecover materializes the parent, applies the phase (with
 // any injected faults), and converts a panic — a buggy or injected
 // phase, or a broken replay — into a quarantine outcome.
-func applyPhaseRecover(root *rtl.Func, a attempt, opts *Options, ins *instruments, lane int) (o outcome) {
+func applyPhaseRecover(root *rtl.Func, a attempt, opts *Options) (o outcome) {
 	defer func() {
 		if r := recover(); r != nil {
 			o = outcome{quarantine: fmt.Sprintf("panic: %v", r)}
@@ -1305,24 +1268,12 @@ func applyPhaseRecover(root *rtl.Func, a attempt, opts *Options, ins *instrument
 	if opts.NaiveReplay {
 		// Figure 6(a): reload the unoptimized function and re-apply
 		// the entire active prefix.
-		replaySpan := ins.tracer.Begin("search.replay", "search", lane)
 		child = replaySeq(root, a.node.Seq, opts.Machine, &st)
-		if replaySpan.Active() {
-			replaySpan.End(map[string]any{"seq": a.node.Seq})
-		}
 	} else {
 		child = getClone(a.node.fn)
 		st = a.node.State
 	}
-	var attemptSpan telemetry.Span
-	if ins.tracer != nil {
-		attemptSpan = ins.tracer.Begin("opt.attempt:"+string(a.phase.ID()), "opt", lane)
-	}
-	active := opt.Attempt(child, &st, a.phase, opts.Machine)
-	if attemptSpan.Active() {
-		attemptSpan.End(map[string]any{"active": active})
-	}
-	if !active {
+	if !opt.Attempt(child, &st, a.phase, opts.Machine) {
 		putClone(child)
 		return outcome{} // dormant: branch pruned
 	}

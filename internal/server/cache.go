@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -228,12 +229,12 @@ func (st *diskStore) scan() error {
 		name := de.Name()
 		var entKey cacheKey
 		switch {
-		case hasSuffix(name, spaceSuffix+".tmp"):
+		case strings.HasSuffix(name, spaceSuffix+".tmp"):
 			// A put or a checkpoint write a previous process died in:
 			// never renamed, so never an entry, and nothing will reuse it.
 			os.Remove(filepath.Join(st.dir, name)) //nolint:errcheck // retried next boot
 			continue
-		case hasSuffix(name, ckptSuffix):
+		case strings.HasSuffix(name, ckptSuffix):
 			k := cacheKey(name[:len(name)-len(ckptSuffix)])
 			if oldShardCkpt.MatchString(string(k)) {
 				// A shard slot an older binary's coordinator died holding:
@@ -247,7 +248,7 @@ func (st *diskStore) scan() error {
 			// A checkpoint a previous process left behind. Budgeted: the
 			// sweep may reclaim it like any cold entry.
 			entKey = ckptEntryKey(k)
-		case hasSuffix(name, spaceSuffix):
+		case strings.HasSuffix(name, spaceSuffix):
 			k := cacheKey(name[:len(name)-len(spaceSuffix)])
 			if !keyPattern.MatchString(string(k)) {
 				continue
@@ -350,7 +351,7 @@ func (st *diskStore) sweepLocked(justWrote cacheKey) (evicted int) {
 
 // entryFile maps an entries-map key to the file it accounts for.
 func (st *diskStore) entryFile(entKey cacheKey) string {
-	if raw, ok := cutSuffix(string(entKey), ckptEntrySuffix); ok {
+	if raw, ok := strings.CutSuffix(string(entKey), ckptEntrySuffix); ok {
 		return st.ckptPath(cacheKey(raw))
 	}
 	return st.path(entKey)
@@ -515,7 +516,7 @@ func (st *diskStore) keys() ([]cacheKey, error) {
 	var out []cacheKey
 	for _, de := range des {
 		name := de.Name()
-		if de.IsDir() || !hasSuffix(name, spaceSuffix) || hasSuffix(name, ckptSuffix) {
+		if de.IsDir() || !strings.HasSuffix(name, spaceSuffix) || strings.HasSuffix(name, ckptSuffix) {
 			continue
 		}
 		k := cacheKey(name[:len(name)-len(spaceSuffix)])
@@ -524,15 +525,4 @@ func (st *diskStore) keys() ([]cacheKey, error) {
 		}
 	}
 	return out, nil
-}
-
-func hasSuffix(s, suffix string) bool {
-	return len(s) >= len(suffix) && s[len(s)-len(suffix):] == suffix
-}
-
-func cutSuffix(s, suffix string) (string, bool) {
-	if !hasSuffix(s, suffix) {
-		return s, false
-	}
-	return s[:len(s)-len(suffix)], true
 }

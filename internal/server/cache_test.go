@@ -174,7 +174,7 @@ func TestDiskStoreScanSeedsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, de := range des {
-		if name := de.Name(); hasSuffix(name, spaceSuffix) {
+		if name := de.Name(); strings.HasSuffix(name, spaceSuffix) {
 			t.Fatalf("file %s survived a 1-byte budget", name)
 		}
 	}
@@ -204,7 +204,7 @@ func TestServerDiskMaxBytes(t *testing.T) {
 	var spaceFiles int
 	var onDisk int64
 	for _, de := range des {
-		if hasSuffix(de.Name(), spaceSuffix) && !hasSuffix(de.Name(), ckptSuffix) {
+		if strings.HasSuffix(de.Name(), spaceSuffix) && !strings.HasSuffix(de.Name(), ckptSuffix) {
 			fi, _ := de.Info()
 			spaceFiles++
 			onDisk += fi.Size()

@@ -217,8 +217,8 @@ func TestFleetFallbackEdges(t *testing.T) {
 				t.Errorf("%d assignments left in the table", left)
 			}
 			for _, name := range dirNames(t, s.cfg.Dir) {
-				key, ok := cutSuffix(name, spaceSuffix)
-				key, _ = cutSuffix(key, ".ckpt")
+				key, ok := strings.CutSuffix(name, spaceSuffix)
+				key, _ = strings.CutSuffix(key, ".ckpt")
 				if !ok || !keyPattern.MatchString(key) {
 					t.Errorf("cache dir holds %s, which is no key's entry or checkpoint", name)
 				}

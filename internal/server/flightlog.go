@@ -64,12 +64,8 @@ func newFlightLog(size int) *flightLog {
 	return &flightLog{buf: make([]flightRecord, size)}
 }
 
-// add appends one record. No-op on a nil receiver, so the pre-plane
-// benchmark configuration records nothing.
+// add appends one record.
 func (l *flightLog) add(rec flightRecord) {
-	if l == nil {
-		return
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.buf[l.next] = rec
@@ -82,9 +78,6 @@ func (l *flightLog) add(rec flightRecord) {
 
 // snapshot returns the recorded flights newest first.
 func (l *flightLog) snapshot() []flightRecord {
-	if l == nil {
-		return nil
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := l.next
@@ -113,9 +106,6 @@ func (s *Server) handleFlights(w http.ResponseWriter, r *http.Request) {
 // when the flight ran longer than the slow-flight threshold, emits the
 // slow-flight diagnostic carrying the enumeration's own statistics.
 func (s *Server) recordFlight(r *http.Request, ri *reqInfo, fl *flight, status int, errMsg string, serialize, total time.Duration) {
-	if ri == nil {
-		return
-	}
 	rec := flightRecord{
 		RequestID:       ri.id,
 		FlightID:        ri.flightID,

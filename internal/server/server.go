@@ -65,9 +65,6 @@ type Config struct {
 	// Registry receives the server and search instruments; when nil a
 	// private registry is created so /v1/stats always has counters.
 	Registry *telemetry.Registry
-	// Tracer, when non-nil, records one span per request and the search
-	// spans beneath it.
-	Tracer *telemetry.Tracer
 	// Faults injects deterministic failures into the enumerations for
 	// robustness testing; nil injects nothing.
 	Faults *faultinject.Plan
@@ -117,11 +114,6 @@ type Config struct {
 	// where a split goes when a part aborts or its merge fails
 	// verification, before the flight falls back to local enumeration.
 	ShardFanout int
-
-	// noObs builds the server without the observability middleware —
-	// the pre-plane configuration the overhead benchmark compares
-	// against. Internal: tests only.
-	noObs bool
 }
 
 // Server is the enumeration service.
@@ -136,29 +128,7 @@ type Server struct {
 	dist    *dispatcher
 	stats   *spaceStats
 	flights *flightLog
-	mux     *http.ServeMux
 	handler http.Handler
-
-	// Access lines are encoded off the request's critical path: the
-	// middleware appends the attributes to logBuf — without waking
-	// anyone, so the append costs a mutex and a slice slot — and a
-	// single consumer goroutine drains the buffer on a short ticker
-	// (or on a logKick from flushLogs/Close). Batching keeps both the
-	// line serialization and the consumer's scheduler wakeup out of
-	// every response's flush window; the price is that lines reach the
-	// sink up to accessLogFlushEvery late. A full buffer drops the
-	// line and counts it (server.accesslog.dropped) rather than
-	// backpressuring requests on a stuck log sink. logPending tracks
-	// appended-but-unwritten lines so Close (and tests) can drain
-	// deterministically.
-	logBuf     []accessJob
-	logPending sync.WaitGroup
-	logMu      sync.Mutex
-	logClosed  bool
-	logKick    chan struct{} // nudges the consumer (flushLogs); never closed
-	logQuit    chan struct{} // closed by Close; consumer drains and exits
-	logDone    chan struct{}
-	logDropped *telemetry.Counter
 
 	// Labeled request instruments, maintained by the middleware.
 	// series/gauges cache the resolved per-combination handles so the
@@ -227,115 +197,27 @@ func New(cfg Config) (*Server, error) {
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth, s.runFlight, depth.Set)
 	s.cpu = newCPUBudget(0, reg)
 	s.dist = newDispatcher(s)
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/enumerate", s.handleEnumerate)
-	s.mux.HandleFunc("GET /v1/space/{hash}", s.handleSpace)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /v1/debug/flights", s.handleFlights)
-	s.mux.HandleFunc("POST "+distcl.PathRegister, s.handleDistRegister)
-	s.mux.HandleFunc("POST "+distcl.PathPoll, s.handleDistPoll)
-	s.mux.HandleFunc("POST "+distcl.PathHeartbeat, s.handleDistHeartbeat)
-	s.mux.HandleFunc("POST "+distcl.PathComplete, s.handleDistComplete)
-	s.mux.HandleFunc("POST "+distcl.PathDeregister, s.handleDistDeregister)
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/enumerate", s.handleEnumerate)
+	mux.HandleFunc("GET /v1/space/{hash}", s.handleSpace)
+	mux.HandleFunc("GET /v1/stats", s.handleStats)
+	mux.HandleFunc("GET /healthz", s.handleHealth)
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /v1/debug/flights", s.handleFlights)
+	mux.HandleFunc("POST "+distcl.PathRegister, s.handleDistRegister)
+	mux.HandleFunc("POST "+distcl.PathPoll, s.handleDistPoll)
+	mux.HandleFunc("POST "+distcl.PathHeartbeat, s.handleDistHeartbeat)
+	mux.HandleFunc("POST "+distcl.PathComplete, s.handleDistComplete)
+	mux.HandleFunc("POST "+distcl.PathDeregister, s.handleDistDeregister)
 	if cfg.EnablePprof {
-		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
+		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
-	if cfg.noObs {
-		s.handler = s.mux
-	} else {
-		s.handler = s.withObservability(s.mux)
-		s.logBuf = make([]accessJob, 0, 64)
-		s.logKick = make(chan struct{}, 1)
-		s.logQuit = make(chan struct{})
-		s.logDone = make(chan struct{})
-		s.logDropped = reg.Counter("server.accesslog.dropped")
-		go s.accessLogLoop()
-	}
+	s.handler = s.withObservability(mux)
 	return s, nil
-}
-
-// accessJob is one deferred access-log line: the request context (for
-// the request/flight ID stamps) plus the prebuilt attributes. The
-// attrs live in a fixed array so the middleware can build the job on
-// its stack and hand it over by value — no per-line heap allocation.
-type accessJob struct {
-	ctx   context.Context
-	n     int
-	attrs [8]slog.Attr
-}
-
-const (
-	// accessLogFlushEvery bounds how stale a buffered access line can
-	// get before the consumer writes it out.
-	accessLogFlushEvery = 25 * time.Millisecond
-	// accessLogCap bounds the buffer; lines beyond it are dropped and
-	// counted rather than growing without limit or blocking requests.
-	accessLogCap = 256
-)
-
-func (s *Server) accessLogLoop() {
-	defer close(s.logDone)
-	tick := time.NewTicker(accessLogFlushEvery)
-	defer tick.Stop()
-	var batch []accessJob
-	for {
-		closing := false
-		select {
-		case <-tick.C:
-		case <-s.logKick:
-		case <-s.logQuit:
-			closing = true
-		}
-		s.logMu.Lock()
-		batch, s.logBuf = s.logBuf, batch[:0]
-		s.logMu.Unlock()
-		for i := range batch {
-			job := &batch[i]
-			s.logger.LogAttrs(job.ctx, slog.LevelInfo, "access", job.attrs[:job.n]...)
-			job.ctx = nil // release the request context promptly
-			s.logPending.Done()
-		}
-		if closing {
-			return
-		}
-	}
-}
-
-// logAccess buffers an access line for the consumer goroutine, falling
-// back to a synchronous write once the server is closing and dropping
-// (counted) when the buffer is full. The job is copied by value into
-// the buffer, so the caller may build it on its stack.
-func (s *Server) logAccess(job *accessJob) {
-	s.logMu.Lock()
-	if s.logClosed || s.logKick == nil {
-		s.logMu.Unlock()
-		s.logger.LogAttrs(job.ctx, slog.LevelInfo, "access", job.attrs[:job.n]...)
-		return
-	}
-	if len(s.logBuf) >= accessLogCap {
-		s.logMu.Unlock()
-		s.logDropped.Inc()
-		return
-	}
-	s.logPending.Add(1)
-	s.logBuf = append(s.logBuf, *job)
-	s.logMu.Unlock()
-}
-
-// flushLogs kicks the consumer and blocks until every buffered access
-// line has been written.
-func (s *Server) flushLogs() {
-	select {
-	case s.logKick <- struct{}{}:
-	default:
-	}
-	s.logPending.Wait()
 }
 
 // Handler returns the HTTP handler tree, wrapped in the observability
@@ -348,16 +230,6 @@ func (s *Server) Handler() http.Handler { return s.handler }
 func (s *Server) Close() {
 	s.pool.close()
 	s.dist.close()
-	s.logMu.Lock()
-	closed := s.logClosed
-	s.logClosed = true
-	s.logMu.Unlock()
-	if !closed && s.logQuit != nil {
-		// logClosed is already set, so nothing can be appended behind
-		// the consumer's final drain.
-		close(s.logQuit)
-		<-s.logDone
-	}
 }
 
 // enumerateRequest is the POST /v1/enumerate body. Exactly one of
@@ -416,9 +288,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone
 }
 
-func writeError(w http.ResponseWriter, err error) {
-	he := &httpError{status: http.StatusInternalServerError, msg: err.Error()}
-	errors.As(err, &he)
+func writeError(w http.ResponseWriter, he *httpError) {
 	if he.retryAfter > 0 {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", he.retryAfter))
 	}
@@ -429,25 +299,11 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.reg.Counter("server.requests").Inc()
 	ri := infoFrom(r.Context())
-	var span telemetry.Span
-	if s.cfg.Tracer != nil {
-		span = s.cfg.Tracer.Begin("http.enumerate", "server", 0)
-	}
-	resp, fl, err := s.enumerate(r)
-	if span.Active() {
-		args := map[string]any{}
-		if err != nil {
-			args["error"] = err.Error()
-		} else {
-			args["cache"] = resp.Cache
-			args["key"] = resp.Key
-		}
-		span.End(args)
-	}
+	resp, fl, err := s.enumerate(r, ri)
 	if err != nil {
-		writeError(w, err)
 		he := &httpError{status: http.StatusInternalServerError, msg: err.Error()}
 		errors.As(err, &he)
+		writeError(w, he)
 		s.recordFlight(r, ri, fl, he.status, he.msg, 0, time.Since(start))
 		return
 	}
@@ -457,12 +313,7 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	s.recordFlight(r, ri, fl, http.StatusOK, "", time.Since(serStart), time.Since(start))
 }
 
-func (s *Server) enumerate(r *http.Request) (*enumerateResponse, *flight, error) {
-	ri := infoFrom(r.Context())
-	reqID := ""
-	if ri != nil {
-		reqID = ri.id
-	}
+func (s *Server) enumerate(r *http.Request, ri *reqInfo) (*enumerateResponse, *flight, error) {
 	var req enumerateRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
 		return nil, nil, &httpError{status: http.StatusBadRequest, msg: "decoding request: " + err.Error()}
@@ -479,13 +330,11 @@ func (s *Server) enumerate(r *http.Request) (*enumerateResponse, *flight, error)
 	if ent, ok := s.mem.get(key); ok {
 		s.reg.Counter("server.cache.hit_mem").Inc()
 		s.cacheTier.With("mem").Inc()
-		if ri != nil {
-			ri.cache = "mem"
-		}
+		ri.cache = "mem"
 		return response(ent, "mem"), nil, nil
 	}
 
-	fl, coalesced, err := s.pool.join(key, fn, no, reqID)
+	fl, coalesced, err := s.pool.join(key, fn, no, ri.id)
 	switch {
 	case errors.Is(err, errQueueFull):
 		s.reg.Counter("server.shed").Inc()
@@ -500,11 +349,9 @@ func (s *Server) enumerate(r *http.Request) (*enumerateResponse, *flight, error)
 		s.reg.Counter("server.coalesced").Inc()
 		s.cacheTier.With("coalesced").Inc()
 	}
-	if ri != nil {
-		ri.flightID = fl.id
-		ri.leaderReq = fl.leaderReq
-		ri.coalesced = coalesced
-	}
+	ri.flightID = fl.id
+	ri.leaderReq = fl.leaderReq
+	ri.coalesced = coalesced
 	defer s.pool.leave(fl)
 
 	deadline := s.cfg.DefaultDeadline
@@ -525,13 +372,11 @@ func (s *Server) enumerate(r *http.Request) (*enumerateResponse, *flight, error)
 	if coalesced {
 		how = "coalesced"
 	}
-	if ri != nil {
-		ri.cache = how
-		ri.queueWait = fl.startedAt.Sub(fl.enqueuedAt)
-		ri.enumerate = fl.finishedAt.Sub(fl.startedAt)
-		ri.publish, ri.merge, ri.derive = fl.publish, fl.merge, fl.derive
-		ri.checkpoint = fl.ent.checkpoint
-	}
+	ri.cache = how
+	ri.queueWait = fl.startedAt.Sub(fl.enqueuedAt)
+	ri.enumerate = fl.finishedAt.Sub(fl.startedAt)
+	ri.publish, ri.merge, ri.derive = fl.publish, fl.merge, fl.derive
+	ri.checkpoint = fl.ent.checkpoint
 	if fl.err != nil {
 		status := fl.status
 		if status == 0 {
@@ -756,7 +601,6 @@ func (s *Server) runOrResume(fl *flight, stopAtFrontier int) (*search.Result, er
 		Ctx:            fl.ctx,
 		Logger:         s.logger,
 		Metrics:        s.reg,
-		Tracer:         s.cfg.Tracer,
 		Faults:         s.cfg.Faults,
 		StopAtFrontier: stopAtFrontier,
 	}
@@ -797,10 +641,10 @@ func (s *Server) finishFlight(fl *flight, res *search.Result) (*search.Result, e
 }
 
 // admit caches the answer every request for a complete space gets in
-// the LRU and folds the space into the interaction statistics; the
-// space itself is the caller's to drop. hash is res's canonical hash
-// when the caller has already verified it (a fleet completion); ""
-// computes it.
+// the LRU; the space itself is the caller's to drop (the interaction
+// statistics read it back from the disk store, see handleStats). hash
+// is res's canonical hash when the caller has already verified it (a
+// fleet completion); "" computes it.
 func (s *Server) admit(key cacheKey, res *search.Result, hash string, out *entry) error {
 	if hash == "" {
 		var err error
@@ -821,7 +665,6 @@ func (s *Server) admit(key cacheKey, res *search.Result, hash string, out *entry
 		out.answer.EquivRaw, out.answer.EquivMerged = eq.Raw, eq.Merged
 	}
 	s.mem.add(key, *out)
-	s.stats.accumulate(key, res)
 	return nil
 }
 

@@ -9,9 +9,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// spaceStats folds every space the server has produced or loaded into
-// the paper's phase-interaction statistics (Tables 4-6), each cache key
-// counted once however many times it is served.
+// spaceStats folds the spaces in the disk store into the paper's
+// phase-interaction statistics (Tables 4-6), each cache key counted
+// once: handleStats loads and folds the keys it has not seen yet.
 type spaceStats struct {
 	mu   sync.Mutex
 	seen map[cacheKey]bool
@@ -47,7 +47,10 @@ func (ss *spaceStats) accumulate(k cacheKey, r *search.Result) {
 
 // statsResponse is the GET /v1/stats body: the telemetry snapshot
 // (server.* and search.* instruments) plus the interaction
-// probabilities over every space this cache holds.
+// probabilities over the entries on disk — this process's and earlier
+// ones'. A miss whose disk write failed (server.cache.write_errors) is
+// served from memory but not tabulated until a later enumeration
+// stores it.
 type statsResponse struct {
 	telemetry.Snapshot
 	Spaces int      `json:"spaces"`
@@ -78,9 +81,8 @@ type equivSummary struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	// Fold in cache entries this process never served (left by an
-	// earlier run of the daemon over the same directory): the tables
-	// describe the whole cache, not one process lifetime.
+	// The one place spaces are folded: no request pays for the tables,
+	// a stats read pays once per new key.
 	if keys, err := s.store.keys(); err == nil {
 		for _, k := range keys {
 			s.stats.mu.Lock()

@@ -13,11 +13,10 @@ import (
 )
 
 // Flags is the shared observability flag block of the CLIs
-// (cmd/explore, cmd/vpocc, cmd/probcc): -metrics, -trace, -progress
+// (cmd/explore, cmd/vpocc, cmd/probcc, cmd/spaced): -metrics, -progress
 // and -pprof behave identically everywhere.
 type Flags struct {
 	MetricsPath string
-	TracePath   string
 	Progress    bool
 	PprofAddr   string
 }
@@ -25,18 +24,18 @@ type Flags struct {
 // Register installs the flag block on fs.
 func (fl *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&fl.MetricsPath, "metrics", "", "write a metrics snapshot (counters, gauges, histograms) to this JSON file on exit")
-	fs.StringVar(&fl.TracePath, "trace", "", "write Chrome trace_event JSON (chrome://tracing, Perfetto) to this file on exit")
-	fs.BoolVar(&fl.Progress, "progress", false, "tick one-line status updates to stderr during long searches")
-	fs.StringVar(&fl.PprofAddr, "pprof", "", "serve net/http/pprof and /debug/vars (registry dump) on this address, e.g. localhost:6060")
+	fs.BoolVar(&fl.Progress, "progress", false, "log one line per completed search level to stderr")
+	fs.StringVar(&fl.PprofAddr, "pprof", "", "serve net/http/pprof (profiles and the runtime execution trace) and /debug/vars (registry dump) on this address, e.g. localhost:6060")
 }
 
-// Session owns the instruments a CLI run collects into. Registry and
-// Tracer are nil when the matching flags are off, which the
-// instrumented packages treat as telemetry-disabled — the hot paths
-// then pay only nil checks.
+// Session owns the instruments a CLI run collects into. Registry is
+// nil when neither -metrics nor -pprof is set, which the instrumented
+// packages treat as telemetry-disabled — the hot paths then pay only
+// nil checks. Progress asks the command to hand its searches a logger
+// on stderr (NewLogger "text"): the engine logs one record per
+// completed level.
 type Session struct {
 	Registry *Registry
-	Tracer   *Tracer
 	Progress bool
 
 	flags Flags
@@ -55,9 +54,6 @@ func (fl *Flags) Start() (*Session, error) {
 	s := &Session{flags: *fl, Progress: fl.Progress}
 	if fl.MetricsPath != "" || fl.PprofAddr != "" {
 		s.Registry = NewRegistry()
-	}
-	if fl.TracePath != "" {
-		s.Tracer = NewTracer()
 	}
 	if fl.PprofAddr != "" {
 		reg := s.Registry
@@ -83,10 +79,10 @@ func (fl *Flags) Start() (*Session, error) {
 	return s, nil
 }
 
-// Close flushes the metrics and trace files and stops the pprof
-// server. Deferred right after Start so interrupted runs (context
-// cancellation, Ctrl-C routed through signal.NotifyContext) still
-// persist what they measured.
+// Close flushes the metrics file and stops the pprof server. Deferred
+// right after Start so interrupted runs (context cancellation, Ctrl-C
+// routed through signal.NotifyContext) still persist what they
+// measured.
 func (s *Session) Close() error {
 	if s == nil {
 		return nil
@@ -97,13 +93,6 @@ func (s *Session) Close() error {
 			first = err
 		} else {
 			fmt.Fprintf(os.Stderr, "telemetry: metrics snapshot written to %s\n", s.flags.MetricsPath)
-		}
-	}
-	if s.flags.TracePath != "" && s.Tracer != nil {
-		if err := s.Tracer.WriteFile(s.flags.TracePath); err != nil && first == nil {
-			first = err
-		} else if err == nil {
-			fmt.Fprintf(os.Stderr, "telemetry: %d trace events written to %s\n", s.Tracer.Len(), s.flags.TracePath)
 		}
 	}
 	if s.srv != nil {

@@ -164,10 +164,7 @@ func NewLogger(w io.Writer, format string, level slog.Level) *slog.Logger {
 	var h slog.Handler
 	switch strings.ToLower(format) {
 	case "json":
-		// Not slog.NewJSONHandler: the access log encodes one line per
-		// request on the critical path, and the fast handler does the
-		// same output for about a third of the CPU.
-		h = NewFastJSONHandler(w, level)
+		h = slog.NewJSONHandler(w, &slog.HandlerOptions{Level: level})
 	case "text":
 		h = slog.NewTextHandler(w, &slog.HandlerOptions{Level: level})
 	default:

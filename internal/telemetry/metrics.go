@@ -1,9 +1,8 @@
 // Package telemetry is the zero-dependency observability layer of the
 // reproduction: lock-cheap counters, gauges and log₂-bucketed duration
-// histograms collected in a Registry, a span tracer that emits Chrome
-// trace_event JSON (loadable in chrome://tracing or Perfetto), and a
-// ProgressReporter that ticks one-line status updates during long
-// enumerations.
+// histograms collected in a Registry (plain and labeled), its JSON
+// snapshot and OpenMetrics renderings, request-scoped slog plumbing,
+// and the flag block the CLIs share.
 //
 // The paper's headline claim — that exhaustive phase order enumeration
 // is *feasible* — is an empirical statement about where time and space
@@ -13,10 +12,9 @@
 // those quantities without taking a dependency on anything outside the
 // standard library.
 //
-// Every instrument is nil-safe: methods on a nil *Counter, *Gauge,
-// *Histogram, *Tracer or *ProgressReporter are no-ops, so hot paths
-// instrument unconditionally and pay only a nil check when telemetry
-// is off.
+// Every instrument is nil-safe: methods on a nil *Counter, *Gauge or
+// *Histogram are no-ops, so hot paths instrument unconditionally and
+// pay only a nil check when telemetry is off.
 package telemetry
 
 import (

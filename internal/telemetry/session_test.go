@@ -1,84 +1,31 @@
 package telemetry
 
 import (
-	"bytes"
 	"flag"
 	"net/http"
-	"os"
 	"path/filepath"
-	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
-// TestProgressReporter checks the reporter ticks and that Stop emits a
-// final line even when the run finishes between ticks.
-func TestProgressReporter(t *testing.T) {
-	var buf syncBuffer
-	var n atomic.Int64
-	p := NewProgress(&buf, time.Millisecond, func() string {
-		return "tick " + string('0'+byte(n.Add(1)%10))
-	}).Start()
-	time.Sleep(10 * time.Millisecond)
-	p.Stop()
-	p.Stop() // idempotent
-	out := buf.String()
-	if !strings.Contains(out, "tick") {
-		t.Errorf("no progress lines in %q", out)
-	}
-	if got := strings.Count(out, "\n"); got < 2 {
-		t.Errorf("want at least a tick and a final line, got %d lines", got)
-	}
-}
-
-// syncBuffer serializes writes: the reporter goroutine and the test
-// read/write concurrently.
-type syncBuffer struct {
-	mu  chan struct{}
-	buf bytes.Buffer
-}
-
-func (b *syncBuffer) lock() func() {
-	if b.mu == nil {
-		b.mu = make(chan struct{}, 1)
-	}
-	b.mu <- struct{}{}
-	return func() { <-b.mu }
-}
-
-func (b *syncBuffer) Write(p []byte) (int, error) {
-	defer b.lock()()
-	return b.buf.Write(p)
-}
-
-func (b *syncBuffer) String() string {
-	defer b.lock()()
-	return b.buf.String()
-}
-
 // TestSessionFlags drives the CLI glue end to end: flag registration,
-// Start, recording, and the Close flush of both output files.
+// Start, recording, and the Close flush of the metrics file.
 func TestSessionFlags(t *testing.T) {
-	dir := t.TempDir()
-	metrics := filepath.Join(dir, "m.json")
-	trace := filepath.Join(dir, "t.json")
+	metrics := filepath.Join(t.TempDir(), "m.json")
 
 	var fl Flags
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fl.Register(fs)
-	if err := fs.Parse([]string{"-metrics", metrics, "-trace", trace, "-progress"}); err != nil {
+	if err := fs.Parse([]string{"-metrics", metrics, "-progress"}); err != nil {
 		t.Fatal(err)
 	}
 	s, err := fl.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Registry == nil || s.Tracer == nil || !s.Progress {
+	if s.Registry == nil || !s.Progress {
 		t.Fatalf("session did not materialize instruments: %+v", s)
 	}
 	s.Registry.Counter("search.nodes").Add(7)
-	s.Tracer.Begin("search.expand", "search", 0).End(nil)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +37,6 @@ func TestSessionFlags(t *testing.T) {
 	if snap.Counters["search.nodes"] != 7 {
 		t.Errorf("metrics file counters = %v", snap.Counters)
 	}
-	data, err := os.ReadFile(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	validateTraceJSON(t, data, 1)
 }
 
 // TestSessionPprof confirms the -pprof endpoint serves both the pprof
