@@ -164,43 +164,64 @@ resume-smoke:
 # enumeration per distinct key (/v1/stats counters — coalescing or
 # cache, either way the work ran once), (b) a warm repeat served from
 # cache, (c) the served space hashing identical (spacedot -hash) to
-# what cmd/explore writes for the same function, and (d) a clean
-# SIGTERM drain. Needs curl and jq.
+# what cmd/explore writes for the same function, (d) a clean SIGTERM
+# drain, (e) a second spaced on the same cache directory answering the
+# first key from disk — same hash, no enumeration in the new process —
+# and (f) a third, started after one byte of the stored entry was
+# flipped, counting the pair corrupt and re-enumerating to the same
+# hash. Needs curl and jq.
 serve-smoke:
 	@set -e; tmp=$$(mktemp -d); srv=""; \
 	trap 'kill $$srv 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
+	start() { rm -f "$$tmp/addr"; \
+		"$$tmp/spaced" -addr 127.0.0.1:0 -cache "$$tmp/cache" -ready-file "$$tmp/addr" \
+			2>>"$$tmp/spaced.log" & srv=$$!; \
+		for i in $$(seq 1 100); do [ -s "$$tmp/addr" ] && break; sleep 0.1; done; \
+		[ -s "$$tmp/addr" ] || { echo "serve-smoke: spaced never became ready"; cat "$$tmp/spaced.log"; exit 1; }; \
+		addr=$$(head -n1 "$$tmp/addr"); }; \
+	stop() { kill -TERM $$srv; \
+		wait $$srv || { echo "serve-smoke: spaced did not drain cleanly"; cat "$$tmp/spaced.log"; exit 1; }; \
+		srv=""; }; \
+	rotl() { curl -fsS -d '{"bench":"sha","func":"rotl"}' "http://$$addr/v1/enumerate" -o "$$tmp/$$1.json"; }; \
+	count() { curl -fsS "http://$$addr/v1/stats" | jq ".counters[\"$$1\"] // 0"; }; \
 	$(GO) build -o "$$tmp/explore" ./cmd/explore; \
 	$(GO) build -o "$$tmp/spacedot" ./cmd/spacedot; \
 	$(GO) build -o "$$tmp/spaced" ./cmd/spaced; \
 	"$$tmp/explore" -bench sha -func rotl -save "$$tmp" >/dev/null; \
 	want=$$("$$tmp/spacedot" -hash "$$tmp/sha.rotl.space.gz" | cut -d' ' -f1); \
-	"$$tmp/spaced" -addr 127.0.0.1:0 -cache "$$tmp/cache" -ready-file "$$tmp/addr" \
-		2>"$$tmp/spaced.log" & srv=$$!; \
-	for i in $$(seq 1 100); do [ -s "$$tmp/addr" ] && break; sleep 0.1; done; \
-	[ -s "$$tmp/addr" ] || { echo "serve-smoke: spaced never became ready"; cat "$$tmp/spaced.log"; exit 1; }; \
-	addr=$$(head -n1 "$$tmp/addr"); \
+	start; \
 	curl -fsS "http://$$addr/healthz" >/dev/null; \
-	curl -fsS -d '{"bench":"sha","func":"rotl"}' "http://$$addr/v1/enumerate" -o "$$tmp/r1.json" & c1=$$!; \
-	curl -fsS -d '{"bench":"sha","func":"rotl"}' "http://$$addr/v1/enumerate" -o "$$tmp/r2.json" & c2=$$!; \
+	rotl r1 & c1=$$!; \
+	rotl r2 & c2=$$!; \
 	wait $$c1; wait $$c2; \
 	curl -fsS -d '{"bench":"stringsearch","func":"tolower_c"}' "http://$$addr/v1/enumerate" -o "$$tmp/r3.json"; \
-	curl -fsS -d '{"bench":"sha","func":"rotl"}' "http://$$addr/v1/enumerate" -o "$$tmp/r4.json"; \
+	rotl r4; \
 	for r in r1 r2; do \
 		h=$$(jq -r .space_hash "$$tmp/$$r.json"); \
 		[ "$$h" = "$$want" ] || { echo "serve-smoke: $$r served hash $$h, explore wrote $$want"; exit 1; }; \
 	done; \
 	warm=$$(jq -r .cache "$$tmp/r4.json"); \
 	case "$$warm" in mem|disk) ;; *) echo "serve-smoke: warm repeat served as '$$warm', want a cache hit"; exit 1;; esac; \
-	enums=$$(curl -fsS "http://$$addr/v1/stats" | jq '.counters["server.enumerations"]'); \
+	enums=$$(count server.enumerations); \
 	[ "$$enums" = 2 ] || { echo "serve-smoke: $$enums enumerations for 2 distinct keys, want exactly 2"; exit 1; }; \
 	key=$$(jq -r .key "$$tmp/r1.json"); \
 	curl -fsS "http://$$addr/v1/space/$$key" -o "$$tmp/served.space.gz"; \
 	got=$$("$$tmp/spacedot" -hash "$$tmp/served.space.gz" | cut -d' ' -f1); \
 	[ "$$got" = "$$want" ] || { echo "serve-smoke: served space hashes $$got, explore wrote $$want"; exit 1; }; \
-	kill -TERM $$srv; \
-	wait $$srv || { echo "serve-smoke: spaced did not drain cleanly"; cat "$$tmp/spaced.log"; exit 1; }; \
-	srv=""; \
-	echo "serve-smoke: coalesced+cached serving matches explore/spacedot ($$got)"
+	stop; \
+	start; rotl r5; \
+	how=$$(jq -r .cache "$$tmp/r5.json"); h=$$(jq -r .space_hash "$$tmp/r5.json"); enums=$$(count server.enumerations); \
+	[ "$$how" = disk ] && [ "$$h" = "$$want" ] && [ "$$enums" = 0 ] || \
+		{ echo "serve-smoke: restart answered '$$how' hash $$h after $$enums enumerations, want disk $$want 0"; exit 1; }; \
+	stop; \
+	entry="$$tmp/cache/$$key.space.gz"; b=$$(od -An -tu1 -j100 -N1 "$$entry" | tr -d ' '); \
+	printf "$$(printf '\\%03o' $$((b ^ 1)))" | dd of="$$entry" bs=1 seek=100 conv=notrunc status=none; \
+	start; rotl r6; \
+	how=$$(jq -r .cache "$$tmp/r6.json"); h=$$(jq -r .space_hash "$$tmp/r6.json"); bad=$$(count server.cache.corrupt); \
+	[ "$$how" = miss ] && [ "$$h" = "$$want" ] && [ "$$bad" = 1 ] || \
+		{ echo "serve-smoke: flipped entry answered '$$how' hash $$h with $$bad counted corrupt, want miss $$want 1"; exit 1; }; \
+	stop; \
+	echo "serve-smoke: coalesced+cached serving matches explore/spacedot ($$got); restart answers from disk, a flipped byte re-enumerates"
 
 # Observability smoke test: start spaced with the JSON request log and
 # a hang fault that keeps enumerations open long enough to coalesce,

@@ -72,10 +72,12 @@ func requestKey(fn *rtl.Func, no normOptions) cacheKey {
 
 // entry is what the memory cache keeps of a complete space: the answer
 // every request for it repeats — canonical hash and counts, computed
-// once at insertion (admit) so hit paths neither re-serialize nor
-// re-walk the space; Cache and ElapsedMS are the request's own — and
-// the two facts a flight record reads. The decoded space itself is not
-// kept: nothing reads it again, and a download streams the disk file.
+// once by the flight that enumerated it (admit) and published beside
+// the space (answerRecord), so hit paths, memory or disk, neither
+// re-serialize nor re-walk the space; Cache and ElapsedMS are the
+// request's own — and the two facts a flight record reads. The decoded
+// space itself is not kept: nothing reads it again, and a download
+// streams the disk file.
 type entry struct {
 	answer     enumerateResponse
 	stats      search.RunStats
@@ -138,14 +140,17 @@ func (c *memCache) len() int {
 
 // diskStore is the second cache level: one v2 space file per key,
 // exactly the bytes explore -save writes, so cached entries can be
-// served verbatim and audited with spacedot -hash. Alongside each
-// entry may live a checkpoint file (<key>.ckpt.space.gz) holding a
-// partially enumerated space a drained or abandoned request left
-// behind; the next enumeration of the key resumes from it.
+// served verbatim and audited with spacedot -hash, and beside it the
+// key's answer record (<key>.answer, see answerRecord), which is what a
+// disk hit reads. Alongside each pair may live a checkpoint file
+// (<key>.ckpt.space.gz) holding a partially enumerated space a drained
+// or abandoned request left behind; the next enumeration of the key
+// resumes from it.
 //
 // With maxBytes set the store is bounded: complete space entries are
-// tracked with sizes and a use clock, and every put sweeps the
-// least-recently-used entries until the total fits again. An entry
+// tracked with sizes (the record's bytes included) and a use clock, and
+// every put sweeps the least-recently-used pairs until the total fits
+// again. An entry
 // with in-flight readers (a /v1/space download streaming it, a load
 // decoding it) is never evicted — the sweep skips it and takes the
 // next oldest.
@@ -180,8 +185,9 @@ type diskEntry struct {
 }
 
 const (
-	spaceSuffix = ".space.gz"
-	ckptSuffix  = ".ckpt.space.gz"
+	spaceSuffix  = ".space.gz"
+	ckptSuffix   = ".ckpt.space.gz"
+	recordSuffix = ".answer"
 )
 
 // ckptEntrySuffix decorates the entries-map key of a budgeted
@@ -222,6 +228,7 @@ func (st *diskStore) scan() error {
 		mtime int64
 	}
 	var seeds []seed
+	records := make(map[cacheKey]int64) // answer record sizes, by key
 	for _, de := range des {
 		if de.IsDir() {
 			continue
@@ -229,10 +236,15 @@ func (st *diskStore) scan() error {
 		name := de.Name()
 		var entKey cacheKey
 		switch {
-		case strings.HasSuffix(name, spaceSuffix+".tmp"):
-			// A put or a checkpoint write a previous process died in:
-			// never renamed, so never an entry, and nothing will reuse it.
+		case strings.HasSuffix(name, spaceSuffix+".tmp"), strings.HasSuffix(name, recordSuffix+".tmp"):
+			// A put, a checkpoint or a record write a previous process died
+			// in: never renamed, so never an entry, and nothing will reuse it.
 			os.Remove(filepath.Join(st.dir, name)) //nolint:errcheck // retried next boot
+			continue
+		case strings.HasSuffix(name, recordSuffix):
+			if fi, err := de.Info(); err == nil {
+				records[cacheKey(name[:len(name)-len(recordSuffix)])] = fi.Size()
+			}
 			continue
 		case strings.HasSuffix(name, ckptSuffix):
 			k := cacheKey(name[:len(name)-len(ckptSuffix)])
@@ -265,9 +277,15 @@ func (st *diskStore) scan() error {
 	}
 	sort.Slice(seeds, func(i, j int) bool { return seeds[i].mtime < seeds[j].mtime })
 	for _, sd := range seeds {
+		size := sd.size + records[sd.key]
+		delete(records, sd.key)
 		st.seq++
-		st.entries[sd.key] = &diskEntry{size: sd.size, lastUse: st.seq}
-		st.total += sd.size
+		st.entries[sd.key] = &diskEntry{size: size, lastUse: st.seq}
+		st.total += size
+	}
+	for k := range records {
+		// A record whose entry is gone answers nothing.
+		os.Remove(st.recordPath(k)) //nolint:errcheck // retried next boot
 	}
 	st.setGauge()
 	return nil
@@ -340,7 +358,7 @@ func (st *diskStore) sweepLocked(justWrote cacheKey) (evicted int) {
 		if st.total <= st.maxBytes {
 			break
 		}
-		os.Remove(st.entryFile(c.key)) //nolint:errcheck // accounting proceeds; a stray file is re-scanned next boot
+		st.removeFiles(c.key)
 		st.total -= c.e.size
 		delete(st.entries, c.key)
 		evicted++
@@ -349,12 +367,17 @@ func (st *diskStore) sweepLocked(justWrote cacheKey) (evicted int) {
 	return evicted
 }
 
-// entryFile maps an entries-map key to the file it accounts for.
-func (st *diskStore) entryFile(entKey cacheKey) string {
+// removeFiles deletes what an entries-map key accounts for: a budgeted
+// checkpoint mirror, or an entry together with its answer record. The
+// accounting proceeds whatever the removals say; a stray file is
+// re-scanned next boot.
+func (st *diskStore) removeFiles(entKey cacheKey) {
 	if raw, ok := strings.CutSuffix(string(entKey), ckptEntrySuffix); ok {
-		return st.ckptPath(cacheKey(raw))
+		os.Remove(st.ckptPath(cacheKey(raw)))
+		return
 	}
-	return st.path(entKey)
+	os.Remove(st.path(entKey))
+	os.Remove(st.recordPath(entKey))
 }
 
 func (st *diskStore) path(k cacheKey) string {
@@ -365,10 +388,94 @@ func (st *diskStore) ckptPath(k cacheKey) string {
 	return filepath.Join(st.dir, string(k)+ckptSuffix)
 }
 
-// load reads the cached space for k. A missing file reports
-// os.IsNotExist; a damaged one reports the load error, and the caller
-// treats both as misses (deleting the damaged file so the slot can be
-// re-enumerated rather than failing every request). The entry is
+func (st *diskStore) recordPath(k cacheKey) string {
+	return filepath.Join(st.dir, string(k)+recordSuffix)
+}
+
+// answerRecord is the file a publish writes beside <key>.space.gz: what
+// of an entry describes the space (its checkpoint time describes the
+// flight that enumerated it, and stays behind), and the size and SHA-256
+// of the stored bytes it was computed from. On disk it is the hex
+// SHA-256 of the JSON body, a newline, the body. A disk hit reads this
+// and checksums the entry; it never decodes the space.
+type answerRecord struct {
+	Answer      enumerateResponse `json:"answer"` // Cache and ElapsedMS are the request's own, zero here
+	Stats       search.RunStats   `json:"stats"`
+	EntrySize   int64             `json:"entry_size"`
+	EntrySHA256 string            `json:"entry_sha256"`
+}
+
+// fileSum streams a file through SHA-256.
+func fileSum(path string) (size int64, sum string, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, "", err
+	}
+	defer f.Close()
+	h := sha256.New()
+	size, err = io.Copy(h, f)
+	return size, hex.EncodeToString(h.Sum(nil)), err
+}
+
+// writeRecord seals k's entry as it now stands on disk: it hashes the
+// stored bytes and writes ent's answer record over them, reporting the
+// bytes the pair occupies. The record is not fsynced — published's
+// directory fsync orders the rename, and a record that lost its data to
+// a power failure fails its checksum and is re-published.
+func (st *diskStore) writeRecord(k cacheKey, ent entry) (size int64, err error) {
+	rec := answerRecord{Answer: ent.answer, Stats: ent.stats}
+	if rec.EntrySize, rec.EntrySHA256, err = fileSum(st.path(k)); err != nil {
+		return 0, err
+	}
+	body, _ := json.Marshal(rec) // integers and strings: Marshal cannot fail
+	sum := sha256.Sum256(body)
+	b := append(append(hex.AppendEncode(nil, sum[:]), '\n'), body...)
+	if err := writeBytes(st.recordPath(k), b); err != nil {
+		return rec.EntrySize, err
+	}
+	return rec.EntrySize + int64(len(b)), nil
+}
+
+// writeBytes atomically replaces path with b, without fsync.
+func writeBytes(path string, b []byte) error {
+	return search.WriteFile(path, func(w io.Writer) error { _, err := w.Write(b); return err }, false)
+}
+
+// answer is the disk hit: k's entry as its record states it, once the
+// record checks out against itself and the key and the stored bytes
+// against the record. A key with no record reports os.IsNotExist — a
+// plain miss, whatever else the slot holds; any other error is a pair
+// that does not check out, which the caller removes. Validity is by
+// content alone, so it does not matter which of the two renames a crash
+// kept, and a wrong, torn or substituted entry is caught here by
+// SHA-256 rather than by a decoder. The pair is pinned meanwhile so an
+// eviction sweep cannot unlink half of it.
+func (st *diskStore) answer(k cacheKey) (entry, error) {
+	st.acquire(k)
+	defer st.release(k)
+	b, err := os.ReadFile(st.recordPath(k))
+	if err != nil {
+		return entry{}, err
+	}
+	const head = 2*sha256.Size + 1 // the checksum line
+	if sum := sha256.Sum256(b[min(head, len(b)):]); len(b) < head || string(b[:head]) != hex.EncodeToString(sum[:])+"\n" {
+		return entry{}, fmt.Errorf("server: answer record of %s is torn: it fails its own checksum", k)
+	}
+	var rec answerRecord
+	if err := json.Unmarshal(b[head:], &rec); err != nil || rec.Answer.Key != string(k) {
+		return entry{}, fmt.Errorf("server: answer record of %s is another's: names key %q (decoding: %v)", k, rec.Answer.Key, err)
+	}
+	size, sum, err := fileSum(st.path(k))
+	if err != nil || size != rec.EntrySize || sum != rec.EntrySHA256 {
+		return entry{}, fmt.Errorf("server: cache entry %s is not the %d bytes with SHA-256 %s its record describes: %d bytes, SHA-256 %s (reading: %v)",
+			k, rec.EntrySize, rec.EntrySHA256, size, sum, err)
+	}
+	return entry{answer: rec.Answer, stats: rec.Stats}, nil
+}
+
+// load decodes the cached space for k, for the one reader that wants
+// the whole DAG (the /v1/stats fold). A missing file reports
+// os.IsNotExist; a damaged one reports the load error. The entry is
 // pinned for the duration of the decode so an eviction sweep cannot
 // unlink it mid-read.
 func (st *diskStore) load(k cacheKey) (*search.Result, error) {
@@ -399,7 +506,7 @@ func (st *diskStore) open(k cacheKey) (*os.File, func(), error) {
 	return f, func() { f.Close(); st.release(k) }, nil
 }
 
-// remove deletes a (damaged) cache entry.
+// remove deletes a (damaged) cache entry and its answer record.
 func (st *diskStore) remove(k cacheKey) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -411,43 +518,46 @@ func (st *diskStore) remove(k cacheKey) {
 		}
 		st.setGauge()
 	}
-	os.Remove(st.path(k))
+	st.removeFiles(k)
 }
 
 // put persists a completed space atomically and durably: the one
 // space-file writer's temp file + fsync + rename, then published's
-// directory fsync, so a crash never leaves a torn entry and a power loss
-// never loses a published one. The checkpoint file the enumeration
-// wrote along the way is superseded and removed.
-func (st *diskStore) put(k cacheKey, r *search.Result) error {
+// record and directory fsync, so a crash never leaves a torn entry and a
+// power loss never loses a published one. The checkpoint file the
+// enumeration wrote along the way is superseded and removed. ent is the
+// answer admit computed from r.
+func (st *diskStore) put(k cacheKey, r *search.Result, ent entry) error {
 	if err := r.SaveFile(st.path(k)); err != nil {
 		return fmt.Errorf("server: cache write: %w", err)
 	}
-	return st.published(k)
+	return st.published(k, ent)
 }
 
 // promote publishes the file the search engine named as holding k's
 // complete space (Result.SpacePath: its final checkpoint write, the
 // bytes put would have written, already fsynced). One rename replaces
 // put's encode, gzip and file fsync.
-func (st *diskStore) promote(k cacheKey, spacePath string) error {
+func (st *diskStore) promote(k cacheKey, spacePath string, ent entry) error {
 	if err := os.Rename(spacePath, st.path(k)); err != nil {
 		return fmt.Errorf("server: cache promote: %w", err)
 	}
-	return st.published(k)
+	return st.published(k, ent)
 }
 
 // published is the tail put and promote share, entered once the rename
-// has put k's file in place. The entry is accounted for whatever the
-// directory fsync says: a failed fsync loses the durability promise,
-// not the file, and the budget must see it.
-func (st *diskStore) published(k cacheKey) error {
-	serr := search.SyncDir(st.dir, st.faults)
-	os.Remove(st.ckptPath(k)) // superseded after put; already renamed away after promote
-	var size int64
-	if fi, err := os.Stat(st.path(k)); err == nil {
-		size = fi.Size()
+// has put k's file in place: it writes the answer record beside it — the
+// only place one is written, so only complete spaces ever have one — and
+// fsyncs the directory over both renames. What is on disk is accounted
+// for whatever the record write and the fsync say: a failure loses the
+// disk hit or the durability promise, not the file, and the budget must
+// see it.
+func (st *diskStore) published(k cacheKey, ent entry) error {
+	size, err := st.writeRecord(k, ent)
+	if serr := search.SyncDir(st.dir, st.faults); err == nil && serr != nil {
+		err = fmt.Errorf("syncing directory: %w", serr)
 	}
+	os.Remove(st.ckptPath(k)) // superseded after put; already renamed away after promote
 	st.mu.Lock()
 	e := st.useLocked(k)
 	st.total += size - e.size
@@ -456,8 +566,8 @@ func (st *diskStore) published(k cacheKey) error {
 	st.sweepLocked(k)
 	st.setGauge()
 	st.mu.Unlock()
-	if serr != nil {
-		return fmt.Errorf("server: cache write: syncing directory: %w", serr)
+	if err != nil {
+		return fmt.Errorf("server: cache write: %w", err)
 	}
 	return nil
 }
@@ -482,8 +592,7 @@ func (st *diskStore) readCkpt(k cacheKey) ([]byte, error) {
 // checkpoint lost to power failure only costs re-enumeration. The slot
 // enters the eviction budget.
 func (st *diskStore) writeCkpt(k cacheKey, b []byte) error {
-	write := func(w io.Writer) error { _, err := w.Write(b); return err }
-	if err := search.WriteFile(st.ckptPath(k), write, false); err != nil {
+	if err := writeBytes(st.ckptPath(k), b); err != nil {
 		return fmt.Errorf("server: checkpoint write: %w", err)
 	}
 	ek := ckptEntryKey(k)

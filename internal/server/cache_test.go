@@ -21,12 +21,32 @@ func putSpaces(t *testing.T, st *diskStore, srcs map[string]string, order []stri
 		fn := mustCompile(t, srcs[name], name)
 		res := search.Run(fn, search.Options{})
 		k := requestKey(fn, normOptions{})
-		if err := st.put(k, res); err != nil {
+		if err := st.put(k, res, keyedEntry(k)); err != nil {
 			t.Fatal(err)
 		}
 		keys = append(keys, k)
 	}
 	return keys
+}
+
+// keyedEntry is the least an answer record must carry to check out.
+func keyedEntry(k cacheKey) entry { return entry{answer: enumerateResponse{Key: string(k)}} }
+
+// dirBytes sums the sizes of the files in dir.
+func dirBytes(t *testing.T, dir string) (total int64) {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range des {
+		fi, err := de.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += fi.Size()
+	}
+	return total
 }
 
 var lruSrcs = map[string]string{
@@ -36,9 +56,9 @@ var lruSrcs = map[string]string{
 }
 
 // TestDiskStoreEvictsLRU bounds the store below three entries and
-// checks the sweep removes exactly the least-recently-used ones,
-// keeping the accounting and the cache_disk_bytes gauge in step with
-// the files actually on disk.
+// checks the sweep removes exactly the least-recently-used ones — the
+// entry and its answer record together — keeping the accounting and the
+// cache_disk_bytes gauge in step with the files actually on disk.
 func TestDiskStoreEvictsLRU(t *testing.T) {
 	dir := t.TempDir()
 	reg := telemetry.NewRegistry()
@@ -49,8 +69,8 @@ func TestDiskStoreEvictsLRU(t *testing.T) {
 	}
 	keys := putSpaces(t, st, lruSrcs, []string{"clamp", "myabs", "neg"})
 	total := st.diskBytes()
-	if total <= 0 {
-		t.Fatal("no bytes tracked after three puts")
+	if want := dirBytes(t, dir); total != want {
+		t.Fatalf("tracked %d bytes after three puts, entries and records hold %d", total, want)
 	}
 	if gauge.Value() != total {
 		t.Fatalf("gauge %d != tracked total %d", gauge.Value(), total)
@@ -58,7 +78,7 @@ func TestDiskStoreEvictsLRU(t *testing.T) {
 
 	// Touch the oldest entry so "myabs" becomes the LRU victim, then
 	// bound the store just below the full total: one eviction suffices.
-	if _, err := st.load(keys[0]); err != nil {
+	if _, err := st.answer(keys[0]); err != nil {
 		t.Fatal(err)
 	}
 	st.mu.Lock()
@@ -68,16 +88,21 @@ func TestDiskStoreEvictsLRU(t *testing.T) {
 	if evicted != 1 {
 		t.Fatalf("evicted %d entries, want 1", evicted)
 	}
-	if _, err := os.Stat(st.path(keys[1])); !os.IsNotExist(err) {
-		t.Fatalf("LRU entry %s still on disk (err=%v)", keys[1], err)
+	for _, file := range []string{st.path(keys[1]), st.recordPath(keys[1])} {
+		if _, err := os.Stat(file); !os.IsNotExist(err) {
+			t.Fatalf("LRU victim's %s still on disk (err=%v)", filepath.Base(file), err)
+		}
 	}
 	for _, k := range []cacheKey{keys[0], keys[2]} {
-		if _, err := os.Stat(st.path(k)); err != nil {
-			t.Fatalf("recently used entry %s evicted: %v", k, err)
+		if _, err := st.answer(k); err != nil {
+			t.Fatalf("recently used entry %s evicted or unpaired: %v", k, err)
 		}
 	}
 	if st.diskBytes() > total-1 {
 		t.Fatalf("tracked bytes %d still over budget %d", st.diskBytes(), total-1)
+	}
+	if want := dirBytes(t, dir); st.diskBytes() != want {
+		t.Fatalf("tracked %d bytes after the sweep, disk holds %d", st.diskBytes(), want)
 	}
 	if gauge.Value() != st.diskBytes() {
 		t.Fatalf("gauge %d != tracked total %d after sweep", gauge.Value(), st.diskBytes())
@@ -133,9 +158,10 @@ func TestDiskStorePinnedEntriesSurviveSweep(t *testing.T) {
 }
 
 // TestDiskStoreScanSeedsAccounting restarts the store over an existing
-// directory and checks the budget applies to inherited entries too —
-// including leftover checkpoint slots, which a coordinator killed
-// mid-dispatch can strand and which must stay evictable.
+// directory and checks the budget applies to inherited entries too,
+// each with its answer record's bytes — including leftover checkpoint
+// slots, which a coordinator killed mid-dispatch can strand and which
+// must stay evictable.
 func TestDiskStoreScanSeedsAccounting(t *testing.T) {
 	dir := t.TempDir()
 	st, err := newDiskStore(dir, 0, nil)
@@ -151,6 +177,9 @@ func TestDiskStoreScanSeedsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := st.diskBytes()
+	if want := dirBytes(t, dir); total != want {
+		t.Fatalf("tracked %d bytes, entries, records and the checkpoint hold %d", total, want)
+	}
 
 	st2, err := newDiskStore(dir, 0, nil)
 	if err != nil {
@@ -169,14 +198,8 @@ func TestDiskStoreScanSeedsAccounting(t *testing.T) {
 	if _, err := os.Stat(st2.ckptPath(ck)); !os.IsNotExist(err) {
 		t.Fatalf("inherited checkpoint slot survived a 1-byte budget (err=%v)", err)
 	}
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, de := range des {
-		if name := de.Name(); strings.HasSuffix(name, spaceSuffix) {
-			t.Fatalf("file %s survived a 1-byte budget", name)
-		}
+	if left := dirNames(t, dir); len(left) != 0 {
+		t.Fatalf("%v survived a 1-byte budget", left)
 	}
 }
 
@@ -197,19 +220,13 @@ func TestServerDiskMaxBytes(t *testing.T) {
 		}
 		hashes[name] = doc["space_hash"].(string)
 	}
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var spaceFiles int
-	var onDisk int64
-	for _, de := range des {
-		if strings.HasSuffix(de.Name(), spaceSuffix) && !strings.HasSuffix(de.Name(), ckptSuffix) {
-			fi, _ := de.Info()
+	for _, name := range dirNames(t, dir) {
+		if strings.HasSuffix(name, spaceSuffix) {
 			spaceFiles++
-			onDisk += fi.Size()
 		}
 	}
+	onDisk := dirBytes(t, dir) // entries and their records: finished flights leave nothing else
 	if spaceFiles >= 3 {
 		t.Fatalf("all %d entries on disk; budget evicted nothing", spaceFiles)
 	}
@@ -233,7 +250,7 @@ func TestServerDiskMaxBytes(t *testing.T) {
 }
 
 // TestDiskStoreRemoveAccounting checks remove (the corrupt-entry path)
-// releases the entry's bytes.
+// deletes the pair and releases its bytes.
 func TestDiskStoreRemoveAccounting(t *testing.T) {
 	st, err := newDiskStore(t.TempDir(), 0, nil)
 	if err != nil {
@@ -247,8 +264,8 @@ func TestDiskStoreRemoveAccounting(t *testing.T) {
 	if got := st.diskBytes(); got != 0 {
 		t.Fatalf("tracked %d bytes after remove, want 0", got)
 	}
-	if _, err := os.Stat(filepath.Join(st.dir, string(keys[0])+spaceSuffix)); !os.IsNotExist(err) {
-		t.Fatalf("file survived remove (err=%v)", err)
+	if left := dirNames(t, st.dir); len(left) != 0 {
+		t.Fatalf("%v survived remove", left)
 	}
 }
 
@@ -256,8 +273,9 @@ func TestDiskStoreRemoveAccounting(t *testing.T) {
 // mid-put and mid-checkpoint leaves behind: temp files that were never
 // renamed — and what a coordinator from before the one-fleet-path
 // change left when it died mid-split: a per-shard checkpoint slot no
-// binary reads any more. Start-up must delete every kind and count
-// none.
+// binary reads any more; and an answer record whose entry is gone (an
+// eviction the process died in). Start-up must delete every kind and
+// count none.
 func TestDiskStoreRemovesOrphanedTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	st, err := newDiskStore(dir, 0, nil)
@@ -267,7 +285,8 @@ func TestDiskStoreRemovesOrphanedTempFiles(t *testing.T) {
 	keys := putSpaces(t, st, lruSrcs, []string{"clamp"})
 	total := st.diskBytes()
 	orphans := []string{st.path(keys[0]) + ".tmp", st.ckptPath(keys[0]) + ".tmp",
-		st.ckptPath(keys[0] + ".shard1")}
+		st.ckptPath(keys[0] + ".shard1"), st.recordPath(keys[0]) + ".tmp",
+		st.recordPath(cacheKey(strings.Repeat("b", 64)))}
 	for _, o := range orphans {
 		if err := os.WriteFile(o, []byte("torn write"), 0o644); err != nil {
 			t.Fatal(err)
@@ -284,7 +303,10 @@ func TestDiskStoreRemovesOrphanedTempFiles(t *testing.T) {
 		}
 	}
 	if got := st2.diskBytes(); got != total {
-		t.Fatalf("rescan tracked %d bytes, want the entry's %d", got, total)
+		t.Fatalf("rescan tracked %d bytes, want the pair's %d", got, total)
+	}
+	if _, err := st2.answer(keys[0]); err != nil {
+		t.Fatalf("the surviving pair does not answer: %v", err)
 	}
 }
 
@@ -297,10 +319,10 @@ func TestDiskStoreAccountsPublishedFileWhenDirSyncFails(t *testing.T) {
 	k := requestKey(fn, normOptions{})
 	for name, publish := range map[string]func(*diskStore) error{
 		"put": func(st *diskStore) error {
-			return st.put(k, search.Run(fn, search.Options{}))
+			return st.put(k, search.Run(fn, search.Options{}), keyedEntry(k))
 		},
 		"promote": func(st *diskStore) error {
-			return st.promote(k, search.Run(fn, search.Options{CheckpointPath: st.ckptPath(k)}).SpacePath)
+			return st.promote(k, search.Run(fn, search.Options{CheckpointPath: st.ckptPath(k)}).SpacePath, keyedEntry(k))
 		},
 	} {
 		st, err := newDiskStore(t.TempDir(), 0, nil)
@@ -311,12 +333,11 @@ func TestDiskStoreAccountsPublishedFileWhenDirSyncFails(t *testing.T) {
 		if err := publish(st); !errors.Is(err, faultinject.ErrDirSync) {
 			t.Fatalf("%s: err = %v, want the injected directory fsync failure", name, err)
 		}
-		fi, err := os.Stat(st.path(k))
-		if err != nil {
-			t.Fatalf("%s: published file missing: %v", name, err)
+		if _, err := st.answer(k); err != nil {
+			t.Fatalf("%s: published pair does not answer: %v", name, err)
 		}
-		if got := st.diskBytes(); got != fi.Size() {
-			t.Fatalf("%s: budget tracks %d bytes, file on disk has %d", name, got, fi.Size())
+		if got, want := st.diskBytes(), dirBytes(t, st.dir); got != want {
+			t.Fatalf("%s: budget tracks %d bytes, the pair on disk has %d", name, got, want)
 		}
 		if _, err := os.Stat(st.ckptPath(k)); !os.IsNotExist(err) {
 			t.Fatalf("%s: checkpoint slot not consumed (err=%v)", name, err)

@@ -3,8 +3,9 @@
 // source or a named MiBench corpus function plus search options), runs
 // them through a bounded worker pool, and answers from a two-level
 // content-addressed cache — an in-memory LRU of answers over a
-// disk store of v2 space files keyed by the SHA-256 of the canonical
-// function bytes and the normalized options.
+// disk store of v2 space files, each with its answer beside it, keyed
+// by the SHA-256 of the canonical function bytes and the normalized
+// options.
 //
 // The cached files are exactly what cmd/explore -save writes, so a
 // served space can be audited byte-for-byte with spacedot -hash.
@@ -506,20 +507,17 @@ func (s *Server) runFlight(fl *flight) {
 		fl.ent, fl.cacheHow = ent, "mem"
 		return
 	}
-	if res, err := s.store.load(fl.key); err == nil {
+	if ent, err := s.store.answer(fl.key); err == nil {
 		s.reg.Counter("server.cache.hit_disk").Inc()
 		s.cacheTier.With("disk").Inc()
-		if fl.err = s.admit(fl.key, res, "", &fl.ent); fl.err != nil {
-			return
-		}
-		fl.cacheHow = "disk"
+		s.mem.add(fl.key, ent)
+		fl.ent, fl.cacheHow = ent, "disk"
 		return
 	} else if !os.IsNotExist(err) {
-		// A damaged entry is a miss, not an outage: drop it and let the
-		// enumeration below rebuild the slot.
-		s.reg.Counter("server.cache.corrupt").Inc()
+		// A pair that does not check out is a miss, not an outage: the
+		// enumeration below re-publishes it.
 		s.cacheTier.With("corrupt").Inc()
-		s.store.remove(fl.key)
+		s.dropCorrupt(fl.ctx, fl.key, err)
 	}
 	s.reg.Counter("server.cache.miss").Inc()
 	s.cacheTier.With("miss").Inc()
@@ -540,15 +538,23 @@ func (s *Server) runFlight(fl *flight) {
 		return
 	}
 	if res.SpacePath != "" {
-		err = s.store.promote(fl.key, res.SpacePath)
+		err = s.store.promote(fl.key, res.SpacePath, fl.ent)
 	} else {
-		err = s.store.put(fl.key, res)
+		err = s.store.put(fl.key, res, fl.ent)
 	}
 	if err != nil {
 		// Served from memory anyway; the disk slot heals on a future
 		// enumeration.
 		s.reg.Counter("server.cache.write_errors").Inc()
 	}
+}
+
+// dropCorrupt removes k's entry and answer record, found damaged by the
+// flight path or the /v1/stats fold, and says so once.
+func (s *Server) dropCorrupt(ctx context.Context, k cacheKey, err error) {
+	s.reg.Counter("server.cache.corrupt").Inc()
+	s.store.remove(k)
+	s.logger.WarnContext(ctx, "cache entry dropped", "key", string(k), "err", err.Error())
 }
 
 // resolveFlight produces fl's space: on the fleet when one is
@@ -640,11 +646,13 @@ func (s *Server) finishFlight(fl *flight, res *search.Result) (*search.Result, e
 	return res, nil
 }
 
-// admit caches the answer every request for a complete space gets in
-// the LRU; the space itself is the caller's to drop (the interaction
-// statistics read it back from the disk store, see handleStats). hash
-// is res's canonical hash when the caller has already verified it (a
-// fleet completion); "" computes it.
+// admit computes the answer every request for a complete space gets
+// and caches it in the LRU; the publish writes the same entry beside the
+// space, which is what a later process answers from. The space itself
+// is the caller's to drop (the interaction statistics read it back from
+// the disk store, see handleStats). hash is res's canonical hash when
+// the caller has already verified it (a fleet completion); "" computes
+// it.
 func (s *Server) admit(key cacheKey, res *search.Result, hash string, out *entry) error {
 	if hash == "" {
 		var err error
@@ -683,7 +691,9 @@ func (s *Server) handleSpace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/gzip")
 	w.Header().Set("Content-Disposition",
 		fmt.Sprintf("attachment; filename=%q", hash[:12]+spaceSuffix))
-	io.Copy(w, f) //nolint:errcheck // client gone
+	// ServeContent sends the file's size as Content-Length, so the body
+	// is not chunked.
+	http.ServeContent(w, r, "", time.Time{}, f)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

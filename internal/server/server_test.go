@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -529,15 +530,16 @@ func TestSpaceEndpointServesAuditableBytes(t *testing.T) {
 	}
 	// A small cold flight serializes its space once for durability: the
 	// engine's final checkpoint, renamed into the cache slot. Nothing
-	// else is written and nothing is left beside the entry.
+	// else is encoded and nothing is left beside the entry but its answer
+	// record.
 	if got := counter(s, "search.checkpoint.writes"); got != 1 {
 		t.Fatalf("search.checkpoint.writes = %d after one small cold flight, want 1", got)
 	}
 	if h := s.reg.Snapshot().Histograms["search.checkpoint.duration_ns"]; h.Count != 1 || h.Sum <= 0 {
 		t.Fatalf("search.checkpoint.duration_ns = %+v, want the one write timed", h)
 	}
-	if got := dirNames(t, s.cfg.Dir); len(got) != 1 || got[0] != doc["key"].(string)+spaceSuffix {
-		t.Fatalf("cache dir holds %v, want only the published entry", got)
+	if got := dirNames(t, s.cfg.Dir); !slices.Equal(got, pairNames(doc["key"].(string))) {
+		t.Fatalf("cache dir holds %v, want only the published pair", got)
 	}
 	resp, err := http.Get(ts.URL + "/v1/space/" + doc["key"].(string))
 	if err != nil {
@@ -581,6 +583,12 @@ func TestSpaceEndpointServesAuditableBytes(t *testing.T) {
 	}
 }
 
+// pairNames is what the cache directory lists for one published key:
+// the answer record and the entry, in ReadDir's order.
+func pairNames(key string) []string {
+	return []string{key + recordSuffix, key + spaceSuffix}
+}
+
 func dirNames(t *testing.T, dir string) []string {
 	t.Helper()
 	des, err := os.ReadDir(dir)
@@ -616,8 +624,8 @@ func TestCompleteCheckpointIsPromoted(t *testing.T) {
 	if got := counter(s, "server.enumerations"); got != 0 {
 		t.Fatalf("server.enumerations = %d, want 0: the checkpoint was the space", got)
 	}
-	if got := dirNames(t, dir); len(got) != 1 || got[0] != string(key)+spaceSuffix {
-		t.Fatalf("cache dir holds %v, want only the promoted entry", got)
+	if got := dirNames(t, dir); !slices.Equal(got, pairNames(string(key))) {
+		t.Fatalf("cache dir holds %v, want only the promoted pair", got)
 	}
 	if _, err := s.store.load(key); err != nil {
 		t.Fatalf("promoted entry does not load: %v", err)
@@ -654,8 +662,8 @@ func TestCompleteCheckpointIsPromoted(t *testing.T) {
 				t.Errorf("%s = %d, want %d", name, got, want)
 			}
 		}
-		if got := dirNames(t, dir); len(got) != 2 || got[0] != string(key)+spaceSuffix || got[1] != squat {
-			t.Fatalf("cache dir holds %v, want the promoted entry beside the squatter", got)
+		if got := dirNames(t, dir); !slices.Equal(got, append(pairNames(string(key)), squat)) {
+			t.Fatalf("cache dir holds %v, want the promoted pair beside the squatter", got)
 		}
 	})
 }

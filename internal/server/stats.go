@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"os"
 	"sync"
 
 	"repro/internal/analysis"
@@ -91,8 +92,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			if seen {
 				continue
 			}
-			if res, err := s.store.load(k); err == nil {
+			res, err := s.store.load(k)
+			switch {
+			case err == nil:
 				s.stats.accumulate(k, res)
+			case !os.IsNotExist(err): // not merely evicted since keys() listed it
+				s.dropCorrupt(r.Context(), k, err)
 			}
 		}
 	}
