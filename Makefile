@@ -164,7 +164,8 @@ resume-smoke:
 # enumeration per distinct key (/v1/stats counters — coalescing or
 # cache, either way the work ran once), (b) a warm repeat served from
 # cache, (c) the served space hashing identical (spacedot -hash) to
-# what cmd/explore writes for the same function, (d) a clean SIGTERM
+# what cmd/explore writes for the same function, and the stored entry
+# and the download both being those bytes (sha256sum), (d) a clean SIGTERM
 # drain, (e) a second spaced on the same cache directory answering the
 # first key from disk — same hash, no enumeration in the new process —
 # and (f) a third, started after one byte of the stored entry was
@@ -208,6 +209,7 @@ serve-smoke:
 	curl -fsS "http://$$addr/v1/space/$$key" -o "$$tmp/served.space.gz"; \
 	got=$$("$$tmp/spacedot" -hash "$$tmp/served.space.gz" | cut -d' ' -f1); \
 	[ "$$got" = "$$want" ] || { echo "serve-smoke: served space hashes $$got, explore wrote $$want"; exit 1; }; \
+	for f in "$$tmp/cache/$$key.space.gz" "$$tmp/served.space.gz"; do [ "$$(sha256sum "$$f" | cut -d' ' -f1)" = "$$want" ] || { echo "serve-smoke: sha256sum of $$f is not the space_hash $$want"; exit 1; }; done; \
 	stop; \
 	start; rotl r5; \
 	how=$$(jq -r .cache "$$tmp/r5.json"); h=$$(jq -r .space_hash "$$tmp/r5.json"); enums=$$(count server.enumerations); \

@@ -19,8 +19,9 @@
 // and /v1/debug/flights replays the last -flights enumerate requests
 // with queue-wait/enumerate/serialize timing splits.
 //
-// Served space files are byte-identical to cmd/explore -save output
-// for the same function and options; spacedot -hash audits them.
+// Served space files are cmd/explore -save output for the same function
+// and options with the wall-clock fields zeroed: sha256sum of one is its
+// space_hash, which is what spacedot -hash prints for either.
 // Requests beyond the worker pool queue are shed with 429 +
 // Retry-After. SIGTERM/SIGINT drain: new requests get 503, in-flight
 // enumerations are canceled and checkpoint their partial spaces into

@@ -113,8 +113,9 @@ type HeartbeatResponse struct {
 }
 
 // CompleteRequest delivers a finished assignment. SpaceB64 is the
-// serialized space (format v2, base64) and SpaceHash its CanonicalHash
-// — the idempotency key: re-submitting the same completion is
+// serialized space (format v2, base64; a worker sends its canonical
+// bytes, the coordinator decodes and re-hashes whatever arrives) and
+// SpaceHash its CanonicalHash — the idempotency key: re-submitting the same completion is
 // acknowledged as a duplicate, and a conflicting hash for an already
 // completed assignment is rejected. An Aborted completion (cap or
 // timeout hit on the worker) carries the reason instead of a space.

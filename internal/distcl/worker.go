@@ -1,10 +1,10 @@
 package distcl
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/base64"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -430,23 +430,9 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) {
 	if res.Aborted {
 		req.Aborted, req.AbortReason = true, res.AbortReason
 	} else {
-		// A checkpointing search's final write left the finished space in
-		// the scratch file: upload those bytes rather than encode it again.
-		var b []byte
-		if res.SpacePath != "" {
-			b, err = os.ReadFile(res.SpacePath)
-		} else {
-			var buf bytes.Buffer
-			err = res.Save(&buf)
-			b = buf.Bytes()
-		}
+		b, hash, err := finishedSpace(res)
 		if err != nil {
 			logger.Error("serializing finished space", "err", err.Error())
-			return
-		}
-		hash, err := res.CanonicalHash()
-		if err != nil {
-			logger.Error("hashing finished space", "err", err.Error())
 			return
 		}
 		req.SpaceB64 = base64.StdEncoding.EncodeToString(b)
@@ -467,6 +453,27 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) {
 	os.Remove(ru.ckptPath) //nolint:errcheck // best-effort scratch cleanup
 	logger.Info("assignment completed",
 		"aborted", req.Aborted, "space_hash", req.SpaceHash, "status", cresp.Status)
+}
+
+// finishedSpace is what a completion uploads: the space's bytes and the
+// canonical hash they go under. A checkpointing search's final write
+// left both — the scratch file and Result.SpaceHash — so nothing is
+// rendered again. An equiv run wrote no file and is rendered here, once,
+// canonically, and those bytes are hashed; a finished space the slot
+// already held (no SpaceHash) is named by rendering it.
+func finishedSpace(res *search.Result) (b []byte, hash string, err error) {
+	if res.SpacePath == "" {
+		b, err = res.CanonicalBytes()
+		sum := sha256.Sum256(b)
+		return b, hex.EncodeToString(sum[:]), err
+	}
+	if hash = res.SpaceHash; hash == "" {
+		if hash, err = res.CanonicalHash(); err != nil {
+			return nil, "", err
+		}
+	}
+	b, err = os.ReadFile(res.SpacePath)
+	return b, hash, err
 }
 
 // seed puts the assignment's starting document (a frontier part, or the

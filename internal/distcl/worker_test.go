@@ -3,16 +3,21 @@ package distcl
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/base64"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/mc"
+	"repro/internal/mibench"
 	"repro/internal/search"
 )
 
@@ -136,6 +141,10 @@ func TestSeededAssignmentUploadsOnlyItsOwnProgress(t *testing.T) {
 	if completed.Aborted || completed.SpaceHash != want {
 		t.Fatalf("completed aborted=%v hash %s, a plain run hashes %s", completed.Aborted, completed.SpaceHash, want)
 	}
+	uploaded, err := base64.StdEncoding.DecodeString(completed.SpaceB64)
+	if sum := sha256.Sum256(uploaded); err != nil || hex.EncodeToString(sum[:]) != want {
+		t.Fatalf("the uploaded space hashes to %x, not to the space_hash it goes under (%v)", sum, err)
+	}
 
 	coord.mu.Lock()
 	defer coord.mu.Unlock()
@@ -161,5 +170,63 @@ func TestSeededAssignmentUploadsOnlyItsOwnProgress(t *testing.T) {
 	}
 	if uploads == 0 {
 		t.Fatal("no heartbeat uploaded a checkpoint, though the search wrote its own")
+	}
+}
+
+// TestCompletionRendersOnce: what a completion uploads is rendered once
+// per assignment. A checkpointing run's final write left the canonical
+// bytes in the scratch file and their hash on the result, so the upload
+// is that file under that hash and costs a read — a handful of heap
+// objects, where rendering the space to name it (CanonicalHash)
+// allocates several per node. An equiv run wrote no file: it is
+// rendered here, once, and uploaded as the bytes that were hashed.
+func TestCompletionRendersOnce(t *testing.T) {
+	p, err := mibench.ByName("stringsearch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := p.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn := prog.Func("bmh_search")
+	mallocs := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	for _, opts := range []search.Options{
+		{CheckpointPath: filepath.Join(t.TempDir(), "a1.g1.ckpt.space.gz")},
+		{Equiv: true},
+	} {
+		res := search.Run(fn, opts)
+		if res.Aborted || len(res.Nodes) < 1000 || (res.SpaceHash == "") != opts.Equiv {
+			t.Fatalf("equiv=%v: aborted=%v, %d nodes, SpaceHash %q; want a finished space of 1,000 nodes or more, hashed by the engine iff it checkpoints",
+				opts.Equiv, res.Aborted, len(res.Nodes), res.SpaceHash)
+		}
+		var want string
+		render := mallocs(func() { want, err = res.CanonicalHash() })
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b []byte
+		var hash string
+		upload := mallocs(func() { b, hash, err = finishedSpace(res) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("equiv=%v: one render allocates %d objects, the upload allocated %d", opts.Equiv, render, upload)
+		if sum := sha256.Sum256(b); hash != want || hash != hex.EncodeToString(sum[:]) {
+			t.Errorf("equiv=%v: uploads %x under %s, the space's canonical hash is %s", opts.Equiv, sum, hash, want)
+		}
+		if opts.Equiv {
+			if upload < render/2 || upload >= render*3/2 {
+				t.Errorf("an equiv completion allocated %d objects, one render %d: want one render", upload, render)
+			}
+		} else if upload >= render/4 {
+			t.Errorf("a checkpointed completion allocated %d objects, one render %d: want no render", upload, render)
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/mc"
 	"repro/internal/randprog"
+	"repro/internal/rtl"
 	"repro/internal/search"
 )
 
@@ -29,19 +30,7 @@ func TestGeneratedSpacesHashOneWay(t *testing.T) {
 	if !testing.Short() {
 		seeds, maxNodes = 16, 1300
 	}
-	cfg := randprog.Config{MaxStmts: 3, MaxDepth: 2, MaxExprDepth: 2}
-	for seed, found := int64(0), 0; found < seeds; seed++ {
-		p := randprog.New(seed, cfg)
-		prog, err := mc.Compile(p.Source)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		f := prog.Func(p.Entry)
-		ref := search.Run(f, search.Options{Workers: 1, MaxNodes: maxNodes})
-		if ref.Aborted {
-			continue
-		}
-		found++
+	generatedSpaces(t, seeds, maxNodes, func(seed int64, f *rtl.Func, ref *search.Result) {
 		t.Run(fmt.Sprintf("seed=%d,nodes=%d", seed, len(ref.Nodes)), func(t *testing.T) {
 			hash := func(what string, r *search.Result, err error) string {
 				t.Helper()
@@ -142,5 +131,25 @@ func TestGeneratedSpacesHashOneWay(t *testing.T) {
 			derived, err = search.DeriveEquiv(wire(t, merged), search.Options{})
 			same(wantEquiv, "derived equiv of the merge", derived, err)
 		})
+	})
+}
+
+// generatedSpaces hands each the first n random programs whose space
+// fits maxNodes, with its reference enumeration at width 1.
+func generatedSpaces(t *testing.T, n, maxNodes int, each func(seed int64, f *rtl.Func, ref *search.Result)) {
+	cfg := randprog.Config{MaxStmts: 3, MaxDepth: 2, MaxExprDepth: 2}
+	for seed, found := int64(0), 0; found < n; seed++ {
+		p := randprog.New(seed, cfg)
+		prog, err := mc.Compile(p.Source)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		f := prog.Func(p.Entry)
+		ref := search.Run(f, search.Options{Workers: 1, MaxNodes: maxNodes})
+		if ref.Aborted {
+			continue
+		}
+		found++
+		each(seed, f, ref)
 	}
 }

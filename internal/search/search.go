@@ -28,6 +28,8 @@ package search
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"log/slog"
@@ -202,7 +204,8 @@ type Options struct {
 	// atomically (temp file + rename): at level boundaries whenever
 	// the work at risk outweighs what a write costs (checkpointDue),
 	// on every abort path (caps, timeout, cancellation), and — as the
-	// final complete space — on successful completion. Run overwrites
+	// final complete space, in its canonical bytes (Result.SpacePath,
+	// SpaceHash) — on successful completion. Run overwrites
 	// what the file held; Enumerate continues it (Load + Resume by
 	// hand). A failed write never clobbers the previous checkpoint; the
 	// error lands in Result.CheckpointErr and the search keeps running.
@@ -268,6 +271,12 @@ type Result struct {
 	// path. Callers publish or upload that file instead of encoding the
 	// space a second time. Not persisted.
 	SpacePath string
+	// SpaceHash is the hex SHA-256 of the bytes the engine's final write
+	// put at SpacePath — the space's canonical bytes, so it is also its
+	// CanonicalHash, taken as the bytes were written. "" wherever
+	// SpacePath is, and for a space Enumerate found in its slot: what
+	// wrote that file is not known. Not persisted.
+	SpaceHash string
 
 	root *rtl.Func
 	opts Options
@@ -360,6 +369,15 @@ type snapshot struct {
 	savedAtNS   int64
 	aborted     bool
 	abortReason string
+}
+
+// canonical is v with its four wall-clock fields zeroed: what two runs
+// that discovered the same space render identically. A complete space
+// is stored and hashed in this form (saveCanonical, the engine's final
+// write); how long a run took belongs to the run, not to the space.
+func (v snapshot) canonical() snapshot {
+	v.elapsed, v.stats.StateKeyNS, v.stats.ExpandNS, v.savedAtNS = 0, 0, 0, 0
+	return v
 }
 
 // evaluator answers one level's attempts: it hands e.commitOutcome one
@@ -624,17 +642,28 @@ func (e *engine) abort(reason string) {
 // are recorded, counted and survived: the previous checkpoint file is
 // left intact and the search continues. Either way the write is timed,
 // and its cost paces the next periodic checkpoint. A boundary with
-// nothing left to expand is the complete space, and the result says
-// which file now holds it.
+// nothing left to expand, on a run nothing aborted, is the complete
+// space: it is written as its canonical bytes (no wall-clock fields; a
+// resumable document keeps them, Resume accumulates elapsed), hashed as
+// they go to the file, and once they are durable the result names the
+// file and the hash, so no caller renders the space again to publish or
+// to name it.
 func (e *engine) writeCheckpoint() {
-	path, snap := e.opts.CheckpointPath, &e.snap
+	path, snap := e.opts.CheckpointPath, e.snap
 	if path == "" {
 		return
 	}
+	complete := len(snap.frontier) == 0 && !e.res.Aborted
+	sum := sha256.New()
 	began := time.Now()
 	err := WriteFile(path, func(w io.Writer) error {
-		snap.savedAtNS = time.Now().UnixNano()
-		return writeFormat(e.opts.Faults.WrapCheckpoint(w), e.res.document(*snap))
+		w = e.opts.Faults.WrapCheckpoint(w)
+		if complete {
+			snap, w = snap.canonical(), io.MultiWriter(w, sum)
+		} else {
+			snap.savedAtNS = time.Now().UnixNano()
+		}
+		return writeFormat(w, e.res.document(snap))
 	}, true)
 	if err == nil {
 		if err = SyncDir(filepath.Dir(path), e.opts.Faults); err != nil {
@@ -655,8 +684,8 @@ func (e *engine) writeCheckpoint() {
 		}
 		return
 	}
-	if len(snap.frontier) == 0 && !e.res.Aborted {
-		e.res.SpacePath = path
+	if complete {
+		e.res.SpacePath, e.res.SpaceHash = path, hex.EncodeToString(sum.Sum(nil))
 	}
 	e.ins.mCkptWrites.Inc()
 	if e.ins.log != nil {

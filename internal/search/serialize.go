@@ -30,6 +30,13 @@ import (
 //     CanonicalHash render the whole result, the engine's checkpoint
 //     writer the last level boundary, PartitionCheckpoint the whole
 //     paused result with its resume section cut k ways;
+//   - one form for a complete space at rest: its canonical bytes. The
+//     engine's final write and the serving layer's cache entries are
+//     CanonicalBytes, so the file's SHA-256 is the space's CanonicalHash
+//     (Result.SpaceHash) and nothing renders a space twice to store and
+//     to name it. Wall-clock provenance belongs to the run — the Result,
+//     the server's answer record and flight log — and a resumable
+//     document, which keeps its elapsed time for Resume;
 //   - one file writer: WriteFile (temp file, optional fsync, rename)
 //     puts every space file in place — engine checkpoints, SaveFile,
 //     the server's cache entries and checkpoint mirrors, a worker's
@@ -214,13 +221,10 @@ func (r *Result) document(v snapshot) *fileFormat {
 	return ff
 }
 
-// gzipWriters recycles compressors: one is ~800 KB of tables, and a
-// small space is written and hashed several times on its way through a
-// server — the checkpoint, the canonical hash, the cache entry, a
-// partition's parts — so allocating one per document was most of what
-// a small request allocated, and what paced its collections. Reset
-// leaves no state behind: the bytes are the same from a recycled
-// compressor as from a new one.
+// gzipWriters recycles compressors: one is ~800 KB of tables, and
+// allocating one per document was most of what a small request
+// allocated, and what paced its collections. Reset leaves no state
+// behind: a recycled compressor writes the bytes a new one would.
 var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
 
 func writeFormat(w io.Writer, ff *fileFormat) error {
@@ -249,18 +253,15 @@ func (r *Result) SaveFile(path string) error {
 }
 
 // saveCanonical serializes the space with every wall-clock field
-// zeroed. Two enumerations of the same function are byte-identical
-// under this encoding exactly when they discovered the same space — the
-// equality the kill/resume determinism guarantee is stated in. The gzip
-// layer is deterministic (no mod time).
+// zeroed (snapshot.canonical). Two enumerations of the same function are
+// byte-identical under this encoding exactly when they discovered the
+// same space — the equality the kill/resume determinism guarantee is
+// stated in. The gzip layer is deterministic (no mod time).
 func (r *Result) saveCanonical(w io.Writer) error {
-	v := r.whole()
-	v.elapsed, v.stats.StateKeyNS, v.stats.ExpandNS, v.savedAtNS = 0, 0, 0, 0
-	return writeFormat(w, r.document(v))
+	return writeFormat(w, r.document(r.whole().canonical()))
 }
 
-// CanonicalBytes returns the canonical serialization (see
-// saveCanonical).
+// CanonicalBytes returns the canonical serialization (saveCanonical).
 func (r *Result) CanonicalBytes() ([]byte, error) {
 	var buf bytes.Buffer
 	err := r.saveCanonical(&buf)
@@ -282,10 +283,8 @@ func (r *Result) CanonicalHash() (string, error) {
 // WriteFile replaces path with what write produces, by way of
 // path+".tmp" and a rename, so that readers and restarts see the
 // previous file or the new one, never a torn one: a crash, a failing
-// write or a full disk cannot clobber what was there. It is the one
-// place space files are put on disk — engine checkpoints, saved spaces,
-// cache entries, mirrored uploads, worker seeds. fsync also syncs the
-// data before the rename; copies that only save re-enumeration (a
+// write or a full disk cannot clobber what was there. fsync also syncs
+// the data before the rename; copies that only save re-enumeration (a
 // coordinator's mirror of an upload, a worker's seed) go without. A
 // caller that needs the rename itself to survive power loss follows up
 // with SyncDir.

@@ -138,10 +138,12 @@ func (c *memCache) len() int {
 	return c.ll.Len()
 }
 
-// diskStore is the second cache level: one v2 space file per key,
-// exactly the bytes explore -save writes, so cached entries can be
-// served verbatim and audited with spacedot -hash, and beside it the
-// key's answer record (<key>.answer, see answerRecord), which is what a
+// diskStore is the second cache level: one v2 space file per key — the
+// space's canonical bytes, what explore -save writes with the wall-clock
+// fields zeroed, so a cached entry is served verbatim and its SHA-256 is
+// the hash spacedot -hash prints (entries older builds stored keep their
+// timing; spacedot -hash audits those too) — and beside it the key's
+// answer record (<key>.answer, see answerRecord), which is what a
 // disk hit reads. Alongside each pair may live a checkpoint file
 // (<key>.ckpt.space.gz) holding a partially enumerated space a drained
 // or abandoned request left behind; the next enumeration of the key
@@ -397,7 +399,10 @@ func (st *diskStore) recordPath(k cacheKey) string {
 // flight that enumerated it, and stays behind), and the size and SHA-256
 // of the stored bytes it was computed from. On disk it is the hex
 // SHA-256 of the JSON body, a newline, the body. A disk hit reads this
-// and checksums the entry; it never decodes the space.
+// and checksums the entry; it never decodes the space. An entry is
+// stored as the bytes its space_hash was taken over, so the two hashes
+// are equal; a pair an older build published, whose entry kept its
+// timing, has two and answers as well.
 type answerRecord struct {
 	Answer      enumerateResponse `json:"answer"` // Cache and ElapsedMS are the request's own, zero here
 	Stats       search.RunStats   `json:"stats"`
@@ -425,20 +430,25 @@ func fileSum(path string) (size int64, sum string, err error) {
 func (st *diskStore) writeRecord(k cacheKey, ent entry) (size int64, err error) {
 	rec := answerRecord{Answer: ent.answer, Stats: ent.stats}
 	if rec.EntrySize, rec.EntrySHA256, err = fileSum(st.path(k)); err != nil {
-		return 0, err
+		// An entry that cannot be read gets no record, but it is on disk.
+		if fi, serr := os.Stat(st.path(k)); serr == nil {
+			size = fi.Size()
+		}
+		return size, err
 	}
 	body, _ := json.Marshal(rec) // integers and strings: Marshal cannot fail
 	sum := sha256.Sum256(body)
 	b := append(append(hex.AppendEncode(nil, sum[:]), '\n'), body...)
-	if err := writeBytes(st.recordPath(k), b); err != nil {
+	if err := writeBytes(st.recordPath(k), b, false); err != nil {
 		return rec.EntrySize, err
 	}
 	return rec.EntrySize + int64(len(b)), nil
 }
 
-// writeBytes atomically replaces path with b, without fsync.
-func writeBytes(path string, b []byte) error {
-	return search.WriteFile(path, func(w io.Writer) error { _, err := w.Write(b); return err }, false)
+// writeBytes atomically replaces path with b; fsync also makes b
+// durable before the rename.
+func writeBytes(path string, b []byte, fsync bool) error {
+	return search.WriteFile(path, func(w io.Writer) error { _, err := w.Write(b); return err }, fsync)
 }
 
 // answer is the disk hit: k's entry as its record states it, once the
@@ -453,17 +463,9 @@ func writeBytes(path string, b []byte) error {
 func (st *diskStore) answer(k cacheKey) (entry, error) {
 	st.acquire(k)
 	defer st.release(k)
-	b, err := os.ReadFile(st.recordPath(k))
+	rec, err := st.record(k)
 	if err != nil {
 		return entry{}, err
-	}
-	const head = 2*sha256.Size + 1 // the checksum line
-	if sum := sha256.Sum256(b[min(head, len(b)):]); len(b) < head || string(b[:head]) != hex.EncodeToString(sum[:])+"\n" {
-		return entry{}, fmt.Errorf("server: answer record of %s is torn: it fails its own checksum", k)
-	}
-	var rec answerRecord
-	if err := json.Unmarshal(b[head:], &rec); err != nil || rec.Answer.Key != string(k) {
-		return entry{}, fmt.Errorf("server: answer record of %s is another's: names key %q (decoding: %v)", k, rec.Answer.Key, err)
 	}
 	size, sum, err := fileSum(st.path(k))
 	if err != nil || size != rec.EntrySize || sum != rec.EntrySHA256 {
@@ -471,6 +473,23 @@ func (st *diskStore) answer(k cacheKey) (entry, error) {
 			k, rec.EntrySize, rec.EntrySHA256, size, sum, err)
 	}
 	return entry{answer: rec.Answer, stats: rec.Stats}, nil
+}
+
+// record reads k's answer record and holds it against itself and the
+// key; what it says of the stored bytes is the caller's to check.
+func (st *diskStore) record(k cacheKey) (rec answerRecord, err error) {
+	b, err := os.ReadFile(st.recordPath(k))
+	if err != nil {
+		return rec, err
+	}
+	const head = 2*sha256.Size + 1 // the checksum line
+	if sum := sha256.Sum256(b[min(head, len(b)):]); len(b) < head || string(b[:head]) != hex.EncodeToString(sum[:])+"\n" {
+		return rec, fmt.Errorf("server: answer record of %s is torn: it fails its own checksum", k)
+	}
+	if err := json.Unmarshal(b[head:], &rec); err != nil || rec.Answer.Key != string(k) {
+		return rec, fmt.Errorf("server: answer record of %s is another's: names key %q (decoding: %v)", k, rec.Answer.Key, err)
+	}
+	return rec, nil
 }
 
 // load decodes the cached space for k, for the one reader that wants
@@ -525,10 +544,11 @@ func (st *diskStore) remove(k cacheKey) {
 // space-file writer's temp file + fsync + rename, then published's
 // record and directory fsync, so a crash never leaves a torn entry and a
 // power loss never loses a published one. The checkpoint file the
-// enumeration wrote along the way is superseded and removed. ent is the
-// answer admit computed from r.
-func (st *diskStore) put(k cacheKey, r *search.Result, ent entry) error {
-	if err := r.SaveFile(st.path(k)); err != nil {
+// enumeration wrote along the way is superseded and removed. b is the
+// space's canonical bytes and ent the answer admit computed, both from
+// the one render whose hash ent carries.
+func (st *diskStore) put(k cacheKey, b []byte, ent entry) error {
+	if err := writeBytes(st.path(k), b, true); err != nil {
 		return fmt.Errorf("server: cache write: %w", err)
 	}
 	return st.published(k, ent)
@@ -592,7 +612,7 @@ func (st *diskStore) readCkpt(k cacheKey) ([]byte, error) {
 // checkpoint lost to power failure only costs re-enumeration. The slot
 // enters the eviction budget.
 func (st *diskStore) writeCkpt(k cacheKey, b []byte) error {
-	if err := writeBytes(st.ckptPath(k), b); err != nil {
+	if err := writeBytes(st.ckptPath(k), b, false); err != nil {
 		return fmt.Errorf("server: checkpoint write: %w", err)
 	}
 	ek := ckptEntryKey(k)

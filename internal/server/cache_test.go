@@ -21,12 +21,22 @@ func putSpaces(t *testing.T, st *diskStore, srcs map[string]string, order []stri
 		fn := mustCompile(t, srcs[name], name)
 		res := search.Run(fn, search.Options{})
 		k := requestKey(fn, normOptions{})
-		if err := st.put(k, res, keyedEntry(k)); err != nil {
+		if err := st.put(k, canonicalBytes(t, res), keyedEntry(k)); err != nil {
 			t.Fatal(err)
 		}
 		keys = append(keys, k)
 	}
 	return keys
+}
+
+// canonicalBytes is what runFlight hands put.
+func canonicalBytes(t *testing.T, res *search.Result) []byte {
+	t.Helper()
+	b, err := res.CanonicalBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // keyedEntry is the least an answer record must carry to check out.
@@ -313,31 +323,48 @@ func TestDiskStoreRemovesOrphanedTempFiles(t *testing.T) {
 // TestDiskStoreAccountsPublishedFileWhenDirSyncFails: once the rename
 // has happened the file is in the store, whatever the directory fsync
 // then reports. Both ways of publishing share that tail, so both must
-// return the error with the budget already counting the file.
+// return the error with the budget already counting the file. The same
+// holds when the entry cannot be read back to seal it: no record is
+// written, nothing answers, and the entry still counts (a directory in
+// the entry's place stands in for the read error).
 func TestDiskStoreAccountsPublishedFileWhenDirSyncFails(t *testing.T) {
 	fn := mustCompile(t, clampSrc, "clamp")
 	k := requestKey(fn, normOptions{})
-	for name, publish := range map[string]func(*diskStore) error{
-		"put": func(st *diskStore) error {
-			return st.put(k, search.Run(fn, search.Options{}), keyedEntry(k))
-		},
-		"promote": func(st *diskStore) error {
+	for name, row := range map[string]struct {
+		publish func(*diskStore) error
+		faults  string
+		sealed  bool
+	}{
+		"put": {func(st *diskStore) error {
+			return st.put(k, canonicalBytes(t, search.Run(fn, search.Options{})), keyedEntry(k))
+		}, "dirsyncfail=1", true},
+		"promote": {func(st *diskStore) error {
 			return st.promote(k, search.Run(fn, search.Options{CheckpointPath: st.ckptPath(k)}).SpacePath, keyedEntry(k))
-		},
+		}, "dirsyncfail=1", true},
+		"unreadable entry": {func(st *diskStore) error {
+			if err := os.Mkdir(st.path(k), 0o755); err != nil {
+				return err
+			}
+			return st.published(k, keyedEntry(k))
+		}, "", false},
 	} {
 		st, err := newDiskStore(t.TempDir(), 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.faults = faultinject.MustParse("dirsyncfail=1")
-		if err := publish(st); !errors.Is(err, faultinject.ErrDirSync) {
+		st.faults = faultinject.MustParse(row.faults)
+		err = row.publish(st)
+		if row.sealed && !errors.Is(err, faultinject.ErrDirSync) {
 			t.Fatalf("%s: err = %v, want the injected directory fsync failure", name, err)
 		}
-		if _, err := st.answer(k); err != nil {
-			t.Fatalf("%s: published pair does not answer: %v", name, err)
+		if !row.sealed && (err == nil || !strings.Contains(err.Error(), "cache write")) {
+			t.Fatalf("%s: err = %v, want the failure to read the entry back", name, err)
 		}
-		if got, want := st.diskBytes(), dirBytes(t, st.dir); got != want {
-			t.Fatalf("%s: budget tracks %d bytes, the pair on disk has %d", name, got, want)
+		if _, err := st.answer(k); (err == nil) != row.sealed {
+			t.Fatalf("%s: answer err = %v, want a sealed pair: %v", name, err, row.sealed)
+		}
+		if got, want := st.diskBytes(), dirBytes(t, st.dir); got != want || got == 0 {
+			t.Fatalf("%s: budget tracks %d bytes, what is on disk has %d", name, got, want)
 		}
 		if _, err := os.Stat(st.ckptPath(k)); !os.IsNotExist(err) {
 			t.Fatalf("%s: checkpoint slot not consumed (err=%v)", name, err)

@@ -336,3 +336,70 @@ func TestSpaceDownloadHasALength(t *testing.T) {
 		t.Error("the served body is not the stored entry")
 	}
 }
+
+// TestSpaceDownloadIsTagged: the record's SHA-256 of the stored bytes
+// goes out as a strong entity tag, so a client that has the space gets
+// 304 and a range is held to the tag; a key whose record is gone serves
+// the same bytes untagged.
+func TestSpaceDownloadIsTagged(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	status, doc, _ := post(t, ts, srcBody(clampSrc))
+	if status != http.StatusOK {
+		t.Fatalf("enumerate: status %d: %v", status, doc)
+	}
+	key := doc["key"].(string)
+	stored, err := os.ReadFile(s.store.path(cacheKey(key)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(header ...string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/space/"+key, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(header); i += 2 {
+			req.Header.Set(header[i], header[i+1])
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body bytes.Buffer
+		if _, err := body.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp, body.Bytes()
+	}
+
+	tag := `"` + hexSum(stored) + `"`
+	resp, body := get()
+	if got := resp.Header.Get("ETag"); got != tag || tag != `"`+doc["space_hash"].(string)+`"` {
+		t.Fatalf("ETag %s, the stored bytes hash to %s and the answer's space_hash is %v", got, tag, doc["space_hash"])
+	}
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, stored) {
+		t.Errorf("plain GET: status %d, %d bytes; want 200 and the stored %d", resp.StatusCode, len(body), len(stored))
+	}
+	if resp, body := get("If-None-Match", tag); resp.StatusCode != http.StatusNotModified || len(body) != 0 {
+		t.Errorf("If-None-Match with the tag: status %d, %d bytes; want 304 and none", resp.StatusCode, len(body))
+	}
+	if resp, _ := get("If-None-Match", `"0000"`); resp.StatusCode != http.StatusOK {
+		t.Errorf("If-None-Match with another tag: status %d, want 200", resp.StatusCode)
+	}
+	if resp, body := get("Range", "bytes=0-9", "If-Range", tag); resp.StatusCode != http.StatusPartialContent || !bytes.Equal(body, stored[:10]) {
+		t.Errorf("If-Range with the tag: status %d, %d bytes; want 206 and the first 10", resp.StatusCode, len(body))
+	}
+	if resp, body := get("Range", "bytes=0-9", "If-Range", `"0000"`); resp.StatusCode != http.StatusOK || !bytes.Equal(body, stored) {
+		t.Errorf("If-Range with another tag: status %d, %d bytes; want 200 and the whole entry", resp.StatusCode, len(body))
+	}
+
+	if err := os.Remove(s.store.recordPath(cacheKey(key))); err != nil {
+		t.Fatal(err)
+	}
+	resp, body = get("If-None-Match", tag)
+	if _, tagged := resp.Header["Etag"]; tagged || resp.StatusCode != http.StatusOK || !bytes.Equal(body, stored) {
+		t.Errorf("without a record: ETag %q, status %d, %d bytes; want the stored bytes, untagged",
+			resp.Header.Get("ETag"), resp.StatusCode, len(body))
+	}
+}

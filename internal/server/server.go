@@ -7,8 +7,9 @@
 // by the SHA-256 of the canonical function bytes and the normalized
 // options.
 //
-// The cached files are exactly what cmd/explore -save writes, so a
-// served space can be audited byte-for-byte with spacedot -hash.
+// The cached files are the spaces' canonical bytes — what cmd/explore
+// -save writes, wall-clock fields zeroed — so sha256sum of a served
+// space is its space_hash, the value spacedot -hash prints.
 // Identical concurrent requests coalesce onto one enumeration; a full
 // queue sheds with 429 + Retry-After; shutdown checkpoints in-flight
 // searches through the search engine's own machinery so their partial
@@ -16,7 +17,10 @@
 package server
 
 import (
+	"cmp"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -533,20 +537,45 @@ func (s *Server) runFlight(fl *flight) {
 		return
 	}
 	publishStart := time.Now()
-	defer func() { fl.publish = time.Since(publishStart) }()
-	if fl.err = s.admit(fl.key, res, fl.hash, &fl.ent); fl.err != nil {
-		return
+	fl.err = s.publish(fl, res)
+	fl.publish = time.Since(publishStart)
+}
+
+// publish admits fl's finished space and puts it in the disk store,
+// rendering it at most once: what is stored is what is hashed. The
+// engine's final write already did both (SpacePath, SpaceHash), and
+// its file is renamed into place. A space no engine wrote — an equiv
+// flight, a merged or derived space, a fleet completion (whose hash
+// handleDistComplete verified) — is rendered here, canonically, and
+// those bytes are hashed and put. A finished space found in the slot
+// may be an older build's bytes, timing included: it is named by
+// rendering it and promoted as it is.
+func (s *Server) publish(fl *flight, res *search.Result) (err error) {
+	hash := cmp.Or(fl.hash, res.SpaceHash)
+	var canon []byte
+	if res.SpacePath == "" {
+		if canon, err = res.CanonicalBytes(); hash == "" {
+			sum := sha256.Sum256(canon)
+			hash = hex.EncodeToString(sum[:])
+		}
+	} else if hash == "" {
+		hash, err = res.CanonicalHash()
 	}
+	if err != nil {
+		return fmt.Errorf("hashing space: %w", err)
+	}
+	s.admit(fl.key, res, hash, &fl.ent)
 	if res.SpacePath != "" {
 		err = s.store.promote(fl.key, res.SpacePath, fl.ent)
 	} else {
-		err = s.store.put(fl.key, res, fl.ent)
+		err = s.store.put(fl.key, canon, fl.ent)
 	}
 	if err != nil {
 		// Served from memory anyway; the disk slot heals on a future
 		// enumeration.
 		s.reg.Counter("server.cache.write_errors").Inc()
 	}
+	return nil
 }
 
 // dropCorrupt removes k's entry and answer record, found damaged by the
@@ -650,16 +679,9 @@ func (s *Server) finishFlight(fl *flight, res *search.Result) (*search.Result, e
 // and caches it in the LRU; the publish writes the same entry beside the
 // space, which is what a later process answers from. The space itself
 // is the caller's to drop (the interaction statistics read it back from
-// the disk store, see handleStats). hash is res's canonical hash when
-// the caller has already verified it (a fleet completion); "" computes
-// it.
-func (s *Server) admit(key cacheKey, res *search.Result, hash string, out *entry) error {
-	if hash == "" {
-		var err error
-		if hash, err = res.CanonicalHash(); err != nil {
-			return fmt.Errorf("hashing space: %w", err)
-		}
-	}
+// the disk store, see handleStats). hash is res's canonical hash, which
+// publish has from whoever rendered the space.
+func (s *Server) admit(key cacheKey, res *search.Result, hash string, out *entry) {
 	*out = entry{stats: res.Stats, checkpoint: res.CheckpointTime, answer: enumerateResponse{
 		Func:            res.FuncName,
 		Key:             string(key),
@@ -673,7 +695,6 @@ func (s *Server) admit(key cacheKey, res *search.Result, hash string, out *entry
 		out.answer.EquivRaw, out.answer.EquivMerged = eq.Raw, eq.Merged
 	}
 	s.mem.add(key, *out)
-	return nil
 }
 
 func (s *Server) handleSpace(w http.ResponseWriter, r *http.Request) {
@@ -691,6 +712,16 @@ func (s *Server) handleSpace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/gzip")
 	w.Header().Set("Content-Disposition",
 		fmt.Sprintf("attachment; filename=%q", hash[:12]+spaceSuffix))
+	// The record's SHA-256 of the stored bytes is the entity tag — for an
+	// entry this build wrote, the space_hash itself — so ServeContent
+	// answers If-None-Match with 304 and holds If-Range to it. A key whose
+	// record does not check out, or does not describe a file this long,
+	// goes out untagged.
+	if rec, err := s.store.record(cacheKey(hash)); err == nil {
+		if fi, err := f.Stat(); err == nil && fi.Size() == rec.EntrySize {
+			w.Header().Set("ETag", `"`+rec.EntrySHA256+`"`)
+		}
+	}
 	// ServeContent sends the file's size as Content-Length, so the body
 	// is not chunked.
 	http.ServeContent(w, r, "", time.Time{}, f)
