@@ -16,6 +16,7 @@ package dataflow
 
 import (
 	"encoding/binary"
+	"sync"
 
 	"repro/internal/rtl"
 )
@@ -71,17 +72,23 @@ const (
 	posNone  = -2
 )
 
-// equivEncoder carries the per-function canonicalization state.
+// equivEncoder carries the per-function canonicalization state. An
+// encoder is pooled with all of its storage, the value numbering's
+// included, so a warm EquivEncode allocates only the graph it builds.
 type equivEncoder struct {
-	g        *rtl.CFG
-	v        *vnBuilder
-	fwd      []int // forwarder resolution per block, labelNone until memoized
-	order    []int // canonical visit order (layout positions)
-	label    []int // layout position -> canonical label, -1 unassigned
-	regs     map[rtl.Reg]uint16
-	dst      []byte
-	aVN, bVN []int // operand value numbers of the current block
+	g           *rtl.CFG
+	v           vnBuilder
+	fwd         []int    // forwarder resolution per block, fwdUnknown until memoized
+	order       []int    // canonical visit order (layout positions)
+	label       []int    // layout position -> canonical label, -1 unassigned
+	path, stack []int    // resolveForwarder's and visit's scratch
+	regs        []uint32 // by register: canonical number + 1, 0 while it has none
+	nextReg     uint32
+	dst         []byte
+	aVN, bVN    []int32 // operand value numbers of the current block
 }
+
+var encoders = sync.Pool{New: func() any { return new(equivEncoder) }}
 
 const fwdUnknown = -2
 
@@ -92,7 +99,7 @@ func (e *equivEncoder) resolveForwarder(bpos int) int {
 	if r := e.fwd[bpos]; r != fwdUnknown {
 		return r
 	}
-	path := []int{}
+	path := e.path[:0]
 	cur := bpos
 	for {
 		b := e.g.F.Blocks[cur]
@@ -115,6 +122,7 @@ func (e *equivEncoder) resolveForwarder(bpos int) int {
 	for _, p := range path {
 		e.fwd[p] = cur
 	}
+	e.path = path
 	if e.fwd[bpos] == fwdUnknown || e.fwd[bpos] == -3 {
 		e.fwd[bpos] = cur
 	}
@@ -154,7 +162,7 @@ func (e *equivEncoder) visit(start int) {
 	if start < 0 {
 		return
 	}
-	stack := []int{start}
+	stack := append(e.stack[:0], start)
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -172,15 +180,22 @@ func (e *equivEncoder) visit(start int) {
 			stack = append(stack, taken, fall)
 		}
 	}
+	e.stack = stack
 }
 
+// reg numbers registers in first-encounter order, mirroring
+// fingerprint's fixed codes for the structural ones (SP, IC, none): the
+// first other register is number 3.
 func (e *equivEncoder) reg(r rtl.Reg) uint16 {
-	if n, ok := e.regs[r]; ok {
-		return n
+	if r == rtl.RegNone {
+		return 0xFFFF
 	}
-	n := uint16(len(e.regs))
-	e.regs[r] = n
-	return n
+	c := &e.regs[r]
+	if *c == 0 {
+		*c = e.nextReg + 1
+		e.nextReg++
+	}
+	return uint16(*c - 1)
 }
 
 func (e *equivEncoder) u16(v uint16) { e.dst = binary.LittleEndian.AppendUint16(e.dst, v) }
@@ -241,22 +256,22 @@ func (e *equivEncoder) instr(in *rtl.Instr, idx int) {
 // semantically equivalent (see the package comment on one-sidedness);
 // the search's third index tier merges them into one node.
 func EquivEncode(dst []byte, f *rtl.Func) []byte {
+	e := encoders.Get().(*equivEncoder)
+	dst = e.encode(dst, f)
+	e.g, e.dst = nil, nil
+	e.v.release()
+	encoders.Put(e)
+	return dst
+}
+
+func (e *equivEncoder) encode(dst []byte, f *rtl.Func) []byte {
 	g := rtl.ComputeCFG(f)
 	n := len(f.Blocks)
-	e := &equivEncoder{
-		g:     g,
-		fwd:   make([]int, n),
-		label: make([]int, n),
-		regs:  make(map[rtl.Reg]uint16, 16),
-		dst:   dst,
-	}
+	e.g, e.dst, e.order = g, dst, e.order[:0]
+	e.fwd, e.label = rtl.Resize(e.fwd, n), rtl.Resize(e.label, n)
 	for i := 0; i < n; i++ {
 		e.fwd[i], e.label[i] = fwdUnknown, -1
 	}
-	// Mirror fingerprint's fixed codes for structural registers.
-	e.regs[rtl.RegSP] = 0xFFF0
-	e.regs[rtl.RegIC] = 0xFFF1
-	e.regs[rtl.RegNone] = 0xFFFF
 
 	e.dst = append(e.dst, byte(f.NArgs))
 	if f.Returns {
@@ -276,11 +291,13 @@ func EquivEncode(dst []byte, f *rtl.Func) []byte {
 	}
 	e.visit(start)
 
-	e.v = newVNBuilder(g)
-	emitted := func(p int) bool { return e.v.states[p] != nil }
+	v := &e.v
+	v.reset(g)
+	e.regs = rtl.Resize(e.regs, v.width)
+	clear(e.regs)
+	e.regs[rtl.RegSP], e.regs[rtl.RegIC], e.nextReg = 0xFFF0+1, 0xFFF1+1, 3
 	for _, bpos := range e.order {
-		parent := e.v.effectiveParent(bpos, emitted)
-		st := e.v.entryState(bpos, parent)
+		st := v.enter(bpos, v.effectiveParent(bpos))
 		b := f.Blocks[bpos]
 		instrs := b.Instrs
 		kind, taken, fall := e.semanticTerm(bpos)
@@ -288,15 +305,11 @@ func EquivEncode(dst []byte, f *rtl.Func) []byte {
 			instrs = instrs[:len(instrs)-1]
 		}
 		// Value-number the block (terminator included, for IC).
-		if cap(e.aVN) < len(b.Instrs) {
-			e.aVN = make([]int, len(b.Instrs))
-			e.bVN = make([]int, len(b.Instrs))
-		}
-		e.aVN, e.bVN = e.aVN[:len(b.Instrs)], e.bVN[:len(b.Instrs)]
+		e.aVN, e.bVN = rtl.Resize(e.aVN, len(b.Instrs)), rtl.Resize(e.bVN, len(b.Instrs))
 		for i := range b.Instrs {
-			_, e.aVN[i], e.bVN[i] = e.v.instrVN(st, &b.Instrs[i])
+			_, e.aVN[i], e.bVN[i] = v.instrVN(st, &b.Instrs[i])
 		}
-		e.v.states[bpos] = st
+		v.done[bpos] = true
 
 		e.u16(uint16(e.label[bpos]))
 		e.u16(uint16(len(instrs)))

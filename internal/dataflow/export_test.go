@@ -2,6 +2,10 @@ package dataflow
 
 import "repro/internal/rtl"
 
+// RefEquivEncode is the map-based canonicalizer EquivEncode replaced
+// (equiv_ref_test.go), for the tests that hold the two byte-equal.
+var RefEquivEncode = refEquivEncode
+
 // NumberValues is the tests' way to the value numbering under
 // EquivEncode: it numbers every reachable instruction of g, visiting
 // blocks in reverse postorder (a block's dominators come before it),
@@ -9,20 +13,21 @@ import "repro/internal/rtl"
 // destination, -1 where it defines no single register. Unreachable
 // blocks have nil rows.
 func NumberValues(g *rtl.CFG) [][]int {
-	v := newVNBuilder(g)
+	v := new(vnBuilder)
+	v.reset(g)
 	vn := make([][]int, len(g.Succs))
 	for _, bpos := range g.RPO() {
 		if !v.reach[bpos] {
 			continue
 		}
-		parent := v.effectiveParent(bpos, func(p int) bool { return v.states[p] != nil })
-		st := v.entryState(bpos, parent)
+		st := v.enter(bpos, v.effectiveParent(bpos))
 		b := g.F.Blocks[bpos]
 		vn[bpos] = make([]int, len(b.Instrs))
 		for i := range b.Instrs {
-			vn[bpos][i], _, _ = v.instrVN(st, &b.Instrs[i])
+			d, _, _ := v.instrVN(st, &b.Instrs[i])
+			vn[bpos][i] = int(d)
 		}
-		v.states[bpos] = st
+		v.done[bpos] = true
 	}
 	return vn
 }

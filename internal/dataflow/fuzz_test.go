@@ -18,7 +18,9 @@ import (
 // permutations and random semantics-preserving block reorderings.
 // Each fuzz input compiles a random mini-C program, optionally runs a
 // random phase prefix to diversify the instance shapes, applies the
-// two transformation legs and asserts the key never moves.
+// two transformation legs and asserts the key never moves — and that
+// every key it computes is the reference encoder's, byte for byte
+// (equiv_ref_test.go).
 func FuzzEquivInvariance(f *testing.F) {
 	for seed := int64(0); seed < 6; seed++ {
 		f.Add(seed, seed*131+7, uint8(seed%4))
@@ -32,6 +34,13 @@ func FuzzEquivInvariance(f *testing.F) {
 			t.Skipf("generated program does not compile: %v", err)
 		}
 		rng := rand.New(rand.NewSource(xformSeed))
+		key := func(fn *rtl.Func) string {
+			k := dataflow.EquivKey(fn)
+			if ref := dataflow.RefEquivEncode(nil, fn); k != string(ref) {
+				t.Fatalf("%s: EquivEncode differs from the reference\n got %x\nwant %x\n%s", fn.Name, k, ref, fn)
+			}
+			return k
+		}
 		for _, fn := range prog.Funcs {
 			// Diversify the instance: a short random phase prefix.
 			var st opt.State
@@ -41,11 +50,11 @@ func FuzzEquivInvariance(f *testing.F) {
 			if err := rtl.Validate(fn); err != nil {
 				t.Fatalf("%s: phase prefix broke the function: %v", fn.Name, err)
 			}
-			want := dataflow.EquivKey(fn)
+			want := key(fn)
 
 			regs := fn.Clone()
 			permuteRegs(regs, rng)
-			if got := dataflow.EquivKey(regs); got != want {
+			if got := key(regs); got != want {
 				t.Errorf("%s: register permutation changed the equivalence key", fn.Name)
 			}
 
@@ -54,7 +63,7 @@ func FuzzEquivInvariance(f *testing.F) {
 			if err := rtl.Validate(blocks); err != nil {
 				t.Fatalf("%s: block shuffle broke the function: %v", fn.Name, err)
 			}
-			if got := dataflow.EquivKey(blocks); got != want {
+			if got := key(blocks); got != want {
 				t.Errorf("%s: block reordering changed the equivalence key\nbefore:\n%s\nafter:\n%s",
 					fn.Name, fn, blocks)
 			}
@@ -62,7 +71,7 @@ func FuzzEquivInvariance(f *testing.F) {
 			both := fn.Clone()
 			permuteRegs(both, rng)
 			shuffleBlocks(both, rng)
-			if got := dataflow.EquivKey(both); got != want {
+			if got := key(both); got != want {
 				t.Errorf("%s: combined transformation changed the equivalence key", fn.Name)
 			}
 		}

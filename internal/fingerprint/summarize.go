@@ -14,12 +14,15 @@ import (
 )
 
 // Buffer holds the reusable byte slices filled by SummarizeInto: the
-// full canonical encoding and the control-flow key encoding. Obtain
-// one with GetBuffer and return it with PutBuffer once the bytes have
-// been consumed (copied or compared).
+// full canonical encoding and the control-flow key encoding. Equiv is
+// its holder's to fill — SummarizeInto leaves it alone — so that a key
+// the holder derives besides (the search's equivalence class key) is
+// pooled with the rest. Obtain one with GetBuffer and return it with
+// PutBuffer once the bytes have been consumed (copied or compared).
 type Buffer struct {
-	Enc []byte
-	CF  []byte
+	Enc   []byte
+	CF    []byte
+	Equiv []byte
 }
 
 var bufferPool = sync.Pool{New: func() any { return new(Buffer) }}

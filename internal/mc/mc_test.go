@@ -157,6 +157,27 @@ int f(int x) {
 	}
 }
 
+// TestCompileRefusesLongSymbols: a call or a global address names its
+// symbol in the instruction, and a name longer than rtl.MaxSymLen fails
+// rtl.Validate, so no instance that reaches the enumeration carries one.
+func TestCompileRefusesLongSymbols(t *testing.T) {
+	for _, n := range []int{rtl.MaxSymLen, rtl.MaxSymLen + 1} {
+		name := "g" + strings.Repeat("x", n-1)
+		for _, src := range []string{
+			"int " + name + "(int x) { return x; }\nint f(int y) { return " + name + "(y); }\n",
+			"int " + name + "[4];\nint f(int y) { return " + name + "[y]; }\n",
+		} {
+			_, err := mc.Compile(src)
+			if n <= rtl.MaxSymLen && err != nil {
+				t.Fatalf("a %d-byte name: %v", n, err)
+			}
+			if n > rtl.MaxSymLen && (err == nil || !strings.Contains(err.Error(), "symbol of")) {
+				t.Fatalf("a %d-byte name compiled (error %v)", n, err)
+			}
+		}
+	}
+}
+
 func TestCodegenScalarSlotMarking(t *testing.T) {
 	prog, err := mc.Compile(`
 int f(int x) {

@@ -201,6 +201,57 @@ func TestValidateCatchesBrokenFunctions(t *testing.T) {
 	}
 }
 
+// TestValidateSymbolLength: the instance keys spell a symbol's length in
+// one byte, so a symbol the keys could not tell from another is invalid
+// on every instruction that carries one, and no other instruction's Sym
+// is looked at.
+func TestValidateSymbolLength(t *testing.T) {
+	long, longest := strings.Repeat("s", rtl.MaxSymLen+1), strings.Repeat("s", rtl.MaxSymLen)
+	cases := []struct {
+		name  string
+		in    rtl.Instr
+		valid bool
+	}{
+		{"movhi, longest", rtl.Instr{Op: rtl.OpMovHi, Dst: rtl.RegR12, Sym: longest}, true},
+		{"movhi, too long", rtl.Instr{Op: rtl.OpMovHi, Dst: rtl.RegR12, Sym: long}, false},
+		{"addlo, longest", rtl.Instr{Op: rtl.OpAddLo, Dst: rtl.RegR12, A: rtl.R(rtl.RegR12), Sym: longest}, true},
+		{"addlo, too long", rtl.Instr{Op: rtl.OpAddLo, Dst: rtl.RegR12, A: rtl.R(rtl.RegR12), Sym: long}, false},
+		{"call, longest", rtl.Instr{Op: rtl.OpCall, Sym: longest}, true},
+		{"call, too long", rtl.Instr{Op: rtl.OpCall, Sym: long}, false},
+		{"mov, unused sym", rtl.Instr{Op: rtl.OpMov, Dst: rtl.RegR0, A: rtl.Imm(1), Sym: long}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := rtl.NewFunc("f", 0, false)
+			f.Entry().Instrs = append(f.Entry().Instrs, tc.in, rtl.Instr{Op: rtl.OpRet})
+			err := rtl.Validate(f)
+			if tc.valid && err != nil {
+				t.Fatalf("rejected: %v", err)
+			}
+			if !tc.valid && (err == nil || !strings.Contains(err.Error(), "symbol of 256 bytes")) {
+				t.Fatalf("error %v, want the symbol's length named", err)
+			}
+		})
+	}
+}
+
+// TestValidateUncheckedFunction: Validate is the test a decoded function
+// passes before anything walks it, so block IDs no graph could index
+// are violations, not panics, and a NextBlockID far beyond the blocks
+// is no table size (a graph's ID index would be 8 TiB here).
+func TestValidateUncheckedFunction(t *testing.T) {
+	f := rtl.NewFunc("f", 0, false)
+	f.Entry().Instrs = append(f.Entry().Instrs, rtl.Instr{Op: rtl.OpRet})
+	f.NextBlockID = 1 << 40
+	if err := rtl.Validate(f); err != nil {
+		t.Fatalf("a vast NextBlockID is no violation: %v", err)
+	}
+	f.Blocks[0].ID = -1
+	if err := rtl.Validate(f); err == nil || !strings.Contains(err.Error(), "outside [0, NextBlockID") {
+		t.Fatalf("negative block id: error %v", err)
+	}
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	f := loopFunc()
 	g := f.Clone()

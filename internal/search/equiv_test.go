@@ -2,6 +2,7 @@ package search_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -35,43 +36,58 @@ func mibenchFunc(t *testing.T, bench, fn string) *rtl.Func {
 // produced before the equivalence tier existed. A change to any of
 // these hashes means the default (Equiv off) enumeration is no longer
 // byte-identical to what it was — which the equivalence tier must
-// never cause.
+// never cause. The equiv rows pin the collapsed spaces the same way
+// (bench/expected_hashes.json holds the same values), rle_block being
+// the one that collapses. Every row holds at one worker and at four,
+// where workers skip the class keys of slots already committed.
 func TestDefaultSpaceParity(t *testing.T) {
 	cases := []struct {
 		bench, fn string
+		equiv     bool
 		nodes     int
 		hash      string
 	}{
-		{"dijkstra", "enqueue", 7, "5713b396f094d43c313d6b028b7fd1ccb624c81016a9fbd6553b42f46115c5f2"},
-		{"sha", "rotl", 37, "de70226c5c516348792bcefeccb2bc9665552583cf90abbad4b8a1b19d4c8640"},
-		{"stringsearch", "tolower_c", 20, "177f61126d4f656e0f363c5aa25c41d5f68e4d868b1952c58d1c85cfa76f452a"},
-		{"sha", "sha_transform", 3844, "cfa7ea149006491c342c20e0e53678f55d978f9b27e1bbda6d060d6e61b7819b"},
+		{"dijkstra", "enqueue", false, 7, "5713b396f094d43c313d6b028b7fd1ccb624c81016a9fbd6553b42f46115c5f2"},
+		{"sha", "rotl", false, 37, "de70226c5c516348792bcefeccb2bc9665552583cf90abbad4b8a1b19d4c8640"},
+		{"stringsearch", "tolower_c", false, 20, "177f61126d4f656e0f363c5aa25c41d5f68e4d868b1952c58d1c85cfa76f452a"},
+		{"sha", "sha_transform", false, 3844, "cfa7ea149006491c342c20e0e53678f55d978f9b27e1bbda6d060d6e61b7819b"},
+		{"sha", "rotl", true, 37, "dfe9f07311cf3a86a934a2b0f8a76d3a6cfd08b7f680c11af36fc200b7b10fa0"},
+		{"stringsearch", "tolower_c", true, 20, "ce2a0dd601419ee57588e9777f9ee6fc5f75a6fdd575491d0003aeffb9a62079"},
+		{"jpeg", "get_code", true, 1426, "109c1433be3f83bc9bf41d95faf0ba50ede277ede545f796806cabf33bc8d266"},
+		{"jpeg", "rle_block", true, 2443, "d513cf5b3b71496071fc95df8b29b221c8bf66d41dfcbeb11d95c6bea366f21e"},
 	}
 	for _, tc := range cases {
-		if testing.Short() && tc.nodes > 1000 {
+		if testing.Short() && tc.nodes > 1000 && tc.fn != "rle_block" {
 			continue
 		}
 		f := mibenchFunc(t, tc.bench, tc.fn)
-		r := search.Run(f, search.Options{MaxNodes: 6000})
-		if r.Aborted {
-			t.Fatalf("%s/%s: aborted: %s", tc.bench, tc.fn, r.AbortReason)
-		}
-		if len(r.Nodes) != tc.nodes {
-			t.Errorf("%s/%s: %d nodes, want %d", tc.bench, tc.fn, len(r.Nodes), tc.nodes)
-		}
-		h, err := r.CanonicalHash()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h != tc.hash {
-			t.Errorf("%s/%s: canonical hash drifted\n got %s\nwant %s", tc.bench, tc.fn, h, tc.hash)
-		}
-		if r.Equiv != nil {
-			t.Errorf("%s/%s: Equiv stats present on a default run", tc.bench, tc.fn)
-		}
-		for _, n := range r.Nodes {
-			if n.EquivRaw != 0 {
-				t.Fatalf("%s/%s: node %d has EquivRaw=%d on a default run", tc.bench, tc.fn, n.ID, n.EquivRaw)
+		for _, w := range []int{1, 4} {
+			name := fmt.Sprintf("%s/%s equiv=%v workers=%d", tc.bench, tc.fn, tc.equiv, w)
+			r := search.Run(f, search.Options{MaxNodes: 6000, Equiv: tc.equiv, Workers: w})
+			if r.Aborted {
+				t.Fatalf("%s: aborted: %s", name, r.AbortReason)
+			}
+			if len(r.Nodes) != tc.nodes {
+				t.Errorf("%s: %d nodes, want %d", name, len(r.Nodes), tc.nodes)
+			}
+			h, err := r.CanonicalHash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h != tc.hash {
+				t.Errorf("%s: canonical hash drifted\n got %s\nwant %s", name, h, tc.hash)
+			}
+			if tc.equiv {
+				checkEquivInvariants(t, name, r)
+				continue
+			}
+			if r.Equiv != nil {
+				t.Errorf("%s: Equiv stats present on a default run", name)
+			}
+			for _, n := range r.Nodes {
+				if n.EquivRaw != 0 {
+					t.Fatalf("%s: node %d has EquivRaw=%d on a default run", name, n.ID, n.EquivRaw)
+				}
 			}
 		}
 	}

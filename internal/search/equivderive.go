@@ -3,8 +3,6 @@ package search
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/dataflow"
 )
 
 // DeriveEquiv computes the equivalence-collapsed space of a complete
@@ -69,7 +67,7 @@ func DeriveEquiv(full *Result, opts Options) (*Result, error) {
 	src, slot := full.Nodes[0], &oracle.nodes[ids[0]].slot
 	fn := full.root.Clone()
 	e.seedRoot(&outcome{fn: fn, fp: src.FP, st: src.State, cf: src.CFKey, checkErr: src.CheckErr,
-		equiv: dataflow.EquivEncode(nil, fn)}, slot.key)
+		equiv: equivKey(nil, slot.key[0], fn)}, slot.key)
 	slot.id = 0
 	oracle.iid = []int32{ids[0]}
 	if _, err := e.run(); err != nil {

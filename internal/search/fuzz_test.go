@@ -62,9 +62,11 @@ func FuzzLoad(f *testing.F) {
 		}
 	}
 	// The least Load accepts, small enough for byte mutations to land
-	// on structure: one node, and one node with itself as frontier.
-	f.Add([]byte(`{"version":1,"root":{},"nodes":[{"key":"AA==","cf_key":""}]}`))
-	f.Add([]byte(`{"version":3,"func":"f","equiv":{"raw":1,"merged":0},"root":{},"nodes":[{"key":"AA==","cf_key":"",` +
+	// on structure: one node, and one node with itself as frontier, over
+	// the least valid root (one block, a return: Op 24).
+	const root = `"root":{"Blocks":[{"ID":0,"Instrs":[{"Op":24}]}],"NextBlockID":1}`
+	f.Add([]byte(`{"version":1,` + root + `,"nodes":[{"key":"AA==","cf_key":""}]}`))
+	f.Add([]byte(`{"version":3,"func":"f","equiv":{"raw":1,"merged":0},` + root + `,"nodes":[{"key":"AA==","cf_key":"",` +
 		`"edges":[{"Phase":98,"To":0}]}],"checkpoint":{"frontier":[0,0],"bodies":[{},{}],"saved_at_unix_ns":-1}}`))
 
 	f.Fuzz(func(t *testing.T, doc []byte) {

@@ -2,6 +2,7 @@ package search
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/fingerprint"
 )
@@ -42,16 +43,28 @@ func stripeFor(fp fingerprint.FP) uint32 { return fp.CRC & (numStripes - 1) }
 //     the string — so a key is stored once however often it is probed.
 //   - id is owned by the committer: -1 until the first attempt that
 //     references the slot commits, then the new node's ID or — when the
-//     equivalence tier folded the spelling — its class node's. Workers
-//     never read it; commits happen in attempt order, so "first committed
-//     reference" is exactly the serial engine's "first discovery". A slot
-//     parked by a level that aborted before committing it just stays at
-//     -1: the aborted run ends there, and a resume rebuilds the index
-//     from the node table.
+//     equivalence tier folded the spelling — its class node's. The
+//     committer is its only writer (assign); commits happen in attempt
+//     order, so "first committed reference" is exactly the serial
+//     engine's "first discovery". Workers read it atomically (assigned),
+//     as a hint for skipping work only: an ID, once there, never changes,
+//     so a worker that sees one knows the committer will merge the
+//     attempt without reading its class key; one that sees -1 computes
+//     the key, which a commit in between merely wastes. A slot parked by
+//     a level that aborted before committing it just stays at -1: the
+//     aborted run ends there, and a resume rebuilds the index from the
+//     node table.
 type slot struct {
 	key string
 	id  int32
 }
+
+// assign gives the slot its ID: the committer's write.
+func (p *slot) assign(id int32) { atomic.StoreInt32(&p.id, id) }
+
+// assigned reports whether a commit has given the slot its ID: a
+// worker's read.
+func (p *slot) assigned() bool { return atomic.LoadInt32(&p.id) >= 0 }
 
 // slotBytes is what a slot costs beyond its key bytes: the struct and
 // the pointer its bucket holds to it.

@@ -37,8 +37,9 @@ type RunStats struct {
 	Edges       int `json:"edges"`
 	Levels      int `json:"levels"`
 	MaxFrontier int `json:"max_frontier"`
-	// StateKeyNS and ExpandNS total the time hashing canonical state
-	// keys and evaluating attempts (clone + phase + verify) summed
+	// StateKeyNS and ExpandNS total the time keying instances (the
+	// fingerprint scan, the dedup probe and any class key) and
+	// evaluating attempts (clone + phase + verify + keying) summed
 	// over workers; zero unless Options.Metrics was set.
 	StateKeyNS int64 `json:"state_key_ns,omitempty"`
 	ExpandNS   int64 `json:"expand_ns,omitempty"`

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/dataflow"
 	"repro/internal/opt"
 )
 
@@ -73,6 +72,10 @@ type attemptOracle struct {
 	// iid, indexed by result node ID, is the instance each node of the
 	// run being answered stands for (-1: quarantined).
 	iid []int32
+	// equiv is the class key of the attempt being committed (equivKey),
+	// reused attempt after attempt: the commit that reads it copies it
+	// only when it founds a class.
+	equiv []byte
 }
 
 // intern returns the dense id of n's instance, registering it on first
@@ -180,7 +183,8 @@ func (o *attemptOracle) level(e *engine, work []attempt) error {
 				if st := a.node.State; !opt.Attempt(out.fn, &st, a.phase, e.opts.Machine) {
 					return fmt.Errorf("source space records phase %c active at sequence %q, but it is dormant on that instance", edge.phase, a.node.Seq)
 				}
-				out.equiv = dataflow.EquivEncode(nil, out.fn)
+				o.equiv = equivKey(o.equiv, on.slot.key[0], out.fn)
+				out.equiv = o.equiv
 			}
 		}
 		e.commitOutcome(a, &out)

@@ -412,10 +412,9 @@ type engine struct {
 	// publication mark ever repeats.
 	ring     *outcomeRing
 	ringBase int64
-	// equivClasses is the third index tier (Options.Equiv): the
-	// gating-flags byte + equivalence-canonical encoding of every
-	// class representative, mapping to its node ID. Nil when the
-	// option is off.
+	// equivClasses is the third index tier (Options.Equiv): the class
+	// key (equivKey) of every class representative, mapping to its node
+	// ID. Nil when the option is off.
 	equivClasses map[string]int32
 	// prior is the elapsed time accumulated before a resume.
 	prior time.Duration
@@ -459,7 +458,7 @@ func newRun(f *rtl.Func, opts Options, eval evaluator) *engine {
 	buf := fingerprint.GetBuffer()
 	o := outcome{fn: root, fp: fingerprint.SummarizeInto(buf, root), buf: buf}
 	if opts.Equiv {
-		o.equiv = dataflow.EquivEncode(nil, root)
+		o.equiv = equivKey(nil, 0, root)
 	}
 	if opts.Check {
 		if err := check.Err(root, opts.Machine); err != nil {
@@ -572,7 +571,7 @@ func (e *engine) newNode(level int, seq, key string, o *outcome) *Node {
 	e.res.Nodes = append(e.res.Nodes, n)
 	if e.res.Equiv != nil {
 		n.EquivRaw = 1
-		e.equivClasses[key[:1]+string(o.equiv)] = int32(n.ID)
+		e.equivClasses[string(o.equiv)] = int32(n.ID) // the class's one copy of its key
 	}
 	return n
 }
@@ -1079,21 +1078,54 @@ func (e *engine) runLevel(work []attempt) error {
 // produces it: evaluate the attempt and resolve its instance against the
 // striped index here rather than at commit — a concurrent probe finds
 // the key's slot or parks one, and the committer only turns the slot
-// into the merge decision.
+// into the merge decision (summarize).
 func (e *engine) evaluate(a attempt) outcome {
 	ins := e.ins
 	var began time.Time
 	if ins.timed {
 		began = time.Now()
 	}
-	o := evalAttempt(e.res.root, a, e.opts, ins)
+	o := evalAttempt(e.res.root, a, e.opts)
 	if o.active {
-		o.slot = e.index.resolve(stateBits(o.st), o.fp, o.buf.Enc)
+		e.summarize(&o)
 	}
 	if ins.timed {
 		observeSince(&ins.expandNS, ins.mExpand, began)
 	}
 	return o
+}
+
+// summarize computes, on the worker, what the committer needs of an
+// active outcome: one fused scan yields the canonical encoding, CF key
+// and fingerprint, which resolve to the key's dedup slot, and under
+// Options.Equiv the class key follows — the expensive part of the third
+// tier (CFG, dominators, value numbering) — unless the slot already has
+// an ID. Such a slot is a merge whatever the instance's class, and the
+// committer never reads its class key; a slot a commit assigns after the
+// probe just wastes one encoding. All of it is the state-key clock's.
+func (e *engine) summarize(o *outcome) {
+	ins := e.ins
+	var began time.Time
+	if ins.timed {
+		began = time.Now()
+	}
+	o.buf = fingerprint.GetBuffer()
+	o.fp = fingerprint.SummarizeInto(o.buf, o.fn)
+	o.slot = e.index.resolve(stateBits(o.st), o.fp, o.buf.Enc)
+	if e.opts.Equiv && !o.slot.assigned() {
+		o.equiv = equivKey(o.buf.Equiv, o.slot.key[0], o.fn)
+		o.buf.Equiv = o.equiv
+	}
+	if ins.timed {
+		observeSince(&ins.stateKeyNS, ins.mStateKey, began)
+	}
+}
+
+// equivKey writes the equivalence tier's class key of fn over dst: the
+// gating-flags byte of fn's dedup key, then fn's equivalence-canonical
+// encoding. Instances in different gating states never share a class.
+func equivKey(dst []byte, flags byte, fn *rtl.Func) []byte {
+	return dataflow.EquivEncode(append(dst[:0], flags), fn)
 }
 
 // commitOutcome applies one answered attempt on the serial commit path,
@@ -1151,11 +1183,11 @@ func (e *engine) commitInstance(a attempt, o *outcome) (*Node, bool) {
 	}
 	if e.res.Equiv != nil {
 		e.res.Equiv.Raw++
-		if id, ok := e.equivClasses[p.key[:1]+string(o.equiv)]; ok {
+		if id, ok := e.equivClasses[string(o.equiv)]; ok {
 			// Raw-distinct instance, known class: the slot takes the
 			// class node's ID, so future identical duplicates of this
 			// spelling resolve to it.
-			p.id = id
+			p.assign(id)
 			n := e.res.Nodes[id]
 			n.EquivRaw++
 			e.res.Equiv.Merged++
@@ -1166,7 +1198,7 @@ func (e *engine) commitInstance(a attempt, o *outcome) (*Node, bool) {
 	// The slot's key was copied where it was parked; the node shares it
 	// — no copy on the commit path.
 	n := e.newNode(a.node.Level+1, a.node.Seq+string(a.phase.ID()), p.key, o)
-	p.id = int32(n.ID)
+	p.assign(int32(n.ID))
 	return n, true
 }
 
@@ -1194,11 +1226,13 @@ func putClone(fn *rtl.Func) {
 // (the zero value) or active. An active outcome carries the instance's
 // facts and the dedup slot of its key. On the ring both are computed on
 // the worker — fingerprint, plus the pooled buffer holding the canonical
-// encoding and CF key, plus the striped index's probe — so the serial
-// committer only turns them into the merge decision; it returns buf to
-// the fingerprint pool and clears the ring slot the outcome traveled
-// in. An oracle copies the facts from its inputs (cf set, buf nil) and
-// hands out its own slot. A ring slot stays within 128 bytes.
+// encoding, CF key and any class key, plus the striped index's probe —
+// so the serial committer only turns them into the merge decision (a
+// class lookup is a map probe with buf's bytes; only a new class copies
+// its key); it returns buf to the fingerprint pool and clears the ring
+// slot the outcome traveled in. An oracle copies the facts from its
+// inputs (cf set, buf nil) and hands out its own slot. A ring slot stays
+// within 128 bytes.
 type outcome struct {
 	active     bool
 	st         opt.State
@@ -1207,7 +1241,7 @@ type outcome struct {
 	fp         fingerprint.FP
 	buf        *fingerprint.Buffer
 	cf         fingerprint.Key
-	equiv      []byte // equivalence encoding, Options.Equiv only
+	equiv      []byte // class key (equivKey), Options.Equiv and an unassigned slot only
 	checkErr   string
 	quarantine string
 }
@@ -1215,7 +1249,7 @@ type outcome struct {
 // evalAttempt evaluates one (node, phase) pair: materialize the parent
 // instance (clone, or full replay under NaiveReplay), apply the phase,
 // and optionally verify the child.
-func evalAttempt(root *rtl.Func, a attempt, opts *Options, ins *instruments) outcome {
+func evalAttempt(root *rtl.Func, a attempt, opts *Options) outcome {
 	o := applyPhase(root, a, opts)
 	if o.quarantine != "" || !o.active {
 		return o
@@ -1230,25 +1264,6 @@ func evalAttempt(root *rtl.Func, a attempt, opts *Options, ins *instruments) out
 		if err := check.Err(o.fn, opts.Machine); err != nil {
 			o.checkErr = err.Error()
 		}
-	}
-	// Summarize the child here, on the worker: one fused scan yields
-	// the canonical encoding, CF key and fingerprint the merge loop
-	// needs, keeping the serial path free of encoding work.
-	var keyBegan time.Time
-	if ins.timed {
-		keyBegan = time.Now()
-	}
-	o.buf = fingerprint.GetBuffer()
-	o.fp = fingerprint.SummarizeInto(o.buf, o.fn)
-	if opts.Equiv {
-		// The equivalence encoding is the expensive part of the third
-		// tier (CFG + dominators + value numbering); computing it here
-		// keeps it off the serial merge path, and the rare instance the
-		// identical tier absorbs anyway just wastes one encoding.
-		o.equiv = dataflow.EquivEncode(nil, o.fn)
-	}
-	if ins.timed {
-		observeSince(&ins.stateKeyNS, ins.mStateKey, keyBegan)
 	}
 	return o
 }

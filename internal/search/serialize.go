@@ -334,7 +334,7 @@ func SyncDir(dir string, faults *faultinject.Plan) error {
 // continues it). The loaded result supports the same operations as a
 // fresh one, including Instance replay. Corrupt inputs fail with
 // errors naming the defect: a truncated file, an unsupported format
-// version, or malformed node encodings.
+// version, a root that fails rtl.Validate, or malformed node encodings.
 func Load(rd io.Reader) (*Result, error) {
 	gz, err := gzip.NewReader(rd)
 	if err != nil {
@@ -364,6 +364,11 @@ func Load(rd io.Reader) (*Result, error) {
 	}
 	if ff.Root == nil || len(ff.Nodes) == 0 {
 		return nil, fmt.Errorf("search: space file is empty")
+	}
+	// Everything that replays the space walks the root, and its keys are
+	// only as sound as its spelling: a root must be a valid function.
+	if err := rtl.Validate(ff.Root); err != nil {
+		return nil, fmt.Errorf("search: space root is not a valid function: %w", err)
 	}
 	res := &Result{
 		FuncName:        ff.FuncName,

@@ -178,6 +178,13 @@ func defectiveSpaces(t testing.TB) []defectiveSpace {
 		{"future version", gzipOf(`{"version":99}`), "version 99 unsupported"},
 		{"version zero", gzipOf(`{"version":0}`), "version 0 unsupported"},
 		{"empty space", gzipOf(`{"version":2}`), "space file is empty"},
+		// The keys spell a symbol's length in one byte: a root naming a
+		// longer one would make two of them ambiguous.
+		{"root with a symbol too long to key", reencode(t, func(doc map[string]any) {
+			entry := doc["root"].(map[string]any)["Blocks"].([]any)[0].(map[string]any)
+			long := map[string]any{"Op": 2, "Dst": 12, "Sym": strings.Repeat("s", 256)} // r[12]=HI[sss…]
+			entry["Instrs"] = append([]any{long}, entry["Instrs"].([]any)...)
+		}), "space root is not a valid function"},
 		{"malformed node key", reencode(t, func(doc map[string]any) {
 			node0(doc)["key"] = "%%% not base64 %%%"
 		}), "malformed base64 key"},
