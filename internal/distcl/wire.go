@@ -113,12 +113,15 @@ type HeartbeatResponse struct {
 }
 
 // CompleteRequest delivers a finished assignment. SpaceB64 is the
-// serialized space (format v2, base64; a worker sends its canonical
-// bytes, the coordinator decodes and re-hashes whatever arrives) and
-// SpaceHash its CanonicalHash — the idempotency key: re-submitting the same completion is
-// acknowledged as a duplicate, and a conflicting hash for an already
-// completed assignment is rejected. An Aborted completion (cap or
-// timeout hit on the worker) carries the reason instead of a space.
+// serialized space (format v2, base64) and SpaceHash the SHA-256 of
+// SpaceB64's decoded bytes, which for a worker of this build, uploading
+// canonical bytes, is the space's canonical hash. The coordinator holds
+// a part's upload to the SHA-256 of the bytes and the whole space's to
+// the canonical hash of its decode. SpaceHash is the idempotency key:
+// re-submitting the same completion is acknowledged as a duplicate, and
+// a conflicting hash for an already completed assignment is rejected.
+// An Aborted completion (cap or timeout hit on the worker) carries the
+// reason instead of a space.
 type CompleteRequest struct {
 	WorkerID     string `json:"worker_id"`
 	AssignmentID string `json:"assignment_id"`

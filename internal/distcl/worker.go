@@ -456,24 +456,20 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) {
 }
 
 // finishedSpace is what a completion uploads: the space's bytes and the
-// canonical hash they go under. A checkpointing search's final write
-// left both — the scratch file and Result.SpaceHash — so nothing is
-// rendered again. An equiv run wrote no file and is rendered here, once,
-// canonically, and those bytes are hashed; a finished space the slot
-// already held (no SpaceHash) is named by rendering it.
+// hash they go under, always the SHA-256 of those very bytes. A
+// checkpointing search's final write left both — the scratch file and
+// Result.SpaceHash — so nothing is rendered again. Any other finished
+// space (an equiv run, a failed last write, a finished space the slot
+// already held, which an older build may have written with its timing)
+// is rendered here, once, canonically, and those bytes are hashed.
 func finishedSpace(res *search.Result) (b []byte, hash string, err error) {
-	if res.SpacePath == "" {
-		b, err = res.CanonicalBytes()
-		sum := sha256.Sum256(b)
-		return b, hex.EncodeToString(sum[:]), err
+	if res.SpaceHash != "" {
+		b, err = os.ReadFile(res.SpacePath)
+		return b, res.SpaceHash, err
 	}
-	if hash = res.SpaceHash; hash == "" {
-		if hash, err = res.CanonicalHash(); err != nil {
-			return nil, "", err
-		}
-	}
-	b, err = os.ReadFile(res.SpacePath)
-	return b, hash, err
+	b, err = res.CanonicalBytes()
+	sum := sha256.Sum256(b)
+	return b, hex.EncodeToString(sum[:]), err
 }
 
 // seed puts the assignment's starting document (a frontier part, or the

@@ -174,12 +174,15 @@ func TestSeededAssignmentUploadsOnlyItsOwnProgress(t *testing.T) {
 }
 
 // TestCompletionRendersOnce: what a completion uploads is rendered once
-// per assignment. A checkpointing run's final write left the canonical
-// bytes in the scratch file and their hash on the result, so the upload
-// is that file under that hash and costs a read — a handful of heap
-// objects, where rendering the space to name it (CanonicalHash)
-// allocates several per node. An equiv run wrote no file: it is
-// rendered here, once, and uploaded as the bytes that were hashed.
+// per assignment, and is always the bytes its hash was taken over. A
+// checkpointing run's final write left the canonical bytes in the
+// scratch file and their hash on the result, so the upload is that file
+// under that hash and costs a read — a handful of heap objects, where
+// rendering the space to name it (CanonicalHash) allocates several per
+// node. An equiv run wrote no file, and a finished space found in the
+// slot carries no hash (an older build's final write kept its timing):
+// both are rendered here, once, and uploaded as the bytes that were
+// hashed, never as the file the slot holds.
 func TestCompletionRendersOnce(t *testing.T) {
 	p, err := mibench.ByName("stringsearch")
 	if err != nil {
@@ -197,14 +200,24 @@ func TestCompletionRendersOnce(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.Mallocs - before.Mallocs
 	}
-	for _, opts := range []search.Options{
-		{CheckpointPath: filepath.Join(t.TempDir(), "a1.g1.ckpt.space.gz")},
-		{Equiv: true},
+	found := search.Run(fn, search.Options{})
+	found.SpacePath = filepath.Join(t.TempDir(), "a1.g1.ckpt.space.gz")
+	if err := found.SaveFile(found.SpacePath); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name     string
+		res      *search.Result
+		rendered bool
+	}{
+		{"checkpointed", search.Run(fn, search.Options{CheckpointPath: filepath.Join(t.TempDir(), "a1.g1.ckpt.space.gz")}), false},
+		{"equiv", search.Run(fn, search.Options{Equiv: true}), true},
+		{"found slot", found, true},
 	} {
-		res := search.Run(fn, opts)
-		if res.Aborted || len(res.Nodes) < 1000 || (res.SpaceHash == "") != opts.Equiv {
-			t.Fatalf("equiv=%v: aborted=%v, %d nodes, SpaceHash %q; want a finished space of 1,000 nodes or more, hashed by the engine iff it checkpoints",
-				opts.Equiv, res.Aborted, len(res.Nodes), res.SpaceHash)
+		res := c.res
+		if res.Aborted || len(res.Nodes) < 1000 || (res.SpaceHash == "") != c.rendered {
+			t.Fatalf("%s: aborted=%v, %d nodes, SpaceHash %q; want a finished space of 1,000 nodes or more, hashed by the engine iff it checkpointed",
+				c.name, res.Aborted, len(res.Nodes), res.SpaceHash)
 		}
 		var want string
 		render := mallocs(func() { want, err = res.CanonicalHash() })
@@ -217,16 +230,16 @@ func TestCompletionRendersOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("equiv=%v: one render allocates %d objects, the upload allocated %d", opts.Equiv, render, upload)
+		t.Logf("%s: one render allocates %d objects, the upload allocated %d", c.name, render, upload)
 		if sum := sha256.Sum256(b); hash != want || hash != hex.EncodeToString(sum[:]) {
-			t.Errorf("equiv=%v: uploads %x under %s, the space's canonical hash is %s", opts.Equiv, sum, hash, want)
+			t.Errorf("%s: uploads %x under %s, the space's canonical hash is %s", c.name, sum, hash, want)
 		}
-		if opts.Equiv {
+		if c.rendered {
 			if upload < render/2 || upload >= render*3/2 {
-				t.Errorf("an equiv completion allocated %d objects, one render %d: want one render", upload, render)
+				t.Errorf("%s: the completion allocated %d objects, one render %d: want one render", c.name, upload, render)
 			}
 		} else if upload >= render/4 {
-			t.Errorf("a checkpointed completion allocated %d objects, one render %d: want no render", upload, render)
+			t.Errorf("%s: the completion allocated %d objects, one render %d: want no render", c.name, upload, render)
 		}
 	}
 }

@@ -422,6 +422,12 @@ func fileSum(path string) (size int64, sum string, err error) {
 	return size, hex.EncodeToString(h.Sum(nil)), err
 }
 
+// hexSum is b's SHA-256 in hex, the form every hash here is named in.
+func hexSum(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
 // writeRecord seals k's entry as it now stands on disk: it hashes the
 // stored bytes and writes ent's answer record over them, reporting the
 // bytes the pair occupies. The record is not fsynced — published's
@@ -483,7 +489,7 @@ func (st *diskStore) record(k cacheKey) (rec answerRecord, err error) {
 		return rec, err
 	}
 	const head = 2*sha256.Size + 1 // the checksum line
-	if sum := sha256.Sum256(b[min(head, len(b)):]); len(b) < head || string(b[:head]) != hex.EncodeToString(sum[:])+"\n" {
+	if len(b) < head || string(b[:head]) != hexSum(b[head:])+"\n" {
 		return rec, fmt.Errorf("server: answer record of %s is torn: it fails its own checksum", k)
 	}
 	if err := json.Unmarshal(b[head:], &rec); err != nil || rec.Answer.Key != string(k) {

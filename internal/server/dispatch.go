@@ -95,10 +95,12 @@ type assignment struct {
 
 	// done closes on transition to stateDone or stateFailed; the
 	// fields below are immutable afterwards. hash is the accepted
-	// completion's canonical hash — the idempotency key a duplicate
-	// delivery is matched against.
+	// completion's name — the idempotency key a duplicate delivery is
+	// matched against: the SHA-256 of a part's upload, the canonical
+	// hash of the whole space, whose canonical bytes canon holds.
 	done        chan struct{}
 	res         *search.Result
+	canon       []byte
 	hash        string
 	aborted     bool
 	abortReason string
@@ -426,7 +428,7 @@ func (d *dispatcher) assemble(fl *flight, base *search.Result, parts []*assignme
 	if base == nil {
 		switch a := parts[0]; {
 		case a.state == stateDone && !a.aborted:
-			fl.hash = a.hash // handleDistComplete verified it against these bytes
+			fl.canon = a.canon // handleDistComplete's render
 			return a.res, true
 		case a.state == stateDone:
 			return &search.Result{FuncName: fl.fn.Name, Aborted: true, AbortReason: a.abortReason}, true
@@ -990,13 +992,30 @@ func (s *Server) handleDistComplete(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var res *search.Result
+	var canon []byte
 	if !req.Aborted {
-		// Decode and verify outside the lock — the space must be complete,
-		// the right function, and hash to exactly what the worker claims
-		// (the idempotency key and the byte-identity guarantee in one).
+		// Decode and verify outside the lock: the space must be complete,
+		// the right function, and named by a hash the coordinator took
+		// itself (the idempotency key). A part is named by the bytes it
+		// arrived as: they are never stored or served, and reach the
+		// answer only through the merge replay, whose result is rendered
+		// and hashed here. The whole space is what gets stored, so its
+		// canonical render must hash to the claim; that render is what
+		// publish puts.
 		b, err := base64.StdEncoding.DecodeString(req.SpaceB64)
 		if err != nil {
 			writeError(w, &httpError{status: http.StatusBadRequest, msg: "undecodable space payload"})
+			return
+		}
+		mismatch := func(got string) bool {
+			if got == req.SpaceHash {
+				return false
+			}
+			writeError(w, &httpError{status: http.StatusBadRequest,
+				msg: fmt.Sprintf("space hash mismatch: body %s, claimed %s", got, req.SpaceHash)})
+			return true
+		}
+		if !a.whole && mismatch(hexSum(b)) {
 			return
 		}
 		if res, err = search.Load(bytes.NewReader(b)); err != nil {
@@ -1007,24 +1026,23 @@ func (s *Server) handleDistComplete(w http.ResponseWriter, r *http.Request) {
 			writeError(w, &httpError{status: http.StatusBadRequest, msg: "space is not complete"})
 			return
 		}
-		hash, err := res.CanonicalHash()
-		if err != nil {
-			writeError(w, &httpError{status: http.StatusBadRequest, msg: "unhashable space: " + err.Error()})
-			return
-		}
-		if hash != req.SpaceHash {
-			writeError(w, &httpError{status: http.StatusBadRequest,
-				msg: fmt.Sprintf("space hash mismatch: body %s, claimed %s", hash, req.SpaceHash)})
-			return
-		}
 		if res.FuncName != a.fl.fn.Name {
 			writeError(w, &httpError{status: http.StatusBadRequest,
 				msg: fmt.Sprintf("space is for %q, assignment is %q", res.FuncName, a.fl.fn.Name)})
 			return
 		}
+		if a.whole {
+			if canon, err = res.CanonicalBytes(); err != nil {
+				writeError(w, &httpError{status: http.StatusBadRequest, msg: "unhashable space: " + err.Error()})
+				return
+			}
+			if mismatch(hexSum(canon)) {
+				return
+			}
+		}
 	}
 	d.mu.Lock()
-	status, herr := d.settleLocked(a, res, req.SpaceHash, req.Aborted, req.AbortReason)
+	status, herr := d.settleLocked(a, res, canon, req.SpaceHash, req.Aborted, req.AbortReason)
 	d.mu.Unlock()
 	if herr != nil {
 		writeError(w, herr)
@@ -1048,12 +1066,13 @@ func (s *Server) handleDistComplete(w http.ResponseWriter, r *http.Request) {
 
 // settleLocked is the one completion transition: it decides, from a's
 // state alone, what a worker's verified result (a complete space with
-// its hash, or a worker-side abort with its reason) does to a. A live
+// its hash and, for the whole space, its canonical bytes, or a
+// worker-side abort with its reason) does to a. A live
 // assignment (pending or leased) takes it and closes done — "accepted";
 // a finished one acknowledges the same result again as "duplicate" and
 // refuses a different one; a failed or canceled one no longer wants
 // any. Callers hold d.mu.
-func (d *dispatcher) settleLocked(a *assignment, res *search.Result, hash string, aborted bool, reason string) (string, *httpError) {
+func (d *dispatcher) settleLocked(a *assignment, res *search.Result, canon []byte, hash string, aborted bool, reason string) (string, *httpError) {
 	switch a.state {
 	case stateDone:
 		if a.aborted != aborted || a.hash != hash {
@@ -1064,7 +1083,7 @@ func (d *dispatcher) settleLocked(a *assignment, res *search.Result, hash string
 	case stateFailed, stateCanceled:
 		return "", &httpError{status: http.StatusNotFound, msg: "assignment no longer wanted"}
 	}
-	a.res, a.hash = res, hash
+	a.res, a.canon, a.hash = res, canon, hash
 	a.aborted, a.abortReason = aborted, reason
 	a.state = stateDone
 	close(a.done)

@@ -255,7 +255,7 @@ func TestSettleIsOneTransition(t *testing.T) {
 				a.hash, a.aborted = hash, aborted
 			}
 			s.dist.mu.Lock()
-			status, herr := s.dist.settleLocked(a, res, hash, aborted, reason)
+			status, herr := s.dist.settleLocked(a, res, nil, hash, aborted, reason)
 			s.dist.mu.Unlock()
 			if herr != nil {
 				status = herr.msg
@@ -281,7 +281,7 @@ func TestSettleIsOneTransition(t *testing.T) {
 	// A finished assignment refuses a different result.
 	a := &assignment{state: stateDone, hash: "h", done: make(chan struct{})}
 	s.dist.mu.Lock()
-	_, herr := s.dist.settleLocked(a, res, "other", false, "")
+	_, herr := s.dist.settleLocked(a, res, nil, "other", false, "")
 	s.dist.mu.Unlock()
 	if herr == nil || herr.status != http.StatusConflict {
 		t.Errorf("conflicting completion settled as %+v, want 409", herr)

@@ -66,10 +66,11 @@ type flight struct {
 	// sub-spaces and deriving the equivalence tier from the result.
 	publish, merge, derive time.Duration
 
-	// hash is the canonical hash of a miss's space where the path that
-	// produced it (a fleet completion) already verified one; the worker
-	// goroutine's own note, not for waiters.
-	hash string
+	// canon is a miss's canonical bytes where the path that produced it
+	// (a whole-space fleet completion) already rendered them to verify
+	// the worker's claim; the worker goroutine's own note, not for
+	// waiters.
+	canon []byte
 
 	waiters int // guarded by pool.mu
 }

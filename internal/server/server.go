@@ -17,10 +17,7 @@
 package server
 
 import (
-	"cmp"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -544,28 +541,33 @@ func (s *Server) runFlight(fl *flight) {
 // publish admits fl's finished space and puts it in the disk store,
 // rendering it at most once: what is stored is what is hashed. The
 // engine's final write already did both (SpacePath, SpaceHash), and
-// its file is renamed into place. A space no engine wrote — an equiv
-// flight, a merged or derived space, a fleet completion (whose hash
-// handleDistComplete verified) — is rendered here, canonically, and
-// those bytes are hashed and put. A finished space found in the slot
-// may be an older build's bytes, timing included: it is named by
-// rendering it and promoted as it is.
+// its file is renamed into place; a whole-space fleet completion was
+// rendered by handleDistComplete to verify the worker's claim, and
+// that render is put. A space neither wrote — an equiv flight, a merged
+// or derived space — is rendered here, canonically, and those bytes are
+// hashed and put. A finished space found in the slot may be an older
+// build's bytes, timing included: it is named by rendering it and
+// promoted as it is.
 func (s *Server) publish(fl *flight, res *search.Result) (err error) {
-	hash := cmp.Or(fl.hash, res.SpaceHash)
-	var canon []byte
-	if res.SpacePath == "" {
-		if canon, err = res.CanonicalBytes(); hash == "" {
-			sum := sha256.Sum256(canon)
-			hash = hex.EncodeToString(sum[:])
-		}
-	} else if hash == "" {
+	var hash string
+	canon := fl.canon
+	switch {
+	case canon != nil: // handleDistComplete's render
+	case res.SpaceHash != "":
+		hash = res.SpaceHash
+	case res.SpacePath != "":
 		hash, err = res.CanonicalHash()
+	default:
+		canon, err = res.CanonicalBytes()
 	}
 	if err != nil {
 		return fmt.Errorf("hashing space: %w", err)
 	}
+	if canon != nil {
+		hash = hexSum(canon)
+	}
 	s.admit(fl.key, res, hash, &fl.ent)
-	if res.SpacePath != "" {
+	if canon == nil {
 		err = s.store.promote(fl.key, res.SpacePath, fl.ent)
 	} else {
 		err = s.store.put(fl.key, canon, fl.ent)
