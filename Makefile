@@ -114,21 +114,26 @@ bench-smoke:
 		-require search.nodes,search.attempts,check.verify.calls
 
 # Where an attempt's time goes, phase by phase: one instrumented round
-# of the enumerate workload's timed default set at one worker, its
+# at one worker of the enumerate workload's timed default set, its
 # snapshots merged into the attempted / active / mean active / mean
-# dormant table EXPERIMENTS.md quotes. The instruments cost a clock
-# read per attempt; compare rows and commits, not against the
-# uninstrumented benchmark.
+# dormant table EXPERIMENTS.md quotes, then the same table for
+# jpeg/fdct_pass, the function fleet_shard's equivalence request
+# enumerates, whose phase mix is not the enumerate set's. The
+# instruments cost a clock read per attempt; compare rows and commits,
+# not against the uninstrumented benchmark.
 phasecost:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/explore" ./cmd/explore && \
 	$(GO) build -o "$$tmp/phasestats" ./cmd/phasestats && \
-	for f in stringsearch/bmh_search jpeg/get_code jpeg/quantize_block; do \
+	for f in stringsearch/bmh_search jpeg/get_code jpeg/quantize_block jpeg/fdct_pass; do \
 		"$$tmp/explore" -bench "$${f%/*}" -func "$${f#*/}" -search-workers 1 \
 			-metrics "$$tmp/$${f#*/}.json" >/dev/null 2>&1 \
 			|| { echo "phasecost: explore failed on $$f"; exit 1; }; \
 	done && \
-	"$$tmp/phasestats" -from-metrics "$$tmp/*.json"
+	echo "== enumerate set: bmh_search, get_code, quantize_block" && \
+	"$$tmp/phasestats" -from-metrics "$$tmp/bmh_search.json,$$tmp/get_code.json,$$tmp/quantize_block.json" && \
+	echo && echo "== jpeg/fdct_pass (fleet_shard's equivalence request)" && \
+	"$$tmp/phasestats" -from-metrics "$$tmp/fdct_pass.json"
 
 # The repository's benchmark: four workloads (in-process engine,
 # spaced cold and warm, the sharded fleet), every end-to-end and

@@ -101,58 +101,104 @@ func (d *Desc) LegalDisp(disp int32) bool {
 // Legal reports whether the instruction as a whole is encodable on the
 // target. The instruction selection phase calls this after each
 // symbolic combination ("checks if the resulting effect is a legal
-// instruction before committing to the transformation", Table 1).
-func (d *Desc) Legal(in *rtl.Instr) bool { return d.Check(in) == nil }
+// instruction before committing to the transformation", Table 1), and
+// rejects most of what it tries, so the answer costs no allocation.
+func (d *Desc) Legal(in *rtl.Instr) bool { return d.violation(in) == legal }
 
 // Check explains why an instruction is not encodable on the target, or
 // returns nil for a legal instruction. Legal is the boolean view used
 // on the hot instruction selection path; the verifier in internal/check
 // uses Check so its diagnostics can name the violated encoding limit.
 func (d *Desc) Check(in *rtl.Instr) error {
+	switch d.violation(in) {
+	case legal:
+		return nil
+	case movImm:
+		return fmt.Errorf("%s: move immediate %d exceeds ±%d", d.Name, in.A.Imm, d.MaxMovImm)
+	case loadBase:
+		return fmt.Errorf("%s: load base must be a register", d.Name)
+	case loadDisp:
+		return fmt.Errorf("%s: load displacement %d exceeds ±%d", d.Name, in.Disp, d.MaxDisp)
+	case storeOperands:
+		return fmt.Errorf("%s: store value and base must be registers", d.Name)
+	case storeDisp:
+		return fmt.Errorf("%s: store displacement %d exceeds ±%d", d.Name, in.Disp, d.MaxDisp)
+	case cmpOperand:
+		return fmt.Errorf("%s: first comparand must be a register", d.Name)
+	case cmpImm:
+		return fmt.Errorf("%s: compare immediate %d exceeds ±%d", d.Name, in.B.Imm, d.MaxALUImm)
+	case aluOperand:
+		return fmt.Errorf("%s: %s operand A must be a register", d.Name, in.Op)
+	case aluImm:
+		return fmt.Errorf("%s: %s has no encoding for immediate %d", d.Name, in.Op, in.B.Imm)
+	}
+	return fmt.Errorf("%s: unknown opcode %s", d.Name, in.Op)
+}
+
+// violation names the encoding rule an instruction breaks.
+type violation uint8
+
+const (
+	legal violation = iota
+	movImm
+	loadBase
+	loadDisp
+	storeOperands
+	storeDisp
+	cmpOperand
+	cmpImm
+	aluOperand
+	aluImm
+	unknownOp
+)
+
+// violation is the target's encoding rules, the one statement of them:
+// Legal compares its answer, Check words it.
+func (d *Desc) violation(in *rtl.Instr) violation {
 	switch in.Op {
 	case rtl.OpNop, rtl.OpMovHi, rtl.OpAddLo, rtl.OpBranch, rtl.OpJmp,
 		rtl.OpCall, rtl.OpRet, rtl.OpNeg, rtl.OpNot:
-		return nil
+		return legal
 	case rtl.OpMov:
 		if in.A.Kind == rtl.OperImm && !d.LegalImm(rtl.OpMov, in.A.Imm) {
-			return fmt.Errorf("%s: move immediate %d exceeds ±%d", d.Name, in.A.Imm, d.MaxMovImm)
+			return movImm
 		}
-		return nil
+		return legal
 	case rtl.OpLoad:
 		if in.A.Kind != rtl.OperReg {
-			return fmt.Errorf("%s: load base must be a register", d.Name)
+			return loadBase
 		}
 		if !d.LegalDisp(in.Disp) {
-			return fmt.Errorf("%s: load displacement %d exceeds ±%d", d.Name, in.Disp, d.MaxDisp)
+			return loadDisp
 		}
-		return nil
+		return legal
 	case rtl.OpStore:
 		if in.A.Kind != rtl.OperReg || in.B.Kind != rtl.OperReg {
-			return fmt.Errorf("%s: store value and base must be registers", d.Name)
+			return storeOperands
 		}
 		if !d.LegalDisp(in.Disp) {
-			return fmt.Errorf("%s: store displacement %d exceeds ±%d", d.Name, in.Disp, d.MaxDisp)
+			return storeDisp
 		}
-		return nil
+		return legal
 	case rtl.OpCmp:
 		if in.A.Kind != rtl.OperReg {
-			return fmt.Errorf("%s: first comparand must be a register", d.Name)
+			return cmpOperand
 		}
 		if in.B.Kind == rtl.OperImm && !d.LegalImm(rtl.OpCmp, in.B.Imm) {
-			return fmt.Errorf("%s: compare immediate %d exceeds ±%d", d.Name, in.B.Imm, d.MaxALUImm)
+			return cmpImm
 		}
-		return nil
+		return legal
 	}
 	if in.Op.IsALU() {
 		if in.A.Kind != rtl.OperReg {
-			return fmt.Errorf("%s: %s operand A must be a register", d.Name, in.Op)
+			return aluOperand
 		}
 		if in.B.Kind == rtl.OperImm && !d.LegalImm(in.Op, in.B.Imm) {
-			return fmt.Errorf("%s: %s has no encoding for immediate %d", d.Name, in.Op, in.B.Imm)
+			return aluImm
 		}
-		return nil
+		return legal
 	}
-	return fmt.Errorf("%s: unknown opcode %s", d.Name, in.Op)
+	return unknownOp
 }
 
 // Cost returns the latency of an instruction in cycles on the modeled

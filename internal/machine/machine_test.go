@@ -74,6 +74,55 @@ func TestLegalInstructions(t *testing.T) {
 	}
 }
 
+// TestCheckWordsEveryRule holds each message the verifier prints for an
+// unencodable instruction, one per rule.
+func TestCheckWordsEveryRule(t *testing.T) {
+	d := machine.StrongARM()
+	cases := []struct {
+		in   rtl.Instr
+		want string
+	}{
+		{rtl.NewMov(rtl.RegR0, rtl.Imm(70000)), "strongarm: move immediate 70000 exceeds ±65535"},
+		{rtl.Instr{Op: rtl.OpLoad, Dst: rtl.RegR0, A: rtl.Imm(4)}, "strongarm: load base must be a register"},
+		{rtl.NewLoad(rtl.RegR0, rtl.RegSP, -5000), "strongarm: load displacement -5000 exceeds ±4095"},
+		{rtl.Instr{Op: rtl.OpStore, A: rtl.Imm(1), B: rtl.R(rtl.RegSP)}, "strongarm: store value and base must be registers"},
+		{rtl.NewStore(rtl.RegR0, rtl.RegSP, 4096), "strongarm: store displacement 4096 exceeds ±4095"},
+		{rtl.NewCmp(rtl.Imm(1), rtl.R(rtl.RegR0)), "strongarm: first comparand must be a register"},
+		{rtl.NewCmp(rtl.R(rtl.RegR0), rtl.Imm(5000)), "strongarm: compare immediate 5000 exceeds ±4095"},
+		{rtl.NewALU(rtl.OpAdd, rtl.RegR0, rtl.Imm(1), rtl.Imm(2)), "strongarm: add operand A must be a register"},
+		{rtl.NewALU(rtl.OpMul, rtl.RegR0, rtl.R(rtl.RegR1), rtl.Imm(3)), "strongarm: mul has no encoding for immediate 3"},
+		{rtl.Instr{Op: rtl.Op(200)}, "strongarm: unknown opcode " + rtl.Op(200).String()},
+	}
+	for _, c := range cases {
+		err := d.Check(&c.in)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Check = %v, want %q", err, c.want)
+		}
+		if d.Legal(&c.in) {
+			t.Errorf("Legal = true where Check says %v", err)
+		}
+	}
+	ok := rtl.NewALU(rtl.OpAdd, rtl.RegR0, rtl.R(rtl.RegR1), rtl.Imm(4))
+	if err := d.Check(&ok); err != nil || !d.Legal(&ok) {
+		t.Errorf("a legal add: Check %v, Legal %v", err, d.Legal(&ok))
+	}
+}
+
+// TestLegalDoesNotAllocate: instruction selection asks Legal about every
+// combination it tries and rejects most of them, so a rejection must
+// not build the error Check would return.
+func TestLegalDoesNotAllocate(t *testing.T) {
+	d := machine.StrongARM()
+	bad := rtl.NewALU(rtl.OpAdd, rtl.RegR0, rtl.R(rtl.RegR1), rtl.Imm(100000))
+	if n := testing.AllocsPerRun(100, func() {
+		if d.Legal(&bad) {
+			t.Fatal("an out-of-range add immediate is legal")
+		}
+	}); n != 0 {
+		t.Fatalf("Legal on an illegal instruction allocates %.1f times, want 0", n)
+	}
+}
+
 func TestCostOrdering(t *testing.T) {
 	d := machine.StrongARM()
 	mul := rtl.NewALU(rtl.OpMul, rtl.RegR0, rtl.R(rtl.RegR1), rtl.R(rtl.RegR2))

@@ -9,15 +9,11 @@ package opt
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/machine"
-	"repro/internal/mc"
-	"repro/internal/mibench"
-	"repro/internal/randprog"
 	"repro/internal/rtl"
 )
 
@@ -603,75 +599,8 @@ func checkPhaseC(t *testing.T, what string, f *rtl.Func, d *machine.Desc) {
 	}
 }
 
-// walkPhaseC walks a random sequence of active phases from f and checks
-// c at every instance on the way: on the instance as it stands (before
-// register assignment that is code over pseudo registers, wider than
-// one mask word) and on its register-assigned form, the one the
-// enumeration's attempts see.
-func walkPhaseC(t *testing.T, name string, f *rtl.Func, seed int64, depth int) {
-	t.Helper()
-	d := machine.StrongARM()
-	cur := f.Clone()
-	rtl.Cleanup(cur)
-	var st State
-	rng := rand.New(rand.NewSource(seed))
-	seq := ""
-	for step := 0; step <= depth; step++ {
-		what := fmt.Sprintf("%s after %q", name, seq)
-		checkPhaseC(t, what, cur, d)
-		if !cur.RegAssigned {
-			assigned := cur.Clone()
-			RegAssign(assigned)
-			checkPhaseC(t, what+" (registers assigned)", assigned, d)
-		}
-		phases := All()
-		rng.Shuffle(len(phases), func(i, j int) { phases[i], phases[j] = phases[j], phases[i] })
-		moved := false
-		for _, p := range phases {
-			next, nst := cur.Clone(), st
-			if Attempt(next, &nst, p, d) {
-				cur, st, seq, moved = next, nst, seq+string(p.ID()), true
-				break
-			}
-		}
-		if !moved {
-			return // a leaf of the space
-		}
-	}
-}
-
 func TestPhaseCMatchesReference(t *testing.T) {
-	walks, depth, programs := 2, 14, 24
-	if testing.Short() {
-		walks, depth, programs = 1, 10, 8
-	}
-	t.Run("corpus", func(t *testing.T) {
-		fns, err := mibench.AllFunctions()
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The benchmark's manifest names 29 of these; all of them walk.
-		if len(fns) < 29 {
-			t.Fatalf("the corpus has %d functions, the manifest 29", len(fns))
-		}
-		for _, tf := range fns {
-			for w := 0; w < walks; w++ {
-				walkPhaseC(t, tf.Bench+"/"+tf.Func.Name, tf.Func, int64(w), depth)
-			}
-		}
-	})
-	t.Run("generated", func(t *testing.T) {
-		for seed := int64(0); seed < int64(programs); seed++ {
-			p := randprog.New(seed, randprog.Config{})
-			prog, err := mc.Compile(p.Source)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			for w := 0; w < walks; w++ {
-				walkPhaseC(t, fmt.Sprintf("randprog seed %d", seed), prog.Func(p.Entry), seed+int64(w)<<32, depth)
-			}
-		}
-	})
+	walkCorpus(t, checkPhaseC)
 	t.Run("many value sites", func(t *testing.T) {
 		// Straight-line code whose value sites outnumber one and two
 		// mask words: every instruction computes its own expression, a

@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"sync"
+
 	"repro/internal/machine"
 	"repro/internal/rtl"
 )
@@ -25,8 +27,8 @@ func (InstructionSelection) Name() string { return "instruction selection" }
 // compulsory register assignment.
 func (InstructionSelection) RequiresRegAssign() bool { return true }
 
-// Apply runs the phase: one combination at a time, each search starting
-// over from the top, until none is left.
+// Apply runs the phase: one combination at a time until none is left,
+// each found by one forward pass over a block (selScratch.combine).
 //
 // No combination changes an edge (a control instruction is never a
 // definition and is only ever rewritten in place, keeping its target),
@@ -35,33 +37,48 @@ func (InstructionSelection) RequiresRegAssign() bool { return true }
 // identity move is removed: a committed combination leaves every
 // block's live-out set as it was (DESIGN.md §4 has the argument,
 // TestPhaseSLivenessIsFresh holds it), and the live-out sets are all
-// soleUseThenDead reads.
+// the search reads besides the block itself. So after a combination in
+// block b the search resumes at b: the blocks before it, and what it
+// knows of them, are as they were when it found nothing there. The
+// search runs only on a function without identity moves, and a
+// combination rewrites one instruction, so the merged instruction is
+// the one that can have become one; removing it can end an upward
+// exposure, so liveness is solved again and the search starts over.
 func (InstructionSelection) Apply(f *rtl.Func, d *machine.Desc) bool {
 	g := rtl.CFGOf(f)
 	ls := rtl.NewLiveSolver()
 	defer ls.Release()
-	var lv *rtl.Liveness // nil: not solved since the last identity move went
-	changed := false
-	for {
-		if removeIdentityMove(f) {
-			changed, lv = true, nil
+	sc := selScratchPool.Get().(*selScratch)
+	defer selScratchPool.Put(sc)
+	sc.reset(usedRegWidth(f))
+
+	changed := removeIdentityMoves(f)
+	var lv *rtl.Liveness
+	if changed {
+		lv = ls.Solve(g)
+	} else {
+		lv = g.Liveness()
+	}
+	if selectionLiveness != nil {
+		selectionLiveness(f, lv)
+	}
+	for bpos, from := 0, 0; bpos < len(f.Blocks); {
+		b := f.Blocks[bpos]
+		i, j := sc.combine(b, d, lv.Out[bpos], from)
+		if j < 0 {
+			bpos, from = bpos+1, 0
 			continue
 		}
-		switch {
-		case lv != nil:
-		case changed:
-			lv = ls.Solve(g)
-		default:
-			lv = g.Liveness()
+		changed, from = true, i
+		if in := &b.Instrs[j]; in.Op == rtl.OpMov && in.A.IsReg(in.Dst) {
+			b.Remove(j)
+			lv, bpos, from = ls.Solve(g), 0, 0
 		}
 		if selectionLiveness != nil {
 			selectionLiveness(f, lv)
 		}
-		if !combineOnce(f, d, lv) {
-			return changed
-		}
-		changed = true
 	}
+	return changed
 }
 
 // selectionLiveness, when non-nil, is shown the liveness s is about to
@@ -69,107 +86,156 @@ func (InstructionSelection) Apply(f *rtl.Func, d *machine.Desc) bool {
 // A test hook, in the style of rtl.Trace.
 var selectionLiveness func(f *rtl.Func, lv *rtl.Liveness)
 
-// removeIdentityMove deletes the first identity move (r = r) of f and
+// removeIdentityMoves deletes every identity move (r = r) of f and
 // reports whether there was one. They are vacuous combinations:
 // register assignment frequently maps a value and its final copy onto
 // the same register, and no other phase may delete the leftover.
-func removeIdentityMove(f *rtl.Func) bool {
+func removeIdentityMoves(f *rtl.Func) bool {
+	removed := false
 	for _, b := range f.Blocks {
-		for i := range b.Instrs {
+		for i := 0; i < len(b.Instrs); {
 			if in := &b.Instrs[i]; in.Op == rtl.OpMov && in.A.IsReg(in.Dst) {
 				b.Remove(i)
-				return true
+				removed = true
+				continue
 			}
+			i++
 		}
 	}
-	return false
+	return removed
 }
 
-// combineOnce finds and applies one combination anywhere in the
-// function, returning whether it did.
-func combineOnce(f *rtl.Func, d *machine.Desc, lv *rtl.Liveness) bool {
+// selScratch is the storage s's search works in, sized by the registers
+// the function references (usedRegWidth): for the block being searched,
+// which of each instruction's uses are live after it, and — as the
+// search walks down the block — the nearest definition, the last use and
+// the last memory write above the cursor. Scratch is pooled; an
+// application takes one and returns it, so a warm pool makes the search
+// allocation-free.
+type selScratch struct {
+	after   []uint8  // by instruction: bit k set when the k-th register Uses lists is live after it
+	live    []uint64 // the backward pass's running set, ⌈width/64⌉ words
+	lastDef []int32  // by register: position of its nearest definition, or -1
+	lastUse []int32  // by register: position of its last use, or -1
+	lastMem int      // position of the last store or call, or -1
+}
+
+var selScratchPool = sync.Pool{New: func() any { return new(selScratch) }}
+
+// reset sizes the scratch for a function referencing registers [0, width).
+func (sc *selScratch) reset(width int) {
+	sc.live = rtl.Resize(sc.live, (width+63)/64)
+	sc.lastDef = rtl.Resize(sc.lastDef, width)
+	sc.lastUse = rtl.Resize(sc.lastUse, width)
+}
+
+// inRange reports whether r is one of the registers the scratch holds:
+// every register the function references except RegNone, which no
+// operand should name and no instruction defines.
+func (sc *selScratch) inRange(r rtl.Reg) bool { return int(r) < len(sc.lastDef) }
+
+// combine searches b for the first combination of a definition into its
+// sole user, applies it and returns the positions of the definition it
+// deleted and of the merged instruction, or returns -1, -1 when the
+// block has none. The candidates, and the order they are tried in, are
+// the same as when each use looked back for its definition and forward
+// for another use: instruction j's use of u (not SP or IC) pairs with
+// the nearest definition of u above j, at i, when nothing between reads
+// u and u is dead after j or overwritten by it.
+//
+// Users above from are not tried: after a combination that deleted the
+// definition at i, every candidate whose user lies above i reads what it
+// read when it failed — the instructions up to its user, and which
+// registers are live after it (DESIGN.md §4) — so the search resumes at
+// i, having only walked the code above it for the definitions and uses
+// it holds.
+func (sc *selScratch) combine(b *rtl.Block, d *machine.Desc, liveOut rtl.RegSet, from int) (int, int) {
+	if len(b.Instrs) < 2 {
+		return -1, -1
+	}
+	sc.liveAfter(b, liveOut, from)
+	for r := range sc.lastDef {
+		sc.lastDef[r], sc.lastUse[r] = -1, -1
+	}
+	sc.lastMem = -1
 	var buf [8]rtl.Reg
-	for bpos, b := range f.Blocks {
-		for j := 1; j < len(b.Instrs); j++ {
-			for _, u := range b.Instrs[j].Uses(buf[:0]) {
-				if u == rtl.RegSP || u == rtl.RegIC {
-					continue
-				}
-				i := lastDefBefore(b, j, u)
-				if i < 0 {
-					continue
-				}
-				if !soleUseThenDead(b, i, j, u, lv.Out[bpos]) {
-					continue
-				}
-				if tryCombine(f, d, b, i, j, u) {
-					return true
-				}
+	for j := range b.Instrs {
+		in := &b.Instrs[j]
+		uses := in.Uses(buf[:0])
+		for k, u := range uses {
+			if j < from || u == rtl.RegSP || u == rtl.RegIC || !sc.inRange(u) {
+				continue
+			}
+			i := int(sc.lastDef[u])
+			if i < 0 || int(sc.lastUse[u]) > i {
+				continue
+			}
+			if !in.DefsReg(u) && sc.after[j]>>k&1 != 0 {
+				continue // u lives on
+			}
+			if tryCombine(d, b, i, j, u, sc) {
+				return i, j - 1
+			}
+		}
+		for _, u := range uses {
+			if sc.inRange(u) {
+				sc.lastUse[u] = int32(j)
+			}
+		}
+		for _, r := range in.Defs(buf[:0]) {
+			sc.lastDef[r] = int32(j)
+		}
+		if in.Op == rtl.OpStore || in.Op == rtl.OpCall {
+			sc.lastMem = j
+		}
+	}
+	return -1, -1
+}
+
+// liveAfter fills sc.after for b's instructions from position from on,
+// by one backward pass from its live-out set.
+func (sc *selScratch) liveAfter(b *rtl.Block, liveOut rtl.RegSet, from int) {
+	sc.after = rtl.Resize(sc.after, len(b.Instrs))
+	live := sc.live
+	clear(live)
+	copy(live, liveOut.Words())
+	var ubuf, dbuf [8]rtl.Reg
+	for p := len(b.Instrs) - 1; p >= from; p-- {
+		in := &b.Instrs[p]
+		uses := in.Uses(ubuf[:0])
+		after := uint8(0)
+		for k, r := range uses {
+			if sc.inRange(r) && live[r>>6]>>(r&63)&1 != 0 {
+				after |= 1 << k
+			}
+		}
+		sc.after[p] = after
+		for _, r := range in.Defs(dbuf[:0]) {
+			live[r>>6] &^= 1 << (r & 63)
+		}
+		for _, r := range uses {
+			if sc.inRange(r) {
+				live[r>>6] |= 1 << (r & 63)
 			}
 		}
 	}
-	return false
 }
 
-// lastDefBefore returns the index of the nearest instruction before j
-// that defines u, or -1.
-func lastDefBefore(b *rtl.Block, j int, u rtl.Reg) int {
-	for i := j - 1; i >= 0; i-- {
-		if b.Instrs[i].DefsReg(u) {
-			return i
-		}
-	}
-	return -1
-}
-
-// soleUseThenDead reports whether the only use of u after its
-// definition at i is at j, with u dead afterwards (redefined before
-// any further use, or not live out of the block). Only then can the
-// definition be folded away.
-func soleUseThenDead(b *rtl.Block, i, j int, u rtl.Reg, liveOut rtl.RegSet) bool {
-	for p := i + 1; p < j; p++ {
-		if b.Instrs[p].UsesReg(u) || b.Instrs[p].DefsReg(u) {
-			return false
-		}
-	}
-	if b.Instrs[j].DefsReg(u) {
-		return true // the user overwrites u, killing the old value
-	}
-	for p := j + 1; p < len(b.Instrs); p++ {
-		if b.Instrs[p].UsesReg(u) {
-			return false
-		}
-		if b.Instrs[p].DefsReg(u) {
+// redefinedSince reports whether a register def reads is written
+// between position i and the cursor.
+func (sc *selScratch) redefinedSince(def *rtl.Instr, i int) bool {
+	var buf [8]rtl.Reg
+	for _, r := range def.Uses(buf[:0]) {
+		if sc.inRange(r) && int(sc.lastDef[r]) > i {
 			return true
 		}
 	}
-	return !liveOut.Has(u)
-}
-
-// regsRedefinedBetween reports whether any register read by def is
-// redefined in positions (i, j) of the block.
-func regsRedefinedBetween(b *rtl.Block, i, j int, def *rtl.Instr) bool {
-	var buf [8]rtl.Reg
-	for p := i + 1; p < j; p++ {
-		for _, r := range def.Uses(buf[:0]) {
-			if b.Instrs[p].DefsReg(r) {
-				return true
-			}
-		}
-	}
 	return false
 }
 
-// memoryClobberedBetween reports whether a store or call occurs in
-// positions (i, j).
-func memoryClobberedBetween(b *rtl.Block, i, j int) bool {
-	for p := i + 1; p < j; p++ {
-		if op := b.Instrs[p].Op; op == rtl.OpStore || op == rtl.OpCall {
-			return true
-		}
-	}
-	return false
-}
+// memoryClobberedSince reports whether a store or call lies between
+// position i and the cursor.
+func (sc *selScratch) memoryClobberedSince(i int) bool { return sc.lastMem > i }
 
 // evalALU computes a constant binary operation with the target's
 // 32-bit wrapping semantics. Division by zero is rejected.
@@ -210,9 +276,10 @@ func evalALU(op rtl.Op, a, b int32) (int32, bool) {
 }
 
 // tryCombine merges the definition of u at index i into its user at
-// index j. On success it replaces instruction j with the combination,
-// deletes instruction i, and returns true.
-func tryCombine(f *rtl.Func, d *machine.Desc, b *rtl.Block, i, j int, u rtl.Reg) bool {
+// index j, the cursor of the search sc is running over b. On success it
+// replaces instruction j with the combination, deletes instruction i,
+// and returns true.
+func tryCombine(d *machine.Desc, b *rtl.Block, i, j int, u rtl.Reg, sc *selScratch) bool {
 	def := b.Instrs[i]
 	user := b.Instrs[j] // copies
 
@@ -231,8 +298,8 @@ func tryCombine(f *rtl.Func, d *machine.Desc, b *rtl.Block, i, j int, u rtl.Reg)
 	// Rule 1: the user is a plain move of u — transfer the whole
 	// computation to the move's destination.
 	if user.Op == rtl.OpMov && user.A.IsReg(u) && !def.HasSideEffects() && def.Op != rtl.OpNop {
-		if !regsRedefinedBetween(b, i, j, &def) {
-			if def.Op != rtl.OpLoad || !memoryClobberedBetween(b, i, j) {
+		if !sc.redefinedSince(&def, i) {
+			if def.Op != rtl.OpLoad || !sc.memoryClobberedSince(i) {
 				merged := def
 				merged.Dst = user.Dst
 				return commit(merged)
@@ -251,7 +318,7 @@ func tryCombine(f *rtl.Func, d *machine.Desc, b *rtl.Block, i, j int, u rtl.Reg)
 				// Substituting SP into address arithmetic is legal and
 				// common (frame address formation).
 			}
-			if regsRedefinedBetween(b, i, j, &def) {
+			if sc.redefinedSince(&def, i) {
 				return false
 			}
 			merged := user
@@ -265,7 +332,7 @@ func tryCombine(f *rtl.Func, d *machine.Desc, b *rtl.Block, i, j int, u rtl.Reg)
 		if def.A.Kind != rtl.OperReg || def.B.Kind != rtl.OperImm {
 			return false
 		}
-		if regsRedefinedBetween(b, i, j, &def) {
+		if sc.redefinedSince(&def, i) {
 			return false
 		}
 		c := def.B.Imm

@@ -1,7 +1,9 @@
 package opt
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"sync"
 
 	"repro/internal/machine"
 	"repro/internal/rtl"
@@ -30,28 +32,34 @@ func (RegisterAllocation) Name() string { return "register allocation" }
 // compulsory register assignment.
 func (RegisterAllocation) RequiresRegAssign() bool { return true }
 
-// slotVirtBase maps scalar slots into a virtual register namespace
-// above all pseudo registers so that one liveness computation covers
-// hardware registers and slots together.
-const slotVirtBase = 1 << 14
-
 // Apply runs the phase.
+//
+// Interference comes from liveness over a shadow function in which
+// every load and store of a candidate slot is a move from or to a
+// register of its own, numbered just above the function's registers, so
+// one liveness solution covers hardware registers and slots together
+// and its sets stay as narrow as the function's. Everything else is
+// dense and indexed by candidate: the scalar slots, in slot order.
 func (RegisterAllocation) Apply(f *rtl.Func, _ *machine.Desc) bool {
-	candidates := scalarSlots(f)
-	if len(candidates) == 0 {
-		return false
+	sc := allocScratchPool.Get().(*allocScratch)
+	defer allocScratchPool.Put(sc)
+	if !sc.reset(f) {
+		return false // no candidate is ever loaded or stored
 	}
+	nc, base := len(sc.offsets), sc.base
 
-	// Shadow function: rewrite scalar-slot loads/stores as moves
-	// to/from virtual registers, so ordinary liveness analysis yields
-	// slot live ranges and slot/register interference.
-	shadow := f.Clone()
-	shadow.NextPseudo = slotVirtBase + rtl.Reg(len(f.Slots))
+	// Shadow function: rewrite candidate loads/stores as moves to/from
+	// their registers, so ordinary liveness analysis yields slot live
+	// ranges and slot/register interference.
+	shadow := f.CloneReusing(sc.shadow)
+	shadow.DropAnalyses()
+	sc.shadow = shadow
+	shadow.NextPseudo = rtl.Reg(base + nc)
 	for _, b := range shadow.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			if si, ok := scalarSlotAccess(f, in); ok {
-				v := slotVirtBase + rtl.Reg(si)
+			if k := sc.access(in); k >= 0 {
+				v := rtl.Reg(base + k)
 				switch in.Op {
 				case rtl.OpLoad:
 					*in = rtl.NewMov(in.Dst, rtl.R(v))
@@ -66,64 +74,54 @@ func (RegisterAllocation) Apply(f *rtl.Func, _ *machine.Desc) bool {
 	defer ls.Release()
 	lv := ls.Solve(rtl.ComputeCFG(shadow))
 
-	// Interference of each candidate slot with hardware registers and
-	// with other candidate slots: a definition interferes with
-	// everything live after it.
-	forbidden := make(map[int]map[rtl.Reg]bool) // slot index -> hw regs
-	slotConflict := make(map[int]map[int]bool)  // slot index -> slot indexes
-	crossesCall := make(map[int]bool)
-	for _, si := range candidates {
-		forbidden[si] = make(map[rtl.Reg]bool)
-		slotConflict[si] = make(map[int]bool)
-	}
-	isVirt := func(r rtl.Reg) (int, bool) {
-		if r >= slotVirtBase {
-			return int(r - slotVirtBase), true
+	// Interference of each candidate with hardware registers and with
+	// other candidates: a definition interferes with everything live
+	// after it.
+	virt := func(r rtl.Reg) int {
+		if k := int(r) - base; k >= 0 && k < nc {
+			return k
 		}
-		return -1, false
+		return -1
 	}
+	live := sc.live
 	var buf [8]rtl.Reg
-	var live rtl.RegSet
 	for bpos, b := range shadow.Blocks {
-		live.CopyFrom(lv.Out[bpos])
+		clear(live)
+		copy(live, lv.Out[bpos].Words())
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := &b.Instrs[i]
-			if in.Op == rtl.OpCall {
-				// Any slot live across the call conflicts with
-				// caller-save registers.
-				live.ForEach(func(l rtl.Reg) {
-					if si, ok := isVirt(l); ok {
-						crossesCall[si] = true
-					}
-				})
-			}
 			moveSrc := rtl.RegNone
 			if in.Op == rtl.OpMov && in.A.Kind == rtl.OperReg {
 				moveSrc = in.A.Reg
 			}
 			for _, dreg := range in.Defs(buf[:0]) {
-				dsi, dIsVirt := isVirt(dreg)
-				live.ForEach(func(l rtl.Reg) {
+				dk := virt(dreg)
+				if dk < 0 && !dreg.IsHard() {
+					continue // interferes with nothing a slot may be given
+				}
+				rtl.SetOver[rtl.Reg](live).ForEach(func(l rtl.Reg) {
 					if l == moveSrc || l == dreg {
 						return
 					}
-					lsi, lIsVirt := isVirt(l)
+					lk := virt(l)
 					switch {
-					case dIsVirt && lIsVirt:
-						slotConflict[dsi][lsi] = true
-						slotConflict[lsi][dsi] = true
-					case dIsVirt && l.IsHard():
-						forbidden[dsi][l] = true
-					case lIsVirt && dreg.IsHard():
-						forbidden[lsi][dreg] = true
+					case dk >= 0 && lk >= 0:
+						sc.conflict(dk)[lk>>6] |= 1 << (lk & 63)
+						sc.conflict(lk)[dk>>6] |= 1 << (dk & 63)
+					case dk >= 0 && l.IsHard():
+						sc.forbidden[dk] |= 1 << l
+					case lk >= 0 && dreg.IsHard():
+						sc.forbidden[lk] |= 1 << dreg
 					}
 				})
 			}
 			for _, dreg := range in.Defs(buf[:0]) {
-				live.Remove(dreg)
+				live[dreg>>6] &^= 1 << (dreg & 63)
 			}
 			for _, ureg := range in.Uses(buf[:0]) {
-				live.Add(ureg)
+				if int(ureg) < base+nc {
+					live[ureg>>6] |= 1 << (ureg & 63)
+				}
 			}
 		}
 	}
@@ -133,50 +131,37 @@ func (RegisterAllocation) Apply(f *rtl.Func, _ *machine.Desc) bool {
 	// (dead defs still clobber); exclude registers that are defined
 	// anywhere the slot is live — approximated above — plus SP/LR/PC.
 	// Color slots in order of descending access count so the most
-	// valuable promotions happen first.
-	counts := make(map[int]int)
-	for _, b := range f.Blocks {
-		for i := range b.Instrs {
-			if si, ok := scalarSlotAccess(f, &b.Instrs[i]); ok {
-				counts[si]++
-			}
+	// valuable promotions happen first; a slot never accessed is not
+	// colored.
+	order := sc.order[:0]
+	for k := range nc {
+		if sc.counts[k] > 0 {
+			order = append(order, int32(k))
 		}
 	}
-	order := append([]int(nil), candidates...)
-	sort.Slice(order, func(i, j int) bool {
-		if counts[order[i]] != counts[order[j]] {
-			return counts[order[i]] > counts[order[j]]
+	sc.order = order
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(sc.counts[b], sc.counts[a]); c != 0 {
+			return c
 		}
-		return order[i] < order[j]
+		return cmp.Compare(a, b)
 	})
-
-	assigned := make(map[int]rtl.Reg)
-	for _, si := range order {
-		if counts[si] == 0 {
-			continue // slot never accessed
-		}
-		used := make(map[rtl.Reg]bool)
-		for hw := range forbidden[si] {
-			used[hw] = true
-		}
-		for other := range slotConflict[si] {
-			if hw, ok := assigned[other]; ok {
-				used[hw] = true
+	promoted := false
+	for _, k := range order {
+		used := sc.forbidden[k]
+		rtl.SetOver[int](sc.conflict(int(k))).ForEach(func(other int) {
+			if hw := sc.assigned[other]; hw != rtl.RegNone {
+				used |= 1 << hw
 			}
-		}
-		var choice rtl.Reg = rtl.RegNone
-		for _, hw := range allocationPalette(crossesCall[si]) {
-			if !used[hw] {
-				choice = hw
+		})
+		for _, hw := range allocationPalette {
+			if used&(1<<hw) == 0 {
+				sc.assigned[k], promoted = hw, true
 				break
 			}
 		}
-		if choice == rtl.RegNone {
-			continue
-		}
-		assigned[si] = choice
 	}
-	if len(assigned) == 0 {
+	if !promoted {
 		return false
 	}
 
@@ -184,14 +169,11 @@ func (RegisterAllocation) Apply(f *rtl.Func, _ *machine.Desc) bool {
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			si, ok := scalarSlotAccess(f, in)
-			if !ok {
+			k := sc.access(in)
+			if k < 0 || sc.assigned[k] == rtl.RegNone {
 				continue
 			}
-			hw, ok := assigned[si]
-			if !ok {
-				continue
-			}
+			hw := sc.assigned[k]
 			switch in.Op {
 			case rtl.OpLoad:
 				*in = rtl.NewMov(in.Dst, rtl.R(hw))
@@ -201,43 +183,99 @@ func (RegisterAllocation) Apply(f *rtl.Func, _ *machine.Desc) bool {
 		}
 	}
 	// Promoted slots are no longer memory-resident scalars.
-	for si := range assigned {
-		f.Slots[si].Scalar = false
-		f.Slots[si].Name += ".promoted"
+	for k, hw := range sc.assigned {
+		if hw != rtl.RegNone {
+			s := &f.Slots[sc.slots[k]]
+			s.Scalar = false
+			s.Name += ".promoted"
+		}
 	}
 	return true
 }
 
-// allocationPalette returns the hardware registers a slot may be
-// promoted to. Slots live across calls must live in callee-save
-// registers; others prefer callee-save too (so promoted variables
-// survive later-introduced calls cheaply) but may use anything
-// allocatable.
-func allocationPalette(acrossCall bool) []rtl.Reg {
-	calleeSave := []rtl.Reg{
-		rtl.RegR4, rtl.RegR5, rtl.RegR6, rtl.RegR7,
-		rtl.RegR8, rtl.RegR9, rtl.RegR10, rtl.RegR11,
-	}
-	if acrossCall {
-		return calleeSave
-	}
-	return append(calleeSave, rtl.RegR12, rtl.RegR3, rtl.RegR2, rtl.RegR1, rtl.RegR0)
+// allocationPalette lists the hardware registers a slot may be promoted
+// to, in order of preference: callee-save first, so promoted variables
+// survive later-introduced calls cheaply. A slot live across a call is
+// never given a caller-save register: the call defines every one of
+// them while the slot is live, so they all interfere with it.
+var allocationPalette = [...]rtl.Reg{
+	rtl.RegR4, rtl.RegR5, rtl.RegR6, rtl.RegR7,
+	rtl.RegR8, rtl.RegR9, rtl.RegR10, rtl.RegR11,
+	rtl.RegR12, rtl.RegR3, rtl.RegR2, rtl.RegR1, rtl.RegR0,
 }
 
-// scalarSlots lists the indexes of promotable slots.
-func scalarSlots(f *rtl.Func) []int {
-	var out []int
+// allocScratch is the storage an application of k works in, indexed by
+// candidate: the promotable (scalar) slots of the function, in slot
+// order. Scratch is pooled; an application takes one and sizes it to
+// its function, so a warm pool allocates only the liveness graph.
+type allocScratch struct {
+	shadow    *rtl.Func
+	base      int       // the register of candidate 0; above every register f names
+	slots     []int32   // by candidate: its index in f.Slots
+	offsets   []int32   // by candidate: its frame offset
+	counts    []int32   // by candidate: the loads and stores of it
+	forbidden []uint32  // by candidate: the hardware registers it interferes with
+	assigned  []rtl.Reg // by candidate: the register it is promoted to, or RegNone
+	conflicts []uint64  // by candidate: the candidates it interferes with, rowWords each
+	rowWords  int
+	order     []int32
+	live      []uint64 // the backward pass's running set, over base+candidates registers
+}
+
+var allocScratchPool = sync.Pool{New: func() any { return new(allocScratch) }}
+
+// reset sizes the scratch for an application to f, indexes its
+// candidates by offset and counts their accesses. It reports whether
+// any candidate is accessed at all: if none is, nothing can be
+// promoted.
+func (sc *allocScratch) reset(f *rtl.Func) bool {
+	sc.slots, sc.offsets = sc.slots[:0], sc.offsets[:0]
 	for i := range f.Slots {
 		if f.Slots[i].Scalar {
-			out = append(out, i)
+			sc.slots = append(sc.slots, int32(i))
+			sc.offsets = append(sc.offsets, f.Slots[i].Offset)
 		}
 	}
-	return out
+	nc := len(sc.offsets)
+	if nc == 0 {
+		return false
+	}
+	sc.counts = rtl.Resize(sc.counts, nc)
+	clear(sc.counts)
+	accessed := false
+	for _, b := range f.Blocks {
+		for i := range b.Instrs {
+			if k := sc.access(&b.Instrs[i]); k >= 0 {
+				sc.counts[k]++
+				accessed = true
+			}
+		}
+	}
+	if !accessed {
+		return false
+	}
+	sc.base = max(int(f.NextPseudo), usedRegWidth(f))
+	sc.forbidden = rtl.Resize(sc.forbidden, nc)
+	sc.assigned = rtl.Resize(sc.assigned, nc)
+	clear(sc.forbidden)
+	for k := range sc.assigned {
+		sc.assigned[k] = rtl.RegNone
+	}
+	sc.rowWords = (nc + 63) / 64
+	sc.conflicts = rtl.Resize(sc.conflicts, nc*sc.rowWords)
+	clear(sc.conflicts)
+	sc.live = rtl.Resize(sc.live, (sc.base+nc+63)/64)
+	return true
 }
 
-// scalarSlotAccess reports whether the instruction is a load or store
-// of a promotable scalar slot, returning the slot index.
-func scalarSlotAccess(f *rtl.Func, in *rtl.Instr) (int, bool) {
+// conflict returns candidate k's row of the interference matrix.
+func (sc *allocScratch) conflict(k int) []uint64 {
+	return sc.conflicts[k*sc.rowWords : (k+1)*sc.rowWords]
+}
+
+// access reports which candidate the instruction loads or stores, or
+// -1: the first scalar slot at its stack-pointer displacement.
+func (sc *allocScratch) access(in *rtl.Instr) int {
 	var base rtl.Operand
 	switch in.Op {
 	case rtl.OpLoad:
@@ -245,16 +283,15 @@ func scalarSlotAccess(f *rtl.Func, in *rtl.Instr) (int, bool) {
 	case rtl.OpStore:
 		base = in.B
 	default:
-		return -1, false
+		return -1
 	}
 	if !base.IsReg(rtl.RegSP) {
-		return -1, false
+		return -1
 	}
-	for i := range f.Slots {
-		s := &f.Slots[i]
-		if s.Scalar && s.Offset == in.Disp {
-			return i, true
+	for k, off := range sc.offsets {
+		if off == in.Disp {
+			return k
 		}
 	}
-	return -1, false
+	return -1
 }

@@ -2,6 +2,8 @@ package opt
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"repro/internal/rtl"
 )
@@ -16,11 +18,13 @@ func RegAssign(f *rtl.Func) {
 	if f.RegAssigned {
 		return
 	}
+	sc := colorScratchPool.Get().(*colorScratch)
+	defer colorScratchPool.Put(sc)
 	for iter := 0; ; iter++ {
 		if iter > 32 {
 			panic(fmt.Sprintf("opt: register assignment failed to converge for %q", f.Name))
 		}
-		spilled, ok := colorOnce(f)
+		spilled, ok := sc.colorOnce(f)
 		if ok {
 			break
 		}
@@ -33,46 +37,48 @@ func RegAssign(f *rtl.Func) {
 	f.NextPseudo = rtl.FirstPseudo
 }
 
+// colorScratch is the storage a colouring works in. Pseudo registers are
+// numbered densely in increasing register order — their index — and
+// everything is indexed by it: the interference among them is a bit
+// matrix, the hardware registers each interferes with a mask. Scratch
+// is pooled; an assignment takes one for all its colourings.
+type colorScratch struct {
+	used      []uint64  // the registers the function references
+	pseudos   []rtl.Reg // by index: the pseudo register
+	index     []int32   // by register: its index, or -1
+	forbidden []uint32  // by index: the hardware registers it interferes with
+	adj       []uint64  // by index: the pseudos it interferes with, rowWords each
+	rowWords  int
+	degree    []int32 // by index: its neighbours, hardware registers included
+	cur       []int32 // by index: degree less the neighbours already simplified
+	removed   []bool  // by index: simplified
+	stack     []int32
+	color     []rtl.Reg // by index: its colour, or RegNone
+	live      []uint64  // the backward pass's running set
+}
+
+var colorScratchPool = sync.Pool{New: func() any { return new(colorScratch) }}
+
 // colorOnce attempts one coloring of all pseudo registers. On failure
 // it returns a pseudo register to spill.
-func colorOnce(f *rtl.Func) (spill rtl.Reg, ok bool) {
-	pseudos := collectPseudos(f)
-	if len(pseudos) == 0 {
+func (sc *colorScratch) colorOnce(f *rtl.Func) (spill rtl.Reg, ok bool) {
+	np := sc.number(f)
+	if np == 0 {
 		return 0, true
 	}
 
 	// Interference: def d at a point interferes with everything live
 	// immediately after that point. A move's source is excluded so
-	// copies may share a register.
-	inter := make(map[rtl.Reg]map[rtl.Reg]bool, len(pseudos))
-	addEdge := func(a, b rtl.Reg) {
-		if a == b {
-			return
-		}
-		for _, r := range [2]rtl.Reg{a, b} {
-			if !r.IsPseudo() {
-				continue
-			}
-			m := inter[r]
-			if m == nil {
-				m = make(map[rtl.Reg]bool)
-				inter[r] = m
-			}
-			other := a
-			if r == a {
-				other = b
-			}
-			m[other] = true
-		}
-	}
-
+	// copies may share a register. Only pseudo and hardware neighbours
+	// of a pseudo register count.
 	ls := rtl.NewLiveSolver()
 	defer ls.Release()
 	lv := ls.Solve(rtl.ComputeCFG(f))
 	var buf [8]rtl.Reg
-	var live rtl.RegSet
+	live := sc.live
 	for bpos, b := range f.Blocks {
-		live.CopyFrom(lv.Out[bpos])
+		clear(live)
+		copy(live, lv.Out[bpos].Words())
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := &b.Instrs[i]
 			moveSrc := rtl.RegNone
@@ -80,112 +86,93 @@ func colorOnce(f *rtl.Func) (spill rtl.Reg, ok bool) {
 				moveSrc = in.A.Reg
 			}
 			for _, d := range in.Defs(buf[:0]) {
-				live.ForEach(func(l rtl.Reg) {
-					if l != moveSrc {
-						addEdge(d, l)
+				dp := sc.indexOf(d)
+				if dp < 0 && !d.IsHard() {
+					continue
+				}
+				rtl.SetOver[rtl.Reg](live).ForEach(func(l rtl.Reg) {
+					if l == moveSrc || l == d {
+						return
+					}
+					lp := sc.indexOf(l)
+					switch {
+					case dp >= 0 && lp >= 0:
+						sc.row(dp)[lp>>6] |= 1 << (lp & 63)
+						sc.row(lp)[dp>>6] |= 1 << (dp & 63)
+					case dp >= 0 && l.IsHard():
+						sc.forbidden[dp] |= 1 << l
+					case lp >= 0 && d.IsHard():
+						sc.forbidden[lp] |= 1 << d
 					}
 				})
 			}
 			for _, d := range in.Defs(buf[:0]) {
-				live.Remove(d)
+				live[d>>6] &^= 1 << (d & 63)
 			}
 			for _, u := range in.Uses(buf[:0]) {
-				live.Add(u)
+				if int(u) < len(sc.index) {
+					live[u>>6] |= 1 << (u & 63)
+				}
 			}
 		}
+	}
+	for p := range np {
+		d := bits.OnesCount32(sc.forbidden[p])
+		for _, w := range sc.row(p) {
+			d += bits.OnesCount64(w)
+		}
+		sc.degree[p], sc.cur[p] = int32(d), int32(d)
 	}
 
-	// Forbidden hardware registers per pseudo, derived from edges to
-	// precolored registers.
-	forbidden := make(map[rtl.Reg]map[rtl.Reg]bool, len(pseudos))
-	for _, p := range pseudos {
-		forbidden[p] = make(map[rtl.Reg]bool)
-		for n := range inter[p] {
-			if n.IsHard() {
-				forbidden[p][n] = true
-			}
-		}
-	}
-	degree := func(p rtl.Reg) int {
-		d := len(forbidden[p])
-		for n := range inter[p] {
-			if n.IsPseudo() {
-				d++
-			}
-		}
-		return d
-	}
-
-	k := len(rtl.AllocatableHardRegs)
+	k := int32(len(rtl.AllocatableHardRegs))
 	// Simplify: push low-degree nodes; when stuck, push the
 	// highest-degree node optimistically (it becomes the spill
-	// candidate if select fails).
-	remaining := append([]rtl.Reg(nil), pseudos...)
-	removed := make(map[rtl.Reg]bool)
-	var stack []rtl.Reg
-	curDegree := func(p rtl.Reg) int {
-		d := len(forbidden[p])
-		for n := range inter[p] {
-			if n.IsPseudo() && !removed[n] {
-				d++
-			}
-		}
-		return d
-	}
-	for len(stack) < len(pseudos) {
-		picked := rtl.RegNone
-		for _, p := range remaining {
-			if removed[p] {
-				continue
-			}
-			if curDegree(p) < k {
+	// candidate if select fails). Both scans go in index order, which
+	// is register order.
+	stack := sc.stack[:0]
+	for len(stack) < np {
+		picked := -1
+		for p := range np {
+			if !sc.removed[p] && sc.cur[p] < k {
 				picked = p
 				break
 			}
 		}
-		if picked == rtl.RegNone {
+		if picked < 0 {
 			// Optimistic push of the max-degree node.
-			best, bestDeg := rtl.RegNone, -1
-			for _, p := range remaining {
-				if removed[p] {
-					continue
-				}
-				if d := degree(p); d > bestDeg {
-					best, bestDeg = p, d
+			bestDeg := int32(-1)
+			for p := range np {
+				if !sc.removed[p] && sc.degree[p] > bestDeg {
+					picked, bestDeg = p, sc.degree[p]
 				}
 			}
-			picked = best
 		}
-		removed[picked] = true
-		stack = append(stack, picked)
+		sc.removed[picked] = true
+		stack = append(stack, int32(picked))
+		rtl.SetOver[int](sc.row(picked)).ForEach(func(n int) { sc.cur[n]-- })
 	}
+	sc.stack = stack
 
 	// Select colors in reverse simplification order.
-	color := make(map[rtl.Reg]rtl.Reg, len(pseudos))
 	for i := len(stack) - 1; i >= 0; i-- {
-		p := stack[i]
-		used := make(map[rtl.Reg]bool)
-		for hw := range forbidden[p] {
-			used[hw] = true
-		}
-		for n := range inter[p] {
-			if n.IsPseudo() {
-				if c, ok := color[n]; ok {
-					used[c] = true
-				}
+		p := int(stack[i])
+		used := sc.forbidden[p]
+		rtl.SetOver[int](sc.row(p)).ForEach(func(n int) {
+			if c := sc.color[n]; c != rtl.RegNone {
+				used |= 1 << c
 			}
-		}
+		})
 		assigned := rtl.RegNone
 		for _, hw := range rtl.AllocatableHardRegs {
-			if !used[hw] {
+			if used&(1<<hw) == 0 {
 				assigned = hw
 				break
 			}
 		}
 		if assigned == rtl.RegNone {
-			return p, false
+			return sc.pseudos[p], false
 		}
-		color[p] = assigned
+		sc.color[p] = assigned
 	}
 
 	// Rewrite.
@@ -193,30 +180,84 @@ func colorOnce(f *rtl.Func) (spill rtl.Reg, ok bool) {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if in.Dst.IsPseudo() {
-				in.Dst = color[in.Dst]
+				in.Dst = sc.colorOf(in.Dst)
 			}
 			if in.A.Kind == rtl.OperReg && in.A.Reg.IsPseudo() {
-				in.A.Reg = color[in.A.Reg]
+				in.A.Reg = sc.colorOf(in.A.Reg)
 			}
 			if in.B.Kind == rtl.OperReg && in.B.Reg.IsPseudo() {
-				in.B.Reg = color[in.B.Reg]
+				in.B.Reg = sc.colorOf(in.B.Reg)
 			}
 		}
 	}
 	return 0, true
 }
 
-// collectPseudos returns every pseudo register referenced by f in
-// increasing numeric order, keeping the pass deterministic.
-func collectPseudos(f *rtl.Func) []rtl.Reg {
-	var out []rtl.Reg
-	f.UsedRegs().ForEach(func(r rtl.Reg) {
-		if r.IsPseudo() {
-			out = append(out, r)
+// number indexes the pseudo registers f references, in increasing
+// register order, sizes the scratch to them and returns how many there
+// are.
+func (sc *colorScratch) number(f *rtl.Func) int {
+	sc.used = rtl.Resize(sc.used, max(1, (int(f.NextPseudo)+63)/64))
+	clear(sc.used)
+	used := rtl.SetOver[rtl.Reg](sc.used) // grows past NextPseudo only for a malformed f
+	var buf [8]rtl.Reg
+	for _, b := range f.Blocks {
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			for _, r := range in.Defs(buf[:0]) {
+				used.Add(r)
+			}
+			for _, r := range in.Uses(buf[:0]) {
+				if r != rtl.RegNone {
+					used.Add(r)
+				}
+			}
 		}
-	})
-	return out
+	}
+	sc.used = used.Words()
+	width := len(sc.used) * 64
+	sc.index = rtl.Resize(sc.index, width)
+	sc.pseudos = sc.pseudos[:0]
+	for r := range sc.index {
+		sc.index[r] = -1
+		if rtl.Reg(r).IsPseudo() && used.Has(rtl.Reg(r)) {
+			sc.index[r] = int32(len(sc.pseudos))
+			sc.pseudos = append(sc.pseudos, rtl.Reg(r))
+		}
+	}
+	np := len(sc.pseudos)
+	sc.rowWords = (np + 63) / 64
+	sc.adj = rtl.Resize(sc.adj, np*sc.rowWords)
+	clear(sc.adj)
+	sc.forbidden = rtl.Resize(sc.forbidden, np)
+	clear(sc.forbidden)
+	sc.degree = rtl.Resize(sc.degree, np)
+	sc.cur = rtl.Resize(sc.cur, np)
+	sc.removed = rtl.Resize(sc.removed, np)
+	clear(sc.removed)
+	sc.color = rtl.Resize(sc.color, np)
+	for p := range sc.color {
+		sc.color[p] = rtl.RegNone
+	}
+	sc.live = rtl.Resize(sc.live, len(sc.used))
+	return np
 }
+
+// indexOf returns r's index, or -1 when r is not a pseudo register.
+func (sc *colorScratch) indexOf(r rtl.Reg) int {
+	if int(r) < len(sc.index) {
+		return int(sc.index[r])
+	}
+	return -1
+}
+
+// row returns p's row of the interference matrix.
+func (sc *colorScratch) row(p int) []uint64 {
+	return sc.adj[p*sc.rowWords : (p+1)*sc.rowWords]
+}
+
+// colorOf returns the colour of the pseudo register r.
+func (sc *colorScratch) colorOf(r rtl.Reg) rtl.Reg { return sc.color[sc.index[r]] }
 
 // spillPseudo rewrites every definition and use of p through a fresh
 // frame slot, splitting its live range into tiny per-access ranges.

@@ -2,6 +2,7 @@ package opt_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/machine"
@@ -180,6 +181,35 @@ func TestStrengthReductionLooksBeforeItAnalyses(t *testing.T) {
 	}
 	if got := ev.take(); got != (traceEvents{}) {
 		t.Fatalf("q derived %+v on a function without a multiply", got)
+	}
+}
+
+// TestStrengthReductionKeepsItsGraph: q changes no edge, so one graph
+// serves all its rewrites; it changes liveness, so each search after a
+// rewrite solves it again. Here the first rewrite — a multiply by zero
+// in the second block — ends r1's use there, and only a fresh solution
+// lets the second search take r1 as the scratch the first block's
+// multiply by 6 needs.
+func TestStrengthReductionKeepsItsGraph(t *testing.T) {
+	f := newAssigned("twomul")
+	next := f.AddBlock()
+	f.Entry().Instrs = append(f.Entry().Instrs,
+		rtl.NewMov(rtl.RegR1, rtl.Imm(6)),
+		rtl.NewALU(rtl.OpMul, rtl.RegR2, rtl.R(rtl.RegR0), rtl.R(rtl.RegR1)))
+	next.Instrs = append(next.Instrs,
+		rtl.NewMov(rtl.RegR4, rtl.Imm(0)),
+		rtl.NewALU(rtl.OpMul, rtl.RegR3, rtl.R(rtl.RegR1), rtl.R(rtl.RegR4)),
+		rtl.NewALU(rtl.OpAdd, rtl.RegR0, rtl.R(rtl.RegR2), rtl.R(rtl.RegR3)),
+		ret())
+	ev := countAnalyses(t)
+	if !(opt.StrengthReduction{}).Apply(f, machine.StrongARM()) {
+		t.Fatalf("q dormant on\n%s", f)
+	}
+	if strings.Contains(f.String(), "*") {
+		t.Fatalf("a multiply is left:\n%s", f)
+	}
+	if got, want := ev.take(), (traceEvents{cfgs: 1, liveness: 2}); got != want {
+		t.Fatalf("q derived %+v over two rewrites, want %+v", got, want)
 	}
 }
 

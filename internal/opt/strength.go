@@ -28,28 +28,42 @@ func (StrengthReduction) Name() string { return "strength reduction" }
 // compulsory register assignment.
 func (StrengthReduction) RequiresRegAssign() bool { return true }
 
-// Apply runs the phase.
+// Apply runs the phase: one rewrite at a time until none is left.
 func (StrengthReduction) Apply(f *rtl.Func, d *machine.Desc) bool {
+	q := strengthReducer{f: f}
 	changed := false
-	for reduceOnce(f, d) {
+	for q.reduceOnce(d) {
 		changed = true
+	}
+	if q.ls != nil {
+		q.ls.Release()
 	}
 	return changed
 }
 
+// strengthReducer is one application of q. A rewrite replaces a
+// multiply with straight-line arithmetic and changes no edge, so one
+// graph — normally the instance's, borrowed — serves the whole
+// application. Liveness is not invariant, though: a multiply by zero
+// becomes a move of zero and reads its other operand no more, which can
+// end that register's upward exposure, so a search after a rewrite
+// that needs liveness solves it again over that graph.
+type strengthReducer struct {
+	f         *rtl.Func
+	g         *rtl.CFG
+	ls        *rtl.LiveSolver
+	lv        *rtl.Liveness // nil: not solved since the last rewrite
+	rewritten bool
+}
+
 // reduceOnce rewrites one multiply-by-constant, returning whether it
 // did.
-func reduceOnce(f *rtl.Func, d *machine.Desc) bool {
-	// Liveness waits for the first multiply: most functions have none.
-	var lv *rtl.Liveness
-	for bpos, b := range f.Blocks {
+func (q *strengthReducer) reduceOnce(d *machine.Desc) bool {
+	for bpos, b := range q.f.Blocks {
 		for j := 0; j < len(b.Instrs); j++ {
 			in := b.Instrs[j]
 			if in.Op != rtl.OpMul {
 				continue
-			}
-			if lv == nil {
-				lv = rtl.CFGOf(f).Liveness()
 			}
 			// Find a constant operand: a register defined by Mov #c
 			// with no intervening redefinition. Either side works
@@ -71,7 +85,7 @@ func reduceOnce(f *rtl.Func, d *machine.Desc) bool {
 				// The constant's register can serve as a scratch only
 				// when nothing reads it after the multiply.
 				scratch := constOp.Reg
-				if scratch == in.Dst || !deadAfter(b, j, scratch, lv.Out[bpos]) {
+				if scratch == in.Dst || !q.deadAfter(bpos, j, scratch) {
 					scratch = rtl.RegNone
 				}
 				seq := expandMulByConst(in.Dst, valOp.Reg, scratch, c)
@@ -85,6 +99,7 @@ func reduceOnce(f *rtl.Func, d *machine.Desc) bool {
 				for k := len(seq) - 1; k >= 0; k-- {
 					b.Insert(j, seq[k])
 				}
+				q.lv, q.rewritten = nil, true
 				return true
 			}
 		}
@@ -93,8 +108,10 @@ func reduceOnce(f *rtl.Func, d *machine.Desc) bool {
 }
 
 // deadAfter reports whether register r is dead immediately after
-// position j of the block.
-func deadAfter(b *rtl.Block, j int, r rtl.Reg, liveOut rtl.RegSet) bool {
+// position j of block bpos. Liveness is asked for only when the rest of
+// the block does not settle it.
+func (q *strengthReducer) deadAfter(bpos, j int, r rtl.Reg) bool {
+	b := q.f.Blocks[bpos]
 	for p := j + 1; p < len(b.Instrs); p++ {
 		if b.Instrs[p].UsesReg(r) {
 			return false
@@ -103,7 +120,27 @@ func deadAfter(b *rtl.Block, j int, r rtl.Reg, liveOut rtl.RegSet) bool {
 			return true
 		}
 	}
-	return !liveOut.Has(r)
+	out := q.liveOut(bpos)
+	return !out.Has(r)
+}
+
+// liveOut returns the registers live out of block bpos of the function
+// as it now stands.
+func (q *strengthReducer) liveOut(bpos int) rtl.RegSet {
+	if q.lv == nil {
+		if q.g == nil {
+			q.g = rtl.CFGOf(q.f)
+		}
+		if !q.rewritten {
+			q.lv = q.g.Liveness() // the instance's own, memoized on a borrowed graph
+		} else {
+			if q.ls == nil {
+				q.ls = rtl.NewLiveSolver()
+			}
+			q.lv = q.ls.Solve(q.g)
+		}
+	}
+	return q.lv.Out[bpos]
 }
 
 func seqCost(d *machine.Desc, seq []rtl.Instr) int {

@@ -32,6 +32,11 @@ func SetOver[T ~uint16 | ~int](words []uint64) Set[T] {
 	return Set[T]{words: words[:len(words):len(words)]}
 }
 
+// Words returns the set's storage, shared: x is a member when bit x%64
+// of word x/64 is set, and words beyond the slice are empty. A client
+// that keeps many sets in one array of its own copies them from here.
+func (s Set[T]) Words() []uint64 { return s.words }
+
 // Add inserts x, growing the set if necessary.
 func (s *Set[T]) Add(x T) {
 	w := int(x) / 64
