@@ -327,7 +327,8 @@ chaos:
 # fleet, first the coordinator (restarted on the same cache, it must
 # resume the warm-up) and then a shard holder SIGKILLed mid-space, and
 # the merged space —
-# plus the equivalence tier derived from a second sharded merge —
+# plus an equivalence-tier request, one unsplit assignment on the same
+# fleet —
 # required to hash byte-identically (spacedot -hash) to single-node
 # cmd/explore runs. scripts/shard_smoke.sh has the details. Needs curl
 # and jq.

@@ -330,12 +330,11 @@ func printSearchTotals(s telemetry.Snapshot) {
 		mean := func(name string) time.Duration {
 			return time.Duration(int64(s.Histograms[name].Mean())).Round(time.Microsecond)
 		}
-		fmt.Printf("dist:   shards: %d splits into %d shard assignments, %d merges (mean %s), %d merge failures, %d fallbacks, %d warmup completions, %d equiv derivations (mean %s)\n",
+		fmt.Printf("dist:   shards: %d splits into %d shard assignments, %d merges (mean %s), %d merge failures, %d fallbacks, %d warmup completions\n",
 			splits, s.Counters["dist.shard.assignments"], s.Counters["dist.shard.merges"],
 			mean("dist.shard.merge.duration_ns"),
 			s.Counters["dist.shard.merge_failures"], s.Counters["dist.shard.fallbacks"],
-			s.Counters["dist.shard.warmup_completions"],
-			s.Histograms["dist.shard.derive.duration_ns"].Count, mean("dist.shard.derive.duration_ns"))
+			s.Counters["dist.shard.warmup_completions"])
 	}
 	for _, compiler := range []string{"batch", "prob"} {
 		if n := s.Counters["driver."+compiler+".compiles"]; n > 0 {

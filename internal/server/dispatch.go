@@ -31,19 +31,19 @@ import (
 // mutex acquisition and the server behaves exactly as a single node.
 //
 // There is one path to the fleet (enumerate) with a fan-out. At fan-out
-// one the whole space is a single assignment. At ShardFanout the
-// coordinator runs the space locally only until the frontier holds that
-// many nodes (the warm-up), partitions that frontier into disjoint
-// parts — each a self-contained checkpoint document a worker resumes
-// like any other — and leases them through the same protocol: per-part
-// watermarks and recovery checkpoints, re-dispatch of only the part
-// whose holder died. When every part completes, the search engine runs
-// its level loop from the warm-up frontier over the sub-spaces'
-// recorded outcomes, reproducing byte-for-byte the space a single node
-// would have enumerated (search.MergeShards). A split that cannot be
-// served goes round as the whole space, and that falls back to local
-// enumeration, so the fleet can only add capacity, never subtract
-// correctness.
+// one the whole space is a single assignment; an equivalence-tier
+// flight always is. A default-tier flight at ShardFanout runs locally
+// only until the frontier holds that many nodes (the warm-up),
+// partitions that frontier into disjoint parts — each a self-contained
+// checkpoint document a worker resumes like any other — and leases them
+// through the same protocol: per-part watermarks and recovery
+// checkpoints, re-dispatch of only the part whose holder died. When
+// every part completes, the search engine runs its level loop from the
+// warm-up frontier over the sub-spaces' recorded outcomes, reproducing
+// byte-for-byte the space a single node would have enumerated
+// (search.MergeShards). A split that cannot be served goes round as the
+// whole space, and that falls back to local enumeration, so the fleet
+// can only add capacity, never subtract correctness.
 
 // assignment lease/lifecycle states.
 const (
@@ -61,9 +61,7 @@ type assignment struct {
 	id string
 	fl *flight
 
-	// wopts is the wire options the assignment runs under: the flight's
-	// own, except that the parts of a split always run the default tier
-	// (the coordinator derives the equivalence space from their merge).
+	// wopts is the wire options the assignment runs under: the flight's.
 	wopts distcl.SearchOptions
 	// whole marks the whole-space assignment, the one whose checkpoints
 	// mean something outside this dispatch: they resume the flight key's
@@ -169,7 +167,6 @@ type dispatcher struct {
 	shardFallbacks   *telemetry.Counter
 	shardWarmupDone  *telemetry.Counter
 	shardMergeDur    *telemetry.Histogram
-	shardDeriveDur   *telemetry.Histogram
 	shardAssignments *telemetry.Counter
 }
 
@@ -202,7 +199,6 @@ func newDispatcher(s *Server) *dispatcher {
 		shardFallbacks:   s.reg.Counter("dist.shard.fallbacks"),
 		shardWarmupDone:  s.reg.Counter("dist.shard.warmup_completions"),
 		shardMergeDur:    s.reg.Histogram("dist.shard.merge.duration_ns"),
-		shardDeriveDur:   s.reg.Histogram("dist.shard.derive.duration_ns"),
 		shardAssignments: s.reg.Counter("dist.shard.assignments"),
 	}
 	if d.leaseTTL <= 0 {
@@ -265,10 +261,15 @@ func (d *dispatcher) hbEvery() time.Duration { return d.leaseTTL / 3 }
 // or the last upload of a whole-space assignment — so the local run
 // resumes rather than restarts.
 //
-// The fan-out is derived from what the coordinator can observe:
-// ShardFanout parts when it and the live-worker count are both at least
-// two (one worker gains nothing from a split and loses pipelining), the
-// whole space as a single part with any live worker, nothing otherwise.
+// The fan-out is derived from the flight's tier and what the
+// coordinator can observe: ShardFanout parts for a default-tier flight
+// when ShardFanout and the live-worker count are both at least two (one
+// worker gains nothing from a split and loses pipelining), the whole
+// space as a single part with any live worker, nothing otherwise. An
+// equivalence-tier flight is always one part. Its runs do not resume,
+// so a split could only run the default tier and derive the classes
+// after the slowest part, and the parts of a frontier split reconverge
+// (DESIGN §14): the larger part alone does most of the serial work.
 // A split that cannot be served — a part aborted or out of attempts, a
 // merge that failed verification — goes round once more as one part:
 // part-local caps do not land at the serial positions, so the only
@@ -280,7 +281,7 @@ func (d *dispatcher) enumerate(fl *flight) (*search.Result, bool) {
 	if live == 0 {
 		return nil, false
 	}
-	if k := d.s.cfg.ShardFanout; k >= 2 && live >= 2 {
+	if k := d.s.cfg.ShardFanout; k >= 2 && live >= 2 && !fl.no.Equiv {
 		if res, handled := d.run(fl, k); handled {
 			return res, true
 		}
@@ -291,10 +292,6 @@ func (d *dispatcher) enumerate(fl *flight) (*search.Result, bool) {
 // run takes fl through the fleet as k parts: warm up and partition
 // (k > 1 only), lease, await, collect, assemble.
 func (d *dispatcher) run(fl *flight, k int) (*search.Result, bool) {
-	wopts := distcl.SearchOptions{
-		Cap: fl.no.Cap, MaxNodes: fl.no.MaxNodes,
-		Check: fl.no.Check, Equiv: fl.no.Equiv,
-	}
 	// base is the paused warm-up the parts grow from and ids the
 	// frontier nodes each part owns; the whole space has neither and
 	// starts from no document.
@@ -321,12 +318,12 @@ func (d *dispatcher) run(fl *flight, k int) (*search.Result, bool) {
 			d.shardFallbacks.Inc()
 			return nil, false
 		}
-		// Merging needs raw nodes, so parts always enumerate the default
-		// tier; assemble derives the equivalence tier afterwards.
-		wopts.Equiv = false
 	}
 
-	parts := d.lease(fl, wopts, docs)
+	parts := d.lease(fl, distcl.SearchOptions{
+		Cap: fl.no.Cap, MaxNodes: fl.no.MaxNodes,
+		Check: fl.no.Check, Equiv: fl.no.Equiv,
+	}, docs)
 	if parts == nil {
 		if base != nil {
 			d.shardFallbacks.Inc()
@@ -422,8 +419,7 @@ func (d *dispatcher) withdraw(parts []*assignment) {
 // warm-up: its result is the answer. Otherwise the warm-up (base) and
 // the parts' sub-spaces are merged into the bytes a single enumerator
 // would have produced — no parts at all when the warm-up finished the
-// space by itself — and an equiv flight gets the equivalence space
-// derived from that, byte-identical to a direct equiv enumeration.
+// space by itself.
 func (d *dispatcher) assemble(fl *flight, base *search.Result, parts []*assignment, ids [][]int) (*search.Result, bool) {
 	if base == nil {
 		switch a := parts[0]; {
@@ -440,63 +436,34 @@ func (d *dispatcher) assemble(fl *flight, base *search.Result, parts []*assignme
 		}
 	}
 
-	full := base
-	if len(parts) > 0 {
-		shards := make([]search.ShardSpace, len(parts))
-		for i, a := range parts {
-			if a.state != stateDone || a.aborted {
-				// Aborted on its worker (cap, max-nodes, timeout) or out
-				// of attempts.
-				d.s.logger.Warn("dist shard set incomplete, falling back", "flight_id", fl.id)
-				d.shardFallbacks.Inc()
-				return nil, false
-			}
-			shards[i] = search.ShardSpace{Res: a.res, FrontierIDs: ids[i]}
-		}
-		began := time.Now()
-		merged, err := search.MergeShards(base, shards)
-		fl.merge = time.Since(began)
-		d.shardMergeDur.Observe(int64(fl.merge))
-		if err != nil {
-			d.shardMergeFails.Inc()
-			d.s.logger.Warn("dist shard merge failed", "flight_id", fl.id, "err", err.Error())
+	if len(parts) == 0 {
+		return base, true
+	}
+	shards := make([]search.ShardSpace, len(parts))
+	for i, a := range parts {
+		if a.state != stateDone || a.aborted {
+			// Aborted on its worker (cap, max-nodes, timeout) or out
+			// of attempts.
+			d.s.logger.Warn("dist shard set incomplete, falling back", "flight_id", fl.id)
+			d.shardFallbacks.Inc()
 			return nil, false
 		}
-		d.shardMerges.Inc()
-		d.s.logger.InfoContext(fl.ctx, "dist shards merged", "flight_id", fl.id,
-			"func", fl.fn.Name, "shards", len(shards), "nodes", len(merged.Nodes))
-		full = merged
-		defer func() {
-			d.s.flights.add(flightRecord{Event: "shard-merge", FlightID: fl.id,
-				MergeMS: fl.merge.Milliseconds(), DeriveMS: fl.derive.Milliseconds()})
-		}()
-	}
-	if !fl.no.Equiv {
-		return full, true
-	}
-	if full.Aborted {
-		// A cap hit in the default tier says nothing about where the
-		// equivalence tier (fewer nodes per level) would have landed;
-		// only a real equiv enumeration answers that.
-		d.shardFallbacks.Inc()
-		return nil, false
+		shards[i] = search.ShardSpace{Res: a.res, FrontierIDs: ids[i]}
 	}
 	began := time.Now()
-	derived, err := search.DeriveEquiv(full, search.Options{
-		MaxSeqPerLevel: fl.no.Cap,
-		MaxNodes:       fl.no.MaxNodes,
-		Check:          fl.no.Check,
-		Logger:         d.s.logger,
-		Metrics:        d.s.reg,
-	})
-	fl.derive = time.Since(began)
-	d.shardDeriveDur.Observe(int64(fl.derive))
+	merged, err := search.MergeShards(base, shards)
+	fl.merge = time.Since(began)
+	d.shardMergeDur.Observe(int64(fl.merge))
 	if err != nil {
-		d.s.logger.Warn("dist shard equiv derivation failed", "flight_id", fl.id, "err", err.Error())
-		d.shardFallbacks.Inc()
+		d.shardMergeFails.Inc()
+		d.s.logger.Warn("dist shard merge failed", "flight_id", fl.id, "err", err.Error())
 		return nil, false
 	}
-	return derived, true
+	d.shardMerges.Inc()
+	d.s.logger.InfoContext(fl.ctx, "dist shards merged", "flight_id", fl.id,
+		"func", fl.fn.Name, "shards", len(shards), "nodes", len(merged.Nodes))
+	d.s.flights.add(flightRecord{Event: "shard-merge", FlightID: fl.id, MergeMS: fl.merge.Milliseconds()})
+	return merged, true
 }
 
 // liveLocked counts the workers polls can be expected from.
@@ -793,12 +760,13 @@ func (d *dispatcher) dispatch(a *assignment, workerID string) (*distcl.Assignmen
 	}
 	d.mu.Unlock()
 
-	if seed == nil {
+	if seed == nil && !a.wopts.Equiv {
 		// The whole space, nothing uploaded yet. An earlier life of the
 		// key (a coordinator since restarted, a local request that
 		// drained, the warm-up of a split that could not be served) may
 		// have left a checkpoint in its disk slot; recover from it
-		// rather than re-enumerating.
+		// rather than re-enumerating. An equivalence-tier key never has
+		// one: its runs do not checkpoint.
 		if b, err := d.s.store.readCkpt(a.fl.key); err == nil {
 			seed, recovered = b, true
 		}

@@ -62,83 +62,72 @@ func saved(t *testing.T, res *search.Result) []byte {
 // Each part is uploaded as Result.Save writes it, under the SHA-256 of
 // those bytes, which is not its canonical hash: the coordinator takes
 // it, because a part is named by the bytes it arrived as, and the
-// merged answer still hashes to the serial enumeration's on both tiers.
-// A part with one byte flipped, or sent under a stale claim (its
-// canonical hash, what the coordinator used to require), is refused
-// with a 400, and a re-delivered part is a duplicate.
+// merged answer still hashes to the serial enumeration's. A part with
+// one byte flipped, or sent under a stale claim (its canonical hash,
+// what the coordinator used to require), is refused with a 400, and a
+// re-delivered part is a duplicate. Parts are default-tier only: an
+// equiv request is one whole-space assignment
+// (TestWholeUploadIsHeldToItsCanonicalHash).
 func TestPartNamedByItsBytes(t *testing.T) {
-	for _, equiv := range []bool{false, true} {
-		s, ts := newTestServer(t, Config{
-			ShardFanout: 2, DistLeaseTTL: 30 * time.Second, DistPollWait: 200 * time.Millisecond,
-		})
-		registerIdle(t, ts, "w1")
-		registerIdle(t, ts, "w2")
-		cl := distcl.NewClient(distcl.Config{BaseURL: ts.URL, Timeout: 5 * time.Second})
-		fn := mustCompile(t, sumSrc, "sum")
-		want, err := search.Run(fn, search.Options{Equiv: equiv}).CanonicalHash()
+	s, ts := newTestServer(t, Config{
+		ShardFanout: 2, DistLeaseTTL: 30 * time.Second, DistPollWait: 200 * time.Millisecond,
+	})
+	registerIdle(t, ts, "w1")
+	registerIdle(t, ts, "w2")
+	cl := distcl.NewClient(distcl.Config{BaseURL: ts.URL, Timeout: 5 * time.Second})
+	want, err := search.Run(mustCompile(t, sumSrc, "sum"), search.Options{}).CanonicalHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replies := postAsync(t, ts, srcBody(sumSrc))
+
+	for i, worker := range []string{"w1", "w2"} {
+		asn := pollAs(t, cl, worker)
+		seed, err := search.Load(bytes.NewReader(mustB64(t, asn.CheckpointB64)))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("part %d's starting document: %v", i, err)
 		}
+		part, err := search.Resume(seed, search.Options{})
+		if err != nil || part.Aborted {
+			t.Fatalf("part %d did not finish: %v", i, err)
+		}
+		up := saved(t, part)
+		canon, err := part.CanonicalHash()
+		if err != nil || hexSum(up) == canon {
+			t.Fatalf("part %d's upload is already canonical (%v)", i, err)
+		}
+		if i == 0 {
+			flipped := bytes.Clone(up)
+			flipped[len(flipped)/2] ^= 1
+			_, err := complete(cl, worker, asn, flipped, hexSum(up))
+			wantMismatch(t, "a flipped byte", err)
+			_, err = complete(cl, worker, asn, up, canon)
+			wantMismatch(t, "a stale claim", err)
+		}
+		if status, err := complete(cl, worker, asn, up, hexSum(up)); status != "accepted" {
+			t.Fatalf("part %d: %q, %v; want accepted", i, status, err)
+		}
+		if i == 0 {
+			if status, err := complete(cl, worker, asn, up, hexSum(up)); status != "duplicate" {
+				t.Errorf("re-delivered part: %q, %v; want duplicate", status, err)
+			}
+		}
+	}
 
-		body := srcBody(sumSrc)
-		if equiv {
-			body = `{"source":` + jsonStr(sumSrc) + `,"options":{"equiv":true}}`
-		}
-		replies := make(chan map[string]any, 1)
-		go func() {
-			status, doc, _ := post(t, ts, body)
-			doc["status"] = status
-			replies <- doc
-		}()
-
-		for i, worker := range []string{"w1", "w2"} {
-			asn := pollAs(t, cl, worker)
-			seed, err := search.Load(bytes.NewReader(mustB64(t, asn.CheckpointB64)))
-			if err != nil {
-				t.Fatalf("equiv=%v: part %d's starting document: %v", equiv, i, err)
-			}
-			part, err := search.Resume(seed, search.Options{})
-			if err != nil || part.Aborted {
-				t.Fatalf("equiv=%v: part %d did not finish: %v", equiv, i, err)
-			}
-			up := saved(t, part)
-			canon, err := part.CanonicalHash()
-			if err != nil || hexSum(up) == canon {
-				t.Fatalf("equiv=%v: part %d's upload is already canonical (%v)", equiv, i, err)
-			}
-			if i == 0 {
-				flipped := bytes.Clone(up)
-				flipped[len(flipped)/2] ^= 1
-				_, err := complete(cl, worker, asn, flipped, hexSum(up))
-				wantMismatch(t, "a flipped byte", err)
-				_, err = complete(cl, worker, asn, up, canon)
-				wantMismatch(t, "a stale claim", err)
-			}
-			if status, err := complete(cl, worker, asn, up, hexSum(up)); status != "accepted" {
-				t.Fatalf("equiv=%v: part %d: %q, %v; want accepted", equiv, i, status, err)
-			}
-			if i == 0 {
-				if status, err := complete(cl, worker, asn, up, hexSum(up)); status != "duplicate" {
-					t.Errorf("equiv=%v: re-delivered part: %q, %v; want duplicate", equiv, status, err)
-				}
-			}
-		}
-
-		doc := <-replies
-		if doc["status"] != http.StatusOK || doc["space_hash"] != want {
-			t.Fatalf("equiv=%v: the flight answered %v with space_hash %v, want 200 and the serial hash %s",
-				equiv, doc["status"], doc["space_hash"], want)
-		}
-		if hexSum(download(t, ts.URL, doc["key"].(string))) != want {
-			t.Errorf("equiv=%v: the stored space does not hash to the answer's space_hash", equiv)
-		}
-		for name, want := range map[string]int64{
-			"dist.shard.merges": 1, "dist.shard.merge_failures": 0,
-			"dist.shard.fallbacks": 0, "dist.local_fallbacks": 0, "server.enumerations": 1,
-		} {
-			if got := counter(s, name); got != want {
-				t.Errorf("equiv=%v: %s = %d, want %d", equiv, name, got, want)
-			}
+	r := <-replies
+	if r.status != http.StatusOK || r.doc["space_hash"] != want {
+		t.Fatalf("the flight answered %v with space_hash %v, want 200 and the serial hash %s",
+			r.status, r.doc["space_hash"], want)
+	}
+	if hexSum(download(t, ts.URL, r.doc["key"].(string))) != want {
+		t.Errorf("the stored space does not hash to the answer's space_hash")
+	}
+	for name, want := range map[string]int64{
+		"dist.shard.merges": 1, "dist.shard.merge_failures": 0,
+		"dist.shard.fallbacks": 0, "dist.local_fallbacks": 0, "server.enumerations": 1,
+	} {
+		if got := counter(s, name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
 }

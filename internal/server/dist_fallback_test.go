@@ -173,15 +173,7 @@ func TestFleetFallbackEdges(t *testing.T) {
 
 			s, ts := newTestServer(t, row.cfg)
 			mid := row.fleet(t, s, ts)
-			type reply struct {
-				status int
-				doc    map[string]any
-			}
-			replies := make(chan reply, 1)
-			go func() {
-				st, doc, _ := post(t, ts, body)
-				replies <- reply{st, doc}
-			}()
+			replies := postAsync(t, ts, body)
 			if mid != nil {
 				mid()
 			}

@@ -37,14 +37,12 @@ type flightRecord struct {
 	// PublishMS (canonical hash, rename or put into the disk store, and
 	// the answer record)
 	// and, when the fleet ran the space as shards, MergeMS
-	// (search.MergeShards) and DeriveMS (search.DeriveEquiv). The
-	// "shard-merge" event carries the last two as well.
+	// (search.MergeShards), which the "shard-merge" event carries too.
 	QueueWaitMS  int64 `json:"queue_wait_ms"`
 	EnumerateMS  int64 `json:"enumerate_ms"`
 	CheckpointMS int64 `json:"checkpoint_ms"`
 	PublishMS    int64 `json:"publish_ms"`
 	MergeMS      int64 `json:"merge_ms"`
-	DeriveMS     int64 `json:"derive_ms"`
 	SerializeMS  int64 `json:"serialize_ms"`
 	TotalMS      int64 `json:"total_ms"`
 }
@@ -120,7 +118,6 @@ func (s *Server) recordFlight(r *http.Request, ri *reqInfo, fl *flight, status i
 		CheckpointMS:    ri.checkpoint.Milliseconds(),
 		PublishMS:       ri.publish.Milliseconds(),
 		MergeMS:         ri.merge.Milliseconds(),
-		DeriveMS:        ri.derive.Milliseconds(),
 		SerializeMS:     serialize.Milliseconds(),
 		TotalMS:         total.Milliseconds(),
 	}
@@ -140,7 +137,6 @@ func (s *Server) recordFlight(r *http.Request, ri *reqInfo, fl *flight, status i
 			"checkpoint_ms", rec.CheckpointMS,
 			"publish_ms", rec.PublishMS,
 			"merge_ms", rec.MergeMS,
-			"derive_ms", rec.DeriveMS,
 			"serialize_ms", rec.SerializeMS,
 			"total_ms", rec.TotalMS,
 		}

@@ -32,10 +32,10 @@ type reqInfo struct {
 	enumerate time.Duration // worker pickup → flight resolution
 	// checkpoint and publish are the parts of enumerate a miss spent
 	// writing checkpoints and hashing + storing the finished space;
-	// merge and derive the parts a sharded miss spent on the coordinator
-	// reassembling the sub-spaces and deriving the equivalence tier.
-	checkpoint, publish, merge, derive time.Duration
-	serialize                          time.Duration // response encoding
+	// merge the part a sharded miss spent on the coordinator
+	// reassembling the sub-spaces.
+	checkpoint, publish, merge time.Duration
+	serialize                  time.Duration // response encoding
 }
 
 type reqInfoKey struct{}

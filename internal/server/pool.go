@@ -62,9 +62,8 @@ type flight struct {
 	err      error
 	status   int // HTTP status for err
 	// publish is how long a miss took to hash and store its space;
-	// merge and derive what a sharded one spent reassembling the shards'
-	// sub-spaces and deriving the equivalence tier from the result.
-	publish, merge, derive time.Duration
+	// merge what a sharded one spent reassembling the shards' sub-spaces.
+	publish, merge time.Duration
 
 	// canon is a miss's canonical bytes where the path that produced it
 	// (a whole-space fleet completion) already rendered them to verify

@@ -104,17 +104,19 @@ type Config struct {
 	// on before the flight falls back to local enumeration, resuming
 	// from the last uploaded checkpoint (default 3).
 	DistMaxAttempts int
-	// ShardFanout is the fan-out of the one fleet path. With >= 2 and at
-	// least two live workers the coordinator runs the space locally
-	// until the frontier holds at least ShardFanout nodes, partitions
-	// that frontier into ShardFanout disjoint assignments, leases them,
-	// and merges the completed sub-spaces back into the byte-identical
-	// serial result. The progress of those parts lives in coordinator
-	// memory; only the warm-up, in the request key's checkpoint slot,
-	// survives a coordinator death. With 0 or 1, or a single live
-	// worker, the whole space is the one assignment — which is also
-	// where a split goes when a part aborts or its merge fails
-	// verification, before the flight falls back to local enumeration.
+	// ShardFanout is the fan-out of the one fleet path; it splits
+	// default-tier enumerations. With >= 2 and at least two live workers
+	// the coordinator runs the space locally until the frontier holds at
+	// least ShardFanout nodes, partitions that frontier into ShardFanout
+	// disjoint assignments, leases them, and merges the completed
+	// sub-spaces back into the byte-identical serial result. The
+	// progress of those parts lives in coordinator memory; only the
+	// warm-up, in the request key's checkpoint slot, survives a
+	// coordinator death. With 0 or 1, a single live worker, or an
+	// equivalence-tier request, the whole space is the one assignment —
+	// which is also where a split goes when a part aborts or its merge
+	// fails verification, before the flight falls back to local
+	// enumeration.
 	ShardFanout int
 }
 
@@ -377,7 +379,7 @@ func (s *Server) enumerate(r *http.Request, ri *reqInfo) (*enumerateResponse, *f
 	ri.cache = how
 	ri.queueWait = fl.startedAt.Sub(fl.enqueuedAt)
 	ri.enumerate = fl.finishedAt.Sub(fl.startedAt)
-	ri.publish, ri.merge, ri.derive = fl.publish, fl.merge, fl.derive
+	ri.publish, ri.merge = fl.publish, fl.merge
 	ri.checkpoint = fl.ent.checkpoint
 	if fl.err != nil {
 		status := fl.status
@@ -543,8 +545,8 @@ func (s *Server) runFlight(fl *flight) {
 // engine's final write already did both (SpacePath, SpaceHash), and
 // its file is renamed into place; a whole-space fleet completion was
 // rendered by handleDistComplete to verify the worker's claim, and
-// that render is put. A space neither wrote — an equiv flight, a merged
-// or derived space — is rendered here, canonically, and those bytes are
+// that render is put. A space neither wrote — a local equiv flight, a
+// merged space — is rendered here, canonically, and those bytes are
 // hashed and put. A finished space found in the slot may be an older
 // build's bytes, timing included: it is named by rendering it and
 // promoted as it is.
@@ -611,8 +613,7 @@ func (s *Server) resolveFlight(fl *flight) (*search.Result, error) {
 // runOrResume enumerates fl's function under the flight's options,
 // continuing what the key's checkpoint slot holds (search.Enumerate owns
 // what that may be). stopAtFrontier > 0 is the warm-up of a split: it
-// pauses at a frontier that wide and always enumerates the default tier
-// (parts and merge need raw nodes). Whichever way a run on the slot came
+// pauses at a frontier that wide. Whichever way a run on the slot came
 // to a complete space — a warm-up that never met a wide enough frontier
 // included — the result names the file that holds it (SpacePath) and
 // runFlight publishes that file instead of encoding the space a second
@@ -632,7 +633,7 @@ func (s *Server) runOrResume(fl *flight, stopAtFrontier int) (*search.Result, er
 		MaxSeqPerLevel: fl.no.Cap,
 		MaxNodes:       fl.no.MaxNodes,
 		Check:          fl.no.Check,
-		Equiv:          fl.no.Equiv && stopAtFrontier == 0,
+		Equiv:          fl.no.Equiv,
 		Timeout:        s.cfg.SearchTimeout,
 		Workers:        workers,
 		Ctx:            fl.ctx,
@@ -641,9 +642,8 @@ func (s *Server) runOrResume(fl *flight, stopAtFrontier int) (*search.Result, er
 		Faults:         s.cfg.Faults,
 		StopAtFrontier: stopAtFrontier,
 	}
-	// The slot's tier is part of the key, so only a default-tier flight
-	// may claim it: an equiv flight neither checkpoints its own run nor
-	// lets its (default-tier) warm-up write there.
+	// Only a default-tier flight has a slot: an equiv run does not
+	// checkpoint.
 	if !fl.no.Equiv {
 		opts.CheckpointPath = s.store.ckptPath(fl.key)
 	}

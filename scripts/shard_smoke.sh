@@ -20,12 +20,13 @@
 #      only that shard,
 #   2. the merged space hashes byte-identical (spacedot -hash) to what
 #      a single-node cmd/explore run writes for the same function,
-#   3. a second, equivalence-tier request — derived from a fresh
-#      sharded merge — hashes identical to a single-node -equiv run,
-#   4. no merge ever failed verification, both sharded flights' records
-#      in /v1/debug/flights carry merge_ms (and the equiv one derive_ms),
-#      and the surviving worker and the coordinator drain cleanly on
-#      SIGTERM.
+#   3. a second, equivalence-tier request on the same two-worker fleet
+#      is one assignment: its flight has exactly one dispatch event and
+#      no shard-split, and it hashes identical to a single-node -equiv
+#      run,
+#   4. no merge ever failed verification, the sharded flight's record
+#      in /v1/debug/flights carries merge_ms, and the surviving worker
+#      and the coordinator drain cleanly on SIGTERM.
 #
 # CLUSTER_FAULTS, when set, is passed to both workers as their fault
 # plan. Keep it to network directives (httpdrop/httpslow): phase-level
@@ -154,8 +155,8 @@ if [ "$victim" = w1 ]; then vpid=$w1; survivor=w2; else vpid=$w2; survivor=w1; f
 kill -9 "$vpid"
 echo "shard-smoke: SIGKILLed shard holder $victim mid-space"
 # A replacement joins so the dead holder's shard re-dispatches promptly
-# and the later equivalence-tier request still has a 2-worker fleet to
-# shard across.
+# and the later equivalence-tier request meets a 2-worker fleet, one a
+# default-tier request would be split across.
 start_worker w3; w3=$wpid
 
 wait "$req" || fail "enumerate request failed"
@@ -182,30 +183,37 @@ curl -fsS "http://$addr/v1/space/$key" -o "$tmp/served.space.gz"
 served=$("$tmp/spacedot" -hash "$tmp/served.space.gz" | cut -d' ' -f1)
 [ "$served" = "$want" ] || fail "served space hashes $served, want $want"
 
-# Equivalence tier: sharded default-tier enumeration + derivation must
-# match a direct single-node -equiv run bit for bit.
+# Equivalence tier: one whole-space assignment, never split, answered
+# by the worker's live equiv run, must match a direct single-node -equiv
+# run bit for bit.
 curl -fsS -H 'X-Request-ID: shard-smoke-equiv' \
 	-d '{"bench":"sha","func":"sha_transform","options":{"equiv":true}}' \
 	"http://$addr/v1/enumerate" -o "$tmp/r2.json" || fail "equiv enumerate request failed"
 goteq=$(jq -r .space_hash "$tmp/r2.json")
-[ "$goteq" = "$wanteq" ] || fail "sharded equiv hash $goteq, single-node -equiv run wrote $wanteq"
-merges=$(stat_counter "dist.shard.merges")
-[ "$merges" -ge 2 ] || fail "equiv flight was not answered by a sharded merge (merges=$merges)"
-mergefails=$(stat_counter "dist.shard.merge_failures")
-[ "$mergefails" = 0 ] || fail "$mergefails shard merges failed verification after the equiv flight"
-
-# Where the coordinator's own time went must be on the flights' records
-# (a presence gate, not a threshold).
-flight_ms() { # flight_ms <request-id> <field>
-	curl -fsS "http://$addr/v1/debug/flights" | jq -r --arg id "$1" --arg f "$2" \
-		'[.flights[] | select(.request_id == $id)][0][$f] // "missing"'
-}
-merge1=$(flight_ms shard-smoke-default merge_ms)
-merge2=$(flight_ms shard-smoke-equiv merge_ms)
-derive2=$(flight_ms shard-smoke-equiv derive_ms)
-for v in "$merge1" "$merge2" "$derive2"; do
-	[ "$v" != missing ] || fail "sharded flight records lack merge_ms/derive_ms ($merge1 / $merge2 / $derive2)"
+[ "$goteq" = "$wanteq" ] || fail "fleet equiv hash $goteq, single-node -equiv run wrote $wanteq"
+# The request's record lands when its handler returns, a moment after
+# the response may have.
+eqflight=""
+for _ in $(seq 1 50); do
+	curl -fsS "http://$addr/v1/debug/flights" >"$tmp/flights.json"
+	eqflight=$(jq -r '[.flights[] | select(.request_id == "shard-smoke-equiv")][0].flight_id // ""' "$tmp/flights.json")
+	[ -n "$eqflight" ] && break
+	sleep 0.05
 done
+[ -n "$eqflight" ] || fail "no flight record for the equiv request"
+flight_events() { # flight_events <event>
+	jq -r --arg id "$eqflight" --arg e "$1" \
+		'[.flights[] | select(.flight_id == $id and .event == $e)] | length' "$tmp/flights.json"
+}
+eqdispatch=$(flight_events dispatch)
+eqsplit=$(flight_events shard-split)
+[ "$eqdispatch" = 1 ] && [ "$eqsplit" = 0 ] \
+	|| fail "equiv flight $eqflight had $eqdispatch dispatches and $eqsplit splits, want 1 and 0"
+
+# Where the coordinator's own time went must be on the sharded flight's
+# record (a presence gate, not a threshold).
+merge1=$(jq -r '[.flights[] | select(.request_id == "shard-smoke-default")][0].merge_ms // "missing"' "$tmp/flights.json")
+[ "$merge1" != missing ] || fail "sharded flight record lacks merge_ms"
 
 # Clean drains: surviving workers first, then the coordinator.
 if [ "$survivor" = w1 ]; then spid=$w1; else spid=$w2; fi
@@ -225,4 +233,4 @@ coord=""
 	>"$tmp/phasestats.txt" || fail "phasestats -from-metrics rejected the coordinator snapshot"
 grep -q 'dist:   shards:' "$tmp/phasestats.txt" \
 	|| fail "phasestats -from-metrics printed no dist.shard series"
-echo "shard-smoke: coordinator killed mid-split and resumed its warm-up, $victim killed mid-shard, $survivor absorbed it, both tiers hash-identical ($want / $wanteq); merge_ms $merge1 / $merge2, derive_ms $derive2"
+echo "shard-smoke: coordinator killed mid-split and resumed its warm-up, $victim killed mid-shard, $survivor absorbed it, both tiers hash-identical ($want / $wanteq); merge_ms $merge1, equiv flight one dispatch, no split"
