@@ -36,11 +36,11 @@ bench-test:
 # their suites under the race detector. faultinject rides along: its
 # faults fire on the enumerator's worker goroutines, so the panic /
 # hang / corrupt paths must be race-clean too, fingerprint because
-# workers summarize instances concurrently through its pooled buffers,
-# dataflow because the equivalence tier canonicalizes instances on
-# those same workers (the -jobs + -equiv combination in the search
-# suite exercises it end to end), distcl because the fleet worker
-# runs assignments, heartbeats and drains on separate goroutines, rtl
+# workers summarize instances and compute equivalence keys concurrently
+# through its pooled buffers and encoders (the -jobs + -equiv
+# combination in the search suite exercises it end to end), distcl
+# because the fleet worker runs assignments, heartbeats and drains on
+# separate goroutines, rtl
 # and opt because a frontier instance's analysis snapshot is read (and
 # computed, once) by every worker attempting that node, and check
 # because its liveness draws on the same pool of solver scratch the
@@ -48,7 +48,7 @@ bench-test:
 # -timeout 30m: the search suite's determinism grids run ~10m under
 # -race on a 1-CPU box, brushing the 10m per-package default.
 race:
-	$(GO) test -race -timeout 30m ./internal/search/ ./internal/driver/ ./internal/telemetry/ ./internal/faultinject/ ./internal/fingerprint/ ./internal/server/ ./internal/dataflow/ ./internal/distcl/ ./internal/rtl/ ./internal/opt/ ./internal/check/
+	$(GO) test -race -timeout 30m ./internal/search/ ./internal/driver/ ./internal/telemetry/ ./internal/faultinject/ ./internal/fingerprint/ ./internal/server/ ./internal/distcl/ ./internal/rtl/ ./internal/opt/ ./internal/check/
 
 # Static analysis beyond go vet. staticcheck and govulncheck run when
 # installed and are skipped with a note otherwise, so the target stays
@@ -80,8 +80,8 @@ lint-fixtures:
 # on: non-test, non-blank, non-comment Go lines, one line per package
 # and their total. Informational (never fails), and part of check so
 # that every CI log carries the number. The packages under the engine
-# (phases, RTL, fingerprint, and dataflow and check — ROADMAP quotes
-# opt + rtl + dataflow for the analyses) and the instruments
+# (phases, RTL, fingerprint with the equivalence encoder, and check —
+# ROADMAP quotes opt + rtl for the analyses) and the instruments
 # (telemetry) follow the total and stay out of it, so ROADMAP's series
 # of totals remains comparable.
 loc:
@@ -89,7 +89,7 @@ loc:
 	total=0; for d in internal/search internal/server internal/distcl cmd/explore; do \
 		n=$$(count $$d); printf 'loc: %-20s %s\n' $$d $$n; total=$$((total + n)); \
 	done; printf 'loc: %-20s %s\n' total $$total; \
-	for d in internal/opt internal/rtl internal/fingerprint internal/dataflow internal/check internal/telemetry; do \
+	for d in internal/opt internal/rtl internal/fingerprint internal/check internal/telemetry; do \
 		printf 'loc: %-20s %s (not in total)\n' $$d $$(count $$d); \
 	done
 
@@ -100,7 +100,7 @@ loc:
 # package's testdata/fuzz/ and fails the target; commit it with the fix
 # (go test then replays it forever).
 fuzz-smoke:
-	$(GO) test ./internal/dataflow/ -run '^$$' -fuzz '^FuzzEquivInvariance$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/fingerprint/ -run '^$$' -fuzz '^FuzzEquivInvariance$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/search/ -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # Telemetry smoke test: instrument a tiny enumeration, then make

@@ -22,8 +22,8 @@
 //	                stays in deterministic input order (default 1)
 //	-equiv          collapse instances that are equivalent beyond
 //	                register/label renumbering into one node (the
-//	                dataflow equivalence tier); prints a collapse
-//	                summary per function. Mutually exclusive with
+//	                equivalence tier); prints a collapse summary
+//	                per function. Mutually exclusive with
 //	                -checkpoint/-resume: the class tables are not
 //	                persisted across restarts
 //	-speed          best-performing leaf via CF-class inference (Sec. 7)
@@ -116,7 +116,7 @@ func run() int {
 		list      = flag.Bool("list", false, "print the benchmark list (Table 2) and exit")
 		levels    = flag.Bool("levels", false, "print instances per level for each function")
 		speed     = flag.Bool("speed", false, "find the best-performing leaf instance via control-flow-class inference (Section 7)")
-		equiv     = flag.Bool("equiv", false, "collapse equivalence classes beyond renumbering (internal/dataflow tier)")
+		equiv     = flag.Bool("equiv", false, "collapse equivalence classes beyond renumbering (fingerprint.EquivEncode tier)")
 		saveDir   = flag.String("save", "", "write each enumerated space to <dir>/<bench>.<func>.space.gz")
 		jobs      = flag.Int("jobs", 1, "number of functions enumerated concurrently")
 		searchW   = flag.Int("search-workers", 0, "worker parallelism inside each enumeration (0 = NumCPU; the space is byte-identical at any width)")

@@ -38,7 +38,6 @@ import (
 	"strings"
 
 	"repro/internal/check"
-	"repro/internal/dataflow"
 	"repro/internal/driver"
 	"repro/internal/machine"
 	"repro/internal/mc"
@@ -103,7 +102,7 @@ func main() {
 			} else {
 				fmt.Printf("%s: %s\n", label, dg)
 				if len(dg.Witness) > 0 {
-					fmt.Printf("  path: %s\n", dataflow.FormatIDPath(dg.Witness))
+					fmt.Printf("  path: %s\n", check.FormatIDPath(dg.Witness))
 				}
 			}
 			if dg.Severity == check.SevError {

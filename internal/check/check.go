@@ -39,7 +39,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/dataflow"
 	"repro/internal/machine"
 	"repro/internal/rtl"
 	"repro/internal/telemetry"
@@ -328,11 +327,11 @@ func (c *checker) witnessTo(bpos int) []int {
 	if bpos < 0 || !c.reach[bpos] {
 		return nil
 	}
-	path := dataflow.PathTo(c.g, bpos, nil)
+	path := pathTo(c.g, bpos, nil)
 	if path == nil {
 		return nil
 	}
-	return dataflow.BlockIDs(c.f, path)
+	return blockIDs(c.f, path)
 }
 
 func (c *checker) sort() {
@@ -428,11 +427,11 @@ func (c *checker) unassignedWitness(bpos int, r rtl.Reg) []int {
 		}
 		return false
 	}
-	path := dataflow.PathTo(c.g, bpos, defines)
+	path := pathTo(c.g, bpos, defines)
 	if path == nil {
-		path = dataflow.PathTo(c.g, bpos, nil)
+		path = pathTo(c.g, bpos, nil)
 	}
-	return dataflow.BlockIDs(c.f, path)
+	return blockIDs(c.f, path)
 }
 
 // checkCondCodes enforces the condition-code discipline: every
@@ -501,7 +500,7 @@ func (c *checker) condCodeWitness(bpos, j int) []int {
 			for i, p := range rev {
 				path[len(rev)-1-i] = p
 			}
-			return dataflow.BlockIDs(f, path)
+			return blockIDs(f, path)
 		}
 		b, valid := s/2, s%2 == 1
 		for k := range f.Blocks[b].Instrs {
@@ -788,9 +787,9 @@ func (c *checker) deadStoreWitness(bpos int, r rtl.Reg) []int {
 		}
 		return false
 	}
-	path := dataflow.PathToExit(c.g, bpos, exposedUse)
+	path := pathToExit(c.g, bpos, exposedUse)
 	if path == nil {
-		path = dataflow.PathToExit(c.g, bpos, nil)
+		path = pathToExit(c.g, bpos, nil)
 	}
-	return dataflow.BlockIDs(c.f, path)
+	return blockIDs(c.f, path)
 }

@@ -1,4 +1,4 @@
-package dataflow
+package check
 
 import (
 	"fmt"
@@ -7,21 +7,24 @@ import (
 	"repro/internal/rtl"
 )
 
-// PathTo returns a shortest control-flow path (block layout
+// The path witnesses behind Diagnostic.Witness: shortest block traces
+// through the CFG (layout positions), rendered as block IDs.
+
+// pathTo returns a shortest control-flow path (block layout
 // positions) from the entry block to target, skipping blocks for
 // which avoid reports true (avoid is never consulted for the target
 // itself, and a nil avoid admits every block). It returns nil when no
 // such path exists.
-func PathTo(g *rtl.CFG, target int, avoid func(bpos int) bool) []int {
+func pathTo(g *rtl.CFG, target int, avoid func(bpos int) bool) []int {
 	blocked := func(b int) bool { return b != target && avoid != nil && avoid(b) }
 	return bfs(g, 0, func(b int) bool { return b == target }, blocked)
 }
 
-// PathToExit returns a shortest control-flow path from the block at
+// pathToExit returns a shortest control-flow path from the block at
 // layout position from to any exit block (one without successors),
 // skipping blocks for which avoid reports true. It returns nil when
 // no such path exists.
-func PathToExit(g *rtl.CFG, from int, avoid func(bpos int) bool) []int {
+func pathToExit(g *rtl.CFG, from int, avoid func(bpos int) bool) []int {
 	blocked := func(b int) bool { return b != from && avoid != nil && avoid(b) }
 	return bfs(g, from, func(b int) bool { return len(g.Succs[b]) == 0 }, blocked)
 }
@@ -63,9 +66,9 @@ func bfs(g *rtl.CFG, start int, goal func(int) bool, blocked func(int) bool) []i
 	return nil
 }
 
-// BlockIDs converts a path of layout positions into the corresponding
+// blockIDs converts a path of layout positions into the corresponding
 // block IDs (the labels diagnostics print as L<id>).
-func BlockIDs(f *rtl.Func, path []int) []int {
+func blockIDs(f *rtl.Func, path []int) []int {
 	ids := make([]int, len(path))
 	for i, p := range path {
 		ids[i] = f.Blocks[p].ID

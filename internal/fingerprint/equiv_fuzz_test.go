@@ -1,11 +1,11 @@
-package dataflow_test
+package fingerprint_test
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
-	"repro/internal/dataflow"
+	"repro/internal/fingerprint"
 	"repro/internal/machine"
 	"repro/internal/mc"
 	"repro/internal/opt"
@@ -19,8 +19,9 @@ import (
 // Each fuzz input compiles a random mini-C program, optionally runs a
 // random phase prefix to diversify the instance shapes, applies the
 // two transformation legs and asserts the key never moves — and that
-// every key it computes is the reference encoder's, byte for byte
-// (equiv_ref_test.go).
+// the four instances (as compiled, permuted, shuffled, both) fall into
+// the classes the value-numbering reference puts them in: any two share
+// a key exactly when they share a reference key (equiv_ref_test.go).
 func FuzzEquivInvariance(f *testing.F) {
 	for seed := int64(0); seed < 6; seed++ {
 		f.Add(seed, seed*131+7, uint8(seed%4))
@@ -34,13 +35,6 @@ func FuzzEquivInvariance(f *testing.F) {
 			t.Skipf("generated program does not compile: %v", err)
 		}
 		rng := rand.New(rand.NewSource(xformSeed))
-		key := func(fn *rtl.Func) string {
-			k := dataflow.EquivKey(fn)
-			if ref := dataflow.RefEquivEncode(nil, fn); k != string(ref) {
-				t.Fatalf("%s: EquivEncode differs from the reference\n got %x\nwant %x\n%s", fn.Name, k, ref, fn)
-			}
-			return k
-		}
 		for _, fn := range prog.Funcs {
 			// Diversify the instance: a short random phase prefix.
 			var st opt.State
@@ -50,29 +44,37 @@ func FuzzEquivInvariance(f *testing.F) {
 			if err := rtl.Validate(fn); err != nil {
 				t.Fatalf("%s: phase prefix broke the function: %v", fn.Name, err)
 			}
-			want := key(fn)
 
 			regs := fn.Clone()
 			permuteRegs(regs, rng)
-			if got := key(regs); got != want {
-				t.Errorf("%s: register permutation changed the equivalence key", fn.Name)
-			}
-
 			blocks := fn.Clone()
 			shuffleBlocks(blocks, rng)
 			if err := rtl.Validate(blocks); err != nil {
 				t.Fatalf("%s: block shuffle broke the function: %v", fn.Name, err)
 			}
-			if got := key(blocks); got != want {
-				t.Errorf("%s: block reordering changed the equivalence key\nbefore:\n%s\nafter:\n%s",
-					fn.Name, fn, blocks)
-			}
-
 			both := fn.Clone()
 			permuteRegs(both, rng)
 			shuffleBlocks(both, rng)
-			if got := key(both); got != want {
-				t.Errorf("%s: combined transformation changed the equivalence key", fn.Name)
+
+			insts := []*rtl.Func{fn, regs, blocks, both}
+			names := []string{"as compiled", "register permutation", "block reordering", "combined transformation"}
+			keys, refs := make([]string, len(insts)), make([]string, len(insts))
+			for i, in := range insts {
+				keys[i], refs[i] = fingerprint.EquivKey(in), string(fingerprint.RefEquivEncode(nil, in))
+			}
+			for i := 1; i < len(insts); i++ {
+				if keys[i] != keys[0] {
+					t.Errorf("%s: %s changed the equivalence key\nbefore:\n%s\nafter:\n%s",
+						fn.Name, names[i], fn, insts[i])
+				}
+			}
+			for i := range insts {
+				for j := i + 1; j < len(insts); j++ {
+					if (keys[i] == keys[j]) != (refs[i] == refs[j]) {
+						t.Errorf("%s: %s and %s: keys equal %v, reference keys equal %v",
+							fn.Name, names[i], names[j], keys[i] == keys[j], refs[i] == refs[j])
+					}
+				}
 			}
 		}
 	})
@@ -101,7 +103,7 @@ func TestEquivInvarianceSeeds(t *testing.T) {
 				for i := 0; i < int(seed%6); i++ {
 					opt.Attempt(fn, &st, all[rng.Intn(len(all))], d)
 				}
-				want := dataflow.EquivKey(fn)
+				want := fingerprint.EquivKey(fn)
 				for trial := 0; trial < 4; trial++ {
 					mut := fn.Clone()
 					permuteRegs(mut, rng)
@@ -109,7 +111,7 @@ func TestEquivInvarianceSeeds(t *testing.T) {
 					if err := rtl.Validate(mut); err != nil {
 						t.Fatalf("%s: transformation broke the function: %v", fn.Name, err)
 					}
-					if got := dataflow.EquivKey(mut); got != want {
+					if got := fingerprint.EquivKey(mut); got != want {
 						t.Fatalf("%s trial %d: equivalence key not invariant\nbefore:\n%s\nafter:\n%s",
 							fn.Name, trial, fn, mut)
 					}

@@ -1,27 +1,34 @@
-package dataflow
+package fingerprint
 
-// The map-based canonicalizer as it stood before the value numbering and
-// the encoder moved to pooled dense arrays (gvn.go, equiv.go), kept
-// verbatim — identifiers that would collide with their replacements
-// carry a ref prefix, nothing else changed — as the reference
-// TestEquivEncodeMatchesReference and FuzzEquivInvariance hold the
-// replacement to, byte for byte. The two share only what neither
-// rewrote: the terminator, label and position constants and fwdUnknown.
+// The map-based equivalence canonicalizer as it stood before its value
+// numbering was deleted, kept verbatim — dominator-scoped value numbers
+// order commutative operands — but for the RefNorm switches, which turn
+// its normalizations off one at a time (RefAll leaves it as it was).
+// Identifiers that would collide with EquivEncode's carry a ref prefix;
+// the two share the terminator, label and position constants and
+// fwdUnknown. EquivEncode's keys differ from these bytes, but the tests
+// hold it to the same classes (TestEquivEncodeMatchesReference,
+// FuzzEquivInvariance), and the ablation counts what each normalization
+// merges (TestEquivNormalizationAblation).
 
 import (
-	"bytes"
 	"encoding/binary"
-	"fmt"
-	"math/rand"
-	"testing"
 
-	"repro/internal/machine"
-	"repro/internal/mc"
-	"repro/internal/mibench"
-	"repro/internal/opt"
-	"repro/internal/randprog"
 	"repro/internal/rtl"
 )
+
+// RefNorm selects the reference's normalizations. Off, Layout emits the
+// kept blocks in layout order instead of the canonical DFS order;
+// Spelling stops resolving forwarder blocks and encodes an explicit jump
+// apart from a fall-through; Unreachable keeps the blocks no path
+// reaches; ValueNumbers emits commutative operands as written.
+type RefNorm struct{ Layout, Spelling, Unreachable, ValueNumbers bool }
+
+// RefAll is every normalization: the relation EquivEncode reproduces.
+var RefAll = RefNorm{Layout: true, Spelling: true, Unreachable: true, ValueNumbers: true}
+
+// refTermJump is the terminator of an explicit jump with Spelling off.
+const refTermJump = 4
 
 // refVNState is the register→value-number map flowing through one block.
 type refVNState map[rtl.Reg]int
@@ -265,12 +272,16 @@ type refEquivEncoder struct {
 	regs     map[rtl.Reg]uint16
 	dst      []byte
 	aVN, bVN []int // operand value numbers of the current block
+	norm     RefNorm
 }
 
 // resolveForwarder follows chains of pure-forwarder blocks (a single
 // unconditional jump) starting at layout position bpos, returning the
 // first non-forwarder position or -1 for a forwarder cycle.
 func (e *refEquivEncoder) resolveForwarder(bpos int) int {
+	if !e.norm.Spelling {
+		return bpos
+	}
 	if r := e.fwd[bpos]; r != fwdUnknown {
 		return r
 	}
@@ -321,6 +332,8 @@ func (e *refEquivEncoder) semanticTerm(bpos int) (kind int, taken, fall int) {
 			return termGoto, n, posNone
 		}
 		return termNone, posNone, posNone
+	case last.Op == rtl.OpJmp && !e.norm.Spelling:
+		return refTermJump, e.g.MustPos(last.Target), posNone
 	case last.Op == rtl.OpJmp:
 		return termGoto, e.resolveForwarder(e.g.MustPos(last.Target)), posNone
 	case last.Op == rtl.OpRet:
@@ -347,7 +360,7 @@ func (e *refEquivEncoder) visit(start int) {
 		e.order = append(e.order, b)
 		kind, taken, fall := e.semanticTerm(b)
 		switch kind {
-		case termGoto:
+		case termGoto, refTermJump:
 			stack = append(stack, taken)
 		case termBranch:
 			// Push taken first so not-taken is visited first.
@@ -408,7 +421,7 @@ func (e *refEquivEncoder) instr(in *rtl.Instr, idx int) {
 		e.sym(in.Sym)
 	default:
 		a, b := in.A, in.B
-		if in.Op.IsALU() && in.Op.Commutative() && e.bVN[idx] < e.aVN[idx] {
+		if e.norm.ValueNumbers && in.Op.IsALU() && in.Op.Commutative() && e.bVN[idx] < e.aVN[idx] {
 			a, b = b, a
 		}
 		e.u16(e.reg(in.Dst))
@@ -422,7 +435,11 @@ func (e *refEquivEncoder) instr(in *rtl.Instr, idx int) {
 // and returns the extended slice. Instances with equal encodings are
 // semantically equivalent (see the package comment on one-sidedness);
 // the search's third index tier merges them into one node.
-func refEquivEncode(dst []byte, f *rtl.Func) []byte {
+func refEquivEncode(dst []byte, f *rtl.Func) []byte { return refEquivEncodeWith(dst, f, RefAll) }
+
+// refEquivEncodeWith is refEquivEncode with the normalizations norm
+// selects.
+func refEquivEncodeWith(dst []byte, f *rtl.Func, norm RefNorm) []byte {
 	g := rtl.ComputeCFG(f)
 	n := len(f.Blocks)
 	e := &refEquivEncoder{
@@ -431,6 +448,7 @@ func refEquivEncode(dst []byte, f *rtl.Func) []byte {
 		label: make([]int, n),
 		regs:  make(map[rtl.Reg]uint16, 16),
 		dst:   dst,
+		norm:  norm,
 	}
 	for i := 0; i < n; i++ {
 		e.fwd[i], e.label[i] = fwdUnknown, -1
@@ -457,6 +475,22 @@ func refEquivEncode(dst []byte, f *rtl.Func) []byte {
 		return e.dst
 	}
 	e.visit(start)
+	if !norm.Unreachable {
+		for b := range f.Blocks {
+			if e.resolveForwarder(b) == b {
+				e.visit(b)
+			}
+		}
+	}
+	if !norm.Layout {
+		e.order = e.order[:0]
+		for b := range f.Blocks {
+			if e.label[b] >= 0 {
+				e.label[b] = len(e.order)
+				e.order = append(e.order, b)
+			}
+		}
+	}
 
 	e.v = newRefVNBuilder(g)
 	emitted := func(p int) bool { return e.v.states[p] != nil }
@@ -487,7 +521,7 @@ func refEquivEncode(dst []byte, f *rtl.Func) []byte {
 		}
 		e.dst = append(e.dst, 0xFF, byte(kind))
 		switch kind {
-		case termGoto:
+		case termGoto, refTermJump:
 			e.u16(e.targetLabel(taken))
 		case termBranch:
 			last := b.Last()
@@ -505,140 +539,4 @@ func refEquivEncode(dst []byte, f *rtl.Func) []byte {
 		}
 	}
 	return e.dst
-}
-
-// TestEquivEncodeMatchesReference holds EquivEncode to the reference,
-// byte for byte, at every instance of seeded random phase walks: from
-// every corpus function, and from the generated programs
-// TestGeneratedSpacesHashOneWay (internal/search) enumerates.
-// FuzzEquivInvariance checks the pair on everything it mutates too.
-func TestEquivEncodeMatchesReference(t *testing.T) {
-	walks, depth, programs := 3, 16, 24
-	if testing.Short() {
-		walks, depth, programs = 1, 10, 12
-	}
-	t.Run("corpus", func(t *testing.T) {
-		fns, err := mibench.AllFunctions()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tf := range fns {
-			for w := 0; w < walks; w++ {
-				walkEquiv(t, tf.Bench+"/"+tf.Func.Name, tf.Func, int64(w), depth)
-			}
-		}
-	})
-	t.Run("generated", func(t *testing.T) {
-		cfg := randprog.Config{MaxStmts: 3, MaxDepth: 2, MaxExprDepth: 2}
-		for seed := int64(0); seed < int64(programs); seed++ {
-			p := randprog.New(seed, cfg)
-			prog, err := mc.Compile(p.Source)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			for _, fn := range prog.Funcs {
-				for w := 0; w < walks; w++ {
-					walkEquiv(t, fmt.Sprintf("randprog seed %d %s", seed, fn.Name), fn, seed+int64(w)<<32, depth)
-				}
-			}
-		}
-	})
-}
-
-// walkEquiv walks a random sequence of active phases from f and checks
-// the encoding at every instance on the way.
-func walkEquiv(t *testing.T, name string, f *rtl.Func, seed int64, depth int) {
-	t.Helper()
-	d := machine.StrongARM()
-	cur := f.Clone()
-	rtl.Cleanup(cur)
-	var st opt.State
-	rng := rand.New(rand.NewSource(seed))
-	seq := ""
-	for step := 0; step <= depth; step++ {
-		checkEquiv(t, fmt.Sprintf("%s after %q", name, seq), cur)
-		phases := opt.All()
-		rng.Shuffle(len(phases), func(i, j int) { phases[i], phases[j] = phases[j], phases[i] })
-		moved := false
-		for _, p := range phases {
-			next, nst := cur.Clone(), st
-			if opt.Attempt(next, &nst, p, d) {
-				cur, st, seq, moved = next, nst, seq+string(p.ID()), true
-				break
-			}
-		}
-		if !moved {
-			return // a leaf of the space
-		}
-	}
-}
-
-// checkEquiv compares the two encoders on f, appending to a non-empty
-// buffer with room to spare, as the search's workers do.
-func checkEquiv(t *testing.T, what string, f *rtl.Func) {
-	t.Helper()
-	want := refEquivEncode([]byte{7}, f)
-	got := EquivEncode(append(make([]byte, 0, 8), 7), f)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s: EquivEncode differs from the reference\n got %x\nwant %x\n%s", what, got, want, f)
-	}
-}
-
-// rleBlockAfterS is jpeg/rle_block after instruction selection: register
-// assigned, a few dozen blocks, the function the equivalence tier
-// collapses most.
-func rleBlockAfterS(t testing.TB) *rtl.Func {
-	fns, err := mibench.AllFunctions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tf := range fns {
-		if tf.Bench == "jpeg" && tf.Func.Name == "rle_block" {
-			f := tf.Func.Clone()
-			rtl.Cleanup(f)
-			var st opt.State
-			if !opt.Attempt(f, &st, opt.ByID('s'), machine.StrongARM()) {
-				t.Fatal("s is dormant on rle_block")
-			}
-			return f
-		}
-	}
-	t.Fatal("jpeg/rle_block is not in the corpus")
-	return nil
-}
-
-// TestEquivEncodeAllocs is the encoder's cost guard: with a warm pool and
-// a caller buffer large enough, a call allocates the graph it builds and
-// its analyses — nothing per register, block or expression. The
-// map-based encoder made 130 allocations here.
-func TestEquivEncodeAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops pooled objects at random")
-	}
-	f := rleBlockAfterS(t)
-	buf := EquivEncode(nil, f) // warms the pool
-	buf = make([]byte, 0, 2*len(buf))
-	allocs := testing.AllocsPerRun(200, func() { buf = EquivEncode(buf[:0], f) })
-	t.Logf("%.1f allocations per call (reference: %.1f)", allocs,
-		testing.AllocsPerRun(20, func() { refEquivEncode(buf[:0], f) }))
-	if allocs > 16 {
-		t.Fatalf("EquivEncode makes %.1f allocations per call on rle_block, want at most 16", allocs)
-	}
-}
-
-func BenchmarkEquivEncode(b *testing.B) {
-	f := rleBlockAfterS(b)
-	for _, enc := range []struct {
-		name string
-		fn   func([]byte, *rtl.Func) []byte
-	}{{"dense", EquivEncode}, {"reference", refEquivEncode}} {
-		b.Run(enc.name, func(b *testing.B) {
-			buf := enc.fn(nil, f)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf = enc.fn(buf[:0], f)
-			}
-		})
-	}
 }

@@ -1,24 +1,50 @@
-package dataflow_test
+package fingerprint_test
 
 import (
 	"math/rand"
 	"sort"
 	"testing"
 
-	"repro/internal/dataflow"
 	"repro/internal/fingerprint"
 	"repro/internal/rtl"
 )
 
+func parse(t *testing.T, text string) *rtl.Func {
+	t.Helper()
+	f, err := rtl.ParseFunc(text)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	return f
+}
+
+// diamond: L0 branches to L2, falls into L1, both join at L3.
+const diamondSrc = `
+diamond(1):
+L0:
+	IC=r[0]?0;
+	PC=IC<0,L2;
+L1:
+	r[32]=r[0]+1;
+	PC=L3;
+L2:
+	r[33]=r[0]+2;
+L3:
+	RET;
+`
+
 func equivKey(t *testing.T, src string) string {
 	t.Helper()
-	return dataflow.EquivKey(parse(t, src))
+	return fingerprint.EquivKey(parse(t, src))
 }
 
 func TestEquivCommutativeOperands(t *testing.T) {
 	// The leading moves pin the first-encounter order of r32/r33, so
-	// plain renumbering cannot reconcile the swapped addition — only
-	// the value-number operand sort can.
+	// plain renumbering cannot reconcile the swapped addition. The key
+	// emits commutative operands as written: the two are distinct
+	// classes, which the one-sided key allows (the value-numbered
+	// operand order that merged them merged nothing in any measured
+	// space; TestEquivNormalizationAblation).
 	const addAB = `
 f(2):
 L0:
@@ -36,11 +62,11 @@ L0:
 	RET r[34];
 `
 	a, b := equivKey(t, addAB), equivKey(t, addBA)
-	if a != b {
-		t.Fatalf("commutative operand order must not split equivalence classes")
+	if a == b {
+		t.Fatalf("commutative operands are emitted as written: the swapped addition is another class")
 	}
-	if fingerprint.KeyOf(parse(t, addAB)) == fingerprint.KeyOf(parse(t, addBA)) {
-		t.Fatalf("sanity: the identical-instance tier should distinguish the swapped addition")
+	if string(fingerprint.RefEquivEncode(nil, parse(t, addAB))) != string(fingerprint.RefEquivEncode(nil, parse(t, addBA))) {
+		t.Fatalf("sanity: the value-numbering reference should merge the swapped addition")
 	}
 	c := equivKey(t, `
 f(2):
@@ -206,14 +232,14 @@ L2:
 
 func TestEquivBlockReordering(t *testing.T) {
 	f := parse(t, diamondSrc)
-	want := dataflow.EquivKey(f)
+	want := fingerprint.EquivKey(f)
 	for seed := int64(0); seed < 8; seed++ {
 		mut := f.Clone()
 		shuffleBlocks(mut, rand.New(rand.NewSource(seed)))
 		if err := rtl.Validate(mut); err != nil {
 			t.Fatalf("seed %d: shuffle broke the function: %v", seed, err)
 		}
-		if got := dataflow.EquivKey(mut); got != want {
+		if got := fingerprint.EquivKey(mut); got != want {
 			t.Fatalf("seed %d: block reordering changed the equivalence key\n%s", seed, mut)
 		}
 	}

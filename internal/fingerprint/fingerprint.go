@@ -14,6 +14,11 @@
 // verified empirically that the checksum triple never conflated
 // distinct instances, and the exact encoding lets this implementation
 // guarantee it.
+//
+// EquivEncode (equiv.go) is the package's second encoder: the class key
+// of the search's equivalence tier, which on top of the same
+// renumbering normalizes block layout, jump spelling and unreachable
+// code.
 package fingerprint
 
 import (

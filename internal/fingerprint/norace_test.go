@@ -1,5 +1,5 @@
 //go:build !race
 
-package dataflow
+package fingerprint_test
 
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package dataflow
+package fingerprint_test
 
 // raceEnabled reports a -race build, whose sync.Pool drops objects at
 // random: allocation counts mean nothing there.

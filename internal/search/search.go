@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"repro/internal/check"
-	"repro/internal/dataflow"
 	"repro/internal/faultinject"
 	"repro/internal/fingerprint"
 	"repro/internal/machine"
@@ -148,11 +147,10 @@ type Options struct {
 	Check bool
 	// Equiv adds the third tier of the instance index: instances that
 	// survive the identical-instance tier are canonicalized by the
-	// flow-sensitive equivalence encoder (internal/dataflow) —
-	// dominator-ordered block layout, forwarder/fall-through
-	// unification, commutative operand sorting by value number — and
-	// instances with equal equivalence keys merge into one node even
-	// when their canonical encodings differ. The collapse is summarized
+	// equivalence encoder (fingerprint.EquivEncode) — canonical block
+	// layout, forwarder/fall-through unification, unreachable blocks
+	// dropped — and instances with equal equivalence keys merge into
+	// one node even when their canonical encodings differ. The collapse is summarized
 	// in Result.Equiv and per node in Node.EquivRaw. Equivalence-
 	// collapsed enumerations are not checkpointable: Run ignores
 	// CheckpointPath and Resume rejects the option (the alias tables
@@ -1098,11 +1096,11 @@ func (e *engine) evaluate(a attempt) outcome {
 // summarize computes, on the worker, what the committer needs of an
 // active outcome: one fused scan yields the canonical encoding, CF key
 // and fingerprint, which resolve to the key's dedup slot, and under
-// Options.Equiv the class key follows — the expensive part of the third
-// tier (CFG, dominators, value numbering) — unless the slot already has
-// an ID. Such a slot is a merge whatever the instance's class, and the
-// committer never reads its class key; a slot a commit assigns after the
-// probe just wastes one encoding. All of it is the state-key clock's.
+// Options.Equiv the class key follows — the third tier's one extra
+// encoding — unless the slot already has an ID. Such a slot is a merge
+// whatever the instance's class, and the committer never reads its
+// class key; a slot a commit assigns after the probe just wastes one
+// encoding. All of it is the state-key clock's.
 func (e *engine) summarize(o *outcome) {
 	ins := e.ins
 	var began time.Time
@@ -1125,7 +1123,7 @@ func (e *engine) summarize(o *outcome) {
 // gating-flags byte of fn's dedup key, then fn's equivalence-canonical
 // encoding. Instances in different gating states never share a class.
 func equivKey(dst []byte, flags byte, fn *rtl.Func) []byte {
-	return dataflow.EquivEncode(append(dst[:0], flags), fn)
+	return fingerprint.EquivEncode(append(dst[:0], flags), fn)
 }
 
 // commitOutcome applies one answered attempt on the serial commit path,

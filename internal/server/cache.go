@@ -38,8 +38,12 @@ type normOptions struct {
 // keyPrefix versions the key derivation: bump it when the space format
 // or the key material changes incompatibly, and old cache entries
 // simply become unreachable instead of wrong. v2: normOptions grew the
-// equiv field, changing the encoded key material.
-const keyPrefix = "spaced/v2\x00"
+// equiv field, changing the encoded key material. v3: the equivalence
+// tier stopped ordering commutative operands by value number, so its
+// classes are finer on some functions (none the corpus or the benchmark
+// enumerates); an equiv space an older binary cached may hold merges
+// this one does not make, and must not be served.
+const keyPrefix = "spaced/v3\x00"
 
 // cacheKey is the hex SHA-256 identifying one (function, options)
 // enumeration request. It is content-addressed: the function enters via
