@@ -7,6 +7,10 @@
 // Generated programs use bounded counted loops, masked array indexes
 // and non-zero constant divisors, so they cannot diverge, fault or
 // divide by zero regardless of the arithmetic the generator picks.
+//
+// ShuffleBlocks and PermuteRegs (rewrite.go) rewrite a compiled
+// function into another spelling of the same computation, for
+// property tests of keys that must not tell the two apart.
 package randprog
 
 import (
