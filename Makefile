@@ -147,25 +147,29 @@ bench:
 # Crash/resume smoke test: SIGKILL an enumeration mid-run, resume it
 # from its checkpoint file, and require the resumed space to hash
 # identical (spacedot -hash, canonical serialization) to an
-# uninterrupted run of the same function. If the machine is fast enough
-# that the run finishes before the kill lands, the checkpoint file
-# already holds the complete space; if the kill lands before the first
-# cost-paced checkpoint, -resume starts over. The comparison applies
-# either way.
+# uninterrupted run of the same function, in either tier (-equiv). If
+# the machine is fast enough that the run finishes before the kill
+# lands, the checkpoint file already holds the complete space; if the
+# kill lands before the first cost-paced checkpoint, -resume starts
+# over. The comparison applies either way.
 resume-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/explore" ./cmd/explore && \
-	$(GO) build -o "$$tmp/spacedot" ./cmd/spacedot && \
-	"$$tmp/explore" -bench sha -func sha_transform -save "$$tmp" >/dev/null && \
-	{ "$$tmp/explore" -bench sha -func sha_transform -checkpoint "$$tmp" >/dev/null 2>&1 & \
-	pid=$$!; sleep 1.2; kill -9 $$pid 2>/dev/null || true; wait $$pid 2>/dev/null; } ; \
-	"$$tmp/explore" -bench sha -func sha_transform -checkpoint "$$tmp" -resume >/dev/null && \
-	a=$$("$$tmp/spacedot" -hash "$$tmp/sha.sha_transform.ckpt.space.gz" | cut -d' ' -f1) && \
-	b=$$("$$tmp/spacedot" -hash "$$tmp/sha.sha_transform.space.gz" | cut -d' ' -f1) && \
-	if [ "$$a" != "$$b" ]; then \
-		echo "resume-smoke: resumed space differs from clean run: $$a vs $$b"; exit 1; \
-	fi; \
-	echo "resume-smoke: killed+resumed space identical to clean run ($$a)"
+	$(GO) build -o "$$tmp/spacedot" ./cmd/spacedot || exit 1; \
+	for tier in default equiv; do \
+		d="$$tmp/$$tier"; mkdir -p "$$d"; flag=; \
+		if [ $$tier = equiv ]; then flag=-equiv; fi; \
+		"$$tmp/explore" -bench sha -func sha_transform $$flag -save "$$d" >/dev/null && \
+		{ "$$tmp/explore" -bench sha -func sha_transform $$flag -checkpoint "$$d" >/dev/null 2>&1 & \
+		pid=$$!; sleep 1.2; kill -9 $$pid 2>/dev/null || true; wait $$pid 2>/dev/null; } ; \
+		"$$tmp/explore" -bench sha -func sha_transform $$flag -checkpoint "$$d" -resume >/dev/null && \
+		a=$$("$$tmp/spacedot" -hash "$$d/sha.sha_transform.ckpt.space.gz" | cut -d' ' -f1) && \
+		b=$$("$$tmp/spacedot" -hash "$$d/sha.sha_transform.space.gz" | cut -d' ' -f1) || exit 1; \
+		if [ "$$a" != "$$b" ]; then \
+			echo "resume-smoke: $$tier tier: resumed space differs from clean run: $$a vs $$b"; exit 1; \
+		fi; \
+		echo "resume-smoke: $$tier tier: killed+resumed space identical to clean run ($$a)"; \
+	done
 
 # Serving smoke test: start spaced, fire two concurrent identical
 # requests plus one distinct one, and require (a) exactly one

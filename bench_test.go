@@ -421,32 +421,6 @@ func BenchmarkAblationBatchOrder(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationIndependencePruning measures the Section 7
-// independence-based pruning against the exact search on one function.
-func BenchmarkAblationIndependencePruning(b *testing.B) {
-	f := benchFunc(b, "bitcount", "bit_count")
-	exact := search.Run(f, search.Options{})
-	x := analysis.NewInteractions()
-	x.Accumulate(exact)
-	b.Run("exact", func(b *testing.B) {
-		var attempts int
-		for i := 0; i < b.N; i++ {
-			r := search.Run(f, search.Options{})
-			attempts = r.AttemptedPhases
-		}
-		b.ReportMetric(float64(attempts), "attempts")
-	})
-	b.Run("pruned", func(b *testing.B) {
-		var attempts, skipped int
-		for i := 0; i < b.N; i++ {
-			r, ps := search.RunWithIndependencePruning(f, search.Options{}, x, 1.0)
-			attempts, skipped = r.AttemptedPhases, ps.Skipped
-		}
-		b.ReportMetric(float64(attempts), "attempts")
-		b.ReportMetric(float64(skipped), "diamonds-completed")
-	})
-}
-
 // BenchmarkGeneticSearch measures the GA (plain and probability-biased)
 // on a function whose optimum the exhaustive search knows.
 func BenchmarkGeneticSearch(b *testing.B) {

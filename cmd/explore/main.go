@@ -23,9 +23,9 @@
 //	-equiv          collapse instances that are equivalent beyond
 //	                register/label renumbering into one node (the
 //	                equivalence tier); prints a collapse summary
-//	                per function. Mutually exclusive with
-//	                -checkpoint/-resume: the class tables are not
-//	                persisted across restarts
+//	                per function. Checkpoints and resumes like the
+//	                default tier; a checkpoint file of the other tier
+//	                is another enumeration, left alone
 //	-speed          best-performing leaf via CF-class inference (Sec. 7)
 //	-save dir       persist each space for phasestats -load / spacedot
 //
@@ -166,10 +166,6 @@ func run() int {
 	}
 	if *resume && *ckptDir == "" {
 		fmt.Fprintln(os.Stderr, "explore: -resume requires -checkpoint")
-		return 1
-	}
-	if *equiv && (*ckptDir != "" || *resume) {
-		fmt.Fprintln(os.Stderr, "explore: -equiv is mutually exclusive with -checkpoint/-resume (class tables are not persisted)")
 		return 1
 	}
 

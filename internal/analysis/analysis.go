@@ -277,9 +277,9 @@ func (x *Interactions) matrix(num, den [][]float64) [][]float64 {
 }
 
 // Independent reports the observed independence probability of two
-// phases, or -1 when the pair was never seen consecutively active.
-// It implements the search package's IndependencePrior, letting mined
-// statistics drive the Section 7 independence-based pruning.
+// phases, or -1 when the pair was never seen consecutively active:
+// the Section 7 independence statistic, the prior a diamond-completing
+// pruned search would consult.
 func (x *Interactions) Independent(a, b byte) float64 {
 	i, j := phaseIndex(a), phaseIndex(b)
 	if i < 0 || j < 0 {

@@ -364,13 +364,11 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) {
 		Workers:        w.cfg.SearchWorkers,
 		Logger:         logger,
 		Faults:         w.cfg.Faults,
+		CheckpointPath: ru.ckptPath,
 	}
-	if !a.Options.Equiv {
-		// Seeded before the heartbeat loop can see the run: a beat must
-		// never read the scratch file half-written.
-		opts.CheckpointPath = ru.ckptPath
-		ru.seed(logger)
-	}
+	// Seeded before the heartbeat loop can see the run: a beat must
+	// never read the scratch file half-written.
+	ru.seed(logger)
 	w.mu.Lock()
 	old := w.active[a.AssignmentID]
 	w.active[a.AssignmentID] = ru
@@ -456,12 +454,12 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) {
 }
 
 // finishedSpace is what a completion uploads: the space's bytes and the
-// hash they go under, always the SHA-256 of those very bytes. A
-// checkpointing search's final write left both — the scratch file and
-// Result.SpaceHash — so nothing is rendered again. Any other finished
-// space (an equiv run, a failed last write, a finished space the slot
-// already held, which an older build may have written with its timing)
-// is rendered here, once, canonically, and those bytes are hashed.
+// hash they go under, always the SHA-256 of those very bytes. The
+// search's final write, in either tier, left both — the scratch file
+// and Result.SpaceHash — so nothing is rendered again. Any other finished
+// space (a failed last write, a finished space the slot already held,
+// which an older build may have written with its timing) is rendered
+// here, once, canonically, and those bytes are hashed.
 func finishedSpace(res *search.Result) (b []byte, hash string, err error) {
 	if res.SpaceHash != "" {
 		b, err = os.ReadFile(res.SpacePath)

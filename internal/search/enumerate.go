@@ -28,35 +28,34 @@ const (
 // Enumerate is Run, continuing whatever opts.CheckpointPath holds. It
 // is the one owner of a checkpoint slot's states:
 //
-//	no path, or opts.Equiv          Run (equiv runs never checkpoint)
+//	no path                         Run
 //	slot absent                     Run
 //	checkpoint of f                 Resume
 //	finished space of f             returned as is, SpacePath set
 //	unloadable (damaged, truncated) warning logged, Run replaces it
 //	aborted, no frontier            warning logged, Run replaces it
-//	loadable, another function      error; the file is left alone
+//	loadable, another function/tier error; the file is left alone
 //
 // The slot's function is told by its root instance — node 0's canonical
 // key against f's cleaned root — not by its name: an edited source that
 // kept the name is another function, a reformatted one that compiles to
-// the same code is not. Only the default tier is ever resumed or found;
-// an equivalence-collapsed document in the slot is another function
-// too. begin, when non-nil, learns which way the enumeration sets out
-// before any of it runs (a caller counting enumerations as they start);
-// warnings go to opts.Logger. The error is the mismatch above or
-// Resume's.
+// the same code is not. A document of the other tier (opts.Equiv) is
+// another enumeration too, either way round. begin, when non-nil,
+// learns which way the enumeration sets out before any of it runs (a
+// caller counting enumerations as they start); warnings go to
+// opts.Logger. The error is the mismatch above or Resume's.
 func Enumerate(f *rtl.Func, opts Options, begin func(Start)) (*Result, error) {
 	start, prev := Fresh, (*Result)(nil)
-	if path := opts.CheckpointPath; path != "" && !opts.Equiv {
+	if path := opts.CheckpointPath; path != "" {
 		var err error
 		unusable := ""
 		switch prev, err = LoadFile(path); {
 		case errors.Is(err, fs.ErrNotExist):
 		case err != nil:
 			unusable = err.Error()
-		case prev.Equiv != nil || prev.NodeKey(prev.Root()) != rootKey(f):
-			return nil, fmt.Errorf("search: %s holds an enumeration of another function (%q), not of %q; not overwriting it",
-				path, prev.FuncName, f.Name)
+		case (prev.Equiv != nil) != opts.Equiv || prev.NodeKey(prev.Root()) != rootKey(f):
+			return nil, fmt.Errorf("search: %s holds an enumeration of another function (%q, Equiv=%v), not of %q (Equiv=%v); not overwriting it",
+				path, prev.FuncName, prev.Equiv != nil, f.Name, opts.Equiv)
 		case prev.Checkpoint != nil:
 			start = Resumed
 		case !prev.Aborted:

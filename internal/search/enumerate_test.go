@@ -34,20 +34,26 @@ func TestEnumerateSlotStates(t *testing.T) {
 	}
 	want, wantEquiv := hashOf(search.Run(f, search.Options{})), hashOf(search.Run(f, search.Options{Equiv: true}))
 
-	// The slot fillers. midRun leaves what a canceled (or killed) run's
-	// last write leaves; finished what a completed one does.
-	midRun := func(t *testing.T, slot string) {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		if r := search.Run(f, search.Options{Ctx: ctx, Verifier: cancelAfter(cancel, 25), CheckpointPath: slot}); !r.Aborted {
-			t.Fatal("the run to interrupt finished first")
+	// The slot fillers, for either tier. midRun leaves what a canceled
+	// (or killed) run's last write leaves; finished what a completed one
+	// does.
+	midRunAt := func(equiv bool) func(*testing.T, string) {
+		return func(t *testing.T, slot string) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if r := search.Run(f, search.Options{Equiv: equiv, Ctx: ctx, Verifier: cancelAfter(cancel, 25), CheckpointPath: slot}); !r.Aborted {
+				t.Fatal("the run to interrupt finished first")
+			}
 		}
 	}
-	finished := func(t *testing.T, slot string) {
-		if r := search.Run(f, search.Options{CheckpointPath: slot}); r.CheckpointErr != "" {
-			t.Fatal(r.CheckpointErr)
+	finishedAt := func(equiv bool) func(*testing.T, string) {
+		return func(t *testing.T, slot string) {
+			if r := search.Run(f, search.Options{Equiv: equiv, CheckpointPath: slot}); r.CheckpointErr != "" {
+				t.Fatal(r.CheckpointErr)
+			}
 		}
 	}
+	midRun, finished := midRunAt(false), finishedAt(false)
 	mangled := func(fill func(*testing.T, string), mangle func([]byte) []byte) func(*testing.T, string) {
 		return func(t *testing.T, slot string) {
 			fill(t, slot)
@@ -73,7 +79,6 @@ func TestEnumerateSlotStates(t *testing.T) {
 		fill    func(t *testing.T, slot string) // nil: slot absent
 		opts    search.Options
 		start   search.Start
-		noPath  bool   // the result must not name a file
 		warning string // substring of the one warning logged; "" = none
 		refuses bool   // error, file untouched
 	}{
@@ -104,8 +109,12 @@ func TestEnumerateSlotStates(t *testing.T) {
 			fill: spaceOf(search.Run(other, search.Options{}))},
 		{name: "equivalence tier of the same function", refuses: true,
 			fill: spaceOf(search.Run(f, search.Options{Equiv: true}))},
-		// An equiv run neither reads nor writes the slot.
-		{name: "Equiv set", fill: midRun, opts: search.Options{Equiv: true}, start: search.Fresh, noPath: true},
+		// The equivalence tier owns its slot the same way; the default
+		// tier's mid-run checkpoint is another enumeration to it.
+		{name: "Equiv set", fill: midRun, opts: search.Options{Equiv: true}, refuses: true},
+		{name: "Equiv set, slot absent", opts: search.Options{Equiv: true}, start: search.Fresh},
+		{name: "Equiv set, mid-run checkpoint", fill: midRunAt(true), opts: search.Options{Equiv: true}, start: search.Resumed},
+		{name: "Equiv set, finished space", fill: finishedAt(true), opts: search.Options{Equiv: true}, start: search.Found},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -121,7 +130,7 @@ func TestEnumerateSlotStates(t *testing.T) {
 			opts.Logger = slog.New(slog.NewTextHandler(&logged, &slog.HandlerOptions{Level: slog.LevelWarn}))
 			r, err := search.Enumerate(f, opts, func(s search.Start) { starts = append(starts, s) })
 
-			if row.refuses || row.opts.Equiv {
+			if row.refuses {
 				if after, _ := os.ReadFile(slot); !bytes.Equal(after, before) {
 					t.Error("the slot's file was touched")
 				}
@@ -151,9 +160,6 @@ func TestEnumerateSlotStates(t *testing.T) {
 			wantHash, wantPath := want, slot
 			if row.opts.Equiv {
 				wantHash = wantEquiv
-			}
-			if row.noPath {
-				wantPath = ""
 			}
 			if got := hashOf(r); got != wantHash {
 				t.Errorf("space hashes %s, a plain Run's %s", got, wantHash)

@@ -2,9 +2,10 @@ package search_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
-	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/mibench"
@@ -270,35 +271,105 @@ func TestEquivSerializeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEquivCheckpointInteraction checks the documented exclusions:
-// an Equiv run never writes a checkpoint even when a path is
-// configured, and Resume rejects the Equiv option outright.
+// TestEquivCheckpointInteraction holds the equivalence tier to the
+// default tier's durability contract: a capped equiv run's checkpoint
+// resumes, under a raised cap, to the space an uninterrupted run hashes
+// to, the final write is that space's canonical bytes, and Resume
+// refuses a checkpoint of the other tier, either way round.
 func TestEquivCheckpointInteraction(t *testing.T) {
 	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "space.ckpt")
-	f := mibenchFunc(t, "sha", "rotl")
-	r := search.Run(f, search.Options{Equiv: true, CheckpointPath: ckpt})
-	if r.Aborted {
-		t.Fatalf("aborted: %s", r.AbortReason)
-	}
-	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
-		t.Fatalf("equiv run wrote a checkpoint file (stat err: %v)", err)
-	}
+	f := mibenchFunc(t, "jpeg", "rle_block")
+	clean := search.Run(f, search.Options{Equiv: true})
+	want := canonical(t, clean)
 
-	// An interrupted identical-only run must refuse to resume with the
-	// equivalence tier switched on.
-	r2 := search.Run(f, search.Options{MaxNodes: 5, CheckpointPath: ckpt})
-	if !r2.Aborted {
+	ckpt := filepath.Join(dir, "rle_block.ckpt.space.gz")
+	if r := search.Run(f, search.Options{Equiv: true, MaxNodes: 300, CheckpointPath: ckpt}); !r.Aborted {
 		t.Fatal("expected the capped run to abort")
 	}
 	loaded, err := search.LoadFile(ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Checkpoint == nil {
-		t.Fatal("loaded space has no checkpoint to resume")
+	if loaded.Checkpoint == nil || loaded.Equiv == nil || loaded.Equiv.Merged == 0 {
+		t.Fatalf("the capped run left no equiv checkpoint with folds (equiv %+v)", loaded.Equiv)
 	}
-	if _, err := search.Resume(loaded, search.Options{Equiv: true}); err == nil {
-		t.Fatal("Resume accepted the Equiv option on a checkpointed space")
+	if _, err := search.Resume(loaded, search.Options{}); err == nil || !strings.Contains(err.Error(), "tier") {
+		t.Fatalf("Resume of an equiv checkpoint in the default tier: err = %v, want a tier refusal", err)
+	}
+	resumed, err := search.Resume(loaded, search.Options{Equiv: true, CheckpointPath: ckpt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(canonical(t, resumed), want) {
+		t.Fatal("resumed equiv space differs from the uninterrupted run")
+	}
+	checkEquivInvariants(t, "resumed rle_block", resumed)
+	h, err := clean.CanonicalHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.SpacePath != ckpt || resumed.SpaceHash != h {
+		t.Fatalf("final write: SpacePath %q, SpaceHash %s; want %q, %s", resumed.SpacePath, resumed.SpaceHash, ckpt, h)
+	}
+	if !bytes.Equal(mustLoadCanonical(t, ckpt), want) {
+		t.Fatal("the final checkpoint file is not the uninterrupted space")
+	}
+
+	// The other way round: a default-tier checkpoint refuses Equiv.
+	if r := search.Run(f, search.Options{MaxNodes: 50, CheckpointPath: ckpt}); !r.Aborted {
+		t.Fatal("expected the capped run to abort")
+	}
+	if loaded, err = search.LoadFile(ckpt); err != nil || loaded.Checkpoint == nil {
+		t.Fatalf("no default-tier checkpoint to resume (%v)", err)
+	}
+	if _, err := search.Resume(loaded, search.Options{Equiv: true}); err == nil || !strings.Contains(err.Error(), "tier") {
+		t.Fatalf("Resume of a default-tier checkpoint under Equiv: err = %v, want a tier refusal", err)
+	}
+}
+
+// TestEquivKillResumeRleBlock interrupts jpeg/rle_block's equiv
+// enumeration — half its 4,886 raw-distinct instances fold — mid-level,
+// once about half its nodes exist, and resumes it from the checkpoint
+// the cancellation wrote. The level the cut lands in has folded
+// spellings past the boundary; the checkpoint must hold the boundary's
+// folds only, the resumed space must hash like an uninterrupted run's
+// at every width, and the resumed run's search.equiv.merged must count
+// only the folds it made itself.
+func TestEquivKillResumeRleBlock(t *testing.T) {
+	f := mibenchFunc(t, "jpeg", "rle_block")
+	want := canonical(t, search.Run(f, search.Options{Equiv: true, Workers: 1}))
+	for _, w := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			ckpt := filepath.Join(t.TempDir(), "rle_block.ckpt.space.gz")
+			ctx, cancel := context.WithCancel(context.Background())
+			cut := search.Run(f, search.Options{Equiv: true, Workers: w, Ctx: ctx,
+				Verifier: cancelAfter(cancel, 3000), CheckpointPath: ckpt})
+			cancel()
+			if !cut.Aborted {
+				t.Fatal("the run finished before the cut")
+			}
+			loaded, err := search.LoadFile(ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loaded.Checkpoint == nil || loaded.Equiv.Merged == 0 || loaded.Equiv.Merged >= cut.Equiv.Merged {
+				t.Fatalf("cut at %d nodes (%d folds): checkpoint of %d nodes holds %d folds; want some, and fewer than the cut",
+					len(cut.Nodes), cut.Equiv.Merged, len(loaded.Nodes), loaded.Equiv.Merged)
+			}
+			t.Logf("cut at %d of 2443 nodes, %d folds; checkpoint %d nodes, %d folds",
+				len(cut.Nodes), cut.Equiv.Merged, len(loaded.Nodes), loaded.Equiv.Merged)
+			reg, folded := telemetry.NewRegistry(), loaded.Equiv.Merged
+			resumed, err := search.Resume(loaded, search.Options{Equiv: true, Workers: w, Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(canonical(t, resumed), want) {
+				t.Fatalf("resumed space differs from the uninterrupted run (%d nodes, Raw %d, Merged %d)",
+					len(resumed.Nodes), resumed.Equiv.Raw, resumed.Equiv.Merged)
+			}
+			if got, own := reg.Snapshot().Counters["search.equiv.merged"], resumed.Equiv.Merged-folded; got != int64(own) {
+				t.Fatalf("search.equiv.merged = %d after the resume, want the %d folds it made", got, own)
+			}
+		})
 	}
 }

@@ -9,10 +9,10 @@ import (
 // default-tier enumeration, byte-identical (under canonical
 // serialization) to what Run with Options.Equiv produces directly.
 //
-// Equivalence-collapsed runs are not checkpointable — the class and
-// alias tables are not persisted — so a sharded enumeration runs its
-// shards in the default tier and derives the equiv space afterwards.
-// The derivation is the engine under Options.Equiv — the live tier's
+// The shard merge replays the default tier only, so a sharded
+// enumeration would run its shards in the default tier and derive the
+// equiv space afterwards; no server path does (an equiv request is one
+// whole-space assignment), and the library keeps it. The derivation is the engine under Options.Equiv — the live tier's
 // loop, commit path and fold — with the complete default space as its
 // oracle evaluator. That is sound because the default space is a total
 // oracle for the equiv BFS: every node the equiv run expands is the
@@ -66,8 +66,8 @@ func DeriveEquiv(full *Result, opts Options) (*Result, error) {
 	// run would retain and expand.
 	src, slot := full.Nodes[0], &oracle.nodes[ids[0]].slot
 	fn := full.root.Clone()
-	e.seedRoot(&outcome{fn: fn, fp: src.FP, st: src.State, cf: src.CFKey, checkErr: src.CheckErr,
-		equiv: equivKey(nil, slot.key[0], fn)}, slot.key)
+	e.frontier = []*Node{e.newNode(0, "", slot.key, &outcome{fn: fn, fp: src.FP, st: src.State, cf: src.CFKey,
+		checkErr: src.CheckErr, equiv: equivKey(nil, slot.key[0], fn)})}
 	slot.id = 0
 	oracle.iid = []int32{ids[0]}
 	if _, err := e.run(); err != nil {

@@ -34,8 +34,9 @@ func gunzip(b []byte) []byte {
 func FuzzLoad(f *testing.F) {
 	// Seeds, all written here: a finished v2 space and the same space as
 	// a v1 document, a v3 equivalence-collapsed space, a mid-run
-	// checkpoint, and every row of the corrupt-file table that is a
-	// document at all.
+	// checkpoint of either tier (the equiv one with its class table and
+	// folds), and every row of the corrupt-file table that is a document
+	// at all.
 	_, fn := compileFunc(f, smallSrc, "clamp")
 	seed := func(r *search.Result) []byte {
 		var buf bytes.Buffer
@@ -56,6 +57,7 @@ func FuzzLoad(f *testing.F) {
 		f.Fatalf("no mid-run checkpoint to seed from (%v)", err)
 	}
 	seed(mid)
+	f.Add(gunzip(equivCheckpoint(f)))
 	for _, tc := range defectiveSpaces(f) {
 		if doc := gunzip(tc.data); len(doc) > 0 {
 			f.Add(doc)

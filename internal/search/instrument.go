@@ -139,11 +139,8 @@ func (e *engine) flush() {
 	ins.mDormant.Add(int64(st.Dormant - fed.stats.Dormant))
 	ins.mMerged.Add(int64(st.Merged - fed.stats.Merged))
 	ins.mQuarantined.Add(int64(st.Quarantined - fed.stats.Quarantined))
-	fed.stats, fed.nodes = *st, len(e.res.Nodes)
-	if eq := e.res.Equiv; eq != nil {
-		ins.mEquivMerged.Add(int64(eq.Merged - fed.equivMerged))
-		fed.equivMerged = eq.Merged
-	}
+	ins.mEquivMerged.Add(int64(len(e.folds) - fed.equivMerged))
+	fed.stats, fed.nodes, fed.equivMerged = *st, len(e.res.Nodes), len(e.folds)
 	c := e.index.counters()
 	ins.mIdxProbes.Add(c.probes - fed.idx.probes)
 	ins.mIdxByteCmps.Add(c.byteCompares - fed.idx.byteCompares)
@@ -176,11 +173,12 @@ func observeSince(sum *atomic.Int64, h *telemetry.Histogram, began time.Time) {
 // seed opens the books at a checkpoint's persisted RunStats so a
 // resumed run continues the accounting exactly where the interrupted
 // one left off — the precondition for resumed spaces serializing
-// byte-identically to uninterrupted ones — and marks those counts fed:
-// the registry is owed only what this run adds.
-func (ins *instruments) seed(st RunStats, nodes int) {
+// byte-identically to uninterrupted ones — and marks those counts, its
+// nodes and its equivalence folds fed: the registry is owed only what
+// this run adds.
+func (ins *instruments) seed(st RunStats, nodes, folds int) {
 	ins.stats = st
-	ins.fed.stats, ins.fed.nodes = st, nodes
+	ins.fed.stats, ins.fed.nodes, ins.fed.equivMerged = st, nodes, folds
 }
 
 // runStats is the books as the persisted summary: the counts plus what

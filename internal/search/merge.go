@@ -175,7 +175,7 @@ func (o *attemptOracle) level(e *engine, work []attempt) error {
 			on := &o.nodes[edge.to]
 			s := on.src
 			out = outcome{active: true, slot: &on.slot, fp: s.FP, st: s.State, cf: s.CFKey, checkErr: s.CheckErr}
-			if e.res.Equiv != nil && on.id < 0 {
+			if e.opts.Equiv && on.id < 0 {
 				// A first-seen instance needs its equivalence class key,
 				// so make it real: clone the parent and apply the edge's
 				// phase — literally what the live tier evaluates here.
@@ -313,7 +313,7 @@ func replayMerge(base *Result, oracle *attemptOracle, baseIDs []int32) (*Result,
 	oracle.iid = slices.Clone(baseIDs)
 	e := newEngine(res, oracle.level, time.Now())
 	e.prior = base.Elapsed
-	e.ins.seed(base.Stats, len(base.Nodes))
+	e.ins.seed(base.Stats, len(base.Nodes), 0)
 	for _, n := range base.Checkpoint.Frontier {
 		e.frontier = append(e.frontier, res.Nodes[n.ID])
 	}

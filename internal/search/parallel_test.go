@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"maps"
 	"path/filepath"
 	"testing"
 
@@ -16,10 +17,8 @@ import (
 // whether the enumeration was interrupted mid-level and resumed.
 // Workers=1 × uninterrupted is the reference; every other cell of the
 // {workers} × {default, equiv} × {uninterrupted, interrupt+resume}
-// table must serialize to the same bytes. The equiv × resume cells are
-// skipped by design: equivalence-collapsed runs are not checkpointable
-// (the class and alias tables are not persisted), and Resume rejects
-// the option.
+// table must serialize to the same bytes, and an equiv cell must also
+// report the reference's collapse summary.
 //
 // The interrupted runs cancel via a Verifier hook after the n-th
 // active instance — the in-process analog of kill -9 mid-level — so
@@ -52,24 +51,14 @@ func TestParallelDeterminismTable(t *testing.T) {
 					if !bytes.Equal(canonical(t, r), want) {
 						t.Fatalf("space at %d workers differs from the Workers=1 reference", w)
 					}
-					if equiv {
-						if r.Equiv == nil || base.Equiv == nil {
-							t.Fatal("equiv stats missing")
-						}
-						if r.Equiv.Raw != base.Equiv.Raw || r.Equiv.Merged != base.Equiv.Merged {
-							t.Fatalf("equiv stats differ: %d/%d raw/merged at %d workers vs %d/%d at 1",
-								r.Equiv.Raw, r.Equiv.Merged, w, base.Equiv.Raw, base.Equiv.Merged)
-						}
-					}
+					sameCollapse(t, r, base)
 				})
-				if equiv {
-					continue // resume unsupported with Equiv by design
-				}
 				t.Run(fmt.Sprintf("workers=%d,resume", w), func(t *testing.T) {
 					ckpt := filepath.Join(t.TempDir(), fmt.Sprintf("sum.w%d.ckpt.space.gz", w))
 					ctx, cancel := context.WithCancel(context.Background())
 					interrupted := search.Run(f, search.Options{
 						Workers:        w,
+						Equiv:          equiv,
 						Ctx:            ctx,
 						Verifier:       cancelAfter(cancel, 40),
 						CheckpointPath: ckpt,
@@ -90,7 +79,7 @@ func TestParallelDeterminismTable(t *testing.T) {
 					if loaded.Checkpoint == nil {
 						t.Fatal("interrupted checkpoint has no frontier")
 					}
-					resumed, err := search.Resume(loaded, search.Options{Workers: w, CheckpointPath: ckpt})
+					resumed, err := search.Resume(loaded, search.Options{Workers: w, Equiv: equiv, CheckpointPath: ckpt})
 					if err != nil {
 						t.Fatalf("resume: %v", err)
 					}
@@ -100,8 +89,22 @@ func TestParallelDeterminismTable(t *testing.T) {
 					if !bytes.Equal(canonical(t, resumed), want) {
 						t.Fatalf("resumed space at %d workers differs from reference", w)
 					}
+					sameCollapse(t, resumed, base)
 				})
 			}
 		})
+	}
+}
+
+// sameCollapse fails unless r reports want's collapse summary: both nil
+// (the default tier), or equal Raw, Merged and RedundantByPhase.
+func sameCollapse(t *testing.T, r, want *search.Result) {
+	t.Helper()
+	if (r.Equiv == nil) != (want.Equiv == nil) {
+		t.Fatalf("equiv stats %+v, want %+v", r.Equiv, want.Equiv)
+	}
+	if r.Equiv != nil && (r.Equiv.Raw != want.Equiv.Raw || r.Equiv.Merged != want.Equiv.Merged ||
+		!maps.Equal(r.Equiv.RedundantByPhase, want.Equiv.RedundantByPhase)) {
+		t.Fatalf("equiv stats %+v, want %+v", *r.Equiv, *want.Equiv)
 	}
 }

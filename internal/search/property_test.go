@@ -17,7 +17,7 @@ import (
 // TestGeneratedSpacesHashOneWay is the byte-identity invariant on
 // generated inputs: for random programs, every way this package has of
 // producing a space — any worker width, a mid-level kill plus Resume
-// (by hand, and through the slot's owner, Enumerate), a frontier split
+// (by hand, and through the slot's owner, Enumerate) in either tier, a frontier split
 // into K shards resumed apart and merged, the live equivalence tier or
 // its derivation from the default space — yields
 // one CanonicalHash per tier. All of them run the one level loop; what
@@ -55,42 +55,46 @@ func TestGeneratedSpacesHashOneWay(t *testing.T) {
 			want := hash("reference", ref, nil)
 			same(want, "workers=4", search.Run(f, search.Options{Workers: 4}), nil)
 
-			// Kill mid-level at width 4, resume from the file.
-			ckpt := filepath.Join(t.TempDir(), "kill.ckpt.space.gz")
-			ctx, cancel := context.WithCancel(context.Background())
-			killed := search.Run(f, search.Options{Workers: 4, Ctx: ctx, CheckpointPath: ckpt,
-				Verifier: cancelAfter(cancel, int64(len(ref.Nodes)/2))})
-			cancel()
-			loaded, err := search.LoadFile(ckpt)
-			if err != nil {
-				t.Fatalf("loading the killed run's checkpoint: %v", err)
-			}
-			if killed.Aborted && loaded.Checkpoint == nil {
-				t.Fatal("killed run left no resumable frontier")
-			}
-			resumed, err := search.Resume(loaded, search.Options{Workers: 4})
-			same(want, "kill+resume", resumed, err)
+			// Kill mid-level at width 4, resume from the file — by hand,
+			// and as a hard kill leaves the slot (the last write that was
+			// renamed into place, a torn temp file beside it) handed to
+			// its owner: resumed if the run was cut short, found if it
+			// had finished, and the slot ends up the space. Both tiers.
+			killResume := func(want string, equiv bool) {
+				tier := fmt.Sprintf("equiv=%v ", equiv)
+				ckpt := filepath.Join(t.TempDir(), "kill.ckpt.space.gz")
+				ctx, cancel := context.WithCancel(context.Background())
+				killed := search.Run(f, search.Options{Workers: 4, Equiv: equiv, Ctx: ctx, CheckpointPath: ckpt,
+					Verifier: cancelAfter(cancel, int64(len(ref.Nodes)/2))})
+				cancel()
+				loaded, err := search.LoadFile(ckpt)
+				if err != nil {
+					t.Fatalf("%sloading the killed run's checkpoint: %v", tier, err)
+				}
+				if killed.Aborted && loaded.Checkpoint == nil {
+					t.Fatalf("%skilled run left no resumable frontier", tier)
+				}
+				resumed, err := search.Resume(loaded, search.Options{Workers: 4, Equiv: equiv})
+				same(want, tier+"kill+resume", resumed, err)
 
-			// The same slot as a hard kill leaves it — the last write
-			// that was renamed into place, a torn temp file beside it —
-			// handed to its owner: resumed if the run was cut short,
-			// found if it had finished, and the slot ends up the space.
-			if err := os.WriteFile(ckpt+".tmp", []byte("torn"), 0o644); err != nil {
-				t.Fatal(err)
+				if err := os.WriteFile(ckpt+".tmp", []byte("torn"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				start := search.Found
+				if killed.Aborted {
+					start = search.Resumed
+				}
+				enumerated, err := search.Enumerate(f, search.Options{Workers: 4, Equiv: equiv, CheckpointPath: ckpt},
+					func(got search.Start) {
+						if got != start {
+							t.Errorf("%shard kill + Enumerate set out %s, want %s", tier, got, start)
+						}
+					})
+				same(want, tier+"hard kill + Enumerate", enumerated, err)
+				onDisk, err := search.LoadFile(enumerated.SpacePath)
+				same(want, tier+"the slot after hard kill + Enumerate", onDisk, err)
 			}
-			start := search.Found
-			if killed.Aborted {
-				start = search.Resumed
-			}
-			enumerated, err := search.Enumerate(f, search.Options{Workers: 4, CheckpointPath: ckpt},
-				func(got search.Start) {
-					if got != start {
-						t.Errorf("hard kill + Enumerate set out %s, want %s", got, start)
-					}
-				})
-			same(want, "hard kill + Enumerate", enumerated, err)
-			onDisk, err := search.LoadFile(enumerated.SpacePath)
-			same(want, "the slot after hard kill + Enumerate", onDisk, err)
+			killResume(want, false)
 
 			// Split at a K-node frontier, resume each shard off the
 			// wire, merge. A space too narrow to split completes in the
@@ -122,10 +126,11 @@ func TestGeneratedSpacesHashOneWay(t *testing.T) {
 				same(want, fmt.Sprintf("k=%d merge", k), merged, err)
 			}
 
-			// The equivalence tier: live at two widths, derived from the
-			// reference and from the last merge.
+			// The equivalence tier: live at two widths, killed and
+			// resumed, derived from the reference and from the last merge.
 			wantEquiv := hash("live equiv", search.Run(f, search.Options{Workers: 1, Equiv: true}), nil)
 			same(wantEquiv, "live equiv, workers=4", search.Run(f, search.Options{Workers: 4, Equiv: true}), nil)
+			killResume(wantEquiv, true)
 			derived, err := search.DeriveEquiv(ref, search.Options{})
 			same(wantEquiv, "derived equiv", derived, err)
 			derived, err = search.DeriveEquiv(wire(t, merged), search.Options{})

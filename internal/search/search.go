@@ -92,7 +92,8 @@ type Node struct {
 	// EquivRaw, under Options.Equiv, counts the raw-distinct instances
 	// this node's equivalence class absorbed (1 = the node alone; >1 =
 	// the class merged instances the identical tier kept apart). Zero
-	// when the search ran without Equiv and on quarantined nodes.
+	// when the search ran without Equiv and on quarantined nodes. Set
+	// when the run ends.
 	EquivRaw int
 
 	// key is the exact canonical key: the gating-state flags byte plus
@@ -127,8 +128,8 @@ type Options struct {
 	// file. Callers partition that frontier (PartitionCheckpoint) or
 	// hand the Result straight back to Resume. A space that completes
 	// before the frontier ever grows that wide returns complete, with no
-	// Checkpoint. Ignored under Equiv (equivalence-collapsed runs are
-	// not resumable).
+	// Checkpoint. Ignored under Equiv: a paused space is only ever
+	// partitioned, and the shard merge replays the default tier alone.
 	StopAtFrontier int
 	// Timeout aborts the search after this much wall time
 	// (0 = unlimited). On Resume the budget restarts.
@@ -150,13 +151,12 @@ type Options struct {
 	// equivalence encoder (fingerprint.EquivEncode) — canonical block
 	// layout, forwarder/fall-through unification, unreachable blocks
 	// dropped — and instances with equal equivalence keys merge into
-	// one node even when their canonical encodings differ. The collapse is summarized
-	// in Result.Equiv and per node in Node.EquivRaw. Equivalence-
-	// collapsed enumerations are not checkpointable: Run ignores
-	// CheckpointPath and Resume rejects the option (the alias tables
-	// are not persisted). With Equiv unset the enumeration and its
-	// serialized space are bit-for-bit what they were before this
-	// option existed.
+	// one node even when their canonical encodings differ. The collapse
+	// is summarized in Result.Equiv and per node in Node.EquivRaw. It
+	// checkpoints, resumes and final-writes like the default tier: the
+	// resume section also carries the class table and the folded
+	// spellings. With Equiv unset the enumeration and its serialized
+	// space are bit-for-bit what they were before this option existed.
 	Equiv bool
 	// KeepFuncs retains every node's function instance in memory
 	// (needed by callers that walk instances afterwards; the analysis
@@ -249,7 +249,7 @@ type Result struct {
 	// the space serializer alongside the node table.
 	Stats RunStats
 	// Equiv summarizes the equivalence-class collapse when the search
-	// ran with Options.Equiv; nil otherwise.
+	// ran with Options.Equiv (set when the run ends); nil otherwise.
 	Equiv *EquivStats
 	// Checkpoint, on a Result loaded from a checkpoint file, holds the
 	// resumable frontier; nil for completely enumerated spaces. Resume
@@ -320,6 +320,45 @@ type Checkpoint struct {
 	Frontier []*Node
 	// SavedAt is when the checkpoint was written.
 	SavedAt time.Time
+	// classes and folds, on an equivalence-collapsed space, are its
+	// class table as Load read it: each class key with its node, and the
+	// spellings folded into a class. Resume takes them over; Save of an
+	// unresumed checkpoint writes them back.
+	classes map[string]int32
+	folds   []fold
+}
+
+// fold is one raw-distinct instance the equivalence tier folded into an
+// existing class: its dedup key (flags byte + canonical encoding) and
+// fingerprint, the class node it resolves to, and the phase whose
+// application produced it. A run's folds, in commit order, are all it
+// needs besides the node table to restore the class tier or to tally
+// its collapse (tallyEquiv).
+type fold struct {
+	key   string
+	fp    fingerprint.FP
+	into  int32
+	phase byte
+}
+
+// tallyEquiv derives the collapse summary, and each node's EquivRaw, of
+// nodes and the folds into them: every non-quarantined node is one
+// raw-distinct instance and its class, every fold one more of its
+// target's.
+func tallyEquiv(nodes []*Node, folds []fold) (*EquivStats, []int) {
+	eq := &EquivStats{Raw: len(folds), Merged: len(folds), RedundantByPhase: make(map[string]int)}
+	raw := make([]int, len(nodes))
+	for i, n := range nodes {
+		if n.Quarantine == "" {
+			raw[i] = 1
+			eq.Raw++
+		}
+	}
+	for _, f := range folds {
+		raw[f.into]++
+		eq.RedundantByPhase[string(f.phase)]++
+	}
+	return eq, raw
 }
 
 // Root returns the node of the unoptimized instance.
@@ -354,12 +393,19 @@ func abortLevelCapReason(level, pending, cap int) string {
 // yet, and the boundary's counters. The engine records one per completed
 // level, so a checkpoint written mid-level rolls back to it; everything
 // else renders the latest boundary, the whole result (Result.whole).
+// Under Options.Equiv folds is the boundary's fold prefix, from which
+// the document tallies the collapse, and classes is the class table; a
+// resume section carries the class keys of the first numNodes nodes,
+// which the live table still holds as they were (a class key never
+// moves).
 type snapshot struct {
 	numNodes  int
 	frontier  []*Node
 	attempted int
 	stats     RunStats
 	elapsed   time.Duration
+	classes   map[string]int32
+	folds     []fold
 	// savedAtNS stamps the document's resume section (zero leaves the
 	// stamp out). The abort bits are a loaded or finished result's: a
 	// boundary the engine records is a healthy, resumable state
@@ -383,9 +429,8 @@ func (v snapshot) canonical() snapshot {
 // cannot answer (a broken oracle). It is the one point where the entry
 // points differ: Run and Resume evaluate phases on the pipelined ring
 // ((*engine).runLevel), MergeShards and DeriveEquiv look answers up in
-// a harvested oracle (attemptOracle.level), RunWithIndependencePruning
-// filters the live path through a prior (priorEvaluator.level). Everything else — work lists,
-// caps, node and edge commit, the equivalence fold, counters,
+// a harvested oracle (attemptOracle.level). Everything else — work
+// lists, caps, node and edge commit, the equivalence fold, counters,
 // checkpoints — is the engine's and exists once.
 type evaluator func(e *engine, work []attempt) error
 
@@ -412,8 +457,10 @@ type engine struct {
 	ringBase int64
 	// equivClasses is the third index tier (Options.Equiv): the class
 	// key (equivKey) of every class representative, mapping to its node
-	// ID. Nil when the option is off.
+	// ID. Nil when the option is off. folds lists, in commit order, the
+	// spellings the tier folded into a class.
 	equivClasses map[string]int32
+	folds        []fold
 	// prior is the elapsed time accumulated before a resume.
 	prior time.Duration
 	done  <-chan struct{}
@@ -447,11 +494,6 @@ func newRun(f *rtl.Func, opts Options, eval evaluator) *engine {
 	rtl.Cleanup(root)
 
 	res := &Result{FuncName: f.Name, root: root.Clone(), opts: opts}
-	if opts.Equiv {
-		// Equivalence-collapsed runs are not resumable (the class and
-		// alias tables are not persisted), so checkpointing is off.
-		res.opts.CheckpointPath = ""
-	}
 	e := newEngine(res, eval, start)
 	buf := fingerprint.GetBuffer()
 	o := outcome{fn: root, fp: fingerprint.SummarizeInto(buf, root), buf: buf}
@@ -464,14 +506,14 @@ func newRun(f *rtl.Func, opts Options, eval evaluator) *engine {
 		}
 	}
 	// Nothing has been applied yet: the root's gating flags byte is 0.
-	e.seedRoot(&o, "\x00"+string(buf.Enc))
+	e.frontier = []*Node{e.newNode(0, "", "\x00"+string(buf.Enc), &o)}
 	e.index.insert(e.frontier[0].key, o.fp, 0)
 	fingerprint.PutBuffer(buf)
 	return e
 }
 
 // newEngine wires an engine over res, whose options are final. Under
-// Options.Equiv it opens the class table and the collapse summary.
+// Options.Equiv it opens the class table.
 func newEngine(res *Result, eval evaluator, start time.Time) *engine {
 	e := &engine{
 		res:   res,
@@ -482,20 +524,9 @@ func newEngine(res *Result, eval evaluator, start time.Time) *engine {
 		start: start,
 	}
 	if res.opts.Equiv {
-		res.Equiv = &EquivStats{RedundantByPhase: make(map[string]int)}
 		e.equivClasses = make(map[string]int32)
 	}
 	return e
-}
-
-// seedRoot makes the instance o describes node 0 and the frontier. The
-// root is the first raw-distinct instance of an equivalence-collapsed
-// space.
-func (e *engine) seedRoot(o *outcome, key string) {
-	if e.res.Equiv != nil {
-		e.res.Equiv.Raw = 1
-	}
-	e.frontier = []*Node{e.newNode(0, "", key, o)}
 }
 
 // Resume continues an interrupted enumeration from a checkpoint loaded
@@ -503,17 +534,18 @@ func (e *engine) seedRoot(o *outcome, key string) {
 // Result completed (or re-aborted, if a cap still binds). Resuming is
 // deterministic: the finished space is byte-identical (under canonical
 // serialization) to the one an uninterrupted Run produces, provided
-// opts selects the same phases, check setting and fault plan as the
-// interrupted run. The machine description always comes from the
-// checkpoint. A Result without a Checkpoint is already complete and is
-// returned unchanged.
+// opts selects the same phases, check setting, tier and fault plan as
+// the interrupted run; a tier (Options.Equiv) other than the
+// checkpoint's is refused. The machine description always comes from
+// the checkpoint. A Result without a Checkpoint is already complete and
+// is returned unchanged.
 func Resume(res *Result, opts Options) (*Result, error) {
 	cp := res.Checkpoint
 	if cp == nil {
 		return res, nil
 	}
-	if opts.Equiv {
-		return nil, fmt.Errorf("search: resume does not support equivalence collapse (the class tables are not persisted); re-run the enumeration with Equiv instead")
+	if opts.Equiv != (res.Equiv != nil) {
+		return nil, fmt.Errorf("search: resume: the checkpoint's tier is Equiv=%v, the options ask for Equiv=%v", res.Equiv != nil, opts.Equiv)
 	}
 	mach := res.opts.Machine
 	opts.fill()
@@ -539,7 +571,14 @@ func Resume(res *Result, opts Options) (*Result, error) {
 			e.index.insert(n.key, n.FP, n.ID)
 		}
 	}
-	e.ins.seed(res.Stats, len(res.Nodes))
+	// The class tier comes back as the interrupted run left it: the class
+	// table, and each folded spelling's slot naming its class node, so
+	// rediscovering it is a plain merge, as it would have been.
+	for _, f := range cp.folds {
+		e.index.insert(f.key, f.fp, int(f.into))
+	}
+	e.equivClasses, e.folds = cp.classes, cp.folds
+	e.ins.seed(res.Stats, len(res.Nodes), len(e.folds))
 	e.frontier = cp.Frontier
 	return e.run()
 }
@@ -567,8 +606,7 @@ func (e *engine) newNode(level int, seq, key string, o *outcome) *Node {
 		n.CFKey = fingerprint.Key(o.buf.CF)
 	}
 	e.res.Nodes = append(e.res.Nodes, n)
-	if e.res.Equiv != nil {
-		n.EquivRaw = 1
+	if e.equivClasses != nil {
 		e.equivClasses[string(o.equiv)] = int32(n.ID) // the class's one copy of its key
 	}
 	return n
@@ -601,6 +639,8 @@ func (e *engine) boundary() snapshot {
 		attempted: e.res.AttemptedPhases,
 		stats:     e.ins.runStats(),
 		elapsed:   e.elapsed(),
+		classes:   e.equivClasses,
+		folds:     e.folds,
 	}
 }
 
@@ -811,7 +851,7 @@ func (e *engine) run() (*Result, error) {
 			e.abort(abortNodeCapReason(opts.MaxNodes))
 			break
 		}
-		if opts.StopAtFrontier > 0 && res.Equiv == nil && len(e.frontier) >= opts.StopAtFrontier {
+		if opts.StopAtFrontier > 0 && !opts.Equiv && len(e.frontier) >= opts.StopAtFrontier {
 			// Pause at this boundary: expose the live frontier as an
 			// in-memory checkpoint. The final write below then persists
 			// the paused (resumable) state rather than a complete space.
@@ -829,6 +869,13 @@ func (e *engine) run() (*Result, error) {
 	e.flush()
 	res.Elapsed = e.elapsed()
 	res.Stats = ins.runStats()
+	if opts.Equiv {
+		var raw []int
+		res.Equiv, raw = tallyEquiv(res.Nodes, e.folds)
+		for i, n := range res.Nodes {
+			n.EquivRaw = raw[i]
+		}
+	}
 	if !res.Aborted && opts.CheckpointPath != "" {
 		// Final write: the checkpoint file becomes the complete space.
 		e.snap = e.boundary()
@@ -1179,18 +1226,14 @@ func (e *engine) commitInstance(a attempt, o *outcome) (*Node, bool) {
 	if p.id >= 0 {
 		return e.res.Nodes[p.id], false
 	}
-	if e.res.Equiv != nil {
-		e.res.Equiv.Raw++
+	if e.equivClasses != nil {
 		if id, ok := e.equivClasses[string(o.equiv)]; ok {
 			// Raw-distinct instance, known class: the slot takes the
 			// class node's ID, so future identical duplicates of this
 			// spelling resolve to it.
 			p.assign(id)
-			n := e.res.Nodes[id]
-			n.EquivRaw++
-			e.res.Equiv.Merged++
-			e.res.Equiv.RedundantByPhase[string(a.phase.ID())]++
-			return n, false
+			e.folds = append(e.folds, fold{key: p.key, fp: o.fp, into: id, phase: a.phase.ID()})
+			return e.res.Nodes[id], false
 		}
 	}
 	// The slot's key was copied where it was parked; the node shares it
@@ -1331,6 +1374,9 @@ func replaySeq(root *rtl.Func, seq string, d *machine.Desc, st *opt.State) *rtl.
 	f := root.Clone()
 	for i := 0; i < len(seq); i++ {
 		p := opt.ByID(seq[i])
+		if p == nil {
+			panic(fmt.Sprintf("search: unknown phase %q in sequence", seq[i]))
+		}
 		if !opt.Attempt(f, st, p, d) {
 			panic(fmt.Sprintf("search: replay of %q: phase %c dormant", seq, seq[i]))
 		}
@@ -1349,65 +1395,44 @@ func (r *Result) Instance(n *Node) *rtl.Func {
 	if n.fn != nil {
 		return n.fn.Clone()
 	}
-	f := r.root.Clone()
-	st := opt.State{}
-	for i := 0; i < len(n.Seq); i++ {
-		p := opt.ByID(n.Seq[i])
-		if p == nil {
-			panic(fmt.Sprintf("search: unknown phase %q in sequence", n.Seq[i]))
-		}
-		if !opt.Attempt(f, &st, p, r.opts.Machine) {
-			panic(fmt.Sprintf("search: replay of %q: phase %c dormant", n.Seq, n.Seq[i]))
+	return replaySeq(r.root, n.Seq, r.opts.Machine, &opt.State{})
+}
+
+// nodesWhere returns the nodes keep accepts, in discovery order.
+func (r *Result) nodesWhere(keep func(*Node) bool) []*Node {
+	var out []*Node
+	for _, n := range r.Nodes {
+		if keep(n) {
+			out = append(out, n)
 		}
 	}
-	return f
+	return out
 }
 
 // CheckFailures returns the nodes whose instances the semantic
 // verifier rejected, in discovery order. Empty when the search ran
 // without Options.Check or when every instance verified clean.
 func (r *Result) CheckFailures() []*Node {
-	var out []*Node
-	for _, n := range r.Nodes {
-		if n.CheckErr != "" {
-			out = append(out, n)
-		}
-	}
-	return out
+	return r.nodesWhere(func(n *Node) bool { return n.CheckErr != "" })
 }
 
 // QuarantinedNodes returns the nodes whose producing phase application
 // panicked or tripped the watchdog, in discovery order.
 func (r *Result) QuarantinedNodes() []*Node {
-	var out []*Node
-	for _, n := range r.Nodes {
-		if n.Quarantine != "" {
-			out = append(out, n)
-		}
-	}
-	return out
+	return r.nodesWhere(func(n *Node) bool { return n.Quarantine != "" })
 }
 
 // Leaves returns the leaf nodes — instances at which every phase is
 // dormant, where the optimization space DAG converges. Quarantined
 // nodes are excluded: they are dead ends with no instance, not
 // converged instances.
-func (r *Result) Leaves() []*Node {
-	var out []*Node
-	for _, n := range r.Nodes {
-		if n.IsLeaf() {
-			out = append(out, n)
-		}
-	}
-	return out
-}
+func (r *Result) Leaves() []*Node { return r.nodesWhere((*Node).IsLeaf) }
 
-// BestCodeSize returns the leaf with the fewest instructions,
-// resolving ties toward the shortest sequence. Leaves are where Table
-// 3's code size extremes are measured.
-func (r *Result) BestCodeSize() *Node {
+// smallest returns the node with the fewest instructions, resolving
+// ties toward the shortest sequence; nil for none.
+func smallest(nodes []*Node) *Node {
 	var best *Node
-	for _, n := range r.Leaves() {
+	for _, n := range nodes {
 		if best == nil || n.NumInstrs < best.NumInstrs ||
 			(n.NumInstrs == best.NumInstrs && len(n.Seq) < len(best.Seq)) {
 			best = n
@@ -1415,6 +1440,11 @@ func (r *Result) BestCodeSize() *Node {
 	}
 	return best
 }
+
+// BestCodeSize returns the leaf with the fewest instructions,
+// resolving ties toward the shortest sequence. Leaves are where Table
+// 3's code size extremes are measured.
+func (r *Result) BestCodeSize() *Node { return smallest(r.Leaves()) }
 
 // OptimalCodeSize returns the instance with the fewest instructions
 // anywhere in the space — not only at the leaves, since phases like
@@ -1423,15 +1453,5 @@ func (r *Result) BestCodeSize() *Node {
 // exhaustive space makes this the provably optimal code size reachable
 // by any phase ordering of the compiler (Section 8).
 func (r *Result) OptimalCodeSize() *Node {
-	var best *Node
-	for _, n := range r.Nodes {
-		if n.Quarantine != "" {
-			continue
-		}
-		if best == nil || n.NumInstrs < best.NumInstrs ||
-			(n.NumInstrs == best.NumInstrs && len(n.Seq) < len(best.Seq)) {
-			best = n
-		}
-	}
-	return best
+	return smallest(r.nodesWhere(func(n *Node) bool { return n.Quarantine == "" }))
 }

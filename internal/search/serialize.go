@@ -59,17 +59,20 @@ import (
 //	    makes a partially enumerated space resumable (search.Resume)
 //	v3  adds the equivalence-collapse summary (top-level "equiv") and
 //	    per-node raw-instance counts ("equiv_raw") of spaces
-//	    enumerated with Options.Equiv
+//	    enumerated with Options.Equiv; its resume section also holds
+//	    the class table: the class key of every node ("classes") and
+//	    the spellings folded into a class ("folds")
 //
 // Writers emit v3 only for equivalence-collapsed spaces, keeping every
 // other space byte-identical to the v2 writer's output; the loader
 // reads v1-v3. v1 files simply have no quarantined nodes and no
 // checkpoint section. Load is the trust boundary — it reads bytes this
-// process did not write: it holds every node's key against the node
-// that carries it (checkKey) before Resume or a merge files it anywhere,
-// and FuzzLoad holds Load to "an error, or a space whose hash survives
-// Save and Load; never a panic". A key is stored as it is written:
-// one raw string per node (Node.key), never compressed in memory.
+// process did not write: it holds every node's key, and every folded
+// spelling's, against the node that carries it (checkKey) before Resume
+// or a merge files it anywhere, and FuzzLoad holds Load to "an error,
+// or a space whose hash survives Save and Load; never a panic". A key
+// is stored as it is written: one raw string per node (Node.key), never
+// compressed in memory.
 
 type fileFormat struct {
 	Version         int             `json:"version"`
@@ -102,11 +105,23 @@ type fileNode struct {
 
 // fileCheckpoint is the v2 resume section: the IDs of the unexpanded
 // frontier nodes plus their function instances (the same JSON encoding
-// the root already uses), in discovery order.
+// the root already uses), in discovery order. A v3 one adds the class
+// table: the class key of each node (empty for a quarantined one) and
+// the folds (Checkpoint.classes, folds), keys base64-coded.
 type fileCheckpoint struct {
 	Frontier      []int       `json:"frontier"`
 	Bodies        []*rtl.Func `json:"bodies"`
 	SavedAtUnixNS int64       `json:"saved_at_unix_ns,omitempty"`
+	Classes       [][]byte    `json:"classes,omitempty"`
+	Folds         []fileFold  `json:"folds,omitempty"`
+}
+
+// fileFold is one fold of the resume section.
+type fileFold struct {
+	Key   []byte         `json:"key"`
+	FP    fingerprint.FP `json:"fp"`
+	Into  int            `json:"into"`
+	Phase byte           `json:"phase"`
 }
 
 const (
@@ -161,7 +176,7 @@ func (r *Result) whole() snapshot {
 	v := snapshot{numNodes: len(r.Nodes), attempted: r.AttemptedPhases, stats: r.Stats, elapsed: r.Elapsed,
 		aborted: r.Aborted, abortReason: r.AbortReason}
 	if cp := r.Checkpoint; cp != nil {
-		v.frontier, v.savedAtNS = cp.Frontier, cp.SavedAt.UnixNano()
+		v.frontier, v.savedAtNS, v.classes, v.folds = cp.Frontier, cp.SavedAt.UnixNano(), cp.classes, cp.folds
 	}
 	return v
 }
@@ -170,7 +185,10 @@ func (r *Result) whole() snapshot {
 // first v.numNodes nodes, v's counters, and a resume section when v
 // has a frontier (none means it is a complete space). Frontier
 // nodes serialize without outgoing edges — the state they had at the
-// boundary, whatever a level killed since has appended.
+// boundary, whatever a level killed since has appended. The collapse
+// summary of a resumable equivalence-collapsed document is tallied from
+// v's fold prefix, for the same reason; a complete space's is the
+// result's own.
 func (r *Result) document(v snapshot) *fileFormat {
 	ff := &fileFormat{
 		Version:         formatVersion,
@@ -185,14 +203,27 @@ func (r *Result) document(v snapshot) *fileFormat {
 		Machine:         r.opts.Machine,
 		Nodes:           make([]fileNode, 0, v.numNodes),
 	}
-	if r.Equiv != nil {
+	unexpanded := make(map[int]bool, len(v.frontier))
+	var equivRaw []int
+	if len(v.frontier) > 0 {
+		ff.Checkpoint = &fileCheckpoint{SavedAtUnixNS: v.savedAtNS}
+		if r.opts.Equiv {
+			ff.Equiv, equivRaw = tallyEquiv(r.Nodes[:v.numNodes], v.folds)
+			ff.Checkpoint.Classes = make([][]byte, v.numNodes)
+			for key, id := range v.classes {
+				if int(id) < v.numNodes {
+					ff.Checkpoint.Classes[id] = []byte(key)
+				}
+			}
+			for _, f := range v.folds {
+				ff.Checkpoint.Folds = append(ff.Checkpoint.Folds, fileFold{[]byte(f.key), f.fp, int(f.into), f.phase})
+			}
+		}
+	}
+	if ff.Equiv != nil {
 		// Equivalence-collapsed spaces need v3; everything else stays v2
 		// (and byte-identical to what the v2 writer produced).
 		ff.Version = formatVersionEquiv
-	}
-	unexpanded := make(map[int]bool, len(v.frontier))
-	if len(v.frontier) > 0 {
-		ff.Checkpoint = &fileCheckpoint{SavedAtUnixNS: v.savedAtNS}
 	}
 	for _, n := range v.frontier {
 		unexpanded[n.ID] = true
@@ -215,6 +246,9 @@ func (r *Result) document(v snapshot) *fileFormat {
 		}
 		if !unexpanded[n.ID] {
 			fn.Edges = n.Edges
+		}
+		if equivRaw != nil {
+			fn.EquivRaw = equivRaw[n.ID]
 		}
 		ff.Nodes = append(ff.Nodes, fn)
 	}
@@ -440,9 +474,62 @@ func Load(rd io.Reader) (*Result, error) {
 			n.fn = fc.Bodies[i]
 			cp.Frontier = append(cp.Frontier, n)
 		}
+		if ff.Equiv != nil {
+			if cp.classes, cp.folds, err = loadClasses(res.Nodes, fc); err != nil {
+				return nil, err
+			}
+		} else if fc.Classes != nil || fc.Folds != nil {
+			return nil, fmt.Errorf("search: a checkpoint of the default tier carries a class table")
+		}
 		res.Checkpoint = cp
 	}
 	return res, nil
+}
+
+// loadClasses holds the class table of an equivalence-collapsed
+// checkpoint to the node table, as Resume will file it: one class key
+// per node, none on a quarantined one, each under its node's gating
+// flags and held by no other node; each fold into a class node, under a
+// key that checksums to its own fingerprint and carries its class's
+// flags, and that no node or other fold holds.
+func loadClasses(nodes []*Node, fc *fileCheckpoint) (map[string]int32, []fold, error) {
+	if len(fc.Classes) != len(nodes) {
+		return nil, nil, fmt.Errorf("search: equivalence checkpoint lists %d class keys for %d nodes", len(fc.Classes), len(nodes))
+	}
+	classes := make(map[string]int32, len(nodes))
+	keys := make(map[string]bool, len(nodes)+len(fc.Folds))
+	for i, n := range nodes {
+		keys[n.key] = true
+		key := fc.Classes[i]
+		_, dup := classes[string(key)]
+		switch {
+		case n.Quarantine != "" && len(key) > 0:
+			return nil, nil, fmt.Errorf("search: quarantined node %d has a class key", i)
+		case n.Quarantine != "":
+		case len(key) == 0 || key[0] != stateBits(n.State):
+			return nil, nil, fmt.Errorf("search: node %d: class key does not carry its state flags", i)
+		case dup:
+			return nil, nil, fmt.Errorf("search: node %d repeats another node's class key", i)
+		default:
+			classes[string(key)] = int32(i)
+		}
+	}
+	folds := make([]fold, len(fc.Folds))
+	for i, f := range fc.Folds {
+		if f.Into < 0 || f.Into >= len(nodes) || nodes[f.Into].Quarantine != "" {
+			return nil, nil, fmt.Errorf("search: fold %d folds into node %d, which is no class of the %d-node table", i, f.Into, len(nodes))
+		}
+		into := nodes[f.Into]
+		if err := checkKey(&Node{ID: into.ID, Seq: into.Seq, State: into.State, FP: f.FP, NumInstrs: f.FP.Count}, f.Key); err != nil {
+			return nil, nil, fmt.Errorf("search: fold %d: %w", i, err)
+		}
+		if keys[string(f.Key)] {
+			return nil, nil, fmt.Errorf("search: fold %d repeats a key the space already holds", i)
+		}
+		keys[string(f.Key)] = true
+		folds[i] = fold{string(f.Key), f.FP, int32(f.Into), f.Phase}
+	}
+	return classes, folds, nil
 }
 
 // LoadFile reads a space file written by SaveFile.

@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"encoding/base64"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -113,11 +114,12 @@ func defectiveSpaces(t testing.TB) []defectiveSpace {
 		t.Fatal(err)
 	}
 
-	// reencode gunzips the valid space, hands the JSON document to
-	// mutate as a generic map, and re-gzips the result.
-	reencode := func(t testing.TB, mutate func(doc map[string]any)) []byte {
+	// reencodeFrom gunzips a valid space, hands the JSON document to
+	// mutate as a generic map, and re-gzips the result; reencode starts
+	// from the finished default-tier space.
+	reencodeFrom := func(t testing.TB, valid []byte, mutate func(doc map[string]any)) []byte {
 		t.Helper()
-		gz, err := gzip.NewReader(bytes.NewReader(valid.Bytes()))
+		gz, err := gzip.NewReader(bytes.NewReader(valid))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,6 +137,9 @@ func defectiveSpaces(t testing.TB) []defectiveSpace {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
+	}
+	reencode := func(t testing.TB, mutate func(doc map[string]any)) []byte {
+		return reencodeFrom(t, valid.Bytes(), mutate)
 	}
 	gzipOf := func(s string) []byte {
 		var buf bytes.Buffer
@@ -155,6 +160,37 @@ func defectiveSpaces(t testing.TB) []defectiveSpace {
 		mutate(key)
 		node0(doc)["key"] = base64.StdEncoding.EncodeToString(key)
 	}
+
+	// equiv mutates an equivalence-collapsed checkpoint with folds: its
+	// document, resume section, class list and fold list.
+	validEquiv := equivCheckpoint(t)
+	equiv := func(mutate func(doc, ck map[string]any, classes, folds []any)) []byte {
+		return reencodeFrom(t, validEquiv, func(doc map[string]any) {
+			ck := doc["checkpoint"].(map[string]any)
+			mutate(doc, ck, ck["classes"].([]any), ck["folds"].([]any))
+		})
+	}
+	node := func(doc map[string]any, i int) map[string]any {
+		return doc["nodes"].([]any)[i].(map[string]any)
+	}
+	// quarantine turns node i into a dead end, as a quarantined attempt
+	// leaves it: its key and class key replaced.
+	quarantine := func(doc map[string]any, classes []any, i int) {
+		n := node(doc, i)
+		n["quarantine"], n["key"] = "panic: injected", base64.StdEncoding.EncodeToString([]byte("Q"+n["seq"].(string)))
+		classes[i] = ""
+	}
+	// sameState is two nodes in one gating state.
+	sameState := func(doc map[string]any) (int, int) {
+		for j := 1; ; j++ {
+			for i := 0; i < j; i++ {
+				if node(doc, i)["state"] == node(doc, j)["state"] {
+					return i, j
+				}
+			}
+		}
+	}
+	fold := func(folds []any, i int) map[string]any { return folds[i].(map[string]any) }
 
 	// flipTrailerCRC clobbers one byte of the gzip trailer's CRC32
 	// while leaving the deflate stream (and so the JSON document)
@@ -217,6 +253,56 @@ func defectiveSpaces(t testing.TB) []defectiveSpace {
 		{"checkpoint nil body", reencode(t, func(doc map[string]any) {
 			doc["checkpoint"] = map[string]any{"frontier": []any{0}, "bodies": []any{nil}}
 		}), "has no body"},
+		// The class table of an equivalence-collapsed checkpoint is
+		// refiled by Resume: the class index and the folded spellings'
+		// dedup slots have to hold up as the keys of the node table do.
+		{"equiv checkpoint with no class section", equiv(func(doc, ck map[string]any, classes, folds []any) {
+			delete(ck, "classes")
+		}), "class keys for"},
+		{"class list shorter than the node table", equiv(func(doc, ck map[string]any, classes, folds []any) {
+			ck["classes"] = classes[:len(classes)-1]
+		}), "class keys for"},
+		{"class key on a quarantined node", equiv(func(doc, ck map[string]any, classes, folds []any) {
+			last := len(classes) - 1
+			key := classes[last]
+			quarantine(doc, classes, last)
+			classes[last] = key
+		}), "has a class key"},
+		{"duplicate class keys", equiv(func(doc, ck map[string]any, classes, folds []any) {
+			i, j := sameState(doc)
+			classes[j] = classes[i]
+		}), "repeats another node's class key"},
+		{"class key under the wrong state flags", equiv(func(doc, ck map[string]any, classes, folds []any) {
+			key, _ := base64.StdEncoding.DecodeString(classes[0].(string))
+			key[0] ^= 1
+			classes[0] = base64.StdEncoding.EncodeToString(key)
+		}), "does not carry its state flags"},
+		{"fold into a node out of range", equiv(func(doc, ck map[string]any, classes, folds []any) {
+			fold(folds, 0)["into"] = 1 << 20
+		}), "no class of"},
+		{"fold into a quarantined node", equiv(func(doc, ck map[string]any, classes, folds []any) {
+			quarantine(doc, classes, int(fold(folds, 0)["into"].(float64)))
+		}), "no class of"},
+		{"fold key that does not checksum to its fingerprint", equiv(func(doc, ck map[string]any, classes, folds []any) {
+			key, _ := base64.StdEncoding.DecodeString(fold(folds, 0)["key"].(string))
+			key[len(key)-1] ^= 0xff
+			fold(folds, 0)["key"] = base64.StdEncoding.EncodeToString(key)
+		}), "does not match its state and fingerprint"},
+		{"fold key under its class's wrong state flags", equiv(func(doc, ck map[string]any, classes, folds []any) {
+			key, _ := base64.StdEncoding.DecodeString(fold(folds, 0)["key"].(string))
+			key[0] ^= 1
+			fold(folds, 0)["key"] = base64.StdEncoding.EncodeToString(key)
+		}), "does not match its state and fingerprint"},
+		{"fold key equal to a node key", equiv(func(doc, ck map[string]any, classes, folds []any) {
+			f, n := fold(folds, 0), node(doc, 0)
+			f["key"], f["fp"], f["into"] = n["key"], n["fp"], 0
+		}), "repeats a key"},
+		{"fold key equal to another fold's key", equiv(func(doc, ck map[string]any, classes, folds []any) {
+			folds[1] = folds[0]
+		}), "repeats a key"},
+		{"class table on a default-tier checkpoint", equiv(func(doc, ck map[string]any, classes, folds []any) {
+			delete(doc, "equiv")
+		}), "carries a class table"},
 	}
 }
 
@@ -277,4 +363,29 @@ func TestLoadReadsV1(t *testing.T) {
 	if loaded.Instance(loaded.OptimalCodeSize()) == nil {
 		t.Fatal("v1 document does not replay")
 	}
+}
+
+// foldSrc is a function whose equivalence-collapsed space folds from
+// its first level on: every branch chaining of the nested conditional
+// only respells a jump.
+const foldSrc = `
+int pick(int x, int y) {
+    int r = 0;
+    if (x == 0) { if (y == 0) { r = 1; } } else { r = 2; }
+    return r;
+}`
+
+// equivCheckpoint is a valid equivalence-collapsed checkpoint that holds
+// folds: foldSrc's pick capped at 5 nodes, as the cap abort wrote it
+// (6 nodes, 3 folds).
+func equivCheckpoint(t testing.TB) []byte {
+	t.Helper()
+	_, f := compileFunc(t, foldSrc, "pick")
+	ckpt := filepath.Join(t.TempDir(), "pick.ckpt.space.gz")
+	search.Run(f, search.Options{Equiv: true, MaxNodes: 5, CheckpointPath: ckpt})
+	b, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -266,9 +266,8 @@ func (d *dispatcher) hbEvery() time.Duration { return d.leaseTTL / 3 }
 // when ShardFanout and the live-worker count are both at least two (one
 // worker gains nothing from a split and loses pipelining), the whole
 // space as a single part with any live worker, nothing otherwise. An
-// equivalence-tier flight is always one part. Its runs do not resume,
-// so a split could only run the default tier and derive the classes
-// after the slowest part, and the parts of a frontier split reconverge
+// equivalence-tier flight is always one part: the merge replays the
+// default tier only, and the parts of a frontier split reconverge
 // (DESIGN §14): the larger part alone does most of the serial work.
 // A split that cannot be served — a part aborted or out of attempts, a
 // merge that failed verification — goes round once more as one part:
@@ -760,13 +759,12 @@ func (d *dispatcher) dispatch(a *assignment, workerID string) (*distcl.Assignmen
 	}
 	d.mu.Unlock()
 
-	if seed == nil && !a.wopts.Equiv {
+	if seed == nil {
 		// The whole space, nothing uploaded yet. An earlier life of the
 		// key (a coordinator since restarted, a local request that
 		// drained, the warm-up of a split that could not be served) may
 		// have left a checkpoint in its disk slot; recover from it
-		// rather than re-enumerating. An equivalence-tier key never has
-		// one: its runs do not checkpoint.
+		// rather than re-enumerating.
 		if b, err := d.s.store.readCkpt(a.fl.key); err == nil {
 			seed, recovered = b, true
 		}
@@ -779,7 +777,7 @@ func (d *dispatcher) dispatch(a *assignment, workerID string) (*distcl.Assignmen
 		SearchTimeoutMillis: d.s.cfg.SearchTimeout.Milliseconds(),
 		LeaseGen:            gen,
 	}
-	if seed != nil && !a.wopts.Equiv {
+	if seed != nil {
 		msg.CheckpointB64 = base64.StdEncoding.EncodeToString(seed)
 		if recovered {
 			d.recoverVec.With(workerID).Inc()
@@ -882,8 +880,8 @@ func (s *Server) handleDistHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 // acceptCheckpoint validates one uploaded checkpoint — decodable, the
-// right function, never shrinking — and makes it the assignment's
-// recovery point. A whole-space assignment's is also mirrored into the
+// right function and tier, never shrinking — and makes it the
+// assignment's recovery point. A whole-space assignment's is also mirrored into the
 // flight key's disk checkpoint slot, so a local fallback or the next
 // coordinator life resumes from it too; a part's lives in memory only
 // (a restart re-warms and re-splits at a different frontier, against
@@ -920,7 +918,7 @@ func (d *dispatcher) acceptCheckpoint(u ckptUpload) {
 			"worker_id", workerID, "upload_gen", gen, "lease_gen", a.leaseGen)
 		return
 	}
-	if res.FuncName != a.fl.fn.Name || len(res.Nodes) < a.ckptNodes {
+	if res.FuncName != a.fl.fn.Name || (res.Equiv != nil) != a.wopts.Equiv || len(res.Nodes) < a.ckptNodes {
 		d.s.logger.Warn("dist checkpoint rejected", "assignment_id", a.id,
 			"worker_id", workerID, "func", res.FuncName, "nodes", len(res.Nodes),
 			"watermark", a.ckptNodes)

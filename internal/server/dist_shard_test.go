@@ -191,10 +191,11 @@ func TestShardHolderKillDefaultTier(t *testing.T) {
 
 // TestShardHolderKillEquivTier kills the holder of an equivalence-tier
 // request's one assignment, on a coordinator that would split a
-// default-tier request across its two live workers. The lease expires,
-// and the other worker runs the assignment again from nothing: an equiv
-// run uploads no checkpoint, so nothing is recovered. The answer still
-// hashes to a direct equiv enumeration.
+// default-tier request across its two live workers, once the holder
+// has uploaded a checkpoint. The lease expires, and the other worker
+// resumes the assignment from that upload, as it would a default-tier
+// one: the re-dispatch is a recovery. The answer still hashes to a
+// direct equiv enumeration.
 func TestShardHolderKillEquivTier(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		ShardFanout: 2, DistLeaseTTL: 600 * time.Millisecond, DistPollWait: 100 * time.Millisecond,
@@ -213,11 +214,11 @@ func TestShardHolderKillEquivTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	replies := postAsync(t, ts, `{"source":`+jsonStr(sumSrc)+`,"options":{"equiv":true}}`)
-	waitFor(t, "w1 to hold the equiv assignment", func() bool {
+	waitFor(t, "an equiv checkpoint upload from w1", func() bool {
 		s.dist.mu.Lock()
 		defer s.dist.mu.Unlock()
 		for _, a := range s.dist.assignments {
-			if a.whole && a.state == stateAssigned && a.worker == "w1" {
+			if a.whole && a.state == stateAssigned && a.worker == "w1" && a.ckptNodes > 0 {
 				return true
 			}
 		}
@@ -239,9 +240,12 @@ func TestShardHolderKillEquivTier(t *testing.T) {
 	if got := s.dist.assignVec.With("w2").Value(); got != 1 {
 		t.Fatalf(`dist.assignments{worker="w2"} = %d, want 1`, got)
 	}
+	if got := s.dist.recoverVec.With("w2").Value(); got < 1 {
+		t.Fatalf(`dist.recoveries{worker="w2"} = %d, want >= 1 (the re-dispatch was not checkpoint-seeded)`, got)
+	}
 	for name, got := range s.reg.Snapshot().Counters {
-		if (strings.HasPrefix(name, "dist.recoveries") || strings.HasPrefix(name, "dist.shard.")) && got != 0 {
-			t.Errorf("%s = %d, want 0: the equiv assignment is never split and has nothing to recover from", name, got)
+		if strings.HasPrefix(name, "dist.shard.") && got != 0 {
+			t.Errorf("%s = %d, want 0: the equiv assignment is never split", name, got)
 		}
 	}
 }

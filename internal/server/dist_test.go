@@ -8,6 +8,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -391,6 +393,81 @@ func TestStaleLeaseUploadFenced(t *testing.T) {
 	}
 	r := <-replies
 	if r.status != http.StatusOK || r.doc["space_hash"] != hash {
+		t.Fatalf("flight answered %d %v, want 200 with hash %s", r.status, r.doc["space_hash"], hash)
+	}
+}
+
+// TestOtherTierUploadDropped: a heartbeat that uploads a checkpoint of
+// the assignment's function but of the other tier is dropped — a
+// re-dispatch seeded with it would resume the wrong space. The equiv
+// upload is the larger one, so had it been taken, the watermark would
+// refuse the smaller default-tier upload that follows.
+func TestOtherTierUploadDropped(t *testing.T) {
+	s, ts := newTestServer(t, Config{
+		DistLeaseTTL: 10 * time.Second, DistPollWait: 200 * time.Millisecond,
+	})
+	ctx := context.Background()
+	cl := distcl.NewClient(distcl.Config{BaseURL: ts.URL, Timeout: 5 * time.Second})
+	if _, err := cl.Call(ctx, distcl.PathRegister, distcl.RegisterRequest{WorkerID: "w1"}, &distcl.RegisterResponse{}); err != nil {
+		t.Fatal(err)
+	}
+	replies := postAsync(t, ts, srcBody(sumSrc))
+	var asn distcl.Assignment
+	waitFor(t, "the flight's assignment", func() bool {
+		st, err := cl.Call(ctx, distcl.PathPoll, distcl.PollRequest{WorkerID: "w1"}, &asn)
+		return err == nil && st == http.StatusOK
+	})
+
+	fn := mustCompile(t, sumSrc, "sum")
+	capped := func(opts search.Options) (string, int) {
+		opts.CheckpointPath = filepath.Join(t.TempDir(), "sum.ckpt.space.gz")
+		if r := search.Run(fn, opts); !r.Aborted {
+			t.Fatal("the capped run finished")
+		}
+		b, err := os.ReadFile(opts.CheckpointPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := search.Load(bytes.NewReader(b))
+		if err != nil || r.Checkpoint == nil {
+			t.Fatalf("no checkpoint to upload (%v)", err)
+		}
+		return base64.StdEncoding.EncodeToString(b), len(r.Nodes)
+	}
+	equiv, equivNodes := capped(search.Options{Equiv: true, MaxNodes: 40})
+	plain, plainNodes := capped(search.Options{MaxNodes: 5})
+	if equivNodes <= plainNodes {
+		t.Fatalf("the equiv upload (%d nodes) must outgrow the default-tier one (%d)", equivNodes, plainNodes)
+	}
+	for _, ckpt := range []string{equiv, plain} {
+		if _, err := cl.Call(ctx, distcl.PathHeartbeat, distcl.HeartbeatRequest{WorkerID: "w1",
+			Assignments: []distcl.HeartbeatAssignment{{AssignmentID: asn.AssignmentID, CheckpointB64: ckpt, LeaseGen: asn.LeaseGen}},
+		}, &distcl.HeartbeatResponse{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "the default-tier upload to be accepted", func() bool {
+		s.dist.mu.Lock()
+		defer s.dist.mu.Unlock()
+		return s.dist.assignments[asn.AssignmentID].ckptNodes == plainNodes
+	})
+
+	full := search.Run(fn, search.Options{})
+	hash, err := full.CanonicalHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := full.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Call(ctx, distcl.PathComplete, distcl.CompleteRequest{
+		WorkerID: "w1", AssignmentID: asn.AssignmentID, Key: asn.Key,
+		SpaceHash: hash, SpaceB64: base64.StdEncoding.EncodeToString(buf.Bytes()),
+	}, &distcl.CompleteResponse{}); err != nil {
+		t.Fatal(err)
+	}
+	if r := <-replies; r.status != http.StatusOK || r.doc["space_hash"] != hash {
 		t.Fatalf("flight answered %d %v, want 200 with hash %s", r.status, r.doc["space_hash"], hash)
 	}
 }

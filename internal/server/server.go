@@ -542,14 +542,14 @@ func (s *Server) runFlight(fl *flight) {
 
 // publish admits fl's finished space and puts it in the disk store,
 // rendering it at most once: what is stored is what is hashed. The
-// engine's final write already did both (SpacePath, SpaceHash), and
-// its file is renamed into place; a whole-space fleet completion was
-// rendered by handleDistComplete to verify the worker's claim, and
-// that render is put. A space neither wrote — a local equiv flight, a
-// merged space — is rendered here, canonically, and those bytes are
-// hashed and put. A finished space found in the slot may be an older
-// build's bytes, timing included: it is named by rendering it and
-// promoted as it is.
+// engine's final write already did both (SpacePath, SpaceHash), in
+// either tier, and its file is renamed into place; a whole-space fleet
+// completion was rendered by handleDistComplete to verify the worker's
+// claim, and that render is put. A space neither wrote — a merged
+// space, one whose final write failed — is rendered here, canonically,
+// and those bytes are hashed and put. A finished space found in the
+// slot may be an older build's bytes, timing included: it is named by
+// rendering it and promoted as it is.
 func (s *Server) publish(fl *flight, res *search.Result) (err error) {
 	var hash string
 	canon := fl.canon
@@ -595,10 +595,7 @@ func (s *Server) dropCorrupt(ctx context.Context, k cacheKey, err error) {
 // a split leaves its warm-up checkpoint in the key's disk slot and a
 // whole-space dispatch that exhausted its attempts has mirrored the
 // fleet's last checkpoint there, so the local run resumes rather than
-// restarts either way. Equivalence-tier enumerations never checkpoint
-// or resume — the class tables are not persisted (search.Run refuses
-// the combination) — so a drained equiv flight simply starts over on
-// the next request.
+// restarts either way, in either tier.
 func (s *Server) resolveFlight(fl *flight) (*search.Result, error) {
 	res, handled := s.dist.enumerate(fl)
 	if !handled {
@@ -641,11 +638,7 @@ func (s *Server) runOrResume(fl *flight, stopAtFrontier int) (*search.Result, er
 		Metrics:        s.reg,
 		Faults:         s.cfg.Faults,
 		StopAtFrontier: stopAtFrontier,
-	}
-	// Only a default-tier flight has a slot: an equiv run does not
-	// checkpoint.
-	if !fl.no.Equiv {
-		opts.CheckpointPath = s.store.ckptPath(fl.key)
+		CheckpointPath: s.store.ckptPath(fl.key),
 	}
 	return search.Enumerate(fl.fn, opts, func(start search.Start) {
 		// A finished space found in the slot (a crash between the final
@@ -666,9 +659,6 @@ func (s *Server) finishFlight(fl *flight, res *search.Result) (*search.Result, e
 		reason := res.AbortReason
 		if strings.HasPrefix(reason, "canceled") {
 			fl.status = http.StatusServiceUnavailable
-			if fl.no.Equiv {
-				return nil, fmt.Errorf("enumeration canceled (%v); equiv spaces are not checkpointed — retry restarts it", context.Cause(fl.ctx))
-			}
 			return nil, fmt.Errorf("enumeration canceled (%v); partial space checkpointed for resume", context.Cause(fl.ctx))
 		}
 		fl.status = http.StatusUnprocessableEntity

@@ -320,8 +320,16 @@ func TestCorruptDiskEntryConcurrentRequests(t *testing.T) {
 // in-flight enumeration (held slow by an injected hang fault), which
 // must checkpoint its partial space; a fresh server over the same
 // cache directory must resume from that checkpoint and serve a space
-// identical to an uninterrupted run.
+// identical to an uninterrupted run. Both tiers drain and resume alike.
 func TestDrainCheckpointsInFlight(t *testing.T) {
+	for _, equiv := range []bool{false, true} {
+		t.Run(fmt.Sprintf("equiv=%v", equiv), func(t *testing.T) {
+			drainAndResume(t, equiv)
+		})
+	}
+}
+
+func drainAndResume(t *testing.T, equiv bool) {
 	dir := t.TempDir()
 	s1, err := New(Config{
 		Dir:     dir,
@@ -337,15 +345,8 @@ func TestDrainCheckpointsInFlight(t *testing.T) {
 	ts1 := httptest.NewServer(s1.Handler())
 	defer ts1.Close()
 
-	type reply struct {
-		status int
-		doc    map[string]any
-	}
-	replies := make(chan reply, 1)
-	go func() {
-		status, doc, _ := post(t, ts1, srcBody(sumSrc))
-		replies <- reply{status, doc}
-	}()
+	body := fmt.Sprintf(`{"source":%s,"options":{"equiv":%v}}`, jsonStr(sumSrc), equiv)
+	replies := postAsync(t, ts1, body)
 	waitFor(t, "enumeration to start", func() bool { return counter(s1, "server.enumerations") == 1 })
 	s1.Close() // SIGTERM: cancel, checkpoint, drain
 
@@ -354,28 +355,24 @@ func TestDrainCheckpointsInFlight(t *testing.T) {
 		t.Fatalf("drained request: status %d (%v), want 503", r.status, r.doc)
 	}
 
-	prog, err := mc.Compile(sumSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fn := prog.Func("sum")
-	key := requestKey(fn, normOptions{})
+	fn := mustCompile(t, sumSrc, "sum")
+	key := requestKey(fn, normOptions{Equiv: equiv})
 	ckpt, err := search.LoadFile(filepath.Join(dir, string(key)+ckptSuffix))
 	if err != nil {
 		t.Fatalf("drain left no checkpoint: %v", err)
 	}
-	if ckpt.Checkpoint == nil {
-		t.Fatal("drain checkpoint has no frontier to resume from")
+	if ckpt.Checkpoint == nil || (ckpt.Equiv != nil) != equiv {
+		t.Fatalf("drain checkpoint has no frontier to resume from, or is of the other tier (equiv %v)", ckpt.Equiv)
 	}
 
 	// The resumed space must match a clean, uninterrupted enumeration.
-	clean := search.Run(fn, search.Options{})
+	clean := search.Run(fn, search.Options{Equiv: equiv})
 	want, err := clean.CanonicalHash()
 	if err != nil {
 		t.Fatal(err)
 	}
 	s2, ts2 := newTestServer(t, Config{Dir: dir})
-	status, doc, _ := post(t, ts2, srcBody(sumSrc))
+	status, doc, _ := post(t, ts2, body)
 	if status != http.StatusOK {
 		t.Fatalf("resume request: status %d: %v", status, doc)
 	}
