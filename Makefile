@@ -147,7 +147,9 @@ bench:
 # Crash/resume smoke test: SIGKILL an enumeration mid-run, resume it
 # from its checkpoint file, and require the resumed space to hash
 # identical (spacedot -hash, canonical serialization) to an
-# uninterrupted run of the same function, in either tier (-equiv). If
+# uninterrupted run of the same function, in either tier (-equiv), and
+# the clean run's -save file to be those canonical bytes (its sha256sum
+# is that hash). If
 # the machine is fast enough that the run finishes before the kill
 # lands, the checkpoint file already holds the complete space; if the
 # kill lands before the first cost-paced checkpoint, -resume starts
@@ -164,9 +166,13 @@ resume-smoke:
 		pid=$$!; sleep 1.2; kill -9 $$pid 2>/dev/null || true; wait $$pid 2>/dev/null; } ; \
 		"$$tmp/explore" -bench sha -func sha_transform $$flag -checkpoint "$$d" -resume >/dev/null && \
 		a=$$("$$tmp/spacedot" -hash "$$d/sha.sha_transform.ckpt.space.gz" | cut -d' ' -f1) && \
-		b=$$("$$tmp/spacedot" -hash "$$d/sha.sha_transform.space.gz" | cut -d' ' -f1) || exit 1; \
+		b=$$("$$tmp/spacedot" -hash "$$d/sha.sha_transform.space.gz" | cut -d' ' -f1) && \
+		c=$$(sha256sum "$$d/sha.sha_transform.space.gz" | cut -d' ' -f1) || exit 1; \
 		if [ "$$a" != "$$b" ]; then \
 			echo "resume-smoke: $$tier tier: resumed space differs from clean run: $$a vs $$b"; exit 1; \
+		fi; \
+		if [ "$$c" != "$$a" ]; then \
+			echo "resume-smoke: $$tier tier: sha256sum of the clean -save file is $$c, the resumed space hashes $$a"; exit 1; \
 		fi; \
 		echo "resume-smoke: $$tier tier: killed+resumed space identical to clean run ($$a)"; \
 	done
@@ -176,8 +182,9 @@ resume-smoke:
 # enumeration per distinct key (/v1/stats counters — coalescing or
 # cache, either way the work ran once), (b) a warm repeat served from
 # cache, (c) the served space hashing identical (spacedot -hash) to
-# what cmd/explore writes for the same function, and the stored entry
-# and the download both being those bytes (sha256sum), (d) a clean SIGTERM
+# what cmd/explore writes for the same function, and explore's -save
+# file, the stored entry and the download all being those bytes
+# (sha256sum), (d) a clean SIGTERM
 # drain, (e) a second spaced on the same cache directory answering the
 # first key from disk — same hash, no enumeration in the new process —
 # and (f) a third, started after one byte of the stored entry was
@@ -221,7 +228,7 @@ serve-smoke:
 	curl -fsS "http://$$addr/v1/space/$$key" -o "$$tmp/served.space.gz"; \
 	got=$$("$$tmp/spacedot" -hash "$$tmp/served.space.gz" | cut -d' ' -f1); \
 	[ "$$got" = "$$want" ] || { echo "serve-smoke: served space hashes $$got, explore wrote $$want"; exit 1; }; \
-	for f in "$$tmp/cache/$$key.space.gz" "$$tmp/served.space.gz"; do [ "$$(sha256sum "$$f" | cut -d' ' -f1)" = "$$want" ] || { echo "serve-smoke: sha256sum of $$f is not the space_hash $$want"; exit 1; }; done; \
+	for f in "$$tmp/sha.rotl.space.gz" "$$tmp/cache/$$key.space.gz" "$$tmp/served.space.gz"; do [ "$$(sha256sum "$$f" | cut -d' ' -f1)" = "$$want" ] || { echo "serve-smoke: sha256sum of $$f is not the space_hash $$want"; exit 1; }; done; \
 	stop; \
 	start; rotl r5; \
 	how=$$(jq -r .cache "$$tmp/r5.json"); h=$$(jq -r .space_hash "$$tmp/r5.json"); enums=$$(count server.enumerations); \

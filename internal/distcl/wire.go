@@ -113,11 +113,12 @@ type HeartbeatResponse struct {
 }
 
 // CompleteRequest delivers a finished assignment. SpaceB64 is the
-// serialized space (format v2, base64) and SpaceHash the SHA-256 of
-// SpaceB64's decoded bytes, which for a worker of this build, uploading
-// canonical bytes, is the space's canonical hash. The coordinator holds
-// a part's upload to the SHA-256 of the bytes and the whole space's to
-// the canonical hash of its decode. SpaceHash is the idempotency key:
+// serialized space (format v2, base64) — its canonical bytes, the file
+// the worker's final write left or what Save writes — and SpaceHash the
+// SHA-256 of SpaceB64's decoded bytes, so also the space's canonical
+// hash. The coordinator holds a part's upload to the SHA-256 of the
+// bytes and the whole space's to the SHA-256 of what Save writes of its
+// decode. SpaceHash is the idempotency key:
 // re-submitting the same completion is acknowledged as a duplicate, and
 // a conflicting hash for an already completed assignment is rejected.
 // An Aborted completion (cap or timeout hit on the worker) carries the

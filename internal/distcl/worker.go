@@ -1,6 +1,7 @@
 package distcl
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/base64"
@@ -455,19 +456,20 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) {
 
 // finishedSpace is what a completion uploads: the space's bytes and the
 // hash they go under, always the SHA-256 of those very bytes. The
-// search's final write, in either tier, left both — the scratch file
-// and Result.SpaceHash — so nothing is rendered again. Any other finished
-// space (a failed last write, a finished space the slot already held,
-// which an older build may have written with its timing) is rendered
-// here, once, canonically, and those bytes are hashed.
+// search's final write, in either tier, or Enumerate finding the
+// finished space in the scratch slot, left both — the file and
+// Result.SpaceHash — so nothing is rendered again. A space whose last
+// write failed is rendered here, once, by Save (a complete space's
+// canonical bytes), and those bytes are hashed.
 func finishedSpace(res *search.Result) (b []byte, hash string, err error) {
 	if res.SpaceHash != "" {
 		b, err = os.ReadFile(res.SpacePath)
 		return b, res.SpaceHash, err
 	}
-	b, err = res.CanonicalBytes()
-	sum := sha256.Sum256(b)
-	return b, hex.EncodeToString(sum[:]), err
+	var buf bytes.Buffer
+	err = res.Save(&buf)
+	sum := sha256.Sum256(buf.Bytes())
+	return buf.Bytes(), hex.EncodeToString(sum[:]), err
 }
 
 // seed puts the assignment's starting document (a frontier part, or the

@@ -179,10 +179,10 @@ func TestSeededAssignmentUploadsOnlyItsOwnProgress(t *testing.T) {
 // scratch file and their hash on the result, so the upload is that file
 // under that hash and costs a read — a handful of heap objects, where
 // rendering the space to name it (CanonicalHash) allocates several per
-// node. An equiv run wrote no file, and a finished space found in the
-// slot carries no hash (an older build's final write kept its timing):
-// both are rendered here, once, and uploaded as the bytes that were
-// hashed, never as the file the slot holds.
+// node. A finished space Enumerate found in the slot carries the hash
+// of the file too, and is uploaded the same way. A run whose final
+// write failed left no file: it is rendered here, once, and uploaded as
+// the bytes that were hashed.
 func TestCompletionRendersOnce(t *testing.T) {
 	p, err := mibench.ByName("stringsearch")
 	if err != nil {
@@ -200,23 +200,28 @@ func TestCompletionRendersOnce(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.Mallocs - before.Mallocs
 	}
-	found := search.Run(fn, search.Options{})
-	found.SpacePath = filepath.Join(t.TempDir(), "a1.g1.ckpt.space.gz")
-	if err := found.SaveFile(found.SpacePath); err != nil {
+	slot := filepath.Join(t.TempDir(), "a1.g1.ckpt.space.gz")
+	if err := search.Run(fn, search.Options{}).SaveFile(slot); err != nil {
 		t.Fatal(err)
 	}
+	found, err := search.Enumerate(fn, search.Options{CheckpointPath: slot}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := search.Run(fn, search.Options{CheckpointPath: filepath.Join(t.TempDir(), "a1.g1.ckpt.space.gz"),
+		Faults: faultinject.MustParse("ckptfail=1000000")})
 	for _, c := range []struct {
 		name     string
 		res      *search.Result
 		rendered bool
 	}{
 		{"checkpointed", search.Run(fn, search.Options{CheckpointPath: filepath.Join(t.TempDir(), "a1.g1.ckpt.space.gz")}), false},
-		{"equiv", search.Run(fn, search.Options{Equiv: true}), true},
-		{"found slot", found, true},
+		{"found slot", found, false},
+		{"failed final write", failed, true},
 	} {
 		res := c.res
 		if res.Aborted || len(res.Nodes) < 1000 || (res.SpaceHash == "") != c.rendered {
-			t.Fatalf("%s: aborted=%v, %d nodes, SpaceHash %q; want a finished space of 1,000 nodes or more, hashed by the engine iff it checkpointed",
+			t.Fatalf("%s: aborted=%v, %d nodes, SpaceHash %q; want a finished space of 1,000 nodes or more, hashed iff a file holds it",
 				c.name, res.Aborted, len(res.Nodes), res.SpaceHash)
 		}
 		var want string

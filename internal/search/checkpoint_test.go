@@ -27,15 +27,19 @@ int gcd(int a, int b) {
     return a;
 }`
 
-// canonical serializes a result under the canonical (wall-clock-free)
-// encoding the determinism guarantee is stated in.
+// canonical is what Save writes of a complete, un-aborted result: its
+// canonical (wall-clock-free) bytes, the encoding the determinism
+// guarantee is stated in.
 func canonical(t *testing.T, r *search.Result) []byte {
 	t.Helper()
-	b, err := r.CanonicalBytes()
-	if err != nil {
+	if r.Aborted || r.Checkpoint != nil {
+		t.Fatalf("not a complete space (aborted=%v %s)", r.Aborted, r.AbortReason)
+	}
+	var buf bytes.Buffer
+	if err := r.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return b
+	return buf.Bytes()
 }
 
 // cancelAfter returns a Verifier hook that cancels ctx after the n-th

@@ -1,9 +1,13 @@
 package search
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io/fs"
+	"os"
 
 	"repro/internal/fingerprint"
 	"repro/internal/rtl"
@@ -31,7 +35,9 @@ const (
 //	no path                         Run
 //	slot absent                     Run
 //	checkpoint of f                 Resume
-//	finished space of f             returned as is, SpacePath set
+//	finished space of f             returned as is, SpacePath and SpaceHash set
+//	finished with timing            warning logged, Run replaces it
+//	  (an older build's)
 //	unloadable (damaged, truncated) warning logged, Run replaces it
 //	aborted, no frontier            warning logged, Run replaces it
 //	loadable, another function/tier error; the file is left alone
@@ -43,13 +49,21 @@ const (
 // another enumeration too, either way round. begin, when non-nil,
 // learns which way the enumeration sets out before any of it runs (a
 // caller counting enumerations as they start); warnings go to
-// opts.Logger. The error is the mismatch above or Resume's.
+// opts.Logger. The slot is read once: a finished space is named by the
+// SHA-256 of the bytes it was loaded from. One that still carries
+// wall-clock fields was written by a build from before a complete space
+// at rest was its canonical bytes; its file's hash would not be its
+// CanonicalHash, so it is replaced like a damaged one. The error is the
+// mismatch above or Resume's.
 func Enumerate(f *rtl.Func, opts Options, begin func(Start)) (*Result, error) {
 	start, prev := Fresh, (*Result)(nil)
 	if path := opts.CheckpointPath; path != "" {
-		var err error
 		unusable := ""
-		switch prev, err = LoadFile(path); {
+		b, err := os.ReadFile(path)
+		if err == nil {
+			prev, err = Load(bytes.NewReader(b))
+		}
+		switch {
 		case errors.Is(err, fs.ErrNotExist):
 		case err != nil:
 			unusable = err.Error()
@@ -58,8 +72,11 @@ func Enumerate(f *rtl.Func, opts Options, begin func(Start)) (*Result, error) {
 				path, prev.FuncName, prev.Equiv != nil, f.Name, opts.Equiv)
 		case prev.Checkpoint != nil:
 			start = Resumed
+		case !prev.Aborted && (prev.Elapsed != 0 || prev.Stats.StateKeyNS != 0 || prev.Stats.ExpandNS != 0):
+			unusable = "finished space with timing, written by an older build"
 		case !prev.Aborted:
-			start, prev.SpacePath = Found, path
+			sum := sha256.Sum256(b)
+			start, prev.SpacePath, prev.SpaceHash = Found, path, hex.EncodeToString(sum[:])
 		default:
 			unusable = "aborted space with no frontier to resume: " + prev.AbortReason
 		}

@@ -91,6 +91,8 @@ func TestEnumerateSlotStates(t *testing.T) {
 				}
 			}},
 		{name: "finished space", fill: finished, start: search.Found},
+		{name: "finished space with timing (older build)", start: search.Fresh, warning: "older build",
+			fill: mangled(finished, func(b []byte) []byte { return rewritten(b, `"elapsed_ns":0,`, `"elapsed_ns":1234567,`) })},
 		{name: "truncated", start: search.Fresh, warning: "truncated",
 			fill: mangled(midRun, func(b []byte) []byte { return b[:len(b)/2] })},
 		{name: "gzip trailer clobbered", start: search.Fresh, warning: "corrupt gzip trailer",
@@ -168,14 +170,18 @@ func TestEnumerateSlotStates(t *testing.T) {
 				t.Fatalf("SpacePath = %q, want %q", r.SpacePath, wantPath)
 			}
 			if wantPath != "" {
-				// The named file is the space: what a caller renames or
-				// uploads instead of encoding the result again.
+				// The named file is the space, and SpaceHash its SHA-256:
+				// what a caller renames or uploads, and names, instead of
+				// encoding the result again.
 				held, err := search.LoadFile(r.SpacePath)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if held.Checkpoint != nil || hashOf(held) != wantHash {
 					t.Error("the file SpacePath names does not hold the finished space")
+				}
+				if b, err := os.ReadFile(r.SpacePath); err != nil || r.SpaceHash != wantHash || sha256Hex(b) != wantHash {
+					t.Errorf("SpaceHash %q, the file's SHA-256 %s, want %s (%v)", r.SpaceHash, sha256Hex(b), wantHash, err)
 				}
 				if _, err := os.Stat(slot + ".tmp"); !os.IsNotExist(err) {
 					t.Errorf("a temp file is left beside the slot (err=%v)", err)
@@ -197,8 +203,8 @@ func TestEnumerateSlotStates(t *testing.T) {
 			if what != "no slot" {
 				opts.CheckpointPath = slot
 			}
-			if r := search.Run(f, opts); r.SpacePath != "" {
-				t.Errorf("%s: SpacePath = %q, want none", what, r.SpacePath)
+			if r := search.Run(f, opts); r.SpacePath != "" || r.SpaceHash != "" {
+				t.Errorf("%s: SpacePath = %q, SpaceHash = %q, want neither", what, r.SpacePath, r.SpaceHash)
 			}
 		}
 	})

@@ -215,15 +215,7 @@ func TestEquivDeterministicParallel(t *testing.T) {
 	if serial.Aborted || parallel.Aborted {
 		t.Fatalf("aborted: %q / %q", serial.AbortReason, parallel.AbortReason)
 	}
-	a, err := serial.CanonicalBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := parallel.CanonicalBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
+	if !bytes.Equal(canonical(t, serial), canonical(t, parallel)) {
 		t.Fatalf("equiv enumeration differs between 1 and 8 workers (%d vs %d nodes)",
 			len(serial.Nodes), len(parallel.Nodes))
 	}
@@ -258,15 +250,7 @@ func TestEquivSerializeRoundTrip(t *testing.T) {
 			t.Fatalf("node %d: EquivRaw %d -> %d", i, n.EquivRaw, got.Nodes[i].EquivRaw)
 		}
 	}
-	ra, err := r.CanonicalBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ga, err := got.CanonicalBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ra, ga) {
+	if !bytes.Equal(canonical(t, r), canonical(t, got)) {
 		t.Fatal("canonical bytes changed across a save/load round trip")
 	}
 }

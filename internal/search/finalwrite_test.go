@@ -17,8 +17,9 @@ import (
 )
 
 // TestFinalWriteIsCanonical: the file the engine leaves when a
-// checkpointing run finishes is the space's canonical bytes, and the
-// hash the result carries is the SHA-256 of that file — so a caller
+// checkpointing run finishes is the space's canonical bytes — the bytes
+// Save writes of the result — and the hash the result carries is the
+// SHA-256 of that file and its CanonicalHash — so a caller
 // publishes, uploads and names the space without rendering it again.
 // Small corpus functions and generated programs, at widths 1 and 4,
 // uninterrupted and killed mid-level then resumed. Every run is timed
@@ -55,7 +56,7 @@ func TestFinalWriteIsCanonical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(stored, canonical(t, r)) {
-			t.Errorf("%s: the bytes at SpacePath are not CanonicalBytes()", what)
+			t.Errorf("%s: the bytes at SpacePath are not what Save writes", what)
 		}
 		sum := sha256.Sum256(stored)
 		want, err := r.CanonicalHash()

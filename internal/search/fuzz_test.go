@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"path/filepath"
 	"testing"
@@ -22,6 +24,27 @@ func gunzip(b []byte) []byte {
 	return doc
 }
 
+// rewritten is the space file b with the first old in its JSON
+// document replaced by new, re-gzipped; b as it is when the document
+// holds no old.
+func rewritten(b []byte, old, new string) []byte {
+	doc := gunzip(b)
+	if !bytes.Contains(doc, []byte(old)) {
+		return b
+	}
+	var out bytes.Buffer
+	gz := gzip.NewWriter(&out)
+	gz.Write(bytes.Replace(doc, []byte(old), []byte(new), 1))
+	gz.Close()
+	return out.Bytes()
+}
+
+// sha256Hex is the hex SHA-256 of b, the way a space file is named.
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
 // FuzzLoad is the trust boundary of the space format: Load reads bytes
 // this process did not write — a cache directory, a worker's upload, a
 // file handed to spacedot. The input is the JSON document; the harness
@@ -30,7 +53,8 @@ func gunzip(b []byte) []byte {
 // of the corrupt-file table). Whatever the document, Load returns an
 // error or a Result that hashes, saves, loads back and hashes the same
 // — never a panic, never a space whose identity depends on how often
-// it was written.
+// it was written — and a complete, un-aborted one saves as its
+// canonical bytes: the SHA-256 of what Save writes is its CanonicalHash.
 func FuzzLoad(f *testing.F) {
 	// Seeds, all written here: a finished v2 space and the same space as
 	// a v1 document, a v3 equivalence-collapsed space, a mid-run
@@ -87,6 +111,9 @@ func FuzzLoad(f *testing.F) {
 		var out bytes.Buffer
 		if err := r.Save(&out); err != nil {
 			t.Fatalf("a loaded space does not save: %v", err)
+		}
+		if got := sha256Hex(out.Bytes()); r.Checkpoint == nil && !r.Aborted && got != want {
+			t.Fatalf("a complete space saves to bytes hashing %s, its CanonicalHash is %s", got, want)
 		}
 		back, err := search.Load(&out)
 		if err != nil {

@@ -43,12 +43,8 @@ func PartitionCheckpoint(r *Result, k int) ([][]byte, [][]int, error) {
 		k = len(cp.Frontier)
 	}
 	// Render the whole paused result once — the shared node table is
-	// encoded once — and cut its resume section k ways. The stamp stays
-	// zero: shard documents are content-addressed by the coordinator and
-	// must not vary run to run.
-	v := r.whole()
-	v.savedAtNS = 0
-	ff := r.document(v)
+	// encoded once — and cut its resume section k ways.
+	ff := r.document(r.whole())
 	all := ff.Checkpoint
 	docs := make([][]byte, 0, k)
 	ids := make([][]int, 0, k)

@@ -202,7 +202,7 @@ type Options struct {
 	// atomically (temp file + rename): at level boundaries whenever
 	// the work at risk outweighs what a write costs (checkpointDue),
 	// on every abort path (caps, timeout, cancellation), and — as the
-	// final complete space, in its canonical bytes (Result.SpacePath,
+	// final complete space, the bytes Save writes (Result.SpacePath,
 	// SpaceHash) — on successful completion. Run overwrites
 	// what the file held; Enumerate continues it (Load + Resume by
 	// hand). A failed write never clobbers the previous checkpoint; the
@@ -269,11 +269,11 @@ type Result struct {
 	// path. Callers publish or upload that file instead of encoding the
 	// space a second time. Not persisted.
 	SpacePath string
-	// SpaceHash is the hex SHA-256 of the bytes the engine's final write
-	// put at SpacePath — the space's canonical bytes, so it is also its
-	// CanonicalHash, taken as the bytes were written. "" wherever
-	// SpacePath is, and for a space Enumerate found in its slot: what
-	// wrote that file is not known. Not persisted.
+	// SpaceHash is the hex SHA-256 of the bytes at SpacePath — the
+	// space's canonical bytes, so it is also its CanonicalHash — taken
+	// as the engine's final write put them down, or as Enumerate read
+	// them from the slot. SpacePath and SpaceHash are set together or
+	// not at all. Not persisted.
 	SpaceHash string
 
 	root *rtl.Func
@@ -314,12 +314,12 @@ func (s *EquivStats) CollapseRatio() float64 {
 }
 
 // Checkpoint is the resumable state of a partially enumerated space.
+// It carries no clock of its own: a resumable document's only wall-clock
+// fields are the run's elapsed time and stats, which Resume adds to.
 type Checkpoint struct {
 	// Frontier holds the unexpanded nodes (pointers into Result.Nodes)
 	// in discovery order, each with its retained function instance.
 	Frontier []*Node
-	// SavedAt is when the checkpoint was written.
-	SavedAt time.Time
 	// classes and folds, on an equivalence-collapsed space, are its
 	// class table as Load read it: each class key with its node, and the
 	// spellings folded into a class. Resume takes them over; Save of an
@@ -406,21 +406,20 @@ type snapshot struct {
 	elapsed   time.Duration
 	classes   map[string]int32
 	folds     []fold
-	// savedAtNS stamps the document's resume section (zero leaves the
-	// stamp out). The abort bits are a loaded or finished result's: a
-	// boundary the engine records is a healthy, resumable state
-	// whatever happened afterwards.
-	savedAtNS   int64
+	// The abort bits are a loaded or finished result's: a boundary the
+	// engine records is a healthy, resumable state whatever happened
+	// afterwards.
 	aborted     bool
 	abortReason string
 }
 
-// canonical is v with its four wall-clock fields zeroed: what two runs
+// canonical is v with its three wall-clock fields zeroed: what two runs
 // that discovered the same space render identically. A complete space
-// is stored and hashed in this form (saveCanonical, the engine's final
-// write); how long a run took belongs to the run, not to the space.
+// is stored in this form (document) and every space is hashed in it
+// (CanonicalHash); how long a run took belongs to the run, not to the
+// space.
 func (v snapshot) canonical() snapshot {
-	v.elapsed, v.stats.StateKeyNS, v.stats.ExpandNS, v.savedAtNS = 0, 0, 0, 0
+	v.elapsed, v.stats.StateKeyNS, v.stats.ExpandNS = 0, 0, 0
 	return v
 }
 
@@ -680,11 +679,11 @@ func (e *engine) abort(reason string) {
 // left intact and the search continues. Either way the write is timed,
 // and its cost paces the next periodic checkpoint. A boundary with
 // nothing left to expand, on a run nothing aborted, is the complete
-// space: it is written as its canonical bytes (no wall-clock fields; a
-// resumable document keeps them, Resume accumulates elapsed), hashed as
-// they go to the file, and once they are durable the result names the
-// file and the hash, so no caller renders the space again to publish or
-// to name it.
+// space: document renders it as its canonical bytes (no wall-clock
+// fields; a resumable document keeps them, Resume accumulates elapsed),
+// they are hashed as they go to the file, and once they are durable the
+// result names the file and the hash, so no caller renders the space
+// again to publish or to name it.
 func (e *engine) writeCheckpoint() {
 	path, snap := e.opts.CheckpointPath, e.snap
 	if path == "" {
@@ -696,9 +695,7 @@ func (e *engine) writeCheckpoint() {
 	err := WriteFile(path, func(w io.Writer) error {
 		w = e.opts.Faults.WrapCheckpoint(w)
 		if complete {
-			snap, w = snap.canonical(), io.MultiWriter(w, sum)
-		} else {
-			snap.savedAtNS = time.Now().UnixNano()
+			w = io.MultiWriter(w, sum)
 		}
 		return writeFormat(w, e.res.document(snap))
 	}, true)
@@ -855,7 +852,7 @@ func (e *engine) run() (*Result, error) {
 			// Pause at this boundary: expose the live frontier as an
 			// in-memory checkpoint. The final write below then persists
 			// the paused (resumable) state rather than a complete space.
-			res.Checkpoint = &Checkpoint{Frontier: e.frontier, SavedAt: time.Now()}
+			res.Checkpoint = &Checkpoint{Frontier: e.frontier}
 			break
 		}
 		// A write's cost is linear in the nodes it serializes, so the

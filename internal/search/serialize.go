@@ -1,7 +1,6 @@
 package search
 
 import (
-	"bytes"
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/base64"
@@ -26,17 +25,19 @@ import (
 // once each:
 //
 //   - one document builder: Result.document renders a fileFormat from a
-//     boundary of the result (a snapshot). Save, CanonicalBytes and
-//     CanonicalHash render the whole result, the engine's checkpoint
-//     writer the last level boundary, PartitionCheckpoint the whole
-//     paused result with its resume section cut k ways;
-//   - one form for a complete space at rest: its canonical bytes. The
-//     engine's final write and the serving layer's cache entries are
-//     CanonicalBytes, so the file's SHA-256 is the space's CanonicalHash
-//     (Result.SpaceHash) and nothing renders a space twice to store and
-//     to name it. Wall-clock provenance belongs to the run — the Result,
-//     the server's answer record and flight log — and a resumable
-//     document, which keeps its elapsed time for Resume;
+//     boundary of the result (a snapshot). Save and CanonicalHash render
+//     the whole result, the engine's checkpoint writer the last level
+//     boundary, PartitionCheckpoint the whole paused result with its
+//     resume section cut k ways;
+//   - one form for a complete space at rest: its canonical bytes.
+//     document renders a boundary with no frontier, of a run nothing
+//     aborted, with its wall-clock fields zeroed (snapshot.canonical), so
+//     Save, SaveFile and the engine's final write put the same bytes
+//     down, and the file's SHA-256 is the space's CanonicalHash
+//     (Result.SpaceHash): nothing renders a space twice to store and to
+//     name it. Wall-clock provenance belongs to the run — the Result, the
+//     server's answer record and flight log — and to a resumable or
+//     aborted document, which keeps its elapsed time for Resume;
 //   - one file writer: WriteFile (temp file, optional fsync, rename)
 //     puts every space file in place — engine checkpoints, SaveFile,
 //     the server's cache entries and checkpoint mirrors, a worker's
@@ -109,11 +110,10 @@ type fileNode struct {
 // table: the class key of each node (empty for a quarantined one) and
 // the folds (Checkpoint.classes, folds), keys base64-coded.
 type fileCheckpoint struct {
-	Frontier      []int       `json:"frontier"`
-	Bodies        []*rtl.Func `json:"bodies"`
-	SavedAtUnixNS int64       `json:"saved_at_unix_ns,omitempty"`
-	Classes       [][]byte    `json:"classes,omitempty"`
-	Folds         []fileFold  `json:"folds,omitempty"`
+	Frontier []int       `json:"frontier"`
+	Bodies   []*rtl.Func `json:"bodies"`
+	Classes  [][]byte    `json:"classes,omitempty"`
+	Folds    []fileFold  `json:"folds,omitempty"`
 }
 
 // fileFold is one fold of the resume section.
@@ -176,20 +176,25 @@ func (r *Result) whole() snapshot {
 	v := snapshot{numNodes: len(r.Nodes), attempted: r.AttemptedPhases, stats: r.Stats, elapsed: r.Elapsed,
 		aborted: r.Aborted, abortReason: r.AbortReason}
 	if cp := r.Checkpoint; cp != nil {
-		v.frontier, v.savedAtNS, v.classes, v.folds = cp.Frontier, cp.SavedAt.UnixNano(), cp.classes, cp.folds
+		v.frontier, v.classes, v.folds = cp.Frontier, cp.classes, cp.folds
 	}
 	return v
 }
 
 // document renders v, the one way a space becomes a fileFormat: the
 // first v.numNodes nodes, v's counters, and a resume section when v
-// has a frontier (none means it is a complete space). Frontier
-// nodes serialize without outgoing edges — the state they had at the
-// boundary, whatever a level killed since has appended. The collapse
+// has a frontier. None means a complete space, which, unless aborted,
+// is rendered canonical: a complete space at rest is its canonical
+// bytes, whoever writes it. Frontier nodes serialize without outgoing
+// edges — the state they had at the boundary, whatever a level killed
+// since has appended. The collapse
 // summary of a resumable equivalence-collapsed document is tallied from
 // v's fold prefix, for the same reason; a complete space's is the
 // result's own.
 func (r *Result) document(v snapshot) *fileFormat {
+	if len(v.frontier) == 0 && !v.aborted {
+		v = v.canonical()
+	}
 	ff := &fileFormat{
 		Version:         formatVersion,
 		FuncName:        r.FuncName,
@@ -206,7 +211,7 @@ func (r *Result) document(v snapshot) *fileFormat {
 	unexpanded := make(map[int]bool, len(v.frontier))
 	var equivRaw []int
 	if len(v.frontier) > 0 {
-		ff.Checkpoint = &fileCheckpoint{SavedAtUnixNS: v.savedAtNS}
+		ff.Checkpoint = &fileCheckpoint{}
 		if r.opts.Equiv {
 			ff.Equiv, equivRaw = tallyEquiv(r.Nodes[:v.numNodes], v.folds)
 			ff.Checkpoint.Classes = make([][]byte, v.numNodes)
@@ -275,7 +280,9 @@ func writeFormat(w io.Writer, ff *fileFormat) error {
 	return gz.Close()
 }
 
-// Save writes the enumerated space to w.
+// Save writes the enumerated space to w: a complete, un-aborted space
+// as its canonical bytes, whose SHA-256 is its CanonicalHash; a
+// resumable or aborted one with its wall-clock fields.
 func (r *Result) Save(w io.Writer) error {
 	return writeFormat(w, r.document(r.whole()))
 }
@@ -286,29 +293,17 @@ func (r *Result) SaveFile(path string) error {
 	return WriteFile(path, r.Save, true)
 }
 
-// saveCanonical serializes the space with every wall-clock field
-// zeroed (snapshot.canonical). Two enumerations of the same function are
-// byte-identical under this encoding exactly when they discovered the
-// same space — the equality the kill/resume determinism guarantee is
-// stated in. The gzip layer is deterministic (no mod time).
-func (r *Result) saveCanonical(w io.Writer) error {
-	return writeFormat(w, r.document(r.whole().canonical()))
-}
-
-// CanonicalBytes returns the canonical serialization (saveCanonical).
-func (r *Result) CanonicalBytes() ([]byte, error) {
-	var buf bytes.Buffer
-	err := r.saveCanonical(&buf)
-	return buf.Bytes(), err
-}
-
-// CanonicalHash returns the hex SHA-256 of CanonicalBytes, streamed
-// into the hasher — the space identity spacedot -hash prints and the
-// serving layer advertises. Two spaces hash equal exactly when they
-// enumerate the same DAG.
+// CanonicalHash returns the hex SHA-256 of the space serialized with
+// every wall-clock field zeroed (snapshot.canonical), streamed into the
+// hasher — the space identity spacedot -hash prints and the serving
+// layer advertises. Two enumerations of the same function hash equal
+// exactly when they discovered the same space — the equality the
+// kill/resume determinism guarantee is stated in. The gzip layer is
+// deterministic (no mod time). For a complete, un-aborted space it is
+// the SHA-256 of Save's bytes.
 func (r *Result) CanonicalHash() (string, error) {
 	h := sha256.New()
-	if err := r.saveCanonical(h); err != nil {
+	if err := writeFormat(h, r.document(r.whole().canonical())); err != nil {
 		return "", err
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
@@ -461,7 +456,7 @@ func Load(rd io.Reader) (*Result, error) {
 			return nil, fmt.Errorf("search: checkpoint lists %d frontier nodes but %d bodies",
 				len(fc.Frontier), len(fc.Bodies))
 		}
-		cp := &Checkpoint{SavedAt: time.Unix(0, fc.SavedAtUnixNS)}
+		cp := &Checkpoint{}
 		for i, id := range fc.Frontier {
 			if id < 0 || id >= len(res.Nodes) {
 				return nil, fmt.Errorf("search: checkpoint frontier entry %d is node %d, outside the %d-node table",

@@ -3,6 +3,7 @@ package search_test
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/base64"
 	"encoding/json"
 	"os"
@@ -362,6 +363,40 @@ func TestLoadReadsV1(t *testing.T) {
 	}
 	if loaded.Instance(loaded.OptimalCodeSize()) == nil {
 		t.Fatal("v1 document does not replay")
+	}
+}
+
+// TestLoadIgnoresSavedAt: a checkpoint an older build wrote still
+// carries its resume section's "saved_at_unix_ns" stamp; Load ignores
+// it and the checkpoint resumes to the uninterrupted space.
+func TestLoadIgnoresSavedAt(t *testing.T) {
+	_, f := compileFunc(t, sumSrc, "sum")
+	want, err := search.Run(f, search.Options{}).CanonicalHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	path := filepath.Join(t.TempDir(), "sum.ckpt.space.gz")
+	search.Run(f, search.Options{Ctx: ctx, Verifier: cancelAfter(cancel, 25), CheckpointPath: path})
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamped := rewritten(b, `"checkpoint":{`, `"checkpoint":{"saved_at_unix_ns":1700000000000000000,`)
+	if !bytes.Contains(gunzip(stamped), []byte("saved_at_unix_ns")) {
+		t.Fatal("the checkpoint has no resume section to stamp")
+	}
+	loaded, err := search.Load(bytes.NewReader(stamped))
+	if err != nil || loaded.Checkpoint == nil {
+		t.Fatalf("the stamped checkpoint does not load as one (%v)", err)
+	}
+	resumed, err := search.Resume(loaded, search.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := resumed.CanonicalHash(); err != nil || got != want {
+		t.Fatalf("resumed to %s, the uninterrupted run hashes %s (%v)", got, want, err)
 	}
 }
 

@@ -265,24 +265,48 @@ func TestRunStatsWithoutMetrics(t *testing.T) {
 	}
 }
 
-// TestStatsSurviveSerialization: the serializer persists RunStats so
-// saved spaces keep their provenance.
+// TestStatsSurviveSerialization: a resumable checkpoint keeps the run's
+// provenance — elapsed time and timed stats survive Load and Save,
+// since Resume adds to them — and a saved complete space carries none
+// of it: its bytes are the canonical ones.
 func TestStatsSurviveSerialization(t *testing.T) {
-	_, f := compileFunc(t, smallSrc, "clamp")
-	orig := search.Run(f, search.Options{Metrics: telemetry.NewRegistry()})
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
+	_, f := compileFunc(t, sumSrc, "sum")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	path := filepath.Join(t.TempDir(), "sum.ckpt.space.gz")
+	search.Run(f, search.Options{Ctx: ctx, Verifier: cancelAfter(cancel, 25), CheckpointPath: path, Metrics: telemetry.NewRegistry()})
+	ckpt, err := search.LoadFile(path)
+	if err != nil || ckpt.Checkpoint == nil {
+		t.Fatalf("no resumable checkpoint (%v)", err)
 	}
-	loaded, err := search.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
+	if ckpt.Elapsed <= 0 || ckpt.Stats.ExpandNS <= 0 || ckpt.Stats.StateKeyNS <= 0 {
+		t.Errorf("the checkpoint lost its timing: elapsed %v, %+v", ckpt.Elapsed, ckpt.Stats)
 	}
-	if loaded.Stats != orig.Stats {
-		t.Fatalf("Stats did not survive the round trip:\nsaved  %+v\nloaded %+v",
-			orig.Stats, loaded.Stats)
+	roundTrip := func(r *search.Result) *search.Result {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := r.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := search.Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return back
 	}
-	if loaded.Stats.ExpandNS == 0 {
-		t.Error("timed stats lost in serialization")
+	if back := roundTrip(ckpt); back.Stats != ckpt.Stats || back.Elapsed != ckpt.Elapsed {
+		t.Fatalf("a checkpoint's stats did not survive Save and Load:\nsaved  %v %+v\nloaded %v %+v",
+			ckpt.Elapsed, ckpt.Stats, back.Elapsed, back.Stats)
+	}
+
+	done := search.Run(f, search.Options{Metrics: telemetry.NewRegistry()})
+	back := roundTrip(done)
+	want := done.Stats
+	want.ExpandNS, want.StateKeyNS = 0, 0
+	if back.Elapsed != 0 || back.Stats != want {
+		t.Fatalf("a saved complete space kept wall-clock fields: elapsed %v\nsaved  %+v\nloaded %+v", back.Elapsed, done.Stats, back.Stats)
+	}
+	if done.Stats.ExpandNS <= 0 {
+		t.Error("the timed run measured nothing")
 	}
 }

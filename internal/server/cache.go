@@ -143,8 +143,8 @@ func (c *memCache) len() int {
 }
 
 // diskStore is the second cache level: one v2 space file per key — the
-// space's canonical bytes, what explore -save writes with the wall-clock
-// fields zeroed, so a cached entry is served verbatim and its SHA-256 is
+// space's canonical bytes, what explore -save writes, so a cached entry
+// is served verbatim and its SHA-256 is
 // the hash spacedot -hash prints (entries older builds stored keep their
 // timing; spacedot -hash audits those too) — and beside it the key's
 // answer record (<key>.answer, see answerRecord), which is what a

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -29,14 +30,15 @@ func putSpaces(t *testing.T, st *diskStore, srcs map[string]string, order []stri
 	return keys
 }
 
-// canonicalBytes is what runFlight hands put.
+// canonicalBytes is what runFlight hands put: Save's bytes of a
+// complete space.
 func canonicalBytes(t *testing.T, res *search.Result) []byte {
 	t.Helper()
-	b, err := res.CanonicalBytes()
-	if err != nil {
+	var buf bytes.Buffer
+	if err := res.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return b
+	return buf.Bytes()
 }
 
 // keyedEntry is the least an answer record must carry to check out.

@@ -965,9 +965,9 @@ func (s *Server) handleDistComplete(w http.ResponseWriter, r *http.Request) {
 		// itself (the idempotency key). A part is named by the bytes it
 		// arrived as: they are never stored or served, and reach the
 		// answer only through the merge replay, whose result is rendered
-		// and hashed here. The whole space is what gets stored, so its
-		// canonical render must hash to the claim; that render is what
-		// publish puts.
+		// and hashed here. The whole space is what gets stored, so what
+		// Save writes of it — its canonical bytes — must hash to the
+		// claim; those bytes are what publish puts.
 		b, err := base64.StdEncoding.DecodeString(req.SpaceB64)
 		if err != nil {
 			writeError(w, &httpError{status: http.StatusBadRequest, msg: "undecodable space payload"})
@@ -998,11 +998,12 @@ func (s *Server) handleDistComplete(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if a.whole {
-			if canon, err = res.CanonicalBytes(); err != nil {
+			var buf bytes.Buffer
+			if err = res.Save(&buf); err != nil {
 				writeError(w, &httpError{status: http.StatusBadRequest, msg: "unhashable space: " + err.Error()})
 				return
 			}
-			if mismatch(hexSum(canon)) {
+			if canon = buf.Bytes(); mismatch(hexSum(canon)) {
 				return
 			}
 		}

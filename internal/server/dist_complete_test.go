@@ -47,20 +47,16 @@ func pollAs(t *testing.T, cl *distcl.Client, worker string) distcl.Assignment {
 	return asn
 }
 
-// saved is res as Result.Save writes it: a valid space document, but
-// not the canonical bytes (the run's timing is kept).
+// saved is res as a worker of an older build uploaded it: a valid space
+// document, but not the canonical bytes (the run's timing is kept).
 func saved(t *testing.T, res *search.Result) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := res.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return timed(t, canonicalBytes(t, res))
 }
 
 // TestPartNamedByItsBytes plays both shard holders of a split by hand.
-// Each part is uploaded as Result.Save writes it, under the SHA-256 of
-// those bytes, which is not its canonical hash: the coordinator takes
+// Each part is uploaded with its timing kept (saved), under the SHA-256
+// of those bytes, which is not its canonical hash: the coordinator takes
 // it, because a part is named by the bytes it arrived as, and the
 // merged answer still hashes to the serial enumeration's. A part with
 // one byte flipped, or sent under a stale claim (its canonical hash,

@@ -34,7 +34,7 @@ type flightRecord struct {
 
 	// EnumerateMS spans worker pickup to flight resolution, so on a miss
 	// it contains CheckpointMS (the engine's checkpoint writes),
-	// PublishMS (canonical hash, rename or put into the disk store, and
+	// PublishMS (rename or render and put into the disk store, and
 	// the answer record)
 	// and, when the fleet ran the space as shards, MergeMS
 	// (search.MergeShards), which the "shard-merge" event carries too.

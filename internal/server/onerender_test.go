@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/base64"
 	"encoding/json"
@@ -66,10 +67,10 @@ func TestStoredBytesAreTheHash(t *testing.T) {
 	}
 }
 
-// timedSpace enumerates clamp with the clock on, so that the space as
-// SaveFile writes it — what builds before this rule stored — differs
-// from its canonical bytes.
-func timedSpace(t *testing.T) (key cacheKey, res *search.Result, hash string) {
+// clampSpace enumerates clamp with the clock on, so that a space file
+// that kept the run's wall-clock fields would differ from its canonical
+// bytes.
+func clampSpace(t *testing.T) (key cacheKey, res *search.Result, hash string) {
 	t.Helper()
 	fn := mustCompile(t, clampSrc, "clamp")
 	res = search.Run(fn, search.Options{Metrics: telemetry.NewRegistry()})
@@ -80,17 +81,36 @@ func timedSpace(t *testing.T) (key cacheKey, res *search.Result, hash string) {
 	return requestKey(fn, normOptions{}), res, hash
 }
 
-// TestOlderPairStillHits: a pair an older build published — the entry
-// written by SaveFile, wall-clock fields and all, so that its
-// entry_sha256 is not its space_hash — is as valid as it ever was: a
-// restarted server answers it from the record.
+// timed is canon, a complete space's canonical bytes, as a build from
+// before Save wrote those left it: elapsed_ns set.
+func timed(t *testing.T, canon []byte) []byte {
+	t.Helper()
+	gz, err := gzip.NewReader(bytes.NewReader(canon))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := io.ReadAll(gz)
+	if err != nil || !bytes.Contains(doc, []byte(`"elapsed_ns":0,`)) {
+		t.Fatalf("no zero elapsed_ns to set (%v)", err)
+	}
+	var out bytes.Buffer
+	w := gzip.NewWriter(&out)
+	w.Write(bytes.Replace(doc, []byte(`"elapsed_ns":0,`), []byte(`"elapsed_ns":1234567,`), 1))
+	w.Close()
+	return out.Bytes()
+}
+
+// TestOlderPairStillHits: a pair an older build published — an entry
+// with wall-clock fields, so that its entry_sha256 is not its
+// space_hash — is as valid as it ever was: a restarted server answers it
+// from the record.
 func TestOlderPairStillHits(t *testing.T) {
 	dir := t.TempDir()
-	key, res, want := timedSpace(t)
+	key, res, want := clampSpace(t)
 	s1, _ := newTestServer(t, Config{Dir: dir})
 	var ent entry
 	s1.admit(key, res, want, &ent)
-	if err := res.SaveFile(s1.store.path(key)); err != nil {
+	if err := os.WriteFile(s1.store.path(key), timed(t, canonicalBytes(t, res)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := s1.store.published(key, ent); err != nil {
@@ -114,34 +134,69 @@ func TestOlderPairStillHits(t *testing.T) {
 }
 
 // TestFoundSlotIsRehashed: a finished space found in the checkpoint
-// slot carries no hash of its bytes — an older build's final write kept
-// its timing — so it is named by rendering it, and promoted as it is.
+// slot is named by the SHA-256 of its file. A canonical one — what Save
+// and the engine's final write put down — is promoted as it is, with no
+// enumeration and no render, and sha256sum of the entry is the answer's
+// space_hash. One that kept its timing was written by an older build;
+// its file's hash is not its space_hash, so it is enumerated again.
 func TestFoundSlotIsRehashed(t *testing.T) {
-	dir := t.TempDir()
-	key, res, want := timedSpace(t)
-	slot := dir + "/" + string(key) + ckptSuffix
-	if err := res.SaveFile(slot); err != nil {
-		t.Fatal(err)
-	}
-	planted, err := os.ReadFile(slot)
-	if err != nil || hexSum(planted) == want {
-		t.Fatalf("the planted slot is already canonical (%v)", err)
-	}
-
-	s, ts := newTestServer(t, Config{Dir: dir})
-	status, doc, _ := post(t, ts, srcBody(clampSrc))
-	if status != http.StatusOK || doc["cache"] != "miss" || doc["space_hash"] != want {
-		t.Fatalf("status %d cache %v hash %v, want 200 miss %s", status, doc["cache"], doc["space_hash"], want)
-	}
-	if got := counter(s, "server.enumerations"); got != 0 {
-		t.Errorf("server.enumerations = %d, want 0: the slot held the space", got)
-	}
-	if !bytes.Equal(download(t, ts.URL, string(key)), planted) {
-		t.Error("the promoted entry is not the file the slot held")
-	}
-	if ent, err := s.store.answer(key); err != nil || ent.answer.SpaceHash != want {
-		t.Errorf("the promoted pair answers %q (%v), want %s", ent.answer.SpaceHash, err, want)
-	}
+	t.Run("canonical slot is promoted", func(t *testing.T) {
+		dir := t.TempDir()
+		s, _ := newTestServer(t, Config{Dir: dir})
+		fn, err := s.resolve(&enumerateRequest{Bench: "stringsearch", Func: "bmh_search"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl := &flight{key: requestKey(fn, normOptions{}), fn: fn, done: make(chan struct{}), startedAt: time.Now()}
+		fl.ctx, fl.cancel = context.WithCancelCause(context.Background())
+		ref := search.Run(fn, search.Options{Metrics: telemetry.NewRegistry()})
+		want, err := ref.CanonicalHash()
+		if err != nil || len(ref.Nodes) < 1000 {
+			t.Fatalf("%d nodes, %v; want a space of 1,000 nodes or more", len(ref.Nodes), err)
+		}
+		if err := ref.SaveFile(dir + "/" + string(fl.key) + ckptSuffix); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.resolveFlight(fl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		render := mallocs(func() { res.Save(io.Discard) }) //nolint:errcheck // sized, not used
+		publish := mallocs(func() { err = s.publish(fl, res) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("one render allocates %d objects, the publish allocated %d", render, publish)
+		if got := counter(s, "server.enumerations"); got != 0 {
+			t.Errorf("server.enumerations = %d, want 0: the slot held the space", got)
+		}
+		if res.SpaceHash != want || publish >= render/4 {
+			t.Errorf("publishing a found slot (SpaceHash %q, want %s) allocated %d objects, one render %d: want no render",
+				res.SpaceHash, want, publish, render)
+		}
+		stored, err := os.ReadFile(s.store.path(fl.key))
+		if err != nil || hexSum(stored) != want || fl.ent.answer.SpaceHash != want {
+			t.Errorf("the entry hashes to %s, the answer's space_hash is %s, want %s (%v)", hexSum(stored), fl.ent.answer.SpaceHash, want, err)
+		}
+	})
+	t.Run("timed older-build slot is enumerated again", func(t *testing.T) {
+		dir := t.TempDir()
+		key, res, want := clampSpace(t)
+		if err := os.WriteFile(dir+"/"+string(key)+ckptSuffix, timed(t, canonicalBytes(t, res)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, ts := newTestServer(t, Config{Dir: dir})
+		status, doc, _ := post(t, ts, srcBody(clampSrc))
+		if status != http.StatusOK || doc["cache"] != "miss" || doc["space_hash"] != want {
+			t.Fatalf("status %d cache %v hash %v, want 200 miss %s", status, doc["cache"], doc["space_hash"], want)
+		}
+		if got := counter(s, "server.enumerations"); got != 1 {
+			t.Errorf("server.enumerations = %d, want 1: the timed slot is replaced", got)
+		}
+		if got := hexSum(download(t, ts.URL, string(key))); got != want {
+			t.Errorf("the promoted entry hashes to %s, want %s", got, want)
+		}
+	})
 }
 
 // TestColdFlightRendersOnce: a cold flight builds its space's document
@@ -163,7 +218,7 @@ func TestColdFlightRendersOnce(t *testing.T) {
 		if err != nil || len(res.Nodes) < 1000 {
 			t.Fatalf("%+v: %v; want a space of 1,000 nodes or more", no, err)
 		}
-		render := mallocs(func() { res.CanonicalBytes() }) //nolint:errcheck // sized, not used
+		render := mallocs(func() { res.Save(io.Discard) }) //nolint:errcheck // sized, not used
 		publish := mallocs(func() { err = s.publish(fl, res) })
 		if err != nil {
 			t.Fatal(err)
@@ -213,11 +268,11 @@ func TestFleetCompletionRendersOnce(t *testing.T) {
 		{"part", part, false},
 		{"whole", search.Run(fn, search.Options{}), true},
 	} {
-		body, err := c.res.CanonicalBytes()
-		if err != nil || c.res.Aborted || len(c.res.Nodes) < 500 {
-			t.Fatalf("%s: aborted=%v, %d nodes, %v; want a finished space of 500 nodes or more", c.name, c.res.Aborted, len(c.res.Nodes), err)
+		if c.res.Aborted || len(c.res.Nodes) < 500 {
+			t.Fatalf("%s: aborted=%v, %d nodes; want a finished space of 500 nodes or more", c.name, c.res.Aborted, len(c.res.Nodes))
 		}
-		render := mallocs(func() { c.res.CanonicalBytes() })             //nolint:errcheck // sized, not used
+		body := canonicalBytes(t, c.res)
+		render := mallocs(func() { c.res.Save(io.Discard) })             //nolint:errcheck // sized, not used
 		decode := mallocs(func() { search.Load(bytes.NewReader(body)) }) //nolint:errcheck // sized, not used
 		fl := &flight{key: requestKey(fn, normOptions{}), fn: fn}
 		a := &assignment{id: "a-" + c.name, fl: fl, whole: c.whole, state: stateAssigned,

@@ -17,6 +17,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -543,27 +544,21 @@ func (s *Server) runFlight(fl *flight) {
 // publish admits fl's finished space and puts it in the disk store,
 // rendering it at most once: what is stored is what is hashed. The
 // engine's final write already did both (SpacePath, SpaceHash), in
-// either tier, and its file is renamed into place; a whole-space fleet
+// either tier, and so did Enumerate for a finished space it found in
+// the slot; that file is renamed into place. A whole-space fleet
 // completion was rendered by handleDistComplete to verify the worker's
 // claim, and that render is put. A space neither wrote — a merged
-// space, one whose final write failed — is rendered here, canonically,
-// and those bytes are hashed and put. A finished space found in the
-// slot may be an older build's bytes, timing included: it is named by
-// rendering it and promoted as it is.
+// space, one whose final write failed — is rendered here by Save, which
+// writes a complete space's canonical bytes, and those bytes are hashed
+// and put.
 func (s *Server) publish(fl *flight, res *search.Result) (err error) {
-	var hash string
-	canon := fl.canon
-	switch {
-	case canon != nil: // handleDistComplete's render
-	case res.SpaceHash != "":
-		hash = res.SpaceHash
-	case res.SpacePath != "":
-		hash, err = res.CanonicalHash()
-	default:
-		canon, err = res.CanonicalBytes()
-	}
-	if err != nil {
-		return fmt.Errorf("hashing space: %w", err)
+	hash, canon := res.SpaceHash, fl.canon
+	if hash == "" && canon == nil {
+		var buf bytes.Buffer
+		if err := res.Save(&buf); err != nil {
+			return fmt.Errorf("rendering space: %w", err)
+		}
+		canon = buf.Bytes()
 	}
 	if canon != nil {
 		hash = hexSum(canon)
