@@ -13,9 +13,9 @@ import (
 )
 
 // repoNames is what the repo's non-test Go code declares: for each
-// package name, its top-level identifiers; for each exported type name,
-// its fields and methods. Packages and types that share a name across
-// directories pool their members.
+// package name, its top-level identifiers; for each type name, exported
+// or not, its fields and methods. Packages and types that share a name
+// across directories pool their members.
 func repoNames(t *testing.T) (pkgs, types map[string]map[string]bool) {
 	t.Helper()
 	pkgs, types = map[string]map[string]bool{}, map[string]map[string]bool{}
@@ -83,11 +83,6 @@ func repoNames(t *testing.T) (pkgs, types map[string]map[string]bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name := range types {
-		if !ast.IsExported(name) {
-			delete(types, name)
-		}
-	}
 	return pkgs, types
 }
 
@@ -127,10 +122,11 @@ func addMembers(members map[string]bool, typ ast.Expr) {
 var codeRef = regexp.MustCompile("`([A-Za-z_][A-Za-z0-9_]*)\\.([A-Za-z_][A-Za-z0-9_]*)[^`]*`")
 
 // TestDocsNameDeclaredThings: every backticked X.Y in DESIGN.md and
-// README.md, where X is a repo package or an exported repo type, names
-// something X declares — a package member, or a field or method of the
-// type. A doc that keeps citing a deleted or renamed declaration fails
-// here instead of misleading its reader. Qualifiers that are neither
+// README.md, where X is a repo package or a repo type, exported or not
+// (diskStore as much as Options), names something X declares — a
+// package member, or a field or method of the type. A doc that keeps
+// citing a deleted or renamed declaration fails here instead of
+// misleading its reader. Qualifiers that are neither
 // (standard-library packages such as sync.Pool, local variables such as
 // res.Nodes) are not checked, nor is an all-lowercase name after a
 // package, which is a metric (search.index.retained_bytes) or a file

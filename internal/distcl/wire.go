@@ -46,8 +46,9 @@ type PollRequest struct {
 }
 
 // SearchOptions is the enumeration-shaping subset of the server's
-// request options, mirrored onto the wire with the same field names so
-// the cache key derivation agrees on both ends.
+// request options, under the same field names: what a worker's search
+// runs with. A worker derives no cache key — the coordinator sends it
+// (Assignment.Key) and only logs and echoes it back.
 type SearchOptions struct {
 	Cap      int  `json:"cap,omitempty"`
 	MaxNodes int  `json:"max_nodes,omitempty"`
@@ -88,10 +89,11 @@ type Assignment struct {
 type HeartbeatAssignment struct {
 	AssignmentID  string `json:"assignment_id"`
 	CheckpointB64 string `json:"checkpoint_b64,omitempty"`
-	// LeaseGen echoes the Assignment's lease generation. Zero is the
-	// legacy wildcard (a worker predating the field); any other value
-	// must match the assignment's current generation or the entry is
-	// ignored — neither renewing the lease nor uploading the checkpoint.
+	// LeaseGen echoes the Assignment's lease generation, 1 or more on
+	// every dispatch. Any other value than the assignment's current
+	// generation — zero included, from a worker that echoed none — marks
+	// the entry stale: it is ignored, neither renewing the lease nor
+	// uploading the checkpoint.
 	LeaseGen int64 `json:"lease_gen,omitempty"`
 }
 

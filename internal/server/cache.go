@@ -142,33 +142,32 @@ func (c *memCache) len() int {
 	return c.ll.Len()
 }
 
-// diskStore is the second cache level: one v2 space file per key — the
-// space's canonical bytes, what explore -save writes, so a cached entry
-// is served verbatim and its SHA-256 is
-// the hash spacedot -hash prints (entries older builds stored keep their
+// diskStore is the second cache level: one v2 space file per key,
+// <key>.space.gz — the space's canonical bytes, what explore -save
+// writes, so a cached entry is served verbatim and its SHA-256 is the
+// hash spacedot -hash prints (entries older builds stored keep their
 // timing; spacedot -hash audits those too) — and beside it the key's
-// answer record (<key>.answer, see answerRecord), which is what a
-// disk hit reads. Alongside each pair may live a checkpoint file
-// (<key>.ckpt.space.gz) holding a partially enumerated space a drained
-// or abandoned request left behind; the next enumeration of the key
-// resumes from it.
+// answer record (<key>.answer, see answerRecord), which is what a disk
+// hit reads.
 //
-// With maxBytes set the store is bounded: complete space entries are
-// tracked with sizes (the record's bytes included) and a use clock, and
-// every put sweeps the least-recently-used pairs until the total fits
-// again. An entry
-// with in-flight readers (a /v1/space download streaming it, a load
-// decoding it) is never evicted — the sweep skips it and takes the
-// next oldest.
+// The space file is also the key's checkpoint slot: the local search
+// engine checkpoints into it (opts.CheckpointPath) and the coordinator
+// mirrors a worker's uploaded whole-space checkpoint into it
+// (writeCkpt), so the key's next local run, whole-space dispatch or
+// coordinator life resumes from it. The answer record is the only seal:
+// a space file whose record is missing, torn or another key's is work in
+// progress — never served, never folded into /v1/stats — and publishing
+// a finished space the engine already wrote there is writing its record.
+// The parts of a split enumeration have no disk slots: their progress
+// lives in coordinator memory.
 //
-// Checkpoint slots are written two ways. The local search engine
-// writes one directly (opts.CheckpointPath): transient work state
-// outside the budget. The coordinator mirrors a worker's uploaded
-// whole-space checkpoint into the same slot through writeCkpt, and that
-// copy is budgeted like an entry until the key publishes. Either way
-// the slot is what the key's next local run, whole-space dispatch or
-// coordinator life resumes from. The parts of a split enumeration have
-// no disk slots: their progress lives in coordinator memory.
+// With maxBytes set the store is bounded: published pairs (the record's
+// bytes included) and mirrored checkpoints are tracked with sizes and a
+// use clock, and every write sweeps the least-recently-used keys until
+// the total fits again; a checkpoint the engine writes itself stays
+// outside the budget until it publishes. A key with in-flight readers
+// (a /v1/space download streaming it, a load decoding it) is never
+// evicted — the sweep skips it and takes the next oldest.
 type diskStore struct {
 	dir      string
 	maxBytes int64
@@ -182,8 +181,7 @@ type diskStore struct {
 	seq     int64 // LRU use clock; higher = more recent
 }
 
-// diskEntry is the eviction bookkeeping for one complete space file or
-// one budgeted checkpoint mirror.
+// diskEntry is the eviction bookkeeping for one key's files.
 type diskEntry struct {
 	size    int64
 	lastUse int64
@@ -192,21 +190,8 @@ type diskEntry struct {
 
 const (
 	spaceSuffix  = ".space.gz"
-	ckptSuffix   = ".ckpt.space.gz"
 	recordSuffix = ".answer"
 )
-
-// ckptEntrySuffix decorates the entries-map key of a budgeted
-// checkpoint mirror so it never collides with the same key's complete
-// space entry. NUL never appears in a filename-derived key.
-const ckptEntrySuffix = "\x00ckpt"
-
-func ckptEntryKey(k cacheKey) cacheKey { return k + ckptEntrySuffix }
-
-// oldShardCkpt matches the per-shard checkpoint slots
-// (<key>.shard<i>.ckpt.space.gz, suffix stripped) that coordinators
-// before the one-fleet-path change kept on disk.
-var oldShardCkpt = regexp.MustCompile(`^[0-9a-f]{64}\.shard[0-9]+$`)
 
 func newDiskStore(dir string, maxBytes int64, gauge *telemetry.Gauge) (*diskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -240,46 +225,25 @@ func (st *diskStore) scan() error {
 			continue
 		}
 		name := de.Name()
-		var entKey cacheKey
 		switch {
-		case strings.HasSuffix(name, spaceSuffix+".tmp"), strings.HasSuffix(name, recordSuffix+".tmp"):
+		case strings.HasSuffix(name, spaceSuffix+".tmp"), strings.HasSuffix(name, recordSuffix+".tmp"),
+			strings.HasSuffix(name, ".ckpt"+spaceSuffix):
 			// A put, a checkpoint or a record write a previous process died
-			// in: never renamed, so never an entry, and nothing will reuse it.
+			// in, never renamed; or a checkpoint slot an older build kept
+			// apart from its entry. Never an entry, and nothing reads it.
 			os.Remove(filepath.Join(st.dir, name)) //nolint:errcheck // retried next boot
-			continue
 		case strings.HasSuffix(name, recordSuffix):
 			if fi, err := de.Info(); err == nil {
 				records[cacheKey(name[:len(name)-len(recordSuffix)])] = fi.Size()
 			}
-			continue
-		case strings.HasSuffix(name, ckptSuffix):
-			k := cacheKey(name[:len(name)-len(ckptSuffix)])
-			if oldShardCkpt.MatchString(string(k)) {
-				// A shard slot an older binary's coordinator died holding:
-				// like the temp files, never an entry, and nothing reads it.
-				os.Remove(filepath.Join(st.dir, name)) //nolint:errcheck // retried next boot
-				continue
-			}
-			if !keyPattern.MatchString(string(k)) {
-				continue
-			}
-			// A checkpoint a previous process left behind. Budgeted: the
-			// sweep may reclaim it like any cold entry.
-			entKey = ckptEntryKey(k)
 		case strings.HasSuffix(name, spaceSuffix):
+			// A published entry, or a checkpoint a previous process left
+			// behind: budgeted alike, so the sweep may reclaim either.
 			k := cacheKey(name[:len(name)-len(spaceSuffix)])
-			if !keyPattern.MatchString(string(k)) {
-				continue
+			if fi, err := de.Info(); err == nil && keyPattern.MatchString(string(k)) {
+				seeds = append(seeds, seed{k, fi.Size(), fi.ModTime().UnixNano()})
 			}
-			entKey = k
-		default:
-			continue
 		}
-		fi, err := de.Info()
-		if err != nil {
-			continue
-		}
-		seeds = append(seeds, seed{entKey, fi.Size(), fi.ModTime().UnixNano()})
 	}
 	sort.Slice(seeds, func(i, j int) bool { return seeds[i].mtime < seeds[j].mtime })
 	for _, sd := range seeds {
@@ -341,10 +305,9 @@ func (st *diskStore) release(k cacheKey) {
 	}
 }
 
-// sweepLocked evicts least-recently-used budgeted entries (complete
-// spaces and checkpoint mirrors) until the budget fits, skipping
-// entries with in-flight readers and the key just written. Callers
-// hold st.mu.
+// sweepLocked evicts least-recently-used budgeted keys (published pairs
+// and checkpoint mirrors) until the budget fits, skipping keys with
+// in-flight readers and the key just written. Callers hold st.mu.
 func (st *diskStore) sweepLocked(justWrote cacheKey) (evicted int) {
 	if st.maxBytes <= 0 || st.total <= st.maxBytes {
 		return 0
@@ -373,25 +336,16 @@ func (st *diskStore) sweepLocked(justWrote cacheKey) (evicted int) {
 	return evicted
 }
 
-// removeFiles deletes what an entries-map key accounts for: a budgeted
-// checkpoint mirror, or an entry together with its answer record. The
+// removeFiles deletes k's space file and its answer record. The
 // accounting proceeds whatever the removals say; a stray file is
 // re-scanned next boot.
-func (st *diskStore) removeFiles(entKey cacheKey) {
-	if raw, ok := strings.CutSuffix(string(entKey), ckptEntrySuffix); ok {
-		os.Remove(st.ckptPath(cacheKey(raw)))
-		return
-	}
-	os.Remove(st.path(entKey))
-	os.Remove(st.recordPath(entKey))
+func (st *diskStore) removeFiles(k cacheKey) {
+	os.Remove(st.path(k))
+	os.Remove(st.recordPath(k))
 }
 
 func (st *diskStore) path(k cacheKey) string {
 	return filepath.Join(st.dir, string(k)+spaceSuffix)
-}
-
-func (st *diskStore) ckptPath(k cacheKey) string {
-	return filepath.Join(st.dir, string(k)+ckptSuffix)
 }
 
 func (st *diskStore) recordPath(k cacheKey) string {
@@ -464,7 +418,7 @@ func writeBytes(path string, b []byte, fsync bool) error {
 // answer is the disk hit: k's entry as its record states it, once the
 // record checks out against itself and the key and the stored bytes
 // against the record. A key with no record reports os.IsNotExist — a
-// plain miss, whatever else the slot holds; any other error is a pair
+// plain miss, whatever its space file holds; any other error is a pair
 // that does not check out, which the caller removes. Validity is by
 // content alone, so it does not matter which of the two renames a crash
 // kept, and a wrong, torn or substituted entry is caught here by
@@ -486,7 +440,9 @@ func (st *diskStore) answer(k cacheKey) (entry, error) {
 }
 
 // record reads k's answer record and holds it against itself and the
-// key; what it says of the stored bytes is the caller's to check.
+// key; what it says of the stored bytes is the caller's to check. A key
+// whose record fails here has no entry: its space file, if any, is work
+// in progress.
 func (st *diskStore) record(k cacheKey) (rec answerRecord, err error) {
 	b, err := os.ReadFile(st.recordPath(k))
 	if err != nil {
@@ -503,10 +459,10 @@ func (st *diskStore) record(k cacheKey) (rec answerRecord, err error) {
 }
 
 // load decodes the cached space for k, for the one reader that wants
-// the whole DAG (the /v1/stats fold). A missing file reports
-// os.IsNotExist; a damaged one reports the load error. The entry is
-// pinned for the duration of the decode so an eviction sweep cannot
-// unlink it mid-read.
+// the whole DAG (the /v1/stats fold, which calls it only on a sealed
+// key). A missing file reports os.IsNotExist; a damaged one reports the
+// load error. The entry is pinned for the duration of the decode so an
+// eviction sweep cannot unlink it mid-read.
 func (st *diskStore) load(k cacheKey) (*search.Result, error) {
 	st.acquire(k)
 	defer st.release(k)
@@ -515,24 +471,37 @@ func (st *diskStore) load(k cacheKey) (*search.Result, error) {
 		return nil, err
 	}
 	if res.Checkpoint != nil || res.Aborted {
-		// Only complete spaces belong in the store; anything else is
-		// damage (a checkpoint renamed into place by hand, say).
+		// Only complete spaces are sealed; anything else under a record
+		// is damage.
 		return nil, fmt.Errorf("server: cache entry %s holds an incomplete space", k)
 	}
 	return res, nil
 }
 
-// open returns the raw space file for streaming (GET /v1/space). The
-// entry stays pinned until the returned release func runs, so a
-// download in flight can never lose its file to the eviction sweep.
-func (st *diskStore) open(k cacheKey) (*os.File, func(), error) {
+// open returns k's sealed entry for streaming (GET /v1/space), with its
+// record. A key whose record does not check out, or does not describe a
+// file this long, has no entry — at most a space in progress — and
+// reports an error. The entry stays pinned until the returned release
+// func runs, so a download in flight can never lose its file to the
+// eviction sweep.
+func (st *diskStore) open(k cacheKey) (*os.File, answerRecord, func(), error) {
 	st.acquire(k)
-	f, err := os.Open(st.path(k))
+	rec, err := st.record(k)
+	var f *os.File
+	if err == nil {
+		f, err = os.Open(st.path(k))
+	}
+	if err == nil {
+		if fi, serr := f.Stat(); serr != nil || fi.Size() != rec.EntrySize {
+			f.Close()
+			err = fmt.Errorf("server: cache entry %s is not the %d bytes its record describes", k, rec.EntrySize)
+		}
+	}
 	if err != nil {
 		st.release(k)
-		return nil, nil, err
+		return nil, rec, nil, err
 	}
-	return f, func() { f.Close(); st.release(k) }, nil
+	return f, rec, func() { f.Close(); st.release(k) }, nil
 }
 
 // remove deletes a (damaged) cache entry and its answer record.
@@ -550,13 +519,13 @@ func (st *diskStore) remove(k cacheKey) {
 	st.removeFiles(k)
 }
 
-// put persists a completed space atomically and durably: the one
-// space-file writer's temp file + fsync + rename, then published's
-// record and directory fsync, so a crash never leaves a torn entry and a
-// power loss never loses a published one. The checkpoint file the
-// enumeration wrote along the way is superseded and removed. b is the
-// space's canonical bytes and ent the answer admit computed, both from
-// the one render whose hash ent carries.
+// put persists a completed space rendered in memory atomically and
+// durably: the one space-file writer's temp file + fsync + rename over
+// whatever checkpoint the slot held, then published's record and
+// directory fsync, so a crash never leaves a torn entry and a power loss
+// never loses a published one. b is the space's canonical bytes and ent
+// the answer admit computed, both from the one render whose hash ent
+// carries.
 func (st *diskStore) put(k cacheKey, b []byte, ent entry) error {
 	if err := writeBytes(st.path(k), b, true); err != nil {
 		return fmt.Errorf("server: cache write: %w", err)
@@ -564,35 +533,23 @@ func (st *diskStore) put(k cacheKey, b []byte, ent entry) error {
 	return st.published(k, ent)
 }
 
-// promote publishes the file the search engine named as holding k's
-// complete space (Result.SpacePath: its final checkpoint write, the
-// bytes put would have written, already fsynced). One rename replaces
-// put's encode, gzip and file fsync.
-func (st *diskStore) promote(k cacheKey, spacePath string, ent entry) error {
-	if err := os.Rename(spacePath, st.path(k)); err != nil {
-		return fmt.Errorf("server: cache promote: %w", err)
-	}
-	return st.published(k, ent)
-}
-
-// published is the tail put and promote share, entered once the rename
-// has put k's file in place: it writes the answer record beside it — the
-// only place one is written, so only complete spaces ever have one — and
-// fsyncs the directory over both renames. What is on disk is accounted
-// for whatever the record write and the fsync say: a failure loses the
-// disk hit or the durability promise, not the file, and the budget must
-// see it.
+// published seals k's space file, once a complete space is in place
+// there — put's rename, or the search engine's final checkpoint write
+// (already fsynced) into the slot: it writes the answer record beside
+// it — the only place one is written, so only complete spaces ever have
+// one — and fsyncs the directory over the renames. What is on disk is
+// accounted for whatever the record write and the fsync say: a failure
+// loses the disk hit or the durability promise, not the file, and the
+// budget must see it.
 func (st *diskStore) published(k cacheKey, ent entry) error {
 	size, err := st.writeRecord(k, ent)
 	if serr := search.SyncDir(st.dir, st.faults); err == nil && serr != nil {
 		err = fmt.Errorf("syncing directory: %w", serr)
 	}
-	os.Remove(st.ckptPath(k)) // superseded after put; already renamed away after promote
 	st.mu.Lock()
 	e := st.useLocked(k)
 	st.total += size - e.size
 	e.size = size
-	st.dropCkptLocked(k) // the consumed checkpoint leaves the budget too
 	st.sweepLocked(k)
 	st.setGauge()
 	st.mu.Unlock()
@@ -609,44 +566,34 @@ func (st *diskStore) diskBytes() int64 {
 	return st.total
 }
 
-// readCkpt returns the raw checkpoint bytes for k (os.IsNotExist when
-// none).
+// readCkpt returns the raw bytes of k's space file (os.IsNotExist when
+// none): for a key that missed every tier, the checkpoint an earlier
+// life left, which a whole-space dispatch is seeded with.
 func (st *diskStore) readCkpt(k cacheKey) ([]byte, error) {
-	return os.ReadFile(st.ckptPath(k))
+	return os.ReadFile(st.path(k))
 }
 
-// writeCkpt atomically replaces k's checkpoint file with b — the
-// coordinator mirroring a worker's uploaded checkpoint into the slot
-// the local resume path and re-dispatch seeding both read. Plain
-// rename atomicity without the full durability discipline: a
-// checkpoint lost to power failure only costs re-enumeration. The slot
-// enters the eviction budget.
+// writeCkpt atomically replaces k's space file with b — the coordinator
+// mirroring a worker's uploaded checkpoint into the slot the local
+// resume path and re-dispatch seeding both read. Plain rename atomicity
+// without the full durability discipline: a checkpoint lost to power
+// failure only costs re-enumeration. The slot enters the eviction
+// budget under its key.
 func (st *diskStore) writeCkpt(k cacheKey, b []byte) error {
-	if err := writeBytes(st.ckptPath(k), b, false); err != nil {
+	if err := writeBytes(st.path(k), b, false); err != nil {
 		return fmt.Errorf("server: checkpoint write: %w", err)
 	}
-	ek := ckptEntryKey(k)
 	st.mu.Lock()
-	e := st.useLocked(ek)
+	e := st.useLocked(k)
 	st.total += int64(len(b)) - e.size
 	e.size = int64(len(b))
-	st.sweepLocked(ek)
+	st.sweepLocked(k)
 	st.setGauge()
 	st.mu.Unlock()
 	return nil
 }
 
-// dropCkptLocked removes k's checkpoint mirror from the accounting
-// (not the file). Callers hold st.mu.
-func (st *diskStore) dropCkptLocked(k cacheKey) {
-	ek := ckptEntryKey(k)
-	if e := st.entries[ek]; e != nil {
-		st.total -= e.size
-		delete(st.entries, ek)
-	}
-}
-
-// keys lists the complete cache entries on disk.
+// keys lists the keys with a space file on disk, sealed or not.
 func (st *diskStore) keys() ([]cacheKey, error) {
 	des, err := os.ReadDir(st.dir)
 	if err != nil {
@@ -655,7 +602,7 @@ func (st *diskStore) keys() ([]cacheKey, error) {
 	var out []cacheKey
 	for _, de := range des {
 		name := de.Name()
-		if de.IsDir() || !strings.HasSuffix(name, spaceSuffix) || strings.HasSuffix(name, ckptSuffix) {
+		if de.IsDir() || !strings.HasSuffix(name, spaceSuffix) {
 			continue
 		}
 		k := cacheKey(name[:len(name)-len(spaceSuffix)])

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -133,7 +134,7 @@ func TestDiskStorePinnedEntriesSurviveSweep(t *testing.T) {
 	}
 	keys := putSpaces(t, st, lruSrcs, []string{"clamp", "myabs", "neg"})
 
-	f, release, err := st.open(keys[0]) // pin the LRU entry
+	f, _, release, err := st.open(keys[0]) // pin the LRU entry
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,9 +172,9 @@ func TestDiskStorePinnedEntriesSurviveSweep(t *testing.T) {
 
 // TestDiskStoreScanSeedsAccounting restarts the store over an existing
 // directory and checks the budget applies to inherited entries too,
-// each with its answer record's bytes — including leftover checkpoint
-// slots, which a coordinator killed mid-dispatch can strand and which
-// must stay evictable.
+// each with its answer record's bytes — including unsealed space files
+// (checkpoints), which a coordinator killed mid-dispatch can strand and
+// which must stay evictable.
 func TestDiskStoreScanSeedsAccounting(t *testing.T) {
 	dir := t.TempDir()
 	st, err := newDiskStore(dir, 0, nil)
@@ -182,8 +183,8 @@ func TestDiskStoreScanSeedsAccounting(t *testing.T) {
 	}
 	putSpaces(t, st, lruSrcs, []string{"clamp", "myabs", "neg"})
 
-	// Checkpoint slots written through the store (dist mirrors) are
-	// budgeted entries like any other.
+	// Checkpoints mirrored into a key's space file (dist uploads) are
+	// budgeted like any entry.
 	ck := cacheKey(strings.Repeat("a", 64))
 	if err := st.writeCkpt(ck, []byte("checkpoint bytes")); err != nil {
 		t.Fatal(err)
@@ -207,7 +208,7 @@ func TestDiskStoreScanSeedsAccounting(t *testing.T) {
 	if got := st2.diskBytes(); got != 0 {
 		t.Fatalf("inherited entries not evictable: %d bytes left", got)
 	}
-	if _, err := os.Stat(st2.ckptPath(ck)); !os.IsNotExist(err) {
+	if _, err := os.Stat(st2.path(ck)); !os.IsNotExist(err) {
 		t.Fatalf("inherited checkpoint slot survived a 1-byte budget (err=%v)", err)
 	}
 	if left := dirNames(t, dir); len(left) != 0 {
@@ -283,11 +284,11 @@ func TestDiskStoreRemoveAccounting(t *testing.T) {
 
 // TestDiskStoreRemovesOrphanedTempFiles plants what a process killed
 // mid-put and mid-checkpoint leaves behind: temp files that were never
-// renamed — and what a coordinator from before the one-fleet-path
-// change left when it died mid-split: a per-shard checkpoint slot no
-// binary reads any more; and an answer record whose entry is gone (an
-// eviction the process died in). Start-up must delete every kind and
-// count none.
+// renamed — and what older builds kept beside an entry: a checkpoint
+// slot of its own (<key>.ckpt.space.gz) and, from before the
+// one-fleet-path change, a per-shard one; and an answer record whose
+// entry is gone (an eviction the process died in). Start-up must delete
+// every kind and count none.
 func TestDiskStoreRemovesOrphanedTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	st, err := newDiskStore(dir, 0, nil)
@@ -296,8 +297,8 @@ func TestDiskStoreRemovesOrphanedTempFiles(t *testing.T) {
 	}
 	keys := putSpaces(t, st, lruSrcs, []string{"clamp"})
 	total := st.diskBytes()
-	orphans := []string{st.path(keys[0]) + ".tmp", st.ckptPath(keys[0]) + ".tmp",
-		st.ckptPath(keys[0] + ".shard1"), st.recordPath(keys[0]) + ".tmp",
+	orphans := []string{st.path(keys[0]) + ".tmp", st.recordPath(keys[0]) + ".tmp",
+		st.path(keys[0] + ".ckpt"), st.path(keys[0]+".ckpt") + ".tmp", st.path(keys[0] + ".shard1.ckpt"),
 		st.recordPath(cacheKey(strings.Repeat("b", 64)))}
 	for _, o := range orphans {
 		if err := os.WriteFile(o, []byte("torn write"), 0o644); err != nil {
@@ -322,9 +323,10 @@ func TestDiskStoreRemovesOrphanedTempFiles(t *testing.T) {
 	}
 }
 
-// TestDiskStoreAccountsPublishedFileWhenDirSyncFails: once the rename
-// has happened the file is in the store, whatever the directory fsync
-// then reports. Both ways of publishing share that tail, so both must
+// TestDiskStoreAccountsPublishedFileWhenDirSyncFails: once a complete
+// space is in the key's space file it is in the store, whatever the
+// directory fsync then reports. Both ways of getting it there — put's
+// rename, the engine's final write — end in published, so both must
 // return the error with the budget already counting the file. The same
 // holds when the entry cannot be read back to seal it: no record is
 // written, nothing answers, and the entry still counts (a directory in
@@ -340,8 +342,9 @@ func TestDiskStoreAccountsPublishedFileWhenDirSyncFails(t *testing.T) {
 		"put": {func(st *diskStore) error {
 			return st.put(k, canonicalBytes(t, search.Run(fn, search.Options{})), keyedEntry(k))
 		}, "dirsyncfail=1", true},
-		"promote": {func(st *diskStore) error {
-			return st.promote(k, search.Run(fn, search.Options{CheckpointPath: st.ckptPath(k)}).SpacePath, keyedEntry(k))
+		"final write": {func(st *diskStore) error {
+			search.Run(fn, search.Options{CheckpointPath: st.path(k)})
+			return st.published(k, keyedEntry(k))
 		}, "dirsyncfail=1", true},
 		"unreadable entry": {func(st *diskStore) error {
 			if err := os.Mkdir(st.path(k), 0o755); err != nil {
@@ -368,8 +371,12 @@ func TestDiskStoreAccountsPublishedFileWhenDirSyncFails(t *testing.T) {
 		if got, want := st.diskBytes(), dirBytes(t, st.dir); got != want || got == 0 {
 			t.Fatalf("%s: budget tracks %d bytes, what is on disk has %d", name, got, want)
 		}
-		if _, err := os.Stat(st.ckptPath(k)); !os.IsNotExist(err) {
-			t.Fatalf("%s: checkpoint slot not consumed (err=%v)", name, err)
+		want := pairNames(string(k))
+		if !row.sealed {
+			want = want[1:] // the entry, with no record
+		}
+		if got := dirNames(t, st.dir); !slices.Equal(got, want) {
+			t.Fatalf("%s: the directory holds %v, want only %v", name, got, want)
 		}
 	}
 }

@@ -26,7 +26,11 @@ import (
 // by the worker's heartbeats. A missed lease (crashed worker, dead
 // TCP, partition) expires on the sweeper and the assignment is
 // re-dispatched, seeded with the worker's last uploaded checkpoint, so
-// a SIGKILL costs at most one heartbeat interval of enumeration. With
+// a SIGKILL costs at most one heartbeat interval of enumeration. A
+// whole-space assignment's checkpoints are mirrored into the flight
+// key's space file, the one slot its local run, a later dispatch and
+// the next coordinator life all resume from; the record the flight's
+// publish writes beside it is what turns that file into an entry. With
 // no workers registered the dispatcher declines every flight in one
 // mutex acquisition and the server behaves exactly as a single node.
 //
@@ -65,7 +69,7 @@ type assignment struct {
 	wopts distcl.SearchOptions
 	// whole marks the whole-space assignment, the one whose checkpoints
 	// mean something outside this dispatch: they resume the flight key's
-	// disk slot, and accepted uploads are mirrored back into it. A
+	// space file, and accepted uploads are mirrored back into it. A
 	// frontier part's progress is only meaningful against the warm-up
 	// and partition it came from, and those live in coordinator memory.
 	whole bool
@@ -257,7 +261,7 @@ func (d *dispatcher) hbEvery() time.Duration { return d.leaseTTL / 3 }
 // enumerate is the one way a flight reaches the fleet. handled=false
 // means the flight should run locally: no live worker, a saturated
 // dispatch queue, or attempts exhausted. Whatever the fleet got done is
-// in the flight key's checkpoint slot by then — the warm-up of a split,
+// in the flight key's space file by then — the warm-up of a split,
 // or the last upload of a whole-space assignment — so the local run
 // resumes rather than restarts.
 //
@@ -763,7 +767,7 @@ func (d *dispatcher) dispatch(a *assignment, workerID string) (*distcl.Assignmen
 		// The whole space, nothing uploaded yet. An earlier life of the
 		// key (a coordinator since restarted, a local request that
 		// drained, the warm-up of a split that could not be served) may
-		// have left a checkpoint in its disk slot; recover from it
+		// have left a checkpoint in its space file; recover from it
 		// rather than re-enumerating.
 		if b, err := d.s.store.readCkpt(a.fl.key); err == nil {
 			seed, recovered = b, true
@@ -821,7 +825,7 @@ func (s *Server) handleDistHeartbeat(w http.ResponseWriter, r *http.Request) {
 	for _, ha := range req.Assignments {
 		a := d.assignments[ha.AssignmentID]
 		if a != nil && a.state == stateAssigned && a.worker == req.WorkerID &&
-			ha.LeaseGen != 0 && ha.LeaseGen != a.leaseGen {
+			ha.LeaseGen != a.leaseGen {
 			// A report from an expired lease this worker once held on an
 			// assignment it now holds again under a newer lease: the
 			// whole entry is fenced off. Renewing from it would keep a
@@ -881,18 +885,17 @@ func (s *Server) handleDistHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 // acceptCheckpoint validates one uploaded checkpoint — decodable, the
 // right function and tier, never shrinking — and makes it the
-// assignment's recovery point. A whole-space assignment's is also mirrored into the
-// flight key's disk checkpoint slot, so a local fallback or the next
-// coordinator life resumes from it too; a part's lives in memory only
-// (a restart re-warms and re-splits at a different frontier, against
-// which the old parts' progress means nothing). Invalid uploads are
-// dropped: the previous good checkpoint stands, and a torn httpdrop
-// upload can never poison recovery. gen is
-// the lease generation the upload was reported under; anything but the
-// assignment's current generation is a fenced-off straggler (0 is the
-// legacy wildcard) — the state/worker re-check alone cannot catch a
-// queued upload that outlived an expiry and a re-dispatch to the same
-// worker.
+// assignment's recovery point. A whole-space assignment's is also
+// mirrored into the flight key's space file, unsealed, so a local
+// fallback or the next coordinator life resumes from it too; a part's
+// lives in memory only (a restart re-warms and re-splits at a different
+// frontier, against which the old parts' progress means nothing).
+// Invalid uploads are dropped: the previous good checkpoint stands, and
+// a torn httpdrop upload can never poison recovery. gen is the lease
+// generation the upload was reported under; anything but the
+// assignment's current generation is a fenced-off straggler — the
+// state/worker re-check alone cannot catch a queued upload that
+// outlived an expiry and a re-dispatch to the same worker.
 func (d *dispatcher) acceptCheckpoint(u ckptUpload) {
 	a, workerID, gen := u.a, u.workerID, u.gen
 	b, err := base64.StdEncoding.DecodeString(u.b64)
@@ -912,7 +915,7 @@ func (d *dispatcher) acceptCheckpoint(u ckptUpload) {
 	if a.state != stateAssigned || a.worker != workerID {
 		return
 	}
-	if gen != 0 && gen != a.leaseGen {
+	if gen != a.leaseGen {
 		d.staleVec.With(workerID).Inc()
 		d.s.logger.Warn("dist checkpoint from stale lease dropped", "assignment_id", a.id,
 			"worker_id", workerID, "upload_gen", gen, "lease_gen", a.leaseGen)

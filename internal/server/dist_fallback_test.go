@@ -210,12 +210,11 @@ func TestFleetFallbackEdges(t *testing.T) {
 			}
 			for _, name := range dirNames(t, s.cfg.Dir) {
 				key, ok := strings.CutSuffix(name, spaceSuffix)
-				key, _ = strings.CutSuffix(key, ".ckpt")
 				if !ok {
 					key, ok = strings.CutSuffix(name, recordSuffix)
 				}
 				if !ok || !keyPattern.MatchString(key) {
-					t.Errorf("cache dir holds %s, which is no key's entry, answer record or checkpoint", name)
+					t.Errorf("cache dir holds %s, which is no key's space file or answer record", name)
 				}
 			}
 		})

@@ -367,6 +367,18 @@ func TestStaleLeaseUploadFenced(t *testing.T) {
 		t.Fatalf(`dist.stale_uploads{worker="w1"} = %d, want >= 1`, got)
 	}
 
+	// Generation 0 — an entry that echoes no generation — is no
+	// wildcard: it is fenced like any other stale one.
+	staleBefore := d.staleVec.With("w1").Value()
+	if resp := hb(cl, 0, enc(small)); len(resp.Abandon) != 0 {
+		t.Fatalf("gen-0 entry echoed abandon %v", resp.Abandon)
+	}
+	nodes, leaseAfter = lookup()
+	if got := d.staleVec.With("w1").Value(); nodes != len(big.Nodes) || !leaseAfter.Equal(leaseBefore) || got != staleBefore+1 {
+		t.Fatalf("gen-0 entry: watermark %d nodes (want %d), lease renewed %v, stale uploads %d (want %d)",
+			nodes, len(big.Nodes), !leaseAfter.Equal(leaseBefore), got, staleBefore+1)
+	}
+
 	// The current generation still reports normally.
 	hb(cl, 2, enc(big))
 	waitFor(t, "the gen-2 heartbeat to renew the lease", func() bool {

@@ -33,10 +33,10 @@ type flightRecord struct {
 	Error           string `json:"error,omitempty"`
 
 	// EnumerateMS spans worker pickup to flight resolution, so on a miss
-	// it contains CheckpointMS (the engine's checkpoint writes),
-	// PublishMS (rename or render and put into the disk store, and
-	// the answer record)
-	// and, when the fleet ran the space as shards, MergeMS
+	// it contains CheckpointMS (the engine's checkpoint writes, the last
+	// of which is the entry itself), PublishMS (the answer record, after
+	// a render and put into the disk store when no final write left the
+	// space in place) and, when the fleet ran the space as shards, MergeMS
 	// (search.MergeShards), which the "shard-merge" event carries too.
 	QueueWaitMS  int64 `json:"queue_wait_ms"`
 	EnumerateMS  int64 `json:"enumerate_ms"`

@@ -133,12 +133,13 @@ func TestOlderPairStillHits(t *testing.T) {
 	}
 }
 
-// TestFoundSlotIsRehashed: a finished space found in the checkpoint
-// slot is named by the SHA-256 of its file. A canonical one — what Save
-// and the engine's final write put down — is promoted as it is, with no
-// enumeration and no render, and sha256sum of the entry is the answer's
-// space_hash. One that kept its timing was written by an older build;
-// its file's hash is not its space_hash, so it is enumerated again.
+// TestFoundSlotIsRehashed: a finished space found in the key's space
+// file with no answer record is named by the SHA-256 of its file. A
+// canonical one — what Save and the engine's final write put down — is
+// published as it is, by writing its record, with no enumeration and no
+// render, and sha256sum of the entry is the answer's space_hash. One
+// that kept its timing was written by an older build; its file's hash is
+// not its space_hash, so it is enumerated again.
 func TestFoundSlotIsRehashed(t *testing.T) {
 	t.Run("canonical slot is promoted", func(t *testing.T) {
 		dir := t.TempDir()
@@ -154,7 +155,7 @@ func TestFoundSlotIsRehashed(t *testing.T) {
 		if err != nil || len(ref.Nodes) < 1000 {
 			t.Fatalf("%d nodes, %v; want a space of 1,000 nodes or more", len(ref.Nodes), err)
 		}
-		if err := ref.SaveFile(dir + "/" + string(fl.key) + ckptSuffix); err != nil {
+		if err := ref.SaveFile(s.store.path(fl.key)); err != nil {
 			t.Fatal(err)
 		}
 		res, err := s.resolveFlight(fl)
@@ -182,7 +183,7 @@ func TestFoundSlotIsRehashed(t *testing.T) {
 	t.Run("timed older-build slot is enumerated again", func(t *testing.T) {
 		dir := t.TempDir()
 		key, res, want := clampSpace(t)
-		if err := os.WriteFile(dir+"/"+string(key)+ckptSuffix, timed(t, canonicalBytes(t, res)), 0o644); err != nil {
+		if err := os.WriteFile(dir+"/"+string(key)+spaceSuffix, timed(t, canonicalBytes(t, res)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		s, ts := newTestServer(t, Config{Dir: dir})
@@ -194,7 +195,7 @@ func TestFoundSlotIsRehashed(t *testing.T) {
 			t.Errorf("server.enumerations = %d, want 1: the timed slot is replaced", got)
 		}
 		if got := hexSum(download(t, ts.URL, string(key))); got != want {
-			t.Errorf("the promoted entry hashes to %s, want %s", got, want)
+			t.Errorf("the published entry hashes to %s, want %s", got, want)
 		}
 	})
 }

@@ -86,11 +86,13 @@ type Config struct {
 	// so the operator opts in per process.
 	EnablePprof bool
 
-	// DiskMaxBytes bounds the disk cache: when the complete space
-	// entries exceed it, a put sweeps the least-recently-used entries
-	// (never one with in-flight readers) until the total fits again
-	// (0 = unbounded). A whole-space fleet checkpoint mirrored into its
-	// key's slot counts against the budget too, until the key publishes.
+	// DiskMaxBytes bounds the disk cache: when the published entries
+	// exceed it, a publish sweeps the least-recently-used keys (never one
+	// with in-flight readers) until the total fits again (0 =
+	// unbounded). A whole-space fleet checkpoint mirrored into its key's
+	// space file counts against the budget too, and so does a checkpoint
+	// an earlier process left there; one the local engine is writing
+	// counts once the key publishes.
 	DiskMaxBytes int64
 
 	// DistLeaseTTL is the distributed-assignment lease duration: a
@@ -112,7 +114,7 @@ type Config struct {
 	// disjoint assignments, leases them, and merges the completed
 	// sub-spaces back into the byte-identical serial result. The
 	// progress of those parts lives in coordinator memory; only the
-	// warm-up, in the request key's checkpoint slot, survives a
+	// warm-up, in the request key's space file, survives a
 	// coordinator death. With 0 or 1, a single live worker, or an
 	// equivalence-tier request, the whole space is the one assignment —
 	// which is also where a split goes when a part aborts or its merge
@@ -541,16 +543,16 @@ func (s *Server) runFlight(fl *flight) {
 	fl.publish = time.Since(publishStart)
 }
 
-// publish admits fl's finished space and puts it in the disk store,
+// publish admits fl's finished space and seals it in the disk store,
 // rendering it at most once: what is stored is what is hashed. The
-// engine's final write already did both (SpacePath, SpaceHash), in
-// either tier, and so did Enumerate for a finished space it found in
-// the slot; that file is renamed into place. A whole-space fleet
-// completion was rendered by handleDistComplete to verify the worker's
-// claim, and that render is put. A space neither wrote — a merged
-// space, one whose final write failed — is rendered here by Save, which
-// writes a complete space's canonical bytes, and those bytes are hashed
-// and put.
+// engine's final write into the key's space file already did both
+// (SpacePath, SpaceHash), in either tier, and so did Enumerate for a
+// finished space it found there; publishing that file is writing its
+// answer record. A whole-space fleet completion was rendered by
+// handleDistComplete to verify the worker's claim, and that render is
+// put. A space neither wrote — a merged space, one whose final write
+// failed — is rendered here by Save, which writes a complete space's
+// canonical bytes, and those bytes are hashed and put.
 func (s *Server) publish(fl *flight, res *search.Result) (err error) {
 	hash, canon := res.SpaceHash, fl.canon
 	if hash == "" && canon == nil {
@@ -565,7 +567,7 @@ func (s *Server) publish(fl *flight, res *search.Result) (err error) {
 	}
 	s.admit(fl.key, res, hash, &fl.ent)
 	if canon == nil {
-		err = s.store.promote(fl.key, res.SpacePath, fl.ent)
+		err = s.store.published(fl.key, fl.ent)
 	} else {
 		err = s.store.put(fl.key, canon, fl.ent)
 	}
@@ -587,7 +589,7 @@ func (s *Server) dropCorrupt(ctx context.Context, k cacheKey, err error) {
 
 // resolveFlight produces fl's space: on the fleet when one is
 // registered, locally otherwise. The fallback composes with recovery —
-// a split leaves its warm-up checkpoint in the key's disk slot and a
+// a split leaves its warm-up checkpoint in the key's space file and a
 // whole-space dispatch that exhausted its attempts has mirrored the
 // fleet's last checkpoint there, so the local run resumes rather than
 // restarts either way, in either tier.
@@ -603,13 +605,14 @@ func (s *Server) resolveFlight(fl *flight) (*search.Result, error) {
 }
 
 // runOrResume enumerates fl's function under the flight's options,
-// continuing what the key's checkpoint slot holds (search.Enumerate owns
-// what that may be). stopAtFrontier > 0 is the warm-up of a split: it
-// pauses at a frontier that wide. Whichever way a run on the slot came
-// to a complete space — a warm-up that never met a wide enough frontier
-// included — the result names the file that holds it (SpacePath) and
-// runFlight publishes that file instead of encoding the space a second
-// time. The error is search.Enumerate's.
+// checkpointing into the key's space file and continuing what it holds
+// (search.Enumerate owns what that may be). stopAtFrontier > 0 is the
+// warm-up of a split: it pauses at a frontier that wide. Whichever way a
+// run on the slot came to a complete space — a warm-up that never met a
+// wide enough frontier included — the space file holds it (SpacePath,
+// SpaceHash) and runFlight publishes it by writing its answer record
+// instead of encoding the space a second time. The error is
+// search.Enumerate's.
 func (s *Server) runOrResume(fl *flight, stopAtFrontier int) (*search.Result, error) {
 	// Draw this flight's search parallelism from the shared CPU-token
 	// budget instead of letting every flight default to NumCPU: the
@@ -633,11 +636,11 @@ func (s *Server) runOrResume(fl *flight, stopAtFrontier int) (*search.Result, er
 		Metrics:        s.reg,
 		Faults:         s.cfg.Faults,
 		StopAtFrontier: stopAtFrontier,
-		CheckpointPath: s.store.ckptPath(fl.key),
+		CheckpointPath: s.store.path(fl.key),
 	}
 	return search.Enumerate(fl.fn, opts, func(start search.Start) {
 		// A finished space found in the slot (a crash between the final
-		// write and its promotion) is no enumeration; a checkpoint an
+		// write and its answer record) is no enumeration; a checkpoint an
 		// earlier drained or abandoned request left is a resumed one.
 		if start != search.Found {
 			s.reg.Counter("server.enumerations").Inc()
@@ -690,7 +693,7 @@ func (s *Server) handleSpace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &httpError{status: http.StatusBadRequest, msg: "malformed space key"})
 		return
 	}
-	f, release, err := s.store.open(cacheKey(hash))
+	f, rec, release, err := s.store.open(cacheKey(hash))
 	if err != nil {
 		writeError(w, &httpError{status: http.StatusNotFound, msg: "no cached space for that key"})
 		return
@@ -701,14 +704,8 @@ func (s *Server) handleSpace(w http.ResponseWriter, r *http.Request) {
 		fmt.Sprintf("attachment; filename=%q", hash[:12]+spaceSuffix))
 	// The record's SHA-256 of the stored bytes is the entity tag — for an
 	// entry this build wrote, the space_hash itself — so ServeContent
-	// answers If-None-Match with 304 and holds If-Range to it. A key whose
-	// record does not check out, or does not describe a file this long,
-	// goes out untagged.
-	if rec, err := s.store.record(cacheKey(hash)); err == nil {
-		if fi, err := f.Stat(); err == nil && fi.Size() == rec.EntrySize {
-			w.Header().Set("ETag", `"`+rec.EntrySHA256+`"`)
-		}
-	}
+	// answers If-None-Match with 304 and holds If-Range to it.
+	w.Header().Set("ETag", `"`+rec.EntrySHA256+`"`)
 	// ServeContent sends the file's size as Content-Length, so the body
 	// is not chunked.
 	http.ServeContent(w, r, "", time.Time{}, f)

@@ -318,9 +318,11 @@ func TestCorruptDiskEntryConcurrentRequests(t *testing.T) {
 
 // TestDrainCheckpointsInFlight is the SIGTERM path: Close cancels an
 // in-flight enumeration (held slow by an injected hang fault), which
-// must checkpoint its partial space; a fresh server over the same
-// cache directory must resume from that checkpoint and serve a space
-// identical to an uninterrupted run. Both tiers drain and resume alike.
+// must checkpoint its partial space into the key's space file. With no
+// answer record that file is no entry: a fresh server over the same
+// cache directory neither serves it nor folds or drops it in /v1/stats,
+// and the next request resumes from it and serves a space identical to
+// an uninterrupted run. Both tiers drain and resume alike.
 func TestDrainCheckpointsInFlight(t *testing.T) {
 	for _, equiv := range []bool{false, true} {
 		t.Run(fmt.Sprintf("equiv=%v", equiv), func(t *testing.T) {
@@ -357,7 +359,7 @@ func drainAndResume(t *testing.T, equiv bool) {
 
 	fn := mustCompile(t, sumSrc, "sum")
 	key := requestKey(fn, normOptions{Equiv: equiv})
-	ckpt, err := search.LoadFile(filepath.Join(dir, string(key)+ckptSuffix))
+	ckpt, err := search.LoadFile(s1.store.path(key))
 	if err != nil {
 		t.Fatalf("drain left no checkpoint: %v", err)
 	}
@@ -372,6 +374,24 @@ func drainAndResume(t *testing.T, equiv bool) {
 		t.Fatal(err)
 	}
 	s2, ts2 := newTestServer(t, Config{Dir: dir})
+	resp, err := http.Get(ts2.URL + "/v1/space/" + string(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET of the drained space: status %d, want 404", resp.StatusCode)
+	}
+	var stats struct {
+		Spaces int `json:"spaces"`
+	}
+	getJSON(t, ts2, "/v1/stats", &stats)
+	if got := counter(s2, "server.cache.corrupt"); stats.Spaces != 0 || got != 0 {
+		t.Fatalf("/v1/stats over the drained space: spaces %d, server.cache.corrupt %d; want 0 and 0", stats.Spaces, got)
+	}
+	if _, err := os.Stat(s2.store.path(key)); err != nil {
+		t.Fatalf("/v1/stats touched the drained space: %v", err)
+	}
 	status, doc, _ := post(t, ts2, body)
 	if status != http.StatusOK {
 		t.Fatalf("resume request: status %d: %v", status, doc)
@@ -600,15 +620,16 @@ func dirNames(t *testing.T, dir string) []string {
 }
 
 // TestCompleteCheckpointIsPromoted is the crash window between the
-// engine's final checkpoint write and its promotion: a restart finds a
-// complete checkpoint and no entry. The request must be answered from
-// that file — renamed into the slot, not enumerated again.
+// engine's final checkpoint write and its answer record: a restart
+// finds a complete space in the key's space file and no record. The
+// request must be answered from that file — published by writing its
+// record, not enumerated again.
 func TestCompleteCheckpointIsPromoted(t *testing.T) {
 	dir := t.TempDir()
 	fn := mustCompile(t, clampSrc, "clamp")
 	key := requestKey(fn, normOptions{})
-	ckpt := filepath.Join(dir, string(key)+ckptSuffix)
-	want, err := search.Run(fn, search.Options{CheckpointPath: ckpt}).CanonicalHash()
+	slot := filepath.Join(dir, string(key)+spaceSuffix)
+	want, err := search.Run(fn, search.Options{CheckpointPath: slot}).CanonicalHash()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -622,36 +643,41 @@ func TestCompleteCheckpointIsPromoted(t *testing.T) {
 		t.Fatalf("server.enumerations = %d, want 0: the checkpoint was the space", got)
 	}
 	if got := dirNames(t, dir); !slices.Equal(got, pairNames(string(key))) {
-		t.Fatalf("cache dir holds %v, want only the promoted pair", got)
+		t.Fatalf("cache dir holds %v, want only the published pair", got)
 	}
 	if _, err := s.store.load(key); err != nil {
-		t.Fatalf("promoted entry does not load: %v", err)
+		t.Fatalf("published entry does not load: %v", err)
 	}
 
 	// The warm-up of a split that finishes the space before the frontier
 	// is ever wide enough to partition is a local completion like any
-	// other: the engine's one write is published by rename. A directory
-	// squatting on put's temp name would make a second encode fail loudly;
-	// the rename never goes near it.
+	// other: the engine's one write is published by writing its record.
+	// A directory squatting on the space file's temp name once the engine
+	// is done would make a second encode fail loudly; the record write
+	// never goes near it.
 	t.Run("warm-up completion", func(t *testing.T) {
 		const src = `int g; int readg() { return g; }`
 		dir := t.TempDir()
+		s, ts := newTestServer(t, Config{Dir: dir, ShardFanout: 2})
+		registerIdle(t, ts, "w1")
+		registerIdle(t, ts, "w2")
 		fn := mustCompile(t, src, "readg")
-		key := requestKey(fn, normOptions{})
+		fl := &flight{key: requestKey(fn, normOptions{}), fn: fn, done: make(chan struct{}), startedAt: time.Now()}
+		fl.ctx, fl.cancel = context.WithCancelCause(context.Background())
 		want, err := search.Run(fn, search.Options{}).CanonicalHash()
 		if err != nil {
 			t.Fatal(err)
 		}
-		squat := string(key) + spaceSuffix + ".tmp"
+		res, err := s.resolveFlight(fl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		squat := string(fl.key) + spaceSuffix + ".tmp"
 		if err := os.MkdirAll(filepath.Join(dir, squat, "x"), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		s, ts := newTestServer(t, Config{Dir: dir, ShardFanout: 2})
-		registerIdle(t, ts, "w1")
-		registerIdle(t, ts, "w2")
-		status, doc, _ := post(t, ts, srcBody(src))
-		if status != http.StatusOK || doc["space_hash"] != want {
-			t.Fatalf("status %d hash %v, want 200 %s", status, doc["space_hash"], want)
+		if err := s.publish(fl, res); err != nil || fl.ent.answer.SpaceHash != want {
+			t.Fatalf("publish: %v, hash %s, want %s", err, fl.ent.answer.SpaceHash, want)
 		}
 		for name, want := range map[string]int64{"dist.shard.warmup_completions": 1,
 			"search.checkpoint.writes": 1, "server.cache.write_errors": 0} {
@@ -659,8 +685,8 @@ func TestCompleteCheckpointIsPromoted(t *testing.T) {
 				t.Errorf("%s = %d, want %d", name, got, want)
 			}
 		}
-		if got := dirNames(t, dir); !slices.Equal(got, append(pairNames(string(key)), squat)) {
-			t.Fatalf("cache dir holds %v, want the promoted pair beside the squatter", got)
+		if got := dirNames(t, dir); !slices.Equal(got, append(pairNames(string(fl.key)), squat)) {
+			t.Fatalf("cache dir holds %v, want the published pair beside the squatter", got)
 		}
 	})
 }

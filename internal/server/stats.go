@@ -92,6 +92,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			if seen {
 				continue
 			}
+			if _, err := s.store.record(k); err != nil {
+				continue // no entry: a space in progress, neither folded nor dropped
+			}
 			res, err := s.store.load(k)
 			switch {
 			case err == nil:
