@@ -33,13 +33,43 @@ func (CommonSubexprElim) RequiresRegAssign() bool { return true }
 // compiler can be applied successfully more than once consecutively",
 // Section 4.1) that the exhaustive search's pruning relies on.
 //
-// The fixpoint is reached when each sub-pass has run dormant on the
-// code as it now stands, that is, when the last three turns changed
-// nothing: a sub-pass is a deterministic function of the code, so one
-// that was dormant since the last change would be dormant again, and
-// running it to prove so (as whole rounds of three once did) cannot
-// alter the outcome. The repeated application starts where this one
-// stopped and finds three dormant turns.
+// Constant propagation runs once; copy propagation and CSE then take
+// turns until both are dormant on the code as it stands (a sub-pass is
+// a deterministic function of the code), which makes constant
+// propagation and a repeated application dormant too. The code and the
+// answer are those of all three taking turns until three in a row are
+// dormant (the reference in cse_ref_test.go still does), because:
+//
+//  1. After the first turn, copy propagation and CSE never give
+//     constant propagation anything to do. Its transfer tracks only
+//     "mov d,#imm" and "mov d,r" — copy-constant propagation, which is
+//     distributive, so the argument goes path by path. A copy u→s that
+//     holds at a use means u and s have the same last definition on
+//     every path, so u is a known constant exactly when s is, with the
+//     same value. A CSE holder's last definition on every path is an
+//     ALU operation, a load, HI/LO, neg or not, none of which is
+//     tracked as a constant, so neither "d = holder" nor removing a
+//     recomputation changes what is known to be constant.
+//  2. A copy turn that rewrote no move leaves the next one nothing, so
+//     a dormant CSE turn after it ends the loop. The copy analysis
+//     reads only definitions and the sources of moves, so the next
+//     turn solves to the same states; and no state records a copy of a
+//     register that is itself a recorded copy (a move from a copy
+//     records the copy's source, a definition of r forgets the copies
+//     of r, meet only forgets), so no operand the turn wrote, a copy's
+//     source, is one.
+//
+// After a copy turn that rewrote a move, the next copy turn runs: a
+// move's new source can change the copies the next solve finds. A turn
+// rewrites "s = u", u a copy of s, into the self-move "s = s", which
+// records no copy where "s = u" recorded s→u; a later "d = s", solved
+// as d→u, is then d→s and can meet d→s from another path. Nor is CSE
+// idempotent, so after an active CSE turn both run again. In
+//
+//	L0: r4=r0+r1; r5=r4+1; r4=r0+r1; PC=L1;  L1: r6=r4+1; ...
+//
+// the first CSE turn removes the second r4=r0+r1, but its solve killed
+// r4+1 there; only a second turn turns r6=r4+1 into r6=r5.
 func (CommonSubexprElim) Apply(f *rtl.Func, d *machine.Desc) bool {
 	// One CFG serves every turn: no sub-pass changes block structure
 	// or terminators (operand substitution, use replacement and the
@@ -49,21 +79,16 @@ func (CommonSubexprElim) Apply(f *rtl.Func, d *machine.Desc) bool {
 	sc := cseScratchPool.Get().(*cseScratch)
 	sc.reset(f)
 	sv, es := &sc.regs, &sc.exprs
-	changed := false
-	for turn, dormant := 0, 0; dormant < 3; turn++ {
-		var did bool
-		switch turn % 3 {
-		case 0:
-			did = propagateConstants(f, g, sv, d)
-		case 1:
-			did = propagateCopies(f, g, sv)
-		case 2:
-			did = eliminateCommonSubexprs(f, g, es)
+	changed := propagateConstants(f, g, sv, d)
+	for eliminated := true; ; {
+		copied, moved := propagateCopies(f, g, sv)
+		if !copied && !eliminated {
+			break // a dormant copy turn after a dormant CSE turn
 		}
-		if did {
-			changed, dormant = true, 0
-		} else {
-			dormant++
+		eliminated = eliminateCommonSubexprs(f, g, es)
+		changed = changed || copied || eliminated
+		if !eliminated && !moved {
+			break
 		}
 	}
 	cseScratchPool.Put(sc)
@@ -386,26 +411,28 @@ func propagateConstants(f *rtl.Func, g *rtl.CFG, sv *regSolver, d *machine.Desc)
 	return changed
 }
 
-func propagateCopies(f *rtl.Func, g *rtl.CFG, sv *regSolver) bool {
+// propagateCopies replaces each use of a known copy by the copy's
+// source. It reports whether it changed the code and whether it
+// rewrote a move, the one rewrite that can change what its own solve
+// found (Apply).
+func propagateCopies(f *rtl.Func, g *rtl.CFG, sv *regSolver) (changed, moved bool) {
 	clear(sv.copiedBy)
 	sv.solve(f, g, (*regSolver).copyTransfer)
-	changed := false
 	var buf [8]rtl.Reg
 	for bpos, b := range f.Blocks {
 		s := sv.state(bpos)
 		for i := range b.Instrs {
 			instr := &b.Instrs[i]
 			for _, u := range instr.Uses(buf[:0]) {
-				if s.has(u) {
-					if instr.ReplaceUses(u, rtl.R(rtl.Reg(s.get(u)))) {
-						changed = true
-					}
+				if s.has(u) && instr.ReplaceUses(u, rtl.R(rtl.Reg(s.get(u)))) {
+					changed = true
+					moved = moved || instr.Op == rtl.OpMov
 				}
 			}
 			sv.copyTransfer(s, instr)
 		}
 	}
-	return changed
+	return changed, moved
 }
 
 // ---------------------------------------------------------------------------

@@ -559,8 +559,12 @@ func sameCode(a, b *rtl.Func) bool {
 
 // checkPhaseC applies c to clones of f by both implementations and
 // requires the same answer and the same code; then it runs the two turn
-// by turn, each on its own clone, and requires every sub-pass to agree
-// on whether it changed anything and on the code it left.
+// by turn on the reference's schedule, each on its own clone, and
+// requires every sub-pass to agree on whether it changed anything and
+// on the code it left. Along the way it holds the sub-passes to the two
+// properties Apply's shorter schedule rests on: no constant turn after
+// the first changes code, and a copy turn is dormant when the last copy
+// turn rewrote no move and no turn has changed code since.
 func checkPhaseC(t *testing.T, what string, f *rtl.Func, d *machine.Desc) {
 	t.Helper()
 	want, got := f.Clone(), f.Clone()
@@ -577,13 +581,25 @@ func checkPhaseC(t *testing.T, what string, f *rtl.Func, d *machine.Desc) {
 	rsv, res := newRefRegSolver(len(f.Blocks), width), newRefExprSolver(len(f.Blocks))
 	sc := new(cseScratch)
 	sc.reset(f)
+	copyIdle := false // the last copy turn rewrote no move, and no turn changed code since
 	for turn, dormant := 0, 0; dormant < 3; turn++ {
 		var wantDid, gotDid bool
 		switch turn % 3 {
 		case 0:
 			wantDid, gotDid = refPropagateConstants(want, gw, rsv, d), propagateConstants(got, gg, &sc.regs, d)
 		case 1:
-			wantDid, gotDid = refPropagateCopies(want, gw, rsv), propagateCopies(got, gg, &sc.regs)
+			before := got.Clone()
+			var moved bool
+			wantDid = refPropagateCopies(want, gw, rsv)
+			gotDid, moved = propagateCopies(got, gg, &sc.regs)
+			if copyIdle && gotDid {
+				t.Fatalf("%s: copy turn %d changed code, though the last copy turn rewrote no move and nothing changed since\n--- before\n%s--- after\n%s--- from\n%s",
+					what, turn, before, got, f)
+			}
+			if moved != rewroteMove(before, got) {
+				t.Fatalf("%s: copy turn %d reported rewriting a move %v\n--- before\n%s--- after\n%s", what, turn, moved, before, got)
+			}
+			copyIdle = !moved
 		case 2:
 			wantDid, gotDid = refEliminateCommonSubexprs(want, gw, res), eliminateCommonSubexprs(got, gg, &sc.exprs)
 		}
@@ -591,12 +607,32 @@ func checkPhaseC(t *testing.T, what string, f *rtl.Func, d *machine.Desc) {
 			t.Fatalf("%s: turn %d (sub-pass %d) changed=%v, the reference changed=%v\n--- got\n%s--- want\n%s--- from\n%s",
 				what, turn, turn%3, gotDid, wantDid, got, want, f)
 		}
+		if turn > 0 && turn%3 == 0 && gotDid {
+			t.Fatalf("%s: constant turn %d changed code after the first\n--- got\n%s--- from\n%s", what, turn, got, f)
+		}
 		if wantDid {
 			dormant = 0
+			if turn%3 != 1 {
+				copyIdle = false
+			}
 		} else {
 			dormant++
 		}
 	}
+}
+
+// rewroteMove reports whether a copy turn that took before to after
+// gave some move a new source. Copy turns never add or remove
+// instructions.
+func rewroteMove(before, after *rtl.Func) bool {
+	for bi, b := range after.Blocks {
+		for i, in := range b.Instrs {
+			if in.Op == rtl.OpMov && in != before.Blocks[bi].Instrs[i] {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func TestPhaseCMatchesReference(t *testing.T) {
