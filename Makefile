@@ -145,37 +145,40 @@ phasecost:
 bench:
 	bash bench/run.sh $(ARGS)
 
-# Crash/resume smoke test: SIGKILL an enumeration mid-run, resume it
-# from its checkpoint file, and require the resumed space to hash
-# identical (spacedot -hash, canonical serialization) to an
-# uninterrupted run of the same function, in either tier (-equiv), and
-# the clean run's -save file to be those canonical bytes (its sha256sum
-# is that hash). If
-# the machine is fast enough that the run finishes before the kill
-# lands, the checkpoint file already holds the complete space; if the
+# Crash/resume smoke test: SIGKILL an enumeration of sha/sha_main
+# mid-run — its wait status must be 137, so the kill landed before the
+# run finished — resume it from its -save file, and require the
+# resumed space to hash identical (spacedot -hash, canonical
+# serialization) to an uninterrupted run of the same function, in
+# either tier (-equiv), and the clean run's file to be those canonical
+# bytes (its sha256sum is that hash). The clean run saves into ref/ and
+# the killed one into run/, since a function has one file name. If the
 # kill lands before the first cost-paced checkpoint, -resume starts
-# over. The comparison applies either way.
+# over; the comparison applies either way.
 resume-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/explore" ./cmd/explore && \
 	$(GO) build -o "$$tmp/spacedot" ./cmd/spacedot || exit 1; \
 	for tier in default equiv; do \
-		d="$$tmp/$$tier"; mkdir -p "$$d"; flag=; \
+		ref="$$tmp/$$tier/ref"; run="$$tmp/$$tier/run"; mkdir -p "$$ref" "$$run"; flag=; \
 		if [ $$tier = equiv ]; then flag=-equiv; fi; \
-		"$$tmp/explore" -bench sha -func sha_transform $$flag -save "$$d" >/dev/null && \
-		{ "$$tmp/explore" -bench sha -func sha_transform $$flag -checkpoint "$$d" >/dev/null 2>&1 & \
-		pid=$$!; sleep 1.2; kill -9 $$pid 2>/dev/null || true; wait $$pid 2>/dev/null; } ; \
-		"$$tmp/explore" -bench sha -func sha_transform $$flag -checkpoint "$$d" -resume >/dev/null && \
-		a=$$("$$tmp/spacedot" -hash "$$d/sha.sha_transform.ckpt.space.gz" | cut -d' ' -f1) && \
-		b=$$("$$tmp/spacedot" -hash "$$d/sha.sha_transform.space.gz" | cut -d' ' -f1) && \
-		c=$$(sha256sum "$$d/sha.sha_transform.space.gz" | cut -d' ' -f1) || exit 1; \
+		"$$tmp/explore" -bench sha -func sha_main $$flag -save "$$ref" >/dev/null || exit 1; \
+		"$$tmp/explore" -bench sha -func sha_main $$flag -save "$$run" >/dev/null 2>&1 & pid=$$!; \
+		sleep 3; kill -9 $$pid 2>/dev/null; wait $$pid 2>/dev/null; st=$$?; \
+		if [ $$st -ne 137 ]; then \
+			echo "resume-smoke: $$tier tier: the killed run's wait status is $$st, not 137: the kill did not land mid-run"; exit 1; \
+		fi; \
+		"$$tmp/explore" -bench sha -func sha_main $$flag -save "$$run" -resume >/dev/null && \
+		a=$$("$$tmp/spacedot" -hash "$$run/sha.sha_main.space.gz" | cut -d' ' -f1) && \
+		b=$$("$$tmp/spacedot" -hash "$$ref/sha.sha_main.space.gz" | cut -d' ' -f1) && \
+		c=$$(sha256sum "$$ref/sha.sha_main.space.gz" | cut -d' ' -f1) || exit 1; \
 		if [ "$$a" != "$$b" ]; then \
 			echo "resume-smoke: $$tier tier: resumed space differs from clean run: $$a vs $$b"; exit 1; \
 		fi; \
 		if [ "$$c" != "$$a" ]; then \
 			echo "resume-smoke: $$tier tier: sha256sum of the clean -save file is $$c, the resumed space hashes $$a"; exit 1; \
 		fi; \
-		echo "resume-smoke: $$tier tier: killed+resumed space identical to clean run ($$a)"; \
+		echo "resume-smoke: $$tier tier: SIGKILLed (status $$st) and resumed space identical to clean run ($$a)"; \
 	done
 
 # Serving smoke test: start spaced, fire two concurrent identical

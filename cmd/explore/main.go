@@ -23,26 +23,26 @@
 //	-equiv          collapse instances that are equivalent beyond
 //	                register/label renumbering into one node (the
 //	                equivalence tier); prints a collapse summary
-//	                per function. Checkpoints and resumes like the
-//	                default tier; a checkpoint file of the other tier
-//	                is another enumeration, left alone
+//	                per function. Saves and resumes like the default
+//	                tier; a -save file of the other tier is another
+//	                enumeration, left alone
 //	-speed          best-performing leaf via CF-class inference (Sec. 7)
 //	-save dir       persist each space for phasestats -load / spacedot
+//	                in <dir>/<bench>.<func>.space.gz, which is also the
+//	                search's crash-safe checkpoint: written at level
+//	                boundaries, paced so that writing takes about a
+//	                tenth of the run at most, and on every abort
+//	                (including Ctrl-C); when the search completes, the
+//	                file holds the finished space, its canonical bytes
 //
 // Robustness (see DESIGN.md §Robustness):
 //
-//	-checkpoint dir   write a crash-safe checkpoint of each search to
-//	                  <dir>/<bench>.<func>.ckpt.space.gz at level
-//	                  boundaries, paced so that writing takes about a
-//	                  tenth of the run at most, and on every abort
-//	                  (including Ctrl-C); when the search completes,
-//	                  the file holds the finished space
-//	-resume           continue each function from its checkpoint file in
-//	                  the -checkpoint dir instead of starting over; a
-//	                  damaged file is warned about and enumerated
-//	                  afresh, one holding another function's space
-//	                  (told by its root instance, not its name) is an
-//	                  error and is left alone
+//	-resume           continue each function from its -save file
+//	                  instead of starting over; a finished space is
+//	                  returned as is, a damaged file is warned about
+//	                  and enumerated afresh, one holding another
+//	                  function's space (told by its root instance, not
+//	                  its name) is an error and is left alone
 //	-watchdog d       quarantine any single phase application running
 //	                  longer than d (0 = no watchdog)
 //	-faults spec      inject faults (internal/faultinject syntax); the
@@ -117,11 +117,10 @@ func run() int {
 		levels    = flag.Bool("levels", false, "print instances per level for each function")
 		speed     = flag.Bool("speed", false, "find the best-performing leaf instance via control-flow-class inference (Section 7)")
 		equiv     = flag.Bool("equiv", false, "collapse equivalence classes beyond renumbering (fingerprint.EquivEncode tier)")
-		saveDir   = flag.String("save", "", "write each enumerated space to <dir>/<bench>.<func>.space.gz")
+		saveDir   = flag.String("save", "", "enumerate each space into <dir>/<bench>.<func>.space.gz, checkpointing as it goes")
 		jobs      = flag.Int("jobs", 1, "number of functions enumerated concurrently")
 		searchW   = flag.Int("search-workers", 0, "worker parallelism inside each enumeration (0 = NumCPU; the space is byte-identical at any width)")
-		ckptDir   = flag.String("checkpoint", "", "write crash-safe checkpoints to <dir>/<bench>.<func>.ckpt.space.gz")
-		resume    = flag.Bool("resume", false, "continue each function from its -checkpoint file")
+		resume    = flag.Bool("resume", false, "continue each function from its -save file")
 		watchdog  = flag.Duration("watchdog", 0, "quarantine a phase application running longer than this (0 = off)")
 		faultSpec = flag.String("faults", "", "fault injection spec (falls back to $"+faultinject.EnvVar+")")
 		tflags    telemetry.Flags
@@ -164,8 +163,8 @@ func run() int {
 			return 1
 		}
 	}
-	if *resume && *ckptDir == "" {
-		fmt.Fprintln(os.Stderr, "explore: -resume requires -checkpoint")
+	if *resume && *saveDir == "" {
+		fmt.Fprintln(os.Stderr, "explore: -resume requires -save")
 		return 1
 	}
 
@@ -240,15 +239,15 @@ func run() int {
 			Faults:          faults,
 			Equiv:           *equiv,
 		}
-		if *ckptDir != "" {
-			opts.CheckpointPath = filepath.Join(*ckptDir,
-				fmt.Sprintf("%s.%s.ckpt.space.gz", tf.Bench, tf.Func.Name))
+		if *saveDir != "" {
+			opts.CheckpointPath = filepath.Join(*saveDir,
+				fmt.Sprintf("%s.%s.space.gz", tf.Bench, tf.Func.Name))
 		}
 		if *verify {
 			opts.Verifier = makeVerifier(tf)
 		}
 		if *resume {
-			// Continue whatever the function's checkpoint file holds; a
+			// Continue whatever the function's -save file holds; a
 			// file search.Enumerate has to discard is warned about on
 			// stderr (with the function's output, unless -progress is
 			// already logging there). A file holding the complete space
@@ -280,16 +279,14 @@ func run() int {
 		for _, n := range r.QuarantinedNodes() {
 			fmt.Fprintf(&fr.out, "    QUARANTINED %s seq %q: %s\n", tf.Func.Name, n.Seq, n.Quarantine)
 		}
+		if *saveDir != "" && !r.Aborted && r.SpacePath == "" {
+			// The final write failed: the finished space is not saved.
+			fr.err = fmt.Errorf("explore: %s: saving the space failed: %s", tf.Func.Name, r.CheckpointErr)
+			return fr
+		}
 		if r.CheckpointErr != "" {
 			fmt.Fprintf(&fr.errOut, "explore: %s: checkpointing failed, last good checkpoint kept: %s\n",
 				tf.Func.Name, r.CheckpointErr)
-		}
-		if *saveDir != "" && !r.Aborted {
-			path := filepath.Join(*saveDir, fmt.Sprintf("%s.%s.space.gz", tf.Bench, tf.Func.Name))
-			if err := r.SaveFile(path); err != nil {
-				fr.err = err
-				return fr
-			}
 		}
 		if *levels && !r.Aborted {
 			fmt.Fprintf(&fr.out, "    per-level instances: %v\n", search.NodesPerLevel(r))

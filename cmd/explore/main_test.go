@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/faultinject"
 	"repro/internal/mc"
 	"repro/internal/search"
 )
@@ -60,8 +63,8 @@ func runExploreAll(t *testing.T, args ...string) (stdout, stderr string, code in
 // is an error, exit 1, and is not overwritten.
 func TestResumeOwnsTheCheckpointSlot(t *testing.T) {
 	dir := t.TempDir()
-	slot := filepath.Join(dir, "stringsearch.tolower_c.ckpt.space.gz")
-	args := []string{"-bench", "stringsearch", "-func", "tolower_c", "-checkpoint", dir, "-resume"}
+	slot := filepath.Join(dir, "stringsearch.tolower_c.space.gz")
+	args := []string{"-bench", "stringsearch", "-func", "tolower_c", "-save", dir, "-resume"}
 
 	if err := os.WriteFile(slot, []byte("a torn checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
@@ -81,7 +84,7 @@ func TestResumeOwnsTheCheckpointSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := search.Run(prog.Func("tolower_c"), search.Options{}).SaveFile(slot); err != nil {
+	if err := search.WriteFile(slot, search.Run(prog.Func("tolower_c"), search.Options{}).Save, true); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(slot)
@@ -95,6 +98,56 @@ func TestResumeOwnsTheCheckpointSlot(t *testing.T) {
 	}
 	if after, _ := os.ReadFile(slot); !bytes.Equal(after, before) {
 		t.Fatal("the other function's space was overwritten")
+	}
+}
+
+// TestSaveIsTheCheckpointSlot: -save names one file per function, the
+// search's checkpoint slot, so a run and its -resume leave that one file,
+// the same canonical bytes both times (its SHA-256 is the space's
+// CanonicalHash). -resume needs -save, there is no separate checkpoint
+// flag, and a failed final write is a failed save: exit 1, naming the
+// write.
+func TestSaveIsTheCheckpointSlot(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-bench", "stringsearch", "-func", "tolower_c", "-save", dir}
+	var held []byte
+	for _, extra := range [][]string{nil, {"-resume"}} {
+		out, errOut, code := runExploreAll(t, append(args, extra...)...)
+		if code != 0 {
+			t.Fatalf("explore %v exited %d\nstdout:\n%s\nstderr:\n%s", extra, code, out, errOut)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil || len(entries) != 1 || entries[0].Name() != "stringsearch.tolower_c.space.gz" {
+			t.Fatalf("explore %v left %v (%v) in the -save directory, want exactly stringsearch.tolower_c.space.gz", extra, entries, err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, entries[0].Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if held != nil && !bytes.Equal(b, held) {
+			t.Fatal("-resume of a finished space changed its file")
+		}
+		held = b
+	}
+	r, err := search.Load(bytes.NewReader(held))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := r.CanonicalHash()
+	if sum := sha256.Sum256(held); err != nil || hex.EncodeToString(sum[:]) != want {
+		t.Fatalf("the saved file's SHA-256 is %x, its CanonicalHash %s (%v)", sum, want, err)
+	}
+
+	if _, errOut, code := runExploreAll(t, "-func", "tolower_c", "-resume"); code != 1 || !strings.Contains(errOut, "-resume requires -save") {
+		t.Fatalf("-resume without -save exited %d, want 1\nstderr:\n%s", code, errOut)
+	}
+	if _, errOut, code := runExploreAll(t, "-func", "tolower_c", "-checkpoint", dir); code != 2 {
+		t.Fatalf("the removed checkpoint flag exited %d, want 2 (no such flag)\nstderr:\n%s", code, errOut)
+	}
+	failed := t.TempDir()
+	_, errOut, code := runExploreAll(t, "-bench", "stringsearch", "-func", "tolower_c", "-save", failed, "-faults", "ckptfail=1")
+	if code != 1 || !strings.Contains(errOut, faultinject.ErrCheckpointWrite.Error()) {
+		t.Fatalf("a failed final write exited %d, want 1 naming the write\nstderr:\n%s", code, errOut)
 	}
 }
 

@@ -98,10 +98,10 @@ func main() {
 				os.Exit(1)
 			}
 			if r.Checkpoint != nil {
-				// An interrupted checkpoint (explore -checkpoint) is a
+				// An interrupted or aborted explore -save run left a
 				// partial enumeration; mining it would bias the tables.
-				fmt.Fprintf(os.Stderr, "phasestats: %s is an unfinished checkpoint (%d frontier nodes); skipping — resume it with explore -resume\n",
-					p, len(r.Checkpoint.Frontier))
+				fmt.Fprintf(os.Stderr, "phasestats: %s is an unfinished checkpoint (%d frontier nodes); skipping — resume it with explore -save %s -resume\n",
+					p, len(r.Checkpoint.Frontier), *loadDir)
 				skipped++
 				continue
 			}

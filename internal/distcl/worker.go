@@ -68,9 +68,8 @@ type Worker struct {
 	hbEvery  time.Duration
 	pollWait time.Duration
 
-	mu      sync.Mutex
-	active  map[string]*run
-	drained []HeartbeatAssignment // final checkpoints awaiting the drain heartbeat
+	mu     sync.Mutex
+	active map[string]*run
 }
 
 // run is one in-flight assignment.
@@ -272,9 +271,9 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 }
 
 // heartbeat sends one lease renewal carrying the latest checkpoint of
-// every in-flight assignment whose file changed since its last
-// successful upload, plus (when draining) the final checkpoints of
-// already-stopped runs, and acts on the coordinator's abandon list.
+// every active assignment whose file changed since its last successful
+// upload — when draining, the runs the drain stopped, with their final
+// checkpoints — and acts on the coordinator's abandon list.
 func (w *Worker) heartbeat(ctx context.Context, draining bool) {
 	req := HeartbeatRequest{WorkerID: w.id, Draining: draining}
 	type pendingUpload struct {
@@ -290,10 +289,6 @@ func (w *Worker) heartbeat(ctx context.Context, draining bool) {
 			uploads = append(uploads, pendingUpload{ru, sum})
 		}
 		req.Assignments = append(req.Assignments, ha)
-	}
-	if draining {
-		req.Assignments = append(req.Assignments, w.drained...)
-		w.drained = nil
 	}
 	w.mu.Unlock()
 
@@ -384,9 +379,10 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) {
 		old.mu.Unlock()
 		old.cancel(errAbandoned)
 	}
+	drained := false
 	defer func() {
 		w.mu.Lock()
-		if w.active[a.AssignmentID] == ru {
+		if w.active[a.AssignmentID] == ru && !drained {
 			delete(w.active, a.AssignmentID)
 		}
 		w.mu.Unlock()
@@ -411,16 +407,11 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) {
 			logger.Info("assignment abandoned, checkpoint discarded")
 			return
 		}
-		// Drain: the search's abort path wrote a final checkpoint;
-		// queue it for the drain heartbeat so the coordinator can
-		// re-dispatch from exactly where we stopped.
-		ha := HeartbeatAssignment{AssignmentID: a.AssignmentID, LeaseGen: a.LeaseGen}
-		if b, _ := ru.changedCheckpoint(); b != nil {
-			ha.CheckpointB64 = base64.StdEncoding.EncodeToString(b)
-		}
-		w.mu.Lock()
-		w.drained = append(w.drained, ha)
-		w.mu.Unlock()
+		// Drain: the search's abort path wrote a final checkpoint. The
+		// run stays active, so the drain heartbeat uploads it like any
+		// other and the coordinator can re-dispatch from exactly where
+		// we stopped.
+		drained = true
 		logger.Info("assignment checkpointed for drain", "nodes", len(res.Nodes))
 		return
 	}

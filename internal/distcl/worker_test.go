@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -39,6 +40,7 @@ type oneJobCoordinator struct {
 	mu        sync.Mutex
 	handedOut bool
 	beats     []HeartbeatAssignment // the job's entry in each heartbeat, in order
+	drained   bool                  // a draining heartbeat named the job
 	done      chan CompleteRequest
 }
 
@@ -68,6 +70,7 @@ func (c *oneJobCoordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		for _, ha := range req.Assignments {
 			if ha.AssignmentID == c.job.AssignmentID {
 				c.beats = append(c.beats, ha)
+				c.drained = c.drained || req.Draining
 			}
 		}
 		c.mu.Unlock()
@@ -173,6 +176,80 @@ func TestSeededAssignmentUploadsOnlyItsOwnProgress(t *testing.T) {
 	}
 }
 
+// TestDrainUploadsTheFinalCheckpoint: a worker stopped mid-assignment
+// cancels the run, whose abort path writes a final checkpoint into the
+// scratch slot, and the drain heartbeat names the assignment and leaves
+// the coordinator holding exactly that document, so a re-dispatch
+// resumes where the worker stopped.
+func TestDrainUploadsTheFinalCheckpoint(t *testing.T) {
+	prog, err := mc.Compile(sumSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := &oneJobCoordinator{done: make(chan CompleteRequest, 1),
+		job: Assignment{AssignmentID: "a1", Key: "k", Func: prog.Func("sum"), LeaseGen: 1}}
+	ts := httptest.NewServer(coord)
+	defer ts.Close()
+	scratch := t.TempDir()
+	wk, err := NewWorker(WorkerConfig{
+		Client:        fastClient(t, ts, Config{}),
+		ScratchDir:    scratch,
+		SearchWorkers: 2,
+		DrainTimeout:  5 * time.Second,
+		Faults:        faultinject.MustParse("hang=c:4ms"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan error, 1)
+	go func() { stopped <- wk.Run(ctx) }()
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(5 * time.Millisecond) {
+		coord.mu.Lock()
+		running := len(coord.beats) > 0
+		coord.mu.Unlock()
+		if running {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no heartbeat named the assignment")
+		}
+	}
+	cancel()
+	if err := <-stopped; err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-coord.done:
+		t.Fatal("the assignment completed; it had to be stopped mid-space")
+	default:
+	}
+
+	final, err := os.ReadFile(filepath.Join(scratch, "a1.g1.ckpt.space.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := search.Load(bytes.NewReader(final)); err != nil || r.Checkpoint == nil {
+		t.Fatalf("the scratch slot does not hold a resumable checkpoint (%v)", err)
+	}
+	coord.mu.Lock()
+	defer coord.mu.Unlock()
+	if !coord.drained {
+		t.Fatal("the drain heartbeat did not name the stopped assignment")
+	}
+	var last []byte
+	for _, ha := range coord.beats {
+		if ha.CheckpointB64 != "" {
+			if last, err = base64.StdEncoding.DecodeString(ha.CheckpointB64); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !bytes.Equal(last, final) {
+		t.Fatalf("the coordinator's last upload (%d bytes) is not the final checkpoint (%d bytes)", len(last), len(final))
+	}
+}
+
 // TestCompletionRendersOnce: what a completion uploads is rendered once
 // per assignment, and is always the bytes its hash was taken over. A
 // checkpointing run's final write left the canonical bytes in the
@@ -201,7 +278,7 @@ func TestCompletionRendersOnce(t *testing.T) {
 		return after.Mallocs - before.Mallocs
 	}
 	slot := filepath.Join(t.TempDir(), "a1.g1.ckpt.space.gz")
-	if err := search.Run(fn, search.Options{}).SaveFile(slot); err != nil {
+	if err := search.WriteFile(slot, search.Run(fn, search.Options{}).Save, true); err != nil {
 		t.Fatal(err)
 	}
 	found, err := search.Enumerate(fn, search.Options{CheckpointPath: slot}, nil)

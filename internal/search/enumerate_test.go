@@ -68,7 +68,7 @@ func TestEnumerateSlotStates(t *testing.T) {
 	}
 	spaceOf := func(r *search.Result) func(*testing.T, string) {
 		return func(t *testing.T, slot string) {
-			if err := r.SaveFile(slot); err != nil {
+			if err := search.WriteFile(slot, r.Save, true); err != nil {
 				t.Fatal(err)
 			}
 		}

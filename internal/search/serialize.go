@@ -32,16 +32,16 @@ import (
 //   - one form for a complete space at rest: its canonical bytes.
 //     document renders a boundary with no frontier, of a run nothing
 //     aborted, with its wall-clock fields zeroed (snapshot.canonical), so
-//     Save, SaveFile and the engine's final write put the same bytes
-//     down, and the file's SHA-256 is the space's CanonicalHash
-//     (Result.SpaceHash): nothing renders a space twice to store and to
-//     name it. Wall-clock provenance belongs to the run — the Result, the
+//     Save and the engine's final write put the same bytes down, and
+//     the file's SHA-256 is the space's CanonicalHash (Result.SpaceHash):
+//     nothing renders a space twice to store and to name it. Wall-clock provenance belongs to the run — the Result, the
 //     server's answer record and flight log — and to a resumable or
 //     aborted document, which keeps its elapsed time for Resume;
 //   - one file writer: WriteFile (temp file, optional fsync, rename)
-//     puts every space file in place — engine checkpoints, SaveFile,
-//     the server's cache entries and checkpoint mirrors, a worker's
-//     seed — and SyncDir makes the rename durable where that matters;
+//     puts every space file in place — engine checkpoints (explore
+//     -save's file among them), the server's cache entries and
+//     checkpoint mirrors, a worker's seed — and SyncDir makes the
+//     rename durable where that matters;
 //   - one owner of a checkpoint slot: Enumerate (enumerate.go) decides
 //     what a file found at Options.CheckpointPath means and what then.
 //
@@ -287,12 +287,6 @@ func (r *Result) Save(w io.Writer) error {
 	return writeFormat(w, r.document(r.whole()))
 }
 
-// SaveFile writes the space to a file, fsynced and atomically: an
-// interrupted save leaves the previous file (or none), never a torn one.
-func (r *Result) SaveFile(path string) error {
-	return WriteFile(path, r.Save, true)
-}
-
 // CanonicalHash returns the hex SHA-256 of the space serialized with
 // every wall-clock field zeroed (snapshot.canonical), streamed into the
 // hasher — the space identity spacedot -hash prints and the serving
@@ -527,7 +521,8 @@ func loadClasses(nodes []*Node, fc *fileCheckpoint) (map[string]int32, []fold, e
 	return classes, folds, nil
 }
 
-// LoadFile reads a space file written by SaveFile.
+// LoadFile reads a space file: a checkpoint slot's, a cache entry, or
+// anything else Save wrote.
 func LoadFile(path string) (*Result, error) {
 	f, err := os.Open(path)
 	if err != nil {

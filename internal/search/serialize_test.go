@@ -68,7 +68,7 @@ func TestSpaceSaveLoadFile(t *testing.T) {
 	_, f := compileFunc(t, smallSrc, "clamp")
 	orig := search.Run(f, search.Options{})
 	path := filepath.Join(t.TempDir(), "clamp.space.gz")
-	if err := orig.SaveFile(path); err != nil {
+	if err := search.WriteFile(path, orig.Save, true); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := search.LoadFile(path)

@@ -113,7 +113,6 @@ type distWorker struct {
 	id       string
 	state    string // "live", "draining", "dead"
 	lastSeen time.Time
-	jobs     int
 	// abandon accumulates assignment IDs the worker must stop working
 	// on (reassigned elsewhere); delivered with its next heartbeat.
 	abandon []string
@@ -653,7 +652,6 @@ func (s *Server) handleDistRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	wk.state = "live"
 	wk.lastSeen = time.Now()
-	wk.jobs = req.Jobs
 	d.updateWorkerGaugesLocked()
 	d.mu.Unlock()
 	s.logger.InfoContext(r.Context(), "dist worker registered", "worker_id", id, "jobs", req.Jobs)

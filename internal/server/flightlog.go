@@ -124,7 +124,6 @@ func (s *Server) recordFlight(r *http.Request, ri *reqInfo, fl *flight, status i
 	if fl != nil {
 		rec.Func = fl.fn.Name
 	}
-	ri.serialize = serialize
 	s.flights.add(rec)
 
 	if s.cfg.SlowFlight > 0 && total >= s.cfg.SlowFlight {

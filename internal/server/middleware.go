@@ -35,7 +35,6 @@ type reqInfo struct {
 	// merge the part a sharded miss spent on the coordinator
 	// reassembling the sub-spaces.
 	checkpoint, publish, merge time.Duration
-	serialize                  time.Duration // response encoding
 }
 
 type reqInfoKey struct{}

@@ -155,7 +155,7 @@ func TestFoundSlotIsRehashed(t *testing.T) {
 		if err != nil || len(ref.Nodes) < 1000 {
 			t.Fatalf("%d nodes, %v; want a space of 1,000 nodes or more", len(ref.Nodes), err)
 		}
-		if err := ref.SaveFile(s.store.path(fl.key)); err != nil {
+		if err := search.WriteFile(s.store.path(fl.key), ref.Save, true); err != nil {
 			t.Fatal(err)
 		}
 		res, err := s.resolveFlight(fl)
