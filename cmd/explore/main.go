@@ -49,7 +49,8 @@
 //	                  REPRO_FAULTS environment variable is the fallback
 //
 // The exit status is 0 on success, 1 on usage, per-function or check
-// failures, 3 when any function's search aborted (timeout, cap, or
+// failures, 2 on a flag that does not parse or a negative -cap or
+// -maxnodes, 3 when any function's search aborted (timeout, cap, or
 // cancellation) or produced quarantined nodes (the space is then
 // incomplete), and 130 on interrupt. A function that fails mid-batch
 // still flushes its buffered output un-interleaved, and the remaining
@@ -127,6 +128,10 @@ func run() int {
 	)
 	tflags.Register(flag.CommandLine)
 	flag.Parse()
+	if *levelCap < 0 || *maxNodes < 0 {
+		fmt.Fprintln(os.Stderr, "explore: -cap and -maxnodes must not be negative")
+		return 2
+	}
 
 	if *phases {
 		fmt.Println("Candidate optimization phases (Table 1):")
@@ -310,7 +315,7 @@ func run() int {
 			}
 			fmt.Fprintf(&fr.out, "    speed: best leaf %d dyn-instrs (seq %q), worst %d (+%.1f%%); %d leaves inferred from %d executions\n",
 				best.Instrs, best.Node.Seq, worst,
-				100*float64(worst-best.Instrs)/float64(max64(best.Instrs, 1)),
+				100*float64(worst-best.Instrs)/float64(max(best.Instrs, 1)),
 				len(all), executions)
 		}
 		return fr
@@ -319,13 +324,9 @@ func run() int {
 	// Evaluate up to -jobs functions concurrently, committing results
 	// (printing and totals) strictly in input order so the output and
 	// exit status never depend on scheduling.
-	nJobs := *jobs
-	if nJobs < 1 {
-		nJobs = 1
-	}
 	results := make([]*funcResult, len(selected))
 	ready := make([]chan struct{}, len(selected))
-	sem := make(chan struct{}, nJobs)
+	sem := make(chan struct{}, max(1, *jobs))
 	for i := range selected {
 		ready[i] = make(chan struct{})
 		go func(i int) {
@@ -463,11 +464,4 @@ func clip(s string, n int) string {
 		return s
 	}
 	return s[:n-3] + "..."
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -151,6 +151,16 @@ func TestSaveIsTheCheckpointSlot(t *testing.T) {
 	}
 }
 
+// TestNegativeLimitsExit2: a negative -cap or -maxnodes is a malformed
+// flag, refused before anything is enumerated.
+func TestNegativeLimitsExit2(t *testing.T) {
+	for _, flag := range []string{"-cap", "-maxnodes"} {
+		if _, errOut, code := runExploreAll(t, "-func", "tolower_c", flag, "-1"); code != 2 || !strings.Contains(errOut, "must not be negative") {
+			t.Fatalf("%s -1 exited %d, want 2\nstderr:\n%s", flag, code, errOut)
+		}
+	}
+}
+
 // TestProgressLogsLevels: -progress is the engine's per-level log record
 // on stderr — one line per completed level, cumulative counts included —
 // and nothing else: stdout and the saved space are what they are

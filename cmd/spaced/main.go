@@ -3,7 +3,7 @@
 // options to /v1/enumerate and it answers with the space summary,
 // enumerating at most once per distinct (function, options) pair — a
 // two-level content-addressed cache (in-memory LRU over a directory of
-// v2 space files) serves repeats, and identical concurrent requests
+// space documents) serves repeats, and identical concurrent requests
 // coalesce onto one enumeration.
 //
 //	spaced -addr localhost:8080 -cache ./spacecache -log json

@@ -12,8 +12,8 @@ import (
 // narrative that no longer describes the code. ROADMAP's target is
 // DESIGN.md at 1,200 lines and EXPERIMENTS.md at 700.
 var docCeilings = map[string]int{
-	"DESIGN.md":      2129,
-	"EXPERIMENTS.md": 2525,
+	"DESIGN.md":      2123,
+	"EXPERIMENTS.md": 2465,
 	"README.md":      388,
 }
 

@@ -38,15 +38,16 @@ func (RegisterAllocation) RequiresRegAssign() bool { return true }
 // every load and store of a candidate slot is a move from or to a
 // register of its own, numbered just above the function's registers, so
 // one liveness solution covers hardware registers and slots together
-// and its sets stay as narrow as the function's. Everything else is
-// dense and indexed by candidate: the scalar slots, in slot order.
+// and its sets stay as narrow as the function's. Candidate k's register
+// is node k of the interference graph, and everything else is dense and
+// indexed by candidate: the scalar slots, in slot order.
 func (RegisterAllocation) Apply(f *rtl.Func, _ *machine.Desc) bool {
 	sc := allocScratchPool.Get().(*allocScratch)
 	defer allocScratchPool.Put(sc)
-	if !sc.reset(f) {
+	nc := sc.number(f)
+	if nc == 0 {
 		return false // no candidate is ever loaded or stored
 	}
-	nc, base := len(sc.offsets), sc.base
 
 	// Shadow function: rewrite candidate loads/stores as moves to/from
 	// their registers, so ordinary liveness analysis yields slot live
@@ -54,12 +55,12 @@ func (RegisterAllocation) Apply(f *rtl.Func, _ *machine.Desc) bool {
 	shadow := f.CloneReusing(sc.shadow)
 	shadow.DropAnalyses()
 	sc.shadow = shadow
-	shadow.NextPseudo = rtl.Reg(base + nc)
+	shadow.NextPseudo = rtl.Reg(sc.base + nc)
 	for _, b := range shadow.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if k := sc.access(in); k >= 0 {
-				v := rtl.Reg(base + k)
+				v := rtl.Reg(sc.base + k)
 				switch in.Op {
 				case rtl.OpLoad:
 					*in = rtl.NewMov(in.Dst, rtl.R(v))
@@ -69,67 +70,8 @@ func (RegisterAllocation) Apply(f *rtl.Func, _ *machine.Desc) bool {
 			}
 		}
 	}
+	sc.build(shadow)
 
-	ls := rtl.NewLiveSolver()
-	defer ls.Release()
-	lv := ls.Solve(rtl.ComputeCFG(shadow))
-
-	// Interference of each candidate with hardware registers and with
-	// other candidates: a definition interferes with everything live
-	// after it.
-	virt := func(r rtl.Reg) int {
-		if k := int(r) - base; k >= 0 && k < nc {
-			return k
-		}
-		return -1
-	}
-	live := sc.live
-	var buf [8]rtl.Reg
-	for bpos, b := range shadow.Blocks {
-		clear(live)
-		copy(live, lv.Out[bpos].Words())
-		for i := len(b.Instrs) - 1; i >= 0; i-- {
-			in := &b.Instrs[i]
-			moveSrc := rtl.RegNone
-			if in.Op == rtl.OpMov && in.A.Kind == rtl.OperReg {
-				moveSrc = in.A.Reg
-			}
-			for _, dreg := range in.Defs(buf[:0]) {
-				dk := virt(dreg)
-				if dk < 0 && !dreg.IsHard() {
-					continue // interferes with nothing a slot may be given
-				}
-				rtl.SetOver[rtl.Reg](live).ForEach(func(l rtl.Reg) {
-					if l == moveSrc || l == dreg {
-						return
-					}
-					lk := virt(l)
-					switch {
-					case dk >= 0 && lk >= 0:
-						sc.conflict(dk)[lk>>6] |= 1 << (lk & 63)
-						sc.conflict(lk)[dk>>6] |= 1 << (dk & 63)
-					case dk >= 0 && l.IsHard():
-						sc.forbidden[dk] |= 1 << l
-					case lk >= 0 && dreg.IsHard():
-						sc.forbidden[lk] |= 1 << dreg
-					}
-				})
-			}
-			for _, dreg := range in.Defs(buf[:0]) {
-				live[dreg>>6] &^= 1 << (dreg & 63)
-			}
-			for _, ureg := range in.Uses(buf[:0]) {
-				if int(ureg) < base+nc {
-					live[ureg>>6] |= 1 << (ureg & 63)
-				}
-			}
-		}
-	}
-
-	// Registers referenced anywhere in the original function can hold
-	// unrelated values in blocks the liveness pass cannot see through
-	// (dead defs still clobber); exclude registers that are defined
-	// anywhere the slot is live — approximated above — plus SP/LR/PC.
 	// Color slots in order of descending access count so the most
 	// valuable promotions happen first; a slot never accessed is not
 	// colored.
@@ -148,17 +90,8 @@ func (RegisterAllocation) Apply(f *rtl.Func, _ *machine.Desc) bool {
 	})
 	promoted := false
 	for _, k := range order {
-		used := sc.forbidden[k]
-		rtl.SetOver[int](sc.conflict(int(k))).ForEach(func(other int) {
-			if hw := sc.assigned[other]; hw != rtl.RegNone {
-				used |= 1 << hw
-			}
-		})
-		for _, hw := range allocationPalette {
-			if used&(1<<hw) == 0 {
-				sc.assigned[k], promoted = hw, true
-				break
-			}
+		if hw := sc.pick(int(k), sc.assigned, allocationPalette[:]); hw != rtl.RegNone {
+			sc.assigned[k], promoted = hw, true
 		}
 	}
 	if !promoted {
@@ -206,29 +139,27 @@ var allocationPalette = [...]rtl.Reg{
 
 // allocScratch is the storage an application of k works in, indexed by
 // candidate: the promotable (scalar) slots of the function, in slot
-// order. Scratch is pooled; an application takes one and sizes it to
-// its function, so a warm pool allocates only the liveness graph.
+// order. Candidate k is node k of the interference graph. Scratch is
+// pooled; an application takes one and sizes it to its function, so a
+// warm pool allocates only the liveness graph.
 type allocScratch struct {
-	shadow    *rtl.Func
-	base      int       // the register of candidate 0; above every register f names
-	slots     []int32   // by candidate: its index in f.Slots
-	offsets   []int32   // by candidate: its frame offset
-	counts    []int32   // by candidate: the loads and stores of it
-	forbidden []uint32  // by candidate: the hardware registers it interferes with
-	assigned  []rtl.Reg // by candidate: the register it is promoted to, or RegNone
-	conflicts []uint64  // by candidate: the candidates it interferes with, rowWords each
-	rowWords  int
-	order     []int32
-	live      []uint64 // the backward pass's running set, over base+candidates registers
+	interference
+	shadow   *rtl.Func
+	base     int       // the register of candidate 0; above every register f names
+	slots    []int32   // by candidate: its index in f.Slots
+	offsets  []int32   // by candidate: its frame offset
+	counts   []int32   // by candidate: the loads and stores of it
+	assigned []rtl.Reg // by candidate: the register it is promoted to, or RegNone
+	order    []int32
 }
 
 var allocScratchPool = sync.Pool{New: func() any { return new(allocScratch) }}
 
-// reset sizes the scratch for an application to f, indexes its
-// candidates by offset and counts their accesses. It reports whether
-// any candidate is accessed at all: if none is, nothing can be
-// promoted.
-func (sc *allocScratch) reset(f *rtl.Func) bool {
+// number indexes f's candidates by offset, counts their accesses, makes
+// their registers the graph's nodes and sizes the scratch to them. It
+// returns how many candidates there are, or 0 when none is accessed at
+// all: then nothing can be promoted.
+func (sc *allocScratch) number(f *rtl.Func) int {
 	sc.slots, sc.offsets = sc.slots[:0], sc.offsets[:0]
 	for i := range f.Slots {
 		if f.Slots[i].Scalar {
@@ -238,7 +169,7 @@ func (sc *allocScratch) reset(f *rtl.Func) bool {
 	}
 	nc := len(sc.offsets)
 	if nc == 0 {
-		return false
+		return 0
 	}
 	sc.counts = rtl.Resize(sc.counts, nc)
 	clear(sc.counts)
@@ -252,25 +183,19 @@ func (sc *allocScratch) reset(f *rtl.Func) bool {
 		}
 	}
 	if !accessed {
-		return false
+		return 0
 	}
 	sc.base = max(int(f.NextPseudo), usedRegWidth(f))
-	sc.forbidden = rtl.Resize(sc.forbidden, nc)
+	sc.index = rtl.Resize(sc.index, sc.base+nc)
+	for r := range sc.index {
+		sc.index[r] = int32(max(-1, r-sc.base)) // f's own registers are not nodes
+	}
+	sc.reset(nc)
 	sc.assigned = rtl.Resize(sc.assigned, nc)
-	clear(sc.forbidden)
 	for k := range sc.assigned {
 		sc.assigned[k] = rtl.RegNone
 	}
-	sc.rowWords = (nc + 63) / 64
-	sc.conflicts = rtl.Resize(sc.conflicts, nc*sc.rowWords)
-	clear(sc.conflicts)
-	sc.live = rtl.Resize(sc.live, (sc.base+nc+63)/64)
-	return true
-}
-
-// conflict returns candidate k's row of the interference matrix.
-func (sc *allocScratch) conflict(k int) []uint64 {
-	return sc.conflicts[k*sc.rowWords : (k+1)*sc.rowWords]
+	return nc
 }
 
 // access reports which candidate the instruction loads or stores, or

@@ -38,23 +38,18 @@ func RegAssign(f *rtl.Func) {
 }
 
 // colorScratch is the storage a colouring works in. Pseudo registers are
-// numbered densely in increasing register order — their index — and
-// everything is indexed by it: the interference among them is a bit
-// matrix, the hardware registers each interferes with a mask. Scratch
-// is pooled; an assignment takes one for all its colourings.
+// the graph's nodes, numbered densely in increasing register order, and
+// everything is indexed by node. Scratch is pooled; an assignment takes
+// one for all its colourings.
 type colorScratch struct {
-	used      []uint64  // the registers the function references
-	pseudos   []rtl.Reg // by index: the pseudo register
-	index     []int32   // by register: its index, or -1
-	forbidden []uint32  // by index: the hardware registers it interferes with
-	adj       []uint64  // by index: the pseudos it interferes with, rowWords each
-	rowWords  int
-	degree    []int32 // by index: its neighbours, hardware registers included
-	cur       []int32 // by index: degree less the neighbours already simplified
-	removed   []bool  // by index: simplified
-	stack     []int32
-	color     []rtl.Reg // by index: its colour, or RegNone
-	live      []uint64  // the backward pass's running set
+	interference
+	used    []uint64  // the registers the function references
+	pseudos []rtl.Reg // by node: the pseudo register
+	degree  []int32   // by node: its neighbours, hardware registers included
+	cur     []int32   // by node: degree less the neighbours already simplified
+	removed []bool    // by node: simplified
+	stack   []int32
+	color   []rtl.Reg // by node: its colour, or RegNone
 }
 
 var colorScratchPool = sync.Pool{New: func() any { return new(colorScratch) }}
@@ -66,56 +61,7 @@ func (sc *colorScratch) colorOnce(f *rtl.Func) (spill rtl.Reg, ok bool) {
 	if np == 0 {
 		return 0, true
 	}
-
-	// Interference: def d at a point interferes with everything live
-	// immediately after that point. A move's source is excluded so
-	// copies may share a register. Only pseudo and hardware neighbours
-	// of a pseudo register count.
-	ls := rtl.NewLiveSolver()
-	defer ls.Release()
-	lv := ls.Solve(rtl.ComputeCFG(f))
-	var buf [8]rtl.Reg
-	live := sc.live
-	for bpos, b := range f.Blocks {
-		clear(live)
-		copy(live, lv.Out[bpos].Words())
-		for i := len(b.Instrs) - 1; i >= 0; i-- {
-			in := &b.Instrs[i]
-			moveSrc := rtl.RegNone
-			if in.Op == rtl.OpMov && in.A.Kind == rtl.OperReg {
-				moveSrc = in.A.Reg
-			}
-			for _, d := range in.Defs(buf[:0]) {
-				dp := sc.indexOf(d)
-				if dp < 0 && !d.IsHard() {
-					continue
-				}
-				rtl.SetOver[rtl.Reg](live).ForEach(func(l rtl.Reg) {
-					if l == moveSrc || l == d {
-						return
-					}
-					lp := sc.indexOf(l)
-					switch {
-					case dp >= 0 && lp >= 0:
-						sc.row(dp)[lp>>6] |= 1 << (lp & 63)
-						sc.row(lp)[dp>>6] |= 1 << (dp & 63)
-					case dp >= 0 && l.IsHard():
-						sc.forbidden[dp] |= 1 << l
-					case lp >= 0 && d.IsHard():
-						sc.forbidden[lp] |= 1 << d
-					}
-				})
-			}
-			for _, d := range in.Defs(buf[:0]) {
-				live[d>>6] &^= 1 << (d & 63)
-			}
-			for _, u := range in.Uses(buf[:0]) {
-				if int(u) < len(sc.index) {
-					live[u>>6] |= 1 << (u & 63)
-				}
-			}
-		}
-	}
+	sc.build(f)
 	for p := range np {
 		d := bits.OnesCount32(sc.forbidden[p])
 		for _, w := range sc.row(p) {
@@ -127,7 +73,7 @@ func (sc *colorScratch) colorOnce(f *rtl.Func) (spill rtl.Reg, ok bool) {
 	k := int32(len(rtl.AllocatableHardRegs))
 	// Simplify: push low-degree nodes; when stuck, push the
 	// highest-degree node optimistically (it becomes the spill
-	// candidate if select fails). Both scans go in index order, which
+	// candidate if select fails). Both scans go in node order, which
 	// is register order.
 	stack := sc.stack[:0]
 	for len(stack) < np {
@@ -156,23 +102,11 @@ func (sc *colorScratch) colorOnce(f *rtl.Func) (spill rtl.Reg, ok bool) {
 	// Select colors in reverse simplification order.
 	for i := len(stack) - 1; i >= 0; i-- {
 		p := int(stack[i])
-		used := sc.forbidden[p]
-		rtl.SetOver[int](sc.row(p)).ForEach(func(n int) {
-			if c := sc.color[n]; c != rtl.RegNone {
-				used |= 1 << c
-			}
-		})
-		assigned := rtl.RegNone
-		for _, hw := range rtl.AllocatableHardRegs {
-			if used&(1<<hw) == 0 {
-				assigned = hw
-				break
-			}
-		}
-		if assigned == rtl.RegNone {
+		c := sc.pick(p, sc.color, rtl.AllocatableHardRegs)
+		if c == rtl.RegNone {
 			return sc.pseudos[p], false
 		}
-		sc.color[p] = assigned
+		sc.color[p] = c
 	}
 
 	// Rewrite.
@@ -193,9 +127,9 @@ func (sc *colorScratch) colorOnce(f *rtl.Func) (spill rtl.Reg, ok bool) {
 	return 0, true
 }
 
-// number indexes the pseudo registers f references, in increasing
-// register order, sizes the scratch to them and returns how many there
-// are.
+// number makes the pseudo registers f references the graph's nodes, in
+// increasing register order, sizes the scratch to them and returns how
+// many there are.
 func (sc *colorScratch) number(f *rtl.Func) int {
 	sc.used = rtl.Resize(sc.used, max(1, (int(f.NextPseudo)+63)/64))
 	clear(sc.used)
@@ -226,11 +160,7 @@ func (sc *colorScratch) number(f *rtl.Func) int {
 		}
 	}
 	np := len(sc.pseudos)
-	sc.rowWords = (np + 63) / 64
-	sc.adj = rtl.Resize(sc.adj, np*sc.rowWords)
-	clear(sc.adj)
-	sc.forbidden = rtl.Resize(sc.forbidden, np)
-	clear(sc.forbidden)
+	sc.reset(np)
 	sc.degree = rtl.Resize(sc.degree, np)
 	sc.cur = rtl.Resize(sc.cur, np)
 	sc.removed = rtl.Resize(sc.removed, np)
@@ -239,21 +169,7 @@ func (sc *colorScratch) number(f *rtl.Func) int {
 	for p := range sc.color {
 		sc.color[p] = rtl.RegNone
 	}
-	sc.live = rtl.Resize(sc.live, len(sc.used))
 	return np
-}
-
-// indexOf returns r's index, or -1 when r is not a pseudo register.
-func (sc *colorScratch) indexOf(r rtl.Reg) int {
-	if int(r) < len(sc.index) {
-		return int(sc.index[r])
-	}
-	return -1
-}
-
-// row returns p's row of the interference matrix.
-func (sc *colorScratch) row(p int) []uint64 {
-	return sc.adj[p*sc.rowWords : (p+1)*sc.rowWords]
 }
 
 // colorOf returns the colour of the pseudo register r.

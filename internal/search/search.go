@@ -198,7 +198,7 @@ type Options struct {
 	Metrics *telemetry.Registry
 
 	// CheckpointPath, when non-empty, persists a resumable snapshot of
-	// the enumeration to this file (space format v2), written
+	// the enumeration to this file (a space document), written
 	// atomically (temp file + rename): at level boundaries whenever
 	// the work at risk outweighs what a write costs (checkpointDue),
 	// on every abort path (caps, timeout, cancellation), and — as the

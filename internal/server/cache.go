@@ -29,11 +29,16 @@ import (
 // struct is part of the cache key, so fields must never be reordered or
 // renamed without revving keyPrefix.
 type normOptions struct {
-	Cap      int  `json:"cap"`
+	Cap      int  `json:"cap"` // 0 is the engine's default, however the request spelled it
 	MaxNodes int  `json:"max_nodes"`
 	Check    bool `json:"check"`
 	Equiv    bool `json:"equiv"`
 }
+
+// defaultCap is the per-level cap search.Run applies when none is given
+// (Options.MaxSeqPerLevel). A request naming it enumerates the space an
+// omitted cap does, so it is keyed as omitted.
+const defaultCap = 1_000_000
 
 // keyPrefix versions the key derivation: bump it when the space format
 // or the key material changes incompatibly, and old cache entries
@@ -142,7 +147,7 @@ func (c *memCache) len() int {
 	return c.ll.Len()
 }
 
-// diskStore is the second cache level: one v2 space file per key,
+// diskStore is the second cache level: one space document per key,
 // <key>.space.gz — the space's canonical bytes, what explore -save
 // writes, so a cached entry is served verbatim and its SHA-256 is the
 // hash spacedot -hash prints (entries older builds stored keep their

@@ -86,12 +86,11 @@ type assignment struct {
 	// — even a re-dispatch to the same worker.
 	leaseGen int64
 
-	// ckpt is the document (serialized space v2) the next dispatch is
-	// seeded with: a frontier part's starting document, nil for the
-	// whole space, and from then on the latest validated checkpoint
-	// upload. ckptNodes is the node count of the latest upload (0 before
-	// the first) — the monotonicity watermark a later one must not
-	// shrink below.
+	// ckpt is the space document the next dispatch is seeded with: a
+	// frontier part's starting document, nil for the whole space, and
+	// from then on the latest validated checkpoint upload. ckptNodes is
+	// the node count of the latest upload (0 before the first) — the
+	// monotonicity watermark a later one must not shrink below.
 	ckpt      []byte
 	ckptNodes int
 

@@ -18,9 +18,10 @@ type flightRecord struct {
 	Cache     string `json:"cache,omitempty"`
 	Coalesced bool   `json:"coalesced,omitempty"`
 	// Event distinguishes distribution-plane records ("dispatch",
-	// "lease-expire", "complete") from the default request records
-	// (empty Event); AssignmentID/Worker/Attempt carry the dist
-	// context so a recovery can be replayed from the ring alone.
+	// "lease-expire", "complete", "shard-split", "shard-merge") from
+	// the default request records (empty Event);
+	// AssignmentID/Worker/Attempt carry the dist context so a recovery
+	// can be replayed from the ring alone.
 	Event        string `json:"event,omitempty"`
 	AssignmentID string `json:"assignment_id,omitempty"`
 	Worker       string `json:"worker,omitempty"`

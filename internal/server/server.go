@@ -3,7 +3,7 @@
 // source or a named MiBench corpus function plus search options), runs
 // them through a bounded worker pool, and answers from a two-level
 // content-addressed cache — an in-memory LRU of answers over a
-// disk store of v2 space files, each with its answer beside it, keyed
+// disk store of space documents, each with its answer beside it, keyed
 // by the SHA-256 of the canonical function bytes and the normalized
 // options.
 //
@@ -325,11 +325,18 @@ func (s *Server) enumerate(r *http.Request, ri *reqInfo) (*enumerateResponse, *f
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
 		return nil, nil, &httpError{status: http.StatusBadRequest, msg: "decoding request: " + err.Error()}
 	}
+	o := req.Options
+	if o.Cap < 0 || o.MaxNodes < 0 {
+		return nil, nil, &httpError{status: http.StatusBadRequest, msg: "options.cap and options.max_nodes must not be negative"}
+	}
+	no := normOptions{Cap: o.Cap, MaxNodes: o.MaxNodes, Check: o.Check, Equiv: o.Equiv}
+	if no.Cap == defaultCap {
+		no.Cap = 0
+	}
 	fn, err := s.resolve(&req)
 	if err != nil {
 		return nil, nil, err
 	}
-	no := normOptions{Cap: req.Options.Cap, MaxNodes: req.Options.MaxNodes, Check: req.Options.Check, Equiv: req.Options.Equiv}
 	key := requestKey(fn, no)
 
 	// First level: the LRU of answers, without touching the pool at
@@ -411,18 +418,8 @@ func (s *Server) retryAfterEstimate() int {
 // history still backs off a little and a deep backlog cannot demand an
 // hour.
 func retryAfterSeconds(queued int, meanFlightNS float64, workers int) int {
-	if workers <= 0 {
-		workers = 1
-	}
-	est := float64(queued+1) * meanFlightNS / float64(workers) / float64(time.Second)
-	sec := int(math.Ceil(est))
-	if sec < 1 {
-		return 1
-	}
-	if sec > 60 {
-		return 60
-	}
-	return sec
+	est := float64(queued+1) * meanFlightNS / float64(max(workers, 1)) / float64(time.Second)
+	return min(max(int(math.Ceil(est)), 1), 60)
 }
 
 // response is ent's answer as this request got it.
@@ -621,16 +618,13 @@ func (s *Server) runOrResume(fl *flight, stopAtFrontier int) (*search.Result, er
 	// single-width and the abort surfaces through the search itself.
 	workers, _ := s.cpu.acquire(fl.ctx, s.cfg.SearchWorkers)
 	defer s.cpu.release(workers)
-	if workers <= 0 {
-		workers = 1
-	}
 	opts := search.Options{
 		MaxSeqPerLevel: fl.no.Cap,
 		MaxNodes:       fl.no.MaxNodes,
 		Check:          fl.no.Check,
 		Equiv:          fl.no.Equiv,
 		Timeout:        s.cfg.SearchTimeout,
-		Workers:        workers,
+		Workers:        max(workers, 1),
 		Ctx:            fl.ctx,
 		Logger:         s.logger,
 		Metrics:        s.reg,

@@ -843,6 +843,30 @@ func TestRequestKeyContentAddressing(t *testing.T) {
 	}
 }
 
+// TestEnumerateNormalizesOptions: a negative cap or max_nodes is a bad
+// request, and naming the engine's default cap enumerates the space an
+// omitted cap does, so it shares that request's key and is answered
+// from memory.
+func TestEnumerateNormalizesOptions(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for _, opts := range []string{`{"cap":-1}`, `{"max_nodes":-1}`} {
+		if status, doc, _ := post(t, ts, `{"source":`+jsonStr(negSrc)+`,"options":`+opts+`}`); status != http.StatusBadRequest {
+			t.Fatalf("options %s: status %d, want 400: %v", opts, status, doc)
+		}
+	}
+	status, omitted, _ := post(t, ts, srcBody(negSrc))
+	if status != http.StatusOK || omitted["cache"] != "miss" {
+		t.Fatalf("omitted cap: status %d: %v", status, omitted)
+	}
+	status, named, _ := post(t, ts, `{"source":`+jsonStr(negSrc)+`,"options":{"cap":1000000}}`)
+	if status != http.StatusOK || named["key"] != omitted["key"] || named["cache"] != "mem" {
+		t.Fatalf("cap 1000000 answered %d %v, want the omitted cap's key %v as a mem hit", status, named, omitted["key"])
+	}
+	if got := counter(s, "server.enumerations"); got != 1 {
+		t.Fatalf("%d enumerations, want 1", got)
+	}
+}
+
 // TestMemHitAnswersWithoutTheSpace: a memory hit repeats the answer
 // admit computed; it does not walk the node table again to count
 // leaves. It cannot: the cached entry holds no decoded space, at any
