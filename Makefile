@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test bench-test race lint lint-fixtures loc fuzz-smoke bench bench-smoke phasecost resume-smoke serve-smoke obs-smoke cluster-smoke chaos shard-smoke
+.PHONY: check fmt vet build test bench-test race lint lint-fixtures loc fuzz-smoke bench bench-smoke phasecost resume-smoke serve-smoke obs-smoke cluster-smoke chaos
 
 check: fmt vet build test bench-test race lint lint-fixtures loc
 
@@ -137,7 +137,7 @@ phasecost:
 	"$$tmp/phasestats" -from-metrics "$$tmp/fdct_pass.json"
 
 # The repository's benchmark: four workloads (in-process engine,
-# spaced cold and warm, the sharded fleet), every end-to-end and
+# spaced cold and warm, a coordinator with a fleet), every end-to-end and
 # per-layer metric BENCHMARK.json names, every answer gated on
 # bench/expected_hashes.json. Arguments pass through, e.g.
 # make bench ARGS='--workload serve_cold --seconds 30 --trace 1'.
@@ -318,34 +318,18 @@ obs-smoke:
 	srv=""; \
 	echo "obs-smoke: request IDs, OpenMetrics, access log and flight recorder all line up"
 
-# Distributed-enumeration crash test: coordinator + two workers, the
-# lease holder SIGKILLed mid-space, hash parity with a single-node run
-# and clean TERM drains required. scripts/cluster_smoke.sh has the
-# details. Needs curl and jq.
+# Distributed-enumeration crash test: coordinator + two workers, first
+# the coordinator SIGKILLed with the assignment leased and restarted on
+# the same cache, then the lease holder SIGKILLed mid-space, hash parity
+# with a single-node run and clean TERM drains required.
+# scripts/cluster_smoke.sh has the details. Needs curl and jq.
 cluster-smoke:
 	sh scripts/cluster_smoke.sh
 
 # cluster-smoke under injected network chaos: both workers run with a
 # budgeted fault plan (dropped responses, stalled requests) on top of
-# the SIGKILL, and the served bytes still may not change. Override the
+# the two SIGKILLs, and the served bytes still may not change. Override the
 # plan with REPRO_FAULTS, e.g.
 # REPRO_FAULTS='httpdrop=4,httpslow=4:200ms' make chaos.
-# The sharded harness rides along with the same plan: network faults
-# compose with intra-space sharding, phase-level faults do not (they
-# are keyed by shard-relative node sequence; DESIGN.md §14).
 chaos:
 	CLUSTER_FAULTS="$${REPRO_FAULTS:-httpdrop=2,httpslow=2:100ms}" sh scripts/cluster_smoke.sh
-	CLUSTER_FAULTS="$${REPRO_FAULTS:-httpdrop=2,httpslow=2:100ms}" sh scripts/shard_smoke.sh
-
-# Intra-space sharding crash test: coordinator with -shard-fanout 2 +
-# two workers, one enumeration split into frontier shards across the
-# fleet, first the coordinator (restarted on the same cache, it must
-# resume the warm-up) and then a shard holder SIGKILLed mid-space, and
-# the merged space —
-# plus an equivalence-tier request, one unsplit assignment on the same
-# fleet —
-# required to hash byte-identically (spacedot -hash) to single-node
-# cmd/explore runs. scripts/shard_smoke.sh has the details. Needs curl
-# and jq.
-shard-smoke:
-	sh scripts/shard_smoke.sh

@@ -326,16 +326,6 @@ func printSearchTotals(s telemetry.Snapshot) {
 			s.Counters["dist.retries"], s.Counters["dist.recoveries"],
 			s.Counters["dist.stale_uploads"], s.Counters["dist.local_fallbacks"])
 	}
-	if splits := s.Counters["dist.shard.splits"]; splits > 0 || s.Counters["dist.shard.fallbacks"] > 0 {
-		mean := func(name string) time.Duration {
-			return time.Duration(int64(s.Histograms[name].Mean())).Round(time.Microsecond)
-		}
-		fmt.Printf("dist:   shards: %d splits into %d shard assignments, %d merges (mean %s), %d merge failures, %d fallbacks, %d warmup completions\n",
-			splits, s.Counters["dist.shard.assignments"], s.Counters["dist.shard.merges"],
-			mean("dist.shard.merge.duration_ns"),
-			s.Counters["dist.shard.merge_failures"], s.Counters["dist.shard.fallbacks"],
-			s.Counters["dist.shard.warmup_completions"])
-	}
 	for _, compiler := range []string{"batch", "prob"} {
 		if n := s.Counters["driver."+compiler+".compiles"]; n > 0 {
 			h := s.Histograms["driver."+compiler+".duration_ns"]

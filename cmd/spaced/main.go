@@ -104,7 +104,6 @@ func run() int {
 	leaseTTL := fs.Duration("lease-ttl", 10*time.Second, "coordinator: assignment lease; a worker silent this long is re-dispatched")
 	pollWait := fs.Duration("poll-wait", 5*time.Second, "coordinator: how long a worker long-poll parks before answering 204")
 	dispatchAttempts := fs.Int("dispatch-attempts", 3, "coordinator: dispatches per assignment before falling back to local enumeration")
-	shardFanout := fs.Int("shard-fanout", 0, "coordinator: splits default-tier enumerations into this many frontier shards across the fleet and merges the byte-identical space back (0/1 = off; an equiv request is always one assignment)")
 	workerMode := fs.Bool("worker", false, "run as a fleet worker instead of serving HTTP (requires -join)")
 	join := fs.String("join", "", "worker: coordinator base URL, e.g. http://localhost:8080")
 	workerID := fs.String("worker-id", "", "worker: stable identity to register under (default: coordinator-minted)")
@@ -195,7 +194,6 @@ func run() int {
 		DistLeaseTTL:    *leaseTTL,
 		DistPollWait:    *pollWait,
 		DistMaxAttempts: *dispatchAttempts,
-		ShardFanout:     *shardFanout,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spaced:", err)

@@ -12,9 +12,9 @@ import (
 // narrative that no longer describes the code. ROADMAP's target is
 // DESIGN.md at 1,200 lines and EXPERIMENTS.md at 700.
 var docCeilings = map[string]int{
-	"DESIGN.md":      2123,
-	"EXPERIMENTS.md": 2465,
-	"README.md":      388,
+	"DESIGN.md":      1977,
+	"EXPERIMENTS.md": 2463,
+	"README.md":      366,
 }
 
 // TestDocBudgets fails when a document outgrows its ceiling.

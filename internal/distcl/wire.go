@@ -66,10 +66,9 @@ type Assignment struct {
 	Func         *rtl.Func     `json:"func"`
 	Options      SearchOptions `json:"options"`
 	// CheckpointB64 is the space document to resume (base64), absent to
-	// start from the function: the frontier part of a split space this
-	// assignment covers, or — on a re-dispatch after a lease expiry —
-	// the last checkpoint uploaded for this work, so the new worker
-	// resumes where the dead one stopped.
+	// start from the function: the last checkpoint uploaded for this
+	// work (on a re-dispatch after a lease expiry, or found in the key's
+	// space file), so the new worker resumes where the dead one stopped.
 	CheckpointB64 string `json:"checkpoint_b64,omitempty"`
 	// SearchTimeoutMillis bounds the worker-side search wall time
 	// (0 = unlimited), mirroring the coordinator's local limit.
@@ -117,10 +116,9 @@ type HeartbeatResponse struct {
 // CompleteRequest delivers a finished assignment. SpaceB64 is the space
 // document (base64) — its canonical bytes, the file the worker's final
 // write left or what Save writes — and SpaceHash the SHA-256 of
-// SpaceB64's decoded bytes, so also the space's canonical
-// hash. The coordinator holds a part's upload to the SHA-256 of the
-// bytes and the whole space's to the SHA-256 of what Save writes of its
-// decode. SpaceHash is the idempotency key:
+// SpaceB64's decoded bytes, so also the space's canonical hash. The
+// coordinator holds the upload to the SHA-256 of what Save writes of
+// its decode. SpaceHash is the idempotency key:
 // re-submitting the same completion is acknowledged as a duplicate, and
 // a conflicting hash for an already completed assignment is rejected.
 // An Aborted completion (cap or timeout hit on the worker) carries the

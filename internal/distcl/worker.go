@@ -463,10 +463,10 @@ func finishedSpace(res *search.Result) (b []byte, hash string, err error) {
 	return buf.Bytes(), hex.EncodeToString(sum[:]), err
 }
 
-// seed puts the assignment's starting document (a frontier part, or the
-// last checkpoint uploaded for this work before a re-dispatch) in the
-// scratch slot, where search.Enumerate picks it up, and sets the upload
-// watermark to it: it is the coordinator's own document, and a
+// seed puts the assignment's starting document (the last checkpoint
+// uploaded for this work before a re-dispatch) in the scratch slot,
+// where search.Enumerate picks it up, and sets the upload watermark to
+// it: it is the coordinator's own document, and a
 // heartbeat echoing it back would pass for progress. A seed that cannot
 // be written leaves the slot empty — a bad seed costs time, never
 // correctness. Call before the run is published to the heartbeat loop.

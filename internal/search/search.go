@@ -128,8 +128,10 @@ type Options struct {
 	// file. Callers partition that frontier (PartitionCheckpoint) or
 	// hand the Result straight back to Resume. A space that completes
 	// before the frontier ever grows that wide returns complete, with no
-	// Checkpoint. Ignored under Equiv: a paused space is only ever
-	// partitioned, and the shard merge replays the default tier alone.
+	// Checkpoint. Ignored under Equiv: the shard merge replays the
+	// default tier alone. Part of the frontier-split API, which no
+	// production path calls any more: the benchmark harness's shard
+	// probes and this package's tests do (DESIGN §14).
 	StopAtFrontier int
 	// Timeout aborts the search after this much wall time
 	// (0 = unlimited). On Resume the budget restarts.

@@ -157,14 +157,11 @@ func (c *memCache) len() int {
 //
 // The space file is also the key's checkpoint slot: the local search
 // engine checkpoints into it (opts.CheckpointPath) and the coordinator
-// mirrors a worker's uploaded whole-space checkpoint into it
-// (writeCkpt), so the key's next local run, whole-space dispatch or
-// coordinator life resumes from it. The answer record is the only seal:
+// mirrors a worker's uploaded checkpoint into it (writeCkpt), so the
+// key's next local run, dispatch or coordinator life resumes from it. The answer record is the only seal:
 // a space file whose record is missing, torn or another key's is work in
 // progress — never served, never folded into /v1/stats — and publishing
 // a finished space the engine already wrote there is writing its record.
-// The parts of a split enumeration have no disk slots: their progress
-// lives in coordinator memory.
 //
 // With maxBytes set the store is bounded: published pairs (the record's
 // bytes included) and mirrored checkpoints are tracked with sizes and a
@@ -573,7 +570,7 @@ func (st *diskStore) diskBytes() int64 {
 
 // readCkpt returns the raw bytes of k's space file (os.IsNotExist when
 // none): for a key that missed every tier, the checkpoint an earlier
-// life left, which a whole-space dispatch is seeded with.
+// life left, which a dispatch is seeded with.
 func (st *diskStore) readCkpt(k cacheKey) ([]byte, error) {
 	return os.ReadFile(st.path(k))
 }

@@ -21,33 +21,21 @@ import (
 // The dispatcher turns the server into a coordinator: enumeration
 // flights that miss every cache tier are offered to a fleet of worker
 // processes (cmd/spaced -worker) over the /v1/dist/* protocol instead
-// of running on the local pool. Work is pull-based — workers long-poll
-// for assignments — and every assignment is covered by a lease renewed
-// by the worker's heartbeats. A missed lease (crashed worker, dead
-// TCP, partition) expires on the sweeper and the assignment is
-// re-dispatched, seeded with the worker's last uploaded checkpoint, so
-// a SIGKILL costs at most one heartbeat interval of enumeration. A
-// whole-space assignment's checkpoints are mirrored into the flight
-// key's space file, the one slot its local run, a later dispatch and
-// the next coordinator life all resume from; the record the flight's
-// publish writes beside it is what turns that file into an entry. With
-// no workers registered the dispatcher declines every flight in one
-// mutex acquisition and the server behaves exactly as a single node.
-//
-// There is one path to the fleet (enumerate) with a fan-out. At fan-out
-// one the whole space is a single assignment; an equivalence-tier
-// flight always is. A default-tier flight at ShardFanout runs locally
-// only until the frontier holds that many nodes (the warm-up),
-// partitions that frontier into disjoint parts — each a self-contained
-// checkpoint document a worker resumes like any other — and leases them
-// through the same protocol: per-part watermarks and recovery
-// checkpoints, re-dispatch of only the part whose holder died. When
-// every part completes, the search engine runs its level loop from the
-// warm-up frontier over the sub-spaces' recorded outcomes, reproducing
-// byte-for-byte the space a single node would have enumerated
-// (search.MergeShards). A split that cannot be served goes round as the
-// whole space, and that falls back to local enumeration, so the fleet
-// can only add capacity, never subtract correctness.
+// of running on the local pool, each as one whole-space assignment in
+// either tier. Work is pull-based — workers long-poll for assignments —
+// and every assignment is covered by a lease renewed by the worker's
+// heartbeats. A missed lease (crashed worker, dead TCP, partition)
+// expires on the sweeper and the assignment is re-dispatched, seeded
+// with the worker's last uploaded checkpoint, so a SIGKILL costs at
+// most one heartbeat interval of enumeration. An assignment's
+// checkpoints are mirrored into the flight key's space file, the one
+// slot its local run, a later dispatch and the next coordinator life
+// all resume from; the record the flight's publish writes beside it is
+// what turns that file into an entry. With no workers registered the
+// dispatcher declines every flight in one mutex acquisition and the
+// server behaves exactly as a single node; a flight the fleet cannot
+// serve runs locally. It does not split a space: the parts of a
+// frontier split reconverge (DESIGN §14).
 
 // assignment lease/lifecycle states.
 const (
@@ -58,21 +46,11 @@ const (
 	stateCanceled = "canceled" // flight went away (server drain)
 )
 
-// assignment is one leased unit of distributed work, owned by exactly
-// one flight: the whole space, or one part of its partitioned warm-up
-// frontier. The two differ only in the document they start from.
+// assignment is one leased unit of distributed work: one flight's whole
+// space.
 type assignment struct {
 	id string
 	fl *flight
-
-	// wopts is the wire options the assignment runs under: the flight's.
-	wopts distcl.SearchOptions
-	// whole marks the whole-space assignment, the one whose checkpoints
-	// mean something outside this dispatch: they resume the flight key's
-	// space file, and accepted uploads are mirrored back into it. A
-	// frontier part's progress is only meaningful against the warm-up
-	// and partition it came from, and those live in coordinator memory.
-	whole bool
 
 	// All below guarded by dispatcher.mu.
 	state      string
@@ -86,19 +64,18 @@ type assignment struct {
 	// — even a re-dispatch to the same worker.
 	leaseGen int64
 
-	// ckpt is the space document the next dispatch is seeded with: a
-	// frontier part's starting document, nil for the whole space, and
-	// from then on the latest validated checkpoint upload. ckptNodes is
-	// the node count of the latest upload (0 before the first) — the
-	// monotonicity watermark a later one must not shrink below.
+	// ckpt is the latest validated checkpoint upload, the document the
+	// next dispatch is seeded with (nil before the first). ckptNodes is
+	// its node count — the monotonicity watermark a later one must not
+	// shrink below.
 	ckpt      []byte
 	ckptNodes int
 
 	// done closes on transition to stateDone or stateFailed; the
 	// fields below are immutable afterwards. hash is the accepted
 	// completion's name — the idempotency key a duplicate delivery is
-	// matched against: the SHA-256 of a part's upload, the canonical
-	// hash of the whole space, whose canonical bytes canon holds.
+	// matched against: the canonical hash of the space, whose canonical
+	// bytes canon holds.
 	done        chan struct{}
 	res         *search.Result
 	canon       []byte
@@ -157,19 +134,6 @@ type dispatcher struct {
 	workerGauge  *telemetry.GaugeVec
 	inflight     *telemetry.Gauge
 	fallbacks    *telemetry.Counter
-
-	// Split counters: spaces split across the fleet, merges that
-	// reproduced the serial bytes, merges that failed verification,
-	// splits that went round again as the whole space for any other
-	// reason, and warm-ups that completed before the frontier grew wide
-	// enough to split.
-	shardSplits      *telemetry.Counter
-	shardMerges      *telemetry.Counter
-	shardMergeFails  *telemetry.Counter
-	shardFallbacks   *telemetry.Counter
-	shardWarmupDone  *telemetry.Counter
-	shardMergeDur    *telemetry.Histogram
-	shardAssignments *telemetry.Counter
 }
 
 func newDispatcher(s *Server) *dispatcher {
@@ -194,14 +158,6 @@ func newDispatcher(s *Server) *dispatcher {
 		workerGauge:  s.reg.GaugeVec("dist.workers", "state"),
 		inflight:     s.reg.Gauge("dist.assignments_inflight"),
 		fallbacks:    s.reg.Counter("dist.local_fallbacks"),
-
-		shardSplits:      s.reg.Counter("dist.shard.splits"),
-		shardMerges:      s.reg.Counter("dist.shard.merges"),
-		shardMergeFails:  s.reg.Counter("dist.shard.merge_failures"),
-		shardFallbacks:   s.reg.Counter("dist.shard.fallbacks"),
-		shardWarmupDone:  s.reg.Counter("dist.shard.warmup_completions"),
-		shardMergeDur:    s.reg.Histogram("dist.shard.merge.duration_ns"),
-		shardAssignments: s.reg.Counter("dist.shard.assignments"),
 	}
 	if d.leaseTTL <= 0 {
 		d.leaseTTL = 10 * time.Second
@@ -256,215 +212,85 @@ func (d *dispatcher) accepter() {
 // of the lease, so two beats can be lost before the lease expires.
 func (d *dispatcher) hbEvery() time.Duration { return d.leaseTTL / 3 }
 
-// enumerate is the one way a flight reaches the fleet. handled=false
+// enumerate is the one way a flight reaches the fleet: lease its whole
+// space as one assignment, await it, and take its result. handled=false
 // means the flight should run locally: no live worker, a saturated
 // dispatch queue, or attempts exhausted. Whatever the fleet got done is
-// in the flight key's space file by then — the warm-up of a split,
-// or the last upload of a whole-space assignment — so the local run
-// resumes rather than restarts.
-//
-// The fan-out is derived from the flight's tier and what the
-// coordinator can observe: ShardFanout parts for a default-tier flight
-// when ShardFanout and the live-worker count are both at least two (one
-// worker gains nothing from a split and loses pipelining), the whole
-// space as a single part with any live worker, nothing otherwise. An
-// equivalence-tier flight is always one part: the merge replays the
-// default tier only, and the parts of a frontier split reconverge
-// (DESIGN §14): the larger part alone does most of the serial work.
-// A split that cannot be served — a part aborted or out of attempts, a
-// merge that failed verification — goes round once more as one part:
-// part-local caps do not land at the serial positions, so the only
-// byte-faithful answer left is the whole space from one enumerator.
+// in the flight key's space file by then (the last upload, mirrored),
+// so the local run resumes rather than restarts.
 func (d *dispatcher) enumerate(fl *flight) (*search.Result, bool) {
-	d.mu.Lock()
-	live := d.liveLocked()
-	d.mu.Unlock()
-	if live == 0 {
+	a := d.lease(fl)
+	if a == nil {
 		return nil, false
 	}
-	if k := d.s.cfg.ShardFanout; k >= 2 && live >= 2 && !fl.no.Equiv {
-		if res, handled := d.run(fl, k); handled {
-			return res, true
-		}
+	d.inflight.Add(1)
+	defer d.inflight.Add(-1)
+	d.s.logger.InfoContext(fl.ctx, "dist assignment queued",
+		"assignment_id", a.id, "flight_id", fl.id, "func", fl.fn.Name)
+	select {
+	case <-a.done:
+	case <-fl.ctx.Done():
+		d.withdraw(a)
+		return &search.Result{FuncName: fl.fn.Name, Aborted: true,
+			AbortReason: fmt.Sprintf("canceled: %v", context.Cause(fl.ctx))}, true
 	}
-	return d.run(fl, 1)
-}
-
-// run takes fl through the fleet as k parts: warm up and partition
-// (k > 1 only), lease, await, collect, assemble.
-func (d *dispatcher) run(fl *flight, k int) (*search.Result, bool) {
-	// base is the paused warm-up the parts grow from and ids the
-	// frontier nodes each part owns; the whole space has neither and
-	// starts from no document.
-	var base *search.Result
-	var ids [][]int
-	docs := [][]byte{nil}
-	if k > 1 {
-		var err error
-		if base, err = d.s.runOrResume(fl, k); err != nil {
-			d.s.logger.Warn("dist shard warmup resume failed", "flight_id", fl.id, "err", err.Error())
-			return nil, false
-		}
-		if base.Aborted {
-			return nil, false
-		}
-		if base.Checkpoint == nil {
-			// The space completed before the frontier ever grew to k nodes
-			// (shallow spaces, tight caps): nothing to distribute.
-			d.shardWarmupDone.Inc()
-			return d.assemble(fl, base, nil, nil)
-		}
-		if docs, ids, err = search.PartitionCheckpoint(base, k); err != nil {
-			d.s.logger.Warn("dist shard partition failed", "flight_id", fl.id, "err", err.Error())
-			d.shardFallbacks.Inc()
-			return nil, false
-		}
-	}
-
-	parts := d.lease(fl, distcl.SearchOptions{
-		Cap: fl.no.Cap, MaxNodes: fl.no.MaxNodes,
-		Check: fl.no.Check, Equiv: fl.no.Equiv,
-	}, docs)
-	if parts == nil {
-		if base != nil {
-			d.shardFallbacks.Inc()
-		}
+	// a is settled (done or failed), its fields immutable.
+	d.mu.Lock()
+	delete(d.assignments, a.id)
+	d.mu.Unlock()
+	switch {
+	case a.state == stateDone && !a.aborted:
+		fl.canon = a.canon // handleDistComplete's render
+		return a.res, true
+	case a.state == stateDone:
+		return &search.Result{FuncName: fl.fn.Name, Aborted: true, AbortReason: a.abortReason}, true
+	default: // stateFailed
+		d.fallbacks.Inc()
+		d.s.logger.WarnContext(fl.ctx, "dist attempts exhausted, running locally",
+			"assignment_id", a.id, "flight_id", fl.id)
 		return nil, false
 	}
-	d.inflight.Add(int64(len(parts)))
-	defer d.inflight.Add(-int64(len(parts)))
-	if base != nil {
-		d.shardSplits.Inc()
-		d.shardAssignments.Add(int64(len(parts)))
-		d.s.flights.add(flightRecord{Event: "shard-split", FlightID: fl.id})
-		d.s.logger.InfoContext(fl.ctx, "dist space sharded", "flight_id", fl.id,
-			"func", fl.fn.Name, "shards", len(parts), "frontier", len(base.Checkpoint.Frontier))
-	} else {
-		d.s.logger.InfoContext(fl.ctx, "dist assignment queued",
-			"assignment_id", parts[0].id, "flight_id", fl.id, "func", fl.fn.Name)
-	}
-
-	for _, a := range parts {
-		select {
-		case <-a.done:
-		case <-fl.ctx.Done():
-			d.withdraw(parts)
-			return &search.Result{FuncName: fl.fn.Name, Aborted: true,
-				AbortReason: fmt.Sprintf("canceled: %v", context.Cause(fl.ctx))}, true
-		}
-	}
-	// Every part is settled (done or failed), its fields immutable.
-	d.mu.Lock()
-	for _, a := range parts {
-		delete(d.assignments, a.id)
-	}
-	d.mu.Unlock()
-	return d.assemble(fl, base, parts, ids)
 }
 
-// lease puts one assignment per starting document on the dispatch
-// queue, all or none; nil reports that nothing was queued.
-func (d *dispatcher) lease(fl *flight, wopts distcl.SearchOptions, docs [][]byte) []*assignment {
-	parts := make([]*assignment, len(docs))
+// lease puts fl's assignment on the dispatch queue; nil reports that
+// nothing was queued (no live worker, or the queue is saturated).
+func (d *dispatcher) lease(fl *flight) *assignment {
 	d.mu.Lock()
 	if d.liveLocked() == 0 {
 		d.mu.Unlock()
 		return nil
 	}
-	for i, doc := range docs {
-		a := &assignment{
-			id:    "a" + strconv.FormatInt(d.nextAssign.Add(1), 10),
-			fl:    fl,
-			wopts: wopts,
-			whole: doc == nil,
-			ckpt:  doc,
-			state: statePending,
-			done:  make(chan struct{}),
-		}
-		d.assignments[a.id] = a
-		parts[i] = a
+	a := &assignment{
+		id:    "a" + strconv.FormatInt(d.nextAssign.Add(1), 10),
+		fl:    fl,
+		state: statePending,
+		done:  make(chan struct{}),
 	}
+	d.assignments[a.id] = a
 	d.mu.Unlock()
-	for _, a := range parts {
-		select {
-		case d.pending <- a:
-		default:
-			// Dispatch queue saturated: withdraw the lot (entries already
-			// queued turn stale and polls skip them).
-			d.withdraw(parts)
-			return nil
-		}
+	select {
+	case d.pending <- a:
+		return a
+	default:
+		d.withdraw(a)
+		return nil
 	}
-	return parts
 }
 
-// withdraw takes parts back from the fleet when their flight goes away
-// (server drain) or could not be queued whole: each current lessee is
-// told to abandon at its next heartbeat, and late uploads and
-// completions find the assignment canceled.
-func (d *dispatcher) withdraw(parts []*assignment) {
+// withdraw takes a back from the fleet when its flight goes away
+// (server drain) or it could not be queued: its current lessee is told
+// to abandon at its next heartbeat, and late uploads and completions
+// find the assignment canceled.
+func (d *dispatcher) withdraw(a *assignment) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, a := range parts {
-		if a.state == statePending || a.state == stateAssigned {
-			if w := d.workers[a.worker]; w != nil {
-				w.abandon = append(w.abandon, a.id)
-			}
-			a.state = stateCanceled
+	if a.state == statePending || a.state == stateAssigned {
+		if w := d.workers[a.worker]; w != nil {
+			w.abandon = append(w.abandon, a.id)
 		}
-		delete(d.assignments, a.id)
+		a.state = stateCanceled
 	}
-}
-
-// assemble turns settled parts into the flight's space. One part and no
-// warm-up: its result is the answer. Otherwise the warm-up (base) and
-// the parts' sub-spaces are merged into the bytes a single enumerator
-// would have produced — no parts at all when the warm-up finished the
-// space by itself.
-func (d *dispatcher) assemble(fl *flight, base *search.Result, parts []*assignment, ids [][]int) (*search.Result, bool) {
-	if base == nil {
-		switch a := parts[0]; {
-		case a.state == stateDone && !a.aborted:
-			fl.canon = a.canon // handleDistComplete's render
-			return a.res, true
-		case a.state == stateDone:
-			return &search.Result{FuncName: fl.fn.Name, Aborted: true, AbortReason: a.abortReason}, true
-		default: // stateFailed
-			d.fallbacks.Inc()
-			d.s.logger.WarnContext(fl.ctx, "dist attempts exhausted, running locally",
-				"assignment_id", a.id, "flight_id", fl.id)
-			return nil, false
-		}
-	}
-
-	if len(parts) == 0 {
-		return base, true
-	}
-	shards := make([]search.ShardSpace, len(parts))
-	for i, a := range parts {
-		if a.state != stateDone || a.aborted {
-			// Aborted on its worker (cap, max-nodes, timeout) or out
-			// of attempts.
-			d.s.logger.Warn("dist shard set incomplete, falling back", "flight_id", fl.id)
-			d.shardFallbacks.Inc()
-			return nil, false
-		}
-		shards[i] = search.ShardSpace{Res: a.res, FrontierIDs: ids[i]}
-	}
-	began := time.Now()
-	merged, err := search.MergeShards(base, shards)
-	fl.merge = time.Since(began)
-	d.shardMergeDur.Observe(int64(fl.merge))
-	if err != nil {
-		d.shardMergeFails.Inc()
-		d.s.logger.Warn("dist shard merge failed", "flight_id", fl.id, "err", err.Error())
-		return nil, false
-	}
-	d.shardMerges.Inc()
-	d.s.logger.InfoContext(fl.ctx, "dist shards merged", "flight_id", fl.id,
-		"func", fl.fn.Name, "shards", len(shards), "nodes", len(merged.Nodes))
-	d.s.flights.add(flightRecord{Event: "shard-merge", FlightID: fl.id, MergeMS: fl.merge.Milliseconds()})
-	return merged, true
+	delete(d.assignments, a.id)
 }
 
 // liveLocked counts the workers polls can be expected from.
@@ -729,8 +555,8 @@ func (s *Server) handleDistPoll(w http.ResponseWriter, r *http.Request) {
 }
 
 // dispatch leases a to workerID and builds its wire message, seeded
-// with a's document: the starting frontier of a part, or the latest
-// checkpoint some worker uploaded before losing the lease.
+// with the latest checkpoint some worker uploaded before losing the
+// lease.
 func (d *dispatcher) dispatch(a *assignment, workerID string) (*distcl.Assignment, bool) {
 	d.mu.Lock()
 	if a.state != statePending {
@@ -744,9 +570,7 @@ func (d *dispatcher) dispatch(a *assignment, workerID string) (*distcl.Assignmen
 	a.leaseUntil = time.Now().Add(d.leaseTTL)
 	attempt := a.attempts
 	gen := a.leaseGen
-	// Only bytes some worker actually uploaded count as a recovery; a
-	// part's starting document is its first dispatch.
-	seed, recovered := a.ckpt, a.ckptNodes > 0
+	seed := a.ckpt
 	if wk := d.workers[workerID]; wk != nil {
 		// If this worker just lost the lease on a, the expiry queued a
 		// stale abandon for it; a re-dispatch to the same worker must not
@@ -761,28 +585,26 @@ func (d *dispatcher) dispatch(a *assignment, workerID string) (*distcl.Assignmen
 	d.mu.Unlock()
 
 	if seed == nil {
-		// The whole space, nothing uploaded yet. An earlier life of the
-		// key (a coordinator since restarted, a local request that
-		// drained, the warm-up of a split that could not be served) may
-		// have left a checkpoint in its space file; recover from it
-		// rather than re-enumerating.
+		// Nothing uploaded yet. An earlier life of the key (a coordinator
+		// since restarted, a local request that drained) may have left a
+		// checkpoint in its space file; recover from it rather than
+		// re-enumerating.
 		if b, err := d.s.store.readCkpt(a.fl.key); err == nil {
-			seed, recovered = b, true
+			seed = b
 		}
 	}
+	no := a.fl.no
 	msg := &distcl.Assignment{
 		AssignmentID:        a.id,
 		Key:                 string(a.fl.key),
 		Func:                a.fl.fn,
-		Options:             a.wopts,
+		Options:             distcl.SearchOptions{Cap: no.Cap, MaxNodes: no.MaxNodes, Check: no.Check, Equiv: no.Equiv},
 		SearchTimeoutMillis: d.s.cfg.SearchTimeout.Milliseconds(),
 		LeaseGen:            gen,
 	}
 	if seed != nil {
 		msg.CheckpointB64 = base64.StdEncoding.EncodeToString(seed)
-		if recovered {
-			d.recoverVec.With(workerID).Inc()
-		}
+		d.recoverVec.With(workerID).Inc()
 	}
 	d.assignVec.With(workerID).Inc()
 	d.s.flights.add(flightRecord{Event: "dispatch", FlightID: a.fl.id,
@@ -880,19 +702,17 @@ func (s *Server) handleDistHeartbeat(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, distcl.HeartbeatResponse{Abandon: abandon})
 }
 
-// acceptCheckpoint validates one uploaded checkpoint — decodable, the
-// right function and tier, never shrinking — and makes it the
-// assignment's recovery point. A whole-space assignment's is also
-// mirrored into the flight key's space file, unsealed, so a local
-// fallback or the next coordinator life resumes from it too; a part's
-// lives in memory only (a restart re-warms and re-splits at a different
-// frontier, against which the old parts' progress means nothing).
-// Invalid uploads are dropped: the previous good checkpoint stands, and
-// a torn httpdrop upload can never poison recovery. gen is the lease
-// generation the upload was reported under; anything but the
-// assignment's current generation is a fenced-off straggler — the
-// state/worker re-check alone cannot catch a queued upload that
-// outlived an expiry and a re-dispatch to the same worker.
+// acceptCheckpoint validates one uploaded checkpoint — decodable, an
+// enumeration of the flight's function in its tier, never shrinking —
+// and makes it the assignment's recovery point, mirrored into the
+// flight key's space file, unsealed, so a local fallback or the next
+// coordinator life resumes from it too. Invalid uploads are dropped:
+// the previous good checkpoint stands, and a torn httpdrop upload can
+// never poison recovery. gen is the lease generation the upload was
+// reported under; anything but the assignment's current generation is
+// a fenced-off straggler — the state/worker re-check alone cannot catch
+// a queued upload that outlived an expiry and a re-dispatch to the same
+// worker.
 func (d *dispatcher) acceptCheckpoint(u ckptUpload) {
 	a, workerID, gen := u.a, u.workerID, u.gen
 	b, err := base64.StdEncoding.DecodeString(u.b64)
@@ -907,6 +727,7 @@ func (d *dispatcher) acceptCheckpoint(u ckptUpload) {
 			"worker_id", workerID, "err", err.Error())
 		return
 	}
+	ours := res.Enumerates(a.fl.fn, a.fl.no.Equiv)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if a.state != stateAssigned || a.worker != workerID {
@@ -918,7 +739,7 @@ func (d *dispatcher) acceptCheckpoint(u ckptUpload) {
 			"worker_id", workerID, "upload_gen", gen, "lease_gen", a.leaseGen)
 		return
 	}
-	if res.FuncName != a.fl.fn.Name || (res.Equiv != nil) != a.wopts.Equiv || len(res.Nodes) < a.ckptNodes {
+	if !ours || len(res.Nodes) < a.ckptNodes {
 		d.s.logger.Warn("dist checkpoint rejected", "assignment_id", a.id,
 			"worker_id", workerID, "func", res.FuncName, "nodes", len(res.Nodes),
 			"watermark", a.ckptNodes)
@@ -926,11 +747,9 @@ func (d *dispatcher) acceptCheckpoint(u ckptUpload) {
 	}
 	a.ckpt = b
 	a.ckptNodes = len(res.Nodes)
-	if a.whole {
-		if err := d.s.store.writeCkpt(a.fl.key, b); err != nil {
-			d.s.logger.Warn("dist checkpoint not mirrored to disk", "assignment_id", a.id,
-				"err", err.Error())
-		}
+	if err := d.s.store.writeCkpt(a.fl.key, b); err != nil {
+		d.s.logger.Warn("dist checkpoint not mirrored to disk", "assignment_id", a.id,
+			"err", err.Error())
 	}
 	d.s.logger.Info("dist checkpoint accepted", "assignment_id", a.id,
 		"worker_id", workerID, "nodes", a.ckptNodes)
@@ -961,27 +780,14 @@ func (s *Server) handleDistComplete(w http.ResponseWriter, r *http.Request) {
 	var canon []byte
 	if !req.Aborted {
 		// Decode and verify outside the lock: the space must be complete,
-		// the right function, and named by a hash the coordinator took
-		// itself (the idempotency key). A part is named by the bytes it
-		// arrived as: they are never stored or served, and reach the
-		// answer only through the merge replay, whose result is rendered
-		// and hashed here. The whole space is what gets stored, so what
-		// Save writes of it — its canonical bytes — must hash to the
-		// claim; those bytes are what publish puts.
+		// an enumeration of the flight's function in its tier, and named
+		// by a hash the coordinator took itself (the idempotency key).
+		// The space is what gets stored, so what Save writes of it — its
+		// canonical bytes — must hash to the claim; those bytes are what
+		// publish puts.
 		b, err := base64.StdEncoding.DecodeString(req.SpaceB64)
 		if err != nil {
 			writeError(w, &httpError{status: http.StatusBadRequest, msg: "undecodable space payload"})
-			return
-		}
-		mismatch := func(got string) bool {
-			if got == req.SpaceHash {
-				return false
-			}
-			writeError(w, &httpError{status: http.StatusBadRequest,
-				msg: fmt.Sprintf("space hash mismatch: body %s, claimed %s", got, req.SpaceHash)})
-			return true
-		}
-		if !a.whole && mismatch(hexSum(b)) {
 			return
 		}
 		if res, err = search.Load(bytes.NewReader(b)); err != nil {
@@ -992,20 +798,21 @@ func (s *Server) handleDistComplete(w http.ResponseWriter, r *http.Request) {
 			writeError(w, &httpError{status: http.StatusBadRequest, msg: "space is not complete"})
 			return
 		}
-		if res.FuncName != a.fl.fn.Name {
+		if !res.Enumerates(a.fl.fn, a.fl.no.Equiv) {
 			writeError(w, &httpError{status: http.StatusBadRequest,
-				msg: fmt.Sprintf("space is for %q, assignment is %q", res.FuncName, a.fl.fn.Name)})
+				msg: fmt.Sprintf("space is not an enumeration of the assignment's %q (equiv=%v)", a.fl.fn.Name, a.fl.no.Equiv)})
 			return
 		}
-		if a.whole {
-			var buf bytes.Buffer
-			if err = res.Save(&buf); err != nil {
-				writeError(w, &httpError{status: http.StatusBadRequest, msg: "unhashable space: " + err.Error()})
-				return
-			}
-			if canon = buf.Bytes(); mismatch(hexSum(canon)) {
-				return
-			}
+		var buf bytes.Buffer
+		if err = res.Save(&buf); err != nil {
+			writeError(w, &httpError{status: http.StatusBadRequest, msg: "unhashable space: " + err.Error()})
+			return
+		}
+		canon = buf.Bytes()
+		if got := hexSum(canon); got != req.SpaceHash {
+			writeError(w, &httpError{status: http.StatusBadRequest,
+				msg: fmt.Sprintf("space hash mismatch: body %s, claimed %s", got, req.SpaceHash)})
+			return
 		}
 	}
 	d.mu.Lock()
@@ -1033,8 +840,8 @@ func (s *Server) handleDistComplete(w http.ResponseWriter, r *http.Request) {
 
 // settleLocked is the one completion transition: it decides, from a's
 // state alone, what a worker's verified result (a complete space with
-// its hash and, for the whole space, its canonical bytes, or a
-// worker-side abort with its reason) does to a. A live
+// its hash and canonical bytes, or a worker-side abort with its reason)
+// does to a. A live
 // assignment (pending or leased) takes it and closes done — "accepted";
 // a finished one acknowledges the same result again as "duplicate" and
 // refuses a different one; a failed or canceled one no longer wants

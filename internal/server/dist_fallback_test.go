@@ -24,21 +24,6 @@ func registerIdle(t *testing.T, ts *httptest.Server, id string) {
 	}
 }
 
-// heldTransport parks a worker's completion calls until release closes;
-// everything else (polls, heartbeats, lease renewals) goes through.
-type heldTransport struct{ release chan struct{} }
-
-func (h *heldTransport) RoundTrip(r *http.Request) (*http.Response, error) {
-	if r.URL.Path == distcl.PathComplete {
-		select {
-		case <-h.release:
-		case <-r.Context().Done():
-			return nil, r.Context().Err()
-		}
-	}
-	return http.DefaultTransport.RoundTrip(r)
-}
-
 // uploadFrom reports whether worker holds a lease it has uploaded
 // progress under.
 func uploadFrom(s *Server, worker string) bool {
@@ -53,11 +38,11 @@ func uploadFrom(s *Server, worker string) bool {
 }
 
 // TestFleetFallbackEdges drives one flight down every edge that leaves
-// the fleet path — decline, split → whole space, whole space → local —
-// and requires each to answer exactly what a single node answers, to be
-// counted under the documented name, and to leave nothing behind: no
-// assignment in the table, no file in the cache directory that is not a
-// key's entry or checkpoint.
+// the fleet path — decline, whole space → local — and the edges that do
+// not, and requires each to answer exactly what a single node answers,
+// to be counted under the documented name, and to leave nothing behind:
+// no assignment in the table, no file in the cache directory that is not
+// a key's entry or checkpoint.
 func TestFleetFallbackEdges(t *testing.T) {
 	const capped = `,"options":{"max_nodes":50}`
 	rows := []struct {
@@ -75,7 +60,7 @@ func TestFleetFallbackEdges(t *testing.T) {
 	}{
 		{
 			name: "no live worker runs locally",
-			cfg:  Config{ShardFanout: 2},
+			cfg:  Config{},
 			fleet: func(*testing.T, *Server, *httptest.Server) func() {
 				return nil
 			},
@@ -94,49 +79,25 @@ func TestFleetFallbackEdges(t *testing.T) {
 					gate.dead.Store(true)
 				}
 			},
-			want:    map[string]int64{"dist.local_fallbacks": 1, "dist.shard.splits": 0},
+			want:    map[string]int64{"dist.local_fallbacks": 1},
 			atLeast: map[string]int64{"server.enumerations.resumed": 1, `dist.lease_expiries{worker="w1"}`: 1},
 		},
 		{
-			name: "a part that hits max_nodes sends the flight round as one part",
-			cfg:  Config{ShardFanout: 2, DistLeaseTTL: 2 * time.Second, DistPollWait: 100 * time.Millisecond},
+			name: "max_nodes on the worker answers 422 without a local run",
+			cfg:  Config{DistLeaseTTL: 2 * time.Second, DistPollWait: 100 * time.Millisecond},
 			opts: capped,
 			fleet: func(t *testing.T, s *Server, ts *httptest.Server) func() {
 				startWorker(t, ts, "w1", nil, nil)
-				startWorker(t, ts, "w2", nil, nil)
-				waitFor(t, "workers to register", func() bool { return fleetLive(s) == 2 })
+				waitFor(t, "w1 to register", func() bool { return fleetLive(s) == 1 })
 				return nil
 			},
-			want: map[string]int64{"dist.shard.splits": 1, "dist.shard.fallbacks": 1,
-				"dist.shard.merges": 0, "dist.local_fallbacks": 0},
-		},
-		{
-			name: "a merge that fails verification is not served",
-			cfg: Config{ShardFanout: 2, DistLeaseTTL: 2 * time.Second, DistPollWait: 100 * time.Millisecond,
-				DefaultDeadline: 5 * time.Minute},
-			fleet: func(t *testing.T, s *Server, ts *httptest.Server) func() {
-				// w1 miscompiles every application of phase s. Honest w2's
-				// part is held back until w1 has handed in its own and left
-				// the fleet, so when the merge finds the two disagreeing the
-				// retry as one part can only land on w2.
-				hold := &heldTransport{release: make(chan struct{})}
-				stopW1 := startWorker(t, ts, "w1", nil, faultinject.MustParse("corrupt=s"))
-				startWorker(t, ts, "w2", hold, nil)
-				waitFor(t, "workers to register", func() bool { return fleetLive(s) == 2 })
-				return func() {
-					waitFor(t, "w1 to hand in its part", func() bool {
-						return s.dist.completeVec.With("w1").Value() == 1
-					})
-					stopW1()
-					close(hold.release)
-				}
-			},
-			want: map[string]int64{"dist.shard.splits": 1, "dist.shard.merge_failures": 1,
-				"dist.shard.merges": 0, "dist.local_fallbacks": 0, "server.enumerations.resumed": 0},
+			// No local run and no fallback: the abort is the answer.
+			want: map[string]int64{`dist.completions{worker="w1"}`: 1, "server.enumerations": 0,
+				"dist.local_fallbacks": 0},
 		},
 		{
 			name: "a fleet thinned to one worker gets the whole space",
-			cfg:  Config{ShardFanout: 2, DistLeaseTTL: 2 * time.Second, DistPollWait: 100 * time.Millisecond},
+			cfg:  Config{DistLeaseTTL: 2 * time.Second, DistPollWait: 100 * time.Millisecond},
 			fleet: func(t *testing.T, s *Server, ts *httptest.Server) func() {
 				startWorker(t, ts, "w1", nil, nil)
 				waitFor(t, "w1 to register", func() bool { return fleetLive(s) == 1 })
@@ -144,11 +105,10 @@ func TestFleetFallbackEdges(t *testing.T) {
 			},
 			want: map[string]int64{`dist.assignments{worker="w1"}`: 1, "server.enumerations": 0,
 				"dist.local_fallbacks": 0},
-			untouched: []string{"dist.shard."},
 		},
 		{
 			name: "a saturated dispatch queue declines to local",
-			cfg:  Config{ShardFanout: 2},
+			cfg:  Config{},
 			fleet: func(t *testing.T, s *Server, ts *httptest.Server) func() {
 				registerIdle(t, ts, "w1")
 				registerIdle(t, ts, "w2")
@@ -157,10 +117,10 @@ func TestFleetFallbackEdges(t *testing.T) {
 				}
 				return nil
 			},
-			// The split's warm-up ran, could not be queued, and the local
-			// run picked it up from the key's slot.
-			want: map[string]int64{"dist.shard.fallbacks": 1, "dist.shard.splits": 0,
-				"server.enumerations.resumed": 1, "dist.local_fallbacks": 0},
+			// Nothing was queued and nothing ran before the local run,
+			// which starts from the root.
+			want: map[string]int64{"server.enumerations": 1,
+				"server.enumerations.resumed": 0, "dist.local_fallbacks": 0},
 			untouched: []string{"dist.assignments"},
 		},
 	}
@@ -288,12 +248,12 @@ func TestAssignmentIDsDoNotRepeatAcrossLives(t *testing.T) {
 	for i := range ids {
 		s, ts := newTestServer(t, Config{})
 		registerIdle(t, ts, "w1")
-		parts := s.dist.lease(&flight{}, distcl.SearchOptions{}, [][]byte{nil})
-		if parts == nil {
+		a := s.dist.lease(&flight{})
+		if a == nil {
 			t.Fatal("nothing leased with a live worker and an empty queue")
 		}
-		ids[i] = parts[0].id
-		s.dist.withdraw(parts)
+		ids[i] = a.id
+		s.dist.withdraw(a)
 	}
 	if ids[0] == ids[1] {
 		t.Fatalf("two coordinator lives both named their first assignment %s", ids[0])

@@ -18,8 +18,8 @@ type flightRecord struct {
 	Cache     string `json:"cache,omitempty"`
 	Coalesced bool   `json:"coalesced,omitempty"`
 	// Event distinguishes distribution-plane records ("dispatch",
-	// "lease-expire", "complete", "shard-split", "shard-merge") from
-	// the default request records (empty Event);
+	// "lease-expire", "complete") from the default request records
+	// (empty Event);
 	// AssignmentID/Worker/Attempt carry the dist context so a recovery
 	// can be replayed from the ring alone.
 	Event        string `json:"event,omitempty"`
@@ -37,13 +37,11 @@ type flightRecord struct {
 	// it contains CheckpointMS (the engine's checkpoint writes, the last
 	// of which is the entry itself), PublishMS (the answer record, after
 	// a render and put into the disk store when no final write left the
-	// space in place) and, when the fleet ran the space as shards, MergeMS
-	// (search.MergeShards), which the "shard-merge" event carries too.
+	// space in place).
 	QueueWaitMS  int64 `json:"queue_wait_ms"`
 	EnumerateMS  int64 `json:"enumerate_ms"`
 	CheckpointMS int64 `json:"checkpoint_ms"`
 	PublishMS    int64 `json:"publish_ms"`
-	MergeMS      int64 `json:"merge_ms"`
 	SerializeMS  int64 `json:"serialize_ms"`
 	TotalMS      int64 `json:"total_ms"`
 }
@@ -118,7 +116,6 @@ func (s *Server) recordFlight(r *http.Request, ri *reqInfo, fl *flight, status i
 		EnumerateMS:     ri.enumerate.Milliseconds(),
 		CheckpointMS:    ri.checkpoint.Milliseconds(),
 		PublishMS:       ri.publish.Milliseconds(),
-		MergeMS:         ri.merge.Milliseconds(),
 		SerializeMS:     serialize.Milliseconds(),
 		TotalMS:         total.Milliseconds(),
 	}
@@ -136,7 +133,6 @@ func (s *Server) recordFlight(r *http.Request, ri *reqInfo, fl *flight, status i
 			"enumerate_ms", rec.EnumerateMS,
 			"checkpoint_ms", rec.CheckpointMS,
 			"publish_ms", rec.PublishMS,
-			"merge_ms", rec.MergeMS,
 			"serialize_ms", rec.SerializeMS,
 			"total_ms", rec.TotalMS,
 		}

@@ -31,10 +31,8 @@ type reqInfo struct {
 	queueWait time.Duration // flight creation → worker pickup
 	enumerate time.Duration // worker pickup → flight resolution
 	// checkpoint and publish are the parts of enumerate a miss spent
-	// writing checkpoints and hashing + storing the finished space;
-	// merge the part a sharded miss spent on the coordinator
-	// reassembling the sub-spaces.
-	checkpoint, publish, merge time.Duration
+	// writing checkpoints and hashing + storing the finished space.
+	checkpoint, publish time.Duration
 }
 
 type reqInfoKey struct{}

@@ -413,7 +413,7 @@ func TestSlowFlightLogBreakdown(t *testing.T) {
 		t.Fatalf("slow-flight identity fields: %v", slow)
 	}
 	for _, k := range []string{"flight_id", "queue_wait_ms", "enumerate_ms", "checkpoint_ms",
-		"publish_ms", "merge_ms", "serialize_ms", "total_ms", "attempts", "active", "dormant", "merged", "levels"} {
+		"publish_ms", "serialize_ms", "total_ms", "attempts", "active", "dormant", "merged", "levels"} {
 		if _, ok := slow[k]; !ok {
 			t.Fatalf("slow-flight record missing %q: %v", k, slow)
 		}

@@ -237,75 +237,46 @@ func TestColdFlightRendersOnce(t *testing.T) {
 }
 
 // TestFleetCompletionRendersOnce: the coordinator renders a fleet upload
-// at most once. A shard part is named by the SHA-256 of the bytes it
-// arrived as, so accepting it costs the decode and no render: beyond
-// what search.Load of the same bytes allocates, under a quarter of one
-// render's objects. A whole-space completion is rendered once to verify
-// the worker's claim, and publish puts that render: the completion and
-// its publish, beyond the decode, allocate about one render, not two.
+// once, to verify the worker's claim, and publish puts that render: the
+// completion and its publish, beyond the decode, allocate about one
+// render, not two.
 func TestFleetCompletionRendersOnce(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	fn, err := s.resolve(&enumerateRequest{Bench: "stringsearch", Func: "bmh_search"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	docs, _, err := search.PartitionCheckpoint(search.Run(fn, search.Options{StopAtFrontier: 2}), 2)
-	if err != nil {
-		t.Fatal(err)
+	full := search.Run(fn, search.Options{})
+	if full.Aborted || len(full.Nodes) < 500 {
+		t.Fatalf("aborted=%v, %d nodes; want a finished space of 500 nodes or more", full.Aborted, len(full.Nodes))
 	}
-	seed, err := search.Load(bytes.NewReader(docs[0]))
-	if err != nil {
-		t.Fatal(err)
+	body := canonicalBytes(t, full)
+	render := mallocs(func() { full.Save(io.Discard) })              //nolint:errcheck // sized, not used
+	decode := mallocs(func() { search.Load(bytes.NewReader(body)) }) //nolint:errcheck // sized, not used
+	fl := &flight{key: requestKey(fn, normOptions{}), fn: fn}
+	a := &assignment{id: "a-whole", fl: fl, state: stateAssigned,
+		leaseUntil: time.Now().Add(time.Hour), done: make(chan struct{})}
+	s.dist.mu.Lock()
+	s.dist.assignments[a.id] = a
+	s.dist.mu.Unlock()
+	req, _ := json.Marshal(distcl.CompleteRequest{WorkerID: "w1", AssignmentID: a.id,
+		SpaceHash: hexSum(body), SpaceB64: base64.StdEncoding.EncodeToString(body)})
+	w := httptest.NewRecorder()
+	cost := mallocs(func() {
+		s.handleDistComplete(w, httptest.NewRequest(http.MethodPost, distcl.PathComplete, bytes.NewReader(req)))
+		fl.canon = a.canon // what dispatcher.enumerate hands publish
+		err = s.publish(fl, a.res)
+	})
+	if w.Code != http.StatusOK || a.state != stateDone || err != nil {
+		t.Fatalf("completion answered %d %s (state %s, publish %v)", w.Code, w.Body, a.state, err)
 	}
-	part, err := search.Resume(seed, search.Options{})
-	if err != nil {
-		t.Fatal(err)
+	extra := int64(cost) - int64(decode)
+	t.Logf("one render allocates %d objects, one decode %d; the completion allocated %d, %d beyond the decode",
+		render, decode, cost, extra)
+	if stored, err := os.ReadFile(s.store.path(fl.key)); err != nil || hexSum(stored) != hexSum(body) {
+		t.Errorf("the stored entry is not the canonical bytes (%v)", err)
 	}
-	for _, c := range []struct {
-		name  string
-		res   *search.Result
-		whole bool
-	}{
-		{"part", part, false},
-		{"whole", search.Run(fn, search.Options{}), true},
-	} {
-		if c.res.Aborted || len(c.res.Nodes) < 500 {
-			t.Fatalf("%s: aborted=%v, %d nodes; want a finished space of 500 nodes or more", c.name, c.res.Aborted, len(c.res.Nodes))
-		}
-		body := canonicalBytes(t, c.res)
-		render := mallocs(func() { c.res.Save(io.Discard) })             //nolint:errcheck // sized, not used
-		decode := mallocs(func() { search.Load(bytes.NewReader(body)) }) //nolint:errcheck // sized, not used
-		fl := &flight{key: requestKey(fn, normOptions{}), fn: fn}
-		a := &assignment{id: "a-" + c.name, fl: fl, whole: c.whole, state: stateAssigned,
-			leaseUntil: time.Now().Add(time.Hour), done: make(chan struct{})}
-		s.dist.mu.Lock()
-		s.dist.assignments[a.id] = a
-		s.dist.mu.Unlock()
-		req, _ := json.Marshal(distcl.CompleteRequest{WorkerID: "w1", AssignmentID: a.id,
-			SpaceHash: hexSum(body), SpaceB64: base64.StdEncoding.EncodeToString(body)})
-		w := httptest.NewRecorder()
-		cost := mallocs(func() {
-			s.handleDistComplete(w, httptest.NewRequest(http.MethodPost, distcl.PathComplete, bytes.NewReader(req)))
-			if c.whole {
-				res, _ := s.dist.assemble(fl, nil, []*assignment{a}, nil)
-				err = s.publish(fl, res)
-			}
-		})
-		if w.Code != http.StatusOK || a.state != stateDone || err != nil {
-			t.Fatalf("%s: completion answered %d %s (state %s, publish %v)", c.name, w.Code, w.Body, a.state, err)
-		}
-		extra := int64(cost) - int64(decode)
-		t.Logf("%s: one render allocates %d objects, one decode %d; the completion allocated %d, %d beyond the decode",
-			c.name, render, decode, cost, extra)
-		if c.whole {
-			if stored, err := os.ReadFile(s.store.path(fl.key)); err != nil || hexSum(stored) != hexSum(body) {
-				t.Errorf("whole: the stored entry is not the canonical bytes (%v)", err)
-			}
-			if extra < int64(render)/2 || extra >= int64(render)*3/2 {
-				t.Errorf("a whole completion and its publish allocated %d objects beyond the decode, one render %d: want one render", extra, render)
-			}
-		} else if extra >= int64(render)/4 {
-			t.Errorf("accepting a part allocated %d objects beyond the decode, one render %d: want no render", extra, render)
-		}
+	if extra < int64(render)/2 || extra >= int64(render)*3/2 {
+		t.Errorf("a completion and its publish allocated %d objects beyond the decode, one render %d: want one render", extra, render)
 	}
 }

@@ -61,12 +61,11 @@ type flight struct {
 	cacheHow string // "mem", "disk" or "miss" — how the worker resolved it
 	err      error
 	status   int // HTTP status for err
-	// publish is how long a miss took to hash and store its space;
-	// merge what a sharded one spent reassembling the shards' sub-spaces.
-	publish, merge time.Duration
+	// publish is how long a miss took to hash and store its space.
+	publish time.Duration
 
 	// canon is a miss's canonical bytes where the path that produced it
-	// (a whole-space fleet completion) already rendered them to verify
+	// (a fleet completion) already rendered them to verify
 	// the worker's claim; the worker goroutine's own note, not for
 	// waiters.
 	canon []byte

@@ -89,7 +89,7 @@ type Config struct {
 	// DiskMaxBytes bounds the disk cache: when the published entries
 	// exceed it, a publish sweeps the least-recently-used keys (never one
 	// with in-flight readers) until the total fits again (0 =
-	// unbounded). A whole-space fleet checkpoint mirrored into its key's
+	// unbounded). A fleet checkpoint mirrored into its key's
 	// space file counts against the budget too, and so does a checkpoint
 	// an earlier process left there; one the local engine is writing
 	// counts once the key publishes.
@@ -107,19 +107,8 @@ type Config struct {
 	// on before the flight falls back to local enumeration, resuming
 	// from the last uploaded checkpoint (default 3).
 	DistMaxAttempts int
-	// ShardFanout is the fan-out of the one fleet path; it splits
-	// default-tier enumerations. With >= 2 and at least two live workers
-	// the coordinator runs the space locally until the frontier holds at
-	// least ShardFanout nodes, partitions that frontier into ShardFanout
-	// disjoint assignments, leases them, and merges the completed
-	// sub-spaces back into the byte-identical serial result. The
-	// progress of those parts lives in coordinator memory; only the
-	// warm-up, in the request key's space file, survives a
-	// coordinator death. With 0 or 1, a single live worker, or an
-	// equivalence-tier request, the whole space is the one assignment —
-	// which is also where a split goes when a part aborts or its merge
-	// fails verification, before the flight falls back to local
-	// enumeration.
+	// Deprecated: ignored. The coordinator sends every flight to the
+	// fleet as one whole-space assignment (DESIGN §14).
 	ShardFanout int
 }
 
@@ -389,7 +378,7 @@ func (s *Server) enumerate(r *http.Request, ri *reqInfo) (*enumerateResponse, *f
 	ri.cache = how
 	ri.queueWait = fl.startedAt.Sub(fl.enqueuedAt)
 	ri.enumerate = fl.finishedAt.Sub(fl.startedAt)
-	ri.publish, ri.merge = fl.publish, fl.merge
+	ri.publish = fl.publish
 	ri.checkpoint = fl.ent.checkpoint
 	if fl.err != nil {
 		status := fl.status
@@ -545,11 +534,11 @@ func (s *Server) runFlight(fl *flight) {
 // engine's final write into the key's space file already did both
 // (SpacePath, SpaceHash), in either tier, and so did Enumerate for a
 // finished space it found there; publishing that file is writing its
-// answer record. A whole-space fleet completion was rendered by
+// answer record. A fleet completion was rendered by
 // handleDistComplete to verify the worker's claim, and that render is
-// put. A space neither wrote — a merged space, one whose final write
-// failed — is rendered here by Save, which writes a complete space's
-// canonical bytes, and those bytes are hashed and put.
+// put. A space neither wrote — one whose final write failed — is
+// rendered here by Save, which writes a complete space's canonical
+// bytes, and those bytes are hashed and put.
 func (s *Server) publish(fl *flight, res *search.Result) (err error) {
 	hash, canon := res.SpaceHash, fl.canon
 	if hash == "" && canon == nil {
@@ -586,15 +575,14 @@ func (s *Server) dropCorrupt(ctx context.Context, k cacheKey, err error) {
 
 // resolveFlight produces fl's space: on the fleet when one is
 // registered, locally otherwise. The fallback composes with recovery —
-// a split leaves its warm-up checkpoint in the key's space file and a
-// whole-space dispatch that exhausted its attempts has mirrored the
-// fleet's last checkpoint there, so the local run resumes rather than
-// restarts either way, in either tier.
+// a dispatch that exhausted its attempts has mirrored the fleet's last
+// checkpoint into the key's space file, so the local run resumes rather
+// than restarts, in either tier.
 func (s *Server) resolveFlight(fl *flight) (*search.Result, error) {
 	res, handled := s.dist.enumerate(fl)
 	if !handled {
 		var err error
-		if res, err = s.runOrResume(fl, 0); err != nil {
+		if res, err = s.runOrResume(fl); err != nil {
 			return nil, fmt.Errorf("resuming checkpoint: %w", err)
 		}
 	}
@@ -603,14 +591,12 @@ func (s *Server) resolveFlight(fl *flight) (*search.Result, error) {
 
 // runOrResume enumerates fl's function under the flight's options,
 // checkpointing into the key's space file and continuing what it holds
-// (search.Enumerate owns what that may be). stopAtFrontier > 0 is the
-// warm-up of a split: it pauses at a frontier that wide. Whichever way a
-// run on the slot came to a complete space — a warm-up that never met a
-// wide enough frontier included — the space file holds it (SpacePath,
+// (search.Enumerate owns what that may be). Whichever way a run on the
+// slot came to a complete space, the space file holds it (SpacePath,
 // SpaceHash) and runFlight publishes it by writing its answer record
 // instead of encoding the space a second time. The error is
 // search.Enumerate's.
-func (s *Server) runOrResume(fl *flight, stopAtFrontier int) (*search.Result, error) {
+func (s *Server) runOrResume(fl *flight) (*search.Result, error) {
 	// Draw this flight's search parallelism from the shared CPU-token
 	// budget instead of letting every flight default to NumCPU: the
 	// sum across concurrent flights never exceeds GOMAXPROCS. A grant
@@ -629,7 +615,6 @@ func (s *Server) runOrResume(fl *flight, stopAtFrontier int) (*search.Result, er
 		Logger:         s.logger,
 		Metrics:        s.reg,
 		Faults:         s.cfg.Faults,
-		StopAtFrontier: stopAtFrontier,
 		CheckpointPath: s.store.path(fl.key),
 	}
 	return search.Enumerate(fl.fn, opts, func(start search.Start) {

@@ -648,47 +648,6 @@ func TestCompleteCheckpointIsPromoted(t *testing.T) {
 	if _, err := s.store.load(key); err != nil {
 		t.Fatalf("published entry does not load: %v", err)
 	}
-
-	// The warm-up of a split that finishes the space before the frontier
-	// is ever wide enough to partition is a local completion like any
-	// other: the engine's one write is published by writing its record.
-	// A directory squatting on the space file's temp name once the engine
-	// is done would make a second encode fail loudly; the record write
-	// never goes near it.
-	t.Run("warm-up completion", func(t *testing.T) {
-		const src = `int g; int readg() { return g; }`
-		dir := t.TempDir()
-		s, ts := newTestServer(t, Config{Dir: dir, ShardFanout: 2})
-		registerIdle(t, ts, "w1")
-		registerIdle(t, ts, "w2")
-		fn := mustCompile(t, src, "readg")
-		fl := &flight{key: requestKey(fn, normOptions{}), fn: fn, done: make(chan struct{}), startedAt: time.Now()}
-		fl.ctx, fl.cancel = context.WithCancelCause(context.Background())
-		want, err := search.Run(fn, search.Options{}).CanonicalHash()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.resolveFlight(fl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		squat := string(fl.key) + spaceSuffix + ".tmp"
-		if err := os.MkdirAll(filepath.Join(dir, squat, "x"), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.publish(fl, res); err != nil || fl.ent.answer.SpaceHash != want {
-			t.Fatalf("publish: %v, hash %s, want %s", err, fl.ent.answer.SpaceHash, want)
-		}
-		for name, want := range map[string]int64{"dist.shard.warmup_completions": 1,
-			"search.checkpoint.writes": 1, "server.cache.write_errors": 0} {
-			if got := counter(s, name); got != want {
-				t.Errorf("%s = %d, want %d", name, got, want)
-			}
-		}
-		if got := dirNames(t, dir); !slices.Equal(got, append(pairNames(string(fl.key)), squat)) {
-			t.Fatalf("cache dir holds %v, want the published pair beside the squatter", got)
-		}
-	})
 }
 
 // TestStatsEndpoint: /v1/stats reports the instruments and the phase
