@@ -24,6 +24,8 @@ func TestEnumerateSlotStates(t *testing.T) {
 	_, other := compileFunc(t, smallSrc, "clamp")
 	// Same name, edited body: what an edit-and-rerun leaves in the slot.
 	_, edited := compileFunc(t, strings.Replace(sumSrc, "s += a[i]", "s += a[i] + 1", 1), "sum")
+	// Same body, another name: a space document carries its function's name.
+	_, renamed := compileFunc(t, strings.Replace(sumSrc, "sum(", "total(", 1), "total")
 	hashOf := func(r *search.Result) string {
 		t.Helper()
 		h, err := r.CanonicalHash()
@@ -107,6 +109,8 @@ func TestEnumerateSlotStates(t *testing.T) {
 			fill: spaceOf(search.Run(f, search.Options{MaxNodes: 50}))},
 		{name: "same name, edited body", refuses: true,
 			fill: spaceOf(search.Run(edited, search.Options{}))},
+		{name: "same body, another name", refuses: true,
+			fill: spaceOf(search.Run(renamed, search.Options{}))},
 		{name: "different function", refuses: true,
 			fill: spaceOf(search.Run(other, search.Options{}))},
 		{name: "equivalence tier of the same function", refuses: true,
