@@ -86,8 +86,8 @@ func (c *oneJobCoordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // TestSeededAssignmentUploadsOnlyItsOwnProgress: a seeded assignment —
-// every part of a split, every re-dispatch — starts with the
-// coordinator's own document in its scratch slot. Heartbeats must not
+// every re-dispatch after an upload — starts with the coordinator's own
+// document in its scratch slot. Heartbeats must not
 // hand that document back (the coordinator would take the echo for
 // progress and count the next re-dispatch as a recovery), and must
 // never see it half-written: the entries stay empty until the engine
@@ -103,12 +103,18 @@ func TestSeededAssignmentUploadsOnlyItsOwnProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := search.Run(fn, search.Options{StopAtFrontier: 2})
-	docs, _, err := search.PartitionCheckpoint(warm, 1)
+	// The seed is the resumable document a node cap leaves at its
+	// checkpoint path.
+	seedPath := filepath.Join(t.TempDir(), "seed.space.gz")
+	search.Run(fn, search.Options{MaxNodes: 5, CheckpointPath: seedPath})
+	seed, err := os.ReadFile(seedPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed := docs[0]
+	warm, err := search.Load(bytes.NewReader(seed))
+	if err != nil || warm.Checkpoint == nil || warm.Aborted {
+		t.Fatalf("the capped run left no resumable document (%v)", err)
+	}
 
 	coord := &oneJobCoordinator{done: make(chan CompleteRequest, 1), job: Assignment{
 		AssignmentID: "a1", Key: "k", Func: fn, LeaseGen: 1,

@@ -33,8 +33,7 @@ const numStripes = 64
 func stripeFor(fp fingerprint.FP) uint32 { return fp.CRC & (numStripes - 1) }
 
 // slot is the dedup slot of one canonical key, the one record identical-
-// instance detection keeps per distinct spelling — in the striped index
-// for a live run, embedded in an oracleNode for a reassembly.
+// instance detection keeps per distinct spelling in the striped index.
 // Concurrency contract:
 //
 //   - key (flags byte + canonical encoding) is immutable once the slot

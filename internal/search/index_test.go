@@ -170,8 +170,8 @@ func TestIndexHoldsEachKeyOnce(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			for _, equiv := range []bool{false, true} {
 				what := fmt.Sprintf("%s workers=%d equiv=%v", fn.Name, workers, equiv)
-				e := newRun(fn, Options{Workers: workers, Equiv: equiv}, (*engine).runLevel)
-				res, _ := e.run()
+				e := newRun(fn, Options{Workers: workers, Equiv: equiv})
+				res := e.run()
 				if res.Aborted {
 					t.Fatalf("%s: aborted: %s", what, res.AbortReason)
 				}

@@ -17,11 +17,11 @@ import (
 // TestGeneratedSpacesHashOneWay is the byte-identity invariant on
 // generated inputs: for random programs, every way this package has of
 // producing a space — any worker width, a mid-level kill plus Resume
-// (by hand, and through the slot's owner, Enumerate) in either tier, a frontier split
-// into K shards resumed apart and merged, the live equivalence tier or
-// its derivation from the default space — yields
+// (by hand, and through the slot's owner, Enumerate) in either tier, a
+// frontier split into K shards resumed apart and merged, the live
+// equivalence tier or its derivation from the default space — yields
 // one CanonicalHash per tier. All of them run the one level loop; what
-// differs is the evaluator and the seeding, which is exactly what a
+// differs is the seeding and the interruptions, which is exactly what a
 // hand-picked corpus function exercises least. Seeds whose space
 // outgrows the size budget are skipped (the cap abort is deterministic,
 // so the selection is too). Runs under -race via make race.

@@ -128,19 +128,23 @@ type Options struct {
 	// file. Callers partition that frontier (PartitionCheckpoint) or
 	// hand the Result straight back to Resume. A space that completes
 	// before the frontier ever grows that wide returns complete, with no
-	// Checkpoint. Ignored under Equiv: the shard merge replays the
-	// default tier alone. Part of the frontier-split API, which no
-	// production path calls any more: the benchmark harness's shard
-	// probes and this package's tests do (DESIGN §14).
+	// Checkpoint. Ignored under Equiv: PartitionCheckpoint and
+	// MergeShards refuse an equivalence-collapsed base, since a shard's
+	// class table would not hold its siblings' classes, so an Equiv
+	// pause could only be resumed whole. Part of the frontier-split
+	// API, which no production path calls any more: the benchmark
+	// harness's shard probes and this package's tests do (DESIGN §14).
 	StopAtFrontier int
 	// Timeout aborts the search after this much wall time
 	// (0 = unlimited). On Resume the budget restarts.
 	Timeout time.Duration
-	// Verifier, when non-nil, is invoked on every new instance; it
-	// should return an error when the instance misbehaves. Used for
-	// differential testing of the whole space. Unlike a panicking
-	// phase, a Verifier failure is never quarantined: it means the
-	// space itself is wrong, so the enumeration fails loudly.
+	// Verifier, when non-nil, is invoked on the instance of every active
+	// attempt, before the identical-instance check, so a duplicate is
+	// verified again and the root never is; it should return an error
+	// when the instance misbehaves. Used for differential testing of the
+	// whole space. Unlike a panicking phase, a Verifier failure is never
+	// quarantined: it means the space itself is wrong, so the
+	// enumeration fails loudly.
 	Verifier func(f *rtl.Func) error
 	// Check runs the internal/check semantic verifier on every
 	// distinct instance (root included). Unlike Verifier, a finding
@@ -425,35 +429,23 @@ func (v snapshot) canonical() snapshot {
 	return v
 }
 
-// evaluator answers one level's attempts: it hands e.commitOutcome one
-// outcome per attempt of work, in work order, and fails only when it
-// cannot answer (a broken oracle). It is the one point where the entry
-// points differ: Run and Resume evaluate phases on the pipelined ring
-// ((*engine).runLevel), MergeShards and DeriveEquiv look answers up in
-// a harvested oracle (attemptOracle.level). Everything else — work
-// lists, caps, node and edge commit, the equivalence fold, counters,
-// checkpoints — is the engine's and exists once.
-type evaluator func(e *engine, work []attempt) error
-
-// engine drives one enumeration: its entry point seeds the node table,
-// the frontier and the evaluator, and all share the level loop.
+// engine drives one enumeration: its entry point (Run or Resume) seeds
+// the node table and the frontier, and both share the level loop.
 type engine struct {
 	res      *Result
 	opts     *Options
 	ins      *instruments
 	index    *dedupIndex
-	eval     evaluator
 	frontier []*Node
 	// next collects the nodes the running level discovers: the next
 	// frontier.
 	next  []*Node
 	start time.Time
-	// ring carries the live evaluator's outcomes from the workers to the
-	// committer, one ring for the whole run (allocated by the first live
-	// level, replaced while levels outgrow it; an oracle-only run never
-	// needs it). ringBase is how many attempts earlier levels put through
-	// it: a slot is addressed by the attempt's run-wide number, so no
-	// publication mark ever repeats.
+	// ring carries the outcomes from the workers to the committer, one
+	// ring for the whole run (allocated by the first level, replaced while
+	// levels outgrow it). ringBase is how many attempts earlier levels put
+	// through it: a slot is addressed by the attempt's run-wide number, so
+	// no publication mark ever repeats.
 	ring     *outcomeRing
 	ringBase int64
 	// equivClasses is the third index tier (Options.Equiv): the class
@@ -476,18 +468,20 @@ type engine struct {
 	lastCkpt      time.Time
 	lastCkptCost  time.Duration
 	lastCkptNodes int
+
+	// levelDone, nil outside tests, is called once a level's attempts are
+	// committed and before its frontier's shared analyses are dropped.
+	levelDone func()
 }
 
 // Run exhaustively enumerates the phase order space of f. The function
 // is not modified.
 func Run(f *rtl.Func, opts Options) *Result {
-	e := newRun(f, opts, (*engine).runLevel)
-	res, _ := e.run() // the ring answers every attempt
-	return res
+	return newRun(f, opts).run()
 }
 
 // newRun seeds an engine with the cleaned-up root of f as node 0.
-func newRun(f *rtl.Func, opts Options, eval evaluator) *engine {
+func newRun(f *rtl.Func, opts Options) *engine {
 	opts.fill()
 	start := time.Now()
 
@@ -495,7 +489,7 @@ func newRun(f *rtl.Func, opts Options, eval evaluator) *engine {
 	rtl.Cleanup(root)
 
 	res := &Result{FuncName: f.Name, root: root.Clone(), opts: opts}
-	e := newEngine(res, eval, start)
+	e := newEngine(res, start)
 	buf := fingerprint.GetBuffer()
 	o := outcome{fn: root, fp: fingerprint.SummarizeInto(buf, root), buf: buf}
 	if opts.Equiv {
@@ -515,13 +509,12 @@ func newRun(f *rtl.Func, opts Options, eval evaluator) *engine {
 
 // newEngine wires an engine over res, whose options are final. Under
 // Options.Equiv it opens the class table.
-func newEngine(res *Result, eval evaluator, start time.Time) *engine {
+func newEngine(res *Result, start time.Time) *engine {
 	e := &engine{
 		res:   res,
 		opts:  &res.opts,
 		ins:   newInstruments(&res.opts, res.FuncName),
 		index: newDedupIndex(),
-		eval:  eval,
 		start: start,
 	}
 	if res.opts.Equiv {
@@ -561,7 +554,7 @@ func Resume(res *Result, opts Options) (*Result, error) {
 	res.opts = opts
 	res.Checkpoint = nil
 	res.Aborted, res.AbortReason = false, ""
-	e := newEngine(res, (*engine).runLevel, time.Now())
+	e := newEngine(res, time.Now())
 	e.prior = res.Elapsed
 	// Rebuild the index from the loaded node table, each slot sharing
 	// its node's key (Load checked it against the node's state and
@@ -581,15 +574,15 @@ func Resume(res *Result, opts Options) (*Result, error) {
 	e.equivClasses, e.folds = cp.classes, cp.folds
 	e.ins.seed(res.Stats, len(res.Nodes), len(e.folds))
 	e.frontier = cp.Frontier
-	return e.run()
+	return e.run(), nil
 }
 
 // newNode appends the node of a newly discovered instance — the root,
 // or the first committed reference to a key — under its canonical key.
-// o carries the instance's facts however they were come by: computed on
-// a worker (the control-flow key is then still bytes in the pooled
-// buffer, copied only now that a node keeps it) or recorded by an
-// oracle's input. Under Options.Equiv the instance founds its class.
+// o carries the instance's facts as a worker computed them (the
+// control-flow key is still bytes in the pooled buffer, copied only now
+// that a node keeps it). Under Options.Equiv the instance founds its
+// class.
 func (e *engine) newNode(level int, seq, key string, o *outcome) *Node {
 	n := &Node{
 		ID:        len(e.res.Nodes),
@@ -598,13 +591,10 @@ func (e *engine) newNode(level int, seq, key string, o *outcome) *Node {
 		FP:        o.fp,
 		State:     o.st,
 		NumInstrs: o.fp.Count, // the fingerprint counts instructions
-		CFKey:     o.cf,
+		CFKey:     fingerprint.Key(o.buf.CF),
 		CheckErr:  o.checkErr,
 		key:       key,
 		fn:        o.fn,
-	}
-	if o.buf != nil {
-		n.CFKey = fingerprint.Key(o.buf.CF)
 	}
 	e.res.Nodes = append(e.res.Nodes, n)
 	if e.equivClasses != nil {
@@ -766,9 +756,9 @@ func (e *engine) canceled() bool {
 }
 
 // run is the level loop, the only one: every entry point of the package
-// that builds a space drives it, differing in how the engine was seeded
-// and in the evaluator. The error is the evaluator's.
-func (e *engine) run() (*Result, error) {
+// that builds a space drives it, differing only in how the engine was
+// seeded.
+func (e *engine) run() *Result {
 	opts := e.opts
 	res := e.res
 	ins := e.ins
@@ -793,9 +783,9 @@ func (e *engine) run() (*Result, error) {
 		}
 
 		// Answer every (node, phase) pair of the level. Attempts are
-		// independent, but whatever the evaluator does with that, the
-		// answers commit in (node, phase) order, so the enumeration is
-		// reproducible regardless of scheduling.
+		// evaluated concurrently, but the answers commit in (node, phase)
+		// order, so the enumeration is reproducible regardless of
+		// scheduling.
 		work := levelWork(frontier, opts.Phases)
 		// The number of sequences to evaluate at this level is exactly
 		// len(work): counting (node, enabled phase) pairs instead would
@@ -815,12 +805,12 @@ func (e *engine) run() (*Result, error) {
 		for _, n := range frontier {
 			n.fn.ShareAnalyses()
 		}
-		err := e.eval(e, work)
+		e.runLevel(work)
+		if e.levelDone != nil {
+			e.levelDone()
+		}
 		for _, n := range frontier {
 			n.fn.DropAnalyses()
-		}
-		if err != nil {
-			return nil, err
 		}
 		if res.Aborted {
 			break
@@ -880,7 +870,7 @@ func (e *engine) run() (*Result, error) {
 		e.snap = e.boundary()
 		e.writeCheckpoint()
 	}
-	return res, nil
+	return res
 }
 
 // attempt is one (node, phase) pair scheduled for evaluation.
@@ -923,16 +913,16 @@ func (e *engine) checkAbort() bool {
 	return false
 }
 
-// runLevel is the live evaluator: Workers goroutines — this one, the
-// caller, and Workers-1 it starts — run one claim → evaluate → publish
-// loop over the level (a mid-level abort marks the result aborted and
-// returns early). Each claims attempts from a shared cursor, evaluates
-// them, probes (or parks a slot in) the striped index, and publishes
-// the outcome into the run's bounded ring. The caller is also the
-// single committer: between its own evaluations it consumes the ring's
-// ready prefix strictly in attempt order, and once nothing is left to
-// claim it commits the rest, parking while the next outcome is still
-// being evaluated. The in-order commit is what makes the space
+// runLevel answers one level's attempts: Workers goroutines — this one,
+// the caller, and Workers-1 it starts — run one claim → evaluate →
+// publish loop over the level (a mid-level abort marks the result
+// aborted and returns early). Each claims attempts from a shared cursor,
+// evaluates them, probes (or parks a slot in) the striped index, and
+// publishes the outcome into the run's bounded ring. The caller is also
+// the single committer: between its own evaluations it consumes the
+// ring's ready prefix strictly in attempt order, and once nothing is
+// left to claim it commits the rest, parking while the next outcome is
+// still being evaluated. The in-order commit is what makes the space
 // deterministic: node IDs are assigned in first-committed-reference
 // order, which is exactly the serial engine's discovery order,
 // independent of worker count and scheduling. The ring bounds memory —
@@ -943,7 +933,7 @@ func (e *engine) checkAbort() bool {
 // the calling goroutine. Once the level is committed its discoveries
 // need no further step: their slots sit in the index with their IDs,
 // where the next level's probes find them.
-func (e *engine) runLevel(work []attempt) error {
+func (e *engine) runLevel(work []attempt) {
 	opts, res := e.opts, e.res
 	workers := opts.Workers
 	if workers <= 0 {
@@ -1112,13 +1102,12 @@ func (e *engine) runLevel(work []attempt) error {
 				fingerprint.PutBuffer(o.buf)
 			}
 		}
-		return nil
+		return
 	}
 	wg.Wait()
-	return nil
 }
 
-// evaluate is one live answer, as a ring worker (or a serial caller)
+// evaluate is one answer, as a ring worker (or a serial caller)
 // produces it: evaluate the attempt and resolve its instance against the
 // striped index here rather than at commit — a concurrent probe finds
 // the key's slot or parks one, and the committer only turns the slot
@@ -1174,10 +1163,8 @@ func equivKey(dst []byte, flags byte, fn *rtl.Func) []byte {
 
 // commitOutcome applies one answered attempt on the serial commit path,
 // in attempt order; a newly discovered node joins the next frontier.
-// Every evaluator's answers pass through here, so quarantine nodes,
-// edge append order, merge classification and every count are the same
-// however the answer was come by. A quarantined attempt contributes a
-// node and an edge but neither an active nor a dormant outcome.
+// A quarantined attempt contributes a node and an edge but neither an
+// active nor a dormant outcome.
 func (e *engine) commitOutcome(a attempt, o *outcome) {
 	ins, st := e.ins, &e.ins.stats
 	if o.quarantine != "" {
@@ -1197,9 +1184,7 @@ func (e *engine) commitOutcome(a attempt, o *outcome) {
 		return
 	}
 	cn, isNew := e.commitInstance(a, o)
-	if o.buf != nil {
-		fingerprint.PutBuffer(o.buf)
-	}
+	fingerprint.PutBuffer(o.buf)
 	st.Active++
 	st.Edges++
 	a.node.Edges = append(a.node.Edges, Edge{Phase: a.phase.ID(), To: cn.ID})
@@ -1262,17 +1247,15 @@ func putClone(fn *rtl.Func) {
 	}
 }
 
-// outcome is an evaluator's answer to one attempt: quarantined, dormant
-// (the zero value) or active. An active outcome carries the instance's
-// facts and the dedup slot of its key. On the ring both are computed on
-// the worker — fingerprint, plus the pooled buffer holding the canonical
-// encoding, CF key and any class key, plus the striped index's probe —
-// so the serial committer only turns them into the merge decision (a
-// class lookup is a map probe with buf's bytes; only a new class copies
-// its key); it returns buf to the fingerprint pool and clears the ring
-// slot the outcome traveled in. An oracle copies the facts from its
-// inputs (cf set, buf nil) and hands out its own slot. A ring slot stays
-// within 128 bytes.
+// outcome is the answer to one attempt: quarantined, dormant (the zero
+// value) or active. An active outcome carries the instance's facts and
+// the dedup slot of its key, both computed on the worker — fingerprint,
+// plus the pooled buffer holding the canonical encoding, CF key and any
+// class key, plus the striped index's probe — so the serial committer
+// only turns them into the merge decision (a class lookup is a map probe
+// with buf's bytes; only a new class copies its key); it returns buf to
+// the fingerprint pool and clears the ring slot the outcome traveled in.
+// A ring slot stays within 128 bytes.
 type outcome struct {
 	active     bool
 	st         opt.State
@@ -1280,7 +1263,6 @@ type outcome struct {
 	fn         *rtl.Func // the instance; nil when nobody will expand it
 	fp         fingerprint.FP
 	buf        *fingerprint.Buffer
-	cf         fingerprint.Key
 	equiv      []byte // class key (equivKey), Options.Equiv and an unassigned slot only
 	checkErr   string
 	quarantine string

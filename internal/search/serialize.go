@@ -34,9 +34,10 @@ import (
 //     aborted, with its wall-clock fields zeroed (snapshot.canonical), so
 //     Save and the engine's final write put the same bytes down, and
 //     the file's SHA-256 is the space's CanonicalHash (Result.SpaceHash):
-//     nothing renders a space twice to store and to name it. Wall-clock provenance belongs to the run — the Result, the
-//     server's answer record and flight log — and to a resumable or
-//     aborted document, which keeps its elapsed time for Resume;
+//     nothing renders a space twice to store and to name it. Wall-clock
+//     provenance belongs to the run — the Result, the server's answer
+//     record and flight log — and to a resumable or aborted document,
+//     which keeps its elapsed time for Resume;
 //   - one file writer: WriteFile (temp file, optional fsync, rename)
 //     puts every space file in place — engine checkpoints (explore
 //     -save's file among them), the server's cache entries and
@@ -70,10 +71,10 @@ import (
 // checkpoint section. Load is the trust boundary — it reads bytes this
 // process did not write: it holds every node's key, and every folded
 // spelling's, against the node that carries it (checkKey) before Resume
-// or a merge files it anywhere, and FuzzLoad holds Load to "an error,
-// or a space whose hash survives Save and Load; never a panic". A key
-// is stored as it is written: one raw string per node (Node.key), never
-// compressed in memory.
+// files it anywhere, and FuzzLoad holds Load to "an error, or a space
+// whose hash survives Save and Load; never a panic". A key is stored as
+// it is written: one raw string per node (Node.key), never compressed
+// in memory.
 
 type fileFormat struct {
 	Version         int             `json:"version"`
@@ -155,9 +156,8 @@ func bitsState(b byte) opt.State {
 // checkKey is the trust-boundary test of the key a node arrived with:
 // the key of an instance must carry the node's gating flags and checksum
 // to its fingerprint, whose count is the node's size; a quarantined
-// node's is "Q" + Seq. Load applies it to every node it decodes and the
-// oracle to every node it interns, so no index ever files a key under a
-// fingerprint it does not have.
+// node's is "Q" + Seq. Load applies it to every node it decodes, so no
+// index ever files a key under a fingerprint it does not have.
 func checkKey(n *Node, key []byte) error {
 	if n.Quarantine != "" {
 		if string(key) != "Q"+n.Seq {

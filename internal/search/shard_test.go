@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,7 +16,6 @@ import (
 	"repro/internal/opt"
 	"repro/internal/rtl"
 	"repro/internal/search"
-	"repro/internal/telemetry"
 )
 
 // pauseAt runs a warmup enumeration that pauses once the frontier
@@ -323,51 +323,6 @@ func TestDeriveEquivMatchesDirectRun(t *testing.T) {
 	}
 }
 
-// phaseApplications sums the opt.attempt.* counters of a registry: how
-// many times opt.Attempt ran since opt.Metrics was pointed at it.
-func phaseApplications(reg *telemetry.Registry) int64 {
-	var n int64
-	for name, v := range reg.Snapshot().Counters {
-		if strings.HasPrefix(name, "opt.attempt.") {
-			n += v
-		}
-	}
-	return n
-}
-
-// TestDeriveEquivPhaseApplications is the exact-count form of the
-// derivation's cost claim: a child instance is one phase application
-// away from its retained parent (Figure 6(b)), so deriving costs at
-// most Equiv.Raw applications — never a replay from the root, and
-// fewer than the live tier, which pays one per attempt.
-func TestDeriveEquivPhaseApplications(t *testing.T) {
-	_, sum := compileFunc(t, sumSrc, "sum")
-	_, gcd := compileFunc(t, gcdSrc, "gcd")
-	funcs := []*rtl.Func{sum, gcd}
-	if !testing.Short() {
-		funcs = append(funcs, mibenchFunc(t, "jpeg", "get_code"))
-	}
-	defer func(prev *opt.PhaseMetrics) { opt.Metrics = prev }(opt.Metrics)
-	for _, f := range funcs {
-		full := wire(t, search.Run(f, search.Options{}))
-		if f.Name == "get_code" && full.Stats.Levels < 10 {
-			t.Fatalf("get_code enumerated %d levels; the corpus cell needs a deep space", full.Stats.Levels)
-		}
-		reg := telemetry.NewRegistry()
-		opt.Metrics = opt.NewPhaseMetrics(reg)
-		derived, err := search.DeriveEquiv(full, search.Options{})
-		opt.Metrics = nil
-		if err != nil {
-			t.Fatalf("%s: %v", f.Name, err)
-		}
-		got, raw := phaseApplications(reg), int64(derived.Equiv.Raw)
-		if got == 0 || got > raw {
-			t.Errorf("%s: derivation applied %d phases for %d raw-distinct instances (%d attempts in the live tier)",
-				f.Name, got, raw, derived.AttemptedPhases)
-		}
-	}
-}
-
 // corruptSpace rewrites a saved space's JSON document through mutate
 // and loads the result: a well-formed file whose content lies.
 func corruptSpace(t *testing.T, r *search.Result, mutate func(nodes []any)) (*search.Result, error) {
@@ -399,11 +354,12 @@ func corruptSpace(t *testing.T, r *search.Result, mutate func(nodes []any)) (*se
 }
 
 // TestDeriveEquivRejectsCorruptSource feeds DeriveEquiv well-formed
-// files that lie — an edge relabeled with an unknown phase, an edge
-// relabeled with a phase that is dormant on the parent, which load
-// cleanly, and a child whose canonical key was altered, which Load
-// already turns away — and requires an error value naming the defect.
-// There is no recover() behind this: a panic fails the test.
+// files that lie. An edge relabeled with an unknown phase, or with a
+// phase that is dormant on the parent, loads cleanly, and derivation
+// reads no edge: it yields the direct equivalence-tier run's space. A
+// child whose canonical key was altered is turned away by Load, with an
+// error value naming the defect. There is no recover() behind this: a
+// panic fails the test.
 func TestDeriveEquivRejectsCorruptSource(t *testing.T) {
 	_, f := compileFunc(t, sumSrc, "sum")
 	full := search.Run(f, search.Options{})
@@ -425,12 +381,13 @@ func TestDeriveEquivRejectsCorruptSource(t *testing.T) {
 	firstEdge := func(nodes []any) map[string]any {
 		return nodes[0].(map[string]any)["edges"].([]any)[0].(map[string]any)
 	}
+	want := canonical(t, search.Run(f, search.Options{Equiv: true}))
 	cases := []struct {
-		name, want string
+		name, want string // want: the defect Load names; "" loads
 		mutate     func(nodes []any)
 	}{
-		{"unknown phase", "unknown phase", func(nodes []any) { firstEdge(nodes)["Phase"] = 1 }},
-		{"dormant phase", "dormant", func(nodes []any) { firstEdge(nodes)["Phase"] = int(dormant) }},
+		{"unknown phase", "", func(nodes []any) { firstEdge(nodes)["Phase"] = 1 }},
+		{"dormant phase", "", func(nodes []any) { firstEdge(nodes)["Phase"] = int(dormant) }},
 		{"child key", "canonical key", func(nodes []any) {
 			child := nodes[root.Edges[0].To].(map[string]any)
 			key, err := base64.StdEncoding.DecodeString(child["key"].(string))
@@ -444,28 +401,32 @@ func TestDeriveEquivRejectsCorruptSource(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			src, err := corruptSpace(t, full, tc.mutate)
-			if (err == nil) != (tc.name != "child key") {
+			if tc.want != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("loading the corrupt source: %v, want an error naming the %s", err, tc.want)
+				}
+				return
+			}
+			if err != nil {
 				t.Fatalf("loading the corrupt source: %v", err)
 			}
-			if err == nil {
-				var got *search.Result
-				if got, err = search.DeriveEquiv(src, search.Options{}); err == nil {
-					t.Fatalf("derived %d nodes from a corrupt source", len(got.Nodes))
-				}
+			got, err := search.DeriveEquiv(src, search.Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not name the defect (%s)", err, tc.want)
+			if !bytes.Equal(canonical(t, got), want) {
+				t.Fatal("derivation from a lying source differs from the direct equiv run")
 			}
 		})
 	}
 }
 
-// TestShardMergeQuarantineParity injects a deterministic phase panic
-// at a frontier-node attempt — frontier sequences are fixed by the
-// base table, so the same attempt quarantines in the owning shard and
-// in the single-node reference — and checks the quarantine record
-// survives partition, shard enumeration and merge byte-identically.
-func TestShardMergeQuarantineParity(t *testing.T) {
+// TestShardMergeRefusesFaultedShard injects a deterministic phase panic
+// at a frontier-node attempt of one shard. The merge runs no fault
+// plan, so its serial run expands that node normally, and the shard's
+// quarantined edge disagrees with it: the merge must refuse, naming the
+// node's sequence, rather than serve either space.
+func TestShardMergeRefusesFaultedShard(t *testing.T) {
 	_, f := compileFunc(t, sumSrc, "sum")
 	const k = 2
 	warmup := pauseAt(t, sumSrc, "sum", k)
@@ -488,43 +449,35 @@ func TestShardMergeQuarantineParity(t *testing.T) {
 	if seq == "" {
 		t.Fatal("no expandable frontier node in the reference space")
 	}
-	plan := "panic=" + string(phase) + "@" + seq
-	faults := faultinject.MustParse(plan)
-	refQ := search.Run(f, search.Options{Faults: faultinject.MustParse(plan)})
-	if refQ.Aborted {
-		t.Fatalf("faulted reference run aborted: %s", refQ.AbortReason)
-	}
-	if refQ.Stats.Quarantined == 0 {
-		t.Fatal("fault plan never fired in the reference run")
-	}
+	faults := faultinject.MustParse("panic=" + string(phase) + "@" + seq)
 
 	docs, ids, err := search.PartitionCheckpoint(warmup, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shards := make([]search.ShardSpace, len(docs))
+	quarantined := 0
 	for i, doc := range docs {
-		shards[i] = search.ShardSpace{
-			Res:         completeShard(t, doc, false, faults),
-			FrontierIDs: ids[i],
-		}
+		res := completeShard(t, doc, false, faults)
+		quarantined += res.Stats.Quarantined
+		shards[i] = search.ShardSpace{Res: res, FrontierIDs: ids[i]}
+	}
+	if quarantined == 0 {
+		t.Fatal("fault plan never fired in the shards")
 	}
 	merged, err := search.MergeShards(warmup, shards)
-	if err != nil {
-		t.Fatalf("merge: %v", err)
+	if err == nil {
+		t.Fatalf("merged %d nodes from a shard that quarantined what the serial run expands", len(merged.Nodes))
 	}
-	if merged.Stats.Quarantined == 0 {
-		t.Fatal("quarantine record lost in the merge")
-	}
-	if !bytes.Equal(canonical(t, merged), canonical(t, refQ)) {
-		t.Fatal("merged quarantined space differs from the single-node faulted run")
+	if !strings.Contains(err.Error(), fmt.Sprintf("%q", seq)) {
+		t.Fatalf("merge error %q does not name the sequence %q", err, seq)
 	}
 }
 
 // TestMergeShardsRejectsBadInput checks the merge fails loudly — not
-// with a corrupt space — on the inputs the coordinator can actually
-// see: incomplete shards, foreign functions, uncovered or
-// double-claimed frontier nodes.
+// with a corrupt space — on bad input: an uncovered frontier, an
+// incomplete shard, a double-claimed frontier subset, and a well-formed
+// shard document whose edge lies about its phase.
 func TestMergeShardsRejectsBadInput(t *testing.T) {
 	const k = 2
 	warmup := pauseAt(t, sumSrc, "sum", k)
@@ -554,5 +507,38 @@ func TestMergeShardsRejectsBadInput(t *testing.T) {
 		{Res: complete(1), FrontierIDs: ids[0]},
 	}); err == nil {
 		t.Fatal("merge accepted a double-claimed frontier subset")
+	}
+
+	// Relabel the first edge of the first node the shard expanded with
+	// a phase that node has no edge of.
+	shard := complete(1)
+	var lied *search.Node
+	for _, n := range shard.Nodes[len(warmup.Nodes):] {
+		if len(n.Edges) > 0 {
+			lied = n
+			break
+		}
+	}
+	if lied == nil {
+		t.Fatal("shard 1 expanded no node with an active phase")
+	}
+	var relabel byte
+	for _, p := range opt.All() {
+		if !slices.ContainsFunc(lied.Edges, func(e search.Edge) bool { return e.Phase == p.ID() }) {
+			relabel = p.ID()
+			break
+		}
+	}
+	liar, err := corruptSpace(t, shard, func(nodes []any) {
+		nodes[lied.ID].(map[string]any)["edges"].([]any)[0].(map[string]any)["Phase"] = int(relabel)
+	})
+	if err != nil {
+		t.Fatalf("loading the relabeled shard: %v", err)
+	}
+	if _, err := search.MergeShards(warmup, []search.ShardSpace{
+		{Res: complete(0), FrontierIDs: ids[0]},
+		{Res: liar, FrontierIDs: ids[1]},
+	}); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", lied.Seq)) {
+		t.Fatalf("merge of a shard with a relabeled edge at %q: %v, want an error naming it", lied.Seq, err)
 	}
 }

@@ -88,14 +88,13 @@ func checkBorrows(t *testing.T) *atomic.Int64 {
 // attempt that wrote into a shared RegSet, Loop.Blocks or edge list
 // shows here even if no later attempt at that node looked.
 func checkedRun(f *rtl.Func, opts Options) *Result {
-	res, _ := newRun(f, opts, func(e *engine, work []attempt) error {
-		err := e.runLevel(work)
+	e := newRun(f, opts)
+	e.levelDone = func() {
 		for _, n := range e.frontier {
 			rtl.CFGOf(n.fn.Clone())
 		}
-		return err
-	}).run()
-	return res
+	}
+	return e.run()
 }
 
 // TestBorrowedAnalysesMatchFresh runs the stale-borrow hook and the

@@ -758,7 +758,11 @@ func (d *dispatcher) acceptCheckpoint(u ckptUpload) {
 // handleDistComplete accepts a finished assignment. Completion is
 // idempotent by content hash: re-delivery of the same space is
 // acknowledged as a duplicate; a different hash for the same finished
-// assignment is a conflict.
+// assignment is a conflict. A finished space under an assignment ID
+// this life never issued — a lessee that outlived a dead coordinator
+// life — settles the live assignment of its key, if the key is being
+// enumerated again; the checks below hold it to that flight as they
+// would its own lessee's.
 func (s *Server) handleDistComplete(w http.ResponseWriter, r *http.Request) {
 	d := s.dist
 	var req distcl.CompleteRequest
@@ -767,6 +771,9 @@ func (s *Server) handleDistComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	d.mu.Lock()
 	a := d.assignments[req.AssignmentID]
+	if a == nil && !req.Aborted {
+		a = d.liveForKeyLocked(req.Key)
+	}
 	if wk := d.workers[req.WorkerID]; wk != nil {
 		wk.lastSeen = time.Now()
 	}
@@ -836,6 +843,17 @@ func (s *Server) handleDistComplete(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, distcl.CompleteResponse{Status: status})
+}
+
+// liveForKeyLocked returns the live (pending or leased) assignment of
+// key's flight, or nil. Callers hold d.mu.
+func (d *dispatcher) liveForKeyLocked(key string) *assignment {
+	for _, a := range d.assignments {
+		if string(a.fl.key) == key && (a.state == statePending || a.state == stateAssigned) {
+			return a
+		}
+	}
+	return nil
 }
 
 // settleLocked is the one completion transition: it decides, from a's

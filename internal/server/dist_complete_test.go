@@ -181,3 +181,65 @@ func TestForeignUploadIsRefused(t *testing.T) {
 		})
 	}
 }
+
+// TestDeadLifeCompletion: a lessee that outlived its coordinator uploads
+// its finished space under an assignment ID the new life never issued.
+// If the new life is enumerating the key again, the completion settles
+// that flight, held to the same checks as its own lessee's; a key
+// nobody is enumerating, or a worker-side abort, is still an unknown
+// assignment (404), and the flight's own lessee settles it.
+func TestDeadLifeCompletion(t *testing.T) {
+	full := search.Run(mustCompile(t, clampSrc, "clamp"), search.Options{})
+	want, err := full.CanonicalHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := canonicalBytes(t, full)
+	for _, row := range []struct {
+		name    string
+		key     func(live string) string
+		aborted bool
+		status  int // 0: accepted
+	}{
+		{"the live key", func(live string) string { return live }, false, 0},
+		{"an unknown key", func(string) string { return strings.Repeat("0", 64) }, false, http.StatusNotFound},
+		{"an aborted completion", func(live string) string { return live }, true, http.StatusNotFound},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{DistLeaseTTL: 30 * time.Second, DistPollWait: 200 * time.Millisecond})
+			registerIdle(t, ts, "w1")
+			cl := distcl.NewClient(distcl.Config{BaseURL: ts.URL, Timeout: 5 * time.Second})
+			replies := postAsync(t, ts, srcBody(clampSrc))
+			asn := pollAs(t, cl, "w1")
+
+			var resp distcl.CompleteResponse
+			_, err := cl.Call(context.Background(), distcl.PathComplete, distcl.CompleteRequest{
+				WorkerID: "w0", AssignmentID: "a0", Key: row.key(asn.Key),
+				SpaceHash: want, SpaceB64: base64.StdEncoding.EncodeToString(body),
+				Aborted: row.aborted, AbortReason: "worker drained",
+			}, &resp)
+			if row.status == 0 {
+				if resp.Status != "accepted" {
+					t.Fatalf("the dead life's completion: %q, %v; want accepted", resp.Status, err)
+				}
+			} else {
+				se := &distcl.StatusError{}
+				if !errors.As(err, &se) || se.Status != row.status {
+					t.Fatalf("the dead life's completion: %q, %v; want %d", resp.Status, err, row.status)
+				}
+				s.dist.mu.Lock()
+				state := s.dist.assignments[asn.AssignmentID].state
+				s.dist.mu.Unlock()
+				if state != stateAssigned {
+					t.Fatalf("the refused completion left the assignment %s, want %s", state, stateAssigned)
+				}
+				if status, err := complete(cl, "w1", asn, body, want); status != "accepted" {
+					t.Fatalf("the lessee's own completion: %q, %v; want accepted", status, err)
+				}
+			}
+			if r := <-replies; r.status != http.StatusOK || r.doc["space_hash"] != want {
+				t.Fatalf("the flight answered %d with space_hash %v, want 200 and %s", r.status, r.doc["space_hash"], want)
+			}
+		})
+	}
+}

@@ -275,9 +275,10 @@ func TestStaleLeaseUploadFenced(t *testing.T) {
 		t.Fatalf("first dispatch lease_gen = %d, want 1", asn.LeaseGen)
 	}
 
-	// Two genuine partial enumerations of the assigned function — the
-	// second one level deeper — so the deeper pause is the watermark the
-	// shallow straggler must not undo.
+	// Two genuine partial enumerations of the assigned function, each
+	// the resumable document a node cap leaves at its checkpoint path —
+	// the second resumed from the first under a higher cap — so the
+	// deeper one is the watermark the shallow straggler must not undo.
 	enc := func(r *search.Result) string {
 		var buf bytes.Buffer
 		if err := r.Save(&buf); err != nil {
@@ -285,20 +286,22 @@ func TestStaleLeaseUploadFenced(t *testing.T) {
 		}
 		return base64.StdEncoding.EncodeToString(buf.Bytes())
 	}
+	paused := func(path string) *search.Result {
+		res, err := search.LoadFile(path)
+		if err != nil || res.Checkpoint == nil || res.Aborted {
+			t.Fatalf("%s is not a resumable document (%v)", path, err)
+		}
+		return res
+	}
 	fn := mustCompile(t, sumSrc, "sum")
-	small := search.Run(fn, search.Options{StopAtFrontier: 2})
-	if small.Checkpoint == nil {
-		t.Fatal("shallow enumeration did not pause")
-	}
-	prev, err := search.Load(bytes.NewReader(mustB64(t, enc(small))))
-	if err != nil {
+	dir := t.TempDir()
+	smallPath, bigPath := filepath.Join(dir, "small"+spaceSuffix), filepath.Join(dir, "big"+spaceSuffix)
+	search.Run(fn, search.Options{MaxNodes: 5, CheckpointPath: smallPath})
+	if _, err := search.Resume(paused(smallPath), search.Options{MaxNodes: 40, CheckpointPath: bigPath}); err != nil {
 		t.Fatal(err)
 	}
-	big, err := search.Resume(prev, search.Options{StopAtFrontier: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big.Checkpoint == nil || len(big.Nodes) <= len(small.Nodes) {
+	small, big := paused(smallPath), paused(bigPath)
+	if len(big.Nodes) <= len(small.Nodes) {
 		t.Fatalf("deeper pause did not grow (small %d nodes, big %d)", len(small.Nodes), len(big.Nodes))
 	}
 	hb := func(c *distcl.Client, gen int64, ckpt string) distcl.HeartbeatResponse {

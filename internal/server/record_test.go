@@ -106,7 +106,7 @@ func TestDamagedPairIsAMiss(t *testing.T) {
 		{name: "entry is a checkpoint document", corrupt: 1,
 			damage: func(t *testing.T, st *diskStore, k cacheKey) {
 				fn := mustCompile(t, clampSrc, "clamp")
-				search.Run(fn, search.Options{CheckpointPath: st.path(k), StopAtFrontier: 2})
+				search.Run(fn, search.Options{CheckpointPath: st.path(k), MaxNodes: 3})
 				if res, err := search.LoadFile(st.path(k)); err != nil || res.Checkpoint == nil {
 					t.Fatalf("the planted checkpoint does not load as one: %v", err)
 				}
