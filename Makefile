@@ -102,6 +102,7 @@ loc:
 fuzz-smoke:
 	$(GO) test ./internal/fingerprint/ -run '^$$' -fuzz '^FuzzEquivInvariance$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/search/ -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/search/ -run '^$$' -fuzz '^FuzzLoadCanonical$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/opt/ -run '^$$' -fuzz '^FuzzPhaseC$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # Telemetry smoke test: instrument a tiny enumeration, then make

@@ -13,6 +13,7 @@
 package repro
 
 import (
+	"bytes"
 	"fmt"
 	bigint "math/big"
 	"runtime"
@@ -446,4 +447,50 @@ func BenchmarkGeneticSearch(b *testing.B) {
 		}
 		b.ReportMetric(gap, "gap-from-optimum")
 	})
+}
+
+// BenchmarkUploadVerify times the coordinator's check of a whole fleet
+// upload — a worker's canonical bytes — two ways: decoding the space
+// and rendering it again (Load, then Save into a buffer), and
+// search.LoadCanonical, which proves the upload canonical in one
+// overlapped pass and renders nothing. get_code is the fleet_shard
+// workload's timed default-tier request, fdct_pass its equivalence-tier
+// one. EXPERIMENTS.md records the numbers; -cpu 1 shows the pass with
+// nothing to overlap.
+func BenchmarkUploadVerify(b *testing.B) {
+	for _, c := range []struct {
+		bench, fn string
+		equiv     bool
+	}{
+		{"jpeg", "get_code", false},
+		{"jpeg", "fdct_pass", true},
+	} {
+		var canon bytes.Buffer
+		if err := search.Run(benchFunc(b, c.bench, c.fn), search.Options{Equiv: c.equiv}).Save(&canon); err != nil {
+			b.Fatal(err)
+		}
+		up := canon.Bytes()
+		b.Run(c.fn+"/load+save", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := search.Load(bytes.NewReader(up))
+				if err != nil {
+					b.Fatal(err)
+				}
+				var out bytes.Buffer
+				if err := res.Save(&out); err != nil || !bytes.Equal(out.Bytes(), up) {
+					b.Fatalf("Save did not give the upload back (%v)", err)
+				}
+			}
+		})
+		b.Run(c.fn+"/loadcanonical", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, got, err := search.LoadCanonical(up)
+				if err != nil || !bytes.Equal(got, up) {
+					b.Fatalf("LoadCanonical did not give the upload back (%v)", err)
+				}
+			}
+		})
+	}
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"repro/internal/interp"
 	"repro/internal/mc"
 	"repro/internal/randprog"
 	"repro/internal/rtl"
@@ -140,7 +143,10 @@ func TestGeneratedSpacesHashOneWay(t *testing.T) {
 }
 
 // generatedSpaces hands each the first n random programs whose space
-// fits maxNodes, with its reference enumeration at width 1.
+// fits maxNodes, with its reference enumeration at width 1. The
+// reference run executes every instance it reaches (execOracle), so a
+// space that byte identity holds to is also one that computes what its
+// program does.
 func generatedSpaces(t *testing.T, n, maxNodes int, each func(seed int64, f *rtl.Func, ref *search.Result)) {
 	cfg := randprog.Config{MaxStmts: 3, MaxDepth: 2, MaxExprDepth: 2}
 	for seed, found := int64(0), 0; found < n; seed++ {
@@ -150,11 +156,64 @@ func generatedSpaces(t *testing.T, n, maxNodes int, each func(seed int64, f *rtl
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		f := prog.Func(p.Entry)
-		ref := search.Run(f, search.Options{Workers: 1, MaxNodes: maxNodes})
+		ref := search.Run(f, search.Options{Workers: 1, MaxNodes: maxNodes,
+			Verifier: execOracle(t, seed, prog, p)})
 		if ref.Aborted {
 			continue
 		}
 		found++
 		each(seed, f, ref)
+	}
+}
+
+// execOracle is a Verifier that runs an instance of p's entry function,
+// substituted for it in prog, on 8 argument vectors drawn from seed,
+// and fails the test when its return value, trace or globals differ
+// from the unoptimized program's on any of them. It substitutes into
+// one shared copy of prog, so it is for a run at width 1.
+func execOracle(t *testing.T, seed int64, prog *rtl.Program, p randprog.Program) func(*rtl.Func) error {
+	rng := rand.New(rand.NewSource(seed))
+	args := make([][]int32, 8)
+	for i := range args {
+		args[i] = make([]int32, p.Params)
+		for j := range args[i] {
+			args[i][j] = rng.Int31n(2001) - 1000
+		}
+	}
+	// run is what prog's entry function does on every vector, flat: the
+	// return value, the trace's length and values, every global word.
+	run := func(prog *rtl.Program) ([]int32, error) {
+		var out []int32
+		for _, a := range args {
+			m := interp.New(prog, interp.Limits{MaxSteps: 5_000_000})
+			res, err := m.Run(p.Entry, a...)
+			if err != nil {
+				return nil, fmt.Errorf("args %v: %w", a, err)
+			}
+			out = append(append(out, res.Ret, int32(len(res.Trace))), res.Trace...)
+			for _, g := range prog.Globals {
+				for i := int32(0); i < g.Words; i++ {
+					out = append(out, m.ReadGlobal(g.Name, i))
+				}
+			}
+		}
+		return out, nil
+	}
+	want, err := run(prog)
+	if err != nil {
+		t.Fatalf("seed %d: the unoptimized program: %v", seed, err)
+	}
+	// The instance stands in for the entry function of a copy of prog
+	// whose other functions and globals are prog's own: the interpreter
+	// only reads them.
+	mod := *prog
+	mod.Funcs = slices.Clone(prog.Funcs)
+	entry := slices.IndexFunc(mod.Funcs, func(f *rtl.Func) bool { return f.Name == p.Entry })
+	return func(inst *rtl.Func) error {
+		mod.Funcs[entry] = inst
+		if got, err := run(&mod); err != nil || !slices.Equal(got, want) {
+			t.Errorf("seed %d: an instance misbehaves (%v): got %v, want %v\n%s", seed, err, got, want, inst)
+		}
+		return nil
 	}
 }

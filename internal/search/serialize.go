@@ -1,9 +1,11 @@
 package search
 
 import (
+	"bytes"
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -12,6 +14,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/faultinject"
@@ -72,9 +75,11 @@ import (
 // process did not write: it holds every node's key, and every folded
 // spelling's, against the node that carries it (checkKey) before Resume
 // files it anywhere, and FuzzLoad holds Load to "an error, or a space
-// whose hash survives Save and Load; never a panic". A key is stored as
-// it is written: one raw string per node (Node.key), never compressed
-// in memory.
+// whose hash survives Save and Load; never a panic". LoadCanonical, the
+// coordinator's check of a fleet upload, shares Load's decode-and-
+// validate step, and FuzzLoadCanonical holds it to Load and then Save.
+// A key is stored as it is written: one raw string per node (Node.key),
+// never compressed in memory.
 
 type fileFormat struct {
 	Version         int             `json:"version"`
@@ -266,18 +271,31 @@ func (r *Result) document(v snapshot) *fileFormat {
 // behind: a recycled compressor writes the bytes a new one would.
 var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
 
-func writeFormat(w io.Writer, ff *fileFormat) error {
+// compress writes what write produces into w through a pooled
+// compressor. The output is a function of the bytes alone: writing a
+// document's JSON encoding (as writeFormat does, in one Write) puts
+// down the space file's bytes.
+func compress(w io.Writer, write func(io.Writer) error) error {
 	gz := gzipWriters.Get().(*gzip.Writer)
 	gz.Reset(w)
 	defer func() {
 		gz.Reset(nil) // do not pin w in the pool
 		gzipWriters.Put(gz)
 	}()
-	if err := json.NewEncoder(gz).Encode(ff); err != nil {
+	if err := write(gz); err != nil {
 		gz.Close()
-		return fmt.Errorf("search: encoding space: %w", err)
+		return err
 	}
 	return gz.Close()
+}
+
+func writeFormat(w io.Writer, ff *fileFormat) error {
+	return compress(w, func(gz io.Writer) error {
+		if err := json.NewEncoder(gz).Encode(ff); err != nil {
+			return fmt.Errorf("search: encoding space: %w", err)
+		}
+		return nil
+	})
 }
 
 // Save writes the enumerated space to w: a complete, un-aborted space
@@ -381,6 +399,15 @@ func Load(rd io.Reader) (*Result, error) {
 	if err := gz.Close(); err != nil {
 		return nil, fmt.Errorf("search: space file has a corrupt gzip trailer: %w", err)
 	}
+	return ff.result()
+}
+
+// result is the decode-and-validate step Load and LoadCanonical share:
+// the space a decoded document holds, or the defect that bars it — an
+// unsupported version, no root or nodes, a root that fails
+// rtl.Validate, a node whose key does not belong to it (checkKey), an
+// edge outside the table, an inconsistent checkpoint section.
+func (ff *fileFormat) result() (*Result, error) {
 	if ff.Version < minFormatVersion || ff.Version > formatVersionEquiv {
 		return nil, fmt.Errorf("search: space format version %d unsupported (this build reads v%d-v%d)",
 			ff.Version, minFormatVersion, formatVersionEquiv)
@@ -464,6 +491,7 @@ func Load(rd io.Reader) (*Result, error) {
 			cp.Frontier = append(cp.Frontier, n)
 		}
 		if ff.Equiv != nil {
+			var err error
 			if cp.classes, cp.folds, err = loadClasses(res.Nodes, fc); err != nil {
 				return nil, err
 			}
@@ -520,6 +548,139 @@ func loadClasses(nodes []*Node, fc *fileCheckpoint) (map[string]int32, []fold, e
 	}
 	return classes, folds, nil
 }
+
+// LoadCanonical is Load of the space file b that also returns what Save
+// writes of the space: for a complete one, its canonical bytes. A whole
+// fleet upload is checked with it. When b already is those bytes — a
+// worker uploads its engine's final write — it proves so in one pass
+// instead of rendering the space again: it inflates b once and, while
+// the calling goroutine decodes and validates the document and
+// re-encodes the space against it, a second goroutine recompresses it
+// against b. If both match byte for byte, b is what Save would write,
+// and b is returned. Anything else — a document of another build, another
+// compression level, bytes after the document, any defect — takes Load
+// and then Save, so the space, the bytes and every error are theirs: a
+// nil result means Load failed, a result with an error that Save did.
+func LoadCanonical(b []byte) (*Result, []byte, error) {
+	if res := provenCanonical(b); res != nil {
+		return res, b, nil
+	}
+	res, err := Load(bytes.NewReader(b))
+	if err != nil {
+		return nil, nil, err
+	}
+	var buf bytes.Buffer
+	if err := res.Save(&buf); err != nil {
+		return res, nil, err
+	}
+	return res, buf.Bytes(), nil
+}
+
+// provenCanonical is the space b holds when b is exactly what Save
+// writes of it, else nil. The recompression runs beside the decode, so
+// the proof costs about the longer of the two, not their sum; it waits
+// for its goroutine in every case, and stops it early when the decode
+// fails.
+func provenCanonical(b []byte) *Result {
+	doc, err := inflate(b)
+	if err != nil {
+		return nil
+	}
+	var stop atomic.Bool
+	recompressed := make(chan bool, 1)
+	go func() {
+		w := &matchWriter{want: b, stop: &stop}
+		err := compress(w, func(gz io.Writer) error {
+			_, err := gz.Write(doc)
+			return err
+		})
+		recompressed <- err == nil && w.done()
+	}()
+	res := decodeMatching(doc)
+	if res == nil {
+		stop.Store(true)
+	}
+	if !<-recompressed {
+		return nil
+	}
+	return res
+}
+
+// decodeMatching is the space the JSON document doc holds when
+// re-encoding it gives doc back byte for byte, else nil.
+func decodeMatching(doc []byte) *Result {
+	var ff fileFormat
+	if json.Unmarshal(doc, &ff) != nil {
+		return nil
+	}
+	res, err := ff.result()
+	if err != nil {
+		return nil
+	}
+	w := &matchWriter{want: doc}
+	if json.NewEncoder(w).Encode(res.document(res.whole())) != nil || !w.done() {
+		return nil
+	}
+	return res
+}
+
+// maxInflation caps the buffer inflate sizes from a gzip trailer at
+// this many times the stream's length, so that a trailer cannot make it
+// allocate what the stream does not hold; the canonical bytes of real
+// spaces inflate 7 to 19 times.
+const maxInflation = 32
+
+// inflate is the gzip stream b decompressed, read into one buffer sized
+// from the trailer's ISIZE (the length mod 2^32 of the last member),
+// which grows only if the stream is longer than that.
+func inflate(b []byte) ([]byte, error) {
+	zr, err := gzip.NewReader(bytes.NewReader(b))
+	if err != nil {
+		return nil, err
+	}
+	size := 0
+	if len(b) >= 4 {
+		size = int(binary.LittleEndian.Uint32(b[len(b)-4:]))
+	}
+	// One byte over, so that the read that finds the end has room.
+	doc := make([]byte, 0, min(size, maxInflation*len(b))+1)
+	for {
+		if len(doc) == cap(doc) {
+			doc = append(doc, 0)[:len(doc)]
+		}
+		n, err := zr.Read(doc[len(doc):cap(doc)])
+		doc = doc[:len(doc)+n]
+		if err == io.EOF {
+			return doc, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// errMismatch stops a write whose bytes are not the ones expected.
+var errMismatch = errors.New("search: bytes differ")
+
+// matchWriter holds what is written to it to want, in order: the first
+// write that differs from want, runs past its end, or comes after stop
+// is set fails, which ends the encoder or compressor feeding it.
+type matchWriter struct {
+	want []byte
+	off  int
+	stop *atomic.Bool
+}
+
+func (w *matchWriter) Write(p []byte) (int, error) {
+	if (w.stop != nil && w.stop.Load()) || len(p) > len(w.want)-w.off || !bytes.Equal(p, w.want[w.off:w.off+len(p)]) {
+		return 0, errMismatch
+	}
+	w.off += len(p)
+	return len(p), nil
+}
+
+// done reports whether all of want was written.
+func (w *matchWriter) done() bool { return w.off == len(w.want) }
 
 // LoadFile reads a space file: a checkpoint slot's, a cache entry, or
 // anything else Save wrote.

@@ -9,8 +9,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/fingerprint"
@@ -320,6 +322,53 @@ func TestLoadCorruptFiles(t *testing.T) {
 				t.Fatalf("error %q does not name the defect (want substring %q)", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestLoadCanonicalRefusesAsLoadDoes: LoadCanonical refuses every
+// defective space file with Load's own error, proves the canonical
+// bytes of either tier canonical — returning the input itself — and
+// renders a recompressed copy of them again; and no call leaves its
+// recompressing goroutine behind: the goroutine count settles back to
+// where it was.
+func TestLoadCanonicalRefusesAsLoadDoes(t *testing.T) {
+	defects := defectiveSpaces(t)
+	_, f := compileFunc(t, smallSrc, "clamp")
+	var spaces [][]byte
+	for _, equiv := range []bool{false, true} {
+		var buf bytes.Buffer
+		if err := search.Run(f, search.Options{Equiv: equiv}).Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		spaces = append(spaces, buf.Bytes())
+	}
+	base := runtime.NumGoroutine()
+	for _, tc := range defects {
+		res, canon, err := search.LoadCanonical(tc.data)
+		_, want := search.Load(bytes.NewReader(tc.data))
+		if res != nil || canon != nil || err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("%s: LoadCanonical returned a space %v, %d bytes and error %v; Load's error is %v",
+				tc.name, res != nil, len(canon), err, want)
+		}
+	}
+	for i, up := range spaces {
+		if _, canon, err := search.LoadCanonical(up); err != nil || &canon[0] != &up[0] {
+			t.Errorf("space %d: its canonical bytes were not proved canonical (%v)", i, err)
+		}
+		var fast bytes.Buffer
+		w, _ := gzip.NewWriterLevel(&fast, gzip.BestSpeed)
+		w.Write(gunzip(up))
+		w.Close()
+		if _, canon, err := search.LoadCanonical(fast.Bytes()); err != nil || !bytes.Equal(canon, up) {
+			t.Errorf("space %d recompressed at BestSpeed: LoadCanonical did not return its canonical bytes (%v)", i, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after the LoadCanonical calls, %d before them", n, base)
 	}
 }
 

@@ -240,7 +240,7 @@ func (d *dispatcher) enumerate(fl *flight) (*search.Result, bool) {
 	d.mu.Unlock()
 	switch {
 	case a.state == stateDone && !a.aborted:
-		fl.canon = a.canon // handleDistComplete's render
+		fl.canon = a.canon // the canonical bytes handleDistComplete verified
 		return a.res, true
 	case a.state == stateDone:
 		return &search.Result{FuncName: fl.fn.Name, Aborted: true, AbortReason: a.abortReason}, true
@@ -791,13 +791,16 @@ func (s *Server) handleDistComplete(w http.ResponseWriter, r *http.Request) {
 		// by a hash the coordinator took itself (the idempotency key).
 		// The space is what gets stored, so what Save writes of it — its
 		// canonical bytes — must hash to the claim; those bytes are what
-		// publish puts.
+		// publish puts. LoadCanonical proves a canonical upload so in one
+		// overlapped pass, and it is stored as it arrived; anything else
+		// falls back to Load and then Save.
 		b, err := base64.StdEncoding.DecodeString(req.SpaceB64)
 		if err != nil {
 			writeError(w, &httpError{status: http.StatusBadRequest, msg: "undecodable space payload"})
 			return
 		}
-		if res, err = search.Load(bytes.NewReader(b)); err != nil {
+		res, canon, err = search.LoadCanonical(b)
+		if res == nil {
 			writeError(w, &httpError{status: http.StatusBadRequest, msg: "unloadable space: " + err.Error()})
 			return
 		}
@@ -810,12 +813,10 @@ func (s *Server) handleDistComplete(w http.ResponseWriter, r *http.Request) {
 				msg: fmt.Sprintf("space is not an enumeration of the assignment's %q (equiv=%v)", a.fl.fn.Name, a.fl.no.Equiv)})
 			return
 		}
-		var buf bytes.Buffer
-		if err = res.Save(&buf); err != nil {
+		if err != nil {
 			writeError(w, &httpError{status: http.StatusBadRequest, msg: "unhashable space: " + err.Error()})
 			return
 		}
-		canon = buf.Bytes()
 		if got := hexSum(canon); got != req.SpaceHash {
 			writeError(w, &httpError{status: http.StatusBadRequest,
 				msg: fmt.Sprintf("space hash mismatch: body %s, claimed %s", got, req.SpaceHash)})

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/base64"
 	"errors"
+	"io"
 	"io/fs"
 	"net/http"
 	"os"
@@ -57,50 +60,77 @@ func saved(t *testing.T, res *search.Result) []byte {
 	return timed(t, canonicalBytes(t, res))
 }
 
+// recompressed is canon, a complete space's canonical bytes, gzipped
+// again at level: the same document, but not the bytes Save writes.
+func recompressed(t *testing.T, canon []byte, level int) []byte {
+	t.Helper()
+	gz, err := gzip.NewReader(bytes.NewReader(canon))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := io.ReadAll(gz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	w, _ := gzip.NewWriterLevel(&out, level)
+	w.Write(doc)
+	w.Close()
+	return out.Bytes()
+}
+
 // TestWholeUploadIsHeldToItsCanonicalHash: the space is what the
 // coordinator stores and serves, so its upload is held to the canonical
 // hash of its decode. The SHA-256 of a non-canonical upload's bytes is
 // refused; its canonical hash is accepted, and the stored entry is the
-// coordinator's own render.
+// canonical bytes. A non-canonical upload is one an older build wrote
+// (the run's timing kept), or the canonical document compressed at
+// another level — which only the recompression half of
+// search.LoadCanonical's proof tells from the canonical bytes.
 func TestWholeUploadIsHeldToItsCanonicalHash(t *testing.T) {
-	s, ts := newTestServer(t, Config{DistLeaseTTL: 30 * time.Second, DistPollWait: 200 * time.Millisecond})
-	registerIdle(t, ts, "w1")
-	cl := distcl.NewClient(distcl.Config{BaseURL: ts.URL, Timeout: 5 * time.Second})
 	full := search.Run(mustCompile(t, clampSrc, "clamp"), search.Options{})
 	want, err := full.CanonicalHash()
 	if err != nil {
 		t.Fatal(err)
 	}
-	up := saved(t, full)
-	if hexSum(up) == want {
-		t.Fatal("the upload is already canonical")
-	}
+	canon := canonicalBytes(t, full)
+	for _, row := range []struct {
+		name string
+		up   []byte
+	}{
+		{"timed by an older build", saved(t, full)},
+		{"recompressed at BestSpeed", recompressed(t, canon, gzip.BestSpeed)},
+		{"recompressed at BestCompression", recompressed(t, canon, gzip.BestCompression)},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if hexSum(row.up) == want {
+				t.Fatal("the upload is already canonical")
+			}
+			s, ts := newTestServer(t, Config{DistLeaseTTL: 30 * time.Second, DistPollWait: 200 * time.Millisecond})
+			registerIdle(t, ts, "w1")
+			cl := distcl.NewClient(distcl.Config{BaseURL: ts.URL, Timeout: 5 * time.Second})
+			replies := postAsync(t, ts, srcBody(clampSrc))
+			asn := pollAs(t, cl, "w1")
+			if asn.CheckpointB64 != "" {
+				t.Fatal("the whole space was dispatched with a starting document")
+			}
+			_, err := complete(cl, "w1", asn, row.up, hexSum(row.up))
+			wantMismatch(t, "a whole space under the SHA-256 of its bytes", err)
+			if status, err := complete(cl, "w1", asn, row.up, want); status != "accepted" {
+				t.Fatalf("under its canonical hash: %q, %v; want accepted", status, err)
+			}
 
-	replies := make(chan map[string]any, 1)
-	go func() {
-		status, doc, _ := post(t, ts, srcBody(clampSrc))
-		doc["status"] = status
-		replies <- doc
-	}()
-	asn := pollAs(t, cl, "w1")
-	if asn.CheckpointB64 != "" {
-		t.Fatal("the whole space was dispatched with a starting document")
-	}
-	_, err = complete(cl, "w1", asn, up, hexSum(up))
-	wantMismatch(t, "a whole space under the SHA-256 of its bytes", err)
-	if status, err := complete(cl, "w1", asn, up, want); status != "accepted" {
-		t.Fatalf("under its canonical hash: %q, %v; want accepted", status, err)
-	}
-
-	doc := <-replies
-	if doc["status"] != http.StatusOK || doc["space_hash"] != want {
-		t.Fatalf("the flight answered %v with space_hash %v, want 200 and %s", doc["status"], doc["space_hash"], want)
-	}
-	if hexSum(download(t, ts.URL, doc["key"].(string))) != want {
-		t.Error("the stored entry is the upload, not the coordinator's render")
-	}
-	if got := counter(s, "server.enumerations"); got != 0 {
-		t.Errorf("server.enumerations = %d, want 0: the fleet ran it", got)
+			r := <-replies
+			if r.status != http.StatusOK || r.doc["space_hash"] != want {
+				t.Fatalf("the flight answered %d with space_hash %v, want 200 and %s", r.status, r.doc["space_hash"], want)
+			}
+			if !bytes.Equal(download(t, ts.URL, r.doc["key"].(string)), canon) {
+				t.Error("the stored entry is not the canonical bytes")
+			}
+			if got := counter(s, "server.enumerations"); got != 0 {
+				t.Errorf("server.enumerations = %d, want 0: the fleet ran it", got)
+			}
+		})
 	}
 }
 

@@ -236,11 +236,13 @@ func TestColdFlightRendersOnce(t *testing.T) {
 	}
 }
 
-// TestFleetCompletionRendersOnce: the coordinator renders a fleet upload
-// once, to verify the worker's claim, and publish puts that render: the
-// completion and its publish, beyond the decode, allocate about one
-// render, not two.
-func TestFleetCompletionRendersOnce(t *testing.T) {
+// TestFleetCompletionStoresTheUploadAsItArrived: the coordinator does
+// not render a canonical fleet upload to store it. search.LoadCanonical
+// proves the upload is what Save would write, and publish puts it as it
+// arrived. The completion and its publish, beyond the decode, allocate
+// no more than about one render's objects: the document the proof
+// re-encodes against the decompressed upload.
+func TestFleetCompletionStoresTheUploadAsItArrived(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	fn, err := s.resolve(&enumerateRequest{Bench: "stringsearch", Func: "bmh_search"})
 	if err != nil {
@@ -273,10 +275,10 @@ func TestFleetCompletionRendersOnce(t *testing.T) {
 	extra := int64(cost) - int64(decode)
 	t.Logf("one render allocates %d objects, one decode %d; the completion allocated %d, %d beyond the decode",
 		render, decode, cost, extra)
-	if stored, err := os.ReadFile(s.store.path(fl.key)); err != nil || hexSum(stored) != hexSum(body) {
-		t.Errorf("the stored entry is not the canonical bytes (%v)", err)
+	if stored, err := os.ReadFile(s.store.path(fl.key)); err != nil || !bytes.Equal(stored, body) {
+		t.Errorf("the stored entry is not the upload as it arrived (%v)", err)
 	}
-	if extra < int64(render)/2 || extra >= int64(render)*3/2 {
-		t.Errorf("a completion and its publish allocated %d objects beyond the decode, one render %d: want one render", extra, render)
+	if extra >= int64(render)*3/2 {
+		t.Errorf("a completion and its publish allocated %d objects beyond the decode, one render %d: want at most about one render", extra, render)
 	}
 }

@@ -65,9 +65,9 @@ type flight struct {
 	publish time.Duration
 
 	// canon is a miss's canonical bytes where the path that produced it
-	// (a fleet completion) already rendered them to verify
-	// the worker's claim; the worker goroutine's own note, not for
-	// waiters.
+	// (a fleet completion) already holds them, having verified the
+	// worker's claim against them; the worker goroutine's own note, not
+	// for waiters.
 	canon []byte
 
 	waiters int // guarded by pool.mu

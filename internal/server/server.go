@@ -534,11 +534,12 @@ func (s *Server) runFlight(fl *flight) {
 // engine's final write into the key's space file already did both
 // (SpacePath, SpaceHash), in either tier, and so did Enumerate for a
 // finished space it found there; publishing that file is writing its
-// answer record. A fleet completion was rendered by
-// handleDistComplete to verify the worker's claim, and that render is
-// put. A space neither wrote — one whose final write failed — is
-// rendered here by Save, which writes a complete space's canonical
-// bytes, and those bytes are hashed and put.
+// answer record. A fleet completion holds the canonical bytes
+// handleDistComplete verified the worker's claim against — the upload
+// as it arrived, when it was canonical — and those are put. A space
+// neither wrote — one whose final write failed — is rendered here by
+// Save, which writes a complete space's canonical bytes, and those
+// bytes are hashed and put.
 func (s *Server) publish(fl *flight, res *search.Result) (err error) {
 	hash, canon := res.SpaceHash, fl.canon
 	if hash == "" && canon == nil {
