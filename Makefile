@@ -96,13 +96,16 @@ loc:
 # Every native fuzz target, 10 s each: long enough to replay the seed
 # corpus and mutate a little, short enough for CI. Minimizing an
 # interesting input is capped at 1 s, or the first one found eats the
-# whole budget (the default is a minute). A crasher lands in the
-# package's testdata/fuzz/ and fails the target; commit it with the fix
-# (go test then replays it forever).
+# whole budget (the default is a minute). The space-file targets find a
+# new input about every second, so a 1 s cap still spends their budget
+# minimizing: theirs is counted in executions instead. A crasher lands
+# in the package's testdata/fuzz/ and fails the target; commit it with
+# the fix (go test then replays it forever).
 fuzz-smoke:
 	$(GO) test ./internal/fingerprint/ -run '^$$' -fuzz '^FuzzEquivInvariance$$' -fuzztime 10s -fuzzminimizetime 1s
-	$(GO) test ./internal/search/ -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s -fuzzminimizetime 1s
-	$(GO) test ./internal/search/ -run '^$$' -fuzz '^FuzzLoadCanonical$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/search/ -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s -fuzzminimizetime 20x
+	$(GO) test ./internal/search/ -run '^$$' -fuzz '^FuzzLoadCanonical$$' -fuzztime 10s -fuzzminimizetime 20x
+	$(GO) test ./internal/search/ -run '^$$' -fuzz '^FuzzDocumentBytes$$' -fuzztime 10s -fuzzminimizetime 20x
 	$(GO) test ./internal/opt/ -run '^$$' -fuzz '^FuzzPhaseC$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # Telemetry smoke test: instrument a tiny enumeration, then make

@@ -15,9 +15,12 @@ package repro
 import (
 	"bytes"
 	"fmt"
+	"io"
 	bigint "math/big"
+	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/driver"
@@ -453,10 +456,12 @@ func BenchmarkGeneticSearch(b *testing.B) {
 // upload — a worker's canonical bytes — two ways: decoding the space
 // and rendering it again (Load, then Save into a buffer), and
 // search.LoadCanonical, which proves the upload canonical in one
-// overlapped pass and renders nothing. get_code is the fleet_shard
-// workload's timed default-tier request, fdct_pass its equivalence-tier
-// one. EXPERIMENTS.md records the numbers; -cpu 1 shows the pass with
-// nothing to overlap.
+// overlapped pass, its re-encode streamed into the comparison. The save
+// row is the render alone, what a worker's final write and every cache
+// entry cost: Save of the space into a discarding writer. get_code is
+// the fleet_shard workload's timed default-tier request, fdct_pass its
+// equivalence-tier one. EXPERIMENTS.md records the numbers; -cpu 1
+// shows the pass with nothing to overlap.
 func BenchmarkUploadVerify(b *testing.B) {
 	for _, c := range []struct {
 		bench, fn string
@@ -470,6 +475,20 @@ func BenchmarkUploadVerify(b *testing.B) {
 			b.Fatal(err)
 		}
 		up := canon.Bytes()
+		if !c.equiv {
+			res, err := search.Load(bytes.NewReader(up))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(c.fn+"/save", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := res.Save(io.Discard); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 		b.Run(c.fn+"/load+save", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -493,4 +512,58 @@ func BenchmarkUploadVerify(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkSlotPeakHeap measures what a checkpoint slot adds to a large
+// space's peak heap: sha_main, the corpus's largest space, enumerated
+// without and with Options.CheckpointPath, heap in use (HeapInuse)
+// sampled every 20 ms and its peak reported. sha_main writes one
+// checkpoint, its final write, which renders the complete space while
+// the whole result is still live. Run it with -benchtime 1x;
+// EXPERIMENTS.md records the numbers.
+func BenchmarkSlotPeakHeap(b *testing.B) {
+	f := benchFunc(b, "sha", "sha_main")
+	for _, slot := range []bool{false, true} {
+		b.Run(fmt.Sprintf("slot=%v", slot), func(b *testing.B) {
+			var peak uint64
+			for i := 0; i < b.N; i++ {
+				var opts search.Options
+				if slot {
+					opts.CheckpointPath = filepath.Join(b.TempDir(), "sha.sha_main.space.gz")
+				}
+				runtime.GC()
+				peak = max(peak, peakHeapInuse(func() { search.Run(f, opts) }))
+			}
+			b.ReportMetric(float64(peak)/(1<<20), "peak-heap-MB")
+		})
+	}
+}
+
+// peakHeapInuse runs f and returns the most heap in use sampled every
+// 20 ms while it ran, and once when it returned.
+func peakHeapInuse(f func()) uint64 {
+	sample := func(peak uint64) uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return max(peak, ms.HeapInuse)
+	}
+	done, peak := make(chan struct{}), make(chan uint64)
+	go func() {
+		tick := time.NewTicker(20 * time.Millisecond)
+		defer tick.Stop()
+		var p uint64
+		for {
+			select {
+			case <-done:
+				peak <- p
+				return
+			case <-tick.C:
+				p = sample(p)
+			}
+		}
+	}()
+	f()
+	last := sample(0)
+	close(done)
+	return max(<-peak, last)
 }

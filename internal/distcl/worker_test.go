@@ -11,7 +11,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -260,9 +259,8 @@ func TestDrainUploadsTheFinalCheckpoint(t *testing.T) {
 // per assignment, and is always the bytes its hash was taken over. A
 // checkpointing run's final write left the canonical bytes in the
 // scratch file and their hash on the result, so the upload is that file
-// under that hash and costs a read — a handful of heap objects, where
-// rendering the space to name it (CanonicalHash) allocates several per
-// node. A finished space Enumerate found in the slot carries the hash
+// under that hash and costs a read, no render (search.Rendered counts
+// them). A finished space Enumerate found in the slot carries the hash
 // of the file too, and is uploaded the same way. A run whose final
 // write failed left no file: it is rendered here, once, and uploaded as
 // the bytes that were hashed.
@@ -276,13 +274,6 @@ func TestCompletionRendersOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	fn := prog.Func("bmh_search")
-	mallocs := func(f func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
-	}
 	slot := filepath.Join(t.TempDir(), "a1.g1.ckpt.space.gz")
 	if err := search.WriteFile(slot, search.Run(fn, search.Options{}).Save, true); err != nil {
 		t.Fatal(err)
@@ -294,40 +285,33 @@ func TestCompletionRendersOnce(t *testing.T) {
 	failed := search.Run(fn, search.Options{CheckpointPath: filepath.Join(t.TempDir(), "a1.g1.ckpt.space.gz"),
 		Faults: faultinject.MustParse("ckptfail=1000000")})
 	for _, c := range []struct {
-		name     string
-		res      *search.Result
-		rendered bool
+		name    string
+		res     *search.Result
+		renders int64
 	}{
-		{"checkpointed", search.Run(fn, search.Options{CheckpointPath: filepath.Join(t.TempDir(), "a1.g1.ckpt.space.gz")}), false},
-		{"found slot", found, false},
-		{"failed final write", failed, true},
+		{"checkpointed", search.Run(fn, search.Options{CheckpointPath: filepath.Join(t.TempDir(), "a1.g1.ckpt.space.gz")}), 0},
+		{"found slot", found, 0},
+		{"failed final write", failed, 1},
 	} {
 		res := c.res
-		if res.Aborted || len(res.Nodes) < 1000 || (res.SpaceHash == "") != c.rendered {
+		if res.Aborted || len(res.Nodes) < 1000 || (res.SpaceHash == "") != (c.renders > 0) {
 			t.Fatalf("%s: aborted=%v, %d nodes, SpaceHash %q; want a finished space of 1,000 nodes or more, hashed iff a file holds it",
 				c.name, res.Aborted, len(res.Nodes), res.SpaceHash)
 		}
-		var want string
-		render := mallocs(func() { want, err = res.CanonicalHash() })
+		want, err := res.CanonicalHash()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var b []byte
-		var hash string
-		upload := mallocs(func() { b, hash, err = finishedSpace(res) })
+		before := search.Rendered()
+		b, hash, err := finishedSpace(res)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("%s: one render allocates %d objects, the upload allocated %d", c.name, render, upload)
+		if renders := search.Rendered() - before; renders != c.renders {
+			t.Errorf("%s: the completion rendered the space %d times, want %d", c.name, renders, c.renders)
+		}
 		if sum := sha256.Sum256(b); hash != want || hash != hex.EncodeToString(sum[:]) {
 			t.Errorf("%s: uploads %x under %s, the space's canonical hash is %s", c.name, sum, hash, want)
-		}
-		if c.rendered {
-			if upload < render/2 || upload >= render*3/2 {
-				t.Errorf("%s: the completion allocated %d objects, one render %d: want one render", c.name, upload, render)
-			}
-		} else if upload >= render/4 {
-			t.Errorf("%s: the completion allocated %d objects, one render %d: want no render", c.name, upload, render)
 		}
 	}
 }

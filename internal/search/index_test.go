@@ -138,7 +138,7 @@ func TestDedupIndexCollisionAcrossLevels(t *testing.T) {
 	}
 }
 
-func corpusFunc(t *testing.T, bench, name string) *rtl.Func {
+func corpusFunc(t testing.TB, bench, name string) *rtl.Func {
 	t.Helper()
 	p, err := mibench.ByName(bench)
 	if err != nil {

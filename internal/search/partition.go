@@ -42,10 +42,12 @@ func PartitionCheckpoint(r *Result, k int) ([][]byte, [][]int, error) {
 	if k > len(cp.Frontier) {
 		k = len(cp.Frontier)
 	}
-	// Render the whole paused result once — the shared node table is
-	// encoded once — and cut its resume section k ways.
-	ff := r.document(r.whole())
-	all := ff.Checkpoint
+	// Each shard is the paused result with its resume section cut down
+	// to the shard's slice of the frontier: one snapshot per shard. The
+	// other shards' frontier nodes render as they stand, and a paused
+	// result's frontier nodes have no edges yet, so every shard carries
+	// the same node table.
+	whole := r.whole()
 	docs := make([][]byte, 0, k)
 	ids := make([][]int, 0, k)
 	quo, rem := len(cp.Frontier)/k, len(cp.Frontier)%k
@@ -55,13 +57,18 @@ func PartitionCheckpoint(r *Result, k int) ([][]byte, [][]int, error) {
 		if i < rem {
 			end++
 		}
-		ff.Checkpoint = &fileCheckpoint{Frontier: all.Frontier[start:end:end], Bodies: all.Bodies[start:end:end]}
+		v := whole
+		v.frontier = cp.Frontier[start:end:end]
 		var buf bytes.Buffer
-		if err := writeFormat(&buf, ff); err != nil {
+		if err := r.render(&buf, v); err != nil {
 			return nil, nil, fmt.Errorf("search: partition: shard %d: %w", i, err)
 		}
+		shard := make([]int, len(v.frontier))
+		for j, n := range v.frontier {
+			shard[j] = n.ID
+		}
 		docs = append(docs, buf.Bytes())
-		ids = append(ids, ff.Checkpoint.Frontier)
+		ids = append(ids, shard)
 		start = end
 	}
 	return docs, ids, nil

@@ -394,7 +394,7 @@ func abortLevelCapReason(level, pending, cap int) string {
 }
 
 // snapshot is a result at a level boundary — the unit of durability and
-// the one thing a space document is rendered from (Result.document):
+// the one thing a space document is rendered from (Result.encode):
 // the first numNodes nodes, the frontier nodes with no outgoing edges
 // yet, and the boundary's counters. The engine records one per completed
 // level, so a checkpoint written mid-level rolls back to it; everything
@@ -421,7 +421,7 @@ type snapshot struct {
 
 // canonical is v with its three wall-clock fields zeroed: what two runs
 // that discovered the same space render identically. A complete space
-// is stored in this form (document) and every space is hashed in it
+// is stored in this form (encode) and every space is hashed in it
 // (CanonicalHash); how long a run took belongs to the run, not to the
 // space.
 func (v snapshot) canonical() snapshot {
@@ -671,7 +671,7 @@ func (e *engine) abort(reason string) {
 // left intact and the search continues. Either way the write is timed,
 // and its cost paces the next periodic checkpoint. A boundary with
 // nothing left to expand, on a run nothing aborted, is the complete
-// space: document renders it as its canonical bytes (no wall-clock
+// space: encode renders it as its canonical bytes (no wall-clock
 // fields; a resumable document keeps them, Resume accumulates elapsed),
 // they are hashed as they go to the file, and once they are durable the
 // result names the file and the hash, so no caller renders the space
@@ -689,7 +689,7 @@ func (e *engine) writeCheckpoint() {
 		if complete {
 			w = io.MultiWriter(w, sum)
 		}
-		return writeFormat(w, e.res.document(snap))
+		return e.res.render(w, snap)
 	}, true)
 	if err == nil {
 		if err = SyncDir(filepath.Dir(path), e.opts.Faults); err != nil {

@@ -13,6 +13,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,13 +28,17 @@ import (
 // How a space reaches disk and comes back is decided in this package,
 // once each:
 //
-//   - one document builder: Result.document renders a fileFormat from a
-//     boundary of the result (a snapshot). Save and CanonicalHash render
-//     the whole result, the engine's checkpoint writer the last level
-//     boundary, PartitionCheckpoint the whole paused result with its
-//     resume section cut k ways;
+//   - one document writer: Result.encode streams the JSON document of a
+//     boundary of the result (a snapshot) into the caller's writer, on
+//     the caller's goroutine, one node at a time through a small pooled
+//     buffer, and render puts it through a pooled compressor. A render
+//     holds one node in memory, not a copy of the space. Save and
+//     CanonicalHash render the whole result, the engine's checkpoint
+//     writer the last level boundary, PartitionCheckpoint one snapshot
+//     per shard, and LoadCanonical's proof streams its re-encode into
+//     the comparison. fileFormat is only what Load decodes into;
 //   - one form for a complete space at rest: its canonical bytes.
-//     document renders a boundary with no frontier, of a run nothing
+//     encode renders a boundary with no frontier, of a run nothing
 //     aborted, with its wall-clock fields zeroed (snapshot.canonical), so
 //     Save and the engine's final write put the same bytes down, and
 //     the file's SHA-256 is the space's CanonicalHash (Result.SpaceHash):
@@ -73,14 +78,19 @@ import (
 // reads v1-v3. v1 files simply have no quarantined nodes and no
 // checkpoint section. Load is the trust boundary — it reads bytes this
 // process did not write: it holds every node's key, and every folded
-// spelling's, against the node that carries it (checkKey) before Resume
-// files it anywhere, and FuzzLoad holds Load to "an error, or a space
+// spelling's, against the node that carries it (checkKey), and every
+// checkpoint body against its frontier node's key (checkBody), before
+// Resume files or expands any of it, and FuzzLoad holds Load to "an error, or a space
 // whose hash survives Save and Load; never a panic". LoadCanonical, the
 // coordinator's check of a fleet upload, shares Load's decode-and-
 // validate step, and FuzzLoadCanonical holds it to Load and then Save.
 // A key is stored as it is written: one raw string per node (Node.key),
 // never compressed in memory.
 
+// fileFormat and fileNode are a space document as Load and
+// LoadCanonical decode it. Nothing builds one to write: encode writes
+// the bytes encoding/json would write for one, which the oracle in
+// document_test.go holds it to.
 type fileFormat struct {
 	Version         int             `json:"version"`
 	FuncName        string          `json:"func"`
@@ -174,6 +184,36 @@ func checkKey(n *Node, key []byte) error {
 	return nil
 }
 
+// maxBodyLabel bounds the block IDs and branch targets of a checkpoint
+// body. The canonical encoder numbers labels through a table indexed by
+// them; an instance numbers its blocks from 0 up, a few hundred at most
+// on this corpus, so the bound only keeps a decoded ID from sizing that
+// table.
+const maxBodyLabel = 1 << 16
+
+// checkBody is the trust-boundary test of a checkpoint body: Resume
+// expands it as its frontier node, so the node's gating-flags byte
+// followed by the body's canonical encoding must be the node's key — a
+// body of another node, or of no node, is refused, naming the node.
+// scratch is reused for the encoding and returned.
+func checkBody(n *Node, body *rtl.Func, scratch []byte) ([]byte, error) {
+	for _, b := range body.Blocks {
+		if b.ID < 0 || b.ID >= maxBodyLabel {
+			return scratch, fmt.Errorf("search: node %d (seq %q): its body has a block labeled %d", n.ID, n.Seq, b.ID)
+		}
+		for _, in := range b.Instrs {
+			if (in.Op == rtl.OpBranch || in.Op == rtl.OpJmp) && (in.Target < 0 || in.Target >= maxBodyLabel) {
+				return scratch, fmt.Errorf("search: node %d (seq %q): its body branches to label %d", n.ID, n.Seq, in.Target)
+			}
+		}
+	}
+	scratch = fingerprint.EncodeTo(append(scratch, stateBits(n.State)), body)
+	if string(scratch) != n.key {
+		return scratch, fmt.Errorf("search: node %d (seq %q): its body is not the instance its key names", n.ID, n.Seq)
+	}
+	return scratch, nil
+}
+
 // whole is the result as it stands, as a boundary: every node, the
 // resume frontier when the result still carries one (a loaded,
 // unresumed checkpoint round-trips), and its abort bits.
@@ -186,85 +226,6 @@ func (r *Result) whole() snapshot {
 	return v
 }
 
-// document renders v, the one way a space becomes a fileFormat: the
-// first v.numNodes nodes, v's counters, and a resume section when v
-// has a frontier. None means a complete space, which, unless aborted,
-// is rendered canonical: a complete space at rest is its canonical
-// bytes, whoever writes it. Frontier nodes serialize without outgoing
-// edges — the state they had at the boundary, whatever a level killed
-// since has appended. The collapse
-// summary of a resumable equivalence-collapsed document is tallied from
-// v's fold prefix, for the same reason; a complete space's is the
-// result's own.
-func (r *Result) document(v snapshot) *fileFormat {
-	if len(v.frontier) == 0 && !v.aborted {
-		v = v.canonical()
-	}
-	ff := &fileFormat{
-		Version:         formatVersion,
-		FuncName:        r.FuncName,
-		AttemptedPhases: v.attempted,
-		Aborted:         v.aborted,
-		AbortReason:     v.abortReason,
-		ElapsedNS:       int64(v.elapsed),
-		Stats:           v.stats,
-		Equiv:           r.Equiv,
-		Root:            r.root,
-		Machine:         r.opts.Machine,
-		Nodes:           make([]fileNode, 0, v.numNodes),
-	}
-	unexpanded := make(map[int]bool, len(v.frontier))
-	var equivRaw []int
-	if len(v.frontier) > 0 {
-		ff.Checkpoint = &fileCheckpoint{}
-		if r.opts.Equiv {
-			ff.Equiv, equivRaw = tallyEquiv(r.Nodes[:v.numNodes], v.folds)
-			ff.Checkpoint.Classes = make([][]byte, v.numNodes)
-			for key, id := range v.classes {
-				if int(id) < v.numNodes {
-					ff.Checkpoint.Classes[id] = []byte(key)
-				}
-			}
-			for _, f := range v.folds {
-				ff.Checkpoint.Folds = append(ff.Checkpoint.Folds, fileFold{[]byte(f.key), f.fp, int(f.into), f.phase})
-			}
-		}
-	}
-	if ff.Equiv != nil {
-		// Equivalence-collapsed spaces need v3; everything else stays v2
-		// (and byte-identical to what the v2 writer produced).
-		ff.Version = formatVersionEquiv
-	}
-	for _, n := range v.frontier {
-		unexpanded[n.ID] = true
-		ff.Checkpoint.Frontier = append(ff.Checkpoint.Frontier, n.ID)
-		ff.Checkpoint.Bodies = append(ff.Checkpoint.Bodies, n.fn)
-	}
-	enc := base64.StdEncoding
-	for _, n := range r.Nodes[:v.numNodes] {
-		fn := fileNode{
-			Level:      n.Level,
-			Seq:        n.Seq,
-			Key:        enc.EncodeToString([]byte(n.key)),
-			FP:         n.FP,
-			State:      stateBits(n.State),
-			NumInstrs:  n.NumInstrs,
-			EquivRaw:   n.EquivRaw,
-			CFKey:      enc.EncodeToString([]byte(n.CFKey)),
-			CheckErr:   n.CheckErr,
-			Quarantine: n.Quarantine,
-		}
-		if !unexpanded[n.ID] {
-			fn.Edges = n.Edges
-		}
-		if equivRaw != nil {
-			fn.EquivRaw = equivRaw[n.ID]
-		}
-		ff.Nodes = append(ff.Nodes, fn)
-	}
-	return ff
-}
-
 // gzipWriters recycles compressors: one is ~800 KB of tables, and
 // allocating one per document was most of what a small request
 // allocated, and what paced its collections. Reset leaves no state
@@ -272,9 +233,11 @@ func (r *Result) document(v snapshot) *fileFormat {
 var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
 
 // compress writes what write produces into w through a pooled
-// compressor. The output is a function of the bytes alone: writing a
-// document's JSON encoding (as writeFormat does, in one Write) puts
-// down the space file's bytes.
+// compressor. The output is a function of the bytes alone, however
+// write splits them — deflate's output does not depend on it, and
+// nothing here flushes — so a document streamed in chunks (render)
+// and the same document written whole (provenCanonical's
+// recompression) put down the same space file.
 func compress(w io.Writer, write func(io.Writer) error) error {
 	gz := gzipWriters.Get().(*gzip.Writer)
 	gz.Reset(w)
@@ -289,20 +252,277 @@ func compress(w io.Writer, write func(io.Writer) error) error {
 	return gz.Close()
 }
 
-func writeFormat(w io.Writer, ff *fileFormat) error {
-	return compress(w, func(gz io.Writer) error {
-		if err := json.NewEncoder(gz).Encode(ff); err != nil {
-			return fmt.Errorf("search: encoding space: %w", err)
+// render writes the space file of v to w: encode's document through a
+// pooled compressor.
+func (r *Result) render(w io.Writer, v snapshot) error {
+	return compress(w, func(gz io.Writer) error { return r.encode(gz, v) })
+}
+
+// rendered counts the documents encode has written in this process.
+var rendered atomic.Int64
+
+// Rendered is how many space documents this process has rendered —
+// encoded from a Result, whether to a file, a buffer, a hasher or a
+// byte-for-byte comparison. A render allocates nothing in proportion
+// to the space, so this count, not the heap, is how a caller holds a
+// path to the renders it means to pay for.
+func Rendered() int64 { return rendered.Load() }
+
+// docChunk is how many bytes of a document encode gathers before it
+// writes them on.
+const docChunk = 32 << 10
+
+// docWriter is a render's scratch, recycled: the pending output and
+// the raw bytes of the key being base64-coded. Both grow as a render
+// needs them, so a small document's render costs a small buffer even
+// when the pool is empty.
+type docWriter struct {
+	w   io.Writer
+	err error
+	buf []byte
+	key []byte
+}
+
+var docWriters = sync.Pool{New: func() any { return new(docWriter) }}
+
+// flush writes the pending output on, unless a write already failed.
+func (d *docWriter) flush() {
+	if d.err == nil && len(d.buf) > 0 {
+		_, d.err = d.w.Write(d.buf)
+	}
+	d.buf = d.buf[:0]
+}
+
+// next writes the pending output on once it passes docChunk.
+func (d *docWriter) next() {
+	if len(d.buf) >= docChunk {
+		d.flush()
+	}
+}
+
+// value appends v as encoding/json renders it.
+func (d *docWriter) value(v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		if d.err == nil {
+			d.err = err
 		}
-		return nil
-	})
+		return
+	}
+	d.buf = append(d.buf, b...)
+	d.next()
+}
+
+// encode writes v's JSON document to w, the one way a space becomes
+// one: the first v.numNodes nodes, v's counters, and a resume section
+// when v has a frontier. None means a complete space, which, unless
+// aborted, is rendered canonical: a complete space at rest is its
+// canonical bytes, whoever writes it. Frontier nodes serialize without
+// outgoing edges — the state they had at the boundary, whatever a
+// level killed since has appended. The collapse summary of a resumable
+// equivalence-collapsed document is tallied from v's fold prefix, for
+// the same reason; a complete space's is the result's own.
+//
+// The bytes are those encoding/json writes for a fileFormat holding the
+// same, newline included. Each top-level value but the node table is
+// encoding/json's own; the node table is appended one node at a time
+// (docWriter.node), so a render holds one node's bytes in memory, never
+// a second copy of the space.
+func (r *Result) encode(w io.Writer, v snapshot) error {
+	rendered.Add(1)
+	if len(v.frontier) == 0 && !v.aborted {
+		v = v.canonical()
+	}
+	d := docWriters.Get().(*docWriter)
+	d.w, d.err, d.buf = w, nil, d.buf[:0]
+	defer func() {
+		d.w = nil // do not pin w in the pool
+		docWriters.Put(d)
+	}()
+	equiv, equivRaw := r.Equiv, []int(nil)
+	var unexpanded map[int]bool
+	if len(v.frontier) > 0 {
+		unexpanded = make(map[int]bool, len(v.frontier))
+		for _, n := range v.frontier {
+			unexpanded[n.ID] = true
+		}
+		if r.opts.Equiv {
+			equiv, equivRaw = tallyEquiv(r.Nodes[:v.numNodes], v.folds)
+		}
+	}
+	version := formatVersion
+	if equiv != nil {
+		// Equivalence-collapsed spaces need v3; everything else stays v2
+		// (and byte-identical to what the v2 writer produced).
+		version = formatVersionEquiv
+	}
+	b := append(d.buf, `{"version":`...)
+	b = strconv.AppendInt(b, int64(version), 10)
+	b = appendString(append(b, `,"func":`...), r.FuncName)
+	b = strconv.AppendInt(append(b, `,"attempted_phases":`...), int64(v.attempted), 10)
+	if v.aborted {
+		b = append(b, `,"aborted":true`...)
+	}
+	if v.abortReason != "" {
+		b = appendString(append(b, `,"abort_reason":`...), v.abortReason)
+	}
+	b = strconv.AppendInt(append(b, `,"elapsed_ns":`...), int64(v.elapsed), 10)
+	d.buf = append(b, `,"stats":`...)
+	d.value(v.stats)
+	if equiv != nil {
+		d.buf = append(d.buf, `,"equiv":`...)
+		d.value(equiv)
+	}
+	d.buf = append(d.buf, `,"root":`...)
+	d.value(r.root)
+	d.buf = append(d.buf, `,"nodes":[`...)
+	for i, n := range r.Nodes[:v.numNodes] {
+		if d.err != nil {
+			break
+		}
+		if i > 0 {
+			d.buf = append(d.buf, ',')
+		}
+		raw := n.EquivRaw
+		if equivRaw != nil {
+			raw = equivRaw[n.ID]
+		}
+		d.node(n, !unexpanded[n.ID], raw)
+		d.next()
+	}
+	d.buf = append(d.buf, `],"machine":`...)
+	d.value(r.opts.Machine)
+	if len(v.frontier) > 0 {
+		r.encodeResume(d, v)
+	}
+	d.buf = append(d.buf, "}\n"...)
+	d.flush()
+	if d.err != nil {
+		return fmt.Errorf("search: encoding space: %w", d.err)
+	}
+	return nil
+}
+
+// encodeResume appends v's resume section, a fileCheckpoint: the
+// frontier's IDs and bodies and, on an equivalence-collapsed result,
+// the class key of each of the first v.numNodes nodes (null for one
+// that has none, a quarantined node) and the folds of v's prefix.
+func (r *Result) encodeResume(d *docWriter, v snapshot) {
+	d.buf = append(d.buf, `,"checkpoint":{"frontier":[`...)
+	for i, n := range v.frontier {
+		if i > 0 {
+			d.buf = append(d.buf, ',')
+		}
+		d.buf = strconv.AppendInt(d.buf, int64(n.ID), 10)
+	}
+	d.buf = append(d.buf, `],"bodies":[`...)
+	for i, n := range v.frontier {
+		if i > 0 {
+			d.buf = append(d.buf, ',')
+		}
+		d.value(n.fn)
+	}
+	d.buf = append(d.buf, ']')
+	if r.opts.Equiv {
+		classes := make([]string, v.numNodes)
+		for key, id := range v.classes {
+			if int(id) < v.numNodes {
+				classes[id] = key
+			}
+		}
+		d.buf = append(d.buf, `,"classes":[`...)
+		for i, key := range classes {
+			if i > 0 {
+				d.buf = append(d.buf, ',')
+			}
+			if key == "" {
+				d.buf = append(d.buf, "null"...)
+			} else {
+				d.base64(key)
+			}
+			d.next()
+		}
+		d.buf = append(d.buf, ']')
+		if len(v.folds) > 0 {
+			d.buf = append(d.buf, `,"folds":[`...)
+			for i, f := range v.folds {
+				if i > 0 {
+					d.buf = append(d.buf, ',')
+				}
+				d.value(fileFold{[]byte(f.key), f.fp, int(f.into), f.phase})
+			}
+			d.buf = append(d.buf, ']')
+		}
+	}
+	d.buf = append(d.buf, '}')
+}
+
+// node appends n as encoding/json renders the fileNode of it: edges
+// says whether its outgoing edges are written, equivRaw is its
+// equiv_raw.
+func (d *docWriter) node(n *Node, edges bool, equivRaw int) {
+	b := strconv.AppendInt(append(d.buf, `{"level":`...), int64(n.Level), 10)
+	b = appendString(append(b, `,"seq":`...), n.Seq)
+	d.buf = append(b, `,"key":`...)
+	d.base64(n.key)
+	b = strconv.AppendInt(append(d.buf, `,"fp":{"Count":`...), int64(n.FP.Count), 10)
+	b = strconv.AppendUint(append(b, `,"ByteSum":`...), uint64(n.FP.ByteSum), 10)
+	b = strconv.AppendUint(append(b, `,"CRC":`...), uint64(n.FP.CRC), 10)
+	b = strconv.AppendUint(append(b, `},"state":`...), uint64(stateBits(n.State)), 10)
+	b = strconv.AppendInt(append(b, `,"num_instrs":`...), int64(n.NumInstrs), 10)
+	if equivRaw != 0 {
+		b = strconv.AppendInt(append(b, `,"equiv_raw":`...), int64(equivRaw), 10)
+	}
+	d.buf = append(b, `,"cf_key":`...)
+	d.base64(string(n.CFKey))
+	b = d.buf
+	if edges && len(n.Edges) > 0 {
+		b = append(b, `,"edges":[`...)
+		for i, e := range n.Edges {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendUint(append(b, `{"Phase":`...), uint64(e.Phase), 10)
+			b = strconv.AppendInt(append(b, `,"To":`...), int64(e.To), 10)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	if n.CheckErr != "" {
+		b = appendString(append(b, `,"check_err":`...), n.CheckErr)
+	}
+	if n.Quarantine != "" {
+		b = appendString(append(b, `,"quarantine":`...), n.Quarantine)
+	}
+	d.buf = append(b, '}')
+}
+
+// base64 appends the raw bytes s as the quoted standard base64 string
+// encoding/json writes for a []byte, by way of the key scratch.
+func (d *docWriter) base64(s string) {
+	d.key = append(d.key[:0], s...)
+	d.buf = append(base64.StdEncoding.AppendEncode(append(d.buf, '"'), d.key), '"')
+}
+
+// appendString appends s as encoding/json quotes it. Printable ASCII
+// that JSON and HTML leave alone is copied as it stands; anything else
+// — quotes, backslashes, <, > and &, control bytes, non-ASCII, invalid
+// UTF-8 — is quoted by encoding/json itself.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
 }
 
 // Save writes the enumerated space to w: a complete, un-aborted space
 // as its canonical bytes, whose SHA-256 is its CanonicalHash; a
 // resumable or aborted one with its wall-clock fields.
 func (r *Result) Save(w io.Writer) error {
-	return writeFormat(w, r.document(r.whole()))
+	return r.render(w, r.whole())
 }
 
 // CanonicalHash returns the hex SHA-256 of the space serialized with
@@ -315,7 +535,7 @@ func (r *Result) Save(w io.Writer) error {
 // the SHA-256 of Save's bytes.
 func (r *Result) CanonicalHash() (string, error) {
 	h := sha256.New()
-	if err := writeFormat(h, r.document(r.whole().canonical())); err != nil {
+	if err := r.render(h, r.whole().canonical()); err != nil {
 		return "", err
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
@@ -486,17 +706,22 @@ func (ff *fileFormat) result() (*Result, error) {
 			if fc.Bodies[i] == nil {
 				return nil, fmt.Errorf("search: checkpoint frontier entry %d (node %d) has no body", i, id)
 			}
-			n := res.Nodes[id]
-			n.fn = fc.Bodies[i]
-			cp.Frontier = append(cp.Frontier, n)
+			cp.Frontier = append(cp.Frontier, res.Nodes[id])
 		}
+		var err error
 		if ff.Equiv != nil {
-			var err error
 			if cp.classes, cp.folds, err = loadClasses(res.Nodes, fc); err != nil {
 				return nil, err
 			}
 		} else if fc.Classes != nil || fc.Folds != nil {
 			return nil, fmt.Errorf("search: a checkpoint of the default tier carries a class table")
+		}
+		var enc []byte
+		for i, n := range cp.Frontier {
+			if enc, err = checkBody(n, fc.Bodies[i], enc[:0]); err != nil {
+				return nil, fmt.Errorf("search: checkpoint frontier entry %d: %w", i, err)
+			}
+			n.fn = fc.Bodies[i]
 		}
 		res.Checkpoint = cp
 	}
@@ -618,7 +843,7 @@ func decodeMatching(doc []byte) *Result {
 		return nil
 	}
 	w := &matchWriter{want: doc}
-	if json.NewEncoder(w).Encode(res.document(res.whole())) != nil || !w.done() {
+	if res.encode(w, res.whole()) != nil || !w.done() {
 		return nil
 	}
 	return res

@@ -194,6 +194,13 @@ func defectiveSpaces(t testing.TB) []defectiveSpace {
 		}
 	}
 	fold := func(folds []any, i int) map[string]any { return folds[i].(map[string]any) }
+	capped := cappedCheckpoint(t)
+	// swapBodies trades the first two frontier nodes' bodies: each is an
+	// instance of the space, filed under the other node.
+	swapBodies := func(ck map[string]any) {
+		bodies := ck["bodies"].([]any)
+		bodies[0], bodies[1] = bodies[1], bodies[0]
+	}
 
 	// flipTrailerCRC clobbers one byte of the gzip trailer's CRC32
 	// while leaving the deflate stream (and so the JSON document)
@@ -256,6 +263,19 @@ func defectiveSpaces(t testing.TB) []defectiveSpace {
 		{"checkpoint nil body", reencode(t, func(doc map[string]any) {
 			doc["checkpoint"] = map[string]any{"frontier": []any{0}, "bodies": []any{nil}}
 		}), "has no body"},
+		// Resume expands each body as its frontier node: a body has to
+		// be the instance its node's key names, in either tier.
+		{"swapped frontier bodies", reencodeFrom(t, capped, func(doc map[string]any) {
+			swapBodies(doc["checkpoint"].(map[string]any))
+		}), "its body is not the instance its key names"},
+		// The encoder numbers labels through a table the labels index.
+		{"checkpoint body label out of range", reencodeFrom(t, capped, func(doc map[string]any) {
+			body := doc["checkpoint"].(map[string]any)["bodies"].([]any)[0].(map[string]any)
+			body["Blocks"].([]any)[0].(map[string]any)["ID"] = -1
+		}), "its body has a block labeled -1"},
+		{"swapped frontier bodies of an equivalence checkpoint", equiv(func(doc, ck map[string]any, classes, folds []any) {
+			swapBodies(ck)
+		}), "its body is not the instance its key names"},
 		// The class table of an equivalence-collapsed checkpoint is
 		// refiled by Resume: the class index and the folded spellings'
 		// dedup slots have to hold up as the keys of the node table do.
@@ -458,6 +478,20 @@ int pick(int x, int y) {
     if (x == 0) { if (y == 0) { r = 1; } } else { r = 2; }
     return r;
 }`
+
+// cappedCheckpoint is a valid default-tier checkpoint with more than
+// one frontier node: clamp capped at 5 nodes, as the cap abort wrote it.
+func cappedCheckpoint(t testing.TB) []byte {
+	t.Helper()
+	_, f := compileFunc(t, smallSrc, "clamp")
+	ckpt := filepath.Join(t.TempDir(), "clamp.ckpt.space.gz")
+	search.Run(f, search.Options{MaxNodes: 5, CheckpointPath: ckpt})
+	b, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
 
 // equivCheckpoint is a valid equivalence-collapsed checkpoint that holds
 // folds: foldSrc's pick capped at 5 nodes, as the cap abort wrote it
