@@ -106,6 +106,7 @@ fuzz-smoke:
 	$(GO) test ./internal/search/ -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s -fuzzminimizetime 20x
 	$(GO) test ./internal/search/ -run '^$$' -fuzz '^FuzzLoadCanonical$$' -fuzztime 10s -fuzzminimizetime 20x
 	$(GO) test ./internal/search/ -run '^$$' -fuzz '^FuzzDocumentBytes$$' -fuzztime 10s -fuzzminimizetime 20x
+	$(GO) test ./internal/search/ -run '^$$' -fuzz '^FuzzSpaceSemantics$$' -fuzztime 10s -fuzzminimizetime 20x
 	$(GO) test ./internal/opt/ -run '^$$' -fuzz '^FuzzPhaseC$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # Telemetry smoke test: instrument a tiny enumeration, then make
@@ -158,7 +159,11 @@ bench:
 # bytes (its sha256sum is that hash). The clean run saves into ref/ and
 # the killed one into run/, since a function has one file name. If the
 # kill lands before the first cost-paced checkpoint, -resume starts
-# over; the comparison applies either way.
+# over; the comparison applies either way. So a checkpoint is loaded
+# every time, a run capped at -maxnodes 20000 (exit 3) also leaves one
+# in cap/ — a 20,897-node table with a 9,755-node frontier in the
+# default tier — and -resume, with no cap, must load it without a
+# "slot unusable" warning and finish it to the clean run's hash.
 resume-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/explore" ./cmd/explore && \
@@ -182,7 +187,20 @@ resume-smoke:
 		if [ "$$c" != "$$a" ]; then \
 			echo "resume-smoke: $$tier tier: sha256sum of the clean -save file is $$c, the resumed space hashes $$a"; exit 1; \
 		fi; \
-		echo "resume-smoke: $$tier tier: SIGKILLed (status $$st) and resumed space identical to clean run ($$a)"; \
+		cap="$$tmp/$$tier/cap"; mkdir -p "$$cap"; \
+		"$$tmp/explore" -bench sha -func sha_main $$flag -maxnodes 20000 -save "$$cap" >/dev/null 2>&1; cst=$$?; \
+		if [ $$cst -ne 3 ]; then \
+			echo "resume-smoke: $$tier tier: the -maxnodes 20000 run exited $$cst, not 3"; exit 1; \
+		fi; \
+		"$$tmp/explore" -bench sha -func sha_main $$flag -save "$$cap" -resume >/dev/null 2>"$$cap.err" || { cat "$$cap.err"; exit 1; }; \
+		if grep -q unusable "$$cap.err"; then \
+			echo "resume-smoke: $$tier tier: the capped run's checkpoint did not load:"; cat "$$cap.err"; exit 1; \
+		fi; \
+		d=$$("$$tmp/spacedot" -hash "$$cap/sha.sha_main.space.gz" | cut -d' ' -f1) || exit 1; \
+		if [ "$$d" != "$$b" ]; then \
+			echo "resume-smoke: $$tier tier: the capped and resumed space differs from clean run: $$d vs $$b"; exit 1; \
+		fi; \
+		echo "resume-smoke: $$tier tier: SIGKILLed (status $$st) and capped at 20000 nodes, both resumed spaces identical to clean run ($$a)"; \
 	done
 
 # Serving smoke test: start spaced, fire two concurrent identical

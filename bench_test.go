@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	bigint "math/big"
+	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -460,7 +461,10 @@ func BenchmarkGeneticSearch(b *testing.B) {
 // row is the render alone, what a worker's final write and every cache
 // entry cost: Save of the space into a discarding writer. get_code is
 // the fleet_shard workload's timed default-tier request, fdct_pass its
-// equivalence-tier one. EXPERIMENTS.md records the numbers; -cpu 1
+// equivalence-tier one. The checkpoint-load row is Load of
+// sha_transform's resumable document capped at 1,500 nodes, frontier
+// rebuild included: what the coordinator pays per heartbeat upload and
+// Enumerate per resumed slot. EXPERIMENTS.md records the numbers; -cpu 1
 // shows the pass with nothing to overlap.
 func BenchmarkUploadVerify(b *testing.B) {
 	for _, c := range []struct {
@@ -512,6 +516,21 @@ func BenchmarkUploadVerify(b *testing.B) {
 			}
 		})
 	}
+	path := filepath.Join(b.TempDir(), "sha.sha_transform.space.gz")
+	search.Run(benchFunc(b, "sha", "sha_transform"), search.Options{MaxNodes: 1500, CheckpointPath: path})
+	ckpt, err := os.ReadFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("sha_transform/checkpoint-load", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ReportMetric(float64(len(ckpt)), "file-bytes")
+		for i := 0; i < b.N; i++ {
+			if res, err := search.Load(bytes.NewReader(ckpt)); err != nil || res.Checkpoint == nil {
+				b.Fatalf("the capped run's checkpoint does not load as one (%v)", err)
+			}
+		}
+	})
 }
 
 // BenchmarkSlotPeakHeap measures what a checkpoint slot adds to a large

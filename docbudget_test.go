@@ -12,8 +12,8 @@ import (
 // narrative that no longer describes the code. ROADMAP's target is
 // DESIGN.md at 1,200 lines and EXPERIMENTS.md at 700.
 var docCeilings = map[string]int{
-	"DESIGN.md":      1971,
-	"EXPERIMENTS.md": 2409,
+	"DESIGN.md":      1970,
+	"EXPERIMENTS.md": 2384,
 	"README.md":      366,
 }
 

@@ -198,7 +198,7 @@ func TestResumeFromHardKillSnapshots(t *testing.T) {
 }
 
 // TestCheckpointRoundTripPartial: an interrupted checkpoint must
-// round-trip through Save/Load with its frontier (bodies included)
+// round-trip through Save/Load with its frontier (instances rebuilt)
 // intact.
 func TestCheckpointRoundTripPartial(t *testing.T) {
 	_, f := compileFunc(t, sumSrc, "sum")

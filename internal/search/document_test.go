@@ -59,7 +59,6 @@ func (r *Result) document(v snapshot) *fileFormat {
 	for _, n := range v.frontier {
 		unexpanded[n.ID] = true
 		ff.Checkpoint.Frontier = append(ff.Checkpoint.Frontier, n.ID)
-		ff.Checkpoint.Bodies = append(ff.Checkpoint.Bodies, n.fn)
 	}
 	enc := base64.StdEncoding
 	for _, n := range r.Nodes[:v.numNodes] {

@@ -34,11 +34,6 @@ func PartitionCheckpoint(r *Result, k int) ([][]byte, [][]int, error) {
 	if k < 1 {
 		return nil, nil, fmt.Errorf("search: partition: need k >= 1 shards, got %d", k)
 	}
-	for i, n := range cp.Frontier {
-		if n.fn == nil {
-			return nil, nil, fmt.Errorf("search: partition: frontier node %d (id %d) has no retained instance", i, n.ID)
-		}
-	}
 	if k > len(cp.Frontier) {
 		k = len(cp.Frontier)
 	}

@@ -148,16 +148,8 @@ func TestGeneratedSpacesHashOneWay(t *testing.T) {
 // space that byte identity holds to is also one that computes what its
 // program does.
 func generatedSpaces(t *testing.T, n, maxNodes int, each func(seed int64, f *rtl.Func, ref *search.Result)) {
-	cfg := randprog.Config{MaxStmts: 3, MaxDepth: 2, MaxExprDepth: 2}
 	for seed, found := int64(0), 0; found < n; seed++ {
-		p := randprog.New(seed, cfg)
-		prog, err := mc.Compile(p.Source)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		f := prog.Func(p.Entry)
-		ref := search.Run(f, search.Options{Workers: 1, MaxNodes: maxNodes,
-			Verifier: execOracle(t, seed, prog, p)})
+		f, ref := generatedSpace(t, seed, maxNodes)
 		if ref.Aborted {
 			continue
 		}
@@ -166,12 +158,62 @@ func generatedSpaces(t *testing.T, n, maxNodes int, each func(seed int64, f *rtl
 	}
 }
 
+// generatedSpace is the entry function of seed's random program and
+// its reference enumeration at width 1 under maxNodes, every instance
+// executed (execOracle).
+func generatedSpace(t testing.TB, seed int64, maxNodes int) (*rtl.Func, *search.Result) {
+	p := randprog.New(seed, randprog.Config{MaxStmts: 3, MaxDepth: 2, MaxExprDepth: 2})
+	prog, err := mc.Compile(p.Source)
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	f := prog.Func(p.Entry)
+	return f, search.Run(f, search.Options{Workers: 1, MaxNodes: maxNodes,
+		Verifier: execOracle(t, seed, prog, p)})
+}
+
+// FuzzSpaceSemantics aims generated programs at the checkpoint
+// rebuild. The seed's random program is enumerated as generatedSpaces
+// does (width 1, MaxNodes 600, every instance executed against the
+// unoptimized program); seeds whose run aborts are skipped. A run
+// capped at 1 + nodeCap % nodes leaves a checkpoint at its path, whose
+// frontier LoadFile rebuilds from the sequences, and Resume must
+// complete it to the reference's CanonicalHash.
+func FuzzSpaceSemantics(f *testing.F) {
+	for seed := int64(0); seed < 4; seed++ {
+		f.Add(seed, uint16(40*seed))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, nodeCap uint16) {
+		fn, ref := generatedSpace(t, seed, 600)
+		if ref.Aborted {
+			t.Skip("the space outgrows 600 nodes")
+		}
+		want, err := ref.CanonicalHash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckpt := filepath.Join(t.TempDir(), "capped.space.gz")
+		search.Run(fn, search.Options{MaxNodes: 1 + int(nodeCap)%len(ref.Nodes), CheckpointPath: ckpt})
+		loaded, err := search.LoadFile(ckpt)
+		if err != nil {
+			t.Fatalf("seed %d: the capped run's checkpoint does not load: %v", seed, err)
+		}
+		resumed, err := search.Resume(loaded, search.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := resumed.CanonicalHash(); err != nil || got != want {
+			t.Fatalf("seed %d, cap %d: resumed to %s, the reference hashes %s (%v)", seed, 1+int(nodeCap)%len(ref.Nodes), got, want, err)
+		}
+	})
+}
+
 // execOracle is a Verifier that runs an instance of p's entry function,
 // substituted for it in prog, on 8 argument vectors drawn from seed,
 // and fails the test when its return value, trace or globals differ
 // from the unoptimized program's on any of them. It substitutes into
 // one shared copy of prog, so it is for a run at width 1.
-func execOracle(t *testing.T, seed int64, prog *rtl.Program, p randprog.Program) func(*rtl.Func) error {
+func execOracle(t testing.TB, seed int64, prog *rtl.Program, p randprog.Program) func(*rtl.Func) error {
 	rng := rand.New(rand.NewSource(seed))
 	args := make([][]int32, 8)
 	for i := range args {

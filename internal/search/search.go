@@ -546,11 +546,6 @@ func Resume(res *Result, opts Options) (*Result, error) {
 	if mach != nil {
 		opts.Machine = mach
 	}
-	for i, n := range cp.Frontier {
-		if n.fn == nil {
-			return nil, fmt.Errorf("search: resume: frontier node %d (id %d) has no retained instance", i, n.ID)
-		}
-	}
 	res.opts = opts
 	res.Checkpoint = nil
 	res.Aborted, res.AbortReason = false, ""
@@ -1353,16 +1348,23 @@ func applyPhaseRecover(root *rtl.Func, a attempt, opts *Options) (o outcome) {
 // function and applying an active phase sequence.
 func replaySeq(root *rtl.Func, seq string, d *machine.Desc, st *opt.State) *rtl.Func {
 	f := root.Clone()
-	for i := 0; i < len(seq); i++ {
-		p := opt.ByID(seq[i])
-		if p == nil {
-			panic(fmt.Sprintf("search: unknown phase %q in sequence", seq[i]))
-		}
-		if !opt.Attempt(f, st, p, d) {
-			panic(fmt.Sprintf("search: replay of %q: phase %c dormant", seq, seq[i]))
-		}
+	for i := range len(seq) {
+		replayStep(f, st, seq, i, d)
 	}
 	return f
+}
+
+// replayStep applies seq's i-th phase to f, the instance of seq[:i] in
+// state st: a phase byte the catalog does not know, or a phase dormant
+// there, panics.
+func replayStep(f *rtl.Func, st *opt.State, seq string, i int, d *machine.Desc) {
+	p := opt.ByID(seq[i])
+	if p == nil {
+		panic(fmt.Sprintf("search: unknown phase %q in sequence", seq[i]))
+	}
+	if !opt.Attempt(f, st, p, d) {
+		panic(fmt.Sprintf("search: replay of %q: phase %c dormant", seq, seq[i]))
+	}
 }
 
 // Instance reconstructs the function instance of a node by replaying

@@ -13,7 +13,9 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,8 +67,10 @@ import (
 //
 //	v1  node table + root + machine + stats (read-compatible)
 //	v2  adds per-node quarantine records and an optional checkpoint
-//	    section — the live frontier with its retained instances — that
-//	    makes a partially enumerated space resumable (search.Resume)
+//	    section — the IDs of the live frontier — that makes a partially
+//	    enumerated space resumable (search.Resume); Load rebuilds each
+//	    frontier node's instance from the root and its sequence. Earlier
+//	    writers also listed the instances ("bodies"); Load ignores them
 //	v3  adds the equivalence-collapse summary (top-level "equiv") and
 //	    per-node raw-instance counts ("equiv_raw") of spaces
 //	    enumerated with Options.Equiv; its resume section also holds
@@ -78,10 +82,11 @@ import (
 // reads v1-v3. v1 files simply have no quarantined nodes and no
 // checkpoint section. Load is the trust boundary — it reads bytes this
 // process did not write: it holds every node's key, and every folded
-// spelling's, against the node that carries it (checkKey), and every
-// checkpoint body against its frontier node's key (checkBody), before
-// Resume files or expands any of it, and FuzzLoad holds Load to "an error, or a space
-// whose hash survives Save and Load; never a panic". LoadCanonical, the
+// spelling's, against the node that carries it (checkKey), the frontier
+// list against the node table, and each frontier node's rebuilt
+// instance against its key (rebuild), before Resume files or expands
+// any of it, and FuzzLoad holds Load to "an error, or a space whose
+// hash survives Save and Load; never a panic". LoadCanonical, the
 // coordinator's check of a fleet upload, shares Load's decode-and-
 // validate step, and FuzzLoadCanonical holds it to Load and then Save.
 // A key is stored as it is written: one raw string per node (Node.key),
@@ -121,15 +126,15 @@ type fileNode struct {
 }
 
 // fileCheckpoint is the v2 resume section: the IDs of the unexpanded
-// frontier nodes plus their function instances (the same JSON encoding
-// the root already uses), in discovery order. A v3 one adds the class
-// table: the class key of each node (empty for a quarantined one) and
-// the folds (Checkpoint.classes, folds), keys base64-coded.
+// frontier nodes, in discovery order. Their instances are not stored:
+// the root and each node's sequence determine them, and Load replays
+// them (rebuild). A v3 one adds the class table: the class key of each
+// node (empty for a quarantined one) and the folds (Checkpoint.classes,
+// folds), keys base64-coded.
 type fileCheckpoint struct {
-	Frontier []int       `json:"frontier"`
-	Bodies   []*rtl.Func `json:"bodies"`
-	Classes  [][]byte    `json:"classes,omitempty"`
-	Folds    []fileFold  `json:"folds,omitempty"`
+	Frontier []int      `json:"frontier"`
+	Classes  [][]byte   `json:"classes,omitempty"`
+	Folds    []fileFold `json:"folds,omitempty"`
 }
 
 // fileFold is one fold of the resume section.
@@ -182,36 +187,6 @@ func checkKey(n *Node, key []byte) error {
 		return fmt.Errorf("search: node %d (seq %q): canonical key does not match its state and fingerprint", n.ID, n.Seq)
 	}
 	return nil
-}
-
-// maxBodyLabel bounds the block IDs and branch targets of a checkpoint
-// body. The canonical encoder numbers labels through a table indexed by
-// them; an instance numbers its blocks from 0 up, a few hundred at most
-// on this corpus, so the bound only keeps a decoded ID from sizing that
-// table.
-const maxBodyLabel = 1 << 16
-
-// checkBody is the trust-boundary test of a checkpoint body: Resume
-// expands it as its frontier node, so the node's gating-flags byte
-// followed by the body's canonical encoding must be the node's key — a
-// body of another node, or of no node, is refused, naming the node.
-// scratch is reused for the encoding and returned.
-func checkBody(n *Node, body *rtl.Func, scratch []byte) ([]byte, error) {
-	for _, b := range body.Blocks {
-		if b.ID < 0 || b.ID >= maxBodyLabel {
-			return scratch, fmt.Errorf("search: node %d (seq %q): its body has a block labeled %d", n.ID, n.Seq, b.ID)
-		}
-		for _, in := range b.Instrs {
-			if (in.Op == rtl.OpBranch || in.Op == rtl.OpJmp) && (in.Target < 0 || in.Target >= maxBodyLabel) {
-				return scratch, fmt.Errorf("search: node %d (seq %q): its body branches to label %d", n.ID, n.Seq, in.Target)
-			}
-		}
-	}
-	scratch = fingerprint.EncodeTo(append(scratch, stateBits(n.State)), body)
-	if string(scratch) != n.key {
-		return scratch, fmt.Errorf("search: node %d (seq %q): its body is not the instance its key names", n.ID, n.Seq)
-	}
-	return scratch, nil
 }
 
 // whole is the result as it stands, as a boundary: every node, the
@@ -404,7 +379,7 @@ func (r *Result) encode(w io.Writer, v snapshot) error {
 }
 
 // encodeResume appends v's resume section, a fileCheckpoint: the
-// frontier's IDs and bodies and, on an equivalence-collapsed result,
+// frontier's IDs and, on an equivalence-collapsed result,
 // the class key of each of the first v.numNodes nodes (null for one
 // that has none, a quarantined node) and the folds of v's prefix.
 func (r *Result) encodeResume(d *docWriter, v snapshot) {
@@ -414,13 +389,6 @@ func (r *Result) encodeResume(d *docWriter, v snapshot) {
 			d.buf = append(d.buf, ',')
 		}
 		d.buf = strconv.AppendInt(d.buf, int64(n.ID), 10)
-	}
-	d.buf = append(d.buf, `],"bodies":[`...)
-	for i, n := range v.frontier {
-		if i > 0 {
-			d.buf = append(d.buf, ',')
-		}
-		d.value(n.fn)
 	}
 	d.buf = append(d.buf, ']')
 	if r.opts.Equiv {
@@ -595,7 +563,12 @@ func SyncDir(dir string, faults *faultinject.Plan) error {
 // continues it). The loaded result supports the same operations as a
 // fresh one, including Instance replay. Corrupt inputs fail with
 // errors naming the defect: a truncated file, an unsupported format
-// version, a root that fails rtl.Validate, or malformed node encodings.
+// version, a root that fails rtl.Validate, or malformed node encodings;
+// and, in a checkpoint, a frontier entry that repeats or precedes the
+// one before it or names a quarantined node, an expanded one or one
+// off the table's deepest level, and a frontier node whose sequence
+// holds an unknown phase or a dormant step, panics in replay, or
+// replays to an instance other than the one its key names.
 func Load(rd io.Reader) (*Result, error) {
 	gz, err := gzip.NewReader(rd)
 	if err != nil {
@@ -626,7 +599,8 @@ func Load(rd io.Reader) (*Result, error) {
 // the space a decoded document holds, or the defect that bars it — an
 // unsupported version, no root or nodes, a root that fails
 // rtl.Validate, a node whose key does not belong to it (checkKey), an
-// edge outside the table, an inconsistent checkpoint section.
+// edge outside the table, an inconsistent checkpoint section, a
+// frontier that does not rebuild.
 func (ff *fileFormat) result() (*Result, error) {
 	if ff.Version < minFormatVersion || ff.Version > formatVersionEquiv {
 		return nil, fmt.Errorf("search: space format version %d unsupported (this build reads v%d-v%d)",
@@ -657,7 +631,7 @@ func (ff *fileFormat) result() (*Result, error) {
 	if ff.Machine != nil {
 		res.opts.Machine = ff.Machine
 	}
-	enc := base64.StdEncoding
+	enc, deepest := base64.StdEncoding, 0
 	for i, fn := range ff.Nodes {
 		key, err := enc.DecodeString(fn.Key)
 		if err != nil {
@@ -691,23 +665,10 @@ func (ff *fileFormat) result() (*Result, error) {
 			return nil, err
 		}
 		res.Nodes = append(res.Nodes, n)
+		deepest = max(deepest, n.Level)
 	}
 	if fc := ff.Checkpoint; fc != nil {
-		if len(fc.Frontier) != len(fc.Bodies) {
-			return nil, fmt.Errorf("search: checkpoint lists %d frontier nodes but %d bodies",
-				len(fc.Frontier), len(fc.Bodies))
-		}
 		cp := &Checkpoint{}
-		for i, id := range fc.Frontier {
-			if id < 0 || id >= len(res.Nodes) {
-				return nil, fmt.Errorf("search: checkpoint frontier entry %d is node %d, outside the %d-node table",
-					i, id, len(res.Nodes))
-			}
-			if fc.Bodies[i] == nil {
-				return nil, fmt.Errorf("search: checkpoint frontier entry %d (node %d) has no body", i, id)
-			}
-			cp.Frontier = append(cp.Frontier, res.Nodes[id])
-		}
 		var err error
 		if ff.Equiv != nil {
 			if cp.classes, cp.folds, err = loadClasses(res.Nodes, fc); err != nil {
@@ -716,16 +677,73 @@ func (ff *fileFormat) result() (*Result, error) {
 		} else if fc.Classes != nil || fc.Folds != nil {
 			return nil, fmt.Errorf("search: a checkpoint of the default tier carries a class table")
 		}
-		var enc []byte
-		for i, n := range cp.Frontier {
-			if enc, err = checkBody(n, fc.Bodies[i], enc[:0]); err != nil {
-				return nil, fmt.Errorf("search: checkpoint frontier entry %d: %w", i, err)
+		// A frontier is the unexpanded nodes of the last level, in
+		// discovery order. A shard's is a run of them, so a frontier that
+		// lacks some of its level's nodes is not refused.
+		for i, id := range fc.Frontier {
+			switch {
+			case id < 0 || id >= len(res.Nodes):
+				return nil, fmt.Errorf("search: checkpoint frontier entry %d is node %d, outside the %d-node table",
+					i, id, len(res.Nodes))
+			case i > 0 && id <= fc.Frontier[i-1]:
+				return nil, fmt.Errorf("search: checkpoint frontier entry %d (node %d) repeats or precedes node %d", i, id, fc.Frontier[i-1])
+			case res.Nodes[id].Quarantine != "" || len(res.Nodes[id].Edges) > 0 || res.Nodes[id].Level != deepest:
+				return nil, fmt.Errorf("search: checkpoint frontier entry %d (node %d) is quarantined, expanded or off level %d", i, id, deepest)
 			}
-			n.fn = fc.Bodies[i]
+			cp.Frontier = append(cp.Frontier, res.Nodes[id])
+		}
+		if err := rebuild(res.root, res.opts.Machine, cp.Frontier); err != nil {
+			return nil, err
 		}
 		res.Checkpoint = cp
 	}
 	return res, nil
+}
+
+// rebuild gives each frontier node its instance, replayed from the root
+// along its sequence with the prefixes shared, as the paper re-derives
+// an instance from its active sequence (§4.3, Figure 6(b)): the nodes in
+// sequence order, a stack holding the instance of each prefix of the
+// current sequence, one clone per distinct prefix. A node whose
+// sequence repeats another's, holds an unknown phase or a dormant step,
+// or panics, or whose replay's gating flags and canonical encoding are
+// not its key, is refused, naming the node.
+func rebuild(root *rtl.Func, d *machine.Desc, frontier []*Node) (err error) {
+	// fns[i] and sts[i] are the instance of the current sequence's
+	// prefix of length i and its gating state. The root is cloned: a
+	// frontier node owns its instance, which the engine recycles once
+	// the node is expanded.
+	fns, sts := []*rtl.Func{root.Clone()}, []opt.State{{}}
+	var n, prev *Node
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("search: checkpoint frontier node %d (seq %q) does not replay: %v", n.ID, n.Seq, r)
+		}
+	}()
+	var key []byte
+	order := slices.Clone(frontier)
+	slices.SortFunc(order, func(a, b *Node) int { return strings.Compare(a.Seq, b.Seq) })
+	for _, n = range order {
+		if prev != nil && prev.Seq == n.Seq {
+			return fmt.Errorf("search: checkpoint frontier node %d repeats node %d's sequence %q", n.ID, prev.ID, n.Seq)
+		}
+		shared := 0
+		for prev != nil && shared < min(len(prev.Seq), len(n.Seq)) && prev.Seq[shared] == n.Seq[shared] {
+			shared++
+		}
+		fns, sts = fns[:shared+1], sts[:shared+1]
+		for i := shared; i < len(n.Seq); i++ {
+			f, st := fns[i].Clone(), sts[i]
+			replayStep(f, &st, n.Seq, i, d)
+			fns, sts = append(fns, f), append(sts, st)
+		}
+		f, st := fns[len(n.Seq)], sts[len(n.Seq)]
+		if key = fingerprint.EncodeTo(append(key[:0], stateBits(st)), f); string(key) != n.key {
+			return fmt.Errorf("search: checkpoint frontier node %d (seq %q) replays to an instance other than the one its key names", n.ID, n.Seq)
+		}
+		n.fn, prev = f, n
+	}
+	return nil
 }
 
 // loadClasses holds the class table of an equivalence-collapsed

@@ -10,12 +10,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/fingerprint"
+	"repro/internal/opt"
 	"repro/internal/search"
 )
 
@@ -195,12 +197,64 @@ func defectiveSpaces(t testing.TB) []defectiveSpace {
 	}
 	fold := func(folds []any, i int) map[string]any { return folds[i].(map[string]any) }
 	capped := cappedCheckpoint(t)
-	// swapBodies trades the first two frontier nodes' bodies: each is an
-	// instance of the space, filed under the other node.
-	swapBodies := func(ck map[string]any) {
-		bodies := ck["bodies"].([]any)
-		bodies[0], bodies[1] = bodies[1], bodies[0]
+	// frontier is the resume section's frontier list, frontierNode the
+	// node its i-th entry names.
+	frontier := func(doc map[string]any) []any {
+		return doc["checkpoint"].(map[string]any)["frontier"].([]any)
 	}
+	frontierNode := func(doc map[string]any, i int) map[string]any {
+		return node(doc, int(frontier(doc)[i].(float64)))
+	}
+	// dormantAtRoot is a phase no edge of the root takes: replayed on
+	// the root, it is dormant.
+	dormantAtRoot := func(doc map[string]any) string {
+		active := map[byte]bool{}
+		for _, e := range node(doc, 0)["edges"].([]any) {
+			active[byte(e.(map[string]any)["Phase"].(float64))] = true
+		}
+		for _, p := range opt.All() {
+			if !active[p.ID()] {
+				return string(p.ID())
+			}
+		}
+		t.Fatal("every phase is active at the root")
+		return ""
+	}
+	// bothTiers is a row of the frontier's defects for the capped
+	// checkpoint of either tier.
+	bothTiers := func(name string, mutate func(doc map[string]any), want string) []defectiveSpace {
+		return []defectiveSpace{
+			{name, reencodeFrom(t, capped, mutate), want},
+			{name + " of an equivalence checkpoint", reencodeFrom(t, validEquiv, mutate), want},
+		}
+	}
+	// Resume expands each frontier node as the instance its sequence
+	// replays to, and in the order the list gives: the list has to name
+	// each unexpanded node of the last level once, in discovery order,
+	// and each sequence has to replay to the instance its node's key
+	// names, in either tier.
+	frontierRows := slices.Concat(
+		bothTiers("swapped frontier sequences", func(doc map[string]any) {
+			a, b := frontierNode(doc, 0), frontierNode(doc, 1)
+			a["seq"], b["seq"] = b["seq"], a["seq"]
+		}, "replays to an instance other than the one its key names"),
+		bothTiers("checkpoint frontier listed twice", func(doc map[string]any) {
+			frontier(doc)[1] = frontier(doc)[0]
+		}, "repeats or precedes"),
+		bothTiers("checkpoint frontier out of order", func(doc map[string]any) {
+			f := frontier(doc)
+			f[0], f[1] = f[1], f[0]
+		}, "repeats or precedes"),
+		bothTiers("frontier sequence with an unknown phase", func(doc map[string]any) {
+			frontierNode(doc, 0)["seq"] = "?"
+		}, "unknown phase"),
+		bothTiers("frontier sequence with a dormant step", func(doc map[string]any) {
+			frontierNode(doc, 0)["seq"] = dormantAtRoot(doc)
+		}, "dormant"),
+		bothTiers("checkpoint frontier on an expanded node", func(doc map[string]any) {
+			frontier(doc)[0] = 0.0
+		}, "is quarantined, expanded or off level"),
+	)
 
 	// flipTrailerCRC clobbers one byte of the gzip trailer's CRC32
 	// while leaving the deflate stream (and so the JSON document)
@@ -211,7 +265,7 @@ func defectiveSpaces(t testing.TB) []defectiveSpace {
 		return out
 	}
 
-	return []defectiveSpace{
+	return append([]defectiveSpace{
 		{"garbage", []byte("definitely not gzip"), "not a gzip stream"},
 		{"broken JSON", gzipOf("{broken"), "decoding space"},
 		{"truncated", valid.Bytes()[:valid.Len()/2], "truncated"},
@@ -251,31 +305,17 @@ func defectiveSpaces(t testing.TB) []defectiveSpace {
 		{"edge out of range", reencode(t, func(doc map[string]any) {
 			node0(doc)["edges"] = []any{map[string]any{"Phase": 99, "To": 1 << 20}}
 		}), "outside the"},
-		{"checkpoint body count mismatch", reencode(t, func(doc map[string]any) {
-			doc["checkpoint"] = map[string]any{"frontier": []any{0}, "bodies": []any{}}
-		}), "1 frontier nodes but 0 bodies"},
 		{"checkpoint frontier out of range", reencode(t, func(doc map[string]any) {
-			doc["checkpoint"] = map[string]any{
-				"frontier": []any{1 << 20},
-				"bodies":   []any{doc["root"]},
-			}
+			doc["checkpoint"] = map[string]any{"frontier": []any{1 << 20}}
 		}), "outside the"},
-		{"checkpoint nil body", reencode(t, func(doc map[string]any) {
-			doc["checkpoint"] = map[string]any{"frontier": []any{0}, "bodies": []any{nil}}
-		}), "has no body"},
-		// Resume expands each body as its frontier node: a body has to
-		// be the instance its node's key names, in either tier.
-		{"swapped frontier bodies", reencodeFrom(t, capped, func(doc map[string]any) {
-			swapBodies(doc["checkpoint"].(map[string]any))
-		}), "its body is not the instance its key names"},
-		// The encoder numbers labels through a table the labels index.
-		{"checkpoint body label out of range", reencodeFrom(t, capped, func(doc map[string]any) {
-			body := doc["checkpoint"].(map[string]any)["bodies"].([]any)[0].(map[string]any)
-			body["Blocks"].([]any)[0].(map[string]any)["ID"] = -1
-		}), "its body has a block labeled -1"},
-		{"swapped frontier bodies of an equivalence checkpoint", equiv(func(doc, ck map[string]any, classes, folds []any) {
-			swapBodies(ck)
-		}), "its body is not the instance its key names"},
+		// Two frontier nodes of one instance would share it, and the
+		// engine recycles each node's instance once it is expanded.
+		{"checkpoint frontier nodes of one sequence and key", reencodeFrom(t, capped, func(doc map[string]any) {
+			a, b := frontierNode(doc, 0), frontierNode(doc, 1)
+			for _, field := range []string{"seq", "key", "fp", "state", "num_instrs", "cf_key"} {
+				b[field] = a[field]
+			}
+		}), "repeats node"},
 		// The class table of an equivalence-collapsed checkpoint is
 		// refiled by Resume: the class index and the folded spellings'
 		// dedup slots have to hold up as the keys of the node table do.
@@ -326,7 +366,7 @@ func defectiveSpaces(t testing.TB) []defectiveSpace {
 		{"class table on a default-tier checkpoint", equiv(func(doc, ck map[string]any, classes, folds []any) {
 			delete(doc, "equiv")
 		}), "carries a class table"},
-	}
+	}, frontierRows...)
 }
 
 // TestLoadCorruptFiles drives Load through every rejection path and
@@ -506,4 +546,58 @@ func equivCheckpoint(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestLoadIgnoresBodies: a checkpoint an older build wrote also lists
+// each frontier node's instance, under "bodies". Load ignores them and
+// rebuilds the frontier from the sequences, so even such a document
+// with two of its bodies swapped resumes to the uninterrupted space, in
+// either tier.
+func TestLoadIgnoresBodies(t *testing.T) {
+	for _, c := range []struct {
+		src, fn string
+		equiv   bool
+		ckpt    func(testing.TB) []byte
+	}{
+		{smallSrc, "clamp", false, cappedCheckpoint},
+		{foldSrc, "pick", true, equivCheckpoint},
+	} {
+		_, f := compileFunc(t, c.src, c.fn)
+		want, err := search.Run(f, search.Options{Equiv: c.equiv}).CanonicalHash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := c.ckpt(t)
+		loaded, err := search.Load(bytes.NewReader(b))
+		if err != nil || loaded.Checkpoint == nil || len(loaded.Checkpoint.Frontier) < 2 {
+			t.Fatalf("%s: no checkpoint with two frontier nodes to put bodies in (%v)", c.fn, err)
+		}
+		var bodies []any
+		for _, n := range loaded.Checkpoint.Frontier {
+			bodies = append(bodies, loaded.Instance(n))
+		}
+		bodies[0], bodies[1] = bodies[1], bodies[0]
+		var doc map[string]any
+		if err := json.Unmarshal(gunzip(b), &doc); err != nil {
+			t.Fatal(err)
+		}
+		doc["checkpoint"].(map[string]any)["bodies"] = bodies
+		var older bytes.Buffer
+		w := gzip.NewWriter(&older)
+		if err := json.NewEncoder(w).Encode(doc); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		res, err := search.Load(&older)
+		if err != nil {
+			t.Fatalf("%s: a checkpoint with bodies does not load: %v", c.fn, err)
+		}
+		resumed, err := search.Resume(res, search.Options{Equiv: c.equiv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := resumed.CanonicalHash(); err != nil || got != want {
+			t.Errorf("%s equiv=%v: resumed to %s, the uninterrupted run hashes %s (%v)", c.fn, c.equiv, got, want, err)
+		}
+	}
 }
