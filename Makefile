@@ -124,9 +124,11 @@ bench-smoke:
 # snapshots merged into the attempted / active / mean active / mean
 # dormant table EXPERIMENTS.md quotes, then the same table for
 # jpeg/fdct_pass, the function fleet_shard's equivalence request
-# enumerates, whose phase mix is not the enumerate set's. The
-# instruments cost a clock read per attempt; compare rows and commits,
-# not against the uninstrumented benchmark.
+# enumerates, whose phase mix is not the enumerate set's, and last the
+# long row: what an attempt costs per 100 instructions on two generated
+# functions of over 2,000. The instruments cost a clock read per
+# attempt; compare rows and commits, not against the uninstrumented
+# benchmark.
 phasecost:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/explore" ./cmd/explore && \
@@ -139,7 +141,9 @@ phasecost:
 	echo "== enumerate set: bmh_search, get_code, quantize_block" && \
 	"$$tmp/phasestats" -from-metrics "$$tmp/bmh_search.json,$$tmp/get_code.json,$$tmp/quantize_block.json" && \
 	echo && echo "== jpeg/fdct_pass (fleet_shard's equivalence request)" && \
-	"$$tmp/phasestats" -from-metrics "$$tmp/fdct_pass.json"
+	"$$tmp/phasestats" -from-metrics "$$tmp/fdct_pass.json" && \
+	echo && echo "== long row: randprog seeds 5 and 36, capped at 300 instances (BenchmarkLongFunction)" && \
+	$(GO) test -run '^$$' -bench BenchmarkLongFunction -benchtime 1x .
 
 # The repository's benchmark: four workloads (in-process engine,
 # spaced cold and warm, a coordinator with a fleet), every end-to-end and

@@ -28,8 +28,10 @@ import (
 	"repro/internal/genetic"
 	"repro/internal/interp"
 	"repro/internal/machine"
+	"repro/internal/mc"
 	"repro/internal/mibench"
 	"repro/internal/opt"
+	"repro/internal/randprog"
 	"repro/internal/rtl"
 	"repro/internal/search"
 )
@@ -554,6 +556,36 @@ func BenchmarkSlotPeakHeap(b *testing.B) {
 				peak = max(peak, peakHeapInuse(func() { search.Run(f, opts) }))
 			}
 			b.ReportMetric(float64(peak)/(1<<20), "peak-heap-MB")
+		})
+	}
+}
+
+// BenchmarkLongFunction is the long row (ROADMAP item 7): the engine,
+// at one worker and capped at 300 instances, on two generated
+// functions (randprog seeds 5 and 36) far longer than anything in the
+// corpus. It reports what an attempt costs, and that cost per 100
+// instructions of the root, which is what tells a per-attempt cost
+// linear in the function from one that is not; EXPERIMENTS.md records
+// the corpus's rows beside it.
+func BenchmarkLongFunction(b *testing.B) {
+	for _, seed := range []int64{5, 36} {
+		p := randprog.New(seed, randprog.Config{})
+		prog, err := mc.Compile(p.Source)
+		if err != nil {
+			b.Fatal(err)
+		}
+		f := prog.Func(p.Entry)
+		b.Run(fmt.Sprintf("seed=%d", seed), func(b *testing.B) {
+			attempts, instrs := 0, 0
+			for i := 0; i < b.N; i++ {
+				r := search.Run(f, search.Options{Workers: 1, MaxNodes: 300})
+				attempts += r.AttemptedPhases
+				instrs = r.Nodes[0].NumInstrs
+			}
+			us := float64(b.Elapsed().Microseconds()) / float64(attempts)
+			b.ReportMetric(float64(instrs), "instrs")
+			b.ReportMetric(us, "us/attempt")
+			b.ReportMetric(100*us/float64(instrs), "us/100instrs")
 		})
 	}
 }

@@ -13,7 +13,7 @@ import (
 // DESIGN.md at 1,200 lines and EXPERIMENTS.md at 700.
 var docCeilings = map[string]int{
 	"DESIGN.md":      1970,
-	"EXPERIMENTS.md": 2384,
+	"EXPERIMENTS.md": 2292,
 	"README.md":      366,
 }
 

@@ -399,7 +399,7 @@ func (c *checker) checkDefBeforeUse() {
 				}
 				if !cur.Has(r) {
 					c.reportW(bpos, j, RuleUseBeforeDef, SevError, c.unassignedWitness(bpos, r),
-						"%s read by %q but not assigned on every path from entry", r, ins.String())
+						"%s read by %q but not assigned on every path from entry", r, c.f.InstrString(ins))
 				}
 			}
 			for _, r := range ins.Defs(buf[:0]) {
@@ -454,7 +454,7 @@ func (c *checker) checkCondCodes() {
 			if ins.Op == rtl.OpBranch && !ic {
 				c.reportW(bpos, j, RuleCondCode, SevError, c.condCodeWitness(bpos, j),
 					"branch %q not reached by a compare on every path (condition codes unset or call-clobbered)",
-					ins.String())
+					c.f.InstrString(ins))
 			}
 			ic = transferOne(ins, ic)
 		}
@@ -549,7 +549,7 @@ func (c *checker) checkMachine() {
 		for j := range b.Instrs {
 			ins := &b.Instrs[j]
 			if err := d.Check(ins); err != nil {
-				c.reportW(bpos, j, RuleImmRange, SevError, c.witnessTo(bpos), "%v in %q", err, ins.String())
+				c.reportW(bpos, j, RuleImmRange, SevError, c.witnessTo(bpos), "%v in %q", err, c.f.InstrString(ins))
 			}
 			c.checkReserved(bpos, j, ins)
 			// Frame bounds: direct stack-pointer addressing must hit an
@@ -572,7 +572,7 @@ func (c *checker) checkMachine() {
 			if base.IsReg(rtl.RegSP) && f.SlotAt(ins.Disp) == nil {
 				c.reportW(bpos, j, RuleFrameBounds, SevError, c.witnessTo(bpos),
 					"%q addresses offset %d outside every frame slot (frame size %d)",
-					ins.String(), ins.Disp, f.FrameSize)
+					c.f.InstrString(ins), ins.Disp, f.FrameSize)
 			}
 		}
 	}
@@ -593,16 +593,16 @@ func (c *checker) checkReserved(bpos, j int, ins *rtl.Instr) {
 		switch ins.Dst {
 		case rtl.RegSP, rtl.RegLR, rtl.RegPC:
 			c.reportW(bpos, j, RuleReservedReg, SevError, c.witnessTo(bpos),
-				"%q writes reserved register %s", ins.String(), ins.Dst)
+				"%q writes reserved register %s", c.f.InstrString(ins), ins.Dst)
 		case rtl.RegIC:
 			if ins.Op != rtl.OpCmp {
 				c.reportW(bpos, j, RuleReservedReg, SevError, c.witnessTo(bpos),
-					"%q sets the condition codes outside a compare", ins.String())
+					"%q sets the condition codes outside a compare", c.f.InstrString(ins))
 			}
 		}
 		if ins.Op == rtl.OpCmp && ins.Dst != rtl.RegIC {
 			c.reportW(bpos, j, RuleReservedReg, SevError, c.witnessTo(bpos),
-				"compare %q must target the condition codes, not %s", ins.String(), ins.Dst)
+				"compare %q must target the condition codes, not %s", c.f.InstrString(ins), ins.Dst)
 		}
 	}
 	for _, o := range [2]rtl.Operand{ins.A, ins.B} {
@@ -611,7 +611,7 @@ func (c *checker) checkReserved(bpos, j int, ins *rtl.Instr) {
 		}
 		if o.Reg == rtl.RegPC || o.Reg == rtl.RegLR {
 			c.reportW(bpos, j, RuleReservedReg, SevError, c.witnessTo(bpos),
-				"%q reads reserved register %s", ins.String(), o.Reg)
+				"%q reads reserved register %s", c.f.InstrString(ins), o.Reg)
 		}
 	}
 }
@@ -694,7 +694,7 @@ func (c *checker) lintCFG() {
 			continue
 		}
 		last := b.Last()
-		if last.Op == rtl.OpJmp && bpos+1 < len(f.Blocks) && f.Blocks[bpos+1].ID == last.Target {
+		if last.Op == rtl.OpJmp && bpos+1 < len(f.Blocks) && f.Blocks[bpos+1].ID == int(last.Target) {
 			c.reportW(bpos, len(b.Instrs)-1, RuleJumpNext, SevWarn, c.witnessTo(bpos),
 				"jump to the fall-through successor L%d", last.Target)
 		}
@@ -732,7 +732,7 @@ func (c *checker) lintDataflow() {
 			if !ins.HasSideEffects() && ins.Op != rtl.OpNop &&
 				ins.Dst != rtl.RegNone && !live.Has(ins.Dst) {
 				c.reportW(bpos, j, RuleDeadStore, SevWarn, c.deadStoreWitness(bpos, ins.Dst),
-					"%s assigned by %q but never read on any path", ins.Dst, ins.String())
+					"%s assigned by %q but never read on any path", ins.Dst, c.f.InstrString(ins))
 			}
 			for _, d := range ins.Defs(buf[:0]) {
 				live.Remove(d)
@@ -750,11 +750,11 @@ func (c *checker) lintDataflow() {
 			if ins.Op == rtl.OpMov && ins.A.Kind == rtl.OperReg {
 				if ins.Dst == ins.A.Reg {
 					c.reportW(bpos, j, RuleRedundantMove, SevWarn, c.witnessTo(bpos),
-						"%q copies %s to itself", ins.String(), ins.Dst)
+						"%q copies %s to itself", c.f.InstrString(ins), ins.Dst)
 				} else if copies.has(avail, ins.Dst, ins.A.Reg) {
 					c.reportW(bpos, j, RuleRedundantMove, SevWarn, c.witnessTo(bpos),
 						"%q re-establishes a copy of %s and %s already available on every path",
-						ins.String(), ins.Dst, ins.A.Reg)
+						c.f.InstrString(ins), ins.Dst, ins.A.Reg)
 				}
 			}
 			copies.step(avail, ins)

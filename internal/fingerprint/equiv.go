@@ -223,7 +223,7 @@ func (e *equivEncoder) encode(dst []byte, f *rtl.Func) []byte {
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(e.label[bpos]))
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(instrs)))
 		for i := range instrs {
-			dst = appendInstr(dst, rm, &instrs[i])
+			dst = appendInstr(dst, rm, f, &instrs[i])
 		}
 		dst = append(dst, 0xFF, byte(kind))
 		switch kind {

@@ -183,13 +183,13 @@ func (v *refVNBuilder) instrVN(st refVNState, in *rtl.Instr) (dst, aVN, bVN int)
 		dst = aVN
 	case in.Op == rtl.OpMovHi:
 		v.keyReset('h')
-		v.keySym(in.Sym)
+		v.keySym(v.g.F.SymName(in.Sym))
 		dst = v.exprVN()
 	case in.Op == rtl.OpAddLo:
 		aVN = v.operandVN(st, in.A)
 		v.keyReset('a')
 		v.keyInt(aVN)
-		v.keySym(in.Sym)
+		v.keySym(v.g.F.SymName(in.Sym))
 		dst = v.exprVN()
 	case in.Op == rtl.OpNeg || in.Op == rtl.OpNot:
 		aVN = v.operandVN(st, in.A)
@@ -294,7 +294,7 @@ func (e *refEquivEncoder) resolveForwarder(bpos int) int {
 		}
 		e.fwd[cur] = -3 // visiting marker
 		path = append(path, cur)
-		next := e.g.MustPos(b.Instrs[0].Target)
+		next := e.g.MustPos(int(b.Instrs[0].Target))
 		if e.fwd[next] == -3 {
 			cur = -1 // jump cycle
 			break
@@ -333,13 +333,13 @@ func (e *refEquivEncoder) semanticTerm(bpos int) (kind int, taken, fall int) {
 		}
 		return termNone, posNone, posNone
 	case last.Op == rtl.OpJmp && !e.norm.Spelling:
-		return refTermJump, e.g.MustPos(last.Target), posNone
+		return refTermJump, e.g.MustPos(int(last.Target)), posNone
 	case last.Op == rtl.OpJmp:
-		return termGoto, e.resolveForwarder(e.g.MustPos(last.Target)), posNone
+		return termGoto, e.resolveForwarder(e.g.MustPos(int(last.Target))), posNone
 	case last.Op == rtl.OpRet:
 		return termRet, posNone, posNone
 	default: // OpBranch
-		return termBranch, e.resolveForwarder(e.g.MustPos(last.Target)), next()
+		return termBranch, e.resolveForwarder(e.g.MustPos(int(last.Target))), next()
 	}
 }
 
@@ -414,11 +414,11 @@ func (e *refEquivEncoder) instr(in *rtl.Instr, idx int) {
 	switch in.Op {
 	case rtl.OpCall:
 		e.dst = append(e.dst, in.NArgs)
-		e.sym(in.Sym)
+		e.sym(e.g.F.SymName(in.Sym))
 	case rtl.OpMovHi, rtl.OpAddLo:
 		e.u16(e.reg(in.Dst))
 		e.operand(in.A)
-		e.sym(in.Sym)
+		e.sym(e.g.F.SymName(in.Sym))
 	default:
 		a, b := in.A, in.B
 		if e.norm.ValueNumbers && in.Op.IsALU() && in.Op.Commutative() && e.bVN[idx] < e.aVN[idx] {

@@ -150,7 +150,7 @@ func Canonicalize(f *rtl.Func) *rtl.Func {
 			in := &b.Instrs[i]
 			switch in.Op {
 			case rtl.OpBranch, rtl.OpJmp:
-				rm.label(in.Target)
+				rm.label(int(in.Target))
 			case rtl.OpCall:
 			default:
 				if in.Dst != rtl.RegNone {
@@ -180,7 +180,7 @@ func Canonicalize(f *rtl.Func) *rtl.Func {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if in.Op == rtl.OpBranch || in.Op == rtl.OpJmp {
-				in.Target = int(rm.label(in.Target))
+				in.Target = int32(rm.label(int(in.Target)))
 				continue
 			}
 			if in.Op == rtl.OpCall {
@@ -218,10 +218,10 @@ func ControlFlowKey(f *rtl.Func) Key {
 		switch last.Op {
 		case rtl.OpBranch:
 			buf = append(buf, 1, byte(last.Rel))
-			u16(labels.of(last.Target))
+			u16(labels.of(int(last.Target)))
 		case rtl.OpJmp:
 			buf = append(buf, 2)
-			u16(labels.of(last.Target))
+			u16(labels.of(int(last.Target)))
 		case rtl.OpRet:
 			buf = append(buf, 3)
 		default:

@@ -27,8 +27,8 @@ func fig5Variant(sum, base, lbl int) *rtl.Func {
 	entry := f.Entry()
 	entry.Instrs = append(entry.Instrs,
 		rtl.NewMov(rSum, rtl.Imm(0)),
-		rtl.Instr{Op: rtl.OpMovHi, Dst: rBase, Sym: "a"},
-		rtl.Instr{Op: rtl.OpAddLo, Dst: rBase, A: rtl.R(rBase), Sym: "a"},
+		rtl.Instr{Op: rtl.OpMovHi, Dst: rBase, Sym: f.Intern("a")},
+		rtl.Instr{Op: rtl.OpAddLo, Dst: rBase, A: rtl.R(rBase), Sym: f.Intern("a")},
 		rtl.NewMov(rtl.RegR1, rtl.R(rBase)),
 		rtl.NewALU(rtl.OpAdd, rtl.RegR9, rtl.R(rBase), rtl.Imm(4000)),
 	)

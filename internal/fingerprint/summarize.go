@@ -63,24 +63,27 @@ func appendOperand(dst []byte, rm *remapper, o rtl.Operand) []byte {
 	return dst
 }
 
-// appendInstr appends the canonical encoding of one instruction.
-func appendInstr(dst []byte, rm *remapper, in *rtl.Instr) []byte {
+// appendInstr appends the canonical encoding of one instruction of f:
+// a symbol as its name's length and bytes.
+func appendInstr(dst []byte, rm *remapper, f *rtl.Func, in *rtl.Instr) []byte {
 	dst = append(dst, byte(in.Op))
 	switch in.Op {
 	case rtl.OpBranch:
 		dst = append(dst, byte(in.Rel))
-		dst = binary.LittleEndian.AppendUint16(dst, rm.label(in.Target))
+		dst = binary.LittleEndian.AppendUint16(dst, rm.label(int(in.Target)))
 	case rtl.OpJmp:
-		dst = binary.LittleEndian.AppendUint16(dst, rm.label(in.Target))
+		dst = binary.LittleEndian.AppendUint16(dst, rm.label(int(in.Target)))
 	case rtl.OpCall:
 		dst = append(dst, in.NArgs)
-		dst = append(dst, byte(len(in.Sym)))
-		dst = append(dst, in.Sym...)
+		sym := f.SymName(in.Sym)
+		dst = append(dst, byte(len(sym)))
+		dst = append(dst, sym...)
 	case rtl.OpMovHi, rtl.OpAddLo:
 		dst = binary.LittleEndian.AppendUint16(dst, rm.reg(in.Dst))
 		dst = appendOperand(dst, rm, in.A)
-		dst = append(dst, byte(len(in.Sym)))
-		dst = append(dst, in.Sym...)
+		sym := f.SymName(in.Sym)
+		dst = append(dst, byte(len(sym)))
+		dst = append(dst, sym...)
 	default:
 		dst = binary.LittleEndian.AppendUint16(dst, rm.reg(in.Dst))
 		dst = appendOperand(dst, rm, in.A)
@@ -98,7 +101,7 @@ func EncodeTo(dst []byte, f *rtl.Func) []byte {
 	for _, b := range f.Blocks {
 		dst = binary.LittleEndian.AppendUint16(dst, s.rm.label(b.ID))
 		for i := range b.Instrs {
-			dst = appendInstr(dst, &s.rm, &b.Instrs[i])
+			dst = appendInstr(dst, &s.rm, f, &b.Instrs[i])
 		}
 	}
 	scanPool.Put(s)
@@ -119,7 +122,7 @@ func SummarizeInto(buf *Buffer, f *rtl.Func) FP {
 		enc = binary.LittleEndian.AppendUint16(enc, s.rm.label(b.ID))
 		count += len(b.Instrs)
 		for i := range b.Instrs {
-			enc = appendInstr(enc, &s.rm, &b.Instrs[i])
+			enc = appendInstr(enc, &s.rm, f, &b.Instrs[i])
 		}
 		// Control-flow leg: same bytes ControlFlowKey emits, but with
 		// its own label numbering (it sees only block IDs and
@@ -134,10 +137,10 @@ func SummarizeInto(buf *Buffer, f *rtl.Func) FP {
 		switch last.Op {
 		case rtl.OpBranch:
 			cf = append(cf, 1, byte(last.Rel))
-			cf = binary.LittleEndian.AppendUint16(cf, s.cfLabels.of(last.Target))
+			cf = binary.LittleEndian.AppendUint16(cf, s.cfLabels.of(int(last.Target)))
 		case rtl.OpJmp:
 			cf = append(cf, 2)
-			cf = binary.LittleEndian.AppendUint16(cf, s.cfLabels.of(last.Target))
+			cf = binary.LittleEndian.AppendUint16(cf, s.cfLabels.of(int(last.Target)))
 		case rtl.OpRet:
 			cf = append(cf, 3)
 		default:

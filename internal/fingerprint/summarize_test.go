@@ -129,17 +129,19 @@ func (m *mapEncoder) encode(f *rtl.Func) []byte {
 			switch in.Op {
 			case rtl.OpBranch:
 				dst = append(dst, byte(in.Rel))
-				dst = binary.LittleEndian.AppendUint16(dst, m.label(in.Target))
+				dst = binary.LittleEndian.AppendUint16(dst, m.label(int(in.Target)))
 			case rtl.OpJmp:
-				dst = binary.LittleEndian.AppendUint16(dst, m.label(in.Target))
+				dst = binary.LittleEndian.AppendUint16(dst, m.label(int(in.Target)))
 			case rtl.OpCall:
-				dst = append(dst, in.NArgs, byte(len(in.Sym)))
-				dst = append(dst, in.Sym...)
+				sym := f.SymName(in.Sym)
+				dst = append(dst, in.NArgs, byte(len(sym)))
+				dst = append(dst, sym...)
 			case rtl.OpMovHi, rtl.OpAddLo:
 				dst = binary.LittleEndian.AppendUint16(dst, m.reg(in.Dst))
 				dst = m.operand(dst, in.A)
-				dst = append(dst, byte(len(in.Sym)))
-				dst = append(dst, in.Sym...)
+				sym := f.SymName(in.Sym)
+				dst = append(dst, byte(len(sym)))
+				dst = append(dst, sym...)
 			default:
 				dst = binary.LittleEndian.AppendUint16(dst, m.reg(in.Dst))
 				dst = m.operand(dst, in.A)
@@ -161,10 +163,10 @@ func (m *mapEncoder) controlFlow(f *rtl.Func) []byte {
 			dst = append(dst, 0)
 		case last.Op == rtl.OpBranch:
 			dst = append(dst, 1, byte(last.Rel))
-			dst = binary.LittleEndian.AppendUint16(dst, m.label(last.Target))
+			dst = binary.LittleEndian.AppendUint16(dst, m.label(int(last.Target)))
 		case last.Op == rtl.OpJmp:
 			dst = append(dst, 2)
-			dst = binary.LittleEndian.AppendUint16(dst, m.label(last.Target))
+			dst = binary.LittleEndian.AppendUint16(dst, m.label(int(last.Target)))
 		case last.Op == rtl.OpRet:
 			dst = append(dst, 3)
 		default:
@@ -206,9 +208,9 @@ func sparseFunc(rng *rand.Rand, blocks, maxReg int) *rtl.Func {
 			case 1:
 				b.Instrs = append(b.Instrs, rtl.NewStore(reg(), reg(), int32(rng.Intn(64))))
 			case 2:
-				b.Instrs = append(b.Instrs, rtl.Instr{Op: rtl.OpMovHi, Dst: reg(), Sym: "tab"}, rtl.Instr{Op: rtl.OpAddLo, Dst: reg(), A: rtl.R(reg()), Sym: "tab"})
+				b.Instrs = append(b.Instrs, rtl.Instr{Op: rtl.OpMovHi, Dst: reg(), Sym: f.Intern("tab")}, rtl.Instr{Op: rtl.OpAddLo, Dst: reg(), A: rtl.R(reg()), Sym: f.Intern("tab")})
 			case 3:
-				b.Instrs = append(b.Instrs, rtl.Instr{Op: rtl.OpCall, Sym: "callee", NArgs: 2})
+				b.Instrs = append(b.Instrs, rtl.Instr{Op: rtl.OpCall, Sym: f.Intern("callee"), NArgs: 2})
 			case 4:
 				b.Instrs = append(b.Instrs, rtl.NewMov(reg(), rtl.Imm(int32(rng.Intn(1000)))))
 			default:
@@ -275,13 +277,13 @@ func TestDenseTablesMatchMapReference(t *testing.T) {
 				c := cb.Instrs[i]
 				switch in.Op {
 				case rtl.OpBranch, rtl.OpJmp:
-					if c.Target != int(ref.labels[in.Target]) {
-						t.Fatalf("trial %d: Canonicalize retargets %s to L%d, the map reference to L%d", trial, in.String(), c.Target, ref.labels[in.Target])
+					if c.Target != int32(ref.labels[int(in.Target)]) {
+						t.Fatalf("trial %d: Canonicalize retargets %s to L%d, the map reference to L%d", trial, f.InstrString(&in), c.Target, ref.labels[int(in.Target)])
 					}
 				case rtl.OpCall:
 				default:
 					if c.Dst != want(in.Dst) || (in.A.Kind == rtl.OperReg && c.A.Reg != want(in.A.Reg)) || (in.B.Kind == rtl.OperReg && c.B.Reg != want(in.B.Reg)) {
-						t.Fatalf("trial %d: Canonicalize renames %s to %s against the map reference", trial, in.String(), c.String())
+						t.Fatalf("trial %d: Canonicalize renames %s to %s against the map reference", trial, f.InstrString(&in), canon.InstrString(&c))
 					}
 				}
 			}

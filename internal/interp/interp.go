@@ -226,15 +226,15 @@ func (m *Machine) call(f *rtl.Func, args []int32, sp uint32) (int32, error) {
 			case rtl.OpMov:
 				fr.regs[in.Dst] = get(in.A)
 			case rtl.OpMovHi:
-				a, ok := m.gaddr[in.Sym]
+				a, ok := m.gaddr[f.SymName(in.Sym)]
 				if !ok {
-					return 0, fmt.Errorf("interp: %q references unknown global %q", f.Name, in.Sym)
+					return 0, fmt.Errorf("interp: %q references unknown global %q", f.Name, f.SymName(in.Sym))
 				}
 				fr.regs[in.Dst] = int32(a &^ 0xFFFF)
 			case rtl.OpAddLo:
-				a, ok := m.gaddr[in.Sym]
+				a, ok := m.gaddr[f.SymName(in.Sym)]
 				if !ok {
-					return 0, fmt.Errorf("interp: %q references unknown global %q", f.Name, in.Sym)
+					return 0, fmt.Errorf("interp: %q references unknown global %q", f.Name, f.SymName(in.Sym))
 				}
 				fr.regs[in.Dst] = get(in.A) + int32(a&0xFFFF)
 			case rtl.OpAdd:
@@ -281,11 +281,11 @@ func (m *Machine) call(f *rtl.Func, args []int32, sp uint32) (int32, error) {
 				fr.icA, fr.icB = get(in.A), get(in.B)
 			case rtl.OpBranch:
 				if in.Rel.Eval(fr.icA, fr.icB) {
-					bpos = idx[in.Target]
+					bpos = idx[int(in.Target)]
 					transferred = true
 				}
 			case rtl.OpJmp:
-				bpos = idx[in.Target]
+				bpos = idx[int(in.Target)]
 				transferred = true
 			case rtl.OpRet:
 				return fr.regs[rtl.RegR0], nil
@@ -319,17 +319,18 @@ func (m *Machine) dispatch(caller *rtl.Func, in *rtl.Instr, regs []int32, sp uin
 	for i := range args {
 		args[i] = regs[i]
 	}
-	if callee := m.prog.Func(in.Sym); callee != nil {
+	name := caller.SymName(in.Sym)
+	if callee := m.prog.Func(name); callee != nil {
 		return m.call(callee, args, sp)
 	}
-	switch in.Sym {
+	switch name {
 	case "__trace":
 		if len(args) > 0 {
 			m.trace = append(m.trace, args[0])
 		}
 		return 0, nil
 	}
-	return 0, fmt.Errorf("interp: %q calls unknown function %q", caller.Name, in.Sym)
+	return 0, fmt.Errorf("interp: %q calls unknown function %q", caller.Name, name)
 }
 
 // Run is a convenience wrapper: build a fresh machine, execute the

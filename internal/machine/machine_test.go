@@ -51,13 +51,13 @@ func TestLegalInstructions(t *testing.T) {
 		rtl.NewLoad(rtl.RegR0, rtl.RegSP, 4092),
 		rtl.NewStore(rtl.RegR0, rtl.RegSP, 8),
 		rtl.NewCmp(rtl.R(rtl.RegR0), rtl.Imm(0)),
-		{Op: rtl.OpMovHi, Dst: rtl.RegR0, Sym: "g"},
+		{Op: rtl.OpMovHi, Dst: rtl.RegR0, Sym: 1},
 		rtl.NewBranch(rtl.RelLT, 0),
 	}
 	for _, in := range ok {
 		in := in
 		if !d.Legal(&in) {
-			t.Errorf("should be legal: %s", in.String())
+			t.Errorf("should be legal: %+v", in)
 		}
 	}
 	bad := []rtl.Instr{
@@ -69,7 +69,7 @@ func TestLegalInstructions(t *testing.T) {
 	for _, in := range bad {
 		in := in
 		if d.Legal(&in) {
-			t.Errorf("should be illegal: %s", in.String())
+			t.Errorf("should be illegal: %+v", in)
 		}
 	}
 }

@@ -507,9 +507,9 @@ func (g *gen) genAssign(st *AssignStmt) error {
 // returns the register holding it.
 func (g *gen) globalAddr(name string) rtl.Reg {
 	hi := g.f.NewReg()
-	g.emit(rtl.Instr{Op: rtl.OpMovHi, Dst: hi, Sym: name})
+	g.emit(rtl.Instr{Op: rtl.OpMovHi, Dst: hi, Sym: g.f.Intern(name)})
 	lo := g.f.NewReg()
-	g.emit(rtl.Instr{Op: rtl.OpAddLo, Dst: lo, A: rtl.R(hi), Sym: name})
+	g.emit(rtl.Instr{Op: rtl.OpAddLo, Dst: lo, A: rtl.R(hi), Sym: g.f.Intern(name)})
 	return lo
 }
 
@@ -722,7 +722,7 @@ func (g *gen) genCall(x *CallExpr) (rtl.Reg, error) {
 	for i, t := range temps {
 		g.emit(rtl.NewMov(rtl.Reg(i), rtl.R(t)))
 	}
-	g.emit(rtl.Instr{Op: rtl.OpCall, Sym: x.Name, NArgs: uint8(len(x.Args))})
+	g.emit(rtl.Instr{Op: rtl.OpCall, Sym: g.f.Intern(x.Name), NArgs: uint8(len(x.Args))})
 	rd := g.f.NewReg()
 	g.emit(rtl.NewMov(rd, rtl.R(rtl.RegR0)))
 	return rd, nil

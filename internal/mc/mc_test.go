@@ -293,7 +293,7 @@ int use(void) {
 	found := false
 	for _, b := range prog.Func("use").Blocks {
 		for i := range b.Instrs {
-			if b.Instrs[i].Op == rtl.OpCall && b.Instrs[i].Sym == "sum3" {
+			if b.Instrs[i].Op == rtl.OpCall && prog.Func("use").SymName(b.Instrs[i].Sym) == "sum3" {
 				found = true
 			}
 		}

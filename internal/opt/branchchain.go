@@ -37,7 +37,7 @@ func (BranchChaining) Apply(f *rtl.Func, _ *machine.Desc) bool {
 			if b == nil || len(b.Instrs) != 1 || b.Instrs[0].Op != rtl.OpJmp {
 				return id
 			}
-			next := b.Instrs[0].Target
+			next := int(b.Instrs[0].Target)
 			if next == id {
 				return id
 			}
@@ -51,8 +51,8 @@ func (BranchChaining) Apply(f *rtl.Func, _ *machine.Desc) bool {
 			if in.Op != rtl.OpBranch && in.Op != rtl.OpJmp {
 				continue
 			}
-			if t := finalTarget(in.Target); t != in.Target {
-				in.Target = t
+			if t := finalTarget(int(in.Target)); t != int(in.Target) {
+				in.Target = int32(t)
 				changed = true
 			}
 		}

@@ -445,7 +445,7 @@ type exprKey struct {
 	op     rtl.Op
 	a, b   rtl.Operand
 	disp   int32
-	sym    string
+	sym    uint16
 	scalar bool
 }
 
@@ -455,10 +455,7 @@ func (k *exprKey) hash() uint32 {
 	const mul = 0x9E3779B97F4A7C15
 	h := uint64(k.op) | uint64(k.a.Kind)<<8 | uint64(k.a.Reg)<<16 | uint64(uint32(k.a.Imm))<<32
 	h = h*mul ^ (uint64(k.b.Kind)<<8 | uint64(k.b.Reg)<<16 | uint64(uint32(k.b.Imm))<<32)
-	h = h*mul ^ uint64(uint32(k.disp))
-	for i := 0; i < len(k.sym); i++ {
-		h = h*mul ^ uint64(k.sym[i])
-	}
+	h = h*mul ^ (uint64(uint32(k.disp)) | uint64(k.sym)<<32)
 	return uint32(h * mul >> 32)
 }
 

@@ -702,7 +702,7 @@ func TestPhaseCMatchesReference(t *testing.T) {
 		loads(rtl.RegR8, rtl.RegR9, rtl.RegR10, rtl.RegR11)
 		b.Instrs = append(b.Instrs, rtl.NewStore(rtl.RegR0, rtl.RegSP, x)) // to scalar slot x
 		loads(rtl.RegR8, rtl.RegR9, rtl.RegR10, rtl.RegR11)
-		b.Instrs = append(b.Instrs, rtl.Instr{Op: rtl.OpCall, Sym: "g", NArgs: 1})
+		b.Instrs = append(b.Instrs, rtl.Instr{Op: rtl.OpCall, Sym: f.Intern("g"), NArgs: 1})
 		loads(rtl.RegR4, rtl.RegR5, rtl.RegR6, rtl.RegR7)
 		b.Instrs = append(b.Instrs, rtl.Instr{Op: rtl.OpRet, A: rtl.R(rtl.RegR0)})
 		d := machine.StrongARM()

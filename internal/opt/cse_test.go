@@ -192,7 +192,7 @@ func TestCSERedundantLoadScalarSlot(t *testing.T) {
 		f.AddSlot("x", 4, scalar)
 		f.Entry().Instrs = append(f.Entry().Instrs,
 			rtl.NewLoad(rtl.RegR4, rtl.RegSP, 0),
-			rtl.Instr{Op: rtl.OpCall, Sym: "g"},
+			rtl.Instr{Op: rtl.OpCall, Sym: f.Intern("g")},
 			rtl.NewLoad(rtl.RegR5, rtl.RegSP, 0),
 			rtl.NewALU(rtl.OpAdd, rtl.RegR0, rtl.R(rtl.RegR4), rtl.R(rtl.RegR5)),
 			rtl.Instr{Op: rtl.OpRet, A: rtl.R(rtl.RegR0)})

@@ -20,12 +20,12 @@ func DiffInstrs(a, b *rtl.Func) int {
 	counts := make(map[string]int)
 	for _, blk := range ca.Blocks {
 		for i := range blk.Instrs {
-			counts[blk.Instrs[i].String()]++
+			counts[ca.InstrString(&blk.Instrs[i])]++
 		}
 	}
 	for _, blk := range cb.Blocks {
 		for i := range blk.Instrs {
-			counts[blk.Instrs[i].String()]--
+			counts[cb.InstrString(&blk.Instrs[i])]--
 		}
 	}
 	diff := 0

@@ -29,7 +29,7 @@ func (UselessJumpRemoval) Apply(f *rtl.Func, _ *machine.Desc) bool {
 			continue
 		}
 		if (last.Op == rtl.OpJmp || last.Op == rtl.OpBranch) &&
-			last.Target == f.Blocks[i+1].ID {
+			int(last.Target) == f.Blocks[i+1].ID {
 			// A conditional branch to the fall-through block transfers
 			// to the same place whether taken or not.
 			b.Remove(len(b.Instrs) - 1)
@@ -76,7 +76,7 @@ func reverseOnce(f *rtl.Func) bool {
 		}
 		// Pattern: A ends with a branch over block JB (a lone jump)
 		// to the block right after JB.
-		if last.Target != after.ID {
+		if int(last.Target) != after.ID {
 			continue
 		}
 		if len(jb.Instrs) != 1 || jb.Instrs[0].Op != rtl.OpJmp {
@@ -121,7 +121,7 @@ func (BlockReordering) Apply(f *rtl.Func, _ *machine.Desc) bool {
 			if last == nil || last.Op != rtl.OpJmp {
 				continue
 			}
-			ti := g.MustPos(last.Target)
+			ti := g.MustPos(int(last.Target))
 			if ti == 0 || ti == i+1 || ti == i {
 				continue
 			}
@@ -191,7 +191,7 @@ func rotateLoop(f *rtl.Func, g *rtl.CFG, l *rtl.Loop) bool {
 	if hl == nil || hl.Op != rtl.OpBranch {
 		return false
 	}
-	exitID := hl.Target
+	exitID := int(hl.Target)
 	exitPos, ok := g.Pos(exitID)
 	if !ok || l.Contains(exitPos) {
 		return false
@@ -207,7 +207,7 @@ func rotateLoop(f *rtl.Func, g *rtl.CFG, l *rtl.Loop) bool {
 	for _, tpos := range l.Tails {
 		t := f.Blocks[tpos]
 		tl := t.Last()
-		if tl == nil || tl.Op != rtl.OpJmp || tl.Target != h.ID {
+		if tl == nil || tl.Op != rtl.OpJmp || int(tl.Target) != h.ID {
 			continue
 		}
 		if t == h {

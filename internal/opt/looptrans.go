@@ -141,8 +141,8 @@ func ensurePreheader(f *rtl.Func, g *rtl.CFG, l *rtl.Loop) (int, bool, bool) {
 		b := f.Blocks[p]
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			if (in.Op == rtl.OpBranch || in.Op == rtl.OpJmp) && in.Target == headID {
-				in.Target = nb.ID
+			if (in.Op == rtl.OpBranch || in.Op == rtl.OpJmp) && int(in.Target) == headID {
+				in.Target = int32(nb.ID)
 			}
 		}
 	}

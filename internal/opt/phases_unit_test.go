@@ -40,7 +40,7 @@ func TestBranchChainingFollowsChains(t *testing.T) {
 	if !(opt.BranchChaining{}).Apply(f, machine.StrongARM()) {
 		t.Fatal("dormant on a jump chain")
 	}
-	if f.Entry().Last().Target != end.ID {
+	if int(f.Entry().Last().Target) != end.ID {
 		t.Fatalf("branch not retargeted to the chain end:\n%s", f)
 	}
 	// The now-unreachable jump blocks were removed by the phase itself
@@ -129,7 +129,7 @@ func TestReverseBranches(t *testing.T) {
 		t.Fatal("dormant on a branch-over-jump")
 	}
 	last := f.Entry().Last()
-	if last.Rel != rtl.RelGE || last.Target != elseB.ID {
+	if last.Rel != rtl.RelGE || int(last.Target) != elseB.ID {
 		t.Fatalf("expected PC=IC>=0,L%d:\n%s", elseB.ID, f)
 	}
 	// One jump gone, block count reduced.
@@ -293,7 +293,7 @@ func TestCodeHoisting(t *testing.T) {
 	// itself must still feed the branch.
 	entryS := ""
 	for i := range f.Entry().Instrs {
-		entryS += f.Entry().Instrs[i].String()
+		entryS += f.InstrString(&f.Entry().Instrs[i])
 	}
 	if !strings.Contains(entryS, "r[2]=5;") {
 		t.Fatalf("instruction not hoisted into the predecessor:\n%s", f)
@@ -333,7 +333,7 @@ func TestRegisterAllocationRespectsCalls(t *testing.T) {
 	entry := f.Entry()
 	entry.Instrs = append(entry.Instrs,
 		rtl.NewStore(rtl.RegR0, rtl.RegSP, off),
-		rtl.Instr{Op: rtl.OpCall, Sym: "g"},
+		rtl.Instr{Op: rtl.OpCall, Sym: f.Intern("g")},
 		rtl.NewLoad(rtl.RegR1, rtl.RegSP, off),
 		rtl.NewMov(rtl.RegR0, rtl.R(rtl.RegR1)),
 		rtl.Instr{Op: rtl.OpRet, A: rtl.R(rtl.RegR0)})
@@ -366,8 +366,8 @@ func TestLICMHoistsInvariantAddress(t *testing.T) {
 		rtl.NewCmp(rtl.R(rtl.RegR1), rtl.R(rtl.RegR0)),
 		rtl.NewBranch(rtl.RelGE, exit.ID))
 	body.Instrs = append(body.Instrs,
-		rtl.Instr{Op: rtl.OpMovHi, Dst: rtl.RegR2, Sym: "g"},
-		rtl.Instr{Op: rtl.OpAddLo, Dst: rtl.RegR2, A: rtl.R(rtl.RegR2), Sym: "g"},
+		rtl.Instr{Op: rtl.OpMovHi, Dst: rtl.RegR2, Sym: f.Intern("g")},
+		rtl.Instr{Op: rtl.OpAddLo, Dst: rtl.RegR2, A: rtl.R(rtl.RegR2), Sym: f.Intern("g")},
 		rtl.NewStore(rtl.RegR1, rtl.RegR2, 0),
 		rtl.NewALU(rtl.OpAdd, rtl.RegR1, rtl.R(rtl.RegR1), rtl.Imm(1)),
 		rtl.NewJmp(head.ID))

@@ -206,7 +206,7 @@ func chainBlock(hard bool, seed int64) *rtl.Func {
 		case 5: // a call, which scalars must live across in callee-save registers
 			b.Instrs = append(b.Instrs,
 				rtl.NewMov(rtl.RegR0, rtl.R(acc)),
-				rtl.Instr{Op: rtl.OpCall, Sym: "g", NArgs: 1})
+				rtl.Instr{Op: rtl.OpCall, Sym: f.Intern("g"), NArgs: 1})
 			acc = rtl.RegR0
 		}
 	}

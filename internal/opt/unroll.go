@@ -51,7 +51,7 @@ func (LoopUnrolling) Apply(f *rtl.Func, _ *machine.Desc) bool {
 			continue // entry block kept simple
 		}
 		last := b.Last()
-		if last == nil || last.Op != rtl.OpBranch || last.Target != b.ID {
+		if last == nil || last.Op != rtl.OpBranch || int(last.Target) != b.ID {
 			continue
 		}
 		if len(b.Instrs) < 2 || len(b.Instrs) > maxUnrollBody {
@@ -77,10 +77,10 @@ func (LoopUnrolling) Apply(f *rtl.Func, _ *machine.Desc) bool {
 		rel := last.Rel
 		// First copy: exit early when the loop is done.
 		last.Rel = rel.Negate()
-		last.Target = exitID
+		last.Target = int32(exitID)
 		// Second copy: branch back to the top while iterating.
 		b2.Last().Rel = rel
-		b2.Last().Target = b.ID
+		b2.Last().Target = int32(b.ID)
 		f.InsertBlockAfter(i, b2)
 		changed = true
 	}

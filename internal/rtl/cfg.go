@@ -139,11 +139,11 @@ func successors(f *Func, i int, index []int) (succ [2]int, n int) {
 	switch last := f.Blocks[i].Last(); {
 	case last == nil:
 	case last.Op == OpJmp:
-		return [2]int{index[last.Target]}, 1
+		return [2]int{index[int(last.Target)]}, 1
 	case last.Op == OpRet:
 		return succ, 0
 	case last.Op == OpBranch:
-		t := index[last.Target]
+		t := index[int(last.Target)]
 		if falls && t != i+1 {
 			return [2]int{t, i + 1}, 2
 		}
@@ -297,8 +297,8 @@ func RetargetBranches(f *Func, oldID, newID int) int {
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			if (in.Op == OpBranch || in.Op == OpJmp) && in.Target == oldID {
-				in.Target = newID
+			if (in.Op == OpBranch || in.Op == OpJmp) && int(in.Target) == oldID {
+				in.Target = int32(newID)
 				n++
 			}
 		}

@@ -98,6 +98,15 @@ type Func struct {
 	// callee-save preservation rule only applies once this is set.
 	EntryExitFixed bool
 
+	// syms is the function's symbol table: instruction Sym k names
+	// syms[k-1]. It is filled while the function is built (code
+	// generation, parsing, decoding) and shared read-only by every
+	// clone, whose copy is clipped so a clone that interns more
+	// reallocates instead of writing into the shared array. symIdx
+	// indexes it for Intern; clones do not carry it.
+	syms   []string
+	symIdx map[string]uint16
+
 	// blockStore and instrStore are the backing arrays a clone was
 	// built into, retained so CloneReusing can recycle them once the
 	// clone's contents are dead. Structural mutations may stop the
@@ -276,6 +285,7 @@ func (f *Func) CloneReusing(scratch *Func) *Func {
 		NextBlockID:    f.NextBlockID,
 		RegAssigned:    f.RegAssigned,
 		EntryExitFixed: f.EntryExitFixed,
+		syms:           f.syms[:len(f.syms):len(f.syms)],
 		blockStore:     blocks,
 		instrStore:     instrs,
 	}
@@ -295,6 +305,40 @@ func (f *Func) CloneReusing(scratch *Func) *Func {
 	return nf
 }
 
+// MaxSyms is the most symbols a function may name: an instruction
+// holds a symbol as a 16-bit index, 0 meaning none.
+const MaxSyms = 1<<16 - 1
+
+// SymName returns the name of symbol s of f's table, "" for 0.
+func (f *Func) SymName(s uint16) string {
+	if s == 0 {
+		return ""
+	}
+	return f.syms[s-1]
+}
+
+// Intern returns the index of the symbol name in f's table, adding it
+// when it is new; "" is 0. A table grown past MaxSyms wraps the index,
+// which Validate refuses.
+func (f *Func) Intern(name string) uint16 {
+	if name == "" {
+		return 0
+	}
+	if f.symIdx == nil {
+		f.symIdx = make(map[string]uint16, len(f.syms)+1)
+		for i, s := range f.syms {
+			f.symIdx[s] = uint16(i + 1)
+		}
+	}
+	if s, ok := f.symIdx[name]; ok {
+		return s
+	}
+	f.syms = append(f.syms, name)
+	s := uint16(len(f.syms))
+	f.symIdx[name] = s
+	return s
+}
+
 // String renders the function in the paper's textual RTL notation.
 func (f *Func) String() string {
 	var sb strings.Builder
@@ -302,7 +346,7 @@ func (f *Func) String() string {
 	for _, b := range f.Blocks {
 		fmt.Fprintf(&sb, "L%d:\n", b.ID)
 		for i := range b.Instrs {
-			fmt.Fprintf(&sb, "\t%s\n", b.Instrs[i].String())
+			fmt.Fprintf(&sb, "\t%s\n", f.InstrString(&b.Instrs[i]))
 		}
 	}
 	return sb.String()

@@ -60,15 +60,19 @@ func (o Operand) String() string {
 //	Call   call Sym, NArgs arguments in r0..r3
 //	Ret    return (A = r0 when the function yields a value)
 //
-// Target is a block ID within the owning function.
+// Target is a block ID within the owning function. Sym names a symbol
+// of the owning function's table (Func.SymName; 0 is no symbol), so an
+// instruction holds no pointer: an instruction array is copied without
+// write barriers and the collector never scans one. The fields are
+// ordered so the struct packs into 32 bytes (TestInstrLayout).
 type Instr struct {
-	Op     Op
-	Dst    Reg
 	A, B   Operand
 	Disp   int32
-	Sym    string
+	Target int32
+	Dst    Reg
+	Sym    uint16
+	Op     Op
 	Rel    Rel
-	Target int
 	NArgs  uint8
 }
 
@@ -92,10 +96,12 @@ func NewStore(val, base Reg, disp int32) Instr {
 func NewCmp(a, b Operand) Instr { return Instr{Op: OpCmp, Dst: RegIC, A: a, B: b} }
 
 // NewBranch returns PC = IC rel 0, target.
-func NewBranch(rel Rel, target int) Instr { return Instr{Op: OpBranch, Rel: rel, Target: target} }
+func NewBranch(rel Rel, target int) Instr {
+	return Instr{Op: OpBranch, Rel: rel, Target: int32(target)}
+}
 
 // NewJmp returns PC = target.
-func NewJmp(target int) Instr { return Instr{Op: OpJmp, Target: target} }
+func NewJmp(target int) Instr { return Instr{Op: OpJmp, Target: int32(target)} }
 
 // Defs appends the registers written by the instruction to buf and
 // returns the extended slice. Passing a reusable buffer keeps the hot
@@ -234,19 +240,19 @@ func (in *Instr) RenameReg(old, new Reg) bool {
 // Equal reports full structural equality of two instructions.
 func (in Instr) Equal(other Instr) bool { return in == other }
 
-// String renders the instruction in the paper's RTL notation, e.g.
-// "r[3]=r[4]+1;" or "PC=IC<0,L3;". Branch and jump targets print as
-// L<block-id>.
-func (in *Instr) String() string {
+// InstrString renders in, an instruction of f, in the paper's RTL
+// notation, e.g. "r[3]=r[4]+1;" or "PC=IC<0,L3;". Branch and jump
+// targets print as L<block-id>, symbols by their names in f's table.
+func (f *Func) InstrString(in *Instr) string {
 	switch in.Op {
 	case OpNop:
 		return "nop;"
 	case OpMov:
 		return fmt.Sprintf("%s=%s;", in.Dst, in.A)
 	case OpMovHi:
-		return fmt.Sprintf("%s=HI[%s];", in.Dst, in.Sym)
+		return fmt.Sprintf("%s=HI[%s];", in.Dst, f.SymName(in.Sym))
 	case OpAddLo:
-		return fmt.Sprintf("%s=%s+LO[%s];", in.Dst, in.A, in.Sym)
+		return fmt.Sprintf("%s=%s+LO[%s];", in.Dst, in.A, f.SymName(in.Sym))
 	case OpNeg:
 		return fmt.Sprintf("%s=-%s;", in.Dst, in.A)
 	case OpNot:
@@ -268,7 +274,7 @@ func (in *Instr) String() string {
 	case OpJmp:
 		return fmt.Sprintf("PC=L%d;", in.Target)
 	case OpCall:
-		return fmt.Sprintf("CALL %s(%d);", in.Sym, in.NArgs)
+		return fmt.Sprintf("CALL %s(%d);", f.SymName(in.Sym), in.NArgs)
 	case OpRet:
 		if in.A.Kind == OperReg {
 			return fmt.Sprintf("RET %s;", in.A)

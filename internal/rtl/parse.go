@@ -67,7 +67,7 @@ func ParseFunc(text string) (*Func, error) {
 		if cur == nil {
 			return nil, fmt.Errorf("rtl: line %d: instruction before any label", lineNo)
 		}
-		in, err := parseInstr(line)
+		in, err := parseInstr(f, line)
 		if err != nil {
 			return nil, fmt.Errorf("rtl: line %d: %v", lineNo, err)
 		}
@@ -120,7 +120,7 @@ var opBySymbol = map[string]Op{
 }
 
 // parseInstr parses one semicolon-terminated instruction.
-func parseInstr(line string) (Instr, error) {
+func parseInstr(f *Func, line string) (Instr, error) {
 	var in Instr
 	s := strings.TrimSuffix(strings.TrimSpace(line), ";")
 	switch {
@@ -150,7 +150,7 @@ func parseInstr(line string) (Instr, error) {
 			return in, fmt.Errorf("bad call arity in %q", s)
 		}
 		in.Op = OpCall
-		in.Sym = rest[:open]
+		in.Sym = f.Intern(rest[:open])
 		in.NArgs = uint8(n)
 		return in, nil
 	case strings.HasPrefix(s, "PC=IC"):
@@ -235,7 +235,7 @@ func parseInstr(line string) (Instr, error) {
 		return NewLoad(dst, base, disp), nil
 	case strings.HasPrefix(rhs, "HI["):
 		sym := strings.TrimSuffix(strings.TrimPrefix(rhs, "HI["), "]")
-		return Instr{Op: OpMovHi, Dst: dst, Sym: sym}, nil
+		return Instr{Op: OpMovHi, Dst: dst, Sym: f.Intern(sym)}, nil
 	case strings.HasPrefix(rhs, "-"):
 		if r, err := parseReg(rhs[1:]); err == nil {
 			return Instr{Op: OpNeg, Dst: dst, A: R(r)}, nil
@@ -253,7 +253,7 @@ func parseInstr(line string) (Instr, error) {
 		if err != nil {
 			return in, err
 		}
-		return Instr{Op: OpAddLo, Dst: dst, A: R(a), Sym: rhs[lo+4 : len(rhs)-1]}, nil
+		return Instr{Op: OpAddLo, Dst: dst, A: R(a), Sym: f.Intern(rhs[lo+4 : len(rhs)-1])}, nil
 	}
 	// Binary ALU: operand op operand. Find the operator after the
 	// first operand.
@@ -372,11 +372,12 @@ func parseAddr(s string) (Reg, int32, error) {
 	return base, int32(v), nil
 }
 
-// parseLabel parses "L<n>".
-func parseLabel(s string) (int, error) {
+// parseLabel parses "L<n>", n an int32 as an instruction's Target is.
+func parseLabel(s string) (int32, error) {
 	s = strings.TrimSpace(s)
 	if !strings.HasPrefix(s, "L") {
 		return 0, fmt.Errorf("bad label %q", s)
 	}
-	return strconv.Atoi(s[1:])
+	n, err := strconv.ParseInt(s[1:], 10, 32)
+	return int32(n), err
 }

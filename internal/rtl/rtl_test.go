@@ -170,7 +170,7 @@ func TestCleanupKeepsBranchTargets(t *testing.T) {
 	if last.Op != rtl.OpBranch {
 		t.Fatalf("lost the branch:\n%s", f)
 	}
-	if idx := f.BlockIndex(last.Target); idx == -1 {
+	if idx := f.BlockIndex(int(last.Target)); idx == -1 {
 		t.Fatalf("branch target dangles:\n%s", f)
 	}
 }
@@ -210,19 +210,21 @@ func TestValidateSymbolLength(t *testing.T) {
 	cases := []struct {
 		name  string
 		in    rtl.Instr
+		sym   string
 		valid bool
 	}{
-		{"movhi, longest", rtl.Instr{Op: rtl.OpMovHi, Dst: rtl.RegR12, Sym: longest}, true},
-		{"movhi, too long", rtl.Instr{Op: rtl.OpMovHi, Dst: rtl.RegR12, Sym: long}, false},
-		{"addlo, longest", rtl.Instr{Op: rtl.OpAddLo, Dst: rtl.RegR12, A: rtl.R(rtl.RegR12), Sym: longest}, true},
-		{"addlo, too long", rtl.Instr{Op: rtl.OpAddLo, Dst: rtl.RegR12, A: rtl.R(rtl.RegR12), Sym: long}, false},
-		{"call, longest", rtl.Instr{Op: rtl.OpCall, Sym: longest}, true},
-		{"call, too long", rtl.Instr{Op: rtl.OpCall, Sym: long}, false},
-		{"mov, unused sym", rtl.Instr{Op: rtl.OpMov, Dst: rtl.RegR0, A: rtl.Imm(1), Sym: long}, true},
+		{"movhi, longest", rtl.Instr{Op: rtl.OpMovHi, Dst: rtl.RegR12}, longest, true},
+		{"movhi, too long", rtl.Instr{Op: rtl.OpMovHi, Dst: rtl.RegR12}, long, false},
+		{"addlo, longest", rtl.Instr{Op: rtl.OpAddLo, Dst: rtl.RegR12, A: rtl.R(rtl.RegR12)}, longest, true},
+		{"addlo, too long", rtl.Instr{Op: rtl.OpAddLo, Dst: rtl.RegR12, A: rtl.R(rtl.RegR12)}, long, false},
+		{"call, longest", rtl.Instr{Op: rtl.OpCall}, longest, true},
+		{"call, too long", rtl.Instr{Op: rtl.OpCall}, long, false},
+		{"mov, unused sym", rtl.Instr{Op: rtl.OpMov, Dst: rtl.RegR0, A: rtl.Imm(1)}, long, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f := rtl.NewFunc("f", 0, false)
+			tc.in.Sym = f.Intern(tc.sym)
 			f.Entry().Instrs = append(f.Entry().Instrs, tc.in, rtl.Instr{Op: rtl.OpRet})
 			err := rtl.Validate(f)
 			if tc.valid && err != nil {
@@ -268,6 +270,7 @@ func TestCloneIsDeep(t *testing.T) {
 }
 
 func TestInstrStringsMatchPaperNotation(t *testing.T) {
+	f := rtl.NewFunc("f", 0, false)
 	cases := map[string]rtl.Instr{
 		"r[3]=r[4]+1;":    rtl.NewALU(rtl.OpAdd, rtl.Reg(3), rtl.R(rtl.Reg(4)), rtl.Imm(1)),
 		"r[2]=1;":         rtl.NewMov(rtl.Reg(2), rtl.Imm(1)),
@@ -276,13 +279,14 @@ func TestInstrStringsMatchPaperNotation(t *testing.T) {
 		"IC=r[1]?r[9];":   rtl.NewCmp(rtl.R(rtl.Reg(1)), rtl.R(rtl.Reg(9))),
 		"PC=IC<0,L3;":     rtl.NewBranch(rtl.RelLT, 3),
 		"PC=L7;":          rtl.NewJmp(7),
-		"r[12]=HI[a];":    {Op: rtl.OpMovHi, Dst: rtl.Reg(12), Sym: "a"},
+		"r[12]=HI[a];":    {Op: rtl.OpMovHi, Dst: rtl.Reg(12), Sym: f.Intern("a")},
 		"r[12]=r[12]+LO[a];": {
-			Op: rtl.OpAddLo, Dst: rtl.Reg(12), A: rtl.R(rtl.Reg(12)), Sym: "a"},
+			Op: rtl.OpAddLo, Dst: rtl.Reg(12), A: rtl.R(rtl.Reg(12)), Sym: f.Intern("a")},
+		"CALL g(2);": {Op: rtl.OpCall, Sym: f.Intern("g"), NArgs: 2},
 	}
 	for want, in := range cases {
-		if got := in.String(); got != want {
-			t.Errorf("String() = %q, want %q", got, want)
+		if got := f.InstrString(&in); got != want {
+			t.Errorf("InstrString = %q, want %q", got, want)
 		}
 	}
 }

@@ -13,8 +13,10 @@ import "fmt"
 //   - the final block does not fall off the end of the function;
 //   - block IDs are unique, non-negative and below NextBlockID;
 //   - after register assignment no pseudo registers remain;
-//   - a symbol is at most MaxSymLen bytes long (the instance keys
-//     spell its length in one byte).
+//   - the symbol table holds at most MaxSyms names, every instruction's
+//     symbol index is in it, and an instruction's symbol is at most
+//     MaxSymLen bytes long (the instance keys spell its length in one
+//     byte).
 //
 // Validate is the cheap structural tier: the deeper semantic rules
 // (def-before-use, condition-code discipline, machine legality,
@@ -27,6 +29,9 @@ import "fmt"
 func Validate(f *Func) error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("%s: function has no blocks", f.Name)
+	}
+	if len(f.syms) > MaxSyms {
+		return fmt.Errorf("%s: %d symbols, more than %d", f.Name, len(f.syms), MaxSyms)
 	}
 	pos := make(map[int]int, len(f.Blocks)) // block ID -> layout position
 	for i, b := range f.Blocks {
@@ -44,17 +49,21 @@ func Validate(f *Func) error {
 			in := &b.Instrs[i]
 			if in.Op.IsControl() && i != len(b.Instrs)-1 {
 				return fmt.Errorf("%s: L%d instr %d: control instruction %q not at block end",
-					f.Name, b.ID, i, in.String())
+					f.Name, b.ID, i, f.InstrString(in))
 			}
 			if in.Op == OpBranch || in.Op == OpJmp {
-				if _, ok := pos[in.Target]; !ok {
+				if _, ok := pos[int(in.Target)]; !ok {
 					return fmt.Errorf("%s: L%d instr %d: target L%d does not exist",
 						f.Name, b.ID, i, in.Target)
 				}
 			}
-			if len(in.Sym) > MaxSymLen && (in.Op == OpMovHi || in.Op == OpAddLo || in.Op == OpCall) {
+			if int(in.Sym) > len(f.syms) {
+				return fmt.Errorf("%s: L%d instr %d: symbol %d outside the table of %d",
+					f.Name, b.ID, i, in.Sym, len(f.syms))
+			}
+			if n := len(f.SymName(in.Sym)); n > MaxSymLen && (in.Op == OpMovHi || in.Op == OpAddLo || in.Op == OpCall) {
 				return fmt.Errorf("%s: L%d instr %d: symbol of %d bytes, longer than %d",
-					f.Name, b.ID, i, len(in.Sym), MaxSymLen)
+					f.Name, b.ID, i, n, MaxSymLen)
 			}
 			if f.RegAssigned {
 				for _, r := range in.Defs(buf[:0]) {
@@ -89,7 +98,7 @@ func Validate(f *Func) error {
 		n := 0
 		last := f.Blocks[i].Last()
 		if last != nil && (last.Op == OpJmp || last.Op == OpBranch) {
-			succ[n], n = pos[last.Target], n+1
+			succ[n], n = pos[int(last.Target)], n+1
 		}
 		if i+1 < len(f.Blocks) && (last == nil || last.Op != OpJmp && last.Op != OpRet) {
 			succ[n], n = i+1, n+1
@@ -107,7 +116,7 @@ func Validate(f *Func) error {
 			if in.Op != OpBranch && in.Op != OpJmp {
 				continue
 			}
-			if !reach[pos[in.Target]] {
+			if !reach[pos[int(in.Target)]] {
 				return fmt.Errorf("%s: L%d instr %d: target L%d is unreachable from entry",
 					f.Name, b.ID, i, in.Target)
 			}

@@ -31,7 +31,7 @@ func TestOutcomeRingClearsSlots(t *testing.T) {
 	if sz := unsafe.Sizeof(outcomeSlot{}); sz > 128 {
 		t.Errorf("a ring slot is %d bytes; the ring's sizes (8 KiB at least, 512 KiB at most) are stated for 128", sz)
 	}
-	r := newOutcomeRing(ringSize)
+	r := getRing(ringSize)
 	fn := &rtl.Func{Name: "retained"}
 	buf := fingerprint.GetBuffer()
 	defer fingerprint.PutBuffer(buf)
@@ -90,8 +90,10 @@ func levelSeqs() [][]int {
 // none of them may read as a publication of the level of m attempts
 // that follows. (Numbered per level, attempt 0 of the second level would
 // find attempt 0 of the first one's mark and commit a zeroed slot.) A
-// level that outgrows the ring gets a larger, fresh one, whose zero
-// marks must not read as published either.
+// level that outgrows the ring gets a larger one, whose marks must not
+// read as published either. Each sequence is a run of its own, numbered
+// from 0, whose rings come from (getRing) and go back to (putRing) the
+// pools the runs before it used: a recycled ring reads as fresh.
 func TestOutcomeRingMarksNeverRepeatAcrossLevels(t *testing.T) {
 	for _, seq := range levelSeqs() {
 		var r *outcomeRing
@@ -101,7 +103,8 @@ func TestOutcomeRingMarksNeverRepeatAcrossLevels(t *testing.T) {
 				if r != nil && len(r.slots) >= size {
 					t.Fatalf("levels of %v attempts: a ring of %d slots replaced for a level of %d", seq, len(r.slots), size)
 				}
-				r = newOutcomeRing(size)
+				putRing(r)
+				r = getRing(size)
 			}
 			if n := len(r.slots); n&(n-1) != 0 || n < minRingSize || n > ringSize || (n < size && n < ringSize) {
 				t.Fatalf("levels of %v attempts: a ring of %d slots carries the level of %d", seq, n, size)
@@ -117,6 +120,7 @@ func TestOutcomeRingMarksNeverRepeatAcrossLevels(t *testing.T) {
 			}
 			base += int64(size)
 		}
+		putRing(r)
 	}
 }
 

@@ -1,6 +1,10 @@
 package search
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync"
+	"sync/atomic"
+)
 
 // ringSize bounds how many evaluated-but-uncommitted outcomes an
 // enumeration holds at once — the pipelined replacement for the old
@@ -53,15 +57,39 @@ type outcomeRing struct {
 	slots []outcomeSlot
 }
 
-// newOutcomeRing sizes a ring for a level of attempts attempts: the
-// smallest power of two that holds them all, within
+// ringPools recycle rings across runs, one pool per size from
+// minRingSize to ringSize: a run takes its ring from the pool of the
+// size its widest level needs so far and puts it back when it replaces
+// it or ends, so a series of small runs allocates no ring at all.
+var ringPools [8]sync.Pool
+
+// ringPool is the pool of rings of n slots, n a power of two in
 // [minRingSize, ringSize].
-func newOutcomeRing(attempts int) *outcomeRing {
+func ringPool(n int) *sync.Pool {
+	return &ringPools[bits.TrailingZeros(uint(n/minRingSize))]
+}
+
+// getRing returns a ring for a level of attempts attempts: the
+// smallest power of two that holds them all, within [minRingSize,
+// ringSize]. A recycled ring's publication marks are cleared, so it
+// reads as fresh: no mark an earlier run left reads as published.
+func getRing(attempts int) *outcomeRing {
 	n := minRingSize
 	for n < attempts && n < ringSize {
 		n <<= 1
 	}
+	if r, ok := ringPool(n).Get().(*outcomeRing); ok {
+		clear(r.slots)
+		return r
+	}
 	return &outcomeRing{slots: make([]outcomeSlot, n)}
+}
+
+// putRing recycles r (nil: none), whose every outcome was taken.
+func putRing(r *outcomeRing) {
+	if r != nil {
+		ringPool(len(r.slots)).Put(r)
+	}
 }
 
 // fits reports whether the ring (nil: none yet) can carry a level of

@@ -102,6 +102,39 @@ type Node struct {
 	// "Q"+Seq (no instance exists to encode) and stay out of the index.
 	key string
 	fn  *rtl.Func // retained only while unexplored
+	// ra is fn register-assigned, made once for the attempts of the
+	// node's level that require it; set only while an unassigned node's
+	// level runs.
+	ra *regAssigned
+}
+
+// regAssigned is a frontier instance's register-assigned form, built
+// by the first of the level's attempts that needs it (get) and cloned
+// by every such attempt instead of assigning a clone of its own; it
+// shares its analyses like the instance. fn stays nil when the
+// assignment panicked, which leaves those attempts to assign, and
+// quarantine, one by one as they always have.
+type regAssigned struct {
+	once sync.Once
+	fn   *rtl.Func
+}
+
+// get returns the register-assigned form of parent, building it on
+// the first call; nil when the assignment panicked.
+func (r *regAssigned) get(parent *rtl.Func) *rtl.Func {
+	r.once.Do(func() {
+		fn := getClone(parent)
+		defer func() {
+			if recover() != nil {
+				putClone(fn)
+			}
+		}()
+		fn.DropAnalyses() // every register is about to be rewritten
+		opt.RegAssign(fn)
+		fn.ShareAnalyses()
+		r.fn = fn
+	})
+	return r.fn
 }
 
 // IsLeaf reports whether no phase is active at this node. Quarantined
@@ -448,6 +481,9 @@ type engine struct {
 	// no publication mark ever repeats.
 	ring     *outcomeRing
 	ringBase int64
+	// work is the running level's attempts, its array reused level
+	// after level.
+	work []attempt
 	// equivClasses is the third index tier (Options.Equiv): the class
 	// key (equivKey) of every class representative, mapping to its node
 	// ID. Nil when the option is off. folds lists, in commit order, the
@@ -781,7 +817,8 @@ func (e *engine) run() *Result {
 		// evaluated concurrently, but the answers commit in (node, phase)
 		// order, so the enumeration is reproducible regardless of
 		// scheduling.
-		work := levelWork(frontier, opts.Phases)
+		e.work = levelWork(e.work[:0], frontier, opts.Phases)
+		work := e.work
 		// The number of sequences to evaluate at this level is exactly
 		// len(work): counting (node, enabled phase) pairs instead would
 		// include the immediate-repeat attempts skipped above and abort
@@ -799,6 +836,9 @@ func (e *engine) run() *Result {
 		// its analyses with the clones made of it (rtl.CFGOf).
 		for _, n := range frontier {
 			n.fn.ShareAnalyses()
+			if n.fn != nil && !n.fn.RegAssigned && !opts.NaiveReplay {
+				n.ra = new(regAssigned)
+			}
 		}
 		e.runLevel(work)
 		if e.levelDone != nil {
@@ -806,6 +846,11 @@ func (e *engine) run() *Result {
 		}
 		for _, n := range frontier {
 			n.fn.DropAnalyses()
+			if n.ra != nil {
+				n.ra.fn.DropAnalyses()
+				putClone(n.ra.fn)
+				n.ra = nil
+			}
 		}
 		if res.Aborted {
 			break
@@ -850,6 +895,8 @@ func (e *engine) run() *Result {
 			e.writeCheckpoint()
 		}
 	}
+	putRing(e.ring)
+	e.ring = nil
 	e.flush()
 	res.Elapsed = e.elapsed()
 	res.Stats = ins.runStats()
@@ -874,12 +921,11 @@ type attempt struct {
 	phase opt.Phase
 }
 
-// levelWork lists the attempts of one level in serial order: every
-// enabled phase at every frontier node, except the phase that produced
-// the node — an active phase is never active twice in a row (Section
-// 4.1), so re-attempting it is pointless.
-func levelWork(frontier []*Node, phases []opt.Phase) []attempt {
-	work := make([]attempt, 0, len(frontier)*len(phases))
+// levelWork appends to work the attempts of one level in serial order:
+// every enabled phase at every frontier node, except the phase that
+// produced the node — an active phase is never active twice in a row
+// (Section 4.1), so re-attempting it is pointless.
+func levelWork(work []attempt, frontier []*Node, phases []opt.Phase) []attempt {
 	for _, n := range frontier {
 		for _, p := range phases {
 			if opt.Enabled(p, n.State) && (len(n.Seq) == 0 || n.Seq[len(n.Seq)-1] != p.ID()) {
@@ -941,7 +987,8 @@ func (e *engine) runLevel(work []attempt) {
 	// A level boundary, nothing in flight: the ring may still grow to
 	// the work it is about to carry.
 	if !e.ring.fits(len(work)) {
-		e.ring = newOutcomeRing(len(work))
+		putRing(e.ring)
+		e.ring = getRing(len(work))
 	}
 	ring, base := e.ring, e.ringBase
 	window := int64(len(ring.slots)) // how far ahead of the commit count anyone may evaluate
@@ -1331,7 +1378,13 @@ func applyPhaseRecover(root *rtl.Func, a attempt, opts *Options) (o outcome) {
 		// the entire active prefix.
 		child = replaySeq(root, a.node.Seq, opts.Machine, &st)
 	} else {
-		child = getClone(a.node.fn)
+		from := a.node.fn
+		if ra := a.node.ra; ra != nil && a.phase.RequiresRegAssign() {
+			if fn := ra.get(from); fn != nil {
+				from = fn
+			}
+		}
+		child = getClone(from)
 		st = a.node.State
 	}
 	if !opt.Attempt(child, &st, a.phase, opts.Machine) {

@@ -299,10 +299,11 @@ func (d *docWriter) value(v any) {
 // the same reason; a complete space's is the result's own.
 //
 // The bytes are those encoding/json writes for a fileFormat holding the
-// same, newline included. Each top-level value but the node table is
-// encoding/json's own; the node table is appended one node at a time
-// (docWriter.node), so a render holds one node's bytes in memory, never
-// a second copy of the space.
+// same, newline included. Each top-level value but the root and the
+// node table is encoding/json's own; the root is its own encoding
+// (rtl.Func.AppendJSON) and the node table is appended one node at a
+// time (docWriter.node), so a render holds one node's bytes in memory,
+// never a second copy of the space.
 func (r *Result) encode(w io.Writer, v snapshot) error {
 	rendered.Add(1)
 	if len(v.frontier) == 0 && !v.aborted {
@@ -333,13 +334,13 @@ func (r *Result) encode(w io.Writer, v snapshot) error {
 	}
 	b := append(d.buf, `{"version":`...)
 	b = strconv.AppendInt(b, int64(version), 10)
-	b = appendString(append(b, `,"func":`...), r.FuncName)
+	b = rtl.AppendJSONString(append(b, `,"func":`...), r.FuncName)
 	b = strconv.AppendInt(append(b, `,"attempted_phases":`...), int64(v.attempted), 10)
 	if v.aborted {
 		b = append(b, `,"aborted":true`...)
 	}
 	if v.abortReason != "" {
-		b = appendString(append(b, `,"abort_reason":`...), v.abortReason)
+		b = rtl.AppendJSONString(append(b, `,"abort_reason":`...), v.abortReason)
 	}
 	b = strconv.AppendInt(append(b, `,"elapsed_ns":`...), int64(v.elapsed), 10)
 	d.buf = append(b, `,"stats":`...)
@@ -348,8 +349,8 @@ func (r *Result) encode(w io.Writer, v snapshot) error {
 		d.buf = append(d.buf, `,"equiv":`...)
 		d.value(equiv)
 	}
-	d.buf = append(d.buf, `,"root":`...)
-	d.value(r.root)
+	d.buf = r.root.AppendJSON(append(d.buf, `,"root":`...))
+	d.next()
 	d.buf = append(d.buf, `,"nodes":[`...)
 	for i, n := range r.Nodes[:v.numNodes] {
 		if d.err != nil {
@@ -430,7 +431,7 @@ func (r *Result) encodeResume(d *docWriter, v snapshot) {
 // equiv_raw.
 func (d *docWriter) node(n *Node, edges bool, equivRaw int) {
 	b := strconv.AppendInt(append(d.buf, `{"level":`...), int64(n.Level), 10)
-	b = appendString(append(b, `,"seq":`...), n.Seq)
+	b = rtl.AppendJSONString(append(b, `,"seq":`...), n.Seq)
 	d.buf = append(b, `,"key":`...)
 	d.base64(n.key)
 	b = strconv.AppendInt(append(d.buf, `,"fp":{"Count":`...), int64(n.FP.Count), 10)
@@ -457,10 +458,10 @@ func (d *docWriter) node(n *Node, edges bool, equivRaw int) {
 		b = append(b, ']')
 	}
 	if n.CheckErr != "" {
-		b = appendString(append(b, `,"check_err":`...), n.CheckErr)
+		b = rtl.AppendJSONString(append(b, `,"check_err":`...), n.CheckErr)
 	}
 	if n.Quarantine != "" {
-		b = appendString(append(b, `,"quarantine":`...), n.Quarantine)
+		b = rtl.AppendJSONString(append(b, `,"quarantine":`...), n.Quarantine)
 	}
 	d.buf = append(b, '}')
 }
@@ -470,20 +471,6 @@ func (d *docWriter) node(n *Node, edges bool, equivRaw int) {
 func (d *docWriter) base64(s string) {
 	d.key = append(d.key[:0], s...)
 	d.buf = append(base64.StdEncoding.AppendEncode(append(d.buf, '"'), d.key), '"')
-}
-
-// appendString appends s as encoding/json quotes it. Printable ASCII
-// that JSON and HTML leave alone is copied as it stands; anything else
-// — quotes, backslashes, <, > and &, control bytes, non-ASCII, invalid
-// UTF-8 — is quoted by encoding/json itself.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always marshals
-			return append(b, q...)
-		}
-	}
-	return append(append(append(b, '"'), s...), '"')
 }
 
 // Save writes the enumerated space to w: a complete, un-aborted space

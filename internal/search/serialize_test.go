@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/fingerprint"
 	"repro/internal/opt"
+	"repro/internal/rtl"
 	"repro/internal/search"
 )
 
@@ -285,6 +287,22 @@ func defectiveSpaces(t testing.TB) []defectiveSpace {
 			long := map[string]any{"Op": 2, "Dst": 12, "Sym": strings.Repeat("s", 256)} // r[12]=HI[sss…]
 			entry["Instrs"] = append([]any{long}, entry["Instrs"].([]any)...)
 		}), "space root is not a valid function"},
+		{"root with a call symbol too long to key", reencode(t, func(doc map[string]any) {
+			entry := doc["root"].(map[string]any)["Blocks"].([]any)[0].(map[string]any)
+			long := map[string]any{"Op": int(rtl.OpCall), "Sym": strings.Repeat("c", 256)} // CALL ccc…(0)
+			entry["Instrs"] = append([]any{long}, entry["Instrs"].([]any)...)
+		}), "space root is not a valid function"},
+		// An instruction holds its symbol as a 16-bit index into its
+		// function's table: a root naming more symbols than that decodes,
+		// and Validate refuses it.
+		{"root with more symbols than an instruction can index", reencode(t, func(doc map[string]any) {
+			entry := doc["root"].(map[string]any)["Blocks"].([]any)[0].(map[string]any)
+			syms := make([]any, 0, rtl.MaxSyms+1)
+			for i := range rtl.MaxSyms + 1 {
+				syms = append(syms, map[string]any{"Sym": strconv.FormatInt(int64(i), 36)})
+			}
+			entry["Instrs"] = append(syms, entry["Instrs"].([]any)...)
+		}), "65536 symbols, more than 65535"},
 		{"malformed node key", reencode(t, func(doc map[string]any) {
 			node0(doc)["key"] = "%%% not base64 %%%"
 		}), "malformed base64 key"},
